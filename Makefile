@@ -7,9 +7,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify fmt vet lint-tools build test race fuzz cover bench-smoke bench bench-update clean
+.PHONY: verify fmt vet lint-tools build test bench-module race fuzz cover bench-smoke bench bench-update clean
 
-verify: fmt vet lint-tools build test race fuzz cover bench-smoke
+verify: fmt vet lint-tools build test bench-module race fuzz cover bench-smoke
 	@echo "verify: all checks passed"
 
 # Mirror the CI staticcheck/govulncheck steps when the pinned tools are
@@ -33,6 +33,12 @@ build:
 test:
 	$(GO) test ./...
 
+# bench/ is its own module, so ./... above never descends into it; it
+# compiles against server/client/router's exported surface.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
 race:
 	$(GO) test -race ./...
 
@@ -44,6 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSelect$$' -fuzztime $(FUZZTIME) ./internal/planner
 	$(GO) test -run '^$$' -fuzz '^FuzzRepair$$' -fuzztime $(FUZZTIME) ./internal/delta
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzJSONDecode$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # The CI coverage gate: total statement coverage vs the checked-in floor.
 cover:

@@ -83,7 +83,6 @@ func run(args []string) error {
 	tenantQueue := fs.Int("tenant-queue", 0, "server: per-tenant per-class admission queue depth (0 = default 16, negative sheds immediately)")
 	tenantMax := fs.Int("tenant-max", 0, "server: tenant metric-cardinality cap; overflow pools into \"other\" (0 = default 32)")
 	latencyWindow := fs.Duration("latency-window", 0, "server: coalescing window for latency-class requests (0 = coalesce-window/8, negative disables)")
-	hotFactors := fs.Int("hot-factors", 0, "server: hot-factor ring capacity for warm binary fp lookups (0 = default 8)")
 	backends := fs.String("backends", "", "router: comma-separated replica addresses (host:port)")
 	replicas := fs.Int("replicas", 2, "cluster: in-process replica count")
 	clusterN := fs.Int("cluster", 0, "loadgen: spin up an in-process N-replica cluster and drive its front door (0 = use -addr)")
@@ -169,7 +168,7 @@ func run(args []string) error {
 		return runServer(os.Stdout, serverConfig{
 			addr: *addr, debugAddr: *debugAddr, procs: serveProcs(fs, *procs), kind: kind,
 			cacheCap: *cacheCap, window: *window, latencyWindow: *latencyWindow,
-			width: *width, maxInFlight: *maxInFlight, hotFactors: *hotFactors,
+			width: *width, maxInFlight: *maxInFlight,
 			maxBatch: *maxBatch, timeout: *reqTimeout, drainWait: 30 * time.Second,
 			tenantWeights: weights, tenantQuota: *tenantQuota,
 			tenantQueue: *tenantQueue, tenantMax: *tenantMax,
@@ -193,7 +192,7 @@ func run(args []string) error {
 			server: serverConfig{
 				procs: serveProcs(fs, *procs), kind: kind,
 				cacheCap: *cacheCap, window: *window, latencyWindow: *latencyWindow,
-				width: *width, maxInFlight: *maxInFlight, hotFactors: *hotFactors,
+				width: *width, maxInFlight: *maxInFlight,
 				maxBatch: *maxBatch, timeout: *reqTimeout, drainWait: 30 * time.Second,
 				tenantWeights: weights, tenantQuota: *tenantQuota,
 				tenantQueue: *tenantQueue, tenantMax: *tenantMax,

@@ -28,7 +28,6 @@ type serverConfig struct {
 	width         int
 	maxInFlight   int
 	maxBatch      int
-	hotFactors    int // hot-factor ring capacity (0 = server default)
 	timeout       time.Duration
 	drainWait     time.Duration
 	tenantWeights map[string]int // per-tenant DRR weights (nil = everyone weight 1)
@@ -42,7 +41,6 @@ func (c serverConfig) serverOptions() server.Config {
 		Procs:          c.procs,
 		Kind:           c.kind,
 		CacheCap:       c.cacheCap,
-		HotFactorCap:   c.hotFactors,
 		MaxBatch:       c.maxBatch,
 		DefaultTimeout: c.timeout,
 		Admission: server.AdmissionConfig{

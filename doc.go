@@ -55,7 +55,7 @@
 // the "Cluster serving" section of README.md.
 //
 // The implementation lives under internal/; see README.md for the package
-// map, DESIGN.md for the system inventory and per-experiment index, and
-// EXPERIMENTS.md for paper-vs-measured results. bench_test.go in this
-// directory regenerates every table and figure as Go benchmarks.
+// map and the per-subsystem sections, ROADMAP.md for the open items, and
+// bench/README.md for the perf ledger. bench_test.go in this directory
+// regenerates every table and figure as Go benchmarks.
 package doconsider

@@ -184,6 +184,26 @@ func (c *Cache[K, V]) runBuild(e *entry[K, V], build func() (V, error)) (v V, er
 	return v, err
 }
 
+// Lookup returns the value cached under key without pinning it: a hit
+// is counted and the entry's LRU position refreshed, exactly as Get
+// does, but no Handle is taken, so the read allocates nothing. An absent
+// key — or one whose build is still in flight; Lookup never blocks —
+// counts a miss and reports false, leaving the cache untouched. The
+// value may be evicted and Closed while the caller still uses it, so
+// Lookup suits only values whose Close releases nothing (the serving
+// tier's by-fingerprint factors); plans with pooled workers need Get.
+func (c *Cache[K, V]) Lookup(key K) (v V, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.entries[key]; e != nil && e.built {
+		c.stats.Hits++
+		c.lru.moveToFront(e)
+		return e.val, true
+	}
+	c.stats.Misses++
+	return v, false
+}
+
 // NoteHit counts a lookup served without touching the cache — a caller
 // holding its own memoized reference to a cached value (the serving
 // tier's bound-solver memo does this). The memo is a hit in every sense
@@ -214,25 +234,17 @@ func (c *Cache[K, V]) Keys(limit int) []K {
 	return keys
 }
 
-// Peek returns a handle to a built, resident entry without counting a
-// hit or refreshing its LRU position — an observer's read, not a
-// caller's. It reports false for absent keys and for entries whose
-// build is still in flight (Peek never blocks). The handle pins the
-// value like Get's and must be Released.
-func (c *Cache[K, V]) Peek(key K) (*Handle[K, V], bool) {
+// Peek is Lookup for observers: the same unpinned read of a built,
+// resident entry, but it counts nothing and leaves the LRU order alone
+// — enumeration (the sharded tier's warm handoff) must not look like
+// demand.
+func (c *Cache[K, V]) Peek(key K) (v V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || !e.built {
-		return nil, false
+	if e := c.entries[key]; e != nil && e.built {
+		return e.val, true
 	}
-	select {
-	case <-e.ready:
-	default:
-		return nil, false
-	}
-	e.refs++
-	return &Handle[K, V]{c: c, e: e}, true
+	return v, false
 }
 
 // Stats returns a snapshot of the cache counters.

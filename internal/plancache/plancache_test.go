@@ -345,3 +345,70 @@ func ExampleCache() {
 	// inspector runs once
 	// shared: true
 }
+
+// TestLookupUnpinnedRead pins Lookup's contract: a hit counts and
+// refreshes the entry's LRU position without taking a handle (so it
+// allocates nothing and never defers an eviction's Close), a miss —
+// including a key whose build is still in flight — counts and leaves
+// the cache untouched.
+func TestLookupUnpinnedRead(t *testing.T) {
+	c := New[int, *tracker](2)
+	defer c.Close()
+	for _, k := range []int{1, 2} {
+		h, err := c.Get(k, newTracker(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	}
+	v1, ok := c.Lookup(1) // refreshes 1, leaving 2 the LRU victim
+	if !ok || v1.id != 1 {
+		t.Fatalf("Lookup(1) = %v, %v, want the resident value", v1, ok)
+	}
+	h, err := c.Get(3, newTracker(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	if _, ok := c.Lookup(2); ok {
+		t.Fatal("Lookup(2) hit: the lookup of 1 should have made 2 the eviction victim")
+	}
+	if _, ok := c.Lookup(1); !ok {
+		t.Fatal("Lookup(1) missed after its LRU position was refreshed")
+	}
+	if s := c.Stats(); s.Hits != 2 || s.Misses != 4 || s.Evictions != 1 || s.Resident != 2 {
+		t.Fatalf("stats = %+v, want 2 hits, 4 misses (3 builds + 1 lookup), 1 eviction, 2 resident", s)
+	}
+	// No handle was taken: evicting a looked-up entry closes it at once.
+	c.Evict(1)
+	if got := v1.closes.Load(); got != 1 {
+		t.Fatalf("looked-up value closed %d times on eviction, want 1 (Lookup must not pin)", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.Lookup(3) }); allocs != 0 {
+		t.Fatalf("Lookup hit = %v allocs/op, want 0", allocs)
+	}
+
+	// A key mid-build is a miss, not a wait.
+	building, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h, err := c.Get(9, func() (*tracker, error) {
+			close(building)
+			<-release
+			return &tracker{id: 9}, nil
+		})
+		if err == nil {
+			h.Release()
+		}
+	}()
+	<-building
+	if _, ok := c.Lookup(9); ok {
+		t.Error("Lookup hit a key whose build is still in flight")
+	}
+	close(release)
+	<-done
+	if v, ok := c.Lookup(9); !ok || v.id != 9 {
+		t.Errorf("Lookup(9) after the build = %v, %v, want the built value", v, ok)
+	}
+}

@@ -85,7 +85,7 @@ func BenchmarkCoalescer(b *testing.B) {
 				wg.Add(1)
 				go func(cl int) {
 					defer wg.Done()
-					if _, _, err := c.Submit(context.Background(), l, true, [][]float64{bs[cl]}, nil); err != nil {
+					if _, _, err := submitRHS(context.Background(), c, l, true, [][]float64{bs[cl]}); err != nil {
 						b.Error(err)
 					}
 				}(cl)

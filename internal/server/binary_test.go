@@ -80,9 +80,9 @@ func checkSameSolutions(t *testing.T, shape string, jx, bx [][]float64) {
 
 // TestBinaryDifferential drives every request shape through both wire
 // encodings against one server and requires byte-identical solutions
-// and matching fingerprints. The two paths share the solver but not
-// the decode, factor resolution or response encode — this test is what
-// makes the binary path's zero-copy shortcuts safe to trust.
+// and matching fingerprints. The two wires share the whole pipeline but
+// not the codec — this test is what makes the frame codec's zero-copy
+// shortcuts safe to trust.
 func TestBinaryDifferential(t *testing.T) {
 	_, ts := newTestServer(t, Config{Procs: 2, Coalesce: CoalesceConfig{Window: 0}})
 	l := testFactor(12)
@@ -147,7 +147,7 @@ func TestBinaryDifferential(t *testing.T) {
 // TestBinaryErrorEquivalence drives the error paths through both
 // encodings: same request defect, same HTTP status.
 func TestBinaryErrorEquivalence(t *testing.T) {
-	_, ts := newTestServer(t, Config{Procs: 2, MaxBatch: 4, Coalesce: CoalesceConfig{Window: 0}})
+	s, ts := newTestServer(t, Config{Procs: 2, MaxBatch: 4, Coalesce: CoalesceConfig{Window: 0}})
 	l := testFactor(8)
 	lower := true
 	n := l.N
@@ -194,6 +194,74 @@ func TestBinaryErrorEquivalence(t *testing.T) {
 		}
 		if binStatus != 200 && br.Status != tc.want {
 			t.Errorf("%s: error frame carries status %d, want %d", tc.name, br.Status, tc.want)
+		}
+	}
+
+	// An error after admission is a full citizen of the pipeline on both
+	// wires: it echoes a trace ID, lands in /v1/trace under that ID with
+	// its status, and is charged to the tenant that sent it.
+	unknown := &SolveRequest{Fp: "00000000deadbeef", Lower: &lower, B: [][]float64{randVec(n, 1)}}
+	unknownFrame, err := EncodeRequestFrame(unknown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := []struct {
+		name, contentType string
+		body              []byte
+		want              int
+	}{
+		{"json-unknown-fp", "application/json", mustJSON(t, unknown), 404},
+		{"json-malformed", "application/json", []byte("{nope"), 400},
+		{"binary-unknown-fp", FrameContentType, unknownFrame, 404},
+		{"binary-malformed", FrameContentType, []byte("DCWF but not a frame"), 400},
+	}
+	for _, tc := range late {
+		req, err := http.NewRequest("POST", ts.URL+"/v1/trisolve", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", tc.contentType)
+		req.Header.Set(TenantHeader, tc.name)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+		var tid string
+		if tc.contentType == FrameContentType {
+			wr, err := DecodeResponseFrame(body)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			tid = wr.TraceID
+		} else {
+			var e errorResponse
+			if err := json.Unmarshal(body, &e); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			tid = e.TraceID
+		}
+		if len(tid) != 16 {
+			t.Errorf("%s: trace_id %q, want 16 hex digits", tc.name, tid)
+		}
+		traced := false
+		for _, tr := range getTraces(t, ts.URL+"/v1/trace?limit=64").Traces {
+			if tr.TraceID == tid {
+				traced = tr.Status == tc.want && tr.Tenant == tc.name
+			}
+		}
+		if !traced {
+			t.Errorf("%s: no trace %s with status %d for the tenant in /v1/trace", tc.name, tid, tc.want)
+		}
+		if got := s.tenants.resolve(tc.name).latH.Count(); got != 1 {
+			t.Errorf("%s: tenant request histogram count = %d, want 1", tc.name, got)
 		}
 	}
 }
@@ -301,7 +369,7 @@ func TestBinaryArenaLeak(t *testing.T) {
 
 // TestSolveFrameZeroAlloc pins the tentpole end to end below the HTTP
 // transport: a warm fp-resubmission through SolveFrame — frame decode,
-// hot-factor lookup, coalescer fast path, bound solve, response encode
+// factor-cache lookup, coalescer fast path, bound solve, response encode
 // — performs zero heap allocations.
 func TestSolveFrameZeroAlloc(t *testing.T) {
 	s, frame := warmBinaryServer(t, 16)
@@ -391,14 +459,11 @@ func TestBinaryTenantWarmZeroAlloc(t *testing.T) {
 // response frame bytes.
 func mustSolveOnce(tb testing.TB, s *Server, frame []byte) []byte {
 	tb.Helper()
-	st := s.getReqState()
-	out, status := s.SolveFrame(context.Background(), frame, st)
+	out, status := solveVia(s, frameCodec, frame)
 	if status != 200 {
 		tb.Fatalf("status %d", status)
 	}
-	resp := append([]byte(nil), out...)
-	s.putReqState(st)
-	return resp
+	return out
 }
 
 // warmBinaryServerCfg is warmBinaryServer with a caller-chosen Config.
@@ -435,7 +500,7 @@ func warmBinaryServerCfg(tb testing.TB, mesh int, cfg Config) (*Server, []byte) 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// One warm pass so the solver memo and hot-factor table are primed.
+	// One warm pass so the solver memo is primed.
 	st = s.getReqState()
 	if _, status := s.SolveFrame(ctx, frame, st); status != 200 {
 		tb.Fatalf("resubmit warmup status %d", status)

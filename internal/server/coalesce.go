@@ -57,7 +57,7 @@ type coReq struct {
 	hint     *driftHint // plan-repair ancestor, when the request drifted
 	deadline time.Time  // caller ctx deadline; zero = none
 	group    *coGroup   // the pending group this request joined, if any
-	// held is the request arena's pass reference (binary wire path):
+	// held is the request arena's pass reference (xs lives in it):
 	// released exactly once, when the pass wakes the request or the
 	// request withdraws — whichever happens — so a detached fused pass
 	// can keep writing xs after the submitting handler has returned.
@@ -263,36 +263,21 @@ func (c *Coalescer) planOpts() ([]trisolve.Option, error) {
 	return append(opts, trisolve.WithKind(k)), nil
 }
 
-// Submit solves l (lower or upper triangular) against the right-hand
-// sides bs, possibly fused with concurrent structurally identical
-// requests, and returns the solutions. hint, when non-nil, names the
-// plan-cache ancestor the factor drifted from (base_fp+edits requests)
-// so a plan miss repairs instead of re-inspecting. ctx cancellation
-// while the request is still waiting in its window withdraws it without
-// disturbing the other waiters; once the fused pass has started the pass
-// runs to completion (under the coalescer's base context) but the caller
-// still returns promptly with ctx.Err().
-func (c *Coalescer) Submit(ctx context.Context, l *sparse.CSR, lower bool, bs [][]float64, hint *driftHint) ([][]float64, SolveInfo, error) {
-	xs := make([][]float64, len(bs))
-	for j := range xs {
-		xs[j] = make([]float64, l.N)
-	}
-	req := &coReq{l: l, lower: lower, xs: xs, bs: bs, hint: hint}
-	info, err := c.submit(ctx, req)
-	return xs, info, err
-}
-
-// SubmitInto is Submit with caller-owned request state: the solutions
-// land in req.xs (the binary wire path points them into the response
-// frame so the solver writes results in place), and req itself is
-// pooled by the caller. req.held, when set, is the request arena's pass
-// reference — see coReq. On the warm solo path this performs no heap
+// Submit solves req.l (lower or upper triangular) against the right-hand
+// sides req.bs, possibly fused with concurrent structurally identical
+// requests of the same class, and lands the solutions in req.xs — the
+// caller owns req and both row sets (the server points xs into the
+// response body so the solver writes results in place). req.hint, when
+// non-nil, names the plan-cache ancestor the factor drifted from
+// (base_fp+edits requests) so a plan miss repairs instead of
+// re-inspecting; req.held, when set, is the request arena's pass
+// reference — see coReq. ctx cancellation while the request is still
+// waiting in its window withdraws it without disturbing the other
+// waiters; once the fused pass has started the pass runs to completion
+// (under the coalescer's base context) but the caller still returns
+// promptly with ctx.Err(). On the warm solo path this performs no heap
 // allocations.
-func (c *Coalescer) SubmitInto(ctx context.Context, req *coReq) (SolveInfo, error) {
-	return c.submit(ctx, req)
-}
-
-func (c *Coalescer) submit(ctx context.Context, req *coReq) (SolveInfo, error) {
+func (c *Coalescer) Submit(ctx context.Context, req *coReq) (SolveInfo, error) {
 	c.requests.Add(uint64(1))
 	key := coalesceKey{fp: req.l.StructureFingerprint(), n: req.l.N, lower: req.lower, class: req.class}
 	if d, ok := ctx.Deadline(); ok {

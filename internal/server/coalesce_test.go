@@ -51,6 +51,17 @@ func newTestCoalescer(t *testing.T, window time.Duration, width int) *Coalescer 
 	return c
 }
 
+// submitRHS runs one request through c the way the server does: a
+// caller-owned coReq whose solution rows the pass fills in place.
+func submitRHS(ctx context.Context, c *Coalescer, l *sparse.CSR, lower bool, bs [][]float64) ([][]float64, SolveInfo, error) {
+	xs := make([][]float64, len(bs))
+	for j := range xs {
+		xs[j] = make([]float64, l.N)
+	}
+	info, err := c.Submit(ctx, &coReq{l: l, lower: lower, xs: xs, bs: bs})
+	return xs, info, err
+}
+
 // refSolve returns the unfused Plan.Solve result for one factor/RHS pair;
 // group passes must reproduce it bit for bit.
 func refSolve(t *testing.T, l *sparse.CSR, b []float64) []float64 {
@@ -80,7 +91,7 @@ func TestCoalesceWindowOfOne(t *testing.T) {
 	c := newTestCoalescer(t, 5*time.Millisecond, 64)
 	l := testFactor(12)
 	b := randVec(l.N, 1)
-	xs, info, err := c.Submit(context.Background(), l, true, [][]float64{b}, nil)
+	xs, info, err := submitRHS(context.Background(), c, l, true, [][]float64{b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +126,7 @@ func TestCoalesceFusesAtWidthCap(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], infos[i], errs[i] = c.Submit(context.Background(), ls[i], true, [][]float64{bs[i]}, nil)
+			results[i], infos[i], errs[i] = submitRHS(context.Background(), c, ls[i], true, [][]float64{bs[i]})
 		}(i)
 	}
 	wg.Wait()
@@ -149,7 +160,7 @@ func TestCoalesceWidthCapOverflowSplits(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			bs := [][]float64{randVec(l.N, int64(2*i)), randVec(l.N, int64(2*i+1))}
-			if _, _, err := c.Submit(context.Background(), l, true, bs, nil); err != nil {
+			if _, _, err := submitRHS(context.Background(), c, l, true, bs); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -184,7 +195,7 @@ func TestCoalesceOversizedRequestRunsSolo(t *testing.T) {
 	l := testFactor(8)
 	bs := [][]float64{randVec(l.N, 1), randVec(l.N, 2), randVec(l.N, 3)}
 	start := time.Now()
-	_, info, err := c.Submit(context.Background(), l, true, bs, nil)
+	_, info, err := submitRHS(context.Background(), c, l, true, bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +221,7 @@ func TestCoalesceCancellationReleasesOtherWaiters(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, errA = c.Submit(ctxA, l, true, [][]float64{randVec(l.N, 1)}, nil)
+		_, _, errA = submitRHS(ctxA, c, l, true, [][]float64{randVec(l.N, 1)})
 	}()
 	// Give A a moment to join its window, bring B in, then cancel A.
 	time.Sleep(10 * time.Millisecond)
@@ -221,7 +232,7 @@ func TestCoalesceCancellationReleasesOtherWaiters(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		xsB, infoB, errB = c.Submit(context.Background(), l, true, [][]float64{bB}, nil)
+		xsB, infoB, errB = submitRHS(context.Background(), c, l, true, [][]float64{bB})
 	}()
 	time.Sleep(10 * time.Millisecond)
 	cancelA()
@@ -248,7 +259,7 @@ func TestCoalesceCancelledLoneWaiterDissolvesGroup(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Submit(ctx, l, true, [][]float64{randVec(l.N, 1)}, nil)
+		_, _, err := submitRHS(ctx, c, l, true, [][]float64{randVec(l.N, 1)})
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -269,7 +280,7 @@ func TestCoalesceWindowZeroDisables(t *testing.T) {
 	l := testFactor(10)
 	for i := 0; i < 4; i++ {
 		b := randVec(l.N, int64(i))
-		xs, info, err := c.Submit(context.Background(), l, true, [][]float64{b}, nil)
+		xs, info, err := submitRHS(context.Background(), c, l, true, [][]float64{b})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +300,7 @@ func TestCoalesceUpperSolve(t *testing.T) {
 	c := newTestCoalescer(t, 0, 64)
 	u := testFactor(10).Transpose()
 	b := randVec(u.N, 7)
-	xs, _, err := c.Submit(context.Background(), u, false, [][]float64{b}, nil)
+	xs, _, err := submitRHS(context.Background(), c, u, false, [][]float64{b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +337,7 @@ func TestCoalesceQuiescentSeal(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var err error
-			_, infos[i], err = c.Submit(context.Background(), l, true, [][]float64{randVec(l.N, int64(i))}, nil)
+			_, infos[i], err = submitRHS(context.Background(), c, l, true, [][]float64{randVec(l.N, int64(i))})
 			if err != nil {
 				t.Error(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"doconsider/internal/arena"
 	"doconsider/internal/sparse"
@@ -69,8 +70,9 @@ import (
 // protocol on POST /v1/trisolve.
 const FrameContentType = "application/x-doconsider-frame"
 
-// MaxFrameBytes bounds a request frame, mirroring the 64 MiB
-// MaxBytesReader bound on the JSON path.
+// MaxFrameBytes bounds a /v1/trisolve request body on either wire (the
+// one body reader enforces it; the frame decoder re-checks it for
+// direct callers).
 const MaxFrameBytes = 64 << 20
 
 const (
@@ -170,35 +172,6 @@ func parseSections(buf []byte, sects []frameSection) (flags byte, _ []frameSecti
 	return flags, sects, nil
 }
 
-// wireRequest is a decoded request frame. The slices are views into the
-// frame buffer (or arena copies on hosts without zero-copy), valid for
-// the lifetime of the request arena.
-type wireRequest struct {
-	lower     bool
-	n         int
-	rowPtr    []int32
-	colIdx    []int32
-	val       []float64
-	rhsFlat   []float64 // k*n row-major
-	k         int
-	fp        uint64
-	hasFp     bool
-	baseFp    uint64
-	hasBaseFp bool
-	edits     []sparse.RowEdit
-	timeoutMs int
-	traceID   uint64
-	hasTrace  bool
-	tenant    []byte // view into the frame; empty when no tenant section
-	class     Class
-	hasTenant bool
-}
-
-// reset clears a pooled wireRequest for reuse.
-func (q *wireRequest) reset() {
-	*q = wireRequest{}
-}
-
 // sectionInt32s decodes an int32 payload: a zero-copy view on
 // little-endian hosts with aligned buffers, an arena copy otherwise.
 func sectionInt32s(payload []byte, a *arena.Arena) []int32 {
@@ -218,9 +191,7 @@ func sectionFloat64s(payload []byte, a *arena.Arena) []float64 {
 		return arena.ViewFloat64s(payload)
 	}
 	out := a.Float64s(len(payload) / 8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-	}
+	getFloat64s(out, payload)
 	return out
 }
 
@@ -236,8 +207,7 @@ func parseRequestFrame(buf []byte, a *arena.Arena, req *wireRequest, sects []fra
 	if err != nil {
 		return err
 	}
-	req.reset()
-	req.lower = flags&flagLower != 0
+	*req = wireRequest{lower: flags&flagLower != 0, borrowed: true}
 	seen := uint32(0)
 	for _, s := range sects {
 		if s.typ >= 32 {
@@ -277,8 +247,12 @@ func parseRequestFrame(buf []byte, a *arena.Arena, req *wireRequest, sects []fra
 				uint64(s.length/8)%uint64(s.count) != 0 {
 				return fmt.Errorf("rhs section: %d bytes do not divide into %d vectors", s.length, s.count)
 			}
-			req.k = int(s.count)
-			req.rhsFlat = sectionFloat64s(payload, a)
+			flat := sectionFloat64s(payload, a)
+			n := len(flat) / int(s.count)
+			req.rhs = a.Rows(int(s.count))
+			for j := range req.rhs {
+				req.rhs[j] = flat[j*n : (j+1)*n : (j+1)*n]
+			}
 		case secFp:
 			if s.length != 8 {
 				return fmt.Errorf("fp section: %d bytes, want 8", s.length)
@@ -300,14 +274,13 @@ func parseRequestFrame(buf []byte, a *arena.Arena, req *wireRequest, sects []fra
 		case secTimeout:
 			// The count field is a signed millisecond value on the wire so a
 			// client bug that encodes a negative timeout is visible here and
-			// rejected by the handler, mirroring the JSON path.
+			// rejected by the one timeout rule in solve.
 			req.timeoutMs = int(int32(s.count))
 		case secTraceID:
 			if s.length != 8 {
 				return fmt.Errorf("trace_id section: %d bytes, want 8", s.length)
 			}
 			req.traceID = binary.LittleEndian.Uint64(payload)
-			req.hasTrace = true
 		case secTenant:
 			if err := validateTenantNameBytes(payload); err != nil {
 				return fmt.Errorf("tenant section: %w", err)
@@ -317,7 +290,6 @@ func parseRequestFrame(buf []byte, a *arena.Arena, req *wireRequest, sects []fra
 			}
 			req.tenant = payload
 			req.class = Class(s.count)
-			req.hasTenant = true
 		default:
 			return fmt.Errorf("unknown section type %d", s.typ)
 		}
@@ -395,12 +367,12 @@ type respLayout struct {
 	infoOff  int
 	tidOff   int
 	stratOff int
-	k, n     int
+	n        int
 }
 
 func responseLayout(k, n int) respLayout {
 	var lo respLayout
-	lo.k, lo.n = k, n
+	lo.n = n
 	off := frameHeaderLen + 5*frameSectionLen
 	lo.solOff = off
 	off += align8(8 * k * n)
@@ -440,36 +412,45 @@ func newResponseFrame(a *arena.Arena, k, n int) ([]byte, respLayout, [][]float64
 	for i := lo.stratOff; i < lo.total; i++ {
 		buf[i] = 0
 	}
-	solBytes := buf[lo.solOff : lo.solOff+8*k*n]
-	var xs [][]float64
+	return buf, lo, solutionRows(a, buf[lo.solOff:lo.solOff+8*k*n], k, n)
+}
+
+// solutionRows returns the k solver output rows of length n over sol,
+// the 8*k*n arena bytes that go on the wire little-endian: views into
+// sol on little-endian hosts, so the solver writes the response bytes in
+// place, separate arena vectors otherwise (flushSolutions serializes
+// those after the solve). Both codecs place their solutions this way.
+func solutionRows(a *arena.Arena, sol []byte, k, n int) [][]float64 {
+	xs := a.Rows(k)
 	if arena.HostLittleEndian() {
-		flat := arena.ViewFloat64s(solBytes)
-		xs = a.Rows(k)
-		for j := 0; j < k; j++ {
+		flat := arena.ViewFloat64s(sol)
+		for j := range xs {
 			xs[j] = flat[j*n : (j+1)*n : (j+1)*n]
 		}
-	} else {
-		// Big-endian host: solve into arena vectors, byte-swap in finish.
-		xs = a.Rows(k)
-		for j := 0; j < k; j++ {
-			xs[j] = a.Float64s(n)
-		}
+		return xs
 	}
-	return buf, lo, xs
+	for j := range xs {
+		xs[j] = a.Float64s(n)
+	}
+	return xs
+}
+
+// flushSolutions serializes xs into sol on hosts where solutionRows
+// could not hand out in-place views.
+func flushSolutions(sol []byte, xs [][]float64, n int) {
+	if arena.HostLittleEndian() {
+		return
+	}
+	for j, x := range xs {
+		putFloat64s(sol[8*j*n:], x)
+	}
 }
 
 // finishResponseFrame patches the fingerprint, info, trace-ID and
 // strategy sections after the solve. On big-endian hosts it also
 // serializes the solutions into the frame.
 func finishResponseFrame(buf []byte, lo respLayout, xs [][]float64, fp uint64, info SolveInfo, tid uint64) []byte {
-	if !arena.HostLittleEndian() {
-		sol := buf[lo.solOff:]
-		for j, x := range xs {
-			for i, v := range x {
-				binary.LittleEndian.PutUint64(sol[8*(j*lo.n+i):], math.Float64bits(v))
-			}
-		}
-	}
+	flushSolutions(buf[lo.solOff:], xs, lo.n)
 	binary.LittleEndian.PutUint64(buf[lo.fpOff:], fp)
 	binary.LittleEndian.PutUint64(buf[lo.tidOff:], tid)
 	binary.LittleEndian.PutUint32(buf[lo.infoOff:], uint32(info.Fused))
@@ -579,6 +560,11 @@ func EncodeRequestFrame(req *SolveRequest) ([]byte, error) {
 	}
 	if len(req.B) > 0 {
 		n := len(req.B[0])
+		for j, row := range req.B {
+			if len(row) != n {
+				return nil, fmt.Errorf("right-hand side %d has length %d, want %d", j, len(row), n)
+			}
+		}
 		length := 8 * len(req.B) * n
 		secs = append(secs, sec{typ: secRHS, count: uint32(len(req.B)), length: length,
 			write: func(b []byte) {
@@ -639,9 +625,11 @@ func EncodeRequestFrame(req *SolveRequest) ([]byte, error) {
 	return buf, nil
 }
 
+// parseHexFp parses a fingerprint (or trace ID) as both wires spell it
+// in text: up to 16 hex digits, nothing else.
 func parseHexFp(hexFp string) (uint64, error) {
-	var fp uint64
-	if _, err := fmt.Sscanf(hexFp, "%x", &fp); err != nil {
+	fp, err := strconv.ParseUint(hexFp, 16, 64)
+	if err != nil {
 		return 0, fmt.Errorf("malformed fingerprint %q", hexFp)
 	}
 	return fp, nil
@@ -656,6 +644,13 @@ func putInt32s(b []byte, v []int32) {
 func putFloat64s(b []byte, v []float64) {
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+}
+
+// getFloat64s fills v from the little-endian float64s at the front of b.
+func getFloat64s(v []float64, b []byte) {
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 }
 
@@ -766,11 +761,8 @@ func DecodeResponseFrame(buf []byte) (*WireResponse, error) {
 		n := len(solPayload) / 8 / k
 		resp.X = make([][]float64, k)
 		for j := 0; j < k; j++ {
-			row := make([]float64, n)
-			for i := range row {
-				row[i] = math.Float64frombits(binary.LittleEndian.Uint64(solPayload[8*(j*n+i):]))
-			}
-			resp.X[j] = row
+			resp.X[j] = make([]float64, n)
+			getFloat64s(resp.X[j], solPayload[8*j*n:])
 		}
 	}
 	return resp, nil

@@ -42,7 +42,7 @@ func TestFrameRoundTripInline(t *testing.T) {
 	if err := parseRequestFrame(buf, a, &q, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !q.lower || q.n != 3 || q.k != 2 || q.hasFp || q.hasBaseFp || q.timeoutMs != 0 {
+	if !q.lower || q.n != 3 || len(q.rhs) != 2 || q.hasFp || q.hasBaseFp || q.timeoutMs != 0 {
 		t.Fatalf("decoded header fields wrong: %+v", q)
 	}
 	for i, v := range req.RowPtr {
@@ -62,8 +62,8 @@ func TestFrameRoundTripInline(t *testing.T) {
 	}
 	for j := 0; j < 2; j++ {
 		for i := 0; i < 3; i++ {
-			if q.rhsFlat[3*j+i] != req.B[j][i] {
-				t.Fatalf("rhs[%d][%d] = %v, want %v", j, i, q.rhsFlat[3*j+i], req.B[j][i])
+			if q.rhs[j][i] != req.B[j][i] {
+				t.Fatalf("rhs[%d][%d] = %v, want %v", j, i, q.rhs[j][i], req.B[j][i])
 			}
 		}
 	}
@@ -86,7 +86,7 @@ func TestFrameRoundTripForms(t *testing.T) {
 	if err := parseRequestFrame(buf, a, &q, nil); err != nil {
 		t.Fatal(err)
 	}
-	if q.lower || !q.hasFp || q.fp != 0x00deadbeef001234 || q.timeoutMs != 1500 || q.k != 1 {
+	if q.lower || !q.hasFp || q.fp != 0x00deadbeef001234 || q.timeoutMs != 1500 || len(q.rhs) != 1 {
 		t.Fatalf("fp form decoded wrong: %+v", q)
 	}
 
@@ -346,8 +346,10 @@ func FuzzFrameDecode(f *testing.F) {
 			for _, v := range q.val {
 				_ = v
 			}
-			for _, v := range q.rhsFlat {
-				_ = v
+			for _, row := range q.rhs {
+				for _, v := range row {
+					_ = v
+				}
 			}
 		}
 		_, _ = DecodeResponseFrame(data)

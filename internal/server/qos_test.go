@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
+
+	"doconsider/internal/obs"
 )
 
 // postTenant posts a JSON solve request with a tenant header and
@@ -61,38 +64,151 @@ func postFrameHdr(t *testing.T, url string, frame []byte) (int, *WireResponse, h
 	return resp.StatusCode, wr, resp.Header
 }
 
-// TestNegativeTimeoutRejectedBothWires pins the bugfix for silently
-// ignored negative timeouts: both the JSON timeout_ms field and the
-// DCWF timeout section must reject a negative value with 400.
-func TestNegativeTimeoutRejectedBothWires(t *testing.T) {
-	_, ts := newTestServer(t, Config{Procs: 1})
+// postWire sends req over the named wire ("json" or "binary") with an
+// optional tenant header and returns the status and the pass's fused
+// count. It reports failures as an error so it is usable off the test
+// goroutine.
+func postWire(url, wire, tenantHeader string, req *SolveRequest) (status, fused int, err error) {
+	body, contentType := []byte(nil), "application/json"
+	if wire == "binary" {
+		contentType = FrameContentType
+		body, err = EncodeRequestFrame(req)
+	} else {
+		body, err = json.Marshal(req)
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	hreq, err := http.NewRequest("POST", url+"/v1/trisolve", bytes.NewReader(body))
+	if err != nil {
+		return 0, 0, err
+	}
+	hreq.Header.Set("Content-Type", contentType)
+	if tenantHeader != "" {
+		hreq.Header.Set(TenantHeader, tenantHeader)
+	}
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, 0, err
+	}
+	if wire == "binary" {
+		wr, err := DecodeResponseFrame(out)
+		if err != nil {
+			return resp.StatusCode, 0, err
+		}
+		return resp.StatusCode, wr.Fused, nil
+	}
+	var sr SolveResponse
+	err = json.Unmarshal(out, &sr)
+	return resp.StatusCode, sr.Fused, err
+}
+
+// TestRequestTimeoutBothWires pins the one timeout rule on both wires:
+// a negative timeout (JSON timeout_ms, DCWF timeout section) is
+// rejected with 400, and a timeout larger than Config.DefaultTimeout
+// does not extend it — a request parked in a long window still comes
+// back 504 at the default deadline.
+func TestRequestTimeoutBothWires(t *testing.T) {
+	s, ts := newTestServer(t, Config{Procs: 1, DefaultTimeout: 50 * time.Millisecond,
+		Coalesce: CoalesceConfig{Window: 10 * time.Second, Width: 64}})
 	l := testFactor(8)
 	lower := true
-	req := &SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx, Val: l.Val,
-		Lower: &lower, B: [][]float64{randVec(l.N, 1)}, TimeoutMs: -5}
+	// A request stalled mid-body keeps the coalescer from sealing windows
+	// by quiescence, so only a deadline can release a parked request.
+	_, finish := stallRequest(t, ts.URL, solveBody(t, l, true, [][]float64{randVec(l.N, 1)}))
+	defer finish()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.adm.inFlight() < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	cases := []struct {
+		name      string
+		timeoutMs int
+		want      int
+	}{
+		{"negative", -5, http.StatusBadRequest},
+		{"larger than default does not extend", 60_000, http.StatusGatewayTimeout},
+	}
+	for _, tc := range cases {
+		for _, wire := range []string{"json", "binary"} {
+			req := &SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx, Val: l.Val,
+				Lower: &lower, B: [][]float64{randVec(l.N, 1)}, TimeoutMs: tc.timeoutMs}
+			start := time.Now()
+			status, _, err := postWire(ts.URL, wire, "", req)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, wire, err)
+			}
+			if status != tc.want {
+				t.Errorf("%s/%s: status %d, want %d", tc.name, wire, status, tc.want)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Errorf("%s/%s: answered after %v — the request timeout extended the 50ms default", tc.name, wire, elapsed)
+			}
+		}
+	}
+}
 
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	status, e, _ := postTenant(t, ts.URL, "", body)
-	if status != http.StatusBadRequest {
-		t.Fatalf("JSON negative timeout: status %d, want 400", status)
-	}
-	if e.Error == "" {
-		t.Fatal("JSON negative timeout: empty error message")
-	}
-
-	frame, err := EncodeRequestFrame(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bstatus, wr := postFrame(t, ts.URL, frame)
-	if bstatus != http.StatusBadRequest {
-		t.Fatalf("binary negative timeout: status %d, want 400", bstatus)
-	}
-	if wr.ErrMsg == "" {
-		t.Fatal("binary negative timeout: empty error message")
+// TestClassSeparationBothWires pins class-keyed coalescing through HTTP:
+// a class=latency request must reach the coalescer under ClassLatency on
+// either wire, so it never joins a parked batch group of the same
+// structure. (TestCoalesceClassSeparation pins the same property below
+// the wire; the JSON path once dropped the class on the way down.)
+func TestClassSeparationBothWires(t *testing.T) {
+	for _, wire := range []string{"json", "binary"} {
+		t.Run(wire, func(t *testing.T) {
+			// Width 2: a second same-class single-RHS request fills the
+			// parked group and seals it, so a misclassified latency request
+			// would answer fused: 2 instead of hanging.
+			s, ts := newTestServer(t, Config{Procs: 1,
+				Coalesce: CoalesceConfig{Window: 10 * time.Second, LatencyWindow: -1, Width: 2}})
+			l := testFactor(8)
+			lower := true
+			mk := func(seed int64) *SolveRequest {
+				return &SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx, Val: l.Val,
+					Lower: &lower, B: [][]float64{randVec(l.N, seed)}}
+			}
+			// One admitted request stalled mid-body, so quiescence cannot
+			// seal the batch window early.
+			_, finish := stallRequest(t, ts.URL, solveBody(t, l, true, [][]float64{randVec(l.N, 1)}))
+			batch := make(chan error, 1)
+			go func() {
+				status, _, err := postWire(ts.URL, wire, "", mk(2))
+				if err == nil && status != http.StatusOK {
+					err = fmt.Errorf("parked batch request: status %d", status)
+				}
+				batch <- err
+			}()
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				s.co.mu.Lock()
+				parked := s.co.parked
+				s.co.mu.Unlock()
+				if parked == 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("batch request never parked in its window")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			status, fused, err := postWire(ts.URL, wire, "t;class=latency", mk(3))
+			if err != nil || status != http.StatusOK {
+				t.Fatalf("latency request: status %d, err %v", status, err)
+			}
+			if fused != 1 {
+				t.Errorf("latency request fused with the parked batch group (fused=%d), want a pass of its own", fused)
+			}
+			// Releasing the stalled request fills and seals the batch group.
+			finish()
+			if err := <-batch; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -174,13 +290,13 @@ func TestShedResponseBothWires(t *testing.T) {
 	}
 
 	// And the per-wire endpoint metrics counted them.
-	if got := s.solveJSONEP.codes[429].Value(); got != 1 {
+	if got := s.solveEP[obs.WireJSON].codes[429].Value(); got != 1 {
 		t.Fatalf("JSON endpoint 429 counter = %d, want 1", got)
 	}
-	if got := s.solveBinEP.codes[429].Value(); got != 1 {
+	if got := s.solveEP[obs.WireBinary].codes[429].Value(); got != 1 {
 		t.Fatalf("binary endpoint 429 counter = %d, want 1", got)
 	}
-	if got := s.solveBinEP.hist.Count(); got < 1 {
+	if got := s.solveEP[obs.WireBinary].hist.Count(); got < 1 {
 		t.Fatal("binary endpoint latency histogram did not observe the shed")
 	}
 
@@ -330,7 +446,7 @@ func TestCoalesceClassSeparation(t *testing.T) {
 			bs := [][]float64{randVec(l.N, seed)}
 			xs := [][]float64{make([]float64, l.N)}
 			req := &coReq{l: l, lower: true, class: class, xs: xs, bs: bs}
-			infos[i], errs[i] = c.SubmitInto(context.Background(), req)
+			infos[i], errs[i] = c.Submit(context.Background(), req)
 		}()
 	}
 	submit(0, ClassBatch, 1)
@@ -409,7 +525,7 @@ func TestCoalesceDissolutionRace(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			// The request parks alone; the timer and the withdraw race.
-			_, _, _ = c.Submit(ctx, l, true, bs, nil)
+			_, _, _ = submitRHS(ctx, c, l, true, bs)
 			close(done)
 		}()
 		if i%2 == 0 {

@@ -25,11 +25,9 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -98,12 +96,10 @@ type Config struct {
 	Kind           string // executor kind registry name, or "auto" (default) for adaptive planning
 	CacheCap       int    // plan-cache capacity in skeletons (default 16)
 	FactorCacheCap int    // factors resubmittable by fingerprint (default 32)
-	// HotFactorCap sizes the lock-striped hot-factor ring that serves
-	// warm binary-wire fp lookups without touching the allocating
-	// factor-cache handle path (default 8).
-	HotFactorCap   int
-	MaxBatch       int           // max RHS per request (default 64)
-	DefaultTimeout time.Duration // per-request deadline when none given (default 30s)
+	MaxBatch       int    // max RHS per request (default 64)
+	// DefaultTimeout is the per-request deadline (default 30s); a request's
+	// own timeout can tighten it, never extend it.
+	DefaultTimeout time.Duration
 	// TraceRing sizes the completed-trace ring served by /v1/trace
 	// (default max(256, 4*MaxInFlight), rounded up to a power of two).
 	TraceRing int
@@ -130,8 +126,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("server: Config.CacheCap must be >= 0, got %d", c.CacheCap)
 	case c.FactorCacheCap < 0:
 		return fmt.Errorf("server: Config.FactorCacheCap must be >= 0, got %d", c.FactorCacheCap)
-	case c.HotFactorCap < 0:
-		return fmt.Errorf("server: Config.HotFactorCap must be >= 0, got %d", c.HotFactorCap)
 	case c.MaxBatch < 0:
 		return fmt.Errorf("server: Config.MaxBatch must be >= 0, got %d", c.MaxBatch)
 	case c.DefaultTimeout < 0:
@@ -174,9 +168,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FactorCacheCap == 0 {
 		c.FactorCacheCap = 32
-	}
-	if c.HotFactorCap == 0 {
-		c.HotFactorCap = 8
 	}
 	if c.Coalesce.Width <= 0 {
 		c.Coalesce.Width = 64
@@ -299,7 +290,7 @@ type StatsResponse struct {
 	CacheHitRate  float64         `json:"cache_hit_rate"`
 	FactorCache   plancache.Stats `json:"factor_cache"`
 	Coalesce      CoalesceStats   `json:"coalesce"`
-	// Arena reports the binary wire path's pooled request memory: arenas
+	// Arena reports the solve pipeline's pooled request memory: arenas
 	// outstanding/idle, slab grows and buddy-region overflows.
 	Arena   arena.Stats  `json:"arena"`
 	Planner PlannerStats `json:"planner"`
@@ -361,15 +352,10 @@ type Server struct {
 	start    time.Time
 	draining atomic.Bool
 
-	// Binary wire path state: the request-arena pool, the pooled decode
-	// scratch, and the hot-factor ring serving warm fp lookups without
-	// touching the allocating factor-cache handle path. The ring holds
-	// Config.HotFactorCap entries and overwrites oldest-first.
+	// Solve pipeline state: the request-arena pool and the pooled
+	// per-request scratch (see solve.go).
 	arenas  *arena.Pool
 	reqPool sync.Pool
-	hotMu   sync.Mutex
-	hot     []hotFactor
-	hotNext int
 
 	tracer *tracer
 
@@ -378,15 +364,14 @@ type Server struct {
 	adm     *admission
 	tenants *tenantRegistry
 
-	accepted    *Counter
-	shed        *Counter
-	solveJSONEP *endpointMetrics // /v1/trisolve, JSON wire
-	solveBinEP  *endpointMetrics // /v1/trisolve, binary (DCWF) wire
-	statsEP     *endpointMetrics
-	healthEP    *endpointMetrics
-	metricEP    *endpointMetrics
-	traceEP     *endpointMetrics
-	shardEP     *endpointMetrics
+	accepted *Counter
+	shed     *Counter
+	solveEP  [2]*endpointMetrics // /v1/trisolve, by obs.Wire
+	statsEP  *endpointMetrics
+	healthEP *endpointMetrics
+	metricEP *endpointMetrics
+	traceEP  *endpointMetrics
+	shardEP  *endpointMetrics
 }
 
 // New builds a server from cfg (zero fields take defaults). It fails
@@ -411,7 +396,6 @@ func New(cfg Config) (*Server, error) {
 		cancel:  cancel,
 		start:   time.Now(),
 		arenas:  arena.NewPool(arena.Config{}),
-		hot:     make([]hotFactor, cfg.HotFactorCap),
 	}
 	s.reqPool.New = func() any {
 		return &reqState{sects: make([]frameSection, 0, maxFrameSections)}
@@ -486,7 +470,7 @@ func New(cfg Config) (*Server, error) {
 			func() float64 { return float64(cache.DecisionCounts()[name]) })
 	}
 
-	// Binary wire path arena-pool counters.
+	// Request arena-pool counters.
 	arenas := s.arenas
 	for _, as := range []struct {
 		name string
@@ -508,18 +492,18 @@ func New(cfg Config) (*Server, error) {
 	registerBuildMetrics(reg, s.start)
 
 	// The solve endpoint is instrumented per wire format so the JSON and
-	// binary protocols are directly comparable in /metrics: ring-served
-	// binary requests land in the same histogram families, under
-	// wire="binary", measured at the same wrapper boundary as JSON.
-	s.solveJSONEP = newEndpointMetricsWire(reg, "trisolve", "json")
-	s.solveBinEP = newEndpointMetricsWire(reg, "trisolve", "binary")
+	// binary protocols are directly comparable in /metrics: both land in
+	// the same histogram families, measured at the same boundary.
+	for _, w := range []obs.Wire{obs.WireJSON, obs.WireBinary} {
+		s.solveEP[w] = newEndpointMetrics(reg, "trisolve", [2]string{"wire", w.String()})
+	}
 	s.statsEP = newEndpointMetrics(reg, "stats")
 	s.healthEP = newEndpointMetrics(reg, "healthz")
 	s.metricEP = newEndpointMetrics(reg, "metrics")
 	s.traceEP = newEndpointMetrics(reg, "trace")
 	s.shardEP = newEndpointMetrics(reg, "shard")
 
-	s.mux.HandleFunc("/v1/trisolve", s.wrapSolve(s.handleTrisolve))
+	s.mux.HandleFunc("/v1/trisolve", s.handleTrisolve)
 	s.mux.HandleFunc("/v1/stats", s.statsEP.wrap(s.handleStats))
 	s.mux.HandleFunc("/healthz", s.healthEP.wrap(s.handleHealthz))
 	s.mux.HandleFunc("/metrics", s.metricEP.wrap(s.handleMetrics))
@@ -530,22 +514,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/shard/warm", s.shardEP.wrap(s.handleShardWarm))
 	s.httpSrv = &http.Server{Handler: s.mux}
 	return s, nil
-}
-
-// wrapSolve instruments /v1/trisolve by wire format: the Content-Type
-// that selects the binary protocol also selects its metrics, so both
-// wires are observed identically at the same boundary.
-func (s *Server) wrapSolve(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ep := s.solveJSONEP
-		if isFrameRequest(r) {
-			ep = s.solveBinEP
-		}
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		t0 := time.Now()
-		h(rec, r)
-		ep.observe(rec.code, time.Since(t0))
-	}
 }
 
 // Handler returns the server's HTTP handler (for tests and in-process
@@ -682,51 +650,47 @@ func (s *Server) Stats() StatsResponse {
 	}
 }
 
+// handleTrisolve is the HTTP edge of the solve pipeline: it chooses the
+// codec — once, from the Content-Type — and observes the outcome in
+// that wire's endpoint metrics; everything it answers, rejections
+// included, goes out on the wire the request arrived on.
 func (s *Server) handleTrisolve(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+	c := codecFor(r)
+	status := s.serveSolve(w, r, c, t0)
+	s.solveEP[c.wire].observe(status, time.Since(t0))
+}
+
+// serveSolve admits one solve request, reads its body into a pooled
+// request arena and runs it through solve, returning the status it
+// answered with.
+func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, c *codec, t0 time.Time) int {
+	// refuse answers before admission: no trace, no tenant charged.
+	refuse := func(status int, msg string) int {
+		c.writeBody(w, status, c.reject(status, msg, 0))
+		return status
 	}
-	// The binary protocol shares the endpoint: content type selects it.
-	binaryWire := isFrameRequest(r)
+	if r.Method != http.MethodPost {
+		return refuse(http.StatusMethodNotAllowed, "POST required")
+	}
 	// Tenant identity comes from the header on both wires: admission
 	// runs before the body is read. A binary frame may also carry a
 	// tenant section, which overrides the attribution once decoded.
 	tenName, class, err := parseTenantHeader(r.Header.Get(TenantHeader))
 	if err != nil {
-		s.rejectWire(w, binaryWire, http.StatusBadRequest, err.Error())
-		return
+		return refuse(http.StatusBadRequest, err.Error())
 	}
 	ten := s.tenants.resolve(tenName)
 	if s.draining.Load() {
-		s.rejectOverload(w, binaryWire, t0, ten, class,
-			http.StatusServiceUnavailable, "server is draining", 0, false)
-		return
+		return s.rejectOverload(w, c, t0, ten, class, admitDraining, 0)
 	}
 	// Admission control: weighted fair queueing over MaxInFlight slots.
 	// Saturation beyond the tenant's queue — or its quota — is shed with
 	// 429 and a drain-rate-derived Retry-After instead of queueing
 	// without bound.
 	res, retry := s.adm.Admit(r.Context(), ten, class)
-	switch res {
-	case admitOK:
-	case admitDraining:
-		s.rejectOverload(w, binaryWire, t0, ten, class,
-			http.StatusServiceUnavailable, "server is draining", 0, false)
-		return
-	case admitCancelled:
-		s.rejectOverload(w, binaryWire, t0, ten, class,
-			http.StatusServiceUnavailable, "request cancelled", 0, false)
-		return
-	case admitShedQuota:
-		s.rejectOverload(w, binaryWire, t0, ten, class,
-			http.StatusTooManyRequests, "tenant is at its admission quota", retry, true)
-		return
-	default: // admitShedCapacity
-		s.rejectOverload(w, binaryWire, t0, ten, class,
-			http.StatusTooManyRequests, "server is at capacity", retry, true)
-		return
+	if res != admitOK {
+		return s.rejectOverload(w, c, t0, ten, class, res, retry)
 	}
 	defer func() {
 		s.adm.Release(ten)
@@ -735,199 +699,63 @@ func (s *Server) handleTrisolve(w http.ResponseWriter, r *http.Request) {
 	s.accepted.Inc()
 	ten.accepted.Inc()
 
-	if binaryWire {
-		s.handleTrisolveBinary(w, r, t0, ten, class)
-		return
-	}
-
-	// The trace starts at the handler's first instruction; requests
-	// rejected before the solve pipeline (bad body, unknown factor) are
-	// not traced — traces describe solves, error rates live in the
-	// endpoint counters.
-	var tr obs.Trace
-	tr.Begin(obs.WireJSON, t0)
-	tr.SetTenant(ten.name, byte(class))
-	tr.Lap(obs.StageAdmission)
-
-	var req SolveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	tr.ID = s.tracer.nextID()
-	if req.TraceID != "" {
-		tid, err := strconv.ParseUint(req.TraceID, 16, 64)
-		if err != nil || tid == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed trace_id %q", req.TraceID))
-			return
-		}
-		tr.ID = tid
-	}
-	tr.Lap(obs.StageDecode)
-	lower := req.Lower == nil || *req.Lower
-	l, fp, release, hint, err := s.resolveFactor(&req, lower)
+	// The trace starts at the handler's first instruction, so its
+	// admission stage covers the whole front door.
+	st := s.getReqState()
+	defer s.putReqState(st)
+	st.codec, st.tenant, st.class = c, ten, class
+	st.tr.Begin(c.wire, t0)
+	st.tr.Lap(obs.StageAdmission)
+	body, err := readBody(r, st.arena)
 	if err != nil {
-		if errors.Is(err, errUnknownFactor) {
-			writeError(w, http.StatusNotFound, err.Error())
-		} else {
-			writeError(w, http.StatusBadRequest, err.Error())
-		}
-		return
+		return refuse(http.StatusBadRequest, "bad request body: "+err.Error())
 	}
-	defer release()
-	tr.Lap(obs.StageFactor)
-	bs, binaryRHS, err := decodeRHS(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if err := validateRHS(bs, l.N, s.cfg.MaxBatch); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	tr.Lap(obs.StageDecode)
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs < 0 {
-		// A negative timeout is a client bug (an already-expired deadline);
-		// silently ignoring it would run the solve the caller thinks it
-		// cancelled. Reject it the way the cmd/loops flag validation does.
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("timeout_ms must not be negative, got %d", req.TimeoutMs))
-		return
-	}
-	if req.TimeoutMs > 0 {
-		// Clamp before converting: a huge timeout_ms would overflow the
-		// int64 nanosecond Duration into a negative, already-expired
-		// deadline.
-		const maxTimeoutMs = 24 * 60 * 60 * 1000
-		ms := req.TimeoutMs
-		if ms > maxTimeoutMs {
-			ms = maxTimeoutMs
-		}
-		timeout = time.Duration(ms) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	st.tr.Lap(obs.StageDecode)
+	// The transport owns the default deadline; the request's own timeout
+	// can only tighten it (see withRequestTimeout).
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
 	defer cancel()
-
-	xs := make([][]float64, len(bs))
-	for j := range xs {
-		xs[j] = make([]float64, l.N)
-	}
-	var bstats trisolve.BuildStats
-	creq := coReq{l: l, lower: lower, xs: xs, bs: bs, hint: hint, bstats: &bstats}
-	if s.tracer.sampler.Sample() {
-		creq.lc = new(obs.LevelClock)
-	}
-	info, err := s.co.SubmitInto(ctx, &creq)
-	if err != nil {
-		// An abandoned (cancelled/timed-out) member's pass may still be
-		// running and writing into creq's observability fields: charge
-		// the whole wait to the coalesce stage and leave them unread.
-		tr.AttributeSubmit(0, 0, 0)
-		code, msg := solveErrorStatus(err)
-		s.tracer.publish(&tr, obs.StageEncode, code)
-		ten.observe(class, tr.TotalNs)
-		writeError(w, code, msg)
-		return
-	}
-	tr.AttributeSubmit(info.PlanNs, bstats.RepairNs, info.ExecNs)
-	tr.SetInfo(l.N, len(bs), info.Fused, info.Width, info.Strategy)
-	if lc, ok := creq.lc.(*obs.LevelClock); ok {
-		lc.FillTrace(&tr)
-	}
-	resp := SolveResponse{
-		Fused: info.Fused, Width: info.Width, Strategy: info.Strategy,
-		Executed: info.Metrics.Executed,
-		TraceID:  fmt.Sprintf("%016x", tr.ID),
-	}
-	if fp != 0 {
-		resp.Fp = fmt.Sprintf("%016x", fp)
-	}
-	if binaryRHS {
-		resp.X64 = make([][]byte, len(xs))
-		for j, x := range xs {
-			resp.X64[j] = PackFloats(x)
-		}
-	} else {
-		resp.X = xs
-	}
-	writeJSON(w, http.StatusOK, resp)
-	s.tracer.publish(&tr, obs.StageEncode, http.StatusOK)
-	ten.observe(class, tr.TotalNs)
+	out, status := s.solve(ctx, body, st)
+	c.writeBody(w, status, out)
+	return status
 }
 
-// rejectWire writes a pre-admission rejection (e.g. a malformed tenant
-// header) in the wire format the request arrived on.
-func (s *Server) rejectWire(w http.ResponseWriter, binaryWire bool, status int, msg string) {
-	if binaryWire {
-		writeFrame(w, status, encodeErrorFrame(status, msg, 0))
-		return
-	}
-	writeError(w, status, msg)
+// admitRejections maps each non-OK admission result to its reply; shed
+// marks the ones counted as load shedding.
+var admitRejections = map[admitResult]struct {
+	status int
+	msg    string
+	shed   bool
+}{
+	admitDraining:     {http.StatusServiceUnavailable, "server is draining", false},
+	admitCancelled:    {http.StatusServiceUnavailable, "request cancelled", false},
+	admitShedQuota:    {http.StatusTooManyRequests, "tenant is at its admission quota", true},
+	admitShedCapacity: {http.StatusTooManyRequests, "server is at capacity", true},
 }
 
-// rejectOverload writes an overload/drain rejection on either wire. The
-// response echoes a freshly minted trace ID, the trace lands in the
-// ring with the whole rejection charged to the admission stage, and —
-// when shed is set — the global and per-tenant shed counters advance.
-// retry > 0 adds a Retry-After header (both wires: the binary protocol
-// still rides HTTP).
-func (s *Server) rejectOverload(w http.ResponseWriter, binaryWire bool, t0 time.Time,
-	ten *tenantState, class Class, status int, msg string, retry int, shed bool) {
-	if shed {
+// rejectOverload answers a refused admission on the request's wire. The
+// response echoes a freshly minted trace ID, the trace lands in the ring
+// with the whole rejection charged to the admission stage, and — for a
+// shed — the global and per-tenant shed counters advance. retry > 0 adds
+// a Retry-After header (both wires: the binary protocol still rides
+// HTTP).
+func (s *Server) rejectOverload(w http.ResponseWriter, c *codec, t0 time.Time,
+	ten *tenantState, class Class, res admitResult, retry int) int {
+	rj := admitRejections[res]
+	if rj.shed {
 		s.shed.Inc()
 		ten.shed.Inc()
 	}
 	if retry > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
 	}
-	wire := obs.WireJSON
-	if binaryWire {
-		wire = obs.WireBinary
-	}
 	var tr obs.Trace
-	tr.Begin(wire, t0)
+	tr.Begin(c.wire, t0)
 	tr.ID = s.tracer.nextID()
 	tr.SetTenant(ten.name, byte(class))
-	s.tracer.publish(&tr, obs.StageAdmission, status)
-	if binaryWire {
-		writeFrame(w, status, encodeErrorFrame(status, msg, tr.ID))
-		return
-	}
-	writeJSON(w, status, errorResponse{Error: msg, TraceID: fmt.Sprintf("%016x", tr.ID)})
-}
-
-// solveErrorStatus maps a coalescer submit error to its HTTP reply.
-func solveErrorStatus(err error) (int, string) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "solve deadline exceeded"
-	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable, "request cancelled"
-	default:
-		return http.StatusInternalServerError, err.Error()
-	}
-}
-
-// decodeRHS resolves the request's right-hand sides from whichever
-// encoding it used, reporting whether the packed form was chosen.
-func decodeRHS(req *SolveRequest) ([][]float64, bool, error) {
-	if len(req.B64) == 0 {
-		return req.B, false, nil
-	}
-	if len(req.B) > 0 {
-		return nil, false, errors.New("request carries both b and b_b64; send one")
-	}
-	bs := make([][]float64, len(req.B64))
-	for j, raw := range req.B64 {
-		var err error
-		if bs[j], err = UnpackFloats(raw); err != nil {
-			return nil, false, fmt.Errorf("b_b64[%d]: %w", j, err)
-		}
-	}
-	return bs, true, nil
+	s.tracer.publish(&tr, obs.StageAdmission, rj.status)
+	c.writeBody(w, rj.status, c.reject(rj.status, rj.msg, tr.ID))
+	return rj.status
 }
 
 // PackFloats packs a float64 slice little-endian (JSON renders the
@@ -935,9 +763,7 @@ func decodeRHS(req *SolveRequest) ([][]float64, bool, error) {
 // ~18 for a parsed decimal, and ~100x cheaper to decode).
 func PackFloats(x []float64) []byte {
 	out := make([]byte, 8*len(x))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-	}
+	putFloat64s(out, x)
 	return out
 }
 
@@ -947,131 +773,8 @@ func UnpackFloats(b []byte) ([]float64, error) {
 		return nil, fmt.Errorf("packed float array has %d bytes, not a multiple of 8", len(b))
 	}
 	x := make([]float64, len(b)/8)
-	for i := range x {
-		x[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
+	getFloat64s(x, b)
 	return x, nil
-}
-
-// resolveFactor materializes the request's factor: from the wire matrix
-// (validating it and registering it in the by-fingerprint cache), from
-// the cache when the request carries just a fingerprint, or by applying
-// a drift edit set to a cached base factor (base_fp + edits). The
-// returned release pins the factor against eviction until the solve is
-// done; for the drift form the returned hint carries the base structure
-// fingerprint and edited rows so the plan cache can repair instead of
-// re-inspect.
-func (s *Server) resolveFactor(req *SolveRequest, lower bool) (*sparse.CSR, uint64, func(), *driftHint, error) {
-	forms := 0
-	if req.Fp != "" {
-		forms++
-	}
-	if req.BaseFp != "" {
-		forms++
-	}
-	if req.N != 0 || req.RowPtr != nil || req.ColIdx != nil || req.Val != nil {
-		forms++
-	}
-	if forms > 1 {
-		return nil, 0, nil, nil, errors.New("request carries more than one of: a factor, fp, base_fp; send one")
-	}
-	if len(req.Edits) > 0 && req.BaseFp == "" {
-		return nil, 0, nil, nil, errors.New("edits require base_fp")
-	}
-	switch {
-	case req.Fp != "":
-		l, fp, release, err := s.lookupFactor(req.Fp, lower)
-		return l, fp, release, nil, err
-	case req.BaseFp != "":
-		return s.resolveDrifted(req, lower)
-	}
-	l, err := buildFactor(req, lower)
-	if err != nil {
-		return nil, 0, nil, nil, err
-	}
-	l, fp, release := s.registerFactor(l, lower)
-	return l, fp, release, nil, nil
-}
-
-// driftHint names the plan-cache repair ancestor of a drifted factor:
-// the base's structure fingerprint and the matrix rows the edits
-// touched.
-type driftHint struct {
-	baseStructFp uint64
-	rows         []int32
-}
-
-// lookupFactor pins a cached factor by content fingerprint.
-func (s *Server) lookupFactor(hexFp string, lower bool) (*sparse.CSR, uint64, func(), error) {
-	fp, err := strconv.ParseUint(hexFp, 16, 64)
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("malformed fingerprint %q", hexFp)
-	}
-	h, err := s.factors.Get(fp, func() (cachedFactor, error) {
-		return cachedFactor{}, errUnknownFactor
-	})
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	cf := h.Value()
-	if cf.lower != lower {
-		h.Release()
-		return nil, 0, nil, fmt.Errorf("factor %s was registered for lower=%v", hexFp, cf.lower)
-	}
-	return cf.l, fp, func() { _ = h.Release() }, nil
-}
-
-// resolveDrifted materializes base_fp + edits: the cached base factor
-// with the edit set applied, validated on the edited rows only (the rest
-// is the already-validated base), registered under its own fingerprint.
-func (s *Server) resolveDrifted(req *SolveRequest, lower bool) (*sparse.CSR, uint64, func(), *driftHint, error) {
-	if len(req.Edits) == 0 {
-		return nil, 0, nil, nil, errors.New("base_fp requires edits (use fp to resubmit unchanged)")
-	}
-	base, _, releaseBase, err := s.lookupFactor(req.BaseFp, lower)
-	if err != nil {
-		return nil, 0, nil, nil, err
-	}
-	defer releaseBase()
-	l, err := base.ApplyRowEdits(req.Edits)
-	if err != nil {
-		return nil, 0, nil, nil, err
-	}
-	rows := make([]int32, 0, len(req.Edits))
-	for _, e := range req.Edits {
-		rows = append(rows, e.Row)
-	}
-	if err := validateFactorRows(l, rows, lower); err != nil {
-		return nil, 0, nil, nil, err
-	}
-	hint := &driftHint{baseStructFp: base.StructureFingerprint(), rows: rows}
-	l, fp, release := s.registerFactor(l, lower)
-	return l, fp, release, hint, nil
-}
-
-// registerFactor installs a validated factor in the by-fingerprint cache
-// and returns the resident copy (so concurrent identical requests
-// coalesce on one value array).
-func (s *Server) registerFactor(l *sparse.CSR, lower bool) (*sparse.CSR, uint64, func()) {
-	fp := l.ContentFingerprint()
-	h, err := s.factors.Get(fp, func() (cachedFactor, error) {
-		return cachedFactor{l: l, lower: lower}, nil
-	})
-	if err != nil {
-		// The cache is closed (drain raced in); solve with the wire copy.
-		return l, fp, func() {}
-	}
-	cf := h.Value()
-	if !sparse.Equal(l, cf.l) {
-		// 64-bit fingerprint collision: the resident entry is a different
-		// matrix. Solve with the local copy — never a neighbor's numbers —
-		// and return no fingerprint, since a by-reference resubmission
-		// could not be told apart from the resident factor. The O(nnz)
-		// equality check costs what the fingerprint already did.
-		h.Release()
-		return l, 0, func() {}
-	}
-	return cf.l, fp, func() { _ = h.Release() }
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -1098,23 +801,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.reg.WritePrometheus(w)
 }
 
-// buildFactor validates the wire matrix and returns it as a CSR: well
-// formed, triangular in the requested direction, full nonzero diagonal
-// (the executor bodies divide by it with no error path).
-func buildFactor(req *SolveRequest, lower bool) (*sparse.CSR, error) {
-	if req.N < 1 {
-		return nil, fmt.Errorf("n must be >= 1, got %d", req.N)
-	}
-	l := &sparse.CSR{N: req.N, M: req.N, RowPtr: req.RowPtr, ColIdx: req.ColIdx, Val: req.Val}
-	if err := validateFactor(l, lower); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
 // validateFactor checks a wire factor in place (both wire encodings
-// funnel here): well formed, triangular in the requested direction,
-// full nonzero diagonal.
+// and the shard warm path funnel here): well formed, triangular in the
+// requested direction, full nonzero diagonal (the executor bodies divide
+// by it with no error path).
 func validateFactor(l *sparse.CSR, lower bool) error {
 	if l.N < 1 {
 		return fmt.Errorf("n must be >= 1, got %d", l.N)
@@ -1123,23 +813,8 @@ func validateFactor(l *sparse.CSR, lower bool) error {
 		return err
 	}
 	for i := 0; i < l.N; i++ {
-		cols, vals := l.Row(i)
-		hasDiag := false
-		for k, c := range cols {
-			switch {
-			case int(c) == i:
-				if vals[k] == 0 {
-					return fmt.Errorf("zero diagonal at row %d", i)
-				}
-				hasDiag = true
-			case lower && int(c) > i:
-				return fmt.Errorf("row %d has upper entry %d in a forward solve", i, c)
-			case !lower && int(c) < i:
-				return fmt.Errorf("row %d has lower entry %d in a backward solve", i, c)
-			}
-		}
-		if !hasDiag {
-			return fmt.Errorf("missing diagonal at row %d", i)
+		if err := validateFactorRow(l, i, lower); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -1153,25 +828,33 @@ func validateFactorRows(l *sparse.CSR, rows []int32, lower bool) error {
 		if r < 0 || int(r) >= l.N {
 			return fmt.Errorf("edit row %d outside [0,%d)", r, l.N)
 		}
-		i := int(r)
-		cols, vals := l.Row(i)
-		hasDiag := false
-		for k, c := range cols {
-			switch {
-			case int(c) == i:
-				if vals[k] == 0 {
-					return fmt.Errorf("edit leaves zero diagonal at row %d", i)
-				}
-				hasDiag = true
-			case lower && int(c) > i:
-				return fmt.Errorf("edit gives row %d an upper entry %d in a forward solve", i, c)
-			case !lower && int(c) < i:
-				return fmt.Errorf("edit gives row %d a lower entry %d in a backward solve", i, c)
+		if err := validateFactorRow(l, int(r), lower); err != nil {
+			return fmt.Errorf("after edits: %w", err)
+		}
+	}
+	return nil
+}
+
+// validateFactorRow checks one row: no entry on the wrong side of the
+// diagonal for the solve direction, and a nonzero diagonal.
+func validateFactorRow(l *sparse.CSR, i int, lower bool) error {
+	cols, vals := l.Row(i)
+	hasDiag := false
+	for k, c := range cols {
+		switch {
+		case int(c) == i:
+			if vals[k] == 0 {
+				return fmt.Errorf("zero diagonal at row %d", i)
 			}
+			hasDiag = true
+		case lower && int(c) > i:
+			return fmt.Errorf("row %d has upper entry %d in a forward solve", i, c)
+		case !lower && int(c) < i:
+			return fmt.Errorf("row %d has lower entry %d in a backward solve", i, c)
 		}
-		if !hasDiag {
-			return fmt.Errorf("edit removes the diagonal at row %d", i)
-		}
+	}
+	if !hasDiag {
+		return fmt.Errorf("missing diagonal at row %d", i)
 	}
 	return nil
 }
@@ -1212,18 +895,10 @@ type endpointMetrics struct {
 }
 
 // newEndpointMetrics pre-registers the status codes the handlers emit so
-// the exposition is stable from the first scrape.
-func newEndpointMetrics(reg *Registry, endpoint string) *endpointMetrics {
-	return newEndpointMetricsLabeled(reg, endpoint, Labels{{"endpoint", endpoint}})
-}
-
-// newEndpointMetricsWire is newEndpointMetrics with a wire-format label,
-// for endpoints that speak more than one protocol.
-func newEndpointMetricsWire(reg *Registry, endpoint, wire string) *endpointMetrics {
-	return newEndpointMetricsLabeled(reg, endpoint, Labels{{"endpoint", endpoint}, {"wire", wire}})
-}
-
-func newEndpointMetricsLabeled(reg *Registry, endpoint string, base Labels) *endpointMetrics {
+// the exposition is stable from the first scrape. extra labels follow
+// the endpoint label (the solve endpoint adds its wire format).
+func newEndpointMetrics(reg *Registry, endpoint string, extra ...[2]string) *endpointMetrics {
+	base := append(Labels{{"endpoint", endpoint}}, extra...)
 	m := &endpointMetrics{
 		reg:      reg,
 		endpoint: endpoint,

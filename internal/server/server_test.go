@@ -80,7 +80,7 @@ func TestServerSolveEndToEnd(t *testing.T) {
 		// (JSON round-trips float64 exactly via %g shortest form).
 		c := newTestCoalescer(t, 0, 64)
 		for j, b := range bs {
-			want, _, err := c.Submit(context.Background(), l, lower, [][]float64{b}, nil)
+			want, _, err := submitRHS(context.Background(), c, l, lower, [][]float64{b})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestServerKindConfig(t *testing.T) {
 	}
 	l := testFactor(8)
 	b := randVec(l.N, 1)
-	xs, _, err := s.co.Submit(context.Background(), l, true, [][]float64{b}, nil)
+	xs, _, err := submitRHS(context.Background(), s.co, l, true, [][]float64{b})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,18 +63,16 @@ func (s *Server) handleShardPlans(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := ShardPlansResponse{Plans: []ShardPlan{}}
 	for _, fp := range s.factors.Keys(limit) {
-		h, ok := s.factors.Peek(fp)
+		cf, ok := s.factors.Peek(fp)
 		if !ok {
 			continue // evicted or still building since the enumeration
 		}
-		cf := h.Value()
 		resp.Plans = append(resp.Plans, ShardPlan{
 			Fp:    fmt.Sprintf("%016x", fp),
 			Lower: cf.lower,
 			N:     cf.l.N,
 			Nnz:   cf.l.NNZ(),
 		})
-		_ = h.Release()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -92,12 +90,11 @@ func (s *Server) handleShardFactor(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	h, ok := s.factors.Peek(fp)
+	cf, ok := s.factors.Peek(fp)
 	if !ok {
 		writeError(w, http.StatusNotFound, errUnknownFactor.Error())
 		return
 	}
-	cf := h.Value()
 	out := ShardFactor{
 		Fp:     fmt.Sprintf("%016x", fp),
 		Lower:  cf.lower,
@@ -107,7 +104,6 @@ func (s *Server) handleShardFactor(w http.ResponseWriter, r *http.Request) {
 		Val64:  PackFloats(cf.l.Val),
 	}
 	writeJSON(w, http.StatusOK, out)
-	_ = h.Release()
 }
 
 // handleShardWarm registers a replayed factor and pre-builds its plan
@@ -140,15 +136,13 @@ func (s *Server) handleShardWarm(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	l, fp, release := s.registerFactor(l, in.Lower)
-	release()
+	l, fp := s.registerFactor(l, in.Lower)
 	if fp == 0 {
 		// Content-fingerprint collision with a different resident factor;
 		// registering would serve wrong answers, warming is refused.
 		writeError(w, http.StatusConflict, "factor fingerprint collision")
 		return
 	}
-	s.hotInsert(fp, in.Lower, l)
 	if err := s.co.Warm(l, in.Lower); err != nil {
 		writeError(w, http.StatusInternalServerError, "plan warm failed: "+err.Error())
 		return

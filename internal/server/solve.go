@@ -1,0 +1,375 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"time"
+
+	"doconsider/internal/arena"
+	"doconsider/internal/obs"
+	"doconsider/internal/sparse"
+	"doconsider/internal/trisolve"
+)
+
+// The solve pipeline. POST /v1/trisolve speaks two wire formats — JSON
+// and DCWF binary frames — behind one pipeline: the HTTP edge
+// (handleTrisolve) picks the codec from the Content-Type, admits the
+// request and reads its body into a pooled request arena; solve does the
+// rest the same way for both, calling the codec only to decode, to place
+// the solution rows in the arena and to render the response around what
+// the solver wrote there. Statuses, tracing, tenant accounting, the
+// timeout rule and the detached-pass arena rules are therefore the same
+// on both wires by construction. A warm fp-resubmission frame — the
+// shape this server is built around — performs zero heap allocations
+// from body bytes to response bytes (the gated
+// BenchmarkBinaryRequest/fp-warm pins this; net/http around it, and
+// encoding/json inside the JSON codec, allocate as they always do).
+
+// reqState is the pooled per-request state: the request arena plus
+// reusable decode scratch. sync.Pool recycles the struct; the arena
+// pool recycles the memory.
+type reqState struct {
+	arena *arena.Arena
+	codec *codec
+	req   wireRequest
+	sects []frameSection
+	creq  coReq
+	// out and lo are the codec's response placement between its begin
+	// and finish: the arena bytes the solution rows view, and the frame
+	// layout around them (DCWF only).
+	out []byte
+	lo  respLayout
+	// Trace state rides in the pooled struct so stamping and level
+	// sampling add no per-request allocations on the warm path.
+	tr     obs.Trace
+	lc     obs.LevelClock
+	bstats trisolve.BuildStats
+	// Tenant attribution: set from the header by the HTTP handler,
+	// overridden by a frame's tenant section once decoded; direct
+	// SolveFrame callers get the default tenant. Pointer reads and
+	// counter increments only — no allocation on the warm path.
+	tenant *tenantState
+	class  Class
+	// leaked marks state an abandoned pass may still reference (the
+	// handler gave up on a cancelled submit while the pass kept its
+	// *coReq); such state must be surrendered to the GC, not recycled.
+	leaked bool
+}
+
+// getReqState pairs pooled scratch with a fresh request arena.
+func (s *Server) getReqState() *reqState {
+	st := s.reqPool.Get().(*reqState)
+	st.arena = s.arenas.Get()
+	return st
+}
+
+// putReqState releases the handler's arena reference and recycles the
+// scratch. A detached pass may still hold its own arena reference; the
+// arena returns to the pool when the last reference drops.
+func (s *Server) putReqState(st *reqState) {
+	st.arena.Release()
+	st.arena = nil
+	if st.leaked {
+		// A detached pass may still write st.creq, st.bstats and st.lc;
+		// recycling the struct would hand those writes to an unrelated
+		// request. Cancellation is rare — let the GC collect it once the
+		// pass drops its pointer.
+		return
+	}
+	*st = reqState{sects: st.sects}
+	s.reqPool.Put(st)
+}
+
+// readBody reads a request body of either wire into arena memory: one
+// ReadFull into an exact-size buffer when Content-Length is declared, a
+// geometric-growth loop otherwise, both bounded by MaxFrameBytes.
+func readBody(r *http.Request, a *arena.Arena) ([]byte, error) {
+	if r.ContentLength > MaxFrameBytes {
+		return nil, fmt.Errorf("body has %d bytes, limit %d", r.ContentLength, MaxFrameBytes)
+	}
+	if r.ContentLength >= 0 {
+		buf := a.Bytes(int(r.ContentLength))
+		if _, err := io.ReadFull(r.Body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	buf := a.Bytes(64 << 10)
+	total := 0
+	for {
+		if total == len(buf) {
+			next := a.Bytes(2 * len(buf))
+			copy(next, buf[:total])
+			buf = next
+		}
+		n, err := r.Body.Read(buf[total:])
+		total += n
+		if total > MaxFrameBytes {
+			return nil, fmt.Errorf("body exceeds %d bytes", MaxFrameBytes)
+		}
+		if err == io.EOF {
+			return buf[:total], nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// SolveFrame is solve on a DCWF frame for callers below the HTTP edge
+// (tests, benchmarks). This is the boundary the 0 allocs/op gate
+// measures: on a warm fp-resubmission (factor cached, arena pooled,
+// solver memoized, no timeout section) the call performs no heap
+// allocations — trace publication and tenant accounting included.
+func (s *Server) SolveFrame(ctx context.Context, in []byte, st *reqState) ([]byte, int) {
+	st.codec = frameCodec
+	return s.solve(ctx, in, st)
+}
+
+// solve executes one request end to end — decode, factor resolution,
+// solve, response encode — through st.codec and returns the response
+// body (in st's arena, valid until putReqState; on the heap for
+// rejections) with its HTTP status. ctx carries the transport deadline.
+// Every outcome, errors included, is traced under the request's trace ID
+// and charged to its tenant.
+func (s *Server) solve(ctx context.Context, body []byte, st *reqState) ([]byte, int) {
+	if !st.tr.Active() {
+		// Direct callers skip handleTrisolve; their traces start here.
+		st.tr.Begin(st.codec.wire, time.Now())
+	}
+	if st.tenant == nil {
+		st.tenant = s.tenants.def
+	}
+	out, status := s.solveStages(ctx, body, st)
+	s.tracer.publish(&st.tr, obs.StageEncode, status)
+	st.tenant.observe(st.class, st.tr.TotalNs)
+	return out, status
+}
+
+func (s *Server) solveStages(ctx context.Context, body []byte, st *reqState) ([]byte, int) {
+	q, c := &st.req, st.codec
+	reject := func(status int, msg string) ([]byte, int) {
+		return c.reject(status, msg, st.tr.ID), status
+	}
+	err := c.decode(body, st)
+	if len(q.tenant) > 0 {
+		// The frame names its tenant: authoritative for attribution (the
+		// header the handler resolved drove admission, which is already
+		// done). A known tenant resolves with no allocation.
+		st.tenant = s.tenants.resolveBytes(q.tenant)
+		st.class = q.class
+	}
+	st.tr.SetTenant(st.tenant.name, byte(st.class))
+	if st.tr.ID = q.traceID; st.tr.ID == 0 {
+		st.tr.ID = s.tracer.nextID()
+	}
+	if err != nil {
+		return reject(http.StatusBadRequest, "bad request body: "+err.Error())
+	}
+	st.tr.Lap(obs.StageDecode)
+	l, fp, hint, err := s.resolveFactor(q)
+	if errors.Is(err, errUnknownFactor) {
+		return reject(http.StatusNotFound, err.Error())
+	}
+	if err != nil {
+		return reject(http.StatusBadRequest, err.Error())
+	}
+	st.tr.Lap(obs.StageFactor)
+	if err := validateRHS(q.rhs, l.N, s.cfg.MaxBatch); err != nil {
+		return reject(http.StatusBadRequest, err.Error())
+	}
+	st.tr.Lap(obs.StageDecode)
+	ctx, cancel, err := withRequestTimeout(ctx, q.timeoutMs)
+	if err != nil {
+		return reject(http.StatusBadRequest, err.Error())
+	}
+	defer cancel()
+
+	creq := &st.creq
+	*creq = coReq{l: l, lower: q.lower, class: st.class, xs: c.begin(st, len(q.rhs), l.N), bs: q.rhs,
+		hint: hint, bstats: &st.bstats}
+	st.tr.Lap(obs.StageEncode)
+	if s.tracer.sampler.Sample() {
+		// Level sampling: the pooled clock is installed for this request
+		// only; the timed executor body is memoized per solver, so even a
+		// sample-every-request configuration allocates nothing warm.
+		st.lc.Reset()
+		creq.lc = &st.lc
+	}
+	// The pass writes solutions straight into the response bytes; give
+	// it its own arena reference in case it outlives this handler.
+	st.arena.Retain()
+	creq.held = st.arena
+	info, err := s.co.Submit(ctx, creq)
+	if err != nil {
+		// The pass behind an abandoned submit may still be running with
+		// our *coReq: don't read the shared observability fields, and
+		// mark the pooled state so it is leaked rather than recycled.
+		st.leaked = true
+		st.tr.AttributeSubmit(0, 0, 0)
+		return reject(solveErrorStatus(err))
+	}
+	st.tr.AttributeSubmit(info.PlanNs, st.bstats.RepairNs, info.ExecNs)
+	st.tr.SetInfo(l.N, len(q.rhs), info.Fused, info.Width, info.Strategy)
+	if creq.lc != nil {
+		st.lc.FillTrace(&st.tr)
+	}
+	return c.finish(st, fp, info)
+}
+
+// withRequestTimeout applies a request's own timeout (milliseconds, from
+// either wire; 0 = none) to ctx — the one timeout rule. ctx already
+// carries the transport's Config.DefaultTimeout and a derived context
+// can only expire sooner, so a request timeout tightens the default and
+// never extends it. A negative timeout is a client bug (an
+// already-expired deadline): silently ignoring it would run the solve
+// the caller thinks it cancelled, so it is rejected.
+func withRequestTimeout(ctx context.Context, ms int) (context.Context, context.CancelFunc, error) {
+	switch {
+	case ms < 0:
+		return nil, nil, fmt.Errorf("timeout must not be negative, got %dms", ms)
+	case ms == 0:
+		return ctx, func() {}, nil
+	}
+	// Clamp before converting: a huge timeout would overflow the int64
+	// nanosecond Duration into a negative, already-expired deadline.
+	const maxTimeoutMs = 24 * 60 * 60 * 1000
+	if ms > maxTimeoutMs {
+		ms = maxTimeoutMs
+	}
+	ctx, cancel := context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+	return ctx, cancel, nil
+}
+
+// solveErrorStatus maps a coalescer submit error to its HTTP reply.
+func solveErrorStatus(err error) (int, string) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, "solve deadline exceeded"
+	case errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable, "request cancelled"
+	default:
+		return http.StatusInternalServerError, err.Error()
+	}
+}
+
+// driftHint names the plan-cache repair ancestor of a drifted factor:
+// the base's structure fingerprint and the matrix rows the edits
+// touched.
+type driftHint struct {
+	baseStructFp uint64
+	rows         []int32
+}
+
+// resolveFactor materializes the request's factor: from the wire matrix
+// (validating it and registering it in the by-fingerprint cache), from
+// the cache when the request carries just a fingerprint, or by applying
+// a drift edit set to a cached base factor (base_fp + edits). For the
+// drift form the returned hint carries the base structure fingerprint
+// and edited rows so the plan cache can repair instead of re-inspect.
+// No pin is taken on a cached factor: a cachedFactor's Close is a no-op
+// and the returned *CSR keeps the values alive through the solve, so
+// eviction during the solve is harmless.
+func (s *Server) resolveFactor(q *wireRequest) (*sparse.CSR, uint64, *driftHint, error) {
+	inline := q.n != 0 || q.rowPtr != nil || q.colIdx != nil || q.val != nil
+	forms := 0
+	for _, has := range [...]bool{q.hasFp, q.hasBaseFp, inline} {
+		if has {
+			forms++
+		}
+	}
+	if forms > 1 {
+		return nil, 0, nil, errors.New("request carries more than one of: a factor, fp, base_fp; send one")
+	}
+	if len(q.edits) > 0 && !q.hasBaseFp {
+		return nil, 0, nil, errors.New("edits require base_fp")
+	}
+	switch {
+	case q.hasFp:
+		l, err := s.factorByFp(q.fp, q.lower)
+		return l, q.fp, nil, err
+	case q.hasBaseFp:
+		return s.resolveDrifted(q)
+	case !inline:
+		return nil, 0, nil, errors.New("request carries no factor (inline matrix, fp or base_fp)")
+	}
+	l := sparse.View(q.n, q.rowPtr, q.colIdx, q.val)
+	if err := validateFactor(l, q.lower); err != nil {
+		return nil, 0, nil, err
+	}
+	if q.borrowed {
+		// Validated on the zero-copy views; the cache outlives the request
+		// arena, so the factor leaves it here.
+		l = l.Clone()
+	}
+	l, fp := s.registerFactor(l, q.lower)
+	return l, fp, nil, nil
+}
+
+// factorByFp is the one by-fingerprint read of the factor cache: a hit
+// counts, refreshes the entry's LRU position and allocates nothing.
+func (s *Server) factorByFp(fp uint64, lower bool) (*sparse.CSR, error) {
+	cf, ok := s.factors.Lookup(fp)
+	if !ok {
+		return nil, errUnknownFactor
+	}
+	if cf.lower != lower {
+		return nil, fmt.Errorf("factor %016x was registered for lower=%v", fp, cf.lower)
+	}
+	return cf.l, nil
+}
+
+// resolveDrifted materializes base_fp + edits: the cached base factor
+// with the edit set applied, validated on the edited rows only (the rest
+// is the already-validated base), registered under its own fingerprint.
+func (s *Server) resolveDrifted(q *wireRequest) (*sparse.CSR, uint64, *driftHint, error) {
+	if len(q.edits) == 0 {
+		return nil, 0, nil, errors.New("base_fp requires edits (use fp to resubmit unchanged)")
+	}
+	base, err := s.factorByFp(q.baseFp, q.lower)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	l, err := base.ApplyRowEdits(q.edits)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	rows := make([]int32, 0, len(q.edits))
+	for _, e := range q.edits {
+		rows = append(rows, e.Row)
+	}
+	if err := validateFactorRows(l, rows, q.lower); err != nil {
+		return nil, 0, nil, err
+	}
+	hint := &driftHint{baseStructFp: base.StructureFingerprint(), rows: rows}
+	l, fp := s.registerFactor(l, q.lower)
+	return l, fp, hint, nil
+}
+
+// registerFactor installs a validated, heap-owned factor in the
+// by-fingerprint cache and returns the resident copy (so concurrent
+// identical requests coalesce on one value array) with its fingerprint.
+func (s *Server) registerFactor(l *sparse.CSR, lower bool) (*sparse.CSR, uint64) {
+	fp := l.ContentFingerprint()
+	h, err := s.factors.Get(fp, func() (cachedFactor, error) {
+		return cachedFactor{l: l, lower: lower}, nil
+	})
+	if err != nil {
+		// The cache is closed (drain raced in); solve with the wire copy.
+		return l, fp
+	}
+	cf := h.Value()
+	_ = h.Release() // a factor owns nothing: no pin needed past this read
+	if !sparse.Equal(l, cf.l) {
+		// 64-bit fingerprint collision: the resident entry is a different
+		// matrix. Solve with the local copy — never a neighbor's numbers —
+		// and return no fingerprint, since a by-reference resubmission
+		// could not be told apart from the resident factor. The O(nnz)
+		// equality check costs what the fingerprint already did.
+		return l, 0
+	}
+	return cf.l, fp
+}
