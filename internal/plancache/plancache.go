@@ -192,16 +192,28 @@ func (c *Cache[K, V]) runBuild(e *entry[K, V], build func() (V, error)) (v V, er
 // value may be evicted and Closed while the caller still uses it, so
 // Lookup suits only values whose Close releases nothing (the serving
 // tier's by-fingerprint factors); plans with pooled workers need Get.
-func (c *Cache[K, V]) Lookup(key K) (v V, ok bool) {
+func (c *Cache[K, V]) Lookup(key K) (V, bool) { return c.read(key, true) }
+
+// Peek is Lookup for observers: the same unpinned read, but it counts
+// nothing and leaves the LRU order alone — enumeration (the sharded
+// tier's warm handoff) must not look like demand.
+func (c *Cache[K, V]) Peek(key K) (V, bool) { return c.read(key, false) }
+
+func (c *Cache[K, V]) read(key K, demand bool) (v V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.entries[key]; e != nil && e.built {
+	e := c.entries[key]
+	if e == nil || !e.built {
+		if demand {
+			c.stats.Misses++
+		}
+		return v, false
+	}
+	if demand {
 		c.stats.Hits++
 		c.lru.moveToFront(e)
-		return e.val, true
 	}
-	c.stats.Misses++
-	return v, false
+	return e.val, true
 }
 
 // NoteHit counts a lookup served without touching the cache — a caller
@@ -232,19 +244,6 @@ func (c *Cache[K, V]) Keys(limit int) []K {
 		keys = append(keys, e.key)
 	}
 	return keys
-}
-
-// Peek is Lookup for observers: the same unpinned read of a built,
-// resident entry, but it counts nothing and leaves the LRU order alone
-// — enumeration (the sharded tier's warm handoff) must not look like
-// demand.
-func (c *Cache[K, V]) Peek(key K) (v V, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.entries[key]; e != nil && e.built {
-		return e.val, true
-	}
-	return v, false
 }
 
 // Stats returns a snapshot of the cache counters.

@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -208,23 +212,30 @@ func TestBinaryErrorEquivalence(t *testing.T) {
 	late := []struct {
 		name, contentType string
 		body              []byte
+		truncated         bool // declare a longer Content-Length than is sent
 		want              int
 	}{
-		{"json-unknown-fp", "application/json", mustJSON(t, unknown), 404},
-		{"json-malformed", "application/json", []byte("{nope"), 400},
-		{"binary-unknown-fp", FrameContentType, unknownFrame, 404},
-		{"binary-malformed", FrameContentType, []byte("DCWF but not a frame"), 400},
+		{"json-unknown-fp", "application/json", mustJSON(t, unknown), false, 404},
+		{"json-malformed", "application/json", []byte("{nope"), false, 400},
+		{"json-truncated", "application/json", mustJSON(t, unknown), true, 400},
+		{"binary-unknown-fp", FrameContentType, unknownFrame, false, 404},
+		{"binary-malformed", FrameContentType, []byte("DCWF but not a frame"), false, 400},
+		{"binary-truncated", FrameContentType, unknownFrame, true, 400},
 	}
 	for _, tc := range late {
-		req, err := http.NewRequest("POST", ts.URL+"/v1/trisolve", bytes.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", tc.contentType)
-		req.Header.Set(TenantHeader, tc.name)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
+		var resp *http.Response
+		if tc.truncated {
+			resp = postTruncated(t, ts.URL, tc.contentType, tc.name, tc.body)
+		} else {
+			req, err := http.NewRequest("POST", ts.URL+"/v1/trisolve", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", tc.contentType)
+			req.Header.Set(TenantHeader, tc.name)
+			if resp, err = http.DefaultClient.Do(req); err != nil {
+				t.Fatal(err)
+			}
 		}
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
@@ -264,6 +275,29 @@ func TestBinaryErrorEquivalence(t *testing.T) {
 			t.Errorf("%s: tenant request histogram count = %d, want 1", tc.name, got)
 		}
 	}
+}
+
+// postTruncated sends a solve request that declares one byte more than
+// it delivers, then half-closes: the server admits it and its body read
+// fails. No HTTP client will send such a request, so this speaks raw
+// HTTP/1.1.
+func postTruncated(t *testing.T, url, contentType, tenant string, body []byte) *http.Response {
+	t.Helper()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	fmt.Fprintf(conn, "POST /v1/trisolve HTTP/1.1\r\nHost: test\r\nContent-Type: %s\r\n%s: %s\r\nContent-Length: %d\r\n\r\n%s",
+		contentType, TenantHeader, tenant, len(body)+1, body)
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
 }
 
 // TestBinaryAdmission429 verifies the shed path answers binary requests
@@ -368,15 +402,15 @@ func TestBinaryArenaLeak(t *testing.T) {
 }
 
 // TestSolveFrameZeroAlloc pins the tentpole end to end below the HTTP
-// transport: a warm fp-resubmission through SolveFrame — frame decode,
+// transport: a warm fp-resubmission through solve — frame decode,
 // factor-cache lookup, coalescer fast path, bound solve, response encode
 // — performs zero heap allocations.
 func TestSolveFrameZeroAlloc(t *testing.T) {
 	s, frame := warmBinaryServer(t, 16)
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(100, func() {
-		st := s.getReqState()
-		out, status := s.SolveFrame(ctx, frame, st)
+		st := edgeState(s, frameCodec)
+		out, status := s.solve(ctx, frame, nil, st)
 		if status != 200 {
 			t.Fatalf("status %d", status)
 		}
@@ -396,8 +430,8 @@ func TestSolveFrameZeroAllocSampled(t *testing.T) {
 	s, frame := warmBinaryServerCfg(t, 16, Config{Procs: 2, TraceSampleEvery: 1, Coalesce: CoalesceConfig{Window: 0}})
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(100, func() {
-		st := s.getReqState()
-		out, status := s.SolveFrame(ctx, frame, st)
+		st := edgeState(s, frameCodec)
+		out, status := s.solve(ctx, frame, nil, st)
 		if status != 200 {
 			t.Fatalf("status %d", status)
 		}
@@ -434,14 +468,14 @@ func TestBinaryTenantWarmZeroAlloc(t *testing.T) {
 	ctx := context.Background()
 	// First tenant-tagged request creates the tenant (allocates); the
 	// steady state must not.
-	st := s.getReqState()
-	if _, status := s.SolveFrame(ctx, tframe, st); status != 200 {
+	st := edgeState(s, frameCodec)
+	if _, status := s.solve(ctx, tframe, nil, st); status != 200 {
 		t.Fatalf("tenant warmup status %d", status)
 	}
 	s.putReqState(st)
 	allocs := testing.AllocsPerRun(100, func() {
-		st := s.getReqState()
-		_, status := s.SolveFrame(ctx, tframe, st)
+		st := edgeState(s, frameCodec)
+		_, status := s.solve(ctx, tframe, nil, st)
 		if status != 200 {
 			t.Fatalf("status %d", status)
 		}
@@ -482,8 +516,8 @@ func warmBinaryServerCfg(tb testing.TB, mesh int, cfg Config) (*Server, []byte) 
 		tb.Fatal(err)
 	}
 	ctx := context.Background()
-	st := s.getReqState()
-	out, status := s.SolveFrame(ctx, inline, st)
+	st := edgeState(s, frameCodec)
+	out, status := s.solve(ctx, inline, nil, st)
 	if status != 200 {
 		tb.Fatalf("inline warmup status %d", status)
 	}
@@ -501,8 +535,8 @@ func warmBinaryServerCfg(tb testing.TB, mesh int, cfg Config) (*Server, []byte) 
 		tb.Fatal(err)
 	}
 	// One warm pass so the solver memo is primed.
-	st = s.getReqState()
-	if _, status := s.SolveFrame(ctx, frame, st); status != 200 {
+	st = edgeState(s, frameCodec)
+	if _, status := s.solve(ctx, frame, nil, st); status != 200 {
 		tb.Fatalf("resubmit warmup status %d", status)
 	}
 	s.putReqState(st)
@@ -519,8 +553,8 @@ func BenchmarkBinaryRequest(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			st := s.getReqState()
-			_, status := s.SolveFrame(ctx, frame, st)
+			st := edgeState(s, frameCodec)
+			_, status := s.solve(ctx, frame, nil, st)
 			if status != 200 {
 				b.Fatalf("status %d", status)
 			}
@@ -537,8 +571,8 @@ func BenchmarkBinaryRequest(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			st := s.getReqState()
-			_, status := s.SolveFrame(ctx, frame, st)
+			st := edgeState(s, frameCodec)
+			_, status := s.solve(ctx, frame, nil, st)
 			if status != 200 {
 				b.Fatalf("status %d", status)
 			}
@@ -562,16 +596,16 @@ func BenchmarkBinaryRequest(b *testing.B) {
 			b.Fatal(err)
 		}
 		ctx := context.Background()
-		st := s.getReqState()
-		if _, status := s.SolveFrame(ctx, tframe, st); status != 200 {
+		st := edgeState(s, frameCodec)
+		if _, status := s.solve(ctx, tframe, nil, st); status != 200 {
 			b.Fatalf("tenant warmup status %d", status)
 		}
 		s.putReqState(st)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			st := s.getReqState()
-			_, status := s.SolveFrame(ctx, tframe, st)
+			st := edgeState(s, frameCodec)
+			_, status := s.solve(ctx, tframe, nil, st)
 			if status != 200 {
 				b.Fatalf("status %d", status)
 			}

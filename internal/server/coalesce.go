@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -522,7 +523,11 @@ func (c *Coalescer) execute(ctx context.Context, key coalesceKey, members []*coR
 		} else {
 			planNs = time.Since(t0).Nanoseconds()
 		}
-	} else {
+	}
+	if len(members) > 1 || members[0].hint != nil || errors.Is(err, executor.ErrPoolClosed) {
+		// The memo hands solvers out unpinned: one evicted from it before
+		// its solve began can find its plan closed (nothing ran) and takes
+		// the leased path, like every fused or drift-hinted pass.
 		metrics, strategy, planNs, execNs, err = c.executeGroup(ctx, key, members)
 	}
 

@@ -360,3 +360,44 @@ func TestCoalesceQuiescentSeal(t *testing.T) {
 		t.Fatalf("stats = %+v, want one quiescence-sealed pass", s)
 	}
 }
+
+// TestCoalesceStaleMemoFallsBack pins the memo's unpinned hand-out: a
+// solver a concurrent memo eviction un-leased between its lookup and its
+// solve — its skeleton since evicted from the plan cache, its pool
+// closed — must not fail the request (it answered 500 "pool is closed")
+// but solve through a freshly leased plan.
+func TestCoalesceStaleMemoFallsBack(t *testing.T) {
+	cache := trisolve.NewPlanCache(1)
+	c := NewCoalescer(context.Background(), cache, NewRegistry(), 0, 0, 8, 2, executor.Pooled.String(), nil)
+	defer cache.Close()
+	defer c.Drain()
+	a, other := testFactor(6), testFactor(7)
+	b := randVec(a.N, 1)
+	if _, _, err := submitRHS(context.Background(), c, a, true, [][]float64{b}); err != nil {
+		t.Fatal(err)
+	}
+	// Reproduce the interleaving's end state deterministically: drop the
+	// memo's lease behind its back, then push a's skeleton out of the
+	// one-entry plan cache.
+	if err := c.memo[0].plan.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := cache.Get(other, true, trisolve.WithProcs(2), trisolve.WithKind(executor.Pooled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	if _, err := c.memo[0].solver.Solve(context.Background(), [][]float64{make([]float64, a.N)}, [][]float64{b}); !errors.Is(err, executor.ErrPoolClosed) {
+		t.Fatalf("setup: stale solver returned %v, want ErrPoolClosed", err)
+	}
+	xs, _, err := submitRHS(context.Background(), c, a, true, [][]float64{b})
+	if err != nil {
+		t.Fatalf("request through a stale memo entry failed: %v", err)
+	}
+	want := refSolve(t, a, b)
+	for i := range want {
+		if xs[0][i] != want[i] {
+			t.Fatalf("x[%d] = %v, want %v", i, xs[0][i], want[i])
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strings"
 
-	"doconsider/internal/arena"
 	"doconsider/internal/obs"
 	"doconsider/internal/sparse"
 )
@@ -26,8 +25,8 @@ type codec struct {
 	// begin places k solution rows of length n and returns them; the
 	// solver writes the response's solution bytes through these rows.
 	begin func(st *reqState, k, n int) [][]float64
-	// finish renders the response to a completed solve into arena memory
-	// (valid until putReqState) and returns it with its HTTP status.
+	// finish renders the response to a completed solve (frames: in arena
+	// memory, valid until putReqState) and returns it with its HTTP status.
 	finish func(st *reqState, fp uint64, info SolveInfo) ([]byte, int)
 	// reject renders an error body on the heap. tid 0 means the request
 	// never got a trace ID.
@@ -59,20 +58,10 @@ func (c *codec) writeBody(w http.ResponseWriter, status int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// The DCWF codec: frame.go holds the format, these adapt it.
+// The DCWF codec: frame.go holds the format, beginFrame and finishFrame.
 
 func decodeFrame(body []byte, st *reqState) error {
 	return parseRequestFrame(body, st.arena, &st.req, st.sects)
-}
-
-func beginFrame(st *reqState, k, n int) [][]float64 {
-	var xs [][]float64
-	st.out, st.lo, xs = newResponseFrame(st.arena, k, n)
-	return xs
-}
-
-func finishFrame(st *reqState, fp uint64, info SolveInfo) ([]byte, int) {
-	return finishResponseFrame(st.out, st.lo, st.creq.xs, fp, info, st.tr.ID), http.StatusOK
 }
 
 // The JSON codec. encoding/json does the parsing; around it the frame
@@ -146,14 +135,14 @@ func finishJSON(st *reqState, fp uint64, info SolveInfo) ([]byte, int) {
 	} else {
 		resp.X = xs
 	}
-	buf := arenaBuf{a: st.arena}
-	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+	out, err := json.Marshal(resp)
+	if err != nil {
 		// A non-finite solution value has no JSON number form (x_b64 and
 		// frames carry it bit for bit).
 		const code = http.StatusInternalServerError
 		return rejectJSON(code, "encoding response: "+err.Error(), st.tr.ID), code
 	}
-	return buf.b, http.StatusOK
+	return out, http.StatusOK
 }
 
 func rejectJSON(_ int, msg string, tid uint64) []byte {
@@ -163,22 +152,6 @@ func rejectJSON(_ int, msg string, tid uint64) []byte {
 	}
 	body, _ := json.Marshal(e) // two strings: cannot fail
 	return body
-}
-
-// arenaBuf is an io.Writer accumulating into arena memory, so a JSON
-// response is encoded without a heap buffer of its own.
-type arenaBuf struct {
-	a *arena.Arena
-	b []byte
-}
-
-func (w *arenaBuf) Write(p []byte) (int, error) {
-	if len(w.b)+len(p) > cap(w.b) {
-		grown := w.a.Bytes(2*cap(w.b) + len(p))
-		w.b = grown[:copy(grown, w.b)]
-	}
-	w.b = append(w.b, p...)
-	return len(p), nil
 }
 
 // wireRequest is a decoded /v1/trisolve request, whichever codec read

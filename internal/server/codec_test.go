@@ -7,17 +7,23 @@ import (
 	"math"
 	"net/http"
 	"testing"
+	"time"
 
 	"doconsider/internal/sparse"
 )
 
+// edgeState is the request state the HTTP edge hands solve for a request
+// on c from the default tenant.
+func edgeState(s *Server, c *codec) *reqState {
+	return s.getReqState(c, s.tenants.def, ClassBatch, time.Now())
+}
+
 // solveVia runs one request body through the pipeline under c, below
 // the HTTP edge, and returns a copy of the response body and its status.
 func solveVia(s *Server, c *codec, body []byte) ([]byte, int) {
-	st := s.getReqState()
+	st := edgeState(s, c)
 	defer s.putReqState(st)
-	st.codec = c
-	out, status := s.solve(context.Background(), body, st)
+	out, status := s.solve(context.Background(), body, nil, st)
 	return append([]byte(nil), out...), status
 }
 
@@ -160,4 +166,62 @@ func FuzzJSONDecode(f *testing.F) {
 			t.Fatalf("JSON fp %q, binary fp %q", jr.Fp, fr.Fp)
 		}
 	})
+}
+
+// TestHexFingerprintSpellings pins the one text spelling of a
+// fingerprint — 1 to 16 hex digits, nothing else — at every place a
+// caller can hand one in: the JSON decoder, the client-side frame
+// encoder and the router's RouteKey. A prefix, sign, space or trailing
+// junk is malformed everywhere (a lenient scan once read "8BX0" as 0x8B
+// on the encoder and router while the JSON server answered 400).
+func TestHexFingerprintSpellings(t *testing.T) {
+	s, err := New(Config{Procs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	lower := true
+	for _, tc := range []struct {
+		fp string
+		ok bool
+	}{
+		{"8b", true},
+		{"00000000DEADBEEF", true},
+		{"0x8b", false},
+		{" 8b", false},
+		{"8b ", false},
+		{"+8b", false},
+		{"8BX0", false},
+		{"10000000000000000", false}, // 17 digits: past 64 bits
+	} {
+		for _, req := range []*SolveRequest{
+			{Fp: tc.fp, Lower: &lower, B: [][]float64{{1}}},
+			{BaseFp: tc.fp, Lower: &lower, B: [][]float64{{1}},
+				Edits: []sparse.RowEdit{{Row: 0, Insert: []sparse.EditEntry{{Col: 0, Val: 1}}}}},
+		} {
+			body := mustJSON(t, req)
+			// A well-spelled fingerprint names no resident factor here: 404.
+			wantStatus := http.StatusBadRequest
+			if tc.ok {
+				wantStatus = http.StatusNotFound
+			}
+			if _, status := solveVia(s, jsonCodec, body); status != wantStatus {
+				t.Errorf("fp %q: JSON solve answered %d, want %d", tc.fp, status, wantStatus)
+			}
+			if _, _, err := RouteKey(body, false); (err == nil) != tc.ok {
+				t.Errorf("fp %q: RouteKey(json) err = %v, well-spelled=%v", tc.fp, err, tc.ok)
+			}
+			frame, err := EncodeRequestFrame(req)
+			if (err == nil) != tc.ok {
+				t.Errorf("fp %q: EncodeRequestFrame err = %v, well-spelled=%v", tc.fp, err, tc.ok)
+			}
+			if err != nil {
+				continue
+			}
+			want, _ := parseHexFp(tc.fp)
+			if key, _, err := RouteKey(frame, true); err != nil || key != want {
+				t.Errorf("fp %q: RouteKey(frame) = %x, %v, want %x", tc.fp, key, err, want)
+			}
+		}
+	}
 }

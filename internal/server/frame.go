@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"strconv"
 
 	"doconsider/internal/arena"
@@ -106,11 +107,6 @@ const (
 	secTenant      = 17
 )
 
-var (
-	errFrameTooShort = errors.New("frame shorter than header")
-	errFrameMagic    = errors.New("bad frame magic")
-)
-
 // frameSection is one decoded section-table entry.
 type frameSection struct {
 	typ    uint16
@@ -125,10 +121,10 @@ type frameSection struct {
 // buffer on any input (FuzzFrameDecode pins this).
 func parseSections(buf []byte, sects []frameSection) (flags byte, _ []frameSection, err error) {
 	if len(buf) < frameHeaderLen {
-		return 0, nil, errFrameTooShort
+		return 0, nil, errors.New("frame shorter than header")
 	}
 	if string(buf[0:4]) != frameMagic {
-		return 0, nil, errFrameMagic
+		return 0, nil, errors.New("bad frame magic")
 	}
 	if buf[4] != frameVersion {
 		return 0, nil, fmt.Errorf("unsupported frame version %d (want %d)", buf[4], frameVersion)
@@ -388,15 +384,16 @@ func responseLayout(k, n int) respLayout {
 	return lo
 }
 
-// newResponseFrame lays a success frame out in arena memory and returns
-// it with the solution row views aimed into the solutions section, so
-// the solver writes results directly into the response bytes. The
-// header, table and reserved regions are fully written here — arena
-// memory is recycled across requests and must never leak stale bytes
-// onto the wire.
-func newResponseFrame(a *arena.Arena, k, n int) ([]byte, respLayout, [][]float64) {
+// beginFrame (the DCWF codec's begin) lays a success frame out in arena
+// memory and returns the solution row views aimed into its solutions
+// section, so the solver writes results directly into the response
+// bytes. The header, table and reserved regions are fully written here —
+// arena memory is recycled across requests and must never leak stale
+// bytes onto the wire.
+func beginFrame(st *reqState, k, n int) [][]float64 {
 	lo := responseLayout(k, n)
-	buf := a.Bytes(lo.total)
+	buf := st.arena.Bytes(lo.total)
+	st.out, st.lo = buf, lo
 	writeFrameHeader(buf, 0, 5, uint64(lo.total))
 	writeSection(buf, 0, secSolutions, uint32(k), uint32(lo.solOff), uint32(8*k*n))
 	writeSection(buf, 1, secRespFp, 0, uint32(lo.fpOff), 8)
@@ -412,7 +409,7 @@ func newResponseFrame(a *arena.Arena, k, n int) ([]byte, respLayout, [][]float64
 	for i := lo.stratOff; i < lo.total; i++ {
 		buf[i] = 0
 	}
-	return buf, lo, solutionRows(a, buf[lo.solOff:lo.solOff+8*k*n], k, n)
+	return solutionRows(st.arena, buf[lo.solOff:lo.solOff+8*k*n], k, n)
 }
 
 // solutionRows returns the k solver output rows of length n over sol,
@@ -446,13 +443,14 @@ func flushSolutions(sol []byte, xs [][]float64, n int) {
 	}
 }
 
-// finishResponseFrame patches the fingerprint, info, trace-ID and
-// strategy sections after the solve. On big-endian hosts it also
-// serializes the solutions into the frame.
-func finishResponseFrame(buf []byte, lo respLayout, xs [][]float64, fp uint64, info SolveInfo, tid uint64) []byte {
-	flushSolutions(buf[lo.solOff:], xs, lo.n)
+// finishFrame (the DCWF codec's finish) patches the fingerprint, info,
+// trace-ID and strategy sections after the solve. On big-endian hosts it
+// also serializes the solutions into the frame.
+func finishFrame(st *reqState, fp uint64, info SolveInfo) ([]byte, int) {
+	buf, lo := st.out, st.lo
+	flushSolutions(buf[lo.solOff:], st.creq.xs, lo.n)
 	binary.LittleEndian.PutUint64(buf[lo.fpOff:], fp)
-	binary.LittleEndian.PutUint64(buf[lo.tidOff:], tid)
+	binary.LittleEndian.PutUint64(buf[lo.tidOff:], st.tr.ID)
 	binary.LittleEndian.PutUint32(buf[lo.infoOff:], uint32(info.Fused))
 	binary.LittleEndian.PutUint32(buf[lo.infoOff+4:], uint32(info.Width))
 	binary.LittleEndian.PutUint64(buf[lo.infoOff+8:], uint64(info.Metrics.Executed))
@@ -465,7 +463,7 @@ func finishResponseFrame(buf []byte, lo respLayout, xs [][]float64, fp uint64, i
 	e := buf[frameHeaderLen+3*frameSectionLen:]
 	binary.LittleEndian.PutUint32(e[4:8], uint32(len(strat)))
 	binary.LittleEndian.PutUint32(e[12:16], uint32(len(strat)))
-	return buf
+	return buf, http.StatusOK
 }
 
 // writeFrameHeader fills the 24-byte header (version, flags, section

@@ -250,7 +250,8 @@ func TestFrameEditsDecodeErrors(t *testing.T) {
 func TestResponseFrameRoundTrip(t *testing.T) {
 	a := testArena(t)
 	const k, n = 2, 3
-	buf, lo, xs := newResponseFrame(a, k, n)
+	st := &reqState{arena: a}
+	xs := beginFrame(st, k, n)
 	if len(xs) != k {
 		t.Fatalf("got %d solution rows, want %d", len(xs), k)
 	}
@@ -259,10 +260,11 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 			xs[j][i] = float64(10*j + i)
 		}
 	}
-	out := finishResponseFrame(buf, lo, xs, 0xfeed, SolveInfo{
+	st.creq.xs, st.tr.ID = xs, 0xabc123
+	out, _ := finishFrame(st, 0xfeed, SolveInfo{
 		Fused: 2, Width: 5, Strategy: "pooled",
 		Metrics: executor.Metrics{Executed: 123},
-	}, 0xabc123)
+	})
 	resp, err := DecodeResponseFrame(out)
 	if err != nil {
 		t.Fatal(err)
@@ -282,9 +284,10 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 
 	// A zero fingerprint (collision path) must come back empty, and an
 	// oversized strategy name must be truncated, not overrun its reserve.
-	buf, lo, xs = newResponseFrame(a, 1, 1)
+	xs = beginFrame(st, 1, 1)
 	xs[0][0] = 1
-	out = finishResponseFrame(buf, lo, xs, 0, SolveInfo{Strategy: strings.Repeat("s", 99)}, 0)
+	st.creq.xs, st.tr.ID = xs, 0
+	out, _ = finishFrame(st, 0, SolveInfo{Strategy: strings.Repeat("s", 99)})
 	resp, err = DecodeResponseFrame(out)
 	if err != nil {
 		t.Fatal(err)

@@ -64,12 +64,19 @@ func postFrameHdr(t *testing.T, url string, frame []byte) (int, *WireResponse, h
 	return resp.StatusCode, wr, resp.Header
 }
 
+// wireReply is what postWire reads off either wire: the status, the
+// pass's fused count (200) and the error message (anything else).
+type wireReply struct {
+	status, fused int
+	errMsg        string
+}
+
 // postWire sends req over the named wire ("json" or "binary") with an
-// optional tenant header and returns the status and the pass's fused
-// count. It reports failures as an error so it is usable off the test
-// goroutine.
-func postWire(url, wire, tenantHeader string, req *SolveRequest) (status, fused int, err error) {
+// optional tenant header. It reports failures — an undecodable body
+// included — as an error so it is usable off the test goroutine.
+func postWire(url, wire, tenantHeader string, req *SolveRequest) (wireReply, error) {
 	body, contentType := []byte(nil), "application/json"
+	var err error
 	if wire == "binary" {
 		contentType = FrameContentType
 		body, err = EncodeRequestFrame(req)
@@ -77,11 +84,11 @@ func postWire(url, wire, tenantHeader string, req *SolveRequest) (status, fused 
 		body, err = json.Marshal(req)
 	}
 	if err != nil {
-		return 0, 0, err
+		return wireReply{}, err
 	}
 	hreq, err := http.NewRequest("POST", url+"/v1/trisolve", bytes.NewReader(body))
 	if err != nil {
-		return 0, 0, err
+		return wireReply{}, err
 	}
 	hreq.Header.Set("Content-Type", contentType)
 	if tenantHeader != "" {
@@ -89,31 +96,41 @@ func postWire(url, wire, tenantHeader string, req *SolveRequest) (status, fused 
 	}
 	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
-		return 0, 0, err
+		return wireReply{}, err
 	}
 	defer resp.Body.Close()
+	rep := wireReply{status: resp.StatusCode}
 	out, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, 0, err
+	if err != nil {
+		return rep, err
 	}
 	if wire == "binary" {
 		wr, err := DecodeResponseFrame(out)
 		if err != nil {
-			return resp.StatusCode, 0, err
+			return rep, err
 		}
-		return resp.StatusCode, wr.Fused, nil
+		rep.fused, rep.errMsg = wr.Fused, wr.ErrMsg
+		return rep, nil
+	}
+	if rep.status != http.StatusOK {
+		var e errorResponse
+		err = json.Unmarshal(out, &e)
+		rep.errMsg = e.Error
+		return rep, err
 	}
 	var sr SolveResponse
 	err = json.Unmarshal(out, &sr)
-	return resp.StatusCode, sr.Fused, err
+	rep.fused = sr.Fused
+	return rep, err
 }
 
-// TestRequestTimeoutBothWires pins the one timeout rule on both wires:
-// a negative timeout (JSON timeout_ms, DCWF timeout section) is
-// rejected with 400, and a timeout larger than Config.DefaultTimeout
-// does not extend it — a request parked in a long window still comes
+// TestNegativeTimeoutRejectedBothWires pins the one timeout rule on both
+// wires: a negative timeout (JSON timeout_ms, DCWF timeout section) is
+// rejected with 400 and a message — the bugfix for silently ignored
+// negative timeouts — and a timeout larger than Config.DefaultTimeout
+// does not extend it: a request parked in a long window still comes
 // back 504 at the default deadline.
-func TestRequestTimeoutBothWires(t *testing.T) {
+func TestNegativeTimeoutRejectedBothWires(t *testing.T) {
 	s, ts := newTestServer(t, Config{Procs: 1, DefaultTimeout: 50 * time.Millisecond,
 		Coalesce: CoalesceConfig{Window: 10 * time.Second, Width: 64}})
 	l := testFactor(8)
@@ -139,12 +156,15 @@ func TestRequestTimeoutBothWires(t *testing.T) {
 			req := &SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx, Val: l.Val,
 				Lower: &lower, B: [][]float64{randVec(l.N, 1)}, TimeoutMs: tc.timeoutMs}
 			start := time.Now()
-			status, _, err := postWire(ts.URL, wire, "", req)
+			rep, err := postWire(ts.URL, wire, "", req)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.name, wire, err)
 			}
-			if status != tc.want {
-				t.Errorf("%s/%s: status %d, want %d", tc.name, wire, status, tc.want)
+			if rep.status != tc.want {
+				t.Errorf("%s/%s: status %d, want %d", tc.name, wire, rep.status, tc.want)
+			}
+			if rep.errMsg == "" {
+				t.Errorf("%s/%s: empty error message", tc.name, wire)
 			}
 			if elapsed := time.Since(start); elapsed > 5*time.Second {
 				t.Errorf("%s/%s: answered after %v — the request timeout extended the 50ms default", tc.name, wire, elapsed)
@@ -177,9 +197,9 @@ func TestClassSeparationBothWires(t *testing.T) {
 			_, finish := stallRequest(t, ts.URL, solveBody(t, l, true, [][]float64{randVec(l.N, 1)}))
 			batch := make(chan error, 1)
 			go func() {
-				status, _, err := postWire(ts.URL, wire, "", mk(2))
-				if err == nil && status != http.StatusOK {
-					err = fmt.Errorf("parked batch request: status %d", status)
+				rep, err := postWire(ts.URL, wire, "", mk(2))
+				if err == nil && rep.status != http.StatusOK {
+					err = fmt.Errorf("parked batch request: status %d (%s)", rep.status, rep.errMsg)
 				}
 				batch <- err
 			}()
@@ -196,12 +216,12 @@ func TestClassSeparationBothWires(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
-			status, fused, err := postWire(ts.URL, wire, "t;class=latency", mk(3))
-			if err != nil || status != http.StatusOK {
-				t.Fatalf("latency request: status %d, err %v", status, err)
+			rep, err := postWire(ts.URL, wire, "t;class=latency", mk(3))
+			if err != nil || rep.status != http.StatusOK {
+				t.Fatalf("latency request: status %d, err %v", rep.status, err)
 			}
-			if fused != 1 {
-				t.Errorf("latency request fused with the parked batch group (fused=%d), want a pass of its own", fused)
+			if rep.fused != 1 {
+				t.Errorf("latency request fused with the parked batch group (fused=%d), want a pass of its own", rep.fused)
 			}
 			// Releasing the stalled request fills and seals the batch group.
 			finish()

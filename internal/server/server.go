@@ -367,11 +367,6 @@ type Server struct {
 	accepted *Counter
 	shed     *Counter
 	solveEP  [2]*endpointMetrics // /v1/trisolve, by obs.Wire
-	statsEP  *endpointMetrics
-	healthEP *endpointMetrics
-	metricEP *endpointMetrics
-	traceEP  *endpointMetrics
-	shardEP  *endpointMetrics
 }
 
 // New builds a server from cfg (zero fields take defaults). It fails
@@ -410,49 +405,28 @@ func New(cfg Config) (*Server, error) {
 		cfg.Coalesce.Width, cfg.Procs, cfg.Kind, s.adm.inFlight)
 	s.accepted = reg.Counter("loops_admission_accepted_total", "solve requests admitted", nil)
 	s.shed = reg.Counter("loops_admission_shed_total", "solve requests shed with 429", nil)
-	for _, cs := range []struct {
-		name string
-		f    func(plancache.Stats) float64
-	}{
+	eventGauges(reg, "loops_plan_cache", "plan cache counters by event", cache.Stats, []event[plancache.Stats]{
 		{"hits", func(st plancache.Stats) float64 { return float64(st.Hits) }},
 		{"coalesced", func(st plancache.Stats) float64 { return float64(st.Coalesced) }},
 		{"misses", func(st plancache.Stats) float64 { return float64(st.Misses) }},
 		{"evictions", func(st plancache.Stats) float64 { return float64(st.Evictions) }},
 		{"resident", func(st plancache.Stats) float64 { return float64(st.Resident) }},
-	} {
-		f := cs.f
-		reg.GaugeFunc("loops_plan_cache", "plan cache counters by event", Labels{{"event", cs.name}},
-			func() float64 { return f(cache.Stats()) })
-	}
+	})
 	reg.GaugeFunc("loops_plan_cache_hit_rate", "fraction of plan lookups served without the inspector", nil,
 		func() float64 { return cache.Stats().HitRate() })
 	// Near-miss repair outcomes for drifting structures.
-	for _, ds := range []struct {
-		name string
-		f    func(trisolve.DeltaStats) float64
-	}{
+	eventGauges(reg, "loops_plan_repair", "near-miss plan repair counters by event", cache.DeltaStats, []event[trisolve.DeltaStats]{
 		{"repairs", func(d trisolve.DeltaStats) float64 { return float64(d.Repairs) }},
 		{"fallbacks", func(d trisolve.DeltaStats) float64 { return float64(d.Fallbacks) }},
 		{"cone_rows", func(d trisolve.DeltaStats) float64 { return float64(d.ConeRows) }},
-	} {
-		f := ds.f
-		reg.GaugeFunc("loops_plan_repair", "near-miss plan repair counters by event", Labels{{"event", ds.name}},
-			func() float64 { return f(cache.DeltaStats()) })
-	}
+	})
 	// Supernodal fusion outcomes of plan builds.
-	for _, ss := range []struct {
-		name string
-		f    func(trisolve.SupernodeStats) float64
-	}{
+	eventGauges(reg, "loops_supernode", "supernodal fusion counters by event", cache.SupernodeStats, []event[trisolve.SupernodeStats]{
 		{"fused_plans", func(st trisolve.SupernodeStats) float64 { return float64(st.FusedPlans) }},
 		{"nodes", func(st trisolve.SupernodeStats) float64 { return float64(st.Nodes) }},
 		{"fused_rows", func(st trisolve.SupernodeStats) float64 { return float64(st.FusedRows) }},
 		{"max_width", func(st trisolve.SupernodeStats) float64 { return float64(st.MaxWidth) }},
-	} {
-		f := ss.f
-		reg.GaugeFunc("loops_supernode", "supernodal fusion counters by event", Labels{{"event", ss.name}},
-			func() float64 { return f(cache.SupernodeStats()) })
-	}
+	})
 	reg.GaugeFunc("loops_supernode_fused_frac", "fraction of planned rows inside fused supernodes", nil,
 		func() float64 { return cache.SupernodeStats().FusedFrac })
 	factors := s.factors
@@ -471,22 +445,14 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	// Request arena-pool counters.
-	arenas := s.arenas
-	for _, as := range []struct {
-		name string
-		f    func(arena.Stats) float64
-	}{
+	eventGauges(reg, "loops_arena", "request arena pool counters by event", s.arenas.Stats, []event[arena.Stats]{
 		{"outstanding", func(st arena.Stats) float64 { return float64(st.Outstanding) }},
 		{"idle", func(st arena.Stats) float64 { return float64(st.Idle) }},
 		{"gets", func(st arena.Stats) float64 { return float64(st.Gets) }},
 		{"releases", func(st arena.Stats) float64 { return float64(st.Releases) }},
 		{"grows", func(st arena.Stats) float64 { return float64(st.Grows) }},
 		{"overflows", func(st arena.Stats) float64 { return float64(st.Overflows) }},
-	} {
-		f := as.f
-		reg.GaugeFunc("loops_arena", "request arena pool counters by event", Labels{{"event", as.name}},
-			func() float64 { return f(arenas.Stats()) })
-	}
+	})
 
 	s.tracer = newTracer(reg, cfg)
 	registerBuildMetrics(reg, s.start)
@@ -497,23 +463,33 @@ func New(cfg Config) (*Server, error) {
 	for _, w := range []obs.Wire{obs.WireJSON, obs.WireBinary} {
 		s.solveEP[w] = newEndpointMetrics(reg, "trisolve", [2]string{"wire", w.String()})
 	}
-	s.statsEP = newEndpointMetrics(reg, "stats")
-	s.healthEP = newEndpointMetrics(reg, "healthz")
-	s.metricEP = newEndpointMetrics(reg, "metrics")
-	s.traceEP = newEndpointMetrics(reg, "trace")
-	s.shardEP = newEndpointMetrics(reg, "shard")
-
 	s.mux.HandleFunc("/v1/trisolve", s.handleTrisolve)
-	s.mux.HandleFunc("/v1/stats", s.statsEP.wrap(s.handleStats))
-	s.mux.HandleFunc("/healthz", s.healthEP.wrap(s.handleHealthz))
-	s.mux.HandleFunc("/metrics", s.metricEP.wrap(s.handleMetrics))
-	s.mux.HandleFunc("/v1/trace", s.traceEP.wrap(s.handleTrace))
-	s.mux.HandleFunc("/v1/trace/slowest", s.traceEP.wrap(s.handleTraceSlowest))
-	s.mux.HandleFunc("/v1/shard/plans", s.shardEP.wrap(s.handleShardPlans))
-	s.mux.HandleFunc("/v1/shard/factor", s.shardEP.wrap(s.handleShardFactor))
-	s.mux.HandleFunc("/v1/shard/warm", s.shardEP.wrap(s.handleShardWarm))
+	s.mux.HandleFunc("/v1/stats", newEndpointMetrics(reg, "stats").wrap(s.handleStats))
+	s.mux.HandleFunc("/healthz", newEndpointMetrics(reg, "healthz").wrap(s.handleHealthz))
+	s.mux.HandleFunc("/metrics", newEndpointMetrics(reg, "metrics").wrap(s.handleMetrics))
+	traceEP := newEndpointMetrics(reg, "trace")
+	s.mux.HandleFunc("/v1/trace", traceEP.wrap(s.handleTrace))
+	s.mux.HandleFunc("/v1/trace/slowest", traceEP.wrap(s.handleTraceSlowest))
+	shardEP := newEndpointMetrics(reg, "shard")
+	s.mux.HandleFunc("/v1/shard/plans", shardEP.wrap(s.handleShardPlans))
+	s.mux.HandleFunc("/v1/shard/factor", shardEP.wrap(s.handleShardFactor))
+	s.mux.HandleFunc("/v1/shard/warm", shardEP.wrap(s.handleShardWarm))
 	s.httpSrv = &http.Server{Handler: s.mux}
 	return s, nil
+}
+
+// event names one counter of a stats snapshot S for eventGauges.
+type event[S any] struct {
+	name string
+	get  func(S) float64
+}
+
+// eventGauges registers one gauge per event under family, labelled
+// {event=name}, each reading a fresh snapshot.
+func eventGauges[S any](reg *Registry, family, help string, snap func() S, events []event[S]) {
+	for _, e := range events {
+		reg.GaugeFunc(family, help, Labels{{"event", e.name}}, func() float64 { return e.get(snap()) })
+	}
 }
 
 // Handler returns the server's HTTP handler (for tests and in-process
@@ -701,21 +677,16 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, c *codec, t0
 
 	// The trace starts at the handler's first instruction, so its
 	// admission stage covers the whole front door.
-	st := s.getReqState()
+	st := s.getReqState(c, ten, class, t0)
 	defer s.putReqState(st)
-	st.codec, st.tenant, st.class = c, ten, class
-	st.tr.Begin(c.wire, t0)
 	st.tr.Lap(obs.StageAdmission)
 	body, err := readBody(r, st.arena)
-	if err != nil {
-		return refuse(http.StatusBadRequest, "bad request body: "+err.Error())
-	}
 	st.tr.Lap(obs.StageDecode)
 	// The transport owns the default deadline; the request's own timeout
 	// can only tighten it (see withRequestTimeout).
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
 	defer cancel()
-	out, status := s.solve(ctx, body, st)
+	out, status := s.solve(ctx, body, err, st)
 	c.writeBody(w, status, out)
 	return status
 }

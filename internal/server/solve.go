@@ -47,10 +47,9 @@ type reqState struct {
 	tr     obs.Trace
 	lc     obs.LevelClock
 	bstats trisolve.BuildStats
-	// Tenant attribution: set from the header by the HTTP handler,
-	// overridden by a frame's tenant section once decoded; direct
-	// SolveFrame callers get the default tenant. Pointer reads and
-	// counter increments only — no allocation on the warm path.
+	// Tenant attribution: the header-resolved identity admission used,
+	// overridden by a frame's tenant section once decoded. Pointer reads
+	// and counter increments only — no allocation on the warm path.
 	tenant *tenantState
 	class  Class
 	// leaked marks state an abandoned pass may still reference (the
@@ -59,10 +58,14 @@ type reqState struct {
 	leaked bool
 }
 
-// getReqState pairs pooled scratch with a fresh request arena.
-func (s *Server) getReqState() *reqState {
+// getReqState pairs pooled scratch with a fresh request arena and stamps
+// it with what the edge knows before the body is read: the codec, the
+// tenant identity and the instant the request's trace starts.
+func (s *Server) getReqState(c *codec, ten *tenantState, class Class, t0 time.Time) *reqState {
 	st := s.reqPool.Get().(*reqState)
 	st.arena = s.arenas.Get()
+	st.codec, st.tenant, st.class = c, ten, class
+	st.tr.Begin(c.wire, t0)
 	return st
 }
 
@@ -84,8 +87,10 @@ func (s *Server) putReqState(st *reqState) {
 }
 
 // readBody reads a request body of either wire into arena memory: one
-// ReadFull into an exact-size buffer when Content-Length is declared, a
-// geometric-growth loop otherwise, both bounded by MaxFrameBytes.
+// ReadFull into an exact-size buffer when Content-Length is declared (so
+// a declared length is reserved before its bytes arrive — admission
+// bounds how many requests can hold one), a geometric-growth loop
+// otherwise, both bounded by MaxFrameBytes.
 func readBody(r *http.Request, a *arena.Arena) ([]byte, error) {
 	if r.ContentLength > MaxFrameBytes {
 		return nil, fmt.Errorf("body has %d bytes, limit %d", r.ContentLength, MaxFrameBytes)
@@ -119,42 +124,32 @@ func readBody(r *http.Request, a *arena.Arena) ([]byte, error) {
 	}
 }
 
-// SolveFrame is solve on a DCWF frame for callers below the HTTP edge
-// (tests, benchmarks). This is the boundary the 0 allocs/op gate
-// measures: on a warm fp-resubmission (factor cached, arena pooled,
-// solver memoized, no timeout section) the call performs no heap
-// allocations — trace publication and tenant accounting included.
-func (s *Server) SolveFrame(ctx context.Context, in []byte, st *reqState) ([]byte, int) {
-	st.codec = frameCodec
-	return s.solve(ctx, in, st)
-}
-
 // solve executes one request end to end — decode, factor resolution,
 // solve, response encode — through st.codec and returns the response
-// body (in st's arena, valid until putReqState; on the heap for
-// rejections) with its HTTP status. ctx carries the transport deadline.
-// Every outcome, errors included, is traced under the request's trace ID
-// and charged to its tenant.
-func (s *Server) solve(ctx context.Context, body []byte, st *reqState) ([]byte, int) {
-	if !st.tr.Active() {
-		// Direct callers skip handleTrisolve; their traces start here.
-		st.tr.Begin(st.codec.wire, time.Now())
-	}
-	if st.tenant == nil {
-		st.tenant = s.tenants.def
-	}
-	out, status := s.solveStages(ctx, body, st)
+// body (a frame lives in st's arena, valid until putReqState; JSON and
+// rejections on the heap) with its HTTP status. ctx carries the deadline;
+// readErr is the transport's failure to deliver body, answered as the
+// decode failure it is. Every outcome, errors included, is traced under
+// the request's trace ID and charged to its tenant. This is the boundary
+// the 0 allocs/op gate measures: on a warm fp-resubmission frame (factor
+// cached, arena pooled, solver memoized, no timeout section) the call
+// performs no heap allocations — trace publication and tenant accounting
+// included.
+func (s *Server) solve(ctx context.Context, body []byte, readErr error, st *reqState) ([]byte, int) {
+	out, status := s.solveStages(ctx, body, readErr, st)
 	s.tracer.publish(&st.tr, obs.StageEncode, status)
 	st.tenant.observe(st.class, st.tr.TotalNs)
 	return out, status
 }
 
-func (s *Server) solveStages(ctx context.Context, body []byte, st *reqState) ([]byte, int) {
+func (s *Server) solveStages(ctx context.Context, body []byte, err error, st *reqState) ([]byte, int) {
 	q, c := &st.req, st.codec
 	reject := func(status int, msg string) ([]byte, int) {
 		return c.reject(status, msg, st.tr.ID), status
 	}
-	err := c.decode(body, st)
+	if err == nil {
+		err = c.decode(body, st)
+	}
 	if len(q.tenant) > 0 {
 		// The frame names its tenant: authoritative for attribution (the
 		// header the handler resolved drove admission, which is already
