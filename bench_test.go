@@ -212,7 +212,7 @@ func BenchmarkFig13(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md section 5) -------------------------------------
+// --- Ablations ------------------------------------------------------------
 
 // BenchmarkAblationPartition compares wrapped vs blocked local partitions
 // under self-execution on the mesh problem.

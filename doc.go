@@ -19,8 +19,8 @@
 // structures, pooled for wide ones, doacross when the natural order
 // already parallelizes — with bit-identical results under every choice.
 // See the "Adaptive planning" section of README.md for the model, the
-// per-machine calibration, and the DOCONSIDER_CALIBRATION /
-// DOCONSIDER_STRATEGY environment overrides.
+// per-machine calibration, and the DOCONSIDER_CALIBRATION environment
+// override.
 //
 // Inspection is also incremental (internal/delta): when a structure
 // drifts — a few rows gain or lose nonzeros between solves, as under
@@ -35,13 +35,13 @@
 //
 // Execution is supernodal where the structure allows (internal/supernode):
 // runs of consecutive rows with identical or nested dependence patterns
-// fuse into width-capped supernodes, uniform nodes run as unrolled dense
-// blocklet kernels, and the schedule runs over compressed levels — fewer
-// barriers and busy-waits, bit-identical results. The planner prices the
-// fused plan as a fifth candidate, the plan cache keys on fusion identity
-// and re-splices partitions under drift, and DOCONSIDER_FUSE /
-// trisolve.WithFusion force or disable it; see the "Supernodal
-// execution" section of README.md.
+// fuse into width-capped supernodes, each node's executor body sweeps
+// the one row-substitution kernel over its rows, and the schedule runs
+// over compressed levels — fewer dispatches, barriers and busy-waits,
+// bit-identical results. The planner prices the fused plan as a fifth
+// candidate, the plan cache keys on fusion identity and re-splices
+// partitions under drift, and trisolve.WithFusion forces or disables
+// it; see the "Supernodal execution" section of README.md.
 //
 // Serving scales out behind a consistent-hash front door
 // (internal/router, `loops router` / `loops cluster`): requests route

@@ -100,4 +100,27 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 	if err := p.ApplyBatch(zsBatch, rs[:2]); err == nil {
 		t.Fatal("mismatched batch widths accepted")
 	}
+
+	// The plans bind their reciprocal diagonals on the first solve, so a
+	// warm application allocates nothing (the sequential kind, so that no
+	// executor goroutine spawn is counted).
+	seq, err := NewILUPrec(a, ILUPrecOptions{Kind: executor.Sequential})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seq.Close()
+	if err := seq.ApplyBatch(zsBatch, rs); err != nil { // warm: binds both plans, grows the scratch
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { seq.Apply(zsOne[0], rs[0]) }); allocs != 0 {
+		t.Errorf("warm Apply = %v allocs/op, want 0", allocs)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := seq.ApplyBatch(zsBatch, rs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm ApplyBatch = %v allocs/op, want 0", allocs)
+	}
 }

@@ -88,12 +88,3 @@ func TestGoldenDecisions(t *testing.T) {
 		t.Errorf("planner decisions changed; review and regenerate with -update.\n--- want\n%s--- got\n%s", want, got)
 	}
 }
-
-// TestGoldenDecisionsPinnedByEnv guards the golden table against an
-// inherited DOCONSIDER_STRATEGY: the pin is resolved once per process,
-// so if it is set the table above is not the planner's own output.
-func TestGoldenDecisionsPinnedByEnv(t *testing.T) {
-	if os.Getenv("DOCONSIDER_STRATEGY") != "" {
-		t.Fatal("DOCONSIDER_STRATEGY is set; the golden decision table would record pinned decisions")
-	}
-}

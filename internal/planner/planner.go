@@ -19,15 +19,12 @@
 // Decisions are deterministic for a fixed cost model. The host model is
 // calibrated once per machine by microbenchmark and persisted (see
 // Calibrate and ForHost); set DOCONSIDER_CALIBRATION=off to use the
-// canonical default constants, DOCONSIDER_CALIBRATION=<path> to relocate
-// the persisted file, and DOCONSIDER_STRATEGY=<kind> to pin the strategy
-// globally without touching call sites.
+// canonical default constants and DOCONSIDER_CALIBRATION=<path> to
+// relocate the persisted file.
 package planner
 
 import (
 	"fmt"
-	"os"
-	"sync"
 
 	"doconsider/internal/executor"
 )
@@ -83,17 +80,10 @@ type Decision struct {
 	// on). Like Reorder it is advisory — callers without fused kernels
 	// never set Features.Fusion and never see it.
 	Fused bool
-	// Pinned reports that DOCONSIDER_STRATEGY forced the strategy and the
-	// predictions were not consulted.
-	Pinned bool
 }
 
 // String renders the decision for logs and CLI output.
 func (d Decision) String() string {
-	pin := ""
-	if d.Pinned {
-		pin = " (pinned)"
-	}
 	fused := ""
 	if d.Fused {
 		fused = "+fused"
@@ -102,8 +92,8 @@ func (d Decision) String() string {
 	if d.Features.Fusion != nil {
 		super = fmt.Sprintf(" super=%.1fµs", d.PredSupernodal*1e6)
 	}
-	return fmt.Sprintf("%s%s/%s%s [n=%d edges=%d levels=%d maxw=%d; seq=%.1fµs pool=%.1fµs doacross=%.1fµs%s]",
-		d.Strategy, fused, d.Reorder, pin,
+	return fmt.Sprintf("%s%s/%s [n=%d edges=%d levels=%d maxw=%d; seq=%.1fµs pool=%.1fµs doacross=%.1fµs%s]",
+		d.Strategy, fused, d.Reorder,
 		d.Features.N, d.Features.Edges, d.Features.Levels, d.Features.MaxWidth,
 		d.PredSequential*1e6, d.PredPooled*1e6, d.PredDoAcross*1e6, super)
 }
@@ -139,33 +129,28 @@ func Select(f Features, m *CostModel) Decision {
 			}
 		}
 	}
-	if k, ok := pinnedKind(); ok {
-		d.Strategy = k
-		d.Pinned = true
-	} else {
-		d.Strategy = executor.Sequential
-		best := d.PredSequential
-		if f.P > 1 {
-			// Deterministic tie-break: a parallel strategy must strictly
-			// beat the sequential prediction, and doacross must strictly
-			// beat pooled, so equal-cost structures always resolve the
-			// same way on every host.
-			if d.PredPooled < best {
-				d.Strategy, best = executor.Pooled, d.PredPooled
-			}
-			// Doacross executes the natural index order, which only makes
-			// progress when every dependence points backward; on a general
-			// DAG the candidate is structurally invalid, whatever its
-			// predicted cost.
-			if f.Backward && d.PredDoAcross < best {
-				d.Strategy, best = executor.DoAcross, d.PredDoAcross
-			}
+	d.Strategy = executor.Sequential
+	best := d.PredSequential
+	if f.P > 1 {
+		// Deterministic tie-break: a parallel strategy must strictly
+		// beat the sequential prediction, and doacross must strictly
+		// beat pooled, so equal-cost structures always resolve the
+		// same way on every host.
+		if d.PredPooled < best {
+			d.Strategy, best = executor.Pooled, d.PredPooled
 		}
-		// The supernodal candidate must strictly beat every row-wise
-		// candidate, keeping the tie-break deterministic.
-		if f.Fusion != nil && d.PredSupernodal < best {
-			d.Strategy, d.Fused = fusedKind, true
+		// Doacross executes the natural index order, which only makes
+		// progress when every dependence points backward; on a general
+		// DAG the candidate is structurally invalid, whatever its
+		// predicted cost.
+		if f.Backward && d.PredDoAcross < best {
+			d.Strategy, best = executor.DoAcross, d.PredDoAcross
 		}
+	}
+	// The supernodal candidate must strictly beat every row-wise
+	// candidate, keeping the tie-break deterministic.
+	if f.Fusion != nil && d.PredSupernodal < best {
+		d.Strategy, d.Fused = fusedKind, true
 	}
 	// Reordering is worth a plan-time RCM pass only when the structure is
 	// scattered (long mean dependence distance relative to the matrix
@@ -177,26 +162,4 @@ func Select(f Features, m *CostModel) Decision {
 		d.Reorder = ReorderRCM
 	}
 	return d
-}
-
-var (
-	pinOnce sync.Once
-	pin     executor.Kind
-	pinSet  bool
-)
-
-// pinnedKind resolves the DOCONSIDER_STRATEGY override once per process.
-// An unknown name is ignored (the planner decides) rather than failing
-// every plan construction.
-func pinnedKind() (executor.Kind, bool) {
-	pinOnce.Do(func() {
-		name := os.Getenv("DOCONSIDER_STRATEGY")
-		if name == "" {
-			return
-		}
-		if k, err := executor.KindByName(name); err == nil {
-			pin, pinSet = k, true
-		}
-	})
-	return pin, pinSet
 }

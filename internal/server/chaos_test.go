@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"doconsider/internal/sparse"
+	"doconsider/internal/trisolve"
 )
 
 // TestChaosConcurrentCancellation is the serving-path chaos test the CI
@@ -57,11 +57,11 @@ func TestChaosConcurrentCancellation(t *testing.T) {
 	ref := func(p problem, b []float64) []float64 {
 		x := make([]float64, p.l.N)
 		if p.lower {
-			if err := ForwardRef(p.l, x, b); err != nil {
+			if err := trisolve.ForwardSeq(p.l, x, b); err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			if err := BackwardRef(p.l, x, b); err != nil {
+			if err := trisolve.BackwardSeq(p.l, x, b); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -185,45 +185,4 @@ func TestChaosConcurrentCancellation(t *testing.T) {
 	}
 	t.Logf("chaos: %d ok, %d timed out/shed, %d client-cancelled; planner counts %v",
 		succeeded, timedOut, cancelled, st.Planner.Counts)
-}
-
-// ForwardRef and BackwardRef run the executor-arithmetic sequential
-// reference (reciprocal diagonal, like every strategy body) so chaos
-// comparisons can be bit-exact.
-func ForwardRef(l *sparse.CSR, x, b []float64) error {
-	return sequentialRef(l, x, b, true)
-}
-
-// BackwardRef is ForwardRef for upper factors.
-func BackwardRef(u *sparse.CSR, x, b []float64) error {
-	return sequentialRef(u, x, b, false)
-}
-
-func sequentialRef(l *sparse.CSR, x, b []float64, lower bool) error {
-	inv := make([]float64, l.N)
-	for i := 0; i < l.N; i++ {
-		d := l.At(i, i)
-		if d == 0 {
-			return fmt.Errorf("zero diagonal at %d", i)
-		}
-		inv[i] = 1 / d
-	}
-	idx := func(k int) int {
-		if lower {
-			return k
-		}
-		return l.N - 1 - k
-	}
-	for k := 0; k < l.N; k++ {
-		i := idx(k)
-		cols, vals := l.Row(i)
-		s := b[i]
-		for q, c := range cols {
-			if int(c) != i {
-				s -= vals[q] * x[c]
-			}
-		}
-		x[i] = s * inv[i]
-	}
-	return nil
 }

@@ -49,7 +49,7 @@ func WhereDoesTheTimeGo(name string, nproc int) ([]TimeGoRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	body := trisolve.ForwardBody(p.L, x, rhs)
+	body := trisolve.RowBody(p.L, true, x, rhs)
 	mSelf, bdSelf := executor.RunSelfExecutingTimed(gs, p.Deps, body)
 	rows = append(rows, TimeGoRow{
 		Executor:     "self-executing",

@@ -1,6 +1,8 @@
 package trisolve
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -18,36 +20,64 @@ func randRHS(n int, seed int64) []float64 {
 	return b
 }
 
-// TestSolveBatchK1BitIdentical is the acceptance test: a batch of one
-// right-hand side must produce bit-for-bit the result of Solve.
-func TestSolveBatchK1BitIdentical(t *testing.T) {
+// forEachPlan runs f over the full plan grid — {lower, upper} ×
+// {row-wise, forced-fused} × every registered executor kind — on a mesh
+// factor scaled off the powers of two, so that dividing by the diagonal
+// and multiplying by its reciprocal round differently: every solve shape
+// under test must match ForwardSeq/BackwardSeq bit for bit on it.
+func forEachPlan(t *testing.T, f func(t *testing.T, what string, plan *Plan)) {
+	t.Helper()
 	for _, lower := range []bool{true, false} {
-		var tri = stencil.Laplace2D(40, 40).LowerWithDiag()
+		tri := scaleValues(stencil.Laplace2D(25, 25).LowerWithDiag(), 1.3)
 		if !lower {
 			tri = tri.Transpose()
 		}
-		for _, kind := range []executor.Kind{executor.Sequential, executor.SelfExecuting, executor.Pooled} {
-			plan, err := NewPlan(tri, lower, WithProcs(4), WithKind(kind))
+		for _, fuse := range []FuseMode{FuseOff, FuseForce} {
+			for _, kind := range fusedKindsUnderTest {
+				plan, err := NewPlan(tri, lower, WithProcs(4), WithKind(kind), WithFusion(fuse))
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("lower=%v fused=%v kind=%v", lower, fuse == FuseForce, kind)
+				if (plan.Fusion() != nil) != (fuse == FuseForce) {
+					t.Fatalf("%s: plan fusion = %v", what, plan.Fusion())
+				}
+				f(t, what, plan)
+				plan.Close()
+			}
+		}
+	}
+}
+
+// TestSolveBatchK1BitIdentical is the acceptance test: Solve, a batch of
+// one right-hand side and a batch of four must each produce bit-for-bit
+// the sequential loop's result.
+func TestSolveBatchK1BitIdentical(t *testing.T) {
+	forEachPlan(t, func(t *testing.T, what string, plan *Plan) {
+		n := plan.L.N
+		rng := rand.New(rand.NewSource(11))
+		bs := randomRHS(rng, n, 4)
+		want := make([][]float64, len(bs))
+		for j := range bs {
+			want[j] = refSolve(t, plan.L, plan.Lower, bs[j])
+		}
+		x := make([]float64, n)
+		plan.Solve(x, bs[0])
+		assertBitIdentical(t, x, want[0], what+" Solve")
+		for _, k := range []int{1, 4} {
+			xs := randomRHS(rng, n, k) // scratch, overwritten
+			m, err := plan.SolveBatch(xs, bs[:k])
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := tri.N
-			b := randRHS(n, 11)
-			x1 := make([]float64, n)
-			plan.Solve(x1, b)
-			x2 := make([]float64, n)
-			if _, err := plan.SolveBatch([][]float64{x2}, [][]float64{b}); err != nil {
-				t.Fatal(err)
+			if m.Executed != int64(n) {
+				t.Fatalf("%s: batch of %d executed %d rows, want %d (one pass for all RHS)", what, k, m.Executed, n)
 			}
-			for i := range x1 {
-				if x1[i] != x2[i] {
-					t.Fatalf("lower=%v kind=%v: SolveBatch(k=1) differs from Solve at %d: %x vs %x",
-						lower, kind, i, x1[i], x2[i])
-				}
+			for j := range xs {
+				assertBitIdentical(t, xs[j], want[j], fmt.Sprintf("%s SolveBatch(k=%d) rhs %d", what, k, j))
 			}
-			plan.Close()
 		}
-	}
+	})
 }
 
 // TestSolveBatchMatchesSequentialSolves checks a k=5 batch against five
@@ -128,67 +158,53 @@ func scaleValues(tri *sparse.CSR, f float64) *sparse.CSR {
 	return c
 }
 
-// TestSolveGroupBitIdenticalPerMember checks the fused group pass against
-// per-member SolveBatch calls: members share the plan's sparsity pattern
-// but carry different values, and every solution must match bit for bit.
-func TestSolveGroupBitIdenticalPerMember(t *testing.T) {
-	for _, lower := range []bool{true, false} {
-		tri := stencil.Laplace2D(25, 25).LowerWithDiag()
-		if !lower {
-			tri = tri.Transpose()
+// groupOf builds a group of the given size over plan's structure: member
+// 0 is the plan's own factor, later members carry scaled values, each
+// with k right-hand sides. want[g][j] is member g's sequential solution.
+func groupOf(t *testing.T, plan *Plan, rng *rand.Rand, members, k int) (group []BatchProblem, want [][][]float64) {
+	t.Helper()
+	n := plan.L.N
+	group = make([]BatchProblem, members)
+	want = make([][][]float64, members)
+	for g := range group {
+		l := plan.L
+		if g > 0 {
+			l = scaleValues(l, 1+0.25*float64(g))
 		}
-		n := tri.N
-		for _, kind := range []executor.Kind{executor.Sequential, executor.SelfExecuting, executor.Pooled} {
-			plan, err := NewPlan(tri, lower, WithProcs(4), WithKind(kind))
-			if err != nil {
-				t.Fatal(err)
-			}
-			const members, k = 3, 2
-			group := make([]BatchProblem, members)
-			want := make([][][]float64, members)
-			for g := 0; g < members; g++ {
-				l := scaleValues(tri, 1+0.25*float64(g))
-				xs := make([][]float64, k)
-				bs := make([][]float64, k)
-				want[g] = make([][]float64, k)
-				for j := 0; j < k; j++ {
-					bs[j] = randRHS(n, int64(10*g+j))
-					xs[j] = make([]float64, n)
-					want[g][j] = make([]float64, n)
-				}
-				group[g] = BatchProblem{L: l, Xs: xs, Bs: bs}
-				// Reference: an unfused batched solve on a plan bound to
-				// this member's values.
-				ref, err := NewPlan(l, lower, WithProcs(4), WithKind(kind))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := ref.SolveBatch(want[g], bs); err != nil {
-					t.Fatal(err)
-				}
-				ref.Close()
-			}
-			m, err := plan.SolveGroup(group)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.Executed != int64(n) {
-				t.Fatalf("lower=%v kind=%v: group executed %d indices, want %d (one shared pass)",
-					lower, kind, m.Executed, n)
-			}
-			for g := 0; g < members; g++ {
-				for j := 0; j < k; j++ {
-					for i := 0; i < n; i++ {
-						if group[g].Xs[j][i] != want[g][j][i] {
-							t.Fatalf("lower=%v kind=%v member %d rhs %d index %d: got %x want %x",
-								lower, kind, g, j, i, group[g].Xs[j][i], want[g][j][i])
-						}
-					}
-				}
-			}
-			plan.Close()
+		group[g] = BatchProblem{L: l, Xs: randomRHS(rng, n, k), Bs: randomRHS(rng, n, k)}
+		want[g] = make([][]float64, k)
+		for j := range want[g] {
+			want[g][j] = refSolve(t, l, plan.Lower, group[g].Bs[j])
 		}
 	}
+	return group, want
+}
+
+// TestSolveGroupBitIdenticalPerMember checks the group pass against each
+// member's own sequential solve: members share the plan's sparsity
+// pattern but carry different values, and every solution must match bit
+// for bit — for the plan's factor alone (the single-member kernel) and
+// for three members (the member-loop kernel).
+func TestSolveGroupBitIdenticalPerMember(t *testing.T) {
+	forEachPlan(t, func(t *testing.T, what string, plan *Plan) {
+		rng := rand.New(rand.NewSource(10))
+		for _, members := range []int{1, 3} {
+			group, want := groupOf(t, plan, rng, members, 2)
+			m, err := plan.SolveGroupCtx(context.Background(), group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := plan.L.N; m.Executed != int64(n) {
+				t.Fatalf("%s: group of %d executed %d rows, want %d (one shared pass)", what, members, m.Executed, n)
+			}
+			for g := range group {
+				for j := range group[g].Xs {
+					assertBitIdentical(t, group[g].Xs[j], want[g][j],
+						fmt.Sprintf("%s group of %d member %d rhs %d", what, members, g, j))
+				}
+			}
+		}
+	})
 }
 
 func TestSolveGroupRejectsForeignStructure(t *testing.T) {
@@ -201,14 +217,14 @@ func TestSolveGroupRejectsForeignStructure(t *testing.T) {
 	defer plan.Close()
 	n := other.N
 	g := []BatchProblem{{L: other, Xs: [][]float64{make([]float64, n)}, Bs: [][]float64{make([]float64, n)}}}
-	if _, err := plan.SolveGroup(g); err == nil {
+	if _, err := plan.SolveGroupCtx(context.Background(), g); err == nil {
 		t.Fatal("group member with a different sparsity structure accepted")
 	}
 	bad := []BatchProblem{{L: tri, Xs: [][]float64{make([]float64, tri.N)}, Bs: nil}}
-	if _, err := plan.SolveGroup(bad); err == nil {
+	if _, err := plan.SolveGroupCtx(context.Background(), bad); err == nil {
 		t.Fatal("mismatched Xs/Bs lengths accepted")
 	}
-	if m, err := plan.SolveGroup(nil); err != nil || m.Executed != 0 {
+	if m, err := plan.SolveGroupCtx(context.Background(), nil); err != nil || m.Executed != 0 {
 		t.Fatalf("empty group: m=%+v err=%v, want no-op", m, err)
 	}
 }

@@ -162,9 +162,10 @@ func BenchmarkNewPlan(b *testing.B) {
 }
 
 // BenchmarkSupernodal is the acceptance experiment for row fusion: the
-// same mesh factor solved under a forced-fused plan (blocklet kernels on
-// a compressed schedule) and under the row-wise plan it replaces, for
-// the sequential kernels themselves and for a pooled parallel run where
+// same mesh factor solved under a forced-fused plan (the kernel swept
+// over each supernode's rows, on a compressed schedule) and under the
+// row-wise plan it replaces. On the sequential executor the two run the
+// same arithmetic and differ only in dispatch; on the pooled executor
 // level compression also removes barriers. ci/bench_baseline.json gates
 // both ns/op and allocs/op of the fused variants.
 func BenchmarkSupernodal(b *testing.B) {

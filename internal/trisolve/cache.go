@@ -144,7 +144,7 @@ type planKey struct {
 	hasModel bool              // false = host model
 	sched    SchedulerKind
 	part     int // schedule.Partition
-	// fuse is the resolved fusion mode — the plan's fusion identity.
+	// fuse is the fusion mode — the plan's fusion identity.
 	// Modes differ in executor shape (unit vs row schedules), so fused
 	// and unfused skeletons must never share an entry. Under FuseAuto the
 	// fused/row-wise choice itself is a deterministic function of the
@@ -152,13 +152,14 @@ type planKey struct {
 	fuse FuseMode
 }
 
-// planSkeleton is the cached, matrix-value-free part of a Plan: the
-// dependence structure, wavefronts, schedule, planner decision and the
-// (possibly stateful) execution strategy. All of it is a pure function
-// of the sparsity pattern and the plan configuration. deps and wf are
-// always row-level (they feed the repair state); for a fused skeleton
-// sched is the unit-level schedule the executor runs and fused holds the
-// supernodal state, with the row-level structure still backing repairs.
+// planSkeleton is the inspector's output — the cached, matrix-value-free
+// part of a Plan: the dependence structure, wavefronts, schedule, planner
+// decision and the (possibly stateful) execution strategy. All of it is a
+// pure function of the sparsity pattern and the plan configuration. deps
+// and wf are always row-level (they feed the repair state); for a fused
+// skeleton sched is the unit-level schedule the executor runs and fused
+// holds the supernodal state, with the row-level structure still backing
+// repairs.
 type planSkeleton struct {
 	deps     *wavefront.Deps
 	wf       []int32
@@ -207,7 +208,7 @@ func (pc *PlanCache) Get(t *sparse.CSR, lower bool, opts ...Option) (*Plan, erro
 		kind:  int(cfg.kind),
 		sched: cfg.scheduler,
 		part:  int(cfg.part),
-		fuse:  cfg.fuseMode(),
+		fuse:  cfg.fuse,
 	}
 	if cfg.adaptive() {
 		key.kind, key.auto = -1, true
@@ -233,29 +234,23 @@ func (pc *PlanCache) Get(t *sparse.CSR, lower bool, opts ...Option) (*Plan, erro
 			bs.RepairNs += time.Since(t0).Nanoseconds()
 		}
 		t1 := time.Now()
-		ins, err := inspect(t, lower, cfg)
+		sk, err := inspect(t, lower, cfg)
 		if bs := cfg.buildStats; bs != nil {
 			bs.InspectNs += time.Since(t1).Nanoseconds()
 		}
 		if err != nil {
 			return nil, err
 		}
-		strat, err := ins.kind.NewStrategy()
-		if err != nil {
-			return nil, err
-		}
-		sk := &planSkeleton{deps: ins.deps, wf: ins.wf, sched: ins.sched,
-			kind: ins.kind, decision: ins.dec, strat: strat, fused: ins.fused}
 		if cfg.scheduler == GlobalSched {
 			// The repair state splices row-level structure, so a fused
 			// skeleton backs it with the row-level schedule the executor
 			// would have run unfused; the unit schedule is re-derived from
 			// the re-spliced partition after each repair.
-			rowSched := ins.sched
-			if ins.fused != nil {
-				rowSched = schedule.Global(ins.wf, cfg.nproc)
+			rowSched := sk.sched
+			if sk.fused != nil {
+				rowSched = schedule.Global(sk.wf, cfg.nproc)
 			}
-			sk.state = delta.NewState(ins.deps, ins.wf, rowSched)
+			sk.state = delta.NewState(sk.deps, sk.wf, rowSched)
 			pc.registerSim(key, t.N, sk)
 		}
 		pc.record(lower, cfg, sk, nil)
@@ -264,23 +259,8 @@ func (pc *PlanCache) Get(t *sparse.CSR, lower bool, opts ...Option) (*Plan, erro
 	if err != nil {
 		return nil, err
 	}
-	sk := h.Value()
-	p := &Plan{
-		L:        t,
-		Lower:    lower,
-		Deps:     sk.deps,
-		Wf:       sk.wf,
-		Sched:    sk.sched,
-		Kind:     sk.kind,
-		Decision: sk.decision,
-		strat:    sk.strat,
-		fused:    sk.fused,
-		leased:   true,
-		release:  h.Release,
-	}
-	if sk.fused != nil {
-		p.Deps = sk.fused.deps
-	}
+	p := newPlan(t, lower, h.Value())
+	p.leased, p.release = true, h.Release
 	return p, nil
 }
 
@@ -369,9 +349,9 @@ func (pc *PlanCache) tryRepair(t *sparse.CSR, lower bool, cfg planConfig, key pl
 	if best.fused != nil {
 		// Keep the drift chain fused: re-splice the ancestor's partition
 		// around the edited rows (detection is local, so untouched nodes
-		// carry over) and rebuild the unit schedule and kernel state.
+		// carry over) and rebuild the unit schedule.
 		newPart := supernode.Resplice(best.fused.part, st.Deps, bestChanged)
-		fx, ferr := newFusedExec(t, lower, newPart, st.Deps, nil, nil, cfg.nproc)
+		fx, ferr := newFusedExec(newPart, st.Deps, nil, nil, cfg.nproc)
 		if ferr != nil {
 			pc.countDelta(func(d *DeltaStats) { d.Fallbacks++ })
 			return nil
@@ -472,7 +452,6 @@ func (pc *PlanCache) record(lower bool, cfg planConfig, sk *planSkeleton, repair
 	}
 	if d := sk.decision; d != nil {
 		rec.Reorder = d.Reorder.String()
-		rec.Pinned = d.Pinned
 		rec.N = d.Features.N
 		rec.Edges = d.Features.Edges
 		rec.Levels = d.Features.Levels

@@ -1,53 +1,35 @@
 package trisolve
 
 import (
-	"doconsider/internal/executor"
 	"doconsider/internal/planner"
 	"doconsider/internal/schedule"
-	"doconsider/internal/sparse"
 	"doconsider/internal/supernode"
 	"doconsider/internal/wavefront"
 )
 
 // fusedExec is the supernodal half of a plan: the node partition over the
-// iteration space, the compressed unit-level dependence structure, levels
-// and schedule, plus the per-row CSR split that lets the fused kernels
-// drop the per-nonzero diagonal test of the row-wise bodies.
+// iteration space and the compressed unit-level dependence structure,
+// levels and schedule the executor runs instead of the row-level ones.
 //
-// Bit-identity invariant: every fused kernel performs, for each row, the
-// exact accumulation sequence of the row-wise bodies — the row's stored
-// entries in CSR order with the diagonal skipped, then one multiply by
-// the reciprocal diagonal. Fusion changes which rows share a scheduling
-// unit and how the bounds are computed, never the per-row arithmetic, so
-// results are bit-identical to the sequential oracle.
+// Bit-identity invariant: a fused plan runs the same kernel as a
+// row-wise one — the scheduled index is a supernode, and the body sweeps
+// the row routine over the node's iteration span part.RowPtr[u] …
+// part.RowPtr[u+1] in order. Fusion changes which rows share a
+// scheduling unit (saving executor dispatch and dependence ready checks),
+// never the per-row arithmetic, so results are bit-identical to the
+// sequential oracle.
 type fusedExec struct {
 	part  *supernode.Partition
 	deps  *wavefront.Deps    // unit-level, compressed
 	wf    []int32            // unit-level wavefront numbers
 	sched *schedule.Schedule // unit-level wrapped-deal schedule
-
-	// diagPos[r] is the CSR position of row r's diagonal entry, or the
-	// row's end offset when the diagonal is absent. The off-diagonal
-	// entries of row r are [RowPtr[r], diagPos[r]) ++ (diagPos[r],
-	// RowPtr[r+1]) in CSR order, which is exactly the accumulation order
-	// of the row-wise bodies for any input — including malformed rows
-	// with entries on the wrong side of the diagonal.
-	diagPos []int32
-
-	// extLen[u] >= 0 marks node u as a blocklet the unrolled multi-row
-	// kernels may execute: every row of u holds exactly extLen
-	// off-diagonal entries over one shared column map plus a diagonal in
-	// the expected position. -1 = generic node (row-at-a-time sweep).
-	extLen []int32
-
 	stats supernode.Stats
 }
 
 // newFusedExec builds the fused executor state for a detected partition.
 // unitDeps/unitWf may be nil (they are recomputed) or carried over from
 // planning to avoid the second compression pass.
-func newFusedExec(t *sparse.CSR, lower bool, part *supernode.Partition, deps *wavefront.Deps,
-	unitDeps *wavefront.Deps, unitWf []int32, nproc int) (*fusedExec, error) {
+func newFusedExec(part *supernode.Partition, deps, unitDeps *wavefront.Deps, unitWf []int32, nproc int) (*fusedExec, error) {
 	if unitDeps == nil {
 		unitDeps = part.Compress(deps)
 	}
@@ -57,79 +39,13 @@ func newFusedExec(t *sparse.CSR, lower bool, part *supernode.Partition, deps *wa
 			return nil, err
 		}
 	}
-	fx := &fusedExec{
+	return &fusedExec{
 		part:  part,
 		deps:  unitDeps,
 		wf:    unitWf,
 		sched: schedule.Global(unitWf, nproc),
 		stats: part.Stats(),
-	}
-	fx.diagPos = diagPositions(t)
-	fx.extLen = blockletExtLens(t, lower, part, fx.diagPos)
-	return fx, nil
-}
-
-// diagPositions finds each row's diagonal entry position (or the row end
-// when absent). Columns within a row are sorted, but a linear scan keeps
-// this robust to any input and runs once per plan.
-func diagPositions(a *sparse.CSR) []int32 {
-	dp := make([]int32, a.N)
-	for i := 0; i < a.N; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		d := hi
-		for k := lo; k < hi; k++ {
-			if a.ColIdx[k] == int32(i) {
-				d = k
-				break
-			}
-		}
-		dp[i] = d
-	}
-	return dp
-}
-
-// blockletExtLens validates each uniform node against the CSR layout the
-// unrolled kernels assume: every row stores exactly the shared external
-// columns plus its diagonal, with the diagonal last (forward) or first
-// (backward). Rows that fail — a missing diagonal, or stray entries the
-// dependence extraction ignored — demote the node to the generic sweep,
-// which is correct for any input.
-func blockletExtLens(t *sparse.CSR, lower bool, part *supernode.Partition, diagPos []int32) []int32 {
-	nodes := part.NumNodes()
-	n := t.N
-	extLen := make([]int32, nodes)
-	for u := 0; u < nodes; u++ {
-		extLen[u] = -1
-		if !part.Uniform[u] {
-			continue
-		}
-		lo, hi := part.Rows(u)
-		el := int32(-1)
-		ok := true
-		for k := lo; k < hi && ok; k++ {
-			r := int(k)
-			if !lower {
-				r = wavefront.ReflectIndex(n, int(k))
-			}
-			nnz := t.RowPtr[r+1] - t.RowPtr[r]
-			if el < 0 {
-				el = nnz - 1
-			}
-			if nnz != el+1 {
-				ok = false
-				break
-			}
-			if lower {
-				ok = diagPos[r] == t.RowPtr[r+1]-1
-			} else {
-				ok = diagPos[r] == t.RowPtr[r]
-			}
-		}
-		if ok && el >= 0 {
-			extLen[u] = el
-		}
-	}
-	return extLen
+	}, nil
 }
 
 // fusionFeatures packages a partition's stats and unit-level DAG shape
@@ -151,344 +67,4 @@ func fusionFeatures(part *supernode.Partition, unitDeps *wavefront.Deps, unitWf 
 		fu.UnitLevelSum += (w + procs - 1) / procs
 	}
 	return fu
-}
-
-// forwardBody returns the fused executor body for L*x = b: body(u) solves
-// every row of supernode u in order. Blocklet nodes run the unrolled
-// shared-column kernel; generic nodes sweep row-at-a-time with the
-// precomputed diagonal split.
-func (fx *fusedExec) forwardBody(l *sparse.CSR, x, b []float64) executor.Body {
-	inv := invDiagonal(l)
-	rp, ci, vals := l.RowPtr, l.ColIdx, l.Val
-	np, dp, el := fx.part.RowPtr, fx.diagPos, fx.extLen
-	return func(u int32) {
-		lo, hi := np[u], np[u+1]
-		if e := el[u]; e >= 0 {
-			forwardBlocklet(rp, ci, vals, inv, x, b, lo, hi, e)
-			return
-		}
-		for r := lo; r < hi; r++ {
-			s := b[r]
-			d := dp[r]
-			cols := ci[rp[r]:d]
-			vs := vals[rp[r]:d]
-			vs = vs[:len(cols)]
-			for k, c := range cols {
-				s -= vs[k] * x[c]
-			}
-			if start := d + 1; start < rp[r+1] {
-				cols2 := ci[start:rp[r+1]]
-				vs2 := vals[start:rp[r+1]]
-				vs2 = vs2[:len(cols2)]
-				for k, c := range cols2 {
-					s -= vs2[k] * x[c]
-				}
-			}
-			x[r] = s * inv[r]
-		}
-	}
-}
-
-// backwardBody is the fused body for U*x = b in the reflected iteration
-// numbering of wavefront.FromUpper: unit u covers iterations
-// [RowPtr[u], RowPtr[u+1]), iteration k solving row n-1-k.
-func (fx *fusedExec) backwardBody(uM *sparse.CSR, x, b []float64) executor.Body {
-	inv := invDiagonal(uM)
-	n := uM.N
-	rp, ci, vals := uM.RowPtr, uM.ColIdx, uM.Val
-	np, dp, el := fx.part.RowPtr, fx.diagPos, fx.extLen
-	return func(u int32) {
-		lo, hi := np[u], np[u+1]
-		if e := el[u]; e >= 0 {
-			backwardBlocklet(rp, ci, vals, inv, x, b, n, lo, hi, e)
-			return
-		}
-		for k := lo; k < hi; k++ {
-			i := int32(n-1) - k
-			s := b[i]
-			d := dp[i]
-			cols := ci[rp[i]:d]
-			vs := vals[rp[i]:d]
-			vs = vs[:len(cols)]
-			for q, c := range cols {
-				s -= vs[q] * x[c]
-			}
-			if start := d + 1; start < rp[i+1] {
-				cols2 := ci[start:rp[i+1]]
-				vs2 := vals[start:rp[i+1]]
-				vs2 = vs2[:len(cols2)]
-				for q, c := range cols2 {
-					s -= vs2[q] * x[c]
-				}
-			}
-			x[i] = s * inv[i]
-		}
-	}
-}
-
-// forwardBlocklet runs a uniform forward node — rows lo..hi-1, each
-// holding exactly e external entries over one shared column map, diagonal
-// last — with 4/2/1-row unrolled dot products. The rows of a blocklet
-// are mutually independent (identical dependence lists cannot reference
-// one another), so the chunked order is the row order and every x[c]
-// load is shared across the chunk. Re-slicing vals to the shared column
-// map's length hoists the bounds checks out of the inner loop.
-func forwardBlocklet(rp, ci []int32, vals, inv, x, b []float64, lo, hi, e int32) {
-	ext := ci[rp[lo] : rp[lo]+e]
-	r := lo
-	for ; r+4 <= hi; r += 4 {
-		v0 := vals[rp[r] : rp[r]+e]
-		v1 := vals[rp[r+1] : rp[r+1]+e]
-		v2 := vals[rp[r+2] : rp[r+2]+e]
-		v3 := vals[rp[r+3] : rp[r+3]+e]
-		v0, v1, v2, v3 = v0[:len(ext)], v1[:len(ext)], v2[:len(ext)], v3[:len(ext)]
-		s0, s1, s2, s3 := b[r], b[r+1], b[r+2], b[r+3]
-		for k, c := range ext {
-			xc := x[c]
-			s0 -= v0[k] * xc
-			s1 -= v1[k] * xc
-			s2 -= v2[k] * xc
-			s3 -= v3[k] * xc
-		}
-		x[r] = s0 * inv[r]
-		x[r+1] = s1 * inv[r+1]
-		x[r+2] = s2 * inv[r+2]
-		x[r+3] = s3 * inv[r+3]
-	}
-	for ; r+2 <= hi; r += 2 {
-		v0 := vals[rp[r] : rp[r]+e]
-		v1 := vals[rp[r+1] : rp[r+1]+e]
-		v0, v1 = v0[:len(ext)], v1[:len(ext)]
-		s0, s1 := b[r], b[r+1]
-		for k, c := range ext {
-			xc := x[c]
-			s0 -= v0[k] * xc
-			s1 -= v1[k] * xc
-		}
-		x[r] = s0 * inv[r]
-		x[r+1] = s1 * inv[r+1]
-	}
-	for ; r < hi; r++ {
-		v := vals[rp[r] : rp[r]+e]
-		v = v[:len(ext)]
-		s := b[r]
-		for k, c := range ext {
-			s -= v[k] * x[c]
-		}
-		x[r] = s * inv[r]
-	}
-}
-
-// backwardBlocklet is forwardBlocklet for a uniform backward node:
-// iterations lo..hi-1 ascending are rows r0 down to rend, each storing
-// its diagonal first and the e shared external columns after it.
-func backwardBlocklet(rp, ci []int32, vals, inv, x, b []float64, n int, lo, hi, e int32) {
-	r0 := int32(n-1) - lo
-	rend := int32(n) - hi
-	ext := ci[rp[r0]+1 : rp[r0]+1+e]
-	r := r0
-	for ; r-3 >= rend; r -= 4 {
-		v0 := vals[rp[r]+1 : rp[r]+1+e]
-		v1 := vals[rp[r-1]+1 : rp[r-1]+1+e]
-		v2 := vals[rp[r-2]+1 : rp[r-2]+1+e]
-		v3 := vals[rp[r-3]+1 : rp[r-3]+1+e]
-		v0, v1, v2, v3 = v0[:len(ext)], v1[:len(ext)], v2[:len(ext)], v3[:len(ext)]
-		s0, s1, s2, s3 := b[r], b[r-1], b[r-2], b[r-3]
-		for k, c := range ext {
-			xc := x[c]
-			s0 -= v0[k] * xc
-			s1 -= v1[k] * xc
-			s2 -= v2[k] * xc
-			s3 -= v3[k] * xc
-		}
-		x[r] = s0 * inv[r]
-		x[r-1] = s1 * inv[r-1]
-		x[r-2] = s2 * inv[r-2]
-		x[r-3] = s3 * inv[r-3]
-	}
-	for ; r-1 >= rend; r -= 2 {
-		v0 := vals[rp[r]+1 : rp[r]+1+e]
-		v1 := vals[rp[r-1]+1 : rp[r-1]+1+e]
-		v0, v1 = v0[:len(ext)], v1[:len(ext)]
-		s0, s1 := b[r], b[r-1]
-		for k, c := range ext {
-			xc := x[c]
-			s0 -= v0[k] * xc
-			s1 -= v1[k] * xc
-		}
-		x[r] = s0 * inv[r]
-		x[r-1] = s1 * inv[r-1]
-	}
-	for ; r >= rend; r-- {
-		v := vals[rp[r]+1 : rp[r]+1+e]
-		v = v[:len(ext)]
-		s := b[r]
-		for k, c := range ext {
-			s -= v[k] * x[c]
-		}
-		x[r] = s * inv[r]
-	}
-}
-
-// forwardBatchBody is the fused counterpart of ForwardBatchBody: unit u
-// solves its rows for every right-hand side, reading each row's nonzeros
-// once per RHS sweep with the diagonal split precomputed.
-func (fx *fusedExec) forwardBatchBody(l *sparse.CSR, xs, bs [][]float64) executor.Body {
-	inv := invDiagonal(l)
-	rp, ci, vals := l.RowPtr, l.ColIdx, l.Val
-	np, dp := fx.part.RowPtr, fx.diagPos
-	return func(u int32) {
-		for r := np[u]; r < np[u+1]; r++ {
-			d := dp[r]
-			cols := ci[rp[r]:d]
-			vs := vals[rp[r]:d]
-			vs = vs[:len(cols)]
-			var cols2 []int32
-			var vs2 []float64
-			if start := d + 1; start < rp[r+1] {
-				cols2 = ci[start:rp[r+1]]
-				vs2 = vals[start:rp[r+1]]
-				vs2 = vs2[:len(cols2)]
-			}
-			for j := range xs {
-				x, b := xs[j], bs[j]
-				s := b[r]
-				for k, c := range cols {
-					s -= vs[k] * x[c]
-				}
-				for k, c := range cols2 {
-					s -= vs2[k] * x[c]
-				}
-				x[r] = s * inv[r]
-			}
-		}
-	}
-}
-
-// backwardBatchBody is the fused counterpart of BackwardBatchBody.
-func (fx *fusedExec) backwardBatchBody(uM *sparse.CSR, xs, bs [][]float64) executor.Body {
-	inv := invDiagonal(uM)
-	n := uM.N
-	rp, ci, vals := uM.RowPtr, uM.ColIdx, uM.Val
-	np, dp := fx.part.RowPtr, fx.diagPos
-	return func(u int32) {
-		for k := np[u]; k < np[u+1]; k++ {
-			i := int32(n-1) - k
-			d := dp[i]
-			cols := ci[rp[i]:d]
-			vs := vals[rp[i]:d]
-			vs = vs[:len(cols)]
-			var cols2 []int32
-			var vs2 []float64
-			if start := d + 1; start < rp[i+1] {
-				cols2 = ci[start:rp[i+1]]
-				vs2 = vals[start:rp[i+1]]
-				vs2 = vs2[:len(cols2)]
-			}
-			for j := range xs {
-				x, b := xs[j], bs[j]
-				s := b[i]
-				for q, c := range cols {
-					s -= vs[q] * x[c]
-				}
-				for q, c := range cols2 {
-					s -= vs2[q] * x[c]
-				}
-				x[i] = s * inv[i]
-			}
-		}
-	}
-}
-
-// forwardGroupBody is the fused counterpart of ForwardGroupBody: group
-// members share the plan's sparsity pattern, so the column slices and
-// the diagonal split are computed once per row and only the value slices
-// differ per member.
-func (fx *fusedExec) forwardGroupBody(l *sparse.CSR, group []BatchProblem) executor.Body {
-	inv := make([][]float64, len(group))
-	for g := range group {
-		inv[g] = invDiagonal(group[g].L)
-	}
-	rp, ci := l.RowPtr, l.ColIdx
-	np, dp := fx.part.RowPtr, fx.diagPos
-	return func(u int32) {
-		for r := np[u]; r < np[u+1]; r++ {
-			d := dp[r]
-			lo, hi := rp[r], rp[r+1]
-			cols := ci[lo:d]
-			start := d + 1
-			var cols2 []int32
-			if start < hi {
-				cols2 = ci[start:hi]
-			}
-			for g := range group {
-				m := &group[g]
-				vs := m.L.Val[lo:d]
-				vs = vs[:len(cols)]
-				var vs2 []float64
-				if cols2 != nil {
-					vs2 = m.L.Val[start:hi]
-					vs2 = vs2[:len(cols2)]
-				}
-				dg := inv[g][r]
-				for j := range m.Xs {
-					x, b := m.Xs[j], m.Bs[j]
-					s := b[r]
-					for k, c := range cols {
-						s -= vs[k] * x[c]
-					}
-					for k, c := range cols2 {
-						s -= vs2[k] * x[c]
-					}
-					x[r] = s * dg
-				}
-			}
-		}
-	}
-}
-
-// backwardGroupBody is the fused counterpart of BackwardGroupBody.
-func (fx *fusedExec) backwardGroupBody(uM *sparse.CSR, group []BatchProblem) executor.Body {
-	inv := make([][]float64, len(group))
-	for g := range group {
-		inv[g] = invDiagonal(group[g].L)
-	}
-	n := uM.N
-	rp, ci := uM.RowPtr, uM.ColIdx
-	np, dp := fx.part.RowPtr, fx.diagPos
-	return func(u int32) {
-		for k := np[u]; k < np[u+1]; k++ {
-			i := int32(n-1) - k
-			d := dp[i]
-			lo, hi := rp[i], rp[i+1]
-			cols := ci[lo:d]
-			start := d + 1
-			var cols2 []int32
-			if start < hi {
-				cols2 = ci[start:hi]
-			}
-			for g := range group {
-				m := &group[g]
-				vs := m.L.Val[lo:d]
-				vs = vs[:len(cols)]
-				var vs2 []float64
-				if cols2 != nil {
-					vs2 = m.L.Val[start:hi]
-					vs2 = vs2[:len(cols2)]
-				}
-				dg := inv[g][i]
-				for j := range m.Xs {
-					x, b := m.Xs[j], m.Bs[j]
-					s := b[i]
-					for q, c := range cols {
-						s -= vs[q] * x[c]
-					}
-					for q, c := range cols2 {
-						s -= vs2[q] * x[c]
-					}
-					x[i] = s * dg
-				}
-			}
-		}
-	}
 }

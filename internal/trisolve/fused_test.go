@@ -1,6 +1,7 @@
 package trisolve
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -25,8 +26,8 @@ var fusedKindsUnderTest = []executor.Kind{
 
 // fusedTestFactors builds the differential corpus: mesh factors (chain
 // fusion, exercising the width cap at grid-row boundaries), random
-// factors (mixed blocklet/singleton partitions), and a dense-ish banded
-// factor whose identical trailing rows form uniform blocklets.
+// factors (mixed uniform/singleton partitions, non-unit diagonals) and a
+// pure dependence chain.
 func fusedTestFactors(t *testing.T, lower bool) map[string]*sparse.CSR {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -79,9 +80,10 @@ func TestFusedSolveDifferential(t *testing.T) {
 	}
 }
 
-// TestFusedSolveGroupDifferential checks the fused cross-request group
-// kernels: members share the plan's sparsity but carry their own values,
-// and each member's solutions must match its own sequential oracle.
+// TestFusedSolveGroupDifferential checks the cross-request group pass on
+// a fused plan: members share the plan's sparsity but carry their own
+// values, and each member's solutions must match its own sequential
+// oracle.
 func TestFusedSolveGroupDifferential(t *testing.T) {
 	for _, lower := range []bool{true, false} {
 		l := fusedTestFactors(t, lower)["mesh9x6"]
@@ -108,12 +110,12 @@ func TestFusedSolveGroupDifferential(t *testing.T) {
 		if plan.Fusion() == nil {
 			t.Fatal("forced plan is not fused")
 		}
-		if _, err := plan.SolveGroup(group); err != nil {
-			t.Fatalf("SolveGroup: %v", err)
+		if _, err := plan.SolveGroupCtx(context.Background(), group); err != nil {
+			t.Fatalf("SolveGroupCtx: %v", err)
 		}
 		for g := range group {
 			for j := range group[g].Xs {
-				assertBitIdentical(t, group[g].Xs[j], want[g][j], "fused SolveGroup")
+				assertBitIdentical(t, group[g].Xs[j], want[g][j], "fused SolveGroupCtx")
 			}
 		}
 	}

@@ -1,11 +1,10 @@
 package trisolve
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
-
-	"doconsider/internal/executor"
 
 	"doconsider/internal/planner"
 	"doconsider/internal/reorder"
@@ -60,28 +59,11 @@ func randomRHS(rng *rand.Rand, n, k int) [][]float64 {
 	return bs
 }
 
-// refSolve runs the sequential reference executor — the same loop body
-// as every parallel strategy (including the reciprocal diagonal), in
-// index order on one processor. This is the bit-identity oracle: any
-// planner-chosen execution must reproduce it exactly, because execution
-// order never changes row arithmetic. (ForwardSeq/BackwardSeq divide by
-// the diagonal instead of multiplying by its reciprocal, so they agree
-// only to rounding; the fuzz body checks them to tolerance separately.)
+// refSolve is the bit-identity oracle: the plain sequential substitution
+// loop (ForwardSeq/BackwardSeq). Any planner-chosen execution must
+// reproduce it exactly, because schedule, executor kind, fusion and
+// batching never change row arithmetic.
 func refSolve(t *testing.T, l *sparse.CSR, lower bool, b []float64) []float64 {
-	t.Helper()
-	plan, err := NewPlan(l, lower, WithKind(executor.Sequential))
-	if err != nil {
-		t.Fatalf("reference plan: %v", err)
-	}
-	defer plan.Close()
-	x := make([]float64, l.N)
-	plan.Solve(x, b)
-	return x
-}
-
-// seqSolve runs the textbook sequential substitution (divide by the
-// diagonal) for the tolerance cross-check.
-func seqSolve(t *testing.T, l *sparse.CSR, lower bool, b []float64) []float64 {
 	t.Helper()
 	x := make([]float64, l.N)
 	var err error
@@ -215,9 +197,6 @@ func FuzzAdaptiveSolve(f *testing.F) {
 		want := make([][]float64, k)
 		for j := range bs {
 			want[j] = refSolve(t, l, lower, bs[j])
-			// The executor bodies and the textbook substitution agree to
-			// rounding (reciprocal-multiply vs divide).
-			assertClose(t, want[j], seqSolve(t, l, lower, bs[j]), "sequential cross-check")
 		}
 		x := make([]float64, n)
 		for j := range bs {
@@ -282,9 +261,11 @@ func FuzzAdaptiveSolve(f *testing.F) {
 
 // FuzzFusedSolve is the supernodal correctness property: for random
 // triangular factors, forced-fusion plans on every executor kind are
-// bit-identical to the sequential row-wise reference — per solve and per
-// batch — whatever mix of blocklet, chained and singleton nodes the
-// detector finds. The seeds are the checked-in deterministic corpus;
+// bit-identical to the sequential loop — per solve, per batch, through
+// the bound solver and per member of a two-member group — whatever mix
+// of uniform, chained and singleton nodes the detector finds, since the
+// kernel swept over a node's rows is the row-wise kernel. The seeds are
+// the checked-in deterministic corpus;
 // `go test -fuzz=FuzzFusedSolve` explores beyond them in CI's fuzz
 // smoke job.
 func FuzzFusedSolve(f *testing.F) {
@@ -317,18 +298,38 @@ func FuzzFusedSolve(f *testing.F) {
 			t.Fatalf("inconsistent partition stats: %+v over %d rows", st, n)
 		}
 
+		want := make([][]float64, k)
 		x := make([]float64, n)
 		for j := range bs {
-			want := refSolve(t, l, lower, bs[j])
+			want[j] = refSolve(t, l, lower, bs[j])
 			plan.Solve(x, bs[j])
-			assertBitIdentical(t, x, want, "fused Solve")
+			assertBitIdentical(t, x, want[j], "fused Solve")
 		}
 		xs := randomRHS(rng, n, k) // scratch, overwritten
 		if _, err := plan.SolveBatch(xs, bs); err != nil {
 			t.Fatalf("SolveBatch: %v", err)
 		}
 		for j := range xs {
-			assertBitIdentical(t, xs[j], refSolve(t, l, lower, bs[j]), "fused SolveBatch")
+			assertBitIdentical(t, xs[j], want[j], "fused SolveBatch")
+		}
+		xs = randomRHS(rng, n, k)
+		if _, err := plan.Bind().Solve(context.Background(), xs, bs); err != nil {
+			t.Fatalf("bound Solve: %v", err)
+		}
+		for j := range xs {
+			assertBitIdentical(t, xs[j], want[j], "fused bound Solve")
+		}
+		scaled := scaleValues(l, 1.25)
+		group := []BatchProblem{
+			{L: l, Xs: randomRHS(rng, n, k), Bs: bs},
+			{L: scaled, Xs: randomRHS(rng, n, k), Bs: bs},
+		}
+		if _, err := plan.SolveGroupCtx(context.Background(), group); err != nil {
+			t.Fatalf("SolveGroupCtx: %v", err)
+		}
+		for j := range bs {
+			assertBitIdentical(t, group[0].Xs[j], want[j], "fused group member 0")
+			assertBitIdentical(t, group[1].Xs[j], refSolve(t, scaled, lower, bs[j]), "fused group member 1")
 		}
 	})
 }

@@ -7,47 +7,137 @@ import (
 	"time"
 
 	"doconsider/internal/executor"
-	"doconsider/internal/wavefront"
+	"doconsider/internal/sparse"
 )
 
-// BatchSolver binds a plan to pre-resolved solve state — the reciprocal
-// diagonal and one executor body closure — so repeated batched solves
-// allocate nothing. Plan.SolveBatchCtx builds the reciprocal diagonal
-// and a fresh body closure on every call, which is fine per plan
-// construction but is heap traffic on a serving warm path; a
-// BatchSolver pays both once. This is safe because the factor values
-// behind a plan are treated as immutable (the serving tier caches
-// factors by content fingerprint), so the reciprocal diagonal cannot go
-// stale.
-//
-// The per-call vectors are installed into solver fields read by the
-// bound body under a mutex, which serializes Solve calls on one solver.
-// The serving coalescer already executes at most one pass per factor at
-// a time, so the serialization costs nothing there; independent callers
-// wanting concurrent solves bind one solver each.
-//
-// Arithmetic is bit-identical to Plan.SolveBatchCtx: the bodies below
-// mirror the batch bodies of batch.go and fused.go operation for
-// operation, only reading xs/bs through the solver instead of a
-// per-call closure.
-type BatchSolver struct {
-	p       *Plan
-	invDiag []float64
-	body    executor.Body
+// kernel is the one loop body of the package — row substitution i of the
+// triangular solve (the paper's Figure 8) — bound to a factor's values.
+// Iteration k stands for row k of a forward solve and row n-1-k of a
+// backward one (the reflected numbering of wavefront.FromUpper). For each
+// installed right-hand side the row's stored entries are accumulated in
+// CSR order, skipping the diagonal, and the sum is multiplied once by
+// the reciprocal diagonal: exactly the per-row sequence of ForwardSeq and
+// BackwardSeq, so any schedule, executor kind, fusion or batching choice
+// reproduces the sequential loop bit for bit. A row writes only its own
+// x[r], which makes independent rows safe to run concurrently.
+type kernel struct {
+	rp, ci []int32   // the factor's CSR structure
+	val    []float64 // the factor's values
+	inv    []float64 // reciprocal diagonal of val
+	lower  bool
+	last   int32 // n-1, the row of backward iteration 0
 
-	// Timed execution state (SolveTimed): a prebuilt wrapper body that
-	// charges each scheduled index's runtime to its wavefront level on
-	// the installed clock. Built lazily on the first timed solve — the
-	// level map and the wrapper closure are the only allocations, and
-	// they happen once per solver — so sampled solves on a warm solver
-	// stay allocation-free.
-	timed   executor.Body
-	levelOf []int32    // scheduled index -> wavefront level
-	clock   LevelClock // per-call, installed under mu like xs/bs
+	xs, bs [][]float64 // per-pass, installed by the solve entry points
+}
+
+func newKernel(l *sparse.CSR, lower bool) kernel {
+	return kernel{rp: l.RowPtr, ci: l.ColIdx, val: l.Val, inv: invDiagonal(l), lower: lower, last: int32(l.N) - 1}
+}
+
+// invDiagonal returns the reciprocal of each stored diagonal entry (0 for
+// an absent one).
+func invDiagonal(a *sparse.CSR) []float64 {
+	inv := make([]float64, a.N)
+	for i := 0; i < a.N; i++ {
+		d := a.At(i, i)
+		if d != 0 {
+			inv[i] = 1 / d
+		}
+	}
+	return inv
+}
+
+// row performs iteration k for every installed right-hand side.
+func (kn *kernel) row(k int32) {
+	r := k
+	if !kn.lower {
+		r = kn.last - k
+	}
+	lo, hi := kn.rp[r], kn.rp[r+1]
+	cols, vals := kn.ci[lo:hi], kn.val[lo:hi]
+	vals = vals[:len(cols)] // hoist the bounds check out of the loops
+	d := kn.inv[r]
+	for j, x := range kn.xs {
+		acc := kn.bs[j][r]
+		for q, c := range cols {
+			if c != r {
+				acc -= vals[q] * x[c]
+			}
+		}
+		x[r] = acc * d
+	}
+}
+
+// groupRow is row for a group of structurally identical factors: the
+// same loop with a member loop around the right-hand-side loop, each
+// member bringing its own values and reciprocal diagonal inv[g]. It
+// exists beside row only because the extra loop level costs a
+// single-member pass 9–22 % on row-wise plans.
+func (kn *kernel) groupRow(group []BatchProblem, inv [][]float64, k int32) {
+	r := k
+	if !kn.lower {
+		r = kn.last - k
+	}
+	lo, hi := kn.rp[r], kn.rp[r+1]
+	cols := kn.ci[lo:hi]
+	for g := range group {
+		m := &group[g]
+		vals := m.L.Val[lo:hi]
+		vals = vals[:len(cols)]
+		d := inv[g][r]
+		for j, x := range m.Xs {
+			acc := m.Bs[j][r]
+			for q, c := range cols {
+				if c != r {
+					acc -= vals[q] * x[c]
+				}
+			}
+			x[r] = acc * d
+		}
+	}
+}
+
+// RowBody returns the kernel as a bare loop body for one right-hand side
+// — body(k) performs iteration k of the solve of l with b into x — for
+// callers that drive it under their own schedule and executor
+// (internal/tables' timed executors). Everything else solves through a
+// Plan.
+func RowBody(l *sparse.CSR, lower bool, x, b []float64) executor.Body {
+	kn := newKernel(l, lower)
+	kn.xs, kn.bs = [][]float64{x}, [][]float64{b}
+	return kn.row
+}
+
+// BatchSolver is a plan's bound solve state: the kernel over the plan's
+// factor (with its reciprocal diagonal, computed once) and the executor
+// bodies that sweep it over the plan's schedule, so repeated solves
+// allocate nothing. This is safe because the factor values behind a plan
+// are treated as immutable (the serving tier caches factors by content
+// fingerprint), so the reciprocal diagonal cannot go stale.
+//
+// The per-call vectors are installed into kernel fields read by the
+// bound bodies under a mutex, which serializes passes on one plan. The
+// serving coalescer already executes at most one pass per factor at a
+// time, so the serialization costs nothing there.
+type BatchSolver struct {
+	kernel
+	p *Plan
+
+	// body runs row: per scheduled index on a row-wise plan, over the
+	// supernode's iteration span on a fused one (see sweep).
+	body executor.Body
+
+	// timed wraps body to charge each scheduled index's runtime to its
+	// wavefront level on the installed clock. Built on the first timed
+	// solve, once, so sampled solves on a warm solver stay
+	// allocation-free.
+	timed executor.Body
+	clock LevelClock // per-call, installed under mu like xs/bs
 
 	mu sync.Mutex
-	xs [][]float64
-	bs [][]float64
+	// one backs the one-element xs/bs of single-vector solves (Plan.Solve);
+	// allocated by the first, so batched-only callers never pay for it.
+	one *[2][1][]float64
 }
 
 // LevelClock receives per-wavefront-level executor time from a timed
@@ -58,30 +148,39 @@ type LevelClock interface {
 	Add(level int32, ns int64)
 }
 
-// Bind builds a BatchSolver over the plan. The solver borrows the plan:
-// the caller must keep the plan open (not Close it) for as long as the
-// solver is in use.
+// Bind returns the plan's bound solve state, building it on first use.
+// The solver borrows the plan: the caller must keep the plan open (not
+// Close it) for as long as the solver is in use.
 func (p *Plan) Bind() *BatchSolver {
-	s := &BatchSolver{p: p, invDiag: invDiagonal(p.L)}
-	switch {
-	case p.fused != nil && p.Lower:
-		s.body = s.fusedForwardBody()
-	case p.fused != nil:
-		s.body = s.fusedBackwardBody()
-	case p.Lower:
-		s.body = s.forwardBody()
-	default:
-		s.body = s.backwardBody()
+	p.bindOnce.Do(func() {
+		s := &BatchSolver{kernel: newKernel(p.L, p.Lower), p: p}
+		s.body = p.sweep(s.row)
+		p.bound = s
+	})
+	return p.bound
+}
+
+// sweep lifts the per-iteration routine to the plan's scheduled index
+// space: a row-wise plan schedules iterations themselves, a supernodal
+// one schedules units, each covering a span of consecutive iterations.
+func (p *Plan) sweep(row executor.Body) executor.Body {
+	if p.fused == nil {
+		return row
 	}
-	return s
+	np := p.fused.part.RowPtr
+	return func(u int32) {
+		for k := np[u]; k < np[u+1]; k++ {
+			row(k)
+		}
+	}
 }
 
 // checkBatch validates a batch's shape against the plan.
-func (s *BatchSolver) checkBatch(xs, bs [][]float64) error {
+func (p *Plan) checkBatch(xs, bs [][]float64) error {
 	if len(xs) != len(bs) {
 		return fmt.Errorf("trisolve: batch has %d solutions but %d right-hand sides", len(xs), len(bs))
 	}
-	n := s.p.L.N
+	n := p.L.N
 	for j := range xs {
 		if len(xs[j]) != n || len(bs[j]) != n {
 			return fmt.Errorf("trisolve: batch vector %d has length %d/%d, want %d", j, len(xs[j]), len(bs[j]), n)
@@ -90,179 +189,56 @@ func (s *BatchSolver) checkBatch(xs, bs [][]float64) error {
 	return nil
 }
 
-// Solve runs one batched pass writing solution j to xs[j], exactly as
-// Plan.SolveBatchCtx would, with zero allocations on the success path.
-func (s *BatchSolver) Solve(ctx context.Context, xs, bs [][]float64) (executor.Metrics, error) {
-	if err := s.checkBatch(xs, bs); err != nil {
-		return executor.Metrics{}, err
-	}
-	if len(xs) == 0 {
-		return executor.Metrics{}, nil
-	}
-	s.mu.Lock()
-	s.xs, s.bs = xs, bs
-	m, err := s.p.strat.Execute(ctx, s.p.Sched, s.p.Deps, s.body)
-	s.xs, s.bs = nil, nil
-	s.mu.Unlock()
+// pass runs one scheduled pass of body over the plan. The caller holds
+// s.mu and has installed the per-pass state, which pass clears.
+func (s *BatchSolver) pass(ctx context.Context, body executor.Body) (executor.Metrics, error) {
+	m, err := s.p.strat.Execute(ctx, s.p.Sched, s.p.Deps, body)
+	s.xs, s.bs, s.clock = nil, nil, nil
 	return s.p.rowMetrics(m, err), err
+}
+
+// Solve runs one batched pass writing solution j to xs[j], with zero
+// allocations on the success path. Each xs[j] must not alias its bs[j]
+// or any other vector in the batch (the parallel executors read b while
+// writing x).
+func (s *BatchSolver) Solve(ctx context.Context, xs, bs [][]float64) (executor.Metrics, error) {
+	return s.SolveTimed(ctx, xs, bs, nil)
 }
 
 // SolveTimed is Solve with per-wavefront-level timing: each scheduled
 // index's runtime (a row for row-wise plans, a fused supernode for
-// supernodal ones) is charged to its level on clock. The arithmetic is
-// byte-identical to Solve — the timed body wraps the same bound body.
-// The first timed solve on a solver builds the level map and wrapper
-// (two allocations, once); every later call allocates nothing, so
-// level sampling at any rate keeps the serving warm path at 0
-// allocs/op.
+// supernodal ones) is charged to its level on clock; a nil clock is a
+// plain Solve. The arithmetic is identical — the timed body wraps the
+// same bound body. The first timed solve on a solver builds the wrapper
+// (one allocation, once); every later call allocates nothing, so level
+// sampling at any rate keeps the serving warm path at 0 allocs/op.
 func (s *BatchSolver) SolveTimed(ctx context.Context, xs, bs [][]float64, clock LevelClock) (executor.Metrics, error) {
-	if clock == nil {
-		return s.Solve(ctx, xs, bs)
-	}
-	if err := s.checkBatch(xs, bs); err != nil {
+	if err := s.p.checkBatch(xs, bs); err != nil {
 		return executor.Metrics{}, err
 	}
 	if len(xs) == 0 {
 		return executor.Metrics{}, nil
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.xs, s.bs = xs, bs
+	if clock == nil {
+		return s.pass(ctx, s.body)
+	}
 	if s.timed == nil {
-		// p.Deps is in scheduled-index space for every plan shape (unit
-		// deps when fused, iteration deps otherwise), so its wavefront
-		// levels index exactly what the executor body receives.
-		lv, err := wavefront.Compute(s.p.Deps)
-		if err != nil {
-			s.mu.Unlock()
-			return executor.Metrics{}, err
+		// The wavefront numbers in scheduled-index space: unit levels
+		// when fused, row levels otherwise.
+		levelOf := s.p.Wf
+		if s.p.fused != nil {
+			levelOf = s.p.fused.wf
 		}
-		s.levelOf = lv
 		inner := s.body
 		s.timed = func(i int32) {
 			t0 := time.Now()
 			inner(i)
-			s.clock.Add(s.levelOf[i], time.Since(t0).Nanoseconds())
+			s.clock.Add(levelOf[i], time.Since(t0).Nanoseconds())
 		}
 	}
 	s.clock = clock
-	s.xs, s.bs = xs, bs
-	m, err := s.p.strat.Execute(ctx, s.p.Sched, s.p.Deps, s.timed)
-	s.xs, s.bs = nil, nil
-	s.clock = nil
-	s.mu.Unlock()
-	return s.p.rowMetrics(m, err), err
-}
-
-// forwardBody mirrors ForwardBatchBody with the reciprocal diagonal
-// precomputed and the vectors read from the solver.
-func (s *BatchSolver) forwardBody() executor.Body {
-	l := s.p.L
-	inv := s.invDiag
-	return func(i int32) {
-		cols, vals := l.Row(int(i))
-		vals = vals[:len(cols)] // hoist the bounds check out of the loops
-		for j := range s.xs {
-			x, b := s.xs[j], s.bs[j]
-			acc := b[i]
-			for k, c := range cols {
-				if c != i {
-					acc -= vals[k] * x[c]
-				}
-			}
-			x[i] = acc * inv[i]
-		}
-	}
-}
-
-// backwardBody mirrors BackwardBatchBody.
-func (s *BatchSolver) backwardBody() executor.Body {
-	u := s.p.L
-	inv := s.invDiag
-	n := u.N
-	return func(k int32) {
-		i := n - 1 - int(k)
-		cols, vals := u.Row(i)
-		vals = vals[:len(cols)] // hoist the bounds check out of the loops
-		for j := range s.xs {
-			x, b := s.xs[j], s.bs[j]
-			acc := b[i]
-			for q, c := range cols {
-				if int(c) != i {
-					acc -= vals[q] * x[c]
-				}
-			}
-			x[i] = acc * inv[i]
-		}
-	}
-}
-
-// fusedForwardBody mirrors fusedExec.forwardBatchBody.
-func (s *BatchSolver) fusedForwardBody() executor.Body {
-	l := s.p.L
-	fx := s.p.fused
-	inv := s.invDiag
-	rp, ci, vals := l.RowPtr, l.ColIdx, l.Val
-	np, dp := fx.part.RowPtr, fx.diagPos
-	return func(u int32) {
-		for r := np[u]; r < np[u+1]; r++ {
-			d := dp[r]
-			cols := ci[rp[r]:d]
-			vs := vals[rp[r]:d]
-			vs = vs[:len(cols)]
-			var cols2 []int32
-			var vs2 []float64
-			if start := d + 1; start < rp[r+1] {
-				cols2 = ci[start:rp[r+1]]
-				vs2 = vals[start:rp[r+1]]
-				vs2 = vs2[:len(cols2)]
-			}
-			for j := range s.xs {
-				x, b := s.xs[j], s.bs[j]
-				acc := b[r]
-				for k, c := range cols {
-					acc -= vs[k] * x[c]
-				}
-				for k, c := range cols2 {
-					acc -= vs2[k] * x[c]
-				}
-				x[r] = acc * inv[r]
-			}
-		}
-	}
-}
-
-// fusedBackwardBody mirrors fusedExec.backwardBatchBody.
-func (s *BatchSolver) fusedBackwardBody() executor.Body {
-	uM := s.p.L
-	fx := s.p.fused
-	inv := s.invDiag
-	n := uM.N
-	rp, ci, vals := uM.RowPtr, uM.ColIdx, uM.Val
-	np, dp := fx.part.RowPtr, fx.diagPos
-	return func(u int32) {
-		for k := np[u]; k < np[u+1]; k++ {
-			i := int32(n-1) - k
-			d := dp[i]
-			cols := ci[rp[i]:d]
-			vs := vals[rp[i]:d]
-			vs = vs[:len(cols)]
-			var cols2 []int32
-			var vs2 []float64
-			if start := d + 1; start < rp[i+1] {
-				cols2 = ci[start:rp[i+1]]
-				vs2 = vals[start:rp[i+1]]
-				vs2 = vs2[:len(cols2)]
-			}
-			for j := range s.xs {
-				x, b := s.xs[j], s.bs[j]
-				acc := b[i]
-				for q, c := range cols {
-					acc -= vs[q] * x[c]
-				}
-				for q, c := range cols2 {
-					acc -= vs2[q] * x[c]
-				}
-				x[i] = acc * inv[i]
-			}
-		}
-	}
+	return s.pass(ctx, s.timed)
 }

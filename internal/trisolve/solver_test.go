@@ -2,81 +2,57 @@ package trisolve
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"doconsider/internal/executor"
 	"doconsider/internal/stencil"
 )
 
-// TestBatchSolverBitIdentical checks a bound solver against
-// Plan.SolveBatch for every direction × fusion × kind combination: the
-// bodies must perform the same operations in the same order, so the
-// results are bit-for-bit equal.
+// addCounter is a LevelClock that counts Add calls.
+type addCounter struct{ n atomic.Int64 }
+
+func (c *addCounter) Add(int32, int64) { c.n.Add(1) }
+
+// TestBatchSolverBitIdentical checks the bound solver against the
+// sequential loop over the whole plan grid: a first solve, a second one
+// through the same bound body on new right-hand sides, and a timed
+// solve, whose wrapper must charge every scheduled index exactly once
+// and change no arithmetic.
 func TestBatchSolverBitIdentical(t *testing.T) {
 	const k = 3
-	for _, lower := range []bool{true, false} {
-		for _, fuse := range []FuseMode{FuseOff, FuseForce} {
-			tri := stencil.Laplace2D(25, 25).LowerWithDiag()
-			if !lower {
-				tri = tri.Transpose()
+	ctx := context.Background()
+	forEachPlan(t, func(t *testing.T, what string, plan *Plan) {
+		n := plan.L.N
+		rng := rand.New(rand.NewSource(7))
+		s := plan.Bind()
+		clock := new(addCounter)
+		for pass := 0; pass < 3; pass++ {
+			xs, bs := randomRHS(rng, n, k), randomRHS(rng, n, k)
+			var m executor.Metrics
+			var err error
+			if pass < 2 {
+				m, err = s.Solve(ctx, xs, bs)
+			} else {
+				m, err = s.SolveTimed(ctx, xs, bs, clock)
 			}
-			n := tri.N
-			plan, err := NewPlan(tri, lower, WithProcs(4), WithKind(executor.Pooled), WithFusion(fuse))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fuse == FuseForce && plan.fused == nil {
-				t.Fatalf("lower=%v: FuseForce produced a row-wise plan", lower)
-			}
-			xs := make([][]float64, k)
-			bs := make([][]float64, k)
-			want := make([][]float64, k)
-			for j := 0; j < k; j++ {
-				bs[j] = randRHS(n, int64(7*j+1))
-				xs[j] = make([]float64, n)
-				want[j] = make([]float64, n)
-			}
-			if _, err := plan.SolveBatch(want, bs); err != nil {
-				t.Fatal(err)
-			}
-			s := plan.Bind()
-			m, err := s.Solve(context.Background(), xs, bs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if m.Executed != int64(n) {
-				t.Fatalf("lower=%v fuse=%v: executed %d rows, want %d", lower, fuse, m.Executed, n)
+				t.Fatalf("%s pass %d: executed %d rows, want %d", what, pass, m.Executed, n)
 			}
-			for j := 0; j < k; j++ {
-				for i := 0; i < n; i++ {
-					if xs[j][i] != want[j][i] {
-						t.Fatalf("lower=%v fuse=%v rhs %d row %d: solver %x, SolveBatch %x",
-							lower, fuse, j, i, xs[j][i], want[j][i])
-					}
-				}
+			for j := range xs {
+				assertBitIdentical(t, xs[j], refSolve(t, plan.L, plan.Lower, bs[j]),
+					fmt.Sprintf("%s bound solve pass %d rhs %d", what, pass, j))
 			}
-			// Reuse: a second solve through the same bound body must match a
-			// fresh SolveBatch on new right-hand sides.
-			for j := 0; j < k; j++ {
-				bs[j] = randRHS(n, int64(100+j))
-			}
-			if _, err := plan.SolveBatch(want, bs); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Solve(context.Background(), xs, bs); err != nil {
-				t.Fatal(err)
-			}
-			for j := 0; j < k; j++ {
-				for i := 0; i < n; i++ {
-					if xs[j][i] != want[j][i] {
-						t.Fatalf("lower=%v fuse=%v reuse rhs %d row %d: solver %x, SolveBatch %x",
-							lower, fuse, j, i, xs[j][i], want[j][i])
-					}
-				}
-			}
-			plan.Close()
 		}
-	}
+		if got, want := clock.n.Load(), int64(plan.Deps.N); got != want {
+			t.Fatalf("%s: timed solve charged %d scheduled indices, want %d", what, got, want)
+		}
+	})
 }
 
 func TestBatchSolverShapeErrors(t *testing.T) {
@@ -121,5 +97,32 @@ func TestBatchSolverZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("bound solve = %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestPlanSolveZeroAlloc pins the bound state behind the plan's own entry
+// points: the reciprocal diagonal and the bodies are built by the first
+// solve, so every later Solve and SolveBatch allocates nothing.
+func TestPlanSolveZeroAlloc(t *testing.T) {
+	tri := stencil.Laplace2D(20, 20).LowerWithDiag()
+	plan, err := NewPlan(tri, true, WithKind(executor.Sequential))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plan.Close()
+	n := tri.N
+	xs := [][]float64{make([]float64, n)}
+	bs := [][]float64{randRHS(n, 3)}
+	plan.Solve(xs[0], bs[0])
+	if allocs := testing.AllocsPerRun(50, func() { plan.Solve(xs[0], bs[0]) }); allocs != 0 {
+		t.Errorf("Plan.Solve = %v allocs/op, want 0", allocs)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := plan.SolveBatch(xs, bs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Plan.SolveBatch = %v allocs/op, want 0", allocs)
 	}
 }

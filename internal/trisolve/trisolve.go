@@ -1,14 +1,13 @@
 // Package trisolve implements sparse triangular solves — the paper's
 // central workload (Figure 8). The outer loop of row substitutions is the
 // loop being run-time parallelized; the package provides the sequential
-// reference and loop bodies for each executor.
+// reference, the inspector (NewPlan, PlanCache) and the one loop body —
+// the row-substitution kernel — every executor runs.
 package trisolve
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 
 	"doconsider/internal/executor"
@@ -22,108 +21,57 @@ import (
 
 // ForwardSeq solves L*x = b sequentially where L is lower triangular with
 // nonzero diagonal entries stored in the matrix. x and b may alias.
-func ForwardSeq(l *sparse.CSR, x, b []float64) error {
-	if l.N != l.M || len(x) != l.N || len(b) != l.N {
-		return sparse.ErrShape
-	}
-	for i := 0; i < l.N; i++ {
-		cols, vals := l.Row(i)
-		s := b[i]
-		diag := 0.0
-		for k, c := range cols {
-			switch {
-			case int(c) < i:
-				s -= vals[k] * x[c]
-			case int(c) == i:
-				diag = vals[k]
-			default:
-				return fmt.Errorf("trisolve: row %d has upper entry %d in forward solve", i, c)
-			}
-		}
-		if diag == 0 {
-			return fmt.Errorf("trisolve: zero diagonal at row %d", i)
-		}
-		x[i] = s / diag
-	}
-	return nil
-}
+//
+// Together with BackwardSeq this is the repository's one oracle: it
+// performs, per row, exactly the arithmetic of the executor kernel (see
+// kernel) — the row's off-diagonal entries accumulated in CSR order,
+// then one multiply by the reciprocal diagonal — so every planned solve
+// must reproduce it bit for bit, whatever the factor's diagonal.
+func ForwardSeq(l *sparse.CSR, x, b []float64) error { return sequential(l, x, b, true) }
 
 // BackwardSeq solves U*x = b sequentially where U is upper triangular with
 // nonzero diagonal entries. x and b may alias.
-func BackwardSeq(u *sparse.CSR, x, b []float64) error {
-	if u.N != u.M || len(x) != u.N || len(b) != u.N {
+func BackwardSeq(u *sparse.CSR, x, b []float64) error { return sequential(u, x, b, false) }
+
+// sequential is the plain substitution loop behind ForwardSeq (rows
+// ascending) and BackwardSeq (rows descending). Unlike the kernel it
+// validates as it goes: an entry on the wrong side of the diagonal or a
+// zero diagonal is an error. Columns are strictly increasing within a
+// row (sparse.CSR.CheckWellFormed), so a row's last (forward) or first
+// (backward) stored column tells whether any entry is on the wrong side.
+func sequential(t *sparse.CSR, x, b []float64, lower bool) error {
+	if t.N != t.M || len(x) != t.N || len(b) != t.N {
 		return sparse.ErrShape
 	}
-	for i := u.N - 1; i >= 0; i-- {
-		cols, vals := u.Row(i)
+	for k := 0; k < t.N; k++ {
+		i := k
+		if !lower {
+			i = t.N - 1 - k
+		}
+		cols, vals := t.Row(i)
+		if n := len(cols); n > 0 {
+			if c := cols[n-1]; lower && int(c) > i {
+				return fmt.Errorf("trisolve: row %d has upper entry %d in forward solve", i, c)
+			}
+			if c := cols[0]; !lower && int(c) < i {
+				return fmt.Errorf("trisolve: row %d has lower entry %d in backward solve", i, c)
+			}
+		}
 		s := b[i]
 		diag := 0.0
-		for k, c := range cols {
-			switch {
-			case int(c) > i:
-				s -= vals[k] * x[c]
-			case int(c) == i:
-				diag = vals[k]
-			default:
-				return fmt.Errorf("trisolve: row %d has lower entry %d in backward solve", i, c)
+		for q, c := range cols {
+			if int(c) != i {
+				s -= vals[q] * x[c]
+			} else {
+				diag = vals[q]
 			}
 		}
 		if diag == 0 {
 			return fmt.Errorf("trisolve: zero diagonal at row %d", i)
 		}
-		x[i] = s / diag
+		x[i] = s * (1 / diag)
 	}
 	return nil
-}
-
-// ForwardBody returns the executor loop body for a forward solve of
-// L*x = b: body(i) performs row substitution i. The body is safe for
-// concurrent execution of independent rows because row i writes only x[i].
-// Diagonal entries are pre-reciprocated for speed.
-func ForwardBody(l *sparse.CSR, x, b []float64) executor.Body {
-	invDiag := invDiagonal(l)
-	return func(i int32) {
-		cols, vals := l.Row(int(i))
-		vals = vals[:len(cols)] // hoist the bounds check out of the loop
-		s := b[i]
-		for k, c := range cols {
-			if c != i {
-				s -= vals[k] * x[c]
-			}
-		}
-		x[i] = s * invDiag[i]
-	}
-}
-
-// BackwardBody returns the executor loop body for a backward solve of
-// U*x = b using the reflected iteration numbering of wavefront.FromUpper:
-// iteration k performs row substitution n-1-k.
-func BackwardBody(u *sparse.CSR, x, b []float64) executor.Body {
-	invDiag := invDiagonal(u)
-	n := u.N
-	return func(k int32) {
-		i := n - 1 - int(k)
-		cols, vals := u.Row(i)
-		vals = vals[:len(cols)] // hoist the bounds check out of the loop
-		s := b[i]
-		for q, c := range cols {
-			if int(c) != i {
-				s -= vals[q] * x[c]
-			}
-		}
-		x[i] = s * invDiag[i]
-	}
-}
-
-func invDiagonal(a *sparse.CSR) []float64 {
-	inv := make([]float64, a.N)
-	for i := 0; i < a.N; i++ {
-		d := a.At(i, i)
-		if d != 0 {
-			inv[i] = 1 / d
-		}
-	}
-	return inv
 }
 
 // Plan bundles everything needed to repeatedly solve with one triangular
@@ -132,6 +80,13 @@ func invDiagonal(a *sparse.CSR) []float64 {
 // Solve is the executor step. With the Pooled kind the strategy keeps a
 // persistent worker pool across Solve calls; call Close when done with
 // such a plan to release the workers.
+//
+// Every solve entry point runs through the plan's one bound state (see
+// Bind), built on first use: the factor values behind a plan are treated
+// as immutable, so the reciprocal diagonal is computed once per plan,
+// and solves on one Plan serialize. Callers wanting concurrent solves
+// over one structure lease a Plan each from a PlanCache — the skeleton
+// is shared, only the bound state is per plan.
 //
 // For a supernodal plan (Fusion non-nil) Deps and Sched describe the
 // compressed unit-level structure the executor actually runs — each
@@ -154,6 +109,9 @@ type Plan struct {
 	// closing the strategy.
 	leased  bool
 	release func() error
+
+	bindOnce sync.Once
+	bound    *BatchSolver
 }
 
 // Fusion returns the supernode statistics of a fused plan, or nil for a
@@ -192,16 +150,6 @@ type planConfig struct {
 // adaptive reports whether the planner should choose the executor.
 func (c *planConfig) adaptive() bool { return !c.kindSet }
 
-// fuseMode resolves the effective fusion mode: the DOCONSIDER_FUSE
-// environment override trumps the WithFusion option, mirroring how
-// DOCONSIDER_STRATEGY trumps adaptive selection.
-func (c *planConfig) fuseMode() FuseMode {
-	if m, ok := envFuseMode(); ok {
-		return m
-	}
-	return c.fuse
-}
-
 // FuseMode controls supernodal row fusion (internal/supernode).
 type FuseMode int
 
@@ -216,26 +164,6 @@ const (
 	// bypassing the cost model — for benchmarks and differential tests.
 	FuseForce
 )
-
-var (
-	fuseEnvOnce sync.Once
-	fuseEnv     FuseMode
-	fuseEnvSet  bool
-)
-
-// envFuseMode resolves the DOCONSIDER_FUSE override once per process.
-// Unknown values are ignored rather than failing every plan.
-func envFuseMode() (FuseMode, bool) {
-	fuseEnvOnce.Do(func() {
-		switch os.Getenv("DOCONSIDER_FUSE") {
-		case "off":
-			fuseEnv, fuseEnvSet = FuseOff, true
-		case "force":
-			fuseEnv, fuseEnvSet = FuseForce, true
-		}
-	})
-	return fuseEnv, fuseEnvSet
-}
 
 // SchedulerKind selects global or local index-set scheduling.
 type SchedulerKind int
@@ -268,9 +196,7 @@ func WithScheduler(s SchedulerKind) Option { return func(c *planConfig) { c.sche
 // WithPartition sets the local-scheduling partition (default Striped).
 func WithPartition(p schedule.Partition) Option { return func(c *planConfig) { c.part = p } }
 
-// WithFusion sets the supernodal fusion mode (default FuseAuto). The
-// DOCONSIDER_FUSE environment variable ("off" or "force") overrides it
-// process-wide.
+// WithFusion sets the supernodal fusion mode (default FuseAuto).
 func WithFusion(m FuseMode) Option { return func(c *planConfig) { c.fuse = m } }
 
 // WithDriftHint tells a PlanCache lookup that the factor was produced by
@@ -318,27 +244,14 @@ func buildPlanConfig(opts []Option) planConfig {
 	return cfg
 }
 
-// inspection is the inspector's output: the row-level dependence
-// structure and wavefronts, the schedule the executor will actually run
-// (unit-level when fused), the chosen kind and decision, and the fused
-// executor state for supernodal plans (nil for row-wise plans).
-type inspection struct {
-	deps  *wavefront.Deps
-	wf    []int32
-	sched *schedule.Schedule
-	kind  executor.Kind
-	dec   *planner.Decision
-	fused *fusedExec
-}
-
 // inspect runs the inspector half of plan construction: dependence
 // extraction, wavefront computation, supernode detection, adaptive
 // planning (when no kind is pinned) and schedule construction. The
 // output depends only on the sparsity structure of t, never on its
 // values — which is what lets a PlanCache share it across matrices. The
-// returned kind is cfg.kind for pinned plans and the planner's choice
+// skeleton's kind is cfg.kind for pinned plans and the planner's choice
 // otherwise.
-func inspect(t *sparse.CSR, lower bool, cfg planConfig) (*inspection, error) {
+func inspect(t *sparse.CSR, lower bool, cfg planConfig) (*planSkeleton, error) {
 	var deps *wavefront.Deps
 	if lower {
 		deps = wavefront.FromLower(t)
@@ -355,8 +268,8 @@ func inspect(t *sparse.CSR, lower bool, cfg planConfig) (*inspection, error) {
 	// detect (the cost model arbitrates; a pinned kind asked for exactly
 	// the row-wise executor it named). A partition with nothing fused is
 	// discarded — unless fusion is forced, where even an all-singleton
-	// partition exercises the fused kernels.
-	mode := cfg.fuseMode()
+	// partition runs the unit-level schedule.
+	mode := cfg.fuse
 	var part *supernode.Partition
 	var unitDeps *wavefront.Deps
 	var unitWf []int32
@@ -413,31 +326,30 @@ func inspect(t *sparse.CSR, lower bool, cfg planConfig) (*inspection, error) {
 			d.Reorder = planner.ReorderNone
 		}
 	}
-	ins := &inspection{deps: deps, wf: wf, kind: kind, dec: dec}
-	if useFused {
-		fx, ferr := newFusedExec(t, lower, part, deps, unitDeps, unitWf, cfg.nproc)
-		if ferr != nil {
-			return nil, ferr
+	sk := &planSkeleton{deps: deps, wf: wf, kind: kind, decision: dec}
+	switch {
+	case useFused:
+		if sk.fused, err = newFusedExec(part, deps, unitDeps, unitWf, cfg.nproc); err != nil {
+			return nil, err
 		}
-		ins.fused = fx
-		ins.sched = fx.sched
-		return ins, nil
-	}
-	switch cfg.scheduler {
-	case GlobalSched:
-		if rank != nil {
-			ins.sched = schedule.GlobalRanked(wf, rank, cfg.nproc)
-		} else {
-			ins.sched = schedule.Global(wf, cfg.nproc)
-		}
-	case LocalSched:
-		ins.sched = schedule.Local(wf, cfg.nproc, cfg.part)
-	case NaturalSched:
-		ins.sched = schedule.Natural(t.N, cfg.nproc, cfg.part)
+		sk.sched = sk.fused.sched
+	case cfg.scheduler == GlobalSched && rank != nil:
+		sk.sched = schedule.GlobalRanked(wf, rank, cfg.nproc)
+	case cfg.scheduler == GlobalSched:
+		sk.sched = schedule.Global(wf, cfg.nproc)
+	case cfg.scheduler == LocalSched:
+		sk.sched = schedule.Local(wf, cfg.nproc, cfg.part)
+	case cfg.scheduler == NaturalSched:
+		sk.sched = schedule.Natural(t.N, cfg.nproc, cfg.part)
 	default:
 		return nil, fmt.Errorf("trisolve: unknown scheduler %d", cfg.scheduler)
 	}
-	return ins, nil
+	// The strategy comes last: a stateful one (the pooled executor's
+	// workers) must not be created on a path that can still fail.
+	if sk.strat, err = kind.NewStrategy(); err != nil {
+		return nil, err
+	}
+	return sk, nil
 }
 
 // NewPlan runs the inspector for a triangular factor: it extracts the
@@ -445,36 +357,21 @@ func inspect(t *sparse.CSR, lower bool, cfg planConfig) (*inspection, error) {
 // executor strategy (and a locality reordering or supernodal fusion)
 // unless WithKind pinned one, and builds the schedule.
 func NewPlan(t *sparse.CSR, lower bool, opts ...Option) (*Plan, error) {
-	cfg := buildPlanConfig(opts)
-	ins, err := inspect(t, lower, cfg)
+	sk, err := inspect(t, lower, buildPlanConfig(opts))
 	if err != nil {
 		return nil, err
 	}
-	strat, err := ins.kind.NewStrategy()
-	if err != nil {
-		return nil, err
-	}
-	p := &Plan{L: t, Lower: lower, Wf: ins.wf, Sched: ins.sched, Kind: ins.kind, Decision: ins.dec, strat: strat, fused: ins.fused}
-	if ins.fused != nil {
-		p.Deps = ins.fused.deps
-	} else {
-		p.Deps = ins.deps
-	}
-	return p, nil
+	return newPlan(t, lower, sk), nil
 }
 
-// Solve executes the planned triangular solve, writing the solution to x.
-// x and b must not alias (the parallel executors read b while writing x).
-func (p *Plan) Solve(x, b []float64) executor.Metrics {
-	m, err := p.SolveCtx(context.Background(), x, b)
-	return executor.MustMetrics(m, err)
-}
-
-// SolveCtx is Solve with cancellation support: a cancelled context
-// releases every worker and returns ctx.Err().
-func (p *Plan) SolveCtx(ctx context.Context, x, b []float64) (executor.Metrics, error) {
-	m, err := p.strat.Execute(ctx, p.Sched, p.Deps, p.body(x, b))
-	return p.rowMetrics(m, err), err
+// newPlan binds the factor t to an inspected skeleton.
+func newPlan(t *sparse.CSR, lower bool, sk *planSkeleton) *Plan {
+	p := &Plan{L: t, Lower: lower, Deps: sk.deps, Wf: sk.wf, Sched: sk.sched,
+		Kind: sk.kind, Decision: sk.decision, strat: sk.strat, fused: sk.fused}
+	if sk.fused != nil {
+		p.Deps = sk.fused.deps
+	}
+	return p
 }
 
 // rowMetrics keeps the Executed counter in row substitutions for fused
@@ -491,19 +388,6 @@ func (p *Plan) rowMetrics(m executor.Metrics, err error) executor.Metrics {
 		m.Executed = m.Executed / nodes * int64(p.L.N)
 	}
 	return m
-}
-
-func (p *Plan) body(x, b []float64) executor.Body {
-	if p.fused != nil {
-		if p.Lower {
-			return p.fused.forwardBody(p.L, x, b)
-		}
-		return p.fused.backwardBody(p.L, x, b)
-	}
-	if p.Lower {
-		return ForwardBody(p.L, x, b)
-	}
-	return BackwardBody(p.L, x, b)
 }
 
 // Close releases the plan's resources. For a plan leased from a PlanCache
