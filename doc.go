@@ -2,9 +2,10 @@
 // Scheduling of Loops" (Saltz, Mirchandaney, Baxter; ICASE Report 88-70 /
 // SPAA 1989): the doconsider construct and its inspector/executor runtime,
 // with global/local wavefront scheduling, pre-scheduled and self-executing
-// executors, the PCGPAK-style preconditioned Krylov substrate, the
-// Section 4 analytic model, a cost-model multiprocessor simulator that
-// stands in for the paper's Encore Multimax/320, and a network serving
+// executors (five kinds behind the one executor.Executor type), the
+// PCGPAK-style preconditioned Krylov substrate, the Section 4 analytic
+// model, a cost-model multiprocessor simulator that stands in for the
+// paper's Encore Multimax/320, and a network serving
 // subsystem (internal/server, `loops server`) that exercises the
 // inspector/executor amortization under real multi-tenant load: shared
 // plan cache, cross-request batch coalescing, admission control, live

@@ -30,12 +30,12 @@ func (r *Runtime) RunBatchCtx(ctx context.Context, bodies []executor.Body) (exec
 	case 0:
 		return executor.Metrics{}, nil
 	case 1:
-		return r.strat.Execute(ctx, r.sched, r.deps, bodies[0])
+		return r.exec.Run(ctx, r.sched, r.deps, bodies[0])
 	}
 	fused := func(i int32) {
 		for _, b := range bodies {
 			b(i)
 		}
 	}
-	return r.strat.Execute(ctx, r.sched, r.deps, fused)
+	return r.exec.Run(ctx, r.sched, r.deps, fused)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 
 	"doconsider/internal/fphash"
@@ -20,8 +19,8 @@ import (
 // across callers, not just across iterations).
 //
 // A shared Runtime is safe for concurrent Run/RunCtx/RunBatch calls: the
-// stateless strategies carry no per-Runtime mutable state, and the pooled
-// strategy serializes runs on its internal pool.
+// stateless executor kinds carry no per-run mutable state, and the pooled
+// executor serializes runs on its internal pool.
 type Cache struct {
 	c *plancache.Cache[cacheKey, *Runtime]
 }
@@ -53,12 +52,6 @@ func NewCache(capacity int) *Cache {
 	return &Cache{c: plancache.New[cacheKey, *Runtime](capacity)}
 }
 
-// ErrUncacheableStrategy reports a Get with WithStrategy: a caller-supplied
-// strategy instance cannot be keyed (two calls passing distinct instances
-// must not share one), so cached plans must name their executor via
-// WithExecutor instead.
-var ErrUncacheableStrategy = errors.New("core: cache cannot key a caller-supplied strategy instance; use WithExecutor")
-
 // Get returns a lease on the Runtime prepared for deps under opts,
 // running the inspector and schedule construction only on a miss. Release
 // the lease when done; the Runtime stays valid until then even if the
@@ -66,9 +59,6 @@ var ErrUncacheableStrategy = errors.New("core: cache cannot key a caller-supplie
 // owns that lifecycle.
 func (c *Cache) Get(deps *wavefront.Deps, opts ...Option) (*RuntimeLease, error) {
 	cfg := buildConfig(opts)
-	if cfg.Strategy != nil {
-		return nil, ErrUncacheableStrategy
-	}
 	key := cacheKey{
 		fp:        deps.Fingerprint(),
 		procs:     cfg.Procs,

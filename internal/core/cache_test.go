@@ -59,18 +59,6 @@ func TestCacheSharesRuntime(t *testing.T) {
 	}
 }
 
-func TestCacheRejectsCustomStrategy(t *testing.T) {
-	c := NewCache(2)
-	defer c.Close()
-	strat, err := executor.NewStrategy(executor.Sequential.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(chainDeps(8), WithStrategy(strat)); !errors.Is(err, ErrUncacheableStrategy) {
-		t.Fatalf("err = %v, want ErrUncacheableStrategy", err)
-	}
-}
-
 // TestCacheConcurrentPooledRuns exercises the advertised contract: many
 // goroutines lease one cached pooled Runtime and Run it concurrently.
 func TestCacheConcurrentPooledRuns(t *testing.T) {

@@ -2,8 +2,9 @@
 // paper's doconsider construct. Given the dependence structure a compiler
 // (or the transform package) extracts from a loop, core runs the inspector
 // (wavefront analysis), builds a schedule (global or local), and executes
-// the loop body with the chosen executor (pre-scheduled, self-executing or
-// doacross).
+// the loop body with one executor.Executor of the chosen kind (sequential,
+// pre-scheduled, self-executing, doacross or pooled), held by the Runtime
+// for its lifetime.
 //
 // Typical use:
 //
@@ -20,7 +21,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"doconsider/internal/delta"
 	"doconsider/internal/executor"
@@ -60,7 +60,6 @@ func (s Scheduler) String() string {
 type Config struct {
 	Procs             int                // simulated processors (goroutines); default 1
 	Executor          executor.Kind      // executor kind; chosen adaptively unless set via WithExecutor
-	Strategy          executor.Strategy  // overrides Executor when non-nil (pluggable strategies)
 	Scheduler         Scheduler          // default GlobalScheduler
 	Partition         schedule.Partition // initial partition for local scheduling
 	ParallelInspector bool               // run the wavefront sweep in parallel (§2.3)
@@ -68,13 +67,13 @@ type Config struct {
 	MergePhases       bool               // coalesce barrier phases when safe (ref [13])
 	Model             *planner.CostModel // cost model for adaptive selection; nil = host-calibrated
 
-	// kindSet records that WithExecutor pinned the kind explicitly; with
-	// neither a kind nor a strategy pinned, New lets the planner choose.
+	// kindSet records that WithExecutor pinned the kind explicitly;
+	// otherwise New lets the planner choose.
 	kindSet bool
 }
 
-// adaptive reports whether New should let the planner pick the strategy.
-func (c *Config) adaptive() bool { return c.Strategy == nil && !c.kindSet }
+// adaptive reports whether New should let the planner pick the kind.
+func (c *Config) adaptive() bool { return !c.kindSet }
 
 // Option mutates a Config.
 type Option func(*Config)
@@ -91,13 +90,6 @@ func WithExecutor(k executor.Kind) Option {
 // default) uses the once-per-machine calibrated host model (planner.ForHost).
 // Pass planner.Default() for machine-independent, reproducible decisions.
 func WithModel(m *planner.CostModel) Option { return func(c *Config) { c.Model = m } }
-
-// WithStrategy sets a custom execution strategy instance, bypassing the
-// Kind-named built-ins; use it to plug in strategies registered with
-// executor.Register (or constructed directly). The caller keeps ownership:
-// Runtime.Close does not close a supplied strategy, so one instance (e.g.
-// a shared PooledStrategy) may back several runtimes.
-func WithStrategy(s executor.Strategy) Option { return func(c *Config) { c.Strategy = s } }
 
 // WithScheduler sets the scheduling strategy.
 func WithScheduler(s Scheduler) Option { return func(c *Config) { c.Scheduler = s } }
@@ -134,82 +126,94 @@ func buildConfig(opts []Option) Config {
 }
 
 // Runtime is a prepared loop: inspector output, an executor schedule, and
-// the execution strategy instance that runs it. Stateful strategies (the
-// pooled executor's worker pool) live as long as the Runtime; call Close
-// to release them.
+// the executor that runs it. A pooled executor's workers live as long as
+// the Runtime; call Close to release them.
 type Runtime struct {
-	cfg       Config
-	deps      *wavefront.Deps
-	wf        []int32
-	sched     *schedule.Schedule
-	strat     executor.Strategy
-	ownsStrat bool              // Close only closes strategies this runtime constructed
-	decision  *planner.Decision // non-nil when the planner chose the strategy
-	patch     *delta.State      // incremental-repair state, built on first Patch
+	cfg      Config
+	deps     *wavefront.Deps
+	wf       []int32
+	sched    *schedule.Schedule
+	exec     *executor.Executor
+	decision *planner.Decision // non-nil when the planner chose the kind
+	patch    *delta.State      // incremental-repair state, built on first Patch
 }
 
 // New runs the inspector on the dependence structure and builds the
 // schedule. It returns an error if the dependences are not executable
-// (cycle, out-of-range edge) rather than letting an executor deadlock.
+// (cycle, out-of-range edge, or a forward dependence under natural-order
+// execution) rather than letting an executor deadlock.
 func New(deps *wavefront.Deps, opts ...Option) (*Runtime, error) {
 	cfg := buildConfig(opts)
-	var wf []int32
-	var err error
-	if deps.CheckBackward() == nil {
-		if cfg.ParallelInspector {
-			wf, err = wavefront.ComputeParallel(deps, cfg.Procs)
-		} else {
-			wf, err = wavefront.Compute(deps)
-		}
-	} else {
-		// General DAG: fall back to Kahn's algorithm, which also rejects
-		// cyclic inputs with a useful error.
-		wf, err = wavefront.ComputeDAG(deps)
-	}
+	wf, err := cfg.wavefronts(deps)
 	if err != nil {
 		return nil, err
 	}
-	// Adaptive planning: with neither a kind nor a strategy pinned, the
-	// inspector measures the DAG it just leveled and picks the executor
-	// itself (sequential for tiny or chain-like structures, pooled for
-	// wide ones, doacross when the natural order already parallelizes).
+	// Adaptive planning: with no kind pinned, the inspector measures the
+	// DAG it just leveled and picks the executor itself (sequential for
+	// tiny or chain-like structures, pooled for wide ones, doacross when
+	// the natural order already parallelizes).
 	var dec *planner.Decision
 	if cfg.adaptive() {
 		d := planner.Select(planner.Analyze(deps, wf, cfg.Procs), cfg.Model)
 		dec = &d
 		cfg.Executor = d.Strategy
 	}
+	s, err := cfg.schedule(deps, wf)
+	if err != nil {
+		return nil, err
+	}
+	return &Runtime{cfg: cfg, deps: deps, wf: wf, sched: s, exec: executor.New(cfg.Executor), decision: dec}, nil
+}
+
+// wavefronts is the inspector proper: the wavefront number of every index,
+// or an error for a cyclic or out-of-range structure.
+func (c *Config) wavefronts(deps *wavefront.Deps) ([]int32, error) {
+	switch {
+	case deps.CheckBackward() != nil:
+		// General DAG: fall back to Kahn's algorithm, which also rejects
+		// cyclic inputs with a useful error.
+		return wavefront.ComputeDAG(deps)
+	case c.ParallelInspector:
+		return wavefront.ComputeParallel(deps, c.Procs)
+	default:
+		return wavefront.Compute(deps)
+	}
+}
+
+// schedule builds the configured schedule over the inspected structure.
+// Natural-order execution — the doacross executor, or any executor over
+// the natural schedule — busy-waits in index order, so a forward
+// dependence (an index waiting on a later one in its own processor's
+// list) would spin forever; it is rejected here.
+func (c *Config) schedule(deps *wavefront.Deps, wf []int32) (*schedule.Schedule, error) {
+	if c.Executor == executor.DoAcross || c.Scheduler == NaturalScheduler {
+		if err := deps.CheckBackward(); err != nil {
+			return nil, fmt.Errorf("core: natural-order execution needs backward dependences: %w", err)
+		}
+	}
 	var s *schedule.Schedule
-	switch cfg.Scheduler {
+	switch c.Scheduler {
 	case GlobalScheduler:
-		if cfg.WorkWeights != nil {
-			s = schedule.GlobalByWork(wf, cfg.WorkWeights, cfg.Procs)
+		if c.WorkWeights != nil {
+			s = schedule.GlobalByWork(wf, c.WorkWeights, c.Procs)
 		} else {
-			s = schedule.Global(wf, cfg.Procs)
+			s = schedule.Global(wf, c.Procs)
 		}
 	case LocalScheduler:
-		s = schedule.Local(wf, cfg.Procs, cfg.Partition)
+		s = schedule.Local(wf, c.Procs, c.Partition)
 	case NaturalScheduler:
-		s = schedule.Natural(deps.N, cfg.Procs, cfg.Partition)
+		s = schedule.Natural(deps.N, c.Procs, c.Partition)
 	default:
-		return nil, fmt.Errorf("core: unknown scheduler %v", cfg.Scheduler)
+		return nil, fmt.Errorf("core: unknown scheduler %v", c.Scheduler)
 	}
-	if cfg.MergePhases {
+	if c.MergePhases {
 		s = schedule.MergePhases(s, deps)
 	}
-	strat, owns := cfg.Strategy, false
-	if strat == nil {
-		strat, err = cfg.Executor.NewStrategy()
-		if err != nil {
-			return nil, err
-		}
-		owns = true
-	}
-	return &Runtime{cfg: cfg, deps: deps, wf: wf, sched: s, strat: strat, ownsStrat: owns, decision: dec}, nil
+	return s, nil
 }
 
 // Decision returns the planner's strategy decision, or nil when the
-// caller pinned the executor (WithExecutor or WithStrategy).
+// caller pinned the executor (WithExecutor).
 func (r *Runtime) Decision() *planner.Decision { return r.decision }
 
 // Run executes the loop body under the configured executor. It may be
@@ -217,33 +221,19 @@ func (r *Runtime) Decision() *planner.Decision { return r.decision }
 // worker pool — is reused across calls. A body panic propagates to the
 // caller; use RunCtx to receive it as an error instead.
 func (r *Runtime) Run(body executor.Body) executor.Metrics {
-	return executor.MustMetrics(r.strat.Execute(context.Background(), r.sched, r.deps, body))
+	return executor.MustMetrics(r.exec.Run(context.Background(), r.sched, r.deps, body))
 }
 
 // RunCtx executes the loop body with cancellation support: a cancelled
 // context releases every worker (including busy-waiting ones) and returns
 // ctx.Err(); a panicking body yields an *executor.PanicError.
 func (r *Runtime) RunCtx(ctx context.Context, body executor.Body) (executor.Metrics, error) {
-	return r.strat.Execute(ctx, r.sched, r.deps, body)
+	return r.exec.Run(ctx, r.sched, r.deps, body)
 }
 
-// Strategy exposes the execution strategy instance the runtime dispatches to.
-func (r *Runtime) Strategy() executor.Strategy { return r.strat }
-
-// Close releases resources held by stateful strategies (the pooled
-// executor's persistent workers). It is a no-op for stateless strategies
-// and for strategies supplied by the caller via WithStrategy — a shared
-// strategy instance stays usable by other runtimes, and its owner closes
-// it directly.
-func (r *Runtime) Close() error {
-	if !r.ownsStrat {
-		return nil
-	}
-	if c, ok := r.strat.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
+// Close releases the pooled executor's persistent workers; it is a no-op
+// for the other kinds.
+func (r *Runtime) Close() error { return r.exec.Close() }
 
 // NumWavefronts returns the number of wavefronts found by the inspector.
 func (r *Runtime) NumWavefronts() int { return wavefront.NumWavefronts(r.wf) }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"doconsider/internal/delta"
 	"doconsider/internal/executor"
 	"doconsider/internal/schedule"
 	"doconsider/internal/vec"
@@ -31,6 +34,36 @@ func TestNewGeneralDAGForwardEdges(t *testing.T) {
 	rt.Run(func(i int32) { count.Add(1) })
 	if count.Load() != 3 {
 		t.Errorf("executed %d, want 3", count.Load())
+	}
+}
+
+// TestNaturalOrderRejectsForwardDependence: natural-order execution
+// busy-waits in index order, so a forward dependence (0 waits on 2, which
+// sits later in the same worker's list) used to build fine and then spin
+// until the caller's deadline. New and Patch must reject it instead.
+func TestNaturalOrderRejectsForwardDependence(t *testing.T) {
+	for name, opts := range map[string][]Option{
+		"doacross": {WithProcs(2), WithExecutor(executor.DoAcross)},
+		"natural":  {WithProcs(2), WithExecutor(executor.SelfExecuting), WithScheduler(NaturalScheduler)},
+	} {
+		// Runs carry a deadline so a spinning executor fails the test
+		// instead of hanging it.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if rt, err := New(wavefront.FromAdjacency([][]int32{{2}, {}, {}, {}}), opts...); err == nil {
+			_, rerr := rt.RunCtx(ctx, func(int32) {})
+			t.Errorf("%s: New accepted a forward dependence; Run returned %v", name, rerr)
+		}
+		rt, err := New(wavefront.FromAdjacency(make([][]int32, 4)), opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := rt.Patch(delta.EditSet{{Row: 0, Insert: []int32{2}}}); err == nil {
+			t.Errorf("%s: Patch accepted a forward dependence", name)
+		}
+		if m, err := rt.RunCtx(ctx, func(int32) {}); err != nil || m.Executed != 4 {
+			t.Errorf("%s: runtime unusable after the rejected patch: executed %d, err %v", name, m.Executed, err)
+		}
 	}
 }
 

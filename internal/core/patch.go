@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"doconsider/internal/delta"
 	"doconsider/internal/planner"
-	"doconsider/internal/schedule"
 	"doconsider/internal/wavefront"
 )
 
@@ -17,7 +15,7 @@ import (
 // schedule through internal/delta instead of paying a full re-inspection
 // — falling back to one when the planner prices the repair above a
 // rebuild or the level-change cone exceeds the break-even bound
-// (stats.Fallback reports which way it went). The execution strategy is
+// (stats.Fallback reports which way it went). The executor is
 // kept; repair never changes the strategy decision.
 //
 // Patch must not run concurrently with Run/RunCtx on the same runtime:
@@ -73,39 +71,15 @@ func (r *Runtime) repairable() bool {
 
 // reinspect is the Patch fallback: full wavefront recomputation and
 // schedule construction for the edited structure, exactly as New would
-// do, keeping the existing execution strategy.
+// do, keeping the existing executor.
 func (r *Runtime) reinspect(newDeps *wavefront.Deps) (delta.Stats, error) {
-	var wf []int32
-	var err error
-	if newDeps.CheckBackward() == nil {
-		if r.cfg.ParallelInspector {
-			wf, err = wavefront.ComputeParallel(newDeps, r.cfg.Procs)
-		} else {
-			wf, err = wavefront.Compute(newDeps)
-		}
-	} else {
-		wf, err = wavefront.ComputeDAG(newDeps)
-	}
+	wf, err := r.cfg.wavefronts(newDeps)
 	if err != nil {
 		return delta.Stats{Fallback: true}, err
 	}
-	var s *schedule.Schedule
-	switch r.cfg.Scheduler {
-	case GlobalScheduler:
-		if r.cfg.WorkWeights != nil {
-			s = schedule.GlobalByWork(wf, r.cfg.WorkWeights, r.cfg.Procs)
-		} else {
-			s = schedule.Global(wf, r.cfg.Procs)
-		}
-	case LocalScheduler:
-		s = schedule.Local(wf, r.cfg.Procs, r.cfg.Partition)
-	case NaturalScheduler:
-		s = schedule.Natural(newDeps.N, r.cfg.Procs, r.cfg.Partition)
-	default:
-		return delta.Stats{Fallback: true}, fmt.Errorf("core: unknown scheduler %v", r.cfg.Scheduler)
-	}
-	if r.cfg.MergePhases {
-		s = schedule.MergePhases(s, newDeps)
+	s, err := r.cfg.schedule(newDeps, wf)
+	if err != nil {
+		return delta.Stats{Fallback: true}, err
 	}
 	r.deps, r.wf, r.sched, r.patch = newDeps, wf, s, nil
 	return delta.Stats{Fallback: true}, nil

@@ -123,38 +123,3 @@ func TestRunCtxCancellation(t *testing.T) {
 		rt.Close()
 	}
 }
-
-// TestWithStrategyOverride plugs a custom strategy instance into the
-// runtime, bypassing the Kind-named built-ins.
-func TestWithStrategyOverride(t *testing.T) {
-	ia := randomIndirection(rand.New(rand.NewSource(33)), 100)
-	deps := wavefront.FromIndirection(ia)
-	ps := &executor.PooledStrategy{}
-	defer ps.Close()
-	rt, err := New(deps, WithProcs(3), WithStrategy(ps))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Strategy() != executor.Strategy(ps) {
-		t.Error("runtime did not adopt the supplied strategy instance")
-	}
-	m, err := rt.RunCtx(context.Background(), func(int32) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Executed != int64(deps.N) {
-		t.Errorf("executed %d, want %d", m.Executed, deps.N)
-	}
-	// The caller owns a strategy supplied via WithStrategy: one runtime's
-	// Close must not tear it down for the others sharing it.
-	rt2, err := New(deps, WithProcs(3), WithStrategy(ps))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt2.RunCtx(context.Background(), func(int32) {}); err != nil {
-		t.Errorf("shared strategy unusable after sibling runtime Close: %v", err)
-	}
-}

@@ -160,10 +160,7 @@ func solveAll(t *testing.T, s *schedule.Schedule, deps *wavefront.Deps, factor *
 		}
 		inv[i] = 1 / d
 	}
-	strat, err := executor.Sequential.NewStrategy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := executor.New(executor.Sequential)
 	xs := make([][]float64, len(bs))
 	for j, b := range bs {
 		x := make([]float64, n)
@@ -192,7 +189,7 @@ func solveAll(t *testing.T, s *schedule.Schedule, deps *wavefront.Deps, factor *
 				x[i] = sum * inv[i]
 			}
 		}
-		if _, err := strat.Execute(context.Background(), s, deps, body); err != nil {
+		if _, err := seq.Run(context.Background(), s, deps, body); err != nil {
 			t.Fatal(err)
 		}
 		xs[j] = x
@@ -215,10 +212,7 @@ func solveAllFused(t *testing.T, s *schedule.Schedule, unitDeps *wavefront.Deps,
 		}
 		inv[i] = 1 / d
 	}
-	strat, err := executor.Sequential.NewStrategy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := executor.New(executor.Sequential)
 	row := func(x, b []float64, i int) {
 		cols, vals := factor.Row(i)
 		sum := b[i]
@@ -242,7 +236,7 @@ func solveAllFused(t *testing.T, s *schedule.Schedule, unitDeps *wavefront.Deps,
 				row(x, b, i)
 			}
 		}
-		if _, err := strat.Execute(context.Background(), s, unitDeps, body); err != nil {
+		if _, err := seq.Run(context.Background(), s, unitDeps, body); err != nil {
 			t.Fatal(err)
 		}
 		xs[j] = x

@@ -34,19 +34,21 @@ func BenchmarkExecutors(b *testing.B) {
 		s := schedule.Global(wf, procs)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			RunPreScheduled(s, work)
+			Run(PreScheduled, s, nil, work)
 		}
 	})
 	b.Run("selfexecuting", func(b *testing.B) {
 		s := schedule.Global(wf, procs)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			RunSelfExecuting(s, d, work)
+			Run(SelfExecuting, s, d, work)
 		}
 	})
 	b.Run("doacross", func(b *testing.B) {
+		s := schedule.Natural(d.N, procs, schedule.Striped)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			RunDoAcross(d.N, procs, d, work)
+			Run(DoAcross, s, d, work)
 		}
 	})
 	b.Run("selfscheduled-chunk16", func(b *testing.B) {
@@ -88,7 +90,7 @@ func BenchmarkRepeatedRun(b *testing.B) {
 	b.Run("spawn-per-run", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			RunSelfExecuting(s, d, work)
+			Run(SelfExecuting, s, d, work)
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {

@@ -13,21 +13,21 @@
 // same wavefront run concurrently, so they must only write state owned by
 // their own index.
 //
-// Execution strategies are pluggable: each is a Strategy registered by
-// name (see Register), and the Kind constants name the built-in ones. The
-// context-aware entry points (RunCtx, Strategy.Execute) guarantee that a
-// cancelled context or a panicking loop body releases every busy-waiting
-// worker instead of deadlocking the run.
+// One Executor type runs all five kinds, and the package holds each
+// mechanism once: runList is the only busy-wait loop over an inspected
+// dependence structure (pooled, self-executing, doacross, the claimed
+// chunks of the self-scheduled variants and the timed run all call it),
+// fanOut the only spawn-per-run scaffold. Every context-aware entry point
+// guarantees that a cancelled context, a panicking loop body or a body
+// that kills its goroutine releases every busy-waiting worker instead of
+// deadlocking the run.
 package executor
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"doconsider/internal/barrier"
 	"doconsider/internal/schedule"
@@ -37,7 +37,7 @@ import (
 // Body is a loop body: it performs the work of loop index i.
 type Body func(i int32)
 
-// Kind names a built-in execution strategy.
+// Kind names an execution strategy.
 type Kind int
 
 const (
@@ -56,8 +56,7 @@ const (
 	Pooled
 )
 
-// String returns the executor name as used in the paper (and in the
-// strategy registry).
+// String returns the executor name as used in the paper.
 func (k Kind) String() string {
 	switch k {
 	case Sequential:
@@ -75,12 +74,7 @@ func (k Kind) String() string {
 	}
 }
 
-// NewStrategy returns a fresh instance of the strategy this kind names.
-func (k Kind) NewStrategy() (Strategy, error) { return NewStrategy(k.String()) }
-
-// KindByName resolves a built-in kind from its registry name — the
-// inverse of Kind.String for the five built-ins. (Strategies registered
-// by callers have no Kind; instantiate those with NewStrategy.)
+// KindByName resolves a kind from its name — the inverse of Kind.String.
 func KindByName(name string) (Kind, error) {
 	for _, k := range []Kind{Sequential, PreScheduled, SelfExecuting, DoAcross, Pooled} {
 		if k.String() == name {
@@ -91,7 +85,9 @@ func KindByName(name string) (Kind, error) {
 }
 
 // Metrics reports per-run execution accounting, the experimental raw
-// material of §5.1.2 ("Where Does the Time Go").
+// material of §5.1.2 ("Where Does the Time Go"). On an aborted run (non-nil
+// error) the counters are lower bounds: a worker whose body panicked or
+// killed its goroutine reports nothing.
 type Metrics struct {
 	P          int   // processors
 	Phases     int   // barrier phases executed (pre-scheduled only)
@@ -100,10 +96,10 @@ type Metrics struct {
 	SpinWaits  int64 // dependences that were not ready on first check
 }
 
-// MustMetrics unwraps an Execute result for non-context entry points:
-// with an uncancellable context the only possible error is a body panic,
-// which is re-raised on the caller's goroutine; any other error (a
-// cancelled context, a misconfigured pool) also panics.
+// MustMetrics unwraps a Run result for non-context entry points: with an
+// uncancellable context the only possible error is a body panic, which is
+// re-raised on the caller's goroutine; any other error (a cancelled
+// context, a closed executor) also panics.
 func MustMetrics(m Metrics, err error) Metrics {
 	if err == nil {
 		return m
@@ -115,83 +111,109 @@ func MustMetrics(m Metrics, err error) Metrics {
 	panic(err)
 }
 
+// Executor runs prepared schedules under one Kind. The stateless kinds
+// hold nothing between runs; Pooled keeps its persistent workers and
+// DoAcross its natural-order schedule, both built on first use. Run is
+// safe for concurrent use — leased plans of one cached skeleton share an
+// Executor — and pooled runs serialize on the pool. Close releases the
+// pooled workers.
+type Executor struct {
+	kind Kind
+
+	mu     sync.Mutex
+	pool   *Pool              // Pooled: sized for the last schedule's processor count
+	nat    *schedule.Schedule // DoAcross: natural order for the last schedule's shape
+	closed bool
+}
+
+// New returns an executor of the given kind.
+func New(kind Kind) *Executor { return &Executor{kind: kind} }
+
+// Run executes body once per index of the schedule. Sequential uses only
+// s.N and DoAcross only s.N and s.P (it runs the natural order whatever
+// order s holds); deps may be nil for the kinds that do not synchronize on
+// dependences (Sequential, PreScheduled). Run returns ctx.Err() if the
+// run was cancelled and a *PanicError if a loop body panicked; in both
+// cases every worker has been released before Run returns.
+func (e *Executor) Run(ctx context.Context, s *schedule.Schedule, deps *wavefront.Deps, body Body) (Metrics, error) {
+	switch e.kind {
+	case Sequential:
+		return runSolo(ctx, s.N, body)
+	case PreScheduled:
+		return runPreScheduled(ctx, s, body, nil)
+	case SelfExecuting:
+		return runSelfExecuting(ctx, s, deps, body, nil)
+	case DoAcross:
+		// §5.1.2: "the self-executing loop is a doacross loop with a
+		// reordered index set" — so doacross is that loop over the
+		// original order, striped across the processors.
+		e.mu.Lock()
+		if e.nat == nil || e.nat.N != s.N || e.nat.P != s.P {
+			e.nat = schedule.Natural(s.N, s.P, schedule.Striped)
+		}
+		nat := e.nat
+		e.mu.Unlock()
+		return runSelfExecuting(ctx, nat, deps, body, nil)
+	case Pooled:
+		// The mutex is held for the whole run — runs on one pool serialize
+		// anyway, and this keeps a concurrent Run with a different
+		// processor count from closing the pool under an in-flight run.
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if e.closed {
+			return Metrics{}, ErrPoolClosed
+		}
+		if e.pool == nil || e.pool.Procs() != s.P {
+			if e.pool != nil {
+				e.pool.Close()
+			}
+			e.pool = NewPool(s.P)
+		}
+		return e.pool.Run(ctx, s, deps, body)
+	}
+	return Metrics{}, fmt.Errorf("executor: unknown kind %v", e.kind)
+}
+
+// Close releases the pooled workers; a Pooled executor's later Runs return
+// ErrPoolClosed rather than silently spawning workers nothing would ever
+// release. The other kinds hold nothing to release. Close is idempotent.
+func (e *Executor) Close() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.closed = true
+	if e.pool == nil {
+		return nil
+	}
+	pool := e.pool
+	e.pool = nil
+	return pool.Close()
+}
+
+// RunCtx is a one-shot New(kind).Run: a Pooled executor is created and torn
+// down around the call, so hold an Executor (or a core.Runtime) to amortize
+// the pool across runs.
+func RunCtx(ctx context.Context, kind Kind, s *schedule.Schedule, deps *wavefront.Deps, body Body) (Metrics, error) {
+	e := New(kind)
+	defer e.Close()
+	return e.Run(ctx, s, deps, body)
+}
+
+// Run is RunCtx without cancellation; a body panic propagates to the caller.
+func Run(kind Kind, s *schedule.Schedule, deps *wavefront.Deps, body Body) Metrics {
+	return MustMetrics(RunCtx(context.Background(), kind, s, deps, body))
+}
+
 // RunSequential executes body for i = 0..n-1 in order.
 func RunSequential(n int, body Body) Metrics {
-	for i := int32(0); int(i) < n; i++ {
-		body(i)
-	}
-	return Metrics{P: 1, Executed: int64(n)}
+	return MustMetrics(runSolo(context.Background(), n, body))
 }
 
-// RunPreScheduled executes the schedule with one goroutine per processor
-// and a global synchronization between consecutive phases (paper Figure 5:
-// the NEWPHASE flag becomes a phase loop around a reusable barrier).
-func RunPreScheduled(s *schedule.Schedule, body Body) Metrics {
-	return MustMetrics(runPreScheduledCtx(context.Background(), s, body))
-}
-
-// runPreScheduledCtx is the context-aware pre-scheduled executor. Workers
-// that observe an abort (body panic or cancellation) stop executing bodies
-// but keep arriving at every remaining barrier, so the phase structure
-// unwinds without deadlock.
-func runPreScheduledCtx(ctx context.Context, s *schedule.Schedule, body Body) (Metrics, error) {
-	if s.P == 1 {
-		m, err := runSequentialOrder(ctx, s.Proc(0), body)
-		m.Phases = s.NumPhases
-		return m, err
-	}
-	var rc runControl
-	rc.reset(ctx)
-	bar := barrier.NewSenseReversing(s.P)
-	var executed atomic.Int64
-	var wg sync.WaitGroup
-	for p := 0; p < s.P; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			g := barrierGuard{rc: &rc, bar: bar, phases: s.NumPhases}
-			defer g.check()
-			var ran int64
-			for k := 0; k < s.NumPhases; k++ {
-				if !rc.isAborted() {
-					ran += runPhase(&rc, s.Phase(p, k), body)
-				}
-				bar.Wait()
-				g.attended++
-			}
-			executed.Add(ran)
-			g.completed = true
-		}(p)
-	}
-	wg.Wait()
-	m := Metrics{P: s.P, Phases: s.NumPhases, Executed: executed.Load()}
-	return m, rc.err(ctx)
-}
-
-// runPhase executes one processor's share of one phase, converting a body
-// panic into a run abort. It returns the number of bodies executed.
-func runPhase(rc *runControl, idxs []int32, body Body) (ran int64) {
-	defer func() {
-		if r := recover(); r != nil {
-			rc.recordPanic(r)
-		}
-	}()
-	for _, i := range idxs {
-		if rc.stop() {
-			return ran
-		}
-		body(i)
-		ran++
-	}
-	return ran
-}
-
-// runSequentialOrder executes an explicit index order on one processor
-// with cancellation checks and panic capture. The loop is written
-// directly (not over an iter.Seq): a range-over-func loop body is a
-// closure over the function's locals, which heap-allocates on every
+// runSolo is the one sequential loop: body for i = 0..n-1 on the calling
+// goroutine, with cancellation checks and panic capture. The loop is
+// written directly (not over an iter.Seq): a range-over-func loop body is
+// a closure over the function's locals, which heap-allocates on every
 // call — garbage the serving warm path is gated against.
-func runSequentialOrder(ctx context.Context, order []int32, body Body) (m Metrics, err error) {
+func runSolo(ctx context.Context, n int, body Body) (m Metrics, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r}
@@ -199,7 +221,7 @@ func runSequentialOrder(ctx context.Context, order []int32, body Body) (m Metric
 	}()
 	done := ctx.Done()
 	executed := int64(0)
-	for _, i := range order {
+	for i := int32(0); int(i) < n; i++ {
 		if done != nil {
 			select {
 			case <-done:
@@ -213,127 +235,86 @@ func runSequentialOrder(ctx context.Context, order []int32, body Body) (m Metric
 	return Metrics{P: 1, Executed: executed}, nil
 }
 
-// RunSelfExecuting executes the schedule with one goroutine per processor.
-// A shared ready array indicates whether each index has been computed;
-// before running index i the executor busy-waits until every dependence of
-// i is marked complete (paper Figure 4, lines 3a-3c).
-//
-// The schedule may be any of global, local or natural order; deps must be
-// acyclic (for backward-only dependences this is automatic). Progress is
-// guaranteed for any schedule in which each processor's list is ordered
-// consistently with some topological order of deps restricted to that
-// processor — wavefront-sorted and natural orders both qualify.
-func RunSelfExecuting(s *schedule.Schedule, deps *wavefront.Deps, body Body) Metrics {
-	return MustMetrics(runSelfExecutingCtx(context.Background(), s, deps, body))
-}
-
-// runSelfExecutingCtx is the context-aware self-executing executor. The
-// shared abort flag is checked in every busy-wait spin, so a panicking or
-// cancelled run releases all spinning peers.
-func runSelfExecutingCtx(ctx context.Context, s *schedule.Schedule, deps *wavefront.Deps, body Body) (Metrics, error) {
-	if s.P == 1 {
-		// Degenerate case: the local order itself must be executable.
-		return runSequentialOrder(ctx, s.Proc(0), body)
-	}
+// runOneProc is the one-processor case of the spawn-per-run executors:
+// the processor's whole list runs as a single phase on the calling
+// goroutine, so the local order itself must be executable.
+func runOneProc(ctx context.Context, s *schedule.Schedule, body Body, bd *TimeBreakdown) (m Metrics, err error) {
 	var rc runControl
 	rc.reset(ctx)
-	ready := make([]int32, s.N)
-	var executed, spinChecks, spinWaits atomic.Int64
-	var wg sync.WaitGroup
-	for p := 0; p < s.P; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			check, disarm := exitGuard(&rc)
-			defer check()
-			ran, checks, waits := runSelfProc(&rc, s.Proc(p), deps, ready, body)
-			executed.Add(ran)
-			spinChecks.Add(checks)
-			spinWaits.Add(waits)
-			disarm()
-		}(p)
-	}
-	wg.Wait()
-	m := Metrics{
-		P:          s.P,
-		Executed:   executed.Load(),
-		SpinChecks: spinChecks.Load(),
-		SpinWaits:  spinWaits.Load(),
-	}
-	return m, rc.err(ctx)
-}
-
-// runSelfProc executes one processor's list under busy-wait dependence
-// synchronization, publishing completions in ready (1 = done).
-func runSelfProc(rc *runControl, idxs []int32, deps *wavefront.Deps, ready []int32, body Body) (ran, checks, waits int64) {
+	body, stop := bd.proc(0, body)
+	defer stop()
 	defer func() {
 		if r := recover(); r != nil {
-			rc.recordPanic(r)
+			err = &PanicError{Value: r}
 		}
 	}()
+	return Metrics{P: 1, Executed: runPhase(&rc, s.Proc(0), body)}, rc.err(ctx)
+}
+
+// runPhase executes one processor's share of one phase and returns the
+// number of bodies run; a panic unwinds to the worker's barrierGuard.
+func runPhase(rc *runControl, idxs []int32, body Body) (ran int64) {
 	for _, i := range idxs {
 		if rc.stop() {
-			return
-		}
-		for _, t := range deps.On(int(i)) {
-			checks++
-			if atomic.LoadInt32(&ready[t]) == 1 {
-				continue
-			}
-			waits++
-			if !spinUntilReady(rc, &ready[t]) {
-				return
-			}
+			break
 		}
 		body(i)
 		ran++
-		atomic.StoreInt32(&ready[i], 1)
 	}
-	return
+	return ran
 }
 
-// spinUntilReady busy-waits for a ready flag, yielding between checks; it
-// returns false if the run aborted while waiting.
-func spinUntilReady(rc *runControl, flag *int32) bool {
-	for atomic.LoadInt32(flag) != 1 {
-		if rc.stop() {
-			return false
-		}
-		runtime.Gosched()
+// runPreScheduled executes the schedule with one goroutine per processor
+// and a global synchronization between consecutive phases (paper Figure 5:
+// the NEWPHASE flag becomes a phase loop around a reusable barrier).
+// Workers that observe an abort stop executing bodies but keep arriving at
+// every remaining barrier, so the phase structure unwinds without
+// deadlock. bd, when non-nil, receives the per-processor time accounting.
+func runPreScheduled(ctx context.Context, s *schedule.Schedule, body Body, bd *TimeBreakdown) (m Metrics, err error) {
+	if s.P == 1 {
+		m, err = runOneProc(ctx, s, body, bd)
+	} else {
+		var rc runControl
+		bar := barrier.NewSenseReversing(s.P)
+		m, err = fanOut(ctx, &rc, s.P, func(p int) (ran, _, _ int64) {
+			body, stop := bd.proc(p, body)
+			defer stop()
+			g := barrierGuard{rc: &rc, bar: bar, phases: s.NumPhases}
+			defer g.check()
+			for k := 0; k < s.NumPhases; k++ {
+				if !rc.isAborted() {
+					ran += runPhase(&rc, s.Phase(p, k), body)
+				}
+				bar.Wait()
+				g.attended++
+			}
+			g.completed = true
+			return
+		})
 	}
-	return true
+	m.Phases = s.NumPhases
+	return m, err
 }
 
-// RunDoAcross executes indices in their original order striped across
-// nproc processors with busy-wait synchronization — the paper's doacross
-// comparison loop (§5.1.2): "the self-executing loop is a doacross loop
-// with a reordered index set".
-func RunDoAcross(n, nproc int, deps *wavefront.Deps, body Body) Metrics {
-	s := schedule.Natural(n, nproc, schedule.Striped)
-	return RunSelfExecuting(s, deps, body)
-}
-
-// Run dispatches on kind. For Sequential and DoAcross the schedule supplies
-// only N and P. A body panic propagates to the caller.
-func Run(kind Kind, s *schedule.Schedule, deps *wavefront.Deps, body Body) Metrics {
-	return MustMetrics(RunCtx(context.Background(), kind, s, deps, body))
-}
-
-// RunCtx dispatches on kind through the strategy registry, with
-// cancellation support: if ctx is cancelled mid-run, every worker
-// (including busy-waiting ones) is released and ctx.Err() is returned; if
-// the body panics, a *PanicError is returned.
+// runSelfExecuting executes the schedule with one goroutine per processor
+// and a shared ready array: before running index i a processor busy-waits
+// until every dependence of i is marked complete (paper Figure 4).
 //
-// Stateful strategies (Pooled) are created and torn down around the call;
-// to amortize the pool across runs, hold a PooledStrategy (or use
-// core.Runtime with the Pooled kind).
-func RunCtx(ctx context.Context, kind Kind, s *schedule.Schedule, deps *wavefront.Deps, body Body) (Metrics, error) {
-	strat, err := kind.NewStrategy()
-	if err != nil {
-		return Metrics{}, err
+// The schedule may be any of global, local or natural order; deps must be
+// acyclic. Progress is guaranteed for any schedule in which each
+// processor's list is ordered consistently with some topological order of
+// deps restricted to that processor — wavefront-sorted orders always
+// qualify, the natural order when every dependence is backward.
+func runSelfExecuting(ctx context.Context, s *schedule.Schedule, deps *wavefront.Deps, body Body, bd *TimeBreakdown) (Metrics, error) {
+	if s.P == 1 {
+		return runOneProc(ctx, s, body, bd)
 	}
-	if c, ok := strat.(io.Closer); ok {
-		defer c.Close()
-	}
-	return strat.Execute(ctx, s, deps, body)
+	var rc runControl
+	done := make([]uint32, s.N)
+	return fanOut(ctx, &rc, s.P, func(p int) (ran, checks, waits int64) {
+		body, stop := bd.proc(p, body)
+		defer stop()
+		ran, checks, waits, _ = runList(&rc, s.Proc(p), deps, done, 1, body)
+		return
+	})
 }

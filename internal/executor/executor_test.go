@@ -88,7 +88,7 @@ func TestPreScheduledRespectsDeps(t *testing.T) {
 		for _, p := range []int{1, 2, 4, 9} {
 			s := schedule.Global(wf, p)
 			body, check := depChecker(t, deps)
-			m := RunPreScheduled(s, body)
+			m := Run(PreScheduled, s, nil, body)
 			check()
 			if m.Executed != 400 {
 				t.Errorf("executed %d", m.Executed)
@@ -116,7 +116,7 @@ func TestSelfExecutingRespectsDeps(t *testing.T) {
 				schedule.Natural(deps.N, p, schedule.Striped),
 			} {
 				body, check := depChecker(t, deps)
-				m := RunSelfExecuting(s, deps, body)
+				m := Run(SelfExecuting, s, deps, body)
 				check()
 				if m.Executed != 400 {
 					t.Errorf("executed %d", m.Executed)
@@ -130,7 +130,7 @@ func TestDoAcrossRespectsDeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	deps := randomDAG(rng, 300, 2)
 	body, check := depChecker(t, deps)
-	m := RunDoAcross(300, 7, deps, body)
+	m := Run(DoAcross, schedule.Natural(300, 7, schedule.Striped), deps, body)
 	check()
 	if m.Executed != 300 {
 		t.Errorf("executed %d", m.Executed)
@@ -216,7 +216,7 @@ func TestSelfExecutingSpinAccounting(t *testing.T) {
 	deps := wavefront.FromAdjacency(adj)
 	wf, _ := wavefront.Compute(deps)
 	s := schedule.Global(wf, 4)
-	m := RunSelfExecuting(s, deps, func(int32) {})
+	m := Run(SelfExecuting, s, deps, func(int32) {})
 	if m.SpinChecks < int64(n-1) {
 		t.Errorf("SpinChecks = %d, want >= %d", m.SpinChecks, n-1)
 	}
@@ -234,7 +234,7 @@ func TestExecutorsProduceSamePermutationProperty(t *testing.T) {
 		p := 1 + rng.Intn(8)
 		s := schedule.Local(wf, p, schedule.Striped)
 		var count atomic.Int64
-		RunSelfExecuting(s, deps, func(int32) { count.Add(1) })
+		Run(SelfExecuting, s, deps, func(int32) { count.Add(1) })
 		return count.Load() == int64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

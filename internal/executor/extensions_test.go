@@ -5,50 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"doconsider/internal/schedule"
 	"doconsider/internal/wavefront"
 )
-
-func TestRunRotatingExecutesEverythingPTimes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	deps := randomDAG(rng, 200, 3)
-	wf, err := wavefront.Compute(deps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := 4
-	s := schedule.Global(wf, p)
-	counts := make([]atomic.Int32, 200)
-	m := RunRotating(s, func(proc int) Body {
-		return func(i int32) { counts[i].Add(1) }
-	})
-	if m.Executed != int64(200*p) {
-		t.Errorf("Executed = %d, want %d", m.Executed, 200*p)
-	}
-	for i := range counts {
-		if got := counts[i].Load(); got != int32(p) {
-			t.Fatalf("index %d executed %d times, want %d", i, got, p)
-		}
-	}
-}
-
-func TestRunRotatingPrivateBodies(t *testing.T) {
-	// Each processor's body closes over a private accumulator; results must
-	// be identical across processors (they all do all the work).
-	deps := wavefront.FromAdjacency(make([][]int32, 50))
-	wf, _ := wavefront.Compute(deps)
-	s := schedule.Global(wf, 3)
-	sums := make([]int64, 3)
-	RunRotating(s, func(proc int) Body {
-		return func(i int32) { sums[proc] += int64(i) }
-	})
-	if sums[0] != sums[1] || sums[1] != sums[2] {
-		t.Errorf("rotating sums differ: %v", sums)
-	}
-	if sums[0] != 50*49/2 {
-		t.Errorf("sum = %d, want %d", sums[0], 50*49/2)
-	}
-}
 
 func TestRunSelfScheduledRespectsDeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))

@@ -1,0 +1,244 @@
+package executor
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"doconsider/internal/schedule"
+	"doconsider/internal/wavefront"
+)
+
+// gridRun executes body over deps, whose wavefront numbers are wf.
+type gridRun func(ctx context.Context, deps *wavefront.Deps, wf []int32, body Body) (Metrics, error)
+
+// gridRunner is one way of executing a loop. open builds a runner for p
+// processors that is used for several runs and then closed, so the
+// stateful ones are also checked for surviving a failed run.
+type gridRunner struct {
+	name   string
+	inline bool // bodies run on the caller's goroutine: no Goexit guard
+	open   func(p int) (run gridRun, close func())
+}
+
+func scheduled(p int, run runFunc, close func()) (gridRun, func()) {
+	return func(ctx context.Context, deps *wavefront.Deps, wf []int32, body Body) (Metrics, error) {
+		return run(ctx, schedule.Global(wf, p), deps, body)
+	}, close
+}
+
+func testBreakdown(p int) *TimeBreakdown {
+	return &TimeBreakdown{P: p, Busy: make([]time.Duration, p), Waiting: make([]time.Duration, p)}
+}
+
+// gridRunners lists every runner the package has: the five kinds through
+// Executor, a bare Pool, the claimed-chunk and on-the-fly extensions, and
+// the two timed runs (through their context-taking internals).
+func gridRunners() []gridRunner {
+	rs := []gridRunner{
+		{name: "pool", open: func(p int) (gridRun, func()) {
+			pool := NewPool(p)
+			return scheduled(p, pool.Run, func() { pool.Close() })
+		}},
+		{name: "self-scheduled", open: func(p int) (gridRun, func()) {
+			return func(ctx context.Context, deps *wavefront.Deps, wf []int32, body Body) (Metrics, error) {
+				return RunSelfScheduledCtx(ctx, SortedOrder(wf), deps, p, 1, body)
+			}, func() {}
+		}},
+		{name: "guided", open: func(p int) (gridRun, func()) {
+			return func(ctx context.Context, deps *wavefront.Deps, wf []int32, body Body) (Metrics, error) {
+				return RunGuidedSelfScheduledCtx(ctx, SortedOrder(wf), deps, p, 1, body)
+			}, func() {}
+		}},
+		{name: "on-the-fly", open: func(p int) (gridRun, func()) {
+			return func(ctx context.Context, deps *wavefront.Deps, _ []int32, body Body) (Metrics, error) {
+				return RunOnTheFlyCtx(ctx, deps.N, p, func(i int32) []int32 { return deps.On(int(i)) }, body)
+			}, func() {}
+		}},
+		{name: "timed-self-executing", open: func(p int) (gridRun, func()) {
+			return scheduled(p, func(ctx context.Context, s *schedule.Schedule, deps *wavefront.Deps, body Body) (Metrics, error) {
+				return runSelfExecuting(ctx, s, deps, body, testBreakdown(p))
+			}, func() {})
+		}},
+		{name: "timed-pre-scheduled", open: func(p int) (gridRun, func()) {
+			return scheduled(p, func(ctx context.Context, s *schedule.Schedule, _ *wavefront.Deps, body Body) (Metrics, error) {
+				return runPreScheduled(ctx, s, body, testBreakdown(p))
+			}, func() {})
+		}},
+	}
+	for _, k := range allKinds {
+		rs = append(rs, gridRunner{name: k.String(), inline: k == Sequential,
+			open: func(p int) (gridRun, func()) {
+				e := New(k)
+				return scheduled(p, e.Run, func() { e.Close() })
+			}})
+	}
+	return rs
+}
+
+// chainDeps is the failure scenarios' structure: index i waits on i-1, so
+// with index 0 stuck every other processor is busy-waiting (or parked at
+// a barrier with phases still to come).
+func chainDeps(n int) (*wavefront.Deps, []int32) {
+	adj := make([][]int32, n)
+	wf := make([]int32, n)
+	for i := 1; i < n; i++ {
+		adj[i] = []int32{int32(i - 1)}
+		wf[i] = int32(i)
+	}
+	return wavefront.FromAdjacency(adj), wf
+}
+
+// failureModes are the grid's columns. Each drives one run of the runner
+// to its failure and checks how it surfaced; failureCell then checks the
+// runner still works and that nothing is left running.
+var failureModes = map[string]func(t *testing.T, r gridRunner, run gridRun){
+	"deps": func(t *testing.T, _ gridRunner, run gridRun) {
+		deps := randomDAG(rand.New(rand.NewSource(31)), 300, 3)
+		wf, err := wavefront.Compute(deps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, check := depChecker(t, deps)
+		m, err := run(context.Background(), deps, wf, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check()
+		if m.Executed != int64(deps.N) {
+			t.Errorf("executed %d of %d", m.Executed, deps.N)
+		}
+	},
+	"cancel": func(t *testing.T, _ gridRunner, run gridRun) {
+		// Index 0's body blocks until the test has cancelled the context
+		// and given the peers time to observe it while still waiting on 0:
+		// they must be released by the cancellation, not by completion.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var ranDependent atomic.Bool
+		err := failingRun(t, run, ctx, func(i int32) {
+			if i != 0 {
+				ranDependent.Store(true)
+				return
+			}
+			cancel()
+			time.Sleep(50 * time.Millisecond)
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+		if ranDependent.Load() {
+			t.Error("a dependent index executed after cancellation")
+		}
+	},
+	"panic": func(t *testing.T, _ gridRunner, run gridRun) {
+		err := failingRun(t, run, context.Background(), func(i int32) {
+			if i == 0 {
+				panic("boom")
+			}
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "boom" {
+			t.Errorf("err = %v, want PanicError(boom)", err)
+		}
+	},
+	"goexit": func(t *testing.T, r gridRunner, run gridRun) {
+		// runtime.Goexit kills the worker without a recoverable panic (the
+		// t.FailNow failure mode).
+		if r.inline {
+			t.Skip("bodies run on the caller's goroutine")
+		}
+		err := failingRun(t, run, context.Background(), func(i int32) {
+			if i == 0 {
+				runtime.Goexit()
+			}
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != ErrWorkerExited {
+			t.Errorf("err = %v, want PanicError(ErrWorkerExited)", err)
+		}
+	},
+}
+
+// failingRun runs body over a six-index chain and returns the run's error,
+// failing the test if the run does not return at all.
+func failingRun(t *testing.T, run gridRun, ctx context.Context, body Body) error {
+	t.Helper()
+	deps, wf := chainDeps(6)
+	done := make(chan error, 1)
+	go func() {
+		_, err := run(ctx, deps, wf, body)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("run deadlocked")
+		return nil
+	}
+}
+
+// failureCell is one cell of the grid: drive the runner into the failure,
+// check the same runner then completes a clean run, close it, and check
+// the goroutine count is back to where it started — no spinner, parked
+// worker or barrier waiter left behind.
+func failureCell(t *testing.T, r gridRunner, mode string) {
+	const p = 3
+	base := runtime.NumGoroutine()
+	run, closeRunner := r.open(p)
+	failureModes[mode](t, r, run)
+	deps, wf := chainDeps(6)
+	if m, err := run(context.Background(), deps, wf, func(int32) {}); err != nil || m.Executed != 6 {
+		t.Errorf("run after %s: executed %d, err %v", mode, m.Executed, err)
+	}
+	closeRunner()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines left running, started with %d", n, base)
+	}
+}
+
+// TestFailureModes is the failure grid: every runner × every mode.
+func TestFailureModes(t *testing.T) {
+	for _, r := range gridRunners() {
+		for mode := range failureModes {
+			t.Run(r.name+"/"+mode, func(t *testing.T) { failureCell(t, r, mode) })
+		}
+	}
+}
+
+// The tests below are cells of the grid under the names they had when each
+// runner carried its own copy of the scenario.
+
+func gridCell(t *testing.T, runner, mode string) {
+	for _, r := range gridRunners() {
+		if r.name == runner {
+			failureCell(t, r, mode)
+			return
+		}
+	}
+	t.Fatalf("no runner %q", runner)
+}
+
+func TestPoolCancellationReleasesSpinners(t *testing.T) { gridCell(t, "pool", "cancel") }
+func TestPoolBodyPanicReleasesPeers(t *testing.T)       { gridCell(t, "pool", "panic") }
+func TestPoolBodyGoexitDoesNotDeadlock(t *testing.T)    { gridCell(t, "pool", "goexit") }
+func TestSelfExecutingCancellationReleasesSpinners(t *testing.T) {
+	gridCell(t, "self-executing", "cancel")
+}
+func TestSelfExecutingPanicReleasesPeers(t *testing.T) { gridCell(t, "self-executing", "panic") }
+func TestSelfExecutingBodyGoexitDoesNotDeadlock(t *testing.T) {
+	gridCell(t, "self-executing", "goexit")
+}
+func TestPreScheduledPanicUnwindsBarriers(t *testing.T) { gridCell(t, "pre-scheduled", "panic") }
+func TestPreScheduledBodyGoexitDoesNotDeadlock(t *testing.T) {
+	gridCell(t, "pre-scheduled", "goexit")
+}

@@ -2,7 +2,6 @@ package executor
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 )
 
@@ -22,68 +21,33 @@ func RunOnTheFly(n, nproc int, depsOf func(i int32) []int32, body Body) Metrics 
 }
 
 // RunOnTheFlyCtx is RunOnTheFly with cancellation support and panic
-// capture: an abort releases every busy-waiting worker.
+// capture: an abort releases every busy-waiting worker. With no inspected
+// structure to hand runList, this is the package's one other busy-wait
+// loop; it shares the scaffold and the spin.
 func RunOnTheFlyCtx(ctx context.Context, n, nproc int, depsOf func(i int32) []int32, body Body) (Metrics, error) {
-	if nproc < 1 {
-		nproc = 1
-	}
 	var rc runControl
-	rc.reset(ctx)
-	ready := make([]int32, n)
+	done := make([]uint32, n)
 	var cursor atomic.Int64
-	var executed, spinChecks, spinWaits atomic.Int64
-	var wg sync.WaitGroup
-	for p := 0; p < nproc; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			check, disarm := exitGuard(&rc)
-			defer check()
-			ran, checks, waits := onTheFlyWorker(&rc, n, depsOf, ready, &cursor, body)
-			executed.Add(ran)
-			spinChecks.Add(checks)
-			spinWaits.Add(waits)
-			disarm()
-		}()
-	}
-	wg.Wait()
-	m := Metrics{
-		P:          nproc,
-		Executed:   executed.Load(),
-		SpinChecks: spinChecks.Load(),
-		SpinWaits:  spinWaits.Load(),
-	}
-	return m, rc.err(ctx)
-}
-
-// onTheFlyWorker claims iterations in natural order and discovers each
-// iteration's dependences at execution time.
-func onTheFlyWorker(rc *runControl, n int, depsOf func(i int32) []int32, ready []int32, cursor *atomic.Int64, body Body) (ran, checks, waits int64) {
-	defer func() {
-		if r := recover(); r != nil {
-			rc.recordPanic(r)
-		}
-	}()
-	for {
-		if rc.stop() {
-			return
-		}
-		i := int32(cursor.Add(1)) - 1
-		if int(i) >= n {
-			return
-		}
-		for _, t := range depsOf(i) {
-			checks++
-			if atomic.LoadInt32(&ready[t]) == 1 {
-				continue
+	return fanOut(ctx, &rc, max(nproc, 1), func(int) (ran, checks, waits int64) {
+		for !rc.stop() {
+			i := int32(cursor.Add(1)) - 1
+			if int(i) >= n {
+				break
 			}
-			waits++
-			if !spinUntilReady(rc, &ready[t]) {
-				return
+			for _, t := range depsOf(i) {
+				checks++
+				if atomic.LoadUint32(&done[t]) == 1 {
+					continue
+				}
+				waits++
+				if !rc.spin(&done[t], 1) {
+					return
+				}
 			}
+			body(i)
+			ran++
+			atomic.StoreUint32(&done[i], 1)
 		}
-		body(i)
-		ran++
-		atomic.StoreInt32(&ready[i], 1)
-	}
+		return
+	})
 }

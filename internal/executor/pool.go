@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"doconsider/internal/schedule"
 	"doconsider/internal/wavefront"
@@ -47,11 +45,9 @@ type Pool struct {
 	// needs clearing (except on the ~never epoch wraparound).
 	done []uint32
 
-	ctl      runControl
-	wg       sync.WaitGroup
-	executed atomic.Int64
-	checks   atomic.Int64
-	waits    atomic.Int64
+	ctl   runControl
+	wg    sync.WaitGroup
+	tally tally
 }
 
 // NewPool spawns a pool of procs persistent workers (procs >= 1).
@@ -113,50 +109,9 @@ func (p *Pool) runGuarded(id int, seq uint64, s *schedule.Schedule, deps *wavefr
 			go p.worker(id, seq)
 		}
 	}()
-	p.runProc(id, s, deps, body, epoch)
+	ran, checks, waits, _ := runList(&p.ctl, s.Proc(id), deps, p.done, epoch, body)
+	p.tally.add(ran, checks, waits)
 	completed = true
-}
-
-// runProc executes processor id's schedule slice with epoch-stamped
-// busy-wait synchronization.
-func (p *Pool) runProc(id int, s *schedule.Schedule, deps *wavefront.Deps, body Body, epoch uint32) {
-	done := p.done
-	var ran, checks, waits int64
-	defer func() {
-		p.executed.Add(ran)
-		p.checks.Add(checks)
-		p.waits.Add(waits)
-	}()
-	for _, i := range s.Proc(id) {
-		if p.ctl.stop() {
-			return
-		}
-		for _, t := range deps.On(int(i)) {
-			checks++
-			if atomic.LoadUint32(&done[t]) == epoch {
-				continue
-			}
-			waits++
-			if !p.spinUntilEpoch(&done[t], epoch) {
-				return
-			}
-		}
-		body(i)
-		ran++
-		atomic.StoreUint32(&done[i], epoch)
-	}
-}
-
-// spinUntilEpoch busy-waits for an index to reach the current epoch; it
-// returns false if the run aborted while waiting.
-func (p *Pool) spinUntilEpoch(flag *uint32, epoch uint32) bool {
-	for atomic.LoadUint32(flag) != epoch {
-		if p.ctl.stop() {
-			return false
-		}
-		runtime.Gosched()
-	}
-	return true
 }
 
 // Run executes body under the pool's workers. The schedule must be built
@@ -176,9 +131,7 @@ func (p *Pool) Run(ctx context.Context, s *schedule.Schedule, deps *wavefront.De
 		p.done = make([]uint32, s.N)
 	}
 	p.ctl.reset(ctx)
-	p.executed.Store(0)
-	p.checks.Store(0)
-	p.waits.Store(0)
+	p.tally = tally{}
 	p.wg.Add(p.procs)
 	p.mu.Lock()
 	if p.closed {
@@ -196,13 +149,7 @@ func (p *Pool) Run(ctx context.Context, s *schedule.Schedule, deps *wavefront.De
 	p.mu.Unlock()
 	p.cond.Broadcast()
 	p.wg.Wait()
-	m := Metrics{
-		P:          p.procs,
-		Executed:   p.executed.Load(),
-		SpinChecks: p.checks.Load(),
-		SpinWaits:  p.waits.Load(),
-	}
-	return m, p.ctl.err(ctx)
+	return p.tally.metrics(p.procs), p.ctl.err(ctx)
 }
 
 // Close releases the pool's workers. It waits for no one: any in-flight
@@ -216,53 +163,5 @@ func (p *Pool) Close() error {
 	p.sched, p.deps, p.body = nil, nil, nil
 	p.mu.Unlock()
 	p.cond.Broadcast()
-	return nil
-}
-
-// PooledStrategy adapts a Pool to the Strategy interface, creating the
-// pool lazily from the first schedule's processor count and recreating it
-// if a later schedule needs a different count. Close releases the workers;
-// core.Runtime.Close calls it via the io.Closer check.
-type PooledStrategy struct {
-	mu     sync.Mutex
-	pool   *Pool
-	closed bool
-}
-
-// Name returns the registry name.
-func (ps *PooledStrategy) Name() string { return Pooled.String() }
-
-// Execute runs body on the (lazily created) persistent pool. The strategy
-// mutex is held for the whole run — runs on one pool serialize anyway, and
-// this keeps a concurrent Execute with a different processor count from
-// closing the pool out from under an in-flight run. After Close, Execute
-// returns ErrPoolClosed (matching the Pool contract) rather than silently
-// spawning workers nothing would ever release.
-func (ps *PooledStrategy) Execute(ctx context.Context, s *schedule.Schedule, deps *wavefront.Deps, body Body) (Metrics, error) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.closed {
-		return Metrics{}, ErrPoolClosed
-	}
-	if ps.pool == nil || ps.pool.Procs() != s.P {
-		if ps.pool != nil {
-			ps.pool.Close()
-		}
-		ps.pool = NewPool(s.P)
-	}
-	return ps.pool.Run(ctx, s, deps, body)
-}
-
-// Close releases the underlying pool's workers; subsequent Execute calls
-// return ErrPoolClosed. Close is idempotent.
-func (ps *PooledStrategy) Close() error {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	ps.closed = true
-	if ps.pool != nil {
-		err := ps.pool.Close()
-		ps.pool = nil
-		return err
-	}
 	return nil
 }

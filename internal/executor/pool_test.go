@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"doconsider/internal/schedule"
 	"doconsider/internal/wavefront"
@@ -98,6 +97,25 @@ func TestPooledComputesCorrectValuesAcrossRuns(t *testing.T) {
 	}
 }
 
+// runFunc is the signature Pool.Run and Executor.Run share.
+type runFunc func(ctx context.Context, s *schedule.Schedule, deps *wavefront.Deps, body Body) (Metrics, error)
+
+// forPooledRunners runs f against both ways of reaching the persistent
+// workers — a Pool directly and a Pooled Executor — which must keep the
+// same hot-path contracts.
+func forPooledRunners(t *testing.T, procs int, f func(t *testing.T, run runFunc)) {
+	t.Run("pool", func(t *testing.T) {
+		pool := NewPool(procs)
+		defer pool.Close()
+		f(t, pool.Run)
+	})
+	t.Run("executor", func(t *testing.T) {
+		e := New(Pooled)
+		defer e.Close()
+		f(t, e.Run)
+	})
+}
+
 func TestPoolSpawnsNoGoroutinesPerRun(t *testing.T) {
 	deps := randomDAG(rand.New(rand.NewSource(13)), 200, 2)
 	wf, err := wavefront.Compute(deps)
@@ -105,22 +123,22 @@ func TestPoolSpawnsNoGoroutinesPerRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := schedule.Global(wf, 4)
-	pool := NewPool(4)
-	defer pool.Close()
-	body := func(int32) {}
-	if _, err := pool.Run(context.Background(), s, deps, body); err != nil {
-		t.Fatal(err)
-	}
-	before := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		if _, err := pool.Run(context.Background(), s, deps, body); err != nil {
+	forPooledRunners(t, 4, func(t *testing.T, run runFunc) {
+		body := func(int32) {}
+		if _, err := run(context.Background(), s, deps, body); err != nil {
 			t.Fatal(err)
 		}
-	}
-	after := runtime.NumGoroutine()
-	if after > before {
-		t.Errorf("goroutine count grew across pooled runs: %d -> %d", before, after)
-	}
+		before := runtime.NumGoroutine()
+		for i := 0; i < 50; i++ {
+			if _, err := run(context.Background(), s, deps, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := runtime.NumGoroutine()
+		if after > before {
+			t.Errorf("goroutine count grew across pooled runs: %d -> %d", before, after)
+		}
+	})
 }
 
 func TestPoolZeroAllocsPerRun(t *testing.T) {
@@ -133,206 +151,22 @@ func TestPoolZeroAllocsPerRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := schedule.Global(wf, 4)
-	pool := NewPool(4)
-	defer pool.Close()
-	body := func(int32) {}
-	ctx := context.Background()
-	// Warm up: sizes the epoch array.
-	if _, err := pool.Run(ctx, s, deps, body); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := pool.Run(ctx, s, deps, body); err != nil {
+	forPooledRunners(t, 4, func(t *testing.T, run runFunc) {
+		body := func(int32) {}
+		ctx := context.Background()
+		// Warm up: sizes the epoch array.
+		if _, err := run(ctx, s, deps, body); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("pooled Run allocates %v objects per call, want 0", allocs)
-	}
-}
-
-func TestPoolCancellationReleasesSpinners(t *testing.T) {
-	// A two-index chain split across two workers: worker 1 busy-waits on
-	// index 0, whose body blocks until the test cancels the context. The
-	// spinner must be released by the cancellation, not by completion.
-	deps := wavefront.FromAdjacency([][]int32{{}, {0}})
-	wf, err := wavefront.Compute(deps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := schedule.Global(wf, 2)
-	pool := NewPool(2)
-	defer pool.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var ranDependent atomic.Bool
-	body := func(i int32) {
-		if i == 0 {
-			close(started)
-			<-release
-			return
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := run(ctx, s, deps, body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("pooled Run allocates %v objects per call, want 0", allocs)
 		}
-		ranDependent.Store(true)
-	}
-	go func() {
-		<-started
-		cancel()
-		// Give the spinner time to observe the abort while index 0 is
-		// still blocked, then let index 0's body return.
-		time.Sleep(200 * time.Millisecond)
-		close(release)
-	}()
-	done := make(chan struct{})
-	var runErr error
-	go func() {
-		_, runErr = pool.Run(ctx, s, deps, body)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled pooled run deadlocked")
-	}
-	if !errors.Is(runErr, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", runErr)
-	}
-	if ranDependent.Load() {
-		t.Error("dependent index executed after cancellation")
-	}
-	// The pool must remain usable after a cancelled run.
-	if _, err := pool.Run(context.Background(), s, deps, func(int32) {}); err != nil {
-		t.Errorf("pool unusable after cancellation: %v", err)
-	}
-}
-
-func TestPoolBodyPanicReleasesPeers(t *testing.T) {
-	// Index 0 panics; the worker spinning on it must be released and the
-	// panic surfaced as a *PanicError.
-	deps := wavefront.FromAdjacency([][]int32{{}, {0}})
-	wf, err := wavefront.Compute(deps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := schedule.Global(wf, 2)
-	pool := NewPool(2)
-	defer pool.Close()
-	done := make(chan struct{})
-	var runErr error
-	go func() {
-		_, runErr = pool.Run(context.Background(), s, deps, func(i int32) {
-			if i == 0 {
-				panic("boom")
-			}
-		})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("panicking pooled run deadlocked")
-	}
-	var pe *PanicError
-	if !errors.As(runErr, &pe) || pe.Value != "boom" {
-		t.Errorf("err = %v, want PanicError(boom)", runErr)
-	}
-	// The pool must remain usable after a panicking run.
-	if _, err := pool.Run(context.Background(), s, deps, func(int32) {}); err != nil {
-		t.Errorf("pool unusable after body panic: %v", err)
-	}
-}
-
-func TestPoolBodyGoexitDoesNotDeadlock(t *testing.T) {
-	// runtime.Goexit kills the worker without a recoverable panic (the
-	// t.FailNow failure mode): the run must abort with ErrWorkerExited and
-	// a replacement worker must keep the pool usable.
-	deps := wavefront.FromAdjacency([][]int32{{}, {0}})
-	wf, err := wavefront.Compute(deps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := schedule.Global(wf, 2)
-	pool := NewPool(2)
-	defer pool.Close()
-	done := make(chan struct{})
-	var runErr error
-	go func() {
-		_, runErr = pool.Run(context.Background(), s, deps, func(i int32) {
-			if i == 0 {
-				runtime.Goexit()
-			}
-		})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Goexit in body deadlocked the pooled run")
-	}
-	var pe *PanicError
-	if !errors.As(runErr, &pe) || pe.Value != ErrWorkerExited {
-		t.Errorf("err = %v, want PanicError(ErrWorkerExited)", runErr)
-	}
-	if _, err := pool.Run(context.Background(), s, deps, func(int32) {}); err != nil {
-		t.Errorf("pool unusable after body Goexit: %v", err)
-	}
-}
-
-func TestPreScheduledBodyGoexitDoesNotDeadlock(t *testing.T) {
-	// A Goexit mid-phase must not strand peers at the phase barrier.
-	deps := randomDAG(rand.New(rand.NewSource(17)), 100, 2)
-	wf, err := wavefront.Compute(deps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := schedule.Global(wf, 4)
-	done := make(chan struct{})
-	var runErr error
-	go func() {
-		_, runErr = RunCtx(context.Background(), PreScheduled, s, deps, func(i int32) {
-			if i == 30 {
-				runtime.Goexit()
-			}
-		})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Goexit in body deadlocked the pre-scheduled run at a barrier")
-	}
-	var pe *PanicError
-	if !errors.As(runErr, &pe) || pe.Value != ErrWorkerExited {
-		t.Errorf("err = %v, want PanicError(ErrWorkerExited)", runErr)
-	}
-}
-
-func TestSelfExecutingBodyGoexitDoesNotDeadlock(t *testing.T) {
-	deps := wavefront.FromAdjacency([][]int32{{}, {0}})
-	wf, err := wavefront.Compute(deps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := schedule.Global(wf, 2)
-	done := make(chan struct{})
-	var runErr error
-	go func() {
-		_, runErr = RunCtx(context.Background(), SelfExecuting, s, deps, func(i int32) {
-			if i == 0 {
-				runtime.Goexit()
-			}
-		})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Goexit in body deadlocked the self-executing run")
-	}
-	var pe *PanicError
-	if !errors.As(runErr, &pe) || pe.Value != ErrWorkerExited {
-		t.Errorf("err = %v, want PanicError(ErrWorkerExited)", runErr)
-	}
+	})
 }
 
 func TestPoolConcurrentRunsSerialize(t *testing.T) {
@@ -344,38 +178,38 @@ func TestPoolConcurrentRunsSerialize(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := schedule.Global(wf, 3)
-	pool := NewPool(3)
-	defer pool.Close()
-	var inRun atomic.Int32
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < 20; r++ {
-				count := atomic.Int64{}
-				m, err := pool.Run(context.Background(), s, deps, func(int32) {
-					// At most P bodies of ONE run may be in flight; if two
-					// runs interleaved, the count could exceed the pool size.
-					if v := inRun.Add(1); v > int32(s.P) {
-						t.Errorf("%d bodies in flight, pool has %d workers", v, s.P)
+	forPooledRunners(t, 3, func(t *testing.T, run runFunc) {
+		var inRun atomic.Int32
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < 20; r++ {
+					count := atomic.Int64{}
+					m, err := run(context.Background(), s, deps, func(int32) {
+						// At most P bodies of ONE run may be in flight; if two
+						// runs interleaved, the count could exceed the pool size.
+						if v := inRun.Add(1); v > int32(s.P) {
+							t.Errorf("%d bodies in flight, pool has %d workers", v, s.P)
+						}
+						count.Add(1)
+						inRun.Add(-1)
+					})
+					if err != nil {
+						t.Error(err)
+						return
 					}
-					count.Add(1)
-					inRun.Add(-1)
-				})
-				if err != nil {
-					t.Error(err)
-					return
+					if m.Executed != int64(deps.N) || count.Load() != int64(deps.N) {
+						t.Errorf("run executed %d bodies, metrics say %d, want %d",
+							count.Load(), m.Executed, deps.N)
+						return
+					}
 				}
-				if m.Executed != int64(deps.N) || count.Load() != int64(deps.N) {
-					t.Errorf("run executed %d bodies, metrics say %d, want %d",
-						count.Load(), m.Executed, deps.N)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 func TestPoolRejectsMismatchedSchedule(t *testing.T) {
@@ -398,103 +232,6 @@ func TestPoolClosedRun(t *testing.T) {
 	}
 }
 
-func TestSelfExecutingCancellationReleasesSpinners(t *testing.T) {
-	// Same regression as the pooled test, for the spawn-per-run
-	// self-executing executor.
-	deps := wavefront.FromAdjacency([][]int32{{}, {0}})
-	wf, err := wavefront.Compute(deps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := schedule.Global(wf, 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	release := make(chan struct{})
-	started := make(chan struct{})
-	body := func(i int32) {
-		if i == 0 {
-			close(started)
-			<-release
-		}
-	}
-	go func() {
-		<-started
-		cancel()
-		time.Sleep(200 * time.Millisecond)
-		close(release)
-	}()
-	done := make(chan struct{})
-	var runErr error
-	go func() {
-		_, runErr = RunCtx(ctx, SelfExecuting, s, deps, body)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled self-executing run deadlocked")
-	}
-	if !errors.Is(runErr, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", runErr)
-	}
-}
-
-func TestSelfExecutingPanicReleasesPeers(t *testing.T) {
-	deps := wavefront.FromAdjacency([][]int32{{}, {0}})
-	wf, err := wavefront.Compute(deps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := schedule.Global(wf, 2)
-	done := make(chan struct{})
-	var runErr error
-	go func() {
-		_, runErr = RunCtx(context.Background(), SelfExecuting, s, deps, func(i int32) {
-			if i == 0 {
-				panic("chain head failed")
-			}
-		})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("panicking self-executing run deadlocked")
-	}
-	var pe *PanicError
-	if !errors.As(runErr, &pe) {
-		t.Errorf("err = %v, want *PanicError", runErr)
-	}
-}
-
-func TestPreScheduledPanicUnwindsBarriers(t *testing.T) {
-	// A panic in one phase must not strand peers at the phase barrier.
-	deps := randomDAG(rand.New(rand.NewSource(16)), 100, 2)
-	wf, err := wavefront.Compute(deps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := schedule.Global(wf, 4)
-	done := make(chan struct{})
-	var runErr error
-	go func() {
-		_, runErr = RunCtx(context.Background(), PreScheduled, s, deps, func(i int32) {
-			if i == 50 {
-				panic("mid-phase failure")
-			}
-		})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("panicking pre-scheduled run deadlocked at a barrier")
-	}
-	var pe *PanicError
-	if !errors.As(runErr, &pe) {
-		t.Errorf("err = %v, want *PanicError", runErr)
-	}
-}
-
 func TestLegacyRunRethrowsBodyPanic(t *testing.T) {
 	deps := wavefront.FromAdjacency([][]int32{{}, {0}})
 	wf, _ := wavefront.Compute(deps)
@@ -504,7 +241,7 @@ func TestLegacyRunRethrowsBodyPanic(t *testing.T) {
 			t.Errorf("recovered %v, want legacy boom", r)
 		}
 	}()
-	RunSelfExecuting(s, deps, func(i int32) {
+	Run(SelfExecuting, s, deps, func(i int32) {
 		if i == 0 {
 			panic("legacy boom")
 		}

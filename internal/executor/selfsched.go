@@ -2,7 +2,6 @@ package executor
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
 	"doconsider/internal/schedule"
@@ -27,94 +26,36 @@ func RunSelfScheduled(order []int32, deps *wavefront.Deps, nproc, chunk int, bod
 // RunSelfScheduledCtx is RunSelfScheduled with cancellation support and
 // panic capture: an abort releases every busy-waiting worker.
 func RunSelfScheduledCtx(ctx context.Context, order []int32, deps *wavefront.Deps, nproc, chunk int, body Body) (Metrics, error) {
-	if nproc < 1 {
-		nproc = 1
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	var rc runControl
-	rc.reset(ctx)
-	ready := make([]int32, deps.N)
-	var cursor atomic.Int64
+	chunk = max(chunk, 1)
 	n := len(order)
+	var cursor atomic.Int64
 	// Fixed chunks claim with a single wait-free fetch-add — the claim
 	// primitive itself is part of what the chunk-size ablations measure.
-	claim := func() (lo, hi int, ok bool) {
+	return runClaimed(ctx, order, deps, nproc, body, func() (lo, hi int) {
 		lo = int(cursor.Add(int64(chunk))) - chunk
-		if lo >= n {
-			return 0, 0, false
-		}
-		hi = min(lo+chunk, n)
-		return lo, hi, true
-	}
-	return runSelfScheduled(ctx, &rc, order, deps, ready, nproc, claim, body)
+		return lo, min(lo+chunk, n)
+	})
 }
 
-// runSelfScheduled fans out nproc workers that claim [lo, hi) slices of
-// the order list via claim and execute them under busy-wait dependence
-// synchronization.
-func runSelfScheduled(ctx context.Context, rc *runControl, order []int32, deps *wavefront.Deps, ready []int32, nproc int, claim func() (int, int, bool), body Body) (Metrics, error) {
-	var executed, spinChecks, spinWaits atomic.Int64
-	var wg sync.WaitGroup
-	for p := 0; p < nproc; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			check, disarm := exitGuard(rc)
-			defer check()
-			ran, checks, waits := selfSchedWorker(rc, order, deps, ready, claim, body)
-			executed.Add(ran)
-			spinChecks.Add(checks)
-			spinWaits.Add(waits)
-			disarm()
-		}()
-	}
-	wg.Wait()
-	m := Metrics{
-		P:          nproc,
-		Executed:   executed.Load(),
-		SpinChecks: spinChecks.Load(),
-		SpinWaits:  spinWaits.Load(),
-	}
-	return m, rc.err(ctx)
-}
-
-// selfSchedWorker claims chunks of the order list via claim and executes
-// them under busy-wait dependence synchronization.
-func selfSchedWorker(rc *runControl, order []int32, deps *wavefront.Deps, ready []int32, claim func() (int, int, bool), body Body) (ran, checks, waits int64) {
-	defer func() {
-		if r := recover(); r != nil {
-			rc.recordPanic(r)
-		}
-	}()
-	for {
-		if rc.stop() {
-			return
-		}
-		lo, hi, ok := claim()
-		if !ok {
-			return
-		}
-		for _, i := range order[lo:hi] {
-			if rc.stop() {
+// runClaimed fans out nproc workers that claim [lo, hi) slices of the
+// order list via claim — an empty slice means the list is drained — and
+// run each through the busy-wait list loop.
+func runClaimed(ctx context.Context, order []int32, deps *wavefront.Deps, nproc int, body Body, claim func() (lo, hi int)) (Metrics, error) {
+	var rc runControl
+	done := make([]uint32, deps.N)
+	return fanOut(ctx, &rc, max(nproc, 1), func(int) (ran, checks, waits int64) {
+		for {
+			lo, hi := claim()
+			if lo >= hi {
 				return
 			}
-			for _, t := range deps.On(int(i)) {
-				checks++
-				if atomic.LoadInt32(&ready[t]) == 1 {
-					continue
-				}
-				waits++
-				if !spinUntilReady(rc, &ready[t]) {
-					return
-				}
+			r, c, w, ok := runList(&rc, order[lo:hi], deps, done, 1, body)
+			ran, checks, waits = ran+r, checks+c, waits+w
+			if !ok {
+				return
 			}
-			body(i)
-			ran++
-			atomic.StoreInt32(&ready[i], 1)
 		}
-	}
+	})
 }
 
 // SortedOrder returns the wavefront-sorted index list of a schedule built
@@ -137,38 +78,21 @@ func RunGuidedSelfScheduled(order []int32, deps *wavefront.Deps, nproc, minChunk
 // RunGuidedSelfScheduledCtx is RunGuidedSelfScheduled with cancellation
 // support and panic capture.
 func RunGuidedSelfScheduledCtx(ctx context.Context, order []int32, deps *wavefront.Deps, nproc, minChunk int, body Body) (Metrics, error) {
-	if nproc < 1 {
-		nproc = 1
-	}
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	var rc runControl
-	rc.reset(ctx)
-	ready := make([]int32, deps.N)
-	var cursor atomic.Int64
+	nproc = max(nproc, 1)
 	n := len(order)
+	var cursor atomic.Int64
 	// Guided chunks depend on the remaining count, so claiming needs a CAS
-	// loop: ceil(remaining/P), floored at minChunk.
-	claim := func() (lo, hi int, ok bool) {
+	// loop: ceil(remaining/P), floored at minChunk. A failed CAS means a
+	// peer claimed, so the loop is bounded by the list length.
+	return runClaimed(ctx, order, deps, nproc, body, func() (lo, hi int) {
 		for {
 			cur := cursor.Load()
-			if int(cur) >= n {
-				return 0, 0, false
-			}
-			chunk := (n - int(cur) + nproc - 1) / nproc
-			if chunk < minChunk {
-				chunk = minChunk
-			}
-			lo = int(cur)
+			lo = min(int(cur), n)
+			chunk := max((n-lo+nproc-1)/nproc, minChunk, 1)
 			hi = min(lo+chunk, n)
-			if cursor.CompareAndSwap(cur, int64(hi)) {
-				return lo, hi, true
-			}
-			if rc.stop() {
-				return 0, 0, false
+			if lo == hi || cursor.CompareAndSwap(cur, int64(hi)) {
+				return lo, hi
 			}
 		}
-	}
-	return runSelfScheduled(ctx, &rc, order, deps, ready, nproc, claim, body)
+	})
 }

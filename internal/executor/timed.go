@@ -1,145 +1,73 @@
 package executor
 
 import (
-	"sync"
-	"sync/atomic"
+	"context"
 	"time"
 
-	"doconsider/internal/barrier"
 	"doconsider/internal/schedule"
 	"doconsider/internal/wavefront"
 )
 
 // TimeBreakdown reports where the wall-clock time of a real (goroutine)
 // parallel execution went, per simulated processor — the host-machine
-// counterpart of the paper's §5.1.2 accounting.
+// counterpart of the paper's §5.1.2 accounting. Busy is measured by
+// wrapping the loop body with two clock reads; Waiting is everything else
+// the processor did between starting its list and finishing it (its
+// elapsed time minus Busy): dependence spins or barriers, plus the
+// executor's own per-index dispatch. Absolute numbers carry that
+// measurement overhead; use them for proportions, as the paper does.
 type TimeBreakdown struct {
 	P       int
 	Total   time.Duration   // wall time of the whole run
 	Busy    []time.Duration // per-processor time inside loop bodies
-	Waiting []time.Duration // per-processor time spinning (deps) or in barriers
+	Waiting []time.Duration // per-processor elapsed time outside loop bodies
 }
 
-// RunSelfExecutingTimed is RunSelfExecuting with per-processor busy/wait
-// wall-time accounting. The instrumentation adds two clock reads per index
-// plus one per stalled dependence, so absolute numbers carry measurement
-// overhead; use them for proportions, as the paper does. A body panic
-// aborts the run (releasing all spinning peers) and re-raises on the
-// caller's goroutine.
-func RunSelfExecutingTimed(s *schedule.Schedule, deps *wavefront.Deps, body Body) (Metrics, TimeBreakdown) {
-	bd := TimeBreakdown{
-		P:       s.P,
-		Busy:    make([]time.Duration, s.P),
-		Waiting: make([]time.Duration, s.P),
+// proc starts processor p's clocks on the calling goroutine: it returns
+// body wrapped to accumulate Busy[p], and the function that closes the
+// processor's account when its share of the run ends. On a nil breakdown
+// — the untimed executors — body comes back unchanged.
+func (bd *TimeBreakdown) proc(p int, body Body) (Body, func()) {
+	if bd == nil {
+		return body, func() {}
 	}
-	var rc runControl
-	ready := make([]int32, s.N)
-	var spinChecks, spinWaits atomic.Int64
 	start := time.Now()
-	var wg sync.WaitGroup
-	for p := 0; p < s.P; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			check, disarm := exitGuard(&rc)
-			defer check()
-			busy, waiting, checks, waits := timedSelfProc(&rc, s.Proc(p), deps, ready, body)
-			bd.Busy[p] = busy
-			bd.Waiting[p] = waiting
-			spinChecks.Add(checks)
-			spinWaits.Add(waits)
-			disarm()
-		}(p)
+	timed := func(i int32) {
+		b0 := time.Now()
+		body(i)
+		bd.Busy[p] += time.Since(b0)
 	}
-	wg.Wait()
+	return timed, func() { bd.Waiting[p] = time.Since(start) - bd.Busy[p] }
+}
+
+// timed runs one of the spawn-per-run executors with a breakdown attached.
+// A body panic aborts the run and re-raises on the caller's goroutine.
+func timed(procs int, run func(bd *TimeBreakdown) (Metrics, error)) (Metrics, TimeBreakdown) {
+	bd := TimeBreakdown{
+		P:       procs,
+		Busy:    make([]time.Duration, procs),
+		Waiting: make([]time.Duration, procs),
+	}
+	start := time.Now()
+	m := MustMetrics(run(&bd))
 	bd.Total = time.Since(start)
-	if rc.panicked.Load() != 0 {
-		panic(rc.panicVal)
-	}
-	m := Metrics{
-		P:          s.P,
-		Executed:   int64(s.N),
-		SpinChecks: spinChecks.Load(),
-		SpinWaits:  spinWaits.Load(),
-	}
 	return m, bd
 }
 
-// timedSelfProc is runSelfProc with per-index busy/wait clock accounting.
-func timedSelfProc(rc *runControl, idxs []int32, deps *wavefront.Deps, ready []int32, body Body) (busy, waiting time.Duration, checks, waits int64) {
-	defer func() {
-		if r := recover(); r != nil {
-			rc.recordPanic(r)
-		}
-	}()
-	for _, i := range idxs {
-		if rc.isAborted() {
-			return
-		}
-		for _, t := range deps.On(int(i)) {
-			checks++
-			if atomic.LoadInt32(&ready[t]) == 1 {
-				continue
-			}
-			waits++
-			w0 := time.Now()
-			if !spinUntilReady(rc, &ready[t]) {
-				waiting += time.Since(w0)
-				return
-			}
-			waiting += time.Since(w0)
-		}
-		b0 := time.Now()
-		body(i)
-		busy += time.Since(b0)
-		atomic.StoreInt32(&ready[i], 1)
-	}
-	return
+// RunSelfExecutingTimed is the self-executing executor with per-processor
+// busy/wait wall-time accounting.
+func RunSelfExecutingTimed(s *schedule.Schedule, deps *wavefront.Deps, body Body) (Metrics, TimeBreakdown) {
+	return timed(s.P, func(bd *TimeBreakdown) (Metrics, error) {
+		return runSelfExecuting(context.Background(), s, deps, body, bd)
+	})
 }
 
-// RunPreScheduledTimed is RunPreScheduled with per-processor busy/barrier
-// wall-time accounting. A body panic aborts the run (remaining phases are
-// skipped, barriers still observed) and re-raises on the caller's
-// goroutine.
+// RunPreScheduledTimed is the pre-scheduled executor with per-processor
+// busy/barrier wall-time accounting.
 func RunPreScheduledTimed(s *schedule.Schedule, body Body) (Metrics, TimeBreakdown) {
-	bd := TimeBreakdown{
-		P:       s.P,
-		Busy:    make([]time.Duration, s.P),
-		Waiting: make([]time.Duration, s.P),
-	}
-	var rc runControl
-	bar := barrier.NewSenseReversing(s.P)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for p := 0; p < s.P; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			g := barrierGuard{rc: &rc, bar: bar, phases: s.NumPhases}
-			defer g.check()
-			var busy, waiting time.Duration
-			for k := 0; k < s.NumPhases; k++ {
-				if !rc.isAborted() {
-					b0 := time.Now()
-					runPhase(&rc, s.Phase(p, k), body)
-					busy += time.Since(b0)
-				}
-				w0 := time.Now()
-				bar.Wait()
-				waiting += time.Since(w0)
-				g.attended++
-			}
-			bd.Busy[p] = busy
-			bd.Waiting[p] = waiting
-			g.completed = true
-		}(p)
-	}
-	wg.Wait()
-	bd.Total = time.Since(start)
-	if rc.panicked.Load() != 0 {
-		panic(rc.panicVal)
-	}
-	return Metrics{P: s.P, Phases: s.NumPhases, Executed: int64(s.N)}, bd
+	return timed(s.P, func(bd *TimeBreakdown) (Metrics, error) {
+		return runPreScheduled(context.Background(), s, body, bd)
+	})
 }
 
 // MaxWaiting returns the largest per-processor waiting share (waiting /

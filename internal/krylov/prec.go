@@ -120,7 +120,7 @@ func (p *ILUPrec) ApplyBatch(zs, rs [][]float64) error {
 	return err
 }
 
-// Close releases the two solve plans' strategy resources (the pooled
+// Close releases the two solve plans' executor resources (the pooled
 // executor's persistent workers) or, for cache-leased plans, their
 // leases; it is a no-op for stateless kinds.
 func (p *ILUPrec) Close() error {

@@ -104,19 +104,19 @@ func Calibrate() *CostModel {
 	wf := make([]int32, procs)
 	s := schedule.Global(wf, procs)
 	deps := wavefront.FromAdjacency(make([][]int32, procs))
-	strat := &executor.PooledStrategy{}
+	pooled := executor.New(executor.Pooled)
 	noop := func(int32) {}
-	if _, err := strat.Execute(context.Background(), s, deps, noop); err == nil {
+	if _, err := pooled.Run(context.Background(), s, deps, noop); err == nil {
 		const passes = 64
 		t0 = time.Now()
 		for i := 0; i < passes; i++ {
-			_, _ = strat.Execute(context.Background(), s, deps, noop)
+			_, _ = pooled.Run(context.Background(), s, deps, noop)
 		}
 		if d := time.Since(t0).Seconds() / passes; d > 0 {
 			m.TPass = d
 		}
 	}
-	_ = strat.Close()
+	_ = pooled.Close()
 
 	if err := m.Validate(); err != nil {
 		// Timer too coarse or the host too hostile: fall back whole-hog

@@ -308,7 +308,7 @@ type StatsResponse struct {
 	// Queued counts requests parked in admission queues right now.
 	Queued int64 `json:"queued"`
 	// Stages summarizes per-pipeline-stage latency, derived from the
-	// same stamps that feed /v1/trace and doconsider_stage_seconds.
+	// same stamps that feed /v1/trace and loops_stage_seconds.
 	Stages []StageStat `json:"stages"`
 	// TracesDropped counts completed traces lost to ring contention.
 	TracesDropped uint64 `json:"traces_dropped"`

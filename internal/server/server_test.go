@@ -478,10 +478,10 @@ func TestServerHealthAndMetrics(t *testing.T) {
 		"loops_coalesce_passes_total 1",
 		"loops_admission_accepted_total 1",
 		"# TYPE loops_http_request_seconds histogram",
-		`doconsider_stage_seconds_count{stage="execute"} 1`,
-		"doconsider_build_info{",
-		"doconsider_process_uptime_seconds",
-		"doconsider_go_goroutines",
+		`loops_stage_seconds_count{stage="execute"} 1`,
+		"loops_build_info{",
+		"loops_process_uptime_seconds",
+		"loops_go_goroutines",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition missing %q", want)

@@ -17,7 +17,7 @@ import (
 // it crosses the pipeline stages (admission, decode, factor, coalesce,
 // plan, repair, execute, encode); finished traces land in a lock-free
 // ring served by GET /v1/trace, and the same stamps feed the
-// doconsider_stage_seconds histograms — one clock, so /metrics and the
+// loops_stage_seconds histograms — one clock, so /metrics and the
 // traces cannot disagree. The binary path's trace lives in the pooled
 // reqState and publishing is ring-slot copies plus histogram atomics,
 // so the warm 0 allocs/op boundary holds with tracing on.
@@ -45,7 +45,7 @@ func newTracer(reg *Registry, cfg Config) *tracer {
 		t.sampler = obs.NewSampler(cfg.TraceSampleEvery)
 	}
 	for i := 0; i < obs.NumStages; i++ {
-		t.stageH[i] = reg.Histogram("doconsider_stage_seconds", "solve request latency by pipeline stage",
+		t.stageH[i] = reg.Histogram("loops_stage_seconds", "solve request latency by pipeline stage",
 			Labels{{"stage", obs.Stage(i).String()}}, DefaultLatencyBuckets)
 	}
 	return t
@@ -184,7 +184,7 @@ func queryInt(r *http.Request, key string, def int) int {
 }
 
 // StageStat summarizes one pipeline stage's latency distribution for
-// /v1/stats, derived from the same doconsider_stage_seconds histograms
+// /v1/stats, derived from the same loops_stage_seconds histograms
 // the exposition serves.
 type StageStat struct {
 	Stage        string  `json:"stage"`
@@ -210,25 +210,25 @@ func (t *tracer) stageStats() []StageStat {
 }
 
 // registerBuildMetrics exposes build identity, process uptime and Go
-// runtime health on the registry: doconsider_build_info (value always
-// 1, metadata in labels), doconsider_process_uptime_seconds, and
-// doconsider_go_* gauges read from runtime/metrics at scrape time.
+// runtime health on the registry: loops_build_info (value always
+// 1, metadata in labels), loops_process_uptime_seconds, and
+// loops_go_* gauges read from runtime/metrics at scrape time.
 func registerBuildMetrics(reg *Registry, start time.Time) {
 	version := "unknown"
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
 		version = bi.Main.Version
 	}
-	reg.GaugeFunc("doconsider_build_info", "build metadata; value is always 1",
+	reg.GaugeFunc("loops_build_info", "build metadata; value is always 1",
 		Labels{{"version", version}, {"go_version", runtime.Version()}},
 		func() float64 { return 1 })
-	reg.GaugeFunc("doconsider_process_uptime_seconds", "seconds since the server was constructed", nil,
+	reg.GaugeFunc("loops_process_uptime_seconds", "seconds since the server was constructed", nil,
 		func() float64 { return time.Since(start).Seconds() })
-	reg.GaugeFunc("doconsider_go_goroutines", "live goroutines", nil,
+	reg.GaugeFunc("loops_go_goroutines", "live goroutines", nil,
 		func() float64 { return float64(obs.ReadRuntime().Goroutines) })
-	reg.GaugeFunc("doconsider_go_heap_bytes", "bytes in live heap objects", nil,
+	reg.GaugeFunc("loops_go_heap_bytes", "bytes in live heap objects", nil,
 		func() float64 { return float64(obs.ReadRuntime().HeapBytes) })
-	reg.GaugeFunc("doconsider_go_gc_cycles_total", "completed GC cycles", nil,
+	reg.GaugeFunc("loops_go_gc_cycles_total", "completed GC cycles", nil,
 		func() float64 { return float64(obs.ReadRuntime().GCCycles) })
-	reg.GaugeFunc("doconsider_go_gc_pause_seconds_total", "cumulative GC stop-the-world pause time", nil,
+	reg.GaugeFunc("loops_go_gc_pause_seconds_total", "cumulative GC stop-the-world pause time", nil,
 		func() float64 { return obs.ReadRuntime().GCPauseSeconds })
 }

@@ -118,7 +118,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 
 	// Stage histograms come from the same stamps.
-	if c := metricValue(t, ts.URL, `doconsider_stage_seconds_count{stage="execute"}`); c != 1 {
+	if c := metricValue(t, ts.URL, `loops_stage_seconds_count{stage="execute"}`); c != 1 {
 		t.Fatalf("stage histogram count = %v, want 1", c)
 	}
 

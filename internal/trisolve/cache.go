@@ -1,7 +1,6 @@
 package trisolve
 
 import (
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -154,8 +153,8 @@ type planKey struct {
 
 // planSkeleton is the inspector's output — the cached, matrix-value-free
 // part of a Plan: the dependence structure, wavefronts, schedule, planner
-// decision and the (possibly stateful) execution strategy. All of it is a
-// pure function of the sparsity pattern and the plan configuration. deps
+// decision and the (possibly stateful) executor. All of it is a pure
+// function of the sparsity pattern and the plan configuration. deps
 // and wf are always row-level (they feed the repair state); for a fused
 // skeleton sched is the unit-level schedule the executor runs and fused
 // holds the supernodal state, with the row-level structure still backing
@@ -166,7 +165,7 @@ type planSkeleton struct {
 	sched    *schedule.Schedule
 	kind     executor.Kind
 	decision *planner.Decision
-	strat    executor.Strategy
+	exec     *executor.Executor
 	fused    *fusedExec
 	state    *delta.State // repair state; nil for non-global schedules
 	cleanup  func()       // removes the skeleton from the similarity index
@@ -176,14 +175,11 @@ func (s *planSkeleton) Close() error {
 	if s.cleanup != nil {
 		s.cleanup()
 	}
-	if c, ok := s.strat.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
+	return s.exec.Close()
 }
 
 // NewPlanCache returns a plan cache holding at most capacity skeletons;
-// capacity <= 0 means unbounded. Evicted skeletons close their strategy
+// capacity <= 0 means unbounded. Evicted skeletons close their executor
 // (releasing pooled workers) after the last leased Plan is Closed.
 func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{
@@ -194,11 +190,11 @@ func NewPlanCache(capacity int) *PlanCache {
 }
 
 // Get returns a Plan for the factor t, sharing the inspector output and
-// execution strategy with every other plan whose factor has the same
+// executor with every other plan whose factor has the same
 // sparsity pattern and whose options match. The returned Plan is leased:
 // Close it when done (the shared skeleton persists for other holders).
 // Concurrent Solve calls on plans sharing one skeleton are safe; the
-// pooled strategy serializes them on its worker pool.
+// pooled executor serializes them on its worker pool.
 func (pc *PlanCache) Get(t *sparse.CSR, lower bool, opts ...Option) (*Plan, error) {
 	cfg := buildPlanConfig(opts)
 	key := planKey{
@@ -338,13 +334,9 @@ func (pc *PlanCache) tryRepair(t *sparse.CSR, lower bool, cfg planConfig, key pl
 		pc.countDelta(func(d *DeltaStats) { d.Fallbacks++ })
 		return nil
 	}
-	strat, err := best.kind.NewStrategy()
-	if err != nil {
-		return nil
-	}
 	out := &planSkeleton{
 		deps: st.Deps, wf: st.Wf, sched: st.Sched,
-		kind: best.kind, decision: best.decision, strat: strat, state: st,
+		kind: best.kind, decision: best.decision, exec: executor.New(best.kind), state: st,
 	}
 	if best.fused != nil {
 		// Keep the drift chain fused: re-splice the ancestor's partition

@@ -192,7 +192,7 @@ func (p *Plan) checkBatch(xs, bs [][]float64) error {
 // pass runs one scheduled pass of body over the plan. The caller holds
 // s.mu and has installed the per-pass state, which pass clears.
 func (s *BatchSolver) pass(ctx context.Context, body executor.Body) (executor.Metrics, error) {
-	m, err := s.p.strat.Execute(ctx, s.p.Sched, s.p.Deps, body)
+	m, err := s.p.exec.Run(ctx, s.p.Sched, s.p.Deps, body)
 	s.xs, s.bs, s.clock = nil, nil, nil
 	return s.p.rowMetrics(m, err), err
 }

@@ -7,7 +7,6 @@ package trisolve
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"doconsider/internal/executor"
@@ -76,8 +75,8 @@ func sequential(t *sparse.CSR, x, b []float64, lower bool) error {
 
 // Plan bundles everything needed to repeatedly solve with one triangular
 // factor: the dependence structure, wavefront numbers, a schedule and the
-// execution strategy instance. Building a Plan is the inspector step;
-// Solve is the executor step. With the Pooled kind the strategy keeps a
+// executor that runs it. Building a Plan is the inspector step; Solve is
+// the executor step. With the Pooled kind the executor keeps a
 // persistent worker pool across Solve calls; call Close when done with
 // such a plan to release the workers.
 //
@@ -102,11 +101,11 @@ type Plan struct {
 	// Decision records the planner's analysis when the kind was chosen
 	// adaptively (no WithKind); nil for pinned plans.
 	Decision *planner.Decision
-	strat    executor.Strategy
+	exec     *executor.Executor
 	fused    *fusedExec
 	// leased marks plans obtained from a PlanCache: the schedule and
-	// strategy are shared, so Close releases the lease (once) instead of
-	// closing the strategy.
+	// executor are shared, so Close releases the lease (once) instead of
+	// closing the executor.
 	leased  bool
 	release func() error
 
@@ -344,11 +343,7 @@ func inspect(t *sparse.CSR, lower bool, cfg planConfig) (*planSkeleton, error) {
 	default:
 		return nil, fmt.Errorf("trisolve: unknown scheduler %d", cfg.scheduler)
 	}
-	// The strategy comes last: a stateful one (the pooled executor's
-	// workers) must not be created on a path that can still fail.
-	if sk.strat, err = kind.NewStrategy(); err != nil {
-		return nil, err
-	}
+	sk.exec = executor.New(kind)
 	return sk, nil
 }
 
@@ -367,7 +362,7 @@ func NewPlan(t *sparse.CSR, lower bool, opts ...Option) (*Plan, error) {
 // newPlan binds the factor t to an inspected skeleton.
 func newPlan(t *sparse.CSR, lower bool, sk *planSkeleton) *Plan {
 	p := &Plan{L: t, Lower: lower, Deps: sk.deps, Wf: sk.wf, Sched: sk.sched,
-		Kind: sk.kind, Decision: sk.decision, strat: sk.strat, fused: sk.fused}
+		Kind: sk.kind, Decision: sk.decision, exec: sk.exec, fused: sk.fused}
 	if sk.fused != nil {
 		p.Deps = sk.fused.deps
 	}
@@ -376,26 +371,20 @@ func newPlan(t *sparse.CSR, lower bool, sk *planSkeleton) *Plan {
 
 // rowMetrics keeps the Executed counter in row substitutions for fused
 // plans: the executor counts scheduled indices, which for a supernodal
-// schedule are multi-row units. A complete pass (possibly replicated
-// P-fold by rotating-style strategies) translates exactly; an aborted
-// pass keeps the raw unit count.
+// schedule are multi-row units. A complete pass ran every unit, so every
+// row; an aborted pass keeps the raw unit count.
 func (p *Plan) rowMetrics(m executor.Metrics, err error) executor.Metrics {
-	if p.fused == nil || err != nil {
-		return m
-	}
-	nodes := int64(p.fused.part.NumNodes())
-	if nodes > 0 && m.Executed%nodes == 0 {
-		m.Executed = m.Executed / nodes * int64(p.L.N)
+	if p.fused != nil && err == nil {
+		m.Executed = int64(p.L.N)
 	}
 	return m
 }
 
 // Close releases the plan's resources. For a plan leased from a PlanCache
-// it releases the lease (the shared schedule and strategy stay available
-// to other lease holders); otherwise it closes stateful strategies (the
-// pooled executor's workers) and is a no-op for stateless ones. Close is
-// idempotent either way — a second Close on a leased plan must never
-// fall through to the shared strategy.
+// it releases the lease (the shared schedule and executor stay available
+// to other lease holders); otherwise it closes the executor (releasing a
+// pooled executor's workers). Close is idempotent either way — a second
+// Close on a leased plan must never fall through to the shared executor.
 func (p *Plan) Close() error {
 	if p.leased {
 		rel := p.release
@@ -405,10 +394,7 @@ func (p *Plan) Close() error {
 		}
 		return rel()
 	}
-	if c, ok := p.strat.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
+	return p.exec.Close()
 }
 
 // Phases returns the number of wavefronts of the factor — the paper's
