@@ -58,9 +58,6 @@ func compareMain(args []string, w io.Writer) error {
 	for name := range base.AllocsBudget {
 		gatedNames[name] = true
 	}
-	for name := range base.NsPerOp {
-		gatedNames[name] = true
-	}
 	for _, rec := range art.Records {
 		name := rec.Name
 		for baseName := range gatedNames {

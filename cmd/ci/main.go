@@ -87,11 +87,8 @@ type artifact struct {
 // baseline is the checked-in regression reference. AllocsPerOp maps
 // normalized benchmark names (no -GOMAXPROCS suffix) to the expected
 // allocs/op; a run exceeding a value by more than Threshold fails.
-// NsPerOp gates wall time the same way under its own (much coarser)
-// NsThreshold: allocation counts are deterministic, while ns/op moves
-// with the machine, so the time gate only catches catastrophic
-// regressions — a fused kernel falling back to row-wise dispatch, not a
-// few percent of jitter.
+// Time is not gated here: ns/op at -benchtime 1x moves with the machine,
+// and speed claims are made with paired runs of the ledger (bench/).
 // AllocsBudget is different in kind from AllocsPerOp: it is an exact
 // per-benchmark allocation contract, not a drift gate. A budgeted
 // benchmark must report exactly the pinned allocs/op — one allocation
@@ -101,10 +98,8 @@ type artifact struct {
 // budgets for the same reason.
 type baseline struct {
 	Threshold    float64            `json:"threshold"`
-	NsThreshold  float64            `json:"ns_threshold,omitempty"`
 	AllocsPerOp  map[string]float64 `json:"allocs_per_op"`
 	AllocsBudget map[string]float64 `json:"allocs_budget,omitempty"`
-	NsPerOp      map[string]float64 `json:"ns_per_op,omitempty"`
 }
 
 func benchMain(args []string) error {
@@ -157,13 +152,6 @@ func benchMain(args []string) error {
 			}
 			base.AllocsPerOp[name] = v
 		}
-		for name := range base.NsPerOp {
-			v, ok := minMetric(records, name, "ns/op")
-			if !ok {
-				return fmt.Errorf("baseline benchmark %q did not run; cannot update", name)
-			}
-			base.NsPerOp[name] = v
-		}
 		// Budgets are pinned contracts, never refreshed from a run; an
 		// -update that breaks one must fail loudly, not paper over it.
 		if problems := gateBudgets(records, base); len(problems) > 0 {
@@ -192,8 +180,8 @@ func benchMain(args []string) error {
 		return fmt.Errorf("benchmark regression gate failed (%d problems):\n  %s",
 			len(problems), strings.Join(problems, "\n  "))
 	}
-	fmt.Printf("ci: regression gate passed (%d alloc-gated, %d time-gated, %d exact-budget benchmarks, thresholds +%.0f%% / +%.0f%%)\n",
-		len(base.AllocsPerOp), len(base.NsPerOp), len(base.AllocsBudget), 100*base.Threshold, 100*base.NsThreshold)
+	fmt.Printf("ci: regression gate passed (%d alloc-gated, %d exact-budget benchmarks, threshold +%.0f%%)\n",
+		len(base.AllocsPerOp), len(base.AllocsBudget), 100*base.Threshold)
 	return nil
 }
 
@@ -314,25 +302,6 @@ func gate(records []benchRecord, base baseline) []string {
 		}
 	}
 	problems = append(problems, gateBudgets(records, base)...)
-	names = names[:0]
-	for name := range base.NsPerOp {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		want := base.NsPerOp[name]
-		got, ok := minMetric(records, name, "ns/op")
-		if !ok {
-			problems = append(problems, fmt.Sprintf("%s: gated benchmark did not run or reported no ns/op", name))
-			continue
-		}
-		limit := want * (1 + base.NsThreshold)
-		if got > limit {
-			problems = append(problems, fmt.Sprintf(
-				"%s: ns/op regressed to %.0f (baseline %.0f, limit %.0f = +%.0f%%)",
-				name, got, want, limit, 100*base.NsThreshold))
-		}
-	}
 	return problems
 }
 
@@ -378,9 +347,6 @@ func loadBaseline(path string) (baseline, error) {
 	}
 	if base.Threshold <= 0 {
 		base.Threshold = 0.30
-	}
-	if base.NsThreshold <= 0 {
-		base.NsThreshold = 2.0
 	}
 	return base, nil
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -72,14 +74,10 @@ func TestMinMetricUsesMinimumAcrossRuns(t *testing.T) {
 
 func testBaseline() baseline {
 	return baseline{
-		Threshold:   0.30,
-		NsThreshold: 2.0,
+		Threshold: 0.30,
 		AllocsPerOp: map[string]float64{
 			"BenchmarkRuntimeRepeatedRun/self-executing": 14,
 			"BenchmarkRuntimeRepeatedRun/pooled":         0,
-		},
-		NsPerOp: map[string]float64{
-			"BenchmarkRuntimeRepeatedRun/pooled": 251000,
 		},
 	}
 }
@@ -122,20 +120,27 @@ func TestGateFailsOnInjectedAllocRegression(t *testing.T) {
 	}
 }
 
-// TestGateTimeRegression: the ns/op gate is deliberately coarse (+200%
-// by default) — 3x the baseline wall time fails, a 2x machine-to-machine
-// wobble does not.
+// TestGateTimeRegression: time is not gated. ns/op at -benchtime 1x moves
+// with the machine (the old +200% ns gate was a known flake at -count 1),
+// so no wall-time change fails the build, and a baseline file that still
+// carries the retired ns keys loads as if they were absent.
 func TestGateTimeRegression(t *testing.T) {
-	wobble := strings.ReplaceAll(sampleOutput, "253000 ns/op", "500000 ns/op")
-	wobble = strings.ReplaceAll(wobble, "251000 ns/op", "500000 ns/op")
-	if problems := gate(parseBench(wobble), testBaseline()); len(problems) != 0 {
-		t.Fatalf("ns gate rejected within-threshold wobble: %v", problems)
-	}
 	blown := strings.ReplaceAll(sampleOutput, "253000 ns/op", "900000 ns/op")
 	blown = strings.ReplaceAll(blown, "251000 ns/op", "900000 ns/op")
-	problems := gate(parseBench(blown), testBaseline())
-	if len(problems) != 1 || !strings.Contains(problems[0], "ns/op regressed") {
-		t.Fatalf("ns gate problems = %v, want exactly the pooled time regression", problems)
+	if problems := gate(parseBench(blown), testBaseline()); len(problems) != 0 {
+		t.Fatalf("gate failed on wall time alone: %v", problems)
+	}
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	old := `{"threshold":0.3,"ns_threshold":2,"allocs_per_op":{"BenchmarkRuntimeRepeatedRun/pooled":0},"ns_per_op":{"BenchmarkRuntimeRepeatedRun/pooled":1}}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := loadBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if problems := gate(parseBench(blown), base); len(problems) != 0 {
+		t.Fatalf("a baseline with retired ns keys still gates time: %v", problems)
 	}
 }
 
@@ -218,10 +223,8 @@ func TestBudgetGateIsExact(t *testing.T) {
 func TestGateFailsWhenGatedBenchmarkVanishes(t *testing.T) {
 	withoutPooled := strings.ReplaceAll(sampleOutput, "BenchmarkRuntimeRepeatedRun/pooled", "BenchmarkRenamed/pooled")
 	problems := gate(parseBench(withoutPooled), testBaseline())
-	// The pooled benchmark is gated on both allocs/op and ns/op, so its
-	// disappearance trips both gates.
-	if len(problems) != 2 || !strings.Contains(problems[0], "did not run") || !strings.Contains(problems[1], "did not run") {
-		t.Fatalf("gate problems = %v, want two did-not-run failures", problems)
+	if len(problems) != 1 || !strings.Contains(problems[0], "did not run") {
+		t.Fatalf("gate problems = %v, want one did-not-run failure", problems)
 	}
 }
 

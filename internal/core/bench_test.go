@@ -8,68 +8,6 @@ import (
 	"doconsider/internal/wavefront"
 )
 
-// BenchmarkPlanCacheHit is the acceptance experiment for the plan cache:
-// on the 120x120 mesh a cache hit (fingerprint + map lookup + LRU bump)
-// must be at least an order of magnitude cheaper than a cold core.New
-// (wavefront sweep + schedule construction over 14400 indices).
-func BenchmarkPlanCacheHit(b *testing.B) {
-	a := stencil.Laplace2D(120, 120)
-	deps := wavefront.FromLower(a)
-	b.Run("cold-new", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rt, err := New(deps, WithProcs(4))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rt.Close()
-		}
-	})
-	b.Run("hit", func(b *testing.B) {
-		c := NewCache(8)
-		defer c.Close()
-		warm, err := c.Get(deps, WithProcs(4))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer warm.Release()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			lease, err := c.Get(deps, WithProcs(4))
-			if err != nil {
-				b.Fatal(err)
-			}
-			lease.Release()
-		}
-	})
-}
-
-// BenchmarkCacheContention measures hit throughput under parallel callers
-// — the serving scenario the cache exists for.
-func BenchmarkCacheContention(b *testing.B) {
-	a := stencil.Laplace2D(120, 120)
-	deps := wavefront.FromLower(a)
-	c := NewCache(8)
-	defer c.Close()
-	warm, err := c.Get(deps, WithProcs(4))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer warm.Release()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			lease, err := c.Get(deps, WithProcs(4))
-			if err != nil {
-				b.Fatal(err)
-			}
-			lease.Release()
-		}
-	})
-}
-
 // BenchmarkRunBatch compares k fused recurrence bodies in one scheduled
 // pass against k separate Runs on the same pooled runtime.
 func BenchmarkRunBatch(b *testing.B) {

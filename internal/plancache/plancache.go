@@ -7,15 +7,18 @@
 //
 // The cache is generic over the key (a fingerprint of the dependence
 // structure plus the plan configuration) and the value (anything with a
-// Close method: a core.Runtime, a trisolve plan, ...). Three properties
-// make it safe for the serving workloads the roadmap targets:
+// Close method: a trisolve plan skeleton, the serving tier's resident
+// factor, ...). Three properties make it safe for the serving workloads
+// the roadmap targets:
 //
 //   - Singleflight misses: concurrent Gets for the same absent key run the
 //     builder once; the losers block until the winner's plan is ready and
 //     then share it.
-//   - Reference counting: Get returns a Handle that pins the entry. An
-//     entry evicted by LRU pressure (or by Close) is only Closed after the
-//     last handle is released, so no caller ever runs a torn-down plan.
+//   - Reference counting: every read that hands out a value returns it
+//     behind a Handle that pins the entry. An entry evicted by LRU pressure
+//     (or by Close) is only Closed after the last handle is released, so no
+//     caller ever runs a torn-down plan. Peek, the one unpinned read, is
+//     for observers of fields a value's Close does not touch.
 //   - Close-on-evict: once the final reference to an evicted entry drops,
 //     its value's Close runs exactly once, releasing pooled workers.
 package plancache
@@ -29,6 +32,9 @@ import (
 // ErrClosed reports a Get on a cache whose Close has been called.
 var ErrClosed = errors.New("plancache: cache is closed")
 
+// ErrAbsent reports a Get without a builder for a key that is not resident.
+var ErrAbsent = errors.New("plancache: key is not resident")
+
 // ErrBuildPanicked is returned to callers coalesced onto a build whose
 // builder panicked (the panic itself propagates on the builder's
 // goroutine). The key is removed, so a later Get retries the build.
@@ -41,6 +47,7 @@ type Stats struct {
 	Misses    uint64 // Gets that ran the builder (successfully or not)
 	Evictions uint64 // entries displaced by LRU pressure or cache Close
 	Resident  int    // entries currently in the cache (built or building)
+	Pinned    int    // outstanding handles, over resident and evicted entries alike
 }
 
 // HitRate returns the fraction of Gets served without running the builder.
@@ -59,7 +66,7 @@ type Cache[K comparable, V io.Closer] struct {
 	capacity int // <= 0 means unbounded
 	entries  map[K]*entry[K, V]
 	lru      lruList[K, V] // front = most recently used
-	stats    Stats
+	stats    Stats         // Resident is filled in by Stats; Pinned is live
 	closed   bool
 }
 
@@ -89,15 +96,17 @@ func New[K comparable, V io.Closer](capacity int) *Cache[K, V] {
 // share the result. The caller must Release the handle when done with the
 // plan; the value stays valid until then even if the entry is evicted. If
 // build fails, the error is returned to every waiting caller and nothing
-// is cached.
-func (c *Cache[K, V]) Get(key K, build func() (V, error)) (*Handle[K, V], error) {
+// is cached. A nil build makes Get a pure read: an absent key counts a
+// miss and fails with ErrAbsent, leaving the cache untouched. A hit
+// allocates nothing.
+func (c *Cache[K, V]) Get(key K, build func() (V, error)) (Handle[K, V], error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrClosed
+		return Handle[K, V]{}, ErrClosed
 	}
 	if e, ok := c.entries[key]; ok {
-		e.refs++
+		c.pinLocked(e)
 		c.lru.moveToFront(e)
 		select {
 		case <-e.ready:
@@ -121,11 +130,17 @@ func (c *Cache[K, V]) Get(key K, build func() (V, error)) (*Handle[K, V], error)
 			toClose := c.releaseLocked(e)
 			c.mu.Unlock()
 			closeIgnored(toClose)
-			return nil, err
+			return Handle[K, V]{}, err
 		}
-		return &Handle[K, V]{c: c, e: e}, nil
+		return Handle[K, V]{c: c, e: e}, nil
 	}
-	e := &entry[K, V]{key: key, ready: make(chan struct{}), refs: 1}
+	if build == nil {
+		c.stats.Misses++
+		c.mu.Unlock()
+		return Handle[K, V]{}, ErrAbsent
+	}
+	e := &entry[K, V]{key: key, ready: make(chan struct{})}
+	c.pinLocked(e)
 	c.entries[key] = e
 	c.lru.pushFront(e)
 	c.stats.Misses++
@@ -151,9 +166,21 @@ func (c *Cache[K, V]) Get(key K, build func() (V, error)) (*Handle[K, V], error)
 	close(e.ready)
 	if err != nil {
 		closeIgnored(toClose)
-		return nil, err
+		return Handle[K, V]{}, err
 	}
-	return &Handle[K, V]{c: c, e: e}, nil
+	return Handle[K, V]{c: c, e: e}, nil
+}
+
+// Own returns a handle to a value that is never resident: v belongs to
+// the handle alone and is Closed by its Release. A caller that could not
+// cache a value (the cache is closed, the key is taken by a different
+// value) gives it the same one-release lifetime as a cached one this way.
+func (c *Cache[K, V]) Own(v V) Handle[K, V] {
+	e := &entry[K, V]{val: v, evicted: true, built: true}
+	c.mu.Lock()
+	c.pinLocked(e)
+	c.mu.Unlock()
+	return Handle[K, V]{c: c, e: e}
 }
 
 // runBuild invokes the builder, converting a panic (or runtime.Goexit)
@@ -184,47 +211,19 @@ func (c *Cache[K, V]) runBuild(e *entry[K, V], build func() (V, error)) (v V, er
 	return v, err
 }
 
-// Lookup returns the value cached under key without pinning it: a hit
-// is counted and the entry's LRU position refreshed, exactly as Get
-// does, but no Handle is taken, so the read allocates nothing. An absent
-// key — or one whose build is still in flight; Lookup never blocks —
-// counts a miss and reports false, leaving the cache untouched. The
-// value may be evicted and Closed while the caller still uses it, so
-// Lookup suits only values whose Close releases nothing (the serving
-// tier's by-fingerprint factors); plans with pooled workers need Get.
-func (c *Cache[K, V]) Lookup(key K) (V, bool) { return c.read(key, true) }
-
-// Peek is Lookup for observers: the same unpinned read, but it counts
-// nothing and leaves the LRU order alone — enumeration (the sharded
-// tier's warm handoff) must not look like demand.
-func (c *Cache[K, V]) Peek(key K) (V, bool) { return c.read(key, false) }
-
-func (c *Cache[K, V]) read(key K, demand bool) (v V, ok bool) {
+// Peek returns the value cached under key without pinning it, counting
+// nothing and leaving the LRU order alone — enumeration (the sharded
+// tier's warm handoff) must not look like demand. A key whose build is
+// still in flight reads as absent. The value may be evicted and Closed
+// while the caller still looks at it, so Peek suits only reads of what
+// Close does not touch.
+func (c *Cache[K, V]) Peek(key K) (v V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[key]
-	if e == nil || !e.built {
-		if demand {
-			c.stats.Misses++
-		}
-		return v, false
+	if e := c.entries[key]; e != nil && e.built {
+		return e.val, true
 	}
-	if demand {
-		c.stats.Hits++
-		c.lru.moveToFront(e)
-	}
-	return e.val, true
-}
-
-// NoteHit counts a lookup served without touching the cache — a caller
-// holding its own memoized reference to a cached value (the serving
-// tier's bound-solver memo does this). The memo is a hit in every sense
-// the counter exists to measure: a plan lookup answered without the
-// inspector.
-func (c *Cache[K, V]) NoteHit() {
-	c.mu.Lock()
-	c.stats.Hits++
-	c.mu.Unlock()
+	return v, false
 }
 
 // Keys returns up to limit resident keys, most recently used first
@@ -320,10 +319,17 @@ func (c *Cache[K, V]) evictLocked(e *entry[K, V]) []V {
 	return nil
 }
 
+// pinLocked takes one reference to e.
+func (c *Cache[K, V]) pinLocked(e *entry[K, V]) {
+	e.refs++
+	c.stats.Pinned++
+}
+
 // releaseLocked drops one reference, returning the value to close if e was
 // evicted and this was the final reference.
 func (c *Cache[K, V]) releaseLocked(e *entry[K, V]) []V {
 	e.refs--
+	c.stats.Pinned--
 	if e.refs == 0 && e.evicted && e.built {
 		e.built = false
 		return []V{e.val}
@@ -331,31 +337,31 @@ func (c *Cache[K, V]) releaseLocked(e *entry[K, V]) []V {
 	return nil
 }
 
-// Handle pins one cached plan. Value stays usable until Release.
+// Handle is one pin on a cached plan; Value stays usable until Release.
+// It is a small value, so taking one allocates nothing: keep it where the
+// pin's owner lives and copy it only to move the pin, never to share it.
+// The zero Handle pins nothing.
 type Handle[K comparable, V io.Closer] struct {
-	c        *Cache[K, V]
-	e        *entry[K, V]
-	released bool
-	mu       sync.Mutex
+	c *Cache[K, V]
+	e *entry[K, V]
 }
 
 // Value returns the cached plan. It must not be used after Release.
-func (h *Handle[K, V]) Value() V { return h.e.val }
+func (h Handle[K, V]) Value() V { return h.e.val }
 
-// Release unpins the plan. If the entry was evicted and this was the last
-// handle, the plan's Close runs here and its error is returned. Release is
-// idempotent; extra calls return nil.
+// Release unpins the plan and zeroes the handle, so a second Release of
+// the same handle (or of the zero Handle) is a no-op. If the entry was
+// evicted and this was its last handle, the plan's Close runs here and its
+// error is returned.
 func (h *Handle[K, V]) Release() error {
-	h.mu.Lock()
-	if h.released {
-		h.mu.Unlock()
+	c, e := h.c, h.e
+	if e == nil {
 		return nil
 	}
-	h.released = true
-	h.mu.Unlock()
-	h.c.mu.Lock()
-	toClose := h.c.releaseLocked(h.e)
-	h.c.mu.Unlock()
+	*h = Handle[K, V]{}
+	c.mu.Lock()
+	toClose := c.releaseLocked(e)
+	c.mu.Unlock()
 	return closeAll(toClose)
 }
 

@@ -346,12 +346,14 @@ func ExampleCache() {
 	// shared: true
 }
 
-// TestLookupUnpinnedRead pins Lookup's contract: a hit counts and
-// refreshes the entry's LRU position without taking a handle (so it
-// allocates nothing and never defers an eviction's Close), a miss —
-// including a key whose build is still in flight — counts and leaves
-// the cache untouched.
-func TestLookupUnpinnedRead(t *testing.T) {
+// TestPinnedReadWithoutBuilder pins Get's builder-less form — the only
+// way to read a value that owns something: a hit counts, refreshes the
+// entry's LRU position and pins it (so an eviction defers the value's
+// Close to the Release) without allocating; an absent key counts a miss,
+// fails with ErrAbsent and leaves the cache untouched; Peek sees the same
+// values but counts nothing, moves nothing and pins nothing. Pinned
+// follows every handle, Own's included.
+func TestPinnedReadWithoutBuilder(t *testing.T) {
 	c := New[int, *tracker](2)
 	defer c.Close()
 	for _, k := range []int{1, 2} {
@@ -361,54 +363,56 @@ func TestLookupUnpinnedRead(t *testing.T) {
 		}
 		h.Release()
 	}
-	v1, ok := c.Lookup(1) // refreshes 1, leaving 2 the LRU victim
-	if !ok || v1.id != 1 {
-		t.Fatalf("Lookup(1) = %v, %v, want the resident value", v1, ok)
+	if v, ok := c.Peek(1); !ok || v.id != 1 { // does not refresh 1
+		t.Fatalf("Peek(1) = %v, %v, want the resident value", v, ok)
 	}
-	h, err := c.Get(3, newTracker(3))
+	h2, err := c.Get(2, nil) // refreshes 2, leaving 1 the LRU victim
+	if err != nil || h2.Value().id != 2 {
+		t.Fatalf("Get(2, nil) = %v, want the resident value", err)
+	}
+	h3, err := c.Get(3, newTracker(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Release()
-	if _, ok := c.Lookup(2); ok {
-		t.Fatal("Lookup(2) hit: the lookup of 1 should have made 2 the eviction victim")
+	if _, err := c.Get(1, nil); !errors.Is(err, ErrAbsent) {
+		t.Fatalf("Get(1, nil) = %v, want ErrAbsent: the read of 2 should have made 1 the eviction victim", err)
 	}
-	if _, ok := c.Lookup(1); !ok {
-		t.Fatal("Lookup(1) missed after its LRU position was refreshed")
+	if _, ok := c.Peek(1); ok {
+		t.Fatal("Peek(1) hit an evicted key")
 	}
-	if s := c.Stats(); s.Hits != 2 || s.Misses != 4 || s.Evictions != 1 || s.Resident != 2 {
-		t.Fatalf("stats = %+v, want 2 hits, 4 misses (3 builds + 1 lookup), 1 eviction, 2 resident", s)
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 4 || s.Evictions != 1 || s.Resident != 2 || s.Pinned != 2 {
+		t.Fatalf("stats = %+v, want 1 hit, 4 misses (3 builds + 1 absent read), 1 eviction, 2 resident, 2 pinned", s)
 	}
-	// No handle was taken: evicting a looked-up entry closes it at once.
-	c.Evict(1)
-	if got := v1.closes.Load(); got != 1 {
-		t.Fatalf("looked-up value closed %d times on eviction, want 1 (Lookup must not pin)", got)
+	// The read pinned: evicting the entry does not close it until Release.
+	v2 := h2.Value()
+	c.Evict(2)
+	if got := v2.closes.Load(); got != 0 {
+		t.Fatalf("pinned value closed %d times by its eviction", got)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { c.Lookup(3) }); allocs != 0 {
-		t.Fatalf("Lookup hit = %v allocs/op, want 0", allocs)
+	h2.Release()
+	if got := v2.closes.Load(); got != 1 {
+		t.Fatalf("evicted value closed %d times after its last release, want 1", got)
+	}
+	h3.Release()
+	if allocs := testing.AllocsPerRun(100, func() {
+		h, err := c.Get(3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	}); allocs != 0 {
+		t.Fatalf("pinned read = %v allocs/op, want 0", allocs)
 	}
 
-	// A key mid-build is a miss, not a wait.
-	building, release := make(chan struct{}), make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		h, err := c.Get(9, func() (*tracker, error) {
-			close(building)
-			<-release
-			return &tracker{id: 9}, nil
-		})
-		if err == nil {
-			h.Release()
-		}
-	}()
-	<-building
-	if _, ok := c.Lookup(9); ok {
-		t.Error("Lookup hit a key whose build is still in flight")
+	// An owned value is never resident and closes with its one handle.
+	own := &tracker{id: 7}
+	h := c.Own(own)
+	if s := c.Stats(); h.Value() != own || s.Pinned != 1 || s.Resident != 1 {
+		t.Fatalf("Own: value %v, stats %+v, want the value pinned once and not resident", h.Value(), s)
 	}
-	close(release)
-	<-done
-	if v, ok := c.Lookup(9); !ok || v.id != 9 {
-		t.Errorf("Lookup(9) after the build = %v, %v, want the built value", v, ok)
+	h.Release()
+	h.Release() // a released handle is the zero handle: a no-op
+	if got, s := own.closes.Load(), c.Stats(); got != 1 || s.Pinned != 0 {
+		t.Fatalf("owned value closed %d times with %d pins left, want 1 and 0", got, s.Pinned)
 	}
 }

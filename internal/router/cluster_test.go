@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -34,17 +36,41 @@ func testBatch(n int, seed int64) [][]float64 {
 	return b
 }
 
+// newTestCluster starts a cluster whose cleanup is the tier's leak check
+// (internal/server's assertDrained, through the exported stats): after
+// Close no surviving replica holds a request arena or a pin on either of
+// its caches, and the goroutine count is back at the pre-cluster baseline.
 func newTestCluster(t *testing.T, replicas int, scfg server.Config, rcfg Config) *Cluster {
 	t.Helper()
+	base := runtime.NumGoroutine()
 	c, err := NewCluster(replicas, scfg, rcfg, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
+		var live []*server.Server
+		for _, addr := range c.Addrs() {
+			live = append(live, c.Server(addr))
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := c.Close(ctx); err != nil {
 			t.Errorf("cluster close: %v", err)
+		}
+		for _, s := range live {
+			if st := s.Stats(); st.Arena.Outstanding != 0 || st.FactorCache.Pinned != 0 || st.PlanCache.Pinned != 0 {
+				t.Errorf("replica %s after close: %d arenas outstanding, %d factor pins, %d skeleton pins",
+					s.Addr(), st.Arena.Outstanding, st.FactorCache.Pinned, st.PlanCache.Pinned)
+			}
+		}
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			buf := make([]byte, 1<<16)
+			t.Errorf("%d goroutines after cluster close, %d before:\n%s", n, base, buf[:runtime.Stack(buf, true)])
 		}
 	})
 	return c

@@ -22,7 +22,7 @@ func BenchmarkServerTrisolveRequest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Shutdown(context.Background())
+	b.Cleanup(assertDrained(b, s)) // after the timer stops: the drain is not part of a request
 	l := testFactor(16)
 	lower := true
 	body, err := json.Marshal(SolveRequest{
@@ -60,11 +60,9 @@ func BenchmarkCoalescer(b *testing.B) {
 	const clients = 8
 	l := testFactor(16)
 	run := func(b *testing.B, window time.Duration) {
-		reg := NewRegistry()
 		cache := trisolve.NewPlanCache(4)
-		defer cache.Close()
-		c := NewCoalescer(context.Background(), cache, reg, window, window, clients, 2, executor.Pooled.String(), nil)
-		defer c.Drain()
+		b.Cleanup(func() { cache.Close() })
+		c := withFactors(b, NewCoalescer(context.Background(), cache, NewRegistry(), window, window, clients, 2, executor.Pooled.String(), nil))
 		bs := make([][]float64, clients)
 		for i := range bs {
 			bs[i] = randVec(l.N, int64(i))

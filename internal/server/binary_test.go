@@ -338,6 +338,7 @@ func TestBinaryArenaLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	drained := assertDrained(t, s)
 	ts := httptest.NewServer(s.Handler())
 	l := testFactor(10)
 	lower := true
@@ -383,16 +384,9 @@ func TestBinaryArenaLeak(t *testing.T) {
 	}
 	wg.Wait()
 	ts.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
+	drained()
 
 	st := s.arenas.Stats()
-	if st.Outstanding != 0 {
-		t.Fatalf("%d arenas still outstanding after drain: %+v", st.Outstanding, st)
-	}
 	if st.Gets != st.Releases {
 		t.Fatalf("arena gets %d != releases %d after drain: %+v", st.Gets, st.Releases, st)
 	}
@@ -507,7 +501,7 @@ func warmBinaryServerCfg(tb testing.TB, mesh int, cfg Config) (*Server, []byte) 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { s.Shutdown(context.Background()) })
+	tb.Cleanup(assertDrained(tb, s))
 	l := testFactor(mesh)
 	lower := true
 	inline, err := EncodeRequestFrame(&SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx,
@@ -534,7 +528,7 @@ func warmBinaryServerCfg(tb testing.TB, mesh int, cfg Config) (*Server, []byte) 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// One warm pass so the solver memo is primed.
+	// One warm pass so the factor's plan is bound.
 	st = edgeState(s, frameCodec)
 	if _, status := s.solve(ctx, frame, nil, st); status != 200 {
 		tb.Fatalf("resubmit warmup status %d", status)

@@ -36,8 +36,8 @@ func TestChaosConcurrentCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	drained := assertDrained(t, srv)
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
 
 	// Mixed structures: sizes and directions differ so plans, cache
 	// entries and coalesce keys churn against each other.
@@ -170,11 +170,8 @@ func TestChaosConcurrentCancellation(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("chaos clients did not finish — a waiter hung")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("drain after chaos: %v", err)
-	}
+	ts.Close()
+	drained()
 
 	if succeeded == 0 {
 		t.Fatal("no request succeeded; the chaos mix is not exercising the solve path")

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,9 +40,9 @@ type SolveInfo struct {
 	Strategy string // executor strategy the pass ran under (planner-chosen for "auto")
 	Metrics  executor.Metrics
 	// PlanNs/ExecNs are the pass's own latency split, measured on the
-	// pass goroutine: plan resolution (memo/cache lookup and, on a
-	// miss, the build) and the executor run itself. A traced request
-	// subtracts them from its submit round-trip to expose pure
+	// pass goroutine: plan resolution (the factor's bound plan and, on
+	// its first solve, the build) and the executor run itself. A traced
+	// request subtracts them from its submit round-trip to expose pure
 	// coalescing wait.
 	PlanNs int64
 	ExecNs int64
@@ -51,17 +50,17 @@ type SolveInfo struct {
 
 // coReq is one request waiting in (or executed by) the coalescer.
 type coReq struct {
-	l        *sparse.CSR
-	lower    bool
+	// pin is the request's one hold on its resident factor (and, through
+	// it, on the plan the pass solves with); Submit takes it over.
+	pin      factorPin
 	class    Class // priority class; part of the coalescing key
 	xs, bs   [][]float64
-	hint     *driftHint // plan-repair ancestor, when the request drifted
-	deadline time.Time  // caller ctx deadline; zero = none
-	group    *coGroup   // the pending group this request joined, if any
-	// held is the request arena's pass reference (xs lives in it):
-	// released exactly once, when the pass wakes the request or the
-	// request withdraws — whichever happens — so a detached fused pass
-	// can keep writing xs after the submitting handler has returned.
+	deadline time.Time // caller ctx deadline; zero = none
+	group    *coGroup  // the pending group this request joined, if any
+	// held is the request arena's pass reference (xs lives in it). It and
+	// pin are released exactly once, when the pass wakes the request or
+	// the request withdraws — whichever happens — so a detached fused pass
+	// can keep solving into xs after the submitting handler has returned.
 	held *arena.Arena
 	done chan struct{}
 	err  error
@@ -69,8 +68,8 @@ type coReq struct {
 	solo [1]*coReq // member-slice scratch for the solo path
 	// Observability (optional, both nil-safe): lc receives per-level
 	// executor timing when this request was chosen for level sampling
-	// (honored on the single-member memoized fast path — the warm shape
-	// level timing exists for; group passes run unclocked); bstats
+	// (honored on the single-member fast path — the warm shape level
+	// timing exists for; group passes run unclocked); bstats
 	// receives the plan build-cost breakdown when this request's pass
 	// triggers a build.
 	lc     trisolve.LevelClock
@@ -84,8 +83,12 @@ func (r *coReq) soloScratch() []*coReq {
 	return r.solo[:]
 }
 
-// release drops the pass reference, once.
-func (r *coReq) releaseHeld() {
+// factor returns the pinned factor; valid until release.
+func (r *coReq) factor() *residentFactor { return r.pin.Value() }
+
+// release drops the factor pin and the arena's pass reference, once.
+func (r *coReq) release() {
+	_ = r.pin.Release()
 	if r.held != nil {
 		a := r.held
 		r.held = nil
@@ -142,10 +145,10 @@ type Coalescer struct {
 	draining bool
 	wg       sync.WaitGroup // outstanding fused-pass goroutines
 
-	// memo holds a bound BatchSolver per hot factor for the
-	// single-member fast path; see boundSolver.
-	memoMu sync.Mutex
-	memo   []memoEntry
+	// planHits counts passes that found their factor's plan already
+	// bound — plan lookups answered without the plan cache, which the
+	// server adds to the cache's own hits.
+	planHits atomic.Uint64
 
 	requests *Counter
 	passes   *Counter
@@ -264,23 +267,21 @@ func (c *Coalescer) planOpts() ([]trisolve.Option, error) {
 	return append(opts, trisolve.WithKind(k)), nil
 }
 
-// Submit solves req.l (lower or upper triangular) against the right-hand
-// sides req.bs, possibly fused with concurrent structurally identical
-// requests of the same class, and lands the solutions in req.xs — the
-// caller owns req and both row sets (the server points xs into the
-// response body so the solver writes results in place). req.hint, when
-// non-nil, names the plan-cache ancestor the factor drifted from
-// (base_fp+edits requests) so a plan miss repairs instead of
-// re-inspecting; req.held, when set, is the request arena's pass
-// reference — see coReq. ctx cancellation while the request is still
-// waiting in its window withdraws it without disturbing the other
-// waiters; once the fused pass has started the pass runs to completion
-// (under the coalescer's base context) but the caller still returns
-// promptly with ctx.Err(). On the warm solo path this performs no heap
-// allocations.
+// Submit solves req's pinned factor against the right-hand sides req.bs,
+// possibly fused with concurrent structurally identical requests of the
+// same class, and lands the solutions in req.xs — the caller owns req and
+// both row sets (the server points xs into the response body so the
+// solver writes results in place). Submit takes over req.pin and, when
+// set, req.held (the request arena's pass reference) — see coReq. ctx
+// cancellation while the request is still waiting in its window
+// withdraws it without disturbing the other waiters; once the fused pass
+// has started the pass runs to completion (under the coalescer's base
+// context) but the caller still returns promptly with ctx.Err(). On the
+// warm solo path this performs no heap allocations.
 func (c *Coalescer) Submit(ctx context.Context, req *coReq) (SolveInfo, error) {
 	c.requests.Add(uint64(1))
-	key := coalesceKey{fp: req.l.StructureFingerprint(), n: req.l.N, lower: req.lower, class: req.class}
+	f := req.factor()
+	key := coalesceKey{fp: f.l.StructureFingerprint(), n: f.l.N, lower: f.lower, class: req.class}
 	if d, ok := ctx.Deadline(); ok {
 		req.deadline = d
 	}
@@ -352,7 +353,7 @@ func (c *Coalescer) submitSolo(ctx context.Context, key coalesceKey, req *coReq)
 	c.running[key]++
 	c.sealIfQuiescentLocked()
 	c.mu.Unlock()
-	c.execute(ctx, key, req.soloScratch())
+	c.execute(ctx, req.soloScratch())
 	c.passDone(key, 1)
 	return req.info, req.err
 }
@@ -380,9 +381,9 @@ func (c *Coalescer) passDone(key coalesceKey, members int) {
 // dissolved so its timer does not fire a zero-member pass).
 func (c *Coalescer) withdraw(req *coReq) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	g := req.group
 	if g == nil || g.sealed {
+		c.mu.Unlock()
 		return
 	}
 	for i, m := range g.members {
@@ -390,9 +391,6 @@ func (c *Coalescer) withdraw(req *coReq) {
 			g.members = append(g.members[:i], g.members[i+1:]...)
 			g.width -= len(req.bs)
 			c.parked--
-			// The pass will never see this request; drop its arena
-			// reference here (still under c.mu, so seal cannot race).
-			req.releaseHeld()
 			break
 		}
 	}
@@ -401,6 +399,10 @@ func (c *Coalescer) withdraw(req *coReq) {
 		g.timer.Stop()
 		delete(c.pending, g.key)
 	}
+	c.mu.Unlock()
+	// Unlinked under c.mu before any seal, so the pass will never see this
+	// request: its pin and arena reference are dropped here instead.
+	req.release()
 }
 
 // sealIfQuiescentLocked seals pending windows once no admitted request
@@ -465,7 +467,7 @@ func (c *Coalescer) sealLocked(g *coGroup) {
 		defer c.wg.Done()
 		ctx, cancel := c.passCtx(members)
 		defer cancel()
-		c.execute(ctx, g.key, members)
+		c.execute(ctx, members)
 		c.passDone(g.key, len(members))
 	}()
 }
@@ -486,49 +488,43 @@ func (c *Coalescer) passCtx(members []*coReq) (context.Context, context.CancelFu
 	return context.WithDeadline(c.baseCtx, latest)
 }
 
-// execute runs one fused (or solo) pass for members and wakes every
-// waiter. Members that reference the same factor object — the normal
-// case when clients resubmit by fingerprint — are merged into one
-// BatchProblem, so the pass reads each row's values once for all their
-// right-hand sides (the cross-request extension of SolveBatch's
-// row-sharing). Fused members' done channels are closed even on error,
-// each carrying the pass error.
-func (c *Coalescer) execute(ctx context.Context, key coalesceKey, members []*coReq) {
+// execute runs one fused (or solo) pass for members through the first
+// member's resident plan — every member holds a pin on a factor of that
+// structure, so the plan's skeleton cannot close under the pass — and
+// wakes every waiter. A lone member solves through the plan's bound
+// solver: no group assembly, no per-call body closure, no allocation
+// (the stage stamps are two clock reads); that is the shape of the warm
+// fp-resubmission path. Fused members' done channels are closed even on
+// error, each carrying the pass error.
+func (c *Coalescer) execute(ctx context.Context, members []*coReq) {
 	var metrics executor.Metrics
-	var err error
 	strategy := ""
 	width := 0
+	// The first member carrying a build-stats sink receives the pass's
+	// plan build-cost breakdown (filled only when the plan is built now).
+	var bstats *trisolve.BuildStats
 	for _, m := range members {
 		width += len(m.bs)
-	}
-	var planNs, execNs int64
-	if len(members) == 1 && members[0].hint == nil {
-		// Single-member fast path: solve through the memoized bound
-		// solver for this factor — no group assembly, no plan lease, no
-		// per-call body closure. This is the shape of the warm
-		// fp-resubmission path, and it runs allocation-free (the stage
-		// stamps below are two clock reads).
-		m := members[0]
-		var sv *trisolve.BatchSolver
-		t0 := time.Now()
-		if sv, strategy, err = c.boundSolver(m.l, key.lower, m.bstats); err == nil {
-			t1 := time.Now()
-			planNs = t1.Sub(t0).Nanoseconds()
-			if m.lc != nil {
-				metrics, err = sv.SolveTimed(ctx, m.xs, m.bs, m.lc)
-			} else {
-				metrics, err = sv.Solve(ctx, m.xs, m.bs)
-			}
-			execNs = time.Since(t1).Nanoseconds()
-		} else {
-			planNs = time.Since(t0).Nanoseconds()
+		if bstats == nil {
+			bstats = m.bstats
 		}
 	}
-	if len(members) > 1 || members[0].hint != nil || errors.Is(err, executor.ErrPoolClosed) {
-		// The memo hands solvers out unpinned: one evicted from it before
-		// its solve began can find its plan closed (nothing ran) and takes
-		// the leased path, like every fused or drift-hinted pass.
-		metrics, strategy, planNs, execNs, err = c.executeGroup(ctx, key, members)
+	m := members[0]
+	var execNs int64
+	t0 := time.Now()
+	plan, err := m.factor().plan(c, bstats)
+	t1 := time.Now()
+	if err == nil {
+		strategy = plan.Kind.String()
+		switch {
+		case len(members) > 1:
+			metrics, err = plan.SolveGroupCtx(ctx, groupProblems(members))
+		case m.lc != nil:
+			metrics, err = plan.Bind().SolveTimed(ctx, m.xs, m.bs, m.lc)
+		default:
+			metrics, err = plan.Bind().Solve(ctx, m.xs, m.bs)
+		}
+		execNs = time.Since(t1).Nanoseconds()
 	}
 
 	c.passes.Inc()
@@ -540,173 +536,40 @@ func (c *Coalescer) execute(ctx context.Context, key coalesceKey, members []*coR
 		c.soloC.Inc()
 	}
 	info := SolveInfo{Fused: len(members), Width: width, Strategy: strategy, Metrics: metrics,
-		PlanNs: planNs, ExecNs: execNs}
+		PlanNs: t1.Sub(t0).Nanoseconds(), ExecNs: execNs}
 	for _, m := range members {
 		m.err = err
 		m.info = info
-		m.releaseHeld()
+		m.release()
 		if m.done != nil {
 			close(m.done)
 		}
 	}
 }
 
-// executeGroup is the fused (or drift-hinted) pass body: members merge
-// into BatchProblems by factor identity and run as one SolveGroup pass
-// under a freshly leased plan.
-func (c *Coalescer) executeGroup(ctx context.Context, key coalesceKey, members []*coReq) (metrics executor.Metrics, strategy string, planNs, execNs int64, err error) {
+// groupProblems merges the members of a fused pass into BatchProblems by
+// factor identity: members that reference the same factor object — the
+// normal case when clients resubmit by fingerprint — become one problem,
+// so the pass reads each row's values once for all their right-hand
+// sides (the cross-request extension of SolveBatch's row-sharing).
+func groupProblems(members []*coReq) []trisolve.BatchProblem {
 	group := make([]trisolve.BatchProblem, 0, len(members))
 	byFactor := make(map[*sparse.CSR]int, len(members))
 	for _, m := range members {
-		if j, ok := byFactor[m.l]; ok {
+		l := m.factor().l
+		if j, ok := byFactor[l]; ok {
 			group[j].Xs = append(group[j].Xs, m.xs...)
 			group[j].Bs = append(group[j].Bs, m.bs...)
 		} else {
-			byFactor[m.l] = len(group)
+			byFactor[l] = len(group)
 			group = append(group, trisolve.BatchProblem{
-				L:  m.l,
+				L:  l,
 				Xs: append(make([][]float64, 0, len(m.xs)), m.xs...),
 				Bs: append(make([][]float64, 0, len(m.bs)), m.bs...),
 			})
 		}
 	}
-	t0 := time.Now()
-	var opts []trisolve.Option
-	opts, err = c.planOpts()
-	if err == nil {
-		// Any member's drift hint serves the whole pass: fused members
-		// share the structure, and the repair happens at most once inside
-		// the plan cache's singleflight builder.
-		for _, m := range members {
-			if m.hint != nil {
-				opts = append(opts, trisolve.WithDriftHint(m.hint.baseStructFp, m.hint.rows))
-				break
-			}
-		}
-		// The first member carrying a build-stats sink receives the pass's
-		// plan build-cost breakdown (filled only when the cache actually
-		// builds; a hit leaves it zero).
-		for _, m := range members {
-			if m.bstats != nil {
-				opts = append(opts, trisolve.WithBuildStats(m.bstats))
-				break
-			}
-		}
-		var plan *trisolve.Plan
-		if plan, err = c.cache.Get(members[0].l, key.lower, opts...); err == nil {
-			strategy = plan.Kind.String()
-			t1 := time.Now()
-			planNs = t1.Sub(t0).Nanoseconds()
-			metrics, err = plan.SolveGroupCtx(ctx, group)
-			execNs = time.Since(t1).Nanoseconds()
-			if cerr := plan.Close(); err == nil {
-				err = cerr
-			}
-		}
-	}
-	if planNs == 0 {
-		planNs = time.Since(t0).Nanoseconds()
-	}
-	return metrics, strategy, planNs, execNs, err
-}
-
-// memoCap bounds the factor-bound solver memo. Eight covers the hot
-// factors of a serving mix without pinning evicted plans for long.
-const memoCap = 8
-
-// memoEntry is one factor's bound solver: a leased plan (kept open, so
-// the lease pins the skeleton in the plan cache) plus the BatchSolver
-// bound to it.
-type memoEntry struct {
-	l      *sparse.CSR
-	lower  bool
-	plan   *trisolve.Plan
-	solver *trisolve.BatchSolver
-	name   string // plan.Kind.String(), resolved once
-}
-
-// boundSolver returns the memoized bound solver for (l, lower),
-// building and memoizing it on first use. Factor identity (the pointer)
-// keys the memo: the server's by-fingerprint cache hands out one
-// resident *CSR per content fingerprint, and factor values are
-// immutable once cached, so a pointer hit guarantees the solver's
-// precomputed state is current. A warm hit costs a mutex and a short
-// linear scan — no allocation. bstats, when non-nil, receives the plan
-// build-cost breakdown if the miss path actually builds a plan.
-// Warm pre-builds the plan for l through the same plan-cache options
-// real traffic uses and leaves the cache entry resident and the bound
-// solver memoized. It is the sharded tier's rebalance tool: a gaining
-// replica warms incoming fingerprints before cutover so the first
-// routed request hits a built plan instead of the inspector.
-func (c *Coalescer) Warm(l *sparse.CSR, lower bool) error {
-	_, _, err := c.boundSolver(l, lower, nil)
-	return err
-}
-
-func (c *Coalescer) boundSolver(l *sparse.CSR, lower bool, bstats *trisolve.BuildStats) (*trisolve.BatchSolver, string, error) {
-	c.memoMu.Lock()
-	for i := range c.memo {
-		e := &c.memo[i]
-		if e.l == l && e.lower == lower {
-			sv, name := e.solver, e.name
-			c.memoMu.Unlock()
-			// The memo answered a plan lookup the inspector did not run
-			// for; keep the cache's hit-rate telemetry truthful about it.
-			c.cache.NoteHit()
-			return sv, name, nil
-		}
-	}
-	c.memoMu.Unlock()
-
-	// Miss: lease a plan outside the memo lock (plan building can be
-	// expensive) and publish it, racing peers resolved by a re-check.
-	opts, err := c.planOpts()
-	if err != nil {
-		return nil, "", err
-	}
-	if bstats != nil {
-		opts = append(opts, trisolve.WithBuildStats(bstats))
-	}
-	plan, err := c.cache.Get(l, lower, opts...)
-	if err != nil {
-		return nil, "", err
-	}
-	entry := memoEntry{l: l, lower: lower, plan: plan, solver: plan.Bind(), name: plan.Kind.String()}
-	c.memoMu.Lock()
-	for i := range c.memo {
-		e := &c.memo[i]
-		if e.l == l && e.lower == lower {
-			sv, name := e.solver, e.name
-			c.memoMu.Unlock()
-			_ = plan.Close() // lost the race; drop the extra lease
-			return sv, name, nil
-		}
-	}
-	var evicted *trisolve.Plan
-	if len(c.memo) >= memoCap {
-		evicted = c.memo[0].plan
-		copy(c.memo, c.memo[1:])
-		c.memo[len(c.memo)-1] = entry
-	} else {
-		c.memo = append(c.memo, entry)
-	}
-	c.memoMu.Unlock()
-	if evicted != nil {
-		_ = evicted.Close()
-	}
-	return entry.solver, entry.name, nil
-}
-
-// releaseMemo drops every memoized plan lease. Called when the
-// coalescer drains; solves in flight have already completed.
-func (c *Coalescer) releaseMemo() {
-	c.memoMu.Lock()
-	memo := c.memo
-	c.memo = nil
-	c.memoMu.Unlock()
-	for i := range memo {
-		_ = memo[i].plan.Close()
-	}
+	return group
 }
 
 // Flush seals every pending window immediately. It is called on drain so
@@ -737,7 +600,6 @@ func (c *Coalescer) BeginDrain() {
 func (c *Coalescer) Drain() {
 	c.BeginDrain()
 	c.wg.Wait()
-	c.releaseMemo()
 }
 
 // DrainCtx is Drain bounded by ctx: it returns ctx.Err() if passes are
@@ -752,7 +614,6 @@ func (c *Coalescer) DrainCtx(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		c.releaseMemo()
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

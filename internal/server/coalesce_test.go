@@ -3,12 +3,15 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"doconsider/internal/executor"
+	"doconsider/internal/plancache"
 	"doconsider/internal/sparse"
 	"doconsider/internal/stencil"
 	"doconsider/internal/trisolve"
@@ -39,26 +42,56 @@ func randVec(n int, seed int64) []float64 {
 	return v
 }
 
-func newTestCoalescer(t *testing.T, window time.Duration, width int) *Coalescer {
-	t.Helper()
-	reg := NewRegistry()
-	cache := trisolve.NewPlanCache(8)
-	c := NewCoalescer(context.Background(), cache, reg, window, window, width, 2, executor.Pooled.String(), nil)
-	t.Cleanup(func() {
-		c.Drain()
-		cache.Close()
-	})
-	return c
+// testCo is a coalescer with the one piece of the server its requests
+// need: a factor cache, so every request pins a resident factor — one
+// per matrix content — exactly as solve does.
+type testCo struct {
+	*Coalescer
+	factors *plancache.Cache[uint64, *residentFactor]
 }
 
-// submitRHS runs one request through c the way the server does: a
-// caller-owned coReq whose solution rows the pass fills in place.
-func submitRHS(ctx context.Context, c *Coalescer, l *sparse.CSR, lower bool, bs [][]float64) ([][]float64, SolveInfo, error) {
+// withFactors wraps c for submitRHS; at the end of the test it drains c
+// and requires that every request gave its factor pin back.
+func withFactors(tb testing.TB, c *Coalescer) *testCo {
+	tc := &testCo{Coalescer: c, factors: plancache.New[uint64, *residentFactor](0)}
+	tb.Cleanup(func() {
+		c.Drain()
+		if n := tc.factors.Stats().Pinned; n != 0 {
+			tb.Errorf("%d factor pins outstanding after drain", n)
+		}
+		tc.factors.Close()
+	})
+	return tc
+}
+
+// newReq builds the request the server would: the factor registered and
+// pinned, caller-owned solution rows the pass fills in place.
+func (c *testCo) newReq(l *sparse.CSR, lower bool, class Class, bs [][]float64) *coReq {
+	pin, err := c.factors.Get(l.ContentFingerprint(), func() (*residentFactor, error) {
+		return &residentFactor{l: l, lower: lower}, nil
+	})
+	if err != nil {
+		panic(err)
+	}
 	xs := make([][]float64, len(bs))
 	for j := range xs {
 		xs[j] = make([]float64, l.N)
 	}
-	info, err := c.Submit(ctx, &coReq{l: l, lower: lower, xs: xs, bs: bs})
+	return &coReq{pin: pin, class: class, xs: xs, bs: bs}
+}
+
+func newTestCoalescer(t *testing.T, window time.Duration, width int) *testCo {
+	t.Helper()
+	cache := trisolve.NewPlanCache(8)
+	t.Cleanup(func() { cache.Close() }) // runs after withFactors' drain
+	return withFactors(t, NewCoalescer(context.Background(), cache, NewRegistry(), window, window, width, 2, executor.Pooled.String(), nil))
+}
+
+// submitRHS runs one request through c the way the server does.
+func submitRHS(ctx context.Context, c *testCo, l *sparse.CSR, lower bool, bs [][]float64) ([][]float64, SolveInfo, error) {
+	req := c.newReq(l, lower, ClassBatch, bs)
+	xs := req.xs
+	info, err := c.Submit(ctx, req)
 	return xs, info, err
 }
 
@@ -319,12 +352,10 @@ func TestCoalesceUpperSolve(t *testing.T) {
 // here) must never be what releases them.
 func TestCoalesceQuiescentSeal(t *testing.T) {
 	var inflight atomic.Int64
-	reg := NewRegistry()
 	cache := trisolve.NewPlanCache(8)
-	defer cache.Close()
-	c := NewCoalescer(context.Background(), cache, reg, 10*time.Second, 10*time.Second, 64, 2,
-		executor.Pooled.String(), inflight.Load)
-	defer c.Drain()
+	t.Cleanup(func() { cache.Close() })
+	c := withFactors(t, NewCoalescer(context.Background(), cache, NewRegistry(), 10*time.Second, 10*time.Second, 64, 2,
+		executor.Pooled.String(), inflight.Load))
 	l := testFactor(10)
 
 	const members = 3
@@ -361,43 +392,94 @@ func TestCoalesceQuiescentSeal(t *testing.T) {
 	}
 }
 
-// TestCoalesceStaleMemoFallsBack pins the memo's unpinned hand-out: a
-// solver a concurrent memo eviction un-leased between its lookup and its
-// solve — its skeleton since evicted from the plan cache, its pool
-// closed — must not fail the request (it answered 500 "pool is closed")
-// but solve through a freshly leased plan.
-func TestCoalesceStaleMemoFallsBack(t *testing.T) {
-	cache := trisolve.NewPlanCache(1)
-	c := NewCoalescer(context.Background(), cache, NewRegistry(), 0, 0, 8, 2, executor.Pooled.String(), nil)
-	defer cache.Close()
-	defer c.Drain()
-	a, other := testFactor(6), testFactor(7)
-	b := randVec(a.N, 1)
-	if _, _, err := submitRHS(context.Background(), c, a, true, [][]float64{b}); err != nil {
-		t.Fatal(err)
-	}
-	// Reproduce the interleaving's end state deterministically: drop the
-	// memo's lease behind its back, then push a's skeleton out of the
-	// one-entry plan cache.
-	if err := c.memo[0].plan.Close(); err != nil {
-		t.Fatal(err)
-	}
-	p, err := cache.Get(other, true, trisolve.WithProcs(2), trisolve.WithKind(executor.Pooled))
+// TestEvictionStormNeverClosesPinnedPlan is the proof that the stale-plan
+// failure (a 500 "executor: pool is closed" once in a million drift
+// requests) cannot happen under the pin-once rule: with room for one
+// factor and one skeleton, solvers resubmit two factors by fingerprint
+// (re-shipping on 404) while churners register fresh structures, so
+// every request races an eviction of the very factor, skeleton and
+// worker pool it is about to use. Every reply must be a 200 — never a
+// solve against a closed pool — bit-identical to ForwardSeq.
+func TestEvictionStormNeverClosesPinnedPlan(t *testing.T) {
+	s, err := New(Config{Procs: 2, Kind: executor.Pooled.String(), CacheCap: 1, FactorCacheCap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Close()
-	if _, err := c.memo[0].solver.Solve(context.Background(), [][]float64{make([]float64, a.N)}, [][]float64{b}); !errors.Is(err, executor.ErrPoolClosed) {
-		t.Fatalf("setup: stale solver returned %v, want ErrPoolClosed", err)
-	}
-	xs, _, err := submitRHS(context.Background(), c, a, true, [][]float64{b})
-	if err != nil {
-		t.Fatalf("request through a stale memo entry failed: %v", err)
-	}
-	want := refSolve(t, a, b)
-	for i := range want {
-		if xs[0][i] != want[i] {
-			t.Fatalf("x[%d] = %v, want %v", i, xs[0][i], want[i])
+	defer assertDrained(t, s)()
+
+	lower := true
+	// solve ships req as a frame below the HTTP edge and checks the
+	// reply against the sequential oracle; usable off the test goroutine.
+	solve := func(req *SolveRequest, l *sparse.CSR) (fp string, status int, err error) {
+		frame, err := EncodeRequestFrame(req)
+		if err != nil {
+			return "", 0, err
 		}
+		out, status := solveVia(s, frameCodec, frame)
+		wr, err := DecodeResponseFrame(out)
+		if err != nil {
+			return "", status, err
+		}
+		if status != http.StatusOK {
+			return "", status, errors.New(wr.ErrMsg)
+		}
+		want := make([]float64, l.N)
+		if err := trisolve.ForwardSeq(l, want, req.B[0]); err != nil {
+			return "", status, err
+		}
+		for i := range want {
+			if wr.X[0][i] != want[i] {
+				return "", status, fmt.Errorf("x[%d] = %x, ForwardSeq gives %x", i, wr.X[0][i], want[i])
+			}
+		}
+		return wr.Fp, status, nil
+	}
+	inline := func(l *sparse.CSR, seed int64) *SolveRequest {
+		return &SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx, Val: l.Val, Lower: &lower,
+			B: [][]float64{randVec(l.N, seed)}}
+	}
+
+	hot := []*sparse.CSR{testFactor(9), scaledFactor(testFactor(10), 1.5)}
+	const solvers, churners, iters = 4, 2, 120
+	var wg sync.WaitGroup
+	for w := 0; w < solvers+churners; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fps := make([]string, len(hot))
+			for i := 0; i < iters; i++ {
+				seed := int64(w*iters + i)
+				var l *sparse.CSR
+				var req *SolveRequest
+				if w < solvers {
+					k := (w + i) % len(hot)
+					l = hot[k]
+					req = &SolveRequest{Fp: fps[k], Lower: &lower, B: [][]float64{randVec(l.N, seed)}}
+					if fps[k] == "" {
+						req = inline(l, seed)
+					}
+				} else {
+					// Fourteen structures against room for one.
+					l = testFactor(3 + (w*7+i)%14)
+					req = inline(l, seed)
+				}
+				fp, status, err := solve(req, l)
+				if status == http.StatusNotFound && req.Fp != "" {
+					fp, status, err = solve(inline(l, seed), l) // evicted: the client's full-ship fallback
+				}
+				if err != nil {
+					t.Errorf("worker %d op %d (n=%d, fp %q): status %d: %v", w, i, l.N, req.Fp, status, err)
+					return
+				}
+				if w < solvers {
+					fps[(w+i)%len(hot)] = fp
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := s.Stats(); st.FactorCache.Evictions == 0 || st.PlanCache.Evictions == 0 {
+		t.Errorf("the storm evicted %d factors and %d skeletons; it must evict both to prove anything",
+			st.FactorCache.Evictions, st.PlanCache.Evictions)
 	}
 }

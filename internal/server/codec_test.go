@@ -35,7 +35,7 @@ func TestJSONNonFiniteSolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Shutdown(context.Background())
+	defer assertDrained(t, s)()
 	lower := true
 	// 1e-300 * x = 1e300 overflows to +Inf.
 	req := SolveRequest{N: 1, RowPtr: []int32{0, 1}, ColIdx: []int32{0}, Val: []float64{1e-300},
@@ -66,7 +66,7 @@ func FuzzJSONDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Cleanup(func() { s.Shutdown(context.Background()) })
+	f.Cleanup(assertDrained(f, s))
 	l := testFactor(3)
 	lower := true
 	inline := SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx, Val: l.Val, Lower: &lower,
@@ -80,7 +80,8 @@ func FuzzJSONDecode(f *testing.F) {
 	}
 	// Register the seed factor so the by-fingerprint and drift seeds reach
 	// the solve, not just the 404.
-	_, fp := s.registerFactor(l.Clone(), true)
+	pin, fp := s.registerFactor(&residentFactor{l: l.Clone(), lower: true})
+	pin.Release()
 	hexFp := fmt.Sprintf("%016x", fp)
 	mustSeed(inline)
 	mustSeed(SolveRequest{Fp: hexFp, Lower: &lower, B64: [][]byte{PackFloats(randVec(l.N, 2))}})
@@ -179,7 +180,7 @@ func TestHexFingerprintSpellings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Shutdown(context.Background())
+	defer assertDrained(t, s)()
 	lower := true
 	for _, tc := range []struct {
 		fp string

@@ -463,9 +463,7 @@ func TestCoalesceClassSeparation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bs := [][]float64{randVec(l.N, seed)}
-			xs := [][]float64{make([]float64, l.N)}
-			req := &coReq{l: l, lower: true, class: class, xs: xs, bs: bs}
+			req := c.newReq(l, true, class, [][]float64{randVec(l.N, seed)})
 			infos[i], errs[i] = c.Submit(context.Background(), req)
 		}()
 	}

@@ -314,16 +314,6 @@ type StatsResponse struct {
 	TracesDropped uint64 `json:"traces_dropped"`
 }
 
-// cachedFactor is a factor resident in the by-fingerprint cache, tagged
-// with the solve direction it was validated for. plancache requires a
-// Closer; a factor owns no resources.
-type cachedFactor struct {
-	l     *sparse.CSR
-	lower bool
-}
-
-func (cachedFactor) Close() error { return nil }
-
 // errUnknownFactor distinguishes a by-fingerprint miss from real build
 // failures inside the factor cache.
 var errUnknownFactor = errors.New("server: unknown factor fingerprint")
@@ -339,9 +329,12 @@ type errorResponse struct {
 // the HTTP handlers over them. Create with New, start with Start (or
 // mount Handler on a listener of your own), stop with Shutdown.
 type Server struct {
-	cfg      Config
+	cfg Config
+	// The residency stack (see residentFactor): a request pins its factor
+	// in factors; a factor's plan leases a skeleton from cache. Evicting a
+	// factor is what releases its skeleton lease.
 	cache    *trisolve.PlanCache
-	factors  *plancache.Cache[uint64, cachedFactor]
+	factors  *plancache.Cache[uint64, *residentFactor]
 	co       *Coalescer
 	reg      *Registry
 	mux      *http.ServeMux
@@ -384,7 +377,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		cache:   cache,
-		factors: plancache.New[uint64, cachedFactor](cfg.FactorCacheCap),
+		factors: plancache.New[uint64, *residentFactor](cfg.FactorCacheCap),
 		reg:     reg,
 		mux:     http.NewServeMux(),
 		baseCtx: baseCtx,
@@ -405,7 +398,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Coalesce.Width, cfg.Procs, cfg.Kind, s.adm.inFlight)
 	s.accepted = reg.Counter("loops_admission_accepted_total", "solve requests admitted", nil)
 	s.shed = reg.Counter("loops_admission_shed_total", "solve requests shed with 429", nil)
-	eventGauges(reg, "loops_plan_cache", "plan cache counters by event", cache.Stats, []event[plancache.Stats]{
+	eventGauges(reg, "loops_plan_cache", "plan cache counters by event", s.planCacheStats, []event[plancache.Stats]{
 		{"hits", func(st plancache.Stats) float64 { return float64(st.Hits) }},
 		{"coalesced", func(st plancache.Stats) float64 { return float64(st.Coalesced) }},
 		{"misses", func(st plancache.Stats) float64 { return float64(st.Misses) }},
@@ -413,7 +406,7 @@ func New(cfg Config) (*Server, error) {
 		{"resident", func(st plancache.Stats) float64 { return float64(st.Resident) }},
 	})
 	reg.GaugeFunc("loops_plan_cache_hit_rate", "fraction of plan lookups served without the inspector", nil,
-		func() float64 { return cache.Stats().HitRate() })
+		func() float64 { return s.planCacheStats().HitRate() })
 	// Near-miss repair outcomes for drifting structures.
 	eventGauges(reg, "loops_plan_repair", "near-miss plan repair counters by event", cache.DeltaStats, []event[trisolve.DeltaStats]{
 		{"repairs", func(d trisolve.DeltaStats) float64 { return float64(d.Repairs) }},
@@ -530,7 +523,9 @@ func (s *Server) Addr() string {
 // 503 (and /healthz fails, so load balancers stop routing here), pending
 // coalescer windows are flushed so accepted requests finish immediately,
 // and the HTTP server waits for in-flight handlers up to ctx's deadline.
-// The plan cache is closed last. Shutdown is idempotent.
+// The caches close last, in residency order: the factors first (each
+// releases its plan's skeleton lease), then the plan cache. Shutdown is
+// idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.adm.drain()
@@ -557,13 +552,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	s.cancel()
-	if cerr := s.cache.Close(); err == nil {
-		err = cerr
-	}
 	if cerr := s.factors.Close(); err == nil {
 		err = cerr
 	}
+	if cerr := s.cache.Close(); err == nil {
+		err = cerr
+	}
 	return err
+}
+
+// planCacheStats is the plan cache's counters as every surface reports
+// them: a pass that found its factor's plan already bound never reaches
+// the cache, but it is a plan lookup answered without the inspector all
+// the same, so it counts as a hit.
+func (s *Server) planCacheStats() plancache.Stats {
+	st := s.cache.Stats()
+	st.Hits += s.co.planHits.Load()
+	return st
 }
 
 // waitInFlight blocks until no solve request is admitted, or ctx ends.
@@ -580,7 +585,7 @@ func (s *Server) waitInFlight(ctx context.Context) error {
 
 // Stats assembles the /v1/stats snapshot.
 func (s *Server) Stats() StatsResponse {
-	cs := s.cache.Stats()
+	cs := s.planCacheStats()
 	tens := s.tenants.snapshot()
 	tstats := make([]TenantStats, 0, len(tens))
 	var queued int64

@@ -48,14 +48,11 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	drained := assertDrained(t, s)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
+		drained()
 	})
 	return s, ts
 }
@@ -175,13 +172,13 @@ func TestServerKindConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Shutdown(context.Background())
+	defer assertDrained(t, s)()
 	if got := s.co.kind; got != executor.Sequential.String() {
 		t.Fatalf("coalescer kind = %v, want sequential", got)
 	}
 	l := testFactor(8)
 	b := randVec(l.N, 1)
-	xs, _, err := submitRHS(context.Background(), s.co, l, true, [][]float64{b})
+	xs, _, err := submitRHS(context.Background(), &testCo{s.co, s.factors}, l, true, [][]float64{b})
 	if err != nil {
 		t.Fatal(err)
 	}

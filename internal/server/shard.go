@@ -106,11 +106,12 @@ func (s *Server) handleShardFactor(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleShardWarm registers a replayed factor and pre-builds its plan
-// (Coalescer.Warm), so the first routed request after cutover finds
-// both the factor cache and the plan cache hot. The response carries
-// the authoritative content fingerprint the replica computed itself —
-// the warm path never trusts the sender's fp.
+// handleShardWarm registers a replayed factor and, under the pin the
+// registration returns, builds its plan through the same plan-cache
+// options real traffic uses, so the first routed request after cutover
+// finds the factor resident with its plan bound. The response carries the
+// authoritative content fingerprint the replica computed itself — the
+// warm path never trusts the sender's fp.
 func (s *Server) handleShardWarm(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -136,14 +137,15 @@ func (s *Server) handleShardWarm(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	l, fp := s.registerFactor(l, in.Lower)
+	pin, fp := s.registerFactor(&residentFactor{l: l, lower: in.Lower})
+	defer pin.Release()
 	if fp == 0 {
 		// Content-fingerprint collision with a different resident factor;
 		// registering would serve wrong answers, warming is refused.
 		writeError(w, http.StatusConflict, "factor fingerprint collision")
 		return
 	}
-	if err := s.co.Warm(l, in.Lower); err != nil {
+	if _, err := pin.Value().plan(s.co, nil); err != nil {
 		writeError(w, http.StatusInternalServerError, "plan warm failed: "+err.Error())
 		return
 	}

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"doconsider/internal/arena"
 	"doconsider/internal/obs"
+	"doconsider/internal/plancache"
 	"doconsider/internal/sparse"
 	"doconsider/internal/trisolve"
 )
@@ -132,9 +134,9 @@ func readBody(r *http.Request, a *arena.Arena) ([]byte, error) {
 // decode failure it is. Every outcome, errors included, is traced under
 // the request's trace ID and charged to its tenant. This is the boundary
 // the 0 allocs/op gate measures: on a warm fp-resubmission frame (factor
-// cached, arena pooled, solver memoized, no timeout section) the call
-// performs no heap allocations — trace publication and tenant accounting
-// included.
+// resident with its plan bound, arena pooled, no timeout section) the
+// call performs no heap allocations — the factor pin, trace publication
+// and tenant accounting included.
 func (s *Server) solve(ctx context.Context, body []byte, readErr error, st *reqState) ([]byte, int) {
 	out, status := s.solveStages(ctx, body, readErr, st)
 	s.tracer.publish(&st.tr, obs.StageEncode, status)
@@ -165,27 +167,32 @@ func (s *Server) solveStages(ctx context.Context, body []byte, err error, st *re
 		return reject(http.StatusBadRequest, "bad request body: "+err.Error())
 	}
 	st.tr.Lap(obs.StageDecode)
-	l, fp, hint, err := s.resolveFactor(q)
+	pin, fp, err := s.resolveFactor(q)
 	if errors.Is(err, errUnknownFactor) {
 		return reject(http.StatusNotFound, err.Error())
 	}
 	if err != nil {
 		return reject(http.StatusBadRequest, err.Error())
 	}
+	// The request's one pin: everything it touches below — skeleton,
+	// executor pool, bound solver — stays open while the factor is pinned.
+	// Until Submit takes it over, it is dropped here.
+	n := pin.Value().l.N
 	st.tr.Lap(obs.StageFactor)
-	if err := validateRHS(q.rhs, l.N, s.cfg.MaxBatch); err != nil {
+	if err := validateRHS(q.rhs, n, s.cfg.MaxBatch); err != nil {
+		_ = pin.Release()
 		return reject(http.StatusBadRequest, err.Error())
 	}
 	st.tr.Lap(obs.StageDecode)
 	ctx, cancel, err := withRequestTimeout(ctx, q.timeoutMs)
 	if err != nil {
+		_ = pin.Release()
 		return reject(http.StatusBadRequest, err.Error())
 	}
 	defer cancel()
 
 	creq := &st.creq
-	*creq = coReq{l: l, lower: q.lower, class: st.class, xs: c.begin(st, len(q.rhs), l.N), bs: q.rhs,
-		hint: hint, bstats: &st.bstats}
+	*creq = coReq{pin: pin, class: st.class, xs: c.begin(st, len(q.rhs), n), bs: q.rhs, bstats: &st.bstats}
 	st.tr.Lap(obs.StageEncode)
 	if s.tracer.sampler.Sample() {
 		// Level sampling: the pooled clock is installed for this request
@@ -195,7 +202,8 @@ func (s *Server) solveStages(ctx context.Context, body []byte, err error, st *re
 		creq.lc = &st.lc
 	}
 	// The pass writes solutions straight into the response bytes; give
-	// it its own arena reference in case it outlives this handler.
+	// it its own arena reference in case it outlives this handler (the
+	// factor pin travels with it and is dropped at the same point).
 	st.arena.Retain()
 	creq.held = st.arena
 	info, err := s.co.Submit(ctx, creq)
@@ -208,7 +216,7 @@ func (s *Server) solveStages(ctx context.Context, body []byte, err error, st *re
 		return reject(solveErrorStatus(err))
 	}
 	st.tr.AttributeSubmit(info.PlanNs, st.bstats.RepairNs, info.ExecNs)
-	st.tr.SetInfo(l.N, len(q.rhs), info.Fused, info.Width, info.Strategy)
+	st.tr.SetInfo(n, len(q.rhs), info.Fused, info.Width, info.Strategy)
 	if creq.lc != nil {
 		st.lc.FillTrace(&st.tr)
 	}
@@ -251,24 +259,76 @@ func solveErrorStatus(err error) (int, string) {
 	}
 }
 
-// driftHint names the plan-cache repair ancestor of a drifted factor:
-// the base's structure fingerprint and the matrix rows the edits
-// touched.
-type driftHint struct {
+// residentFactor is the factor cache's value and the serving stack's one
+// unit of residency: a validated factor, the solve direction it was
+// validated for and — from its first solve on — the plan bound to it,
+// leased from the plan cache. A request pins it once, at factor
+// resolution, and everything below rides that pin: Close, which the
+// factor cache runs only after the factor is evicted and its last pin
+// released, is what drops the plan lease, so a pinned factor's skeleton
+// and worker pool cannot close under a running solve. l, lower and the
+// drift hint never change, which is what lets the shard handlers read
+// them unpinned.
+type residentFactor struct {
+	l     *sparse.CSR
+	lower bool
+	// The plan-cache repair ancestor of a factor created by base_fp+edits:
+	// the base's structure fingerprint and the matrix rows the edits
+	// touched (nil for a shipped factor), used by the plan's one build.
 	baseStructFp uint64
-	rows         []int32
+	editRows     []int32
+
+	mu sync.Mutex
+	p  *trisolve.Plan
 }
 
-// resolveFactor materializes the request's factor: from the wire matrix
-// (validating it and registering it in the by-fingerprint cache), from
-// the cache when the request carries just a fingerprint, or by applying
-// a drift edit set to a cached base factor (base_fp + edits). For the
-// drift form the returned hint carries the base structure fingerprint
-// and edited rows so the plan cache can repair instead of re-inspect.
-// No pin is taken on a cached factor: a cachedFactor's Close is a no-op
-// and the returned *CSR keeps the values alive through the solve, so
-// eviction during the solve is harmless.
-func (s *Server) resolveFactor(q *wireRequest) (*sparse.CSR, uint64, *driftHint, error) {
+// factorPin is a request's hold on its resident factor.
+type factorPin = plancache.Handle[uint64, *residentFactor]
+
+// plan returns the factor's bound plan, leasing it from c's plan cache
+// on the first call; a failed build is not remembered, so the next solve
+// retries it. Every later call is a plan lookup the inspector did not
+// run for and is counted as one. The caller holds a pin on f. bs, when
+// non-nil, receives the build-cost breakdown if this call builds.
+func (f *residentFactor) plan(c *Coalescer, bs *trisolve.BuildStats) (*trisolve.Plan, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.p != nil {
+		c.planHits.Add(1)
+		return f.p, nil
+	}
+	opts, err := c.planOpts()
+	if err != nil {
+		return nil, err
+	}
+	if f.editRows != nil {
+		opts = append(opts, trisolve.WithDriftHint(f.baseStructFp, f.editRows))
+	}
+	if bs != nil {
+		opts = append(opts, trisolve.WithBuildStats(bs))
+	}
+	f.p, err = c.cache.Get(f.l, f.lower, opts...)
+	return f.p, err
+}
+
+// Close releases the plan lease; the skeleton closes with its last one.
+func (f *residentFactor) Close() error {
+	f.mu.Lock()
+	p := f.p
+	f.p = nil
+	f.mu.Unlock()
+	if p == nil {
+		return nil
+	}
+	return p.Close()
+}
+
+// resolveFactor materializes the request's factor and returns it pinned
+// (the caller owns the pin), with its content fingerprint: from the wire
+// matrix (validating it and registering it in the by-fingerprint cache),
+// from the cache when the request carries just a fingerprint, or by
+// applying a drift edit set to a cached base factor (base_fp + edits).
+func (s *Server) resolveFactor(q *wireRequest) (factorPin, uint64, error) {
 	inline := q.n != 0 || q.rowPtr != nil || q.colIdx != nil || q.val != nil
 	forms := 0
 	for _, has := range [...]bool{q.hasFp, q.hasBaseFp, inline} {
@@ -277,94 +337,100 @@ func (s *Server) resolveFactor(q *wireRequest) (*sparse.CSR, uint64, *driftHint,
 		}
 	}
 	if forms > 1 {
-		return nil, 0, nil, errors.New("request carries more than one of: a factor, fp, base_fp; send one")
+		return factorPin{}, 0, errors.New("request carries more than one of: a factor, fp, base_fp; send one")
 	}
 	if len(q.edits) > 0 && !q.hasBaseFp {
-		return nil, 0, nil, errors.New("edits require base_fp")
+		return factorPin{}, 0, errors.New("edits require base_fp")
 	}
 	switch {
 	case q.hasFp:
-		l, err := s.factorByFp(q.fp, q.lower)
-		return l, q.fp, nil, err
+		pin, err := s.factorByFp(q.fp, q.lower)
+		return pin, q.fp, err
 	case q.hasBaseFp:
 		return s.resolveDrifted(q)
 	case !inline:
-		return nil, 0, nil, errors.New("request carries no factor (inline matrix, fp or base_fp)")
+		return factorPin{}, 0, errors.New("request carries no factor (inline matrix, fp or base_fp)")
 	}
 	l := sparse.View(q.n, q.rowPtr, q.colIdx, q.val)
 	if err := validateFactor(l, q.lower); err != nil {
-		return nil, 0, nil, err
+		return factorPin{}, 0, err
 	}
 	if q.borrowed {
 		// Validated on the zero-copy views; the cache outlives the request
 		// arena, so the factor leaves it here.
 		l = l.Clone()
 	}
-	l, fp := s.registerFactor(l, q.lower)
-	return l, fp, nil, nil
+	pin, fp := s.registerFactor(&residentFactor{l: l, lower: q.lower})
+	return pin, fp, nil
 }
 
 // factorByFp is the one by-fingerprint read of the factor cache: a hit
-// counts, refreshes the entry's LRU position and allocates nothing.
-func (s *Server) factorByFp(fp uint64, lower bool) (*sparse.CSR, error) {
-	cf, ok := s.factors.Lookup(fp)
-	if !ok {
-		return nil, errUnknownFactor
+// counts, refreshes the entry's LRU position, pins it and allocates
+// nothing.
+func (s *Server) factorByFp(fp uint64, lower bool) (factorPin, error) {
+	pin, err := s.factors.Get(fp, nil)
+	if err != nil {
+		return factorPin{}, errUnknownFactor
 	}
-	if cf.lower != lower {
-		return nil, fmt.Errorf("factor %016x was registered for lower=%v", fp, cf.lower)
+	if f := pin.Value(); f.lower != lower {
+		_ = pin.Release()
+		return factorPin{}, fmt.Errorf("factor %016x was registered for lower=%v", fp, f.lower)
 	}
-	return cf.l, nil
+	return pin, nil
 }
 
 // resolveDrifted materializes base_fp + edits: the cached base factor
 // with the edit set applied, validated on the edited rows only (the rest
-// is the already-validated base), registered under its own fingerprint.
-func (s *Server) resolveDrifted(q *wireRequest) (*sparse.CSR, uint64, *driftHint, error) {
+// is the already-validated base), registered under its own fingerprint
+// with the base's structure and the edited rows as its plan-repair hint,
+// so its plan is repaired from the base's instead of re-inspected.
+func (s *Server) resolveDrifted(q *wireRequest) (factorPin, uint64, error) {
 	if len(q.edits) == 0 {
-		return nil, 0, nil, errors.New("base_fp requires edits (use fp to resubmit unchanged)")
+		return factorPin{}, 0, errors.New("base_fp requires edits (use fp to resubmit unchanged)")
 	}
 	base, err := s.factorByFp(q.baseFp, q.lower)
 	if err != nil {
-		return nil, 0, nil, err
+		return factorPin{}, 0, err
 	}
-	l, err := base.ApplyRowEdits(q.edits)
+	defer base.Release()
+	bl := base.Value().l
+	l, err := bl.ApplyRowEdits(q.edits)
 	if err != nil {
-		return nil, 0, nil, err
+		return factorPin{}, 0, err
 	}
 	rows := make([]int32, 0, len(q.edits))
 	for _, e := range q.edits {
 		rows = append(rows, e.Row)
 	}
 	if err := validateFactorRows(l, rows, q.lower); err != nil {
-		return nil, 0, nil, err
+		return factorPin{}, 0, err
 	}
-	hint := &driftHint{baseStructFp: base.StructureFingerprint(), rows: rows}
-	l, fp := s.registerFactor(l, q.lower)
-	return l, fp, hint, nil
+	pin, fp := s.registerFactor(&residentFactor{l: l, lower: q.lower,
+		baseStructFp: bl.StructureFingerprint(), editRows: rows})
+	return pin, fp, nil
 }
 
 // registerFactor installs a validated, heap-owned factor in the
-// by-fingerprint cache and returns the resident copy (so concurrent
-// identical requests coalesce on one value array) with its fingerprint.
-func (s *Server) registerFactor(l *sparse.CSR, lower bool) (*sparse.CSR, uint64) {
-	fp := l.ContentFingerprint()
-	h, err := s.factors.Get(fp, func() (cachedFactor, error) {
-		return cachedFactor{l: l, lower: lower}, nil
-	})
+// by-fingerprint cache and returns the resident entry pinned (so
+// concurrent identical requests coalesce on one value array and one
+// plan) with its fingerprint. A factor that cannot be resident — the
+// cache is closed because drain raced in, or its fingerprint is taken —
+// is returned as a transient the pin owns: it solves like any other and
+// its plan closes with the request.
+func (s *Server) registerFactor(f *residentFactor) (factorPin, uint64) {
+	fp := f.l.ContentFingerprint()
+	pin, err := s.factors.Get(fp, func() (*residentFactor, error) { return f, nil })
 	if err != nil {
-		// The cache is closed (drain raced in); solve with the wire copy.
-		return l, fp
+		return s.factors.Own(f), fp
 	}
-	cf := h.Value()
-	_ = h.Release() // a factor owns nothing: no pin needed past this read
-	if !sparse.Equal(l, cf.l) {
+	if r := pin.Value(); r != f && !sparse.Equal(f.l, r.l) {
 		// 64-bit fingerprint collision: the resident entry is a different
 		// matrix. Solve with the local copy — never a neighbor's numbers —
 		// and return no fingerprint, since a by-reference resubmission
 		// could not be told apart from the resident factor. The O(nnz)
 		// equality check costs what the fingerprint already did.
-		return l, 0
+		_ = pin.Release()
+		return s.factors.Own(f), 0
 	}
-	return cf.l, fp
+	return pin, fp
 }

@@ -148,11 +148,6 @@ func TestTable5(t *testing.T) {
 		if r.GlobalRun <= 0 || r.LocalRun <= 0 {
 			t.Errorf("%s: nonpositive run times", r.Problem)
 		}
-		// Local scheduling must be cheaper to construct than global.
-		if r.LocalWall > r.GlobalWall*10 {
-			t.Errorf("%s: local schedule wall %v suspiciously above global %v",
-				r.Problem, r.LocalWall, r.GlobalWall)
-		}
 		// Local and global run times are comparable under self-execution
 		// (the paper's conclusion): within a factor of two either way.
 		ratio := r.LocalRun / r.GlobalRun

@@ -49,7 +49,7 @@ type PlanCache struct {
 	mu      sync.Mutex
 	records []DecisionRecord
 	counts  map[string]uint64
-	sim     map[simKey]map[uint64]*simEntry
+	sim     map[simKey]map[uint64]*planSkeleton // resident skeletons with repair state, by fingerprint
 	delta   DeltaStats
 	super   SupernodeStats
 }
@@ -65,17 +65,6 @@ const maxSimScan = 4
 type simKey struct {
 	n   int
 	key planKey // fp zeroed
-}
-
-// simEntry is one resident skeleton's entry in the similarity index.
-type simEntry struct {
-	state    *delta.State
-	kind     executor.Kind
-	decision *planner.Decision
-	// fused is the ancestor's supernodal state; repairs re-splice its
-	// partition around the edited rows so a drift chain keeps fused
-	// execution without re-detecting from scratch.
-	fused *fusedExec
 }
 
 // DeltaStats counts the near-miss outcomes of a PlanCache: how many
@@ -158,7 +147,9 @@ type planKey struct {
 // and wf are always row-level (they feed the repair state); for a fused
 // skeleton sched is the unit-level schedule the executor runs and fused
 // holds the supernodal state, with the row-level structure still backing
-// repairs.
+// repairs — a repair re-splices the ancestor's partition around the
+// edited rows, so a drift chain keeps fused execution without
+// re-detecting from scratch.
 type planSkeleton struct {
 	deps     *wavefront.Deps
 	wf       []int32
@@ -185,7 +176,7 @@ func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{
 		c:      plancache.New[planKey, *planSkeleton](capacity),
 		counts: make(map[string]uint64),
-		sim:    make(map[simKey]map[uint64]*simEntry),
+		sim:    make(map[simKey]map[uint64]*planSkeleton),
 	}
 }
 
@@ -219,25 +210,24 @@ func (pc *PlanCache) Get(t *sparse.CSR, lower bool, opts ...Option) (*Plan, erro
 		// inspection". Only the singleflight builder reaches this closure;
 		// coalesced peers observe the time as plan-stage waiting.
 		t0 := time.Now()
-		if sk := pc.tryRepair(t, lower, cfg, key); sk != nil {
-			if bs := cfg.buildStats; bs != nil {
-				bs.RepairNs += time.Since(t0).Nanoseconds()
-				bs.Repaired = true
-			}
-			return sk, nil
-		}
-		if bs := cfg.buildStats; bs != nil {
-			bs.RepairNs += time.Since(t0).Nanoseconds()
-		}
+		sk := pc.tryRepair(t, lower, cfg, key)
 		t1 := time.Now()
-		sk, err := inspect(t, lower, cfg)
+		repaired := sk != nil
+		var err error
+		if !repaired {
+			sk, err = inspect(t, lower, cfg)
+		}
 		if bs := cfg.buildStats; bs != nil {
-			bs.InspectNs += time.Since(t1).Nanoseconds()
+			bs.RepairNs += t1.Sub(t0).Nanoseconds()
+			bs.Repaired = repaired
+			if !repaired {
+				bs.InspectNs += time.Since(t1).Nanoseconds()
+			}
 		}
 		if err != nil {
 			return nil, err
 		}
-		if cfg.scheduler == GlobalSched {
+		if !repaired && cfg.scheduler == GlobalSched {
 			// The repair state splices row-level structure, so a fused
 			// skeleton backs it with the row-level schedule the executor
 			// would have run unfused; the unit schedule is re-derived from
@@ -247,16 +237,18 @@ func (pc *PlanCache) Get(t *sparse.CSR, lower bool, opts ...Option) (*Plan, erro
 				rowSched = schedule.Global(sk.wf, cfg.nproc)
 			}
 			sk.state = delta.NewState(sk.deps, sk.wf, rowSched)
+		}
+		if sk.state != nil {
 			pc.registerSim(key, t.N, sk)
 		}
-		pc.record(lower, cfg, sk, nil)
+		pc.record(lower, cfg, sk, repaired)
 		return sk, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	p := newPlan(t, lower, h.Value())
-	p.leased, p.release = true, h.Release
+	p.leased, p.lease = true, h
 	return p, nil
 }
 
@@ -264,100 +256,105 @@ func (pc *PlanCache) Get(t *sparse.CSR, lower bool, opts ...Option) (*Plan, erro
 // resident ancestor with the same plan shape whose structure differs
 // from t in few enough rows that the planner prices a delta repair below
 // a rebuild, and repairs that ancestor's skeleton. It returns nil — full
-// inspection proceeds — when no ancestor qualifies.
+// inspection proceeds — when no ancestor qualifies or the repair fell
+// back (counted in DeltaStats).
 func (pc *PlanCache) tryRepair(t *sparse.CSR, lower bool, cfg planConfig, key planKey) *planSkeleton {
 	if cfg.scheduler != GlobalSched {
 		return nil
 	}
+	best, changed := pc.nearest(t, lower, cfg, key)
+	if best == nil {
+		return nil
+	}
+	out, cone := repairFrom(best, changed, t, lower, cfg)
+	pc.mu.Lock()
+	if out == nil {
+		pc.delta.Fallbacks++
+	} else {
+		pc.delta.Repairs++
+		pc.delta.ConeRows += uint64(cone)
+	}
+	pc.mu.Unlock()
+	return out
+}
+
+// nearest picks the repair ancestor for t among the resident skeletons
+// of its plan shape — the hinted one when the caller named it, else the
+// candidate with the fewest differing rows — and returns it with those
+// rows in iteration space.
+func (pc *PlanCache) nearest(t *sparse.CSR, lower bool, cfg planConfig, key planKey) (*planSkeleton, []int32) {
 	sk := simKey{n: t.N, key: key}
 	sk.key.fp = 0
 	pc.mu.Lock()
 	bucket := pc.sim[sk]
-	candidates := make([]*simEntry, 0, len(bucket))
-	hinted := false
-	if cfg.hintRows != nil {
-		if e, ok := bucket[cfg.hintFp]; ok {
-			candidates = append(candidates, e)
-			hinted = true
-		}
-	}
-	if len(candidates) == 0 {
-		for _, e := range bucket {
-			candidates = append(candidates, e)
-			if len(candidates) == maxSimScan {
-				break
-			}
-		}
-	}
-	pc.mu.Unlock()
-	if len(candidates) == 0 {
-		return nil
-	}
-
-	var best *simEntry
-	var bestChanged []int32
-	if hinted {
+	if e, ok := bucket[cfg.hintFp]; ok && cfg.hintRows != nil {
+		pc.mu.Unlock()
 		// The caller names the edited rows (it built t from the ancestor
 		// by applying exactly those edits), so the diff scan disappears.
 		// Hint rows are matrix rows; translate to iteration space (upper
 		// factors are reflected) and normalize for the splice.
-		best, bestChanged = candidates[0], normalizeHintRows(cfg.hintRows, t.N, lower)
-	} else {
-		for _, e := range candidates {
-			limit := planner.PlanRepair(t.N, e.state.Deps.Edges(), 1, cfg.model).MaxCone
-			if limit <= 0 {
-				// Repair can never pay for this shape (the break-even cone
-				// is empty); don't spend an O(N) diff to find that out —
-				// DiffFactor would read limit<=0 as "unbounded".
-				continue
-			}
-			changed, ok := delta.DiffFactor(e.state.Deps, t, lower, limit)
-			if !ok || len(changed) == 0 {
-				continue // drifted too far, or a fingerprint collision
-			}
-			if best == nil || len(changed) < len(bestChanged) {
-				best, bestChanged = e, changed
-			}
+		return e, normalizeHintRows(cfg.hintRows, t.N, lower)
+	}
+	candidates := make([]*planSkeleton, 0, maxSimScan)
+	for _, e := range bucket {
+		if candidates = append(candidates, e); len(candidates) == maxSimScan {
+			break
 		}
 	}
-	if best == nil {
-		return nil
+	pc.mu.Unlock()
+
+	var best *planSkeleton
+	var bestChanged []int32
+	for _, e := range candidates {
+		limit := planner.PlanRepair(t.N, e.state.Deps.Edges(), 1, cfg.model).MaxCone
+		if limit <= 0 {
+			// Repair can never pay for this shape (the break-even cone
+			// is empty); don't spend an O(N) diff to find that out —
+			// DiffFactor would read limit<=0 as "unbounded".
+			continue
+		}
+		changed, ok := delta.DiffFactor(e.state.Deps, t, lower, limit)
+		if !ok || len(changed) == 0 {
+			continue // drifted too far, or a fingerprint collision
+		}
+		if best == nil || len(changed) < len(bestChanged) {
+			best, bestChanged = e, changed
+		}
 	}
-	dec := planner.PlanRepair(t.N, best.state.Deps.Edges(), len(bestChanged), cfg.model)
+	return best, bestChanged
+}
+
+// repairFrom splices the changed rows of t into ancestor's skeleton and
+// returns the repaired skeleton with the number of rows releveled, or
+// nil when the planner prices a rebuild lower or the level-change cone
+// outgrew its bound.
+func repairFrom(ancestor *planSkeleton, changed []int32, t *sparse.CSR, lower bool, cfg planConfig) (*planSkeleton, int) {
+	dec := planner.PlanRepair(t.N, ancestor.state.Deps.Edges(), len(changed), cfg.model)
 	if !dec.Repair {
-		pc.countDelta(func(d *DeltaStats) { d.Fallbacks++ })
-		return nil
+		return nil, 0
 	}
-	newDeps := delta.FactorDeps(best.state.Deps, t, lower, bestChanged)
-	st, stats, err := best.state.Repair(newDeps, bestChanged, delta.Options{MaxCone: dec.MaxCone})
+	newDeps := delta.FactorDeps(ancestor.state.Deps, t, lower, changed)
+	st, stats, err := ancestor.state.Repair(newDeps, changed, delta.Options{MaxCone: dec.MaxCone})
 	if err != nil {
-		pc.countDelta(func(d *DeltaStats) { d.Fallbacks++ })
-		return nil
+		return nil, 0
 	}
 	out := &planSkeleton{
 		deps: st.Deps, wf: st.Wf, sched: st.Sched,
-		kind: best.kind, decision: best.decision, exec: executor.New(best.kind), state: st,
+		kind: ancestor.kind, decision: ancestor.decision, exec: executor.New(ancestor.kind), state: st,
 	}
-	if best.fused != nil {
+	if ancestor.fused != nil {
 		// Keep the drift chain fused: re-splice the ancestor's partition
 		// around the edited rows (detection is local, so untouched nodes
 		// carry over) and rebuild the unit schedule.
-		newPart := supernode.Resplice(best.fused.part, st.Deps, bestChanged)
-		fx, ferr := newFusedExec(newPart, st.Deps, nil, nil, cfg.nproc)
-		if ferr != nil {
-			pc.countDelta(func(d *DeltaStats) { d.Fallbacks++ })
-			return nil
+		newPart := supernode.Resplice(ancestor.fused.part, st.Deps, changed)
+		fx, err := newFusedExec(newPart, st.Deps, nil, nil, cfg.nproc)
+		if err != nil {
+			return nil, 0
 		}
 		out.fused = fx
 		out.sched = fx.sched
 	}
-	pc.registerSim(key, t.N, out)
-	pc.countDelta(func(d *DeltaStats) {
-		d.Repairs++
-		d.ConeRows += uint64(stats.Cone)
-	})
-	pc.record(lower, cfg, out, &stats)
-	return out
+	return out, stats.Cone
 }
 
 // normalizeHintRows maps matrix row indices to iteration indices
@@ -395,14 +392,13 @@ func (pc *PlanCache) registerSim(key planKey, n int, sk *planSkeleton) {
 	sKey := simKey{n: n, key: key}
 	sKey.key.fp = 0
 	fp := key.fp
-	entry := &simEntry{state: sk.state, kind: sk.kind, decision: sk.decision, fused: sk.fused}
 	pc.mu.Lock()
 	bucket := pc.sim[sKey]
 	if bucket == nil {
-		bucket = make(map[uint64]*simEntry)
+		bucket = make(map[uint64]*planSkeleton)
 		pc.sim[sKey] = bucket
 	}
-	bucket[fp] = entry
+	bucket[fp] = sk
 	pc.mu.Unlock()
 	sk.cleanup = func() {
 		pc.mu.Lock()
@@ -410,7 +406,7 @@ func (pc *PlanCache) registerSim(key planKey, n int, sk *planSkeleton) {
 		// was rebuilt and re-registered (plancache defers Close past the
 		// last lease): only remove the entry if it is still ours, never a
 		// replacement's.
-		if b := pc.sim[sKey]; b != nil && b[fp] == entry {
+		if b := pc.sim[sKey]; b != nil && b[fp] == sk {
 			delete(b, fp)
 			if len(b) == 0 {
 				delete(pc.sim, sKey)
@@ -418,12 +414,6 @@ func (pc *PlanCache) registerSim(key planKey, n int, sk *planSkeleton) {
 		}
 		pc.mu.Unlock()
 	}
-}
-
-func (pc *PlanCache) countDelta(f func(*DeltaStats)) {
-	pc.mu.Lock()
-	f(&pc.delta)
-	pc.mu.Unlock()
 }
 
 // DeltaStats returns the cache's near-miss repair counters.
@@ -434,11 +424,11 @@ func (pc *PlanCache) DeltaStats() DeltaStats {
 }
 
 // record logs the strategy chosen for a freshly built skeleton.
-func (pc *PlanCache) record(lower bool, cfg planConfig, sk *planSkeleton, repair *delta.Stats) {
+func (pc *PlanCache) record(lower bool, cfg planConfig, sk *planSkeleton, repaired bool) {
 	rec := DecisionRecord{
 		Strategy: sk.kind.String(),
 		Reorder:  planner.ReorderNone.String(),
-		Repaired: repair != nil,
+		Repaired: repaired,
 		Lower:    lower,
 		Procs:    cfg.nproc,
 	}
@@ -523,10 +513,6 @@ func (pc *PlanCache) DecisionCounts() map[string]uint64 {
 
 // Stats returns the cache effectiveness counters.
 func (pc *PlanCache) Stats() plancache.Stats { return pc.c.Stats() }
-
-// NoteHit counts a plan lookup served from a caller-held memo of a
-// leased plan — still a lookup the inspector did not run for.
-func (pc *PlanCache) NoteHit() { pc.c.NoteHit() }
 
 // Len returns the number of resident plan skeletons.
 func (pc *PlanCache) Len() int { return pc.c.Len() }

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"doconsider/internal/executor"
+	"doconsider/internal/plancache"
 	"doconsider/internal/planner"
 	"doconsider/internal/reorder"
 	"doconsider/internal/schedule"
@@ -106,8 +107,8 @@ type Plan struct {
 	// leased marks plans obtained from a PlanCache: the schedule and
 	// executor are shared, so Close releases the lease (once) instead of
 	// closing the executor.
-	leased  bool
-	release func() error
+	leased bool
+	lease  plancache.Handle[planKey, *planSkeleton]
 
 	bindOnce sync.Once
 	bound    *BatchSolver
@@ -387,12 +388,7 @@ func (p *Plan) rowMetrics(m executor.Metrics, err error) executor.Metrics {
 // Close on a leased plan must never fall through to the shared executor.
 func (p *Plan) Close() error {
 	if p.leased {
-		rel := p.release
-		p.release = nil
-		if rel == nil {
-			return nil
-		}
-		return rel()
+		return p.lease.Release()
 	}
 	return p.exec.Close()
 }
