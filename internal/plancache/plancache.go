@@ -21,6 +21,11 @@
 //     for observers of fields a value's Close does not touch.
 //   - Close-on-evict: once the final reference to an evicted entry drops,
 //     its value's Close runs exactly once, releasing pooled workers.
+//
+// GetSecondSight adds the admission rule of ghost-list caches (ARC's
+// ghost lists, TinyLFU's doorkeeper): a key is built only the second
+// time it is asked for within the cache's reach, so a value that would
+// be used once is never built, and never displaces one that is reused.
 package plancache
 
 import (
@@ -34,6 +39,11 @@ var ErrClosed = errors.New("plancache: cache is closed")
 
 // ErrAbsent reports a Get without a builder for a key that is not resident.
 var ErrAbsent = errors.New("plancache: key is not resident")
+
+// ErrFirstSight reports a GetSecondSight of a key that is neither
+// resident nor remembered from an earlier first sight; the key is now
+// remembered, and nothing was built.
+var ErrFirstSight = errors.New("plancache: first sight of key")
 
 // ErrBuildPanicked is returned to callers coalesced onto a build whose
 // builder panicked (the panic itself propagates on the builder's
@@ -67,7 +77,49 @@ type Cache[K comparable, V io.Closer] struct {
 	entries  map[K]*entry[K, V]
 	lru      lruList[K, V] // front = most recently used
 	stats    Stats         // Resident is filled in by Stats; Pinned is live
+	seen     seenSet[K]    // GetSecondSight's first sights
 	closed   bool
+}
+
+// seenSet is the FIFO of keys GetSecondSight turned away on first
+// sight: the last capacity of them for a bounded cache, every one for
+// an unbounded cache. A key leaves when it is admitted (its second
+// sight) or when capacity newer first sights have pushed it out.
+type seenSet[K comparable] struct {
+	slot map[K]int // key → its position in ring (0 when unbounded)
+	ring []K       // bounded caches: the last capacity first sights
+	next int       // ring position of the oldest first sight
+}
+
+// admit reports whether key was seen before, forgetting it if so, and
+// otherwise remembers it, pushing out the oldest first sight when the
+// ring is full.
+func (s *seenSet[K]) admit(key K, capacity int) bool {
+	if _, ok := s.slot[key]; ok {
+		delete(s.slot, key)
+		return true
+	}
+	if s.slot == nil {
+		s.slot = make(map[K]int)
+	}
+	if capacity <= 0 {
+		s.slot[key] = 0
+		return false
+	}
+	if len(s.ring) < capacity {
+		s.ring = append(s.ring, key)
+		s.slot[key] = len(s.ring) - 1
+		return false
+	}
+	// The slot's old key is pushed out unless it was admitted since
+	// (and perhaps seen again, in another slot).
+	if i, ok := s.slot[s.ring[s.next]]; ok && i == s.next {
+		delete(s.slot, s.ring[s.next])
+	}
+	s.ring[s.next] = key
+	s.slot[key] = s.next
+	s.next = (s.next + 1) % capacity
+	return false
 }
 
 // entry is one cached plan. refs counts outstanding Handles plus, during
@@ -100,6 +152,22 @@ func New[K comparable, V io.Closer](capacity int) *Cache[K, V] {
 // miss and fails with ErrAbsent, leaving the cache untouched. A hit
 // allocates nothing.
 func (c *Cache[K, V]) Get(key K, build func() (V, error)) (Handle[K, V], error) {
+	return c.get(key, build, false)
+}
+
+// GetSecondSight is Get that builds only a key it has seen before: a
+// resident key is served exactly as by Get, while an absent key seen for
+// the first time within the cache's reach — the last capacity first
+// sights, all of them when unbounded — is remembered, counted as a miss
+// and answered with ErrFirstSight, nothing built and nothing evicted. Its
+// next GetSecondSight, while still remembered, builds it as Get would.
+// A key that was evicted, or pushed out of the remembered set, starts
+// over. build must be non-nil.
+func (c *Cache[K, V]) GetSecondSight(key K, build func() (V, error)) (Handle[K, V], error) {
+	return c.get(key, build, true)
+}
+
+func (c *Cache[K, V]) get(key K, build func() (V, error), secondSight bool) (Handle[K, V], error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -138,6 +206,11 @@ func (c *Cache[K, V]) Get(key K, build func() (V, error)) (Handle[K, V], error) 
 		c.stats.Misses++
 		c.mu.Unlock()
 		return Handle[K, V]{}, ErrAbsent
+	}
+	if secondSight && !c.seen.admit(key, c.capacity) {
+		c.stats.Misses++
+		c.mu.Unlock()
+		return Handle[K, V]{}, ErrFirstSight
 	}
 	e := &entry[K, V]{key: key, ready: make(chan struct{})}
 	c.pinLocked(e)
@@ -285,6 +358,7 @@ func (c *Cache[K, V]) Close() error {
 		return nil
 	}
 	c.closed = true
+	c.seen = seenSet[K]{}
 	var toClose []V
 	for c.lru.back != nil {
 		toClose = append(toClose, c.evictLocked(c.lru.back)...)

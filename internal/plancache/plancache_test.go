@@ -416,3 +416,103 @@ func TestPinnedReadWithoutBuilder(t *testing.T) {
 		t.Fatalf("owned value closed %d times with %d pins left, want 1 and 0", got, s.Pinned)
 	}
 }
+
+// TestGetSecondSight pins the admission rule: a first sight builds
+// nothing, evicts nothing and counts one miss; the second sight within
+// the cache's reach builds; eviction or being pushed out of the
+// remembered first sights starts a key over.
+func TestGetSecondSight(t *testing.T) {
+	c := New[int, *tracker](2)
+	builds := 0
+	get := func(k int) error {
+		h, err := c.GetSecondSight(k, func() (*tracker, error) {
+			builds++
+			return &tracker{id: k}, nil
+		})
+		if err == nil {
+			if h.Value().id != k {
+				t.Fatalf("key %d served value %d", k, h.Value().id)
+			}
+			err = h.Release()
+		}
+		return err
+	}
+	mustFirst := func(k int) {
+		t.Helper()
+		if err := get(k); !errors.Is(err, ErrFirstSight) {
+			t.Fatalf("key %d: got %v, want ErrFirstSight", k, err)
+		}
+	}
+	mustServe := func(k int) {
+		t.Helper()
+		if err := get(k); err != nil {
+			t.Fatalf("key %d: %v", k, err)
+		}
+	}
+
+	mustFirst(1)
+	if st := c.Stats(); st.Misses != 1 || st.Resident != 0 || builds != 0 {
+		t.Fatalf("first sight: stats %+v, %d builds; want 1 miss, nothing resident or built", st, builds)
+	}
+	mustServe(1) // second sight builds
+	mustServe(1) // then hits
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 1 || builds != 1 {
+		t.Fatalf("after second sight: stats %+v, %d builds; want 2 misses, 1 hit, 1 build", st, builds)
+	}
+
+	// Keys 2 and 3 fill the cache (capacity 2), evicting 1: it starts over.
+	for _, k := range []int{2, 2, 3, 3} {
+		_ = get(k)
+	}
+	if st := c.Stats(); st.Evictions != 1 {
+		t.Fatalf("stats %+v, want key 1 evicted", st)
+	}
+	mustFirst(1)
+	mustServe(1)
+
+	// Two newer first sights push a remembered one out of the reach.
+	mustFirst(4)
+	mustFirst(5)
+	mustFirst(6)
+	mustFirst(4)
+	mustServe(6)
+
+	// Get ignores the rule; Close forgets every first sight.
+	h, err := c.Get(8, newTracker(8))
+	if err != nil {
+		t.Fatalf("Get built nothing on a first sight: %v", err)
+	}
+	_ = h.Release()
+	mustFirst(7)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := get(7); !errors.Is(err, ErrClosed) {
+		t.Fatalf("after Close: got %v, want ErrClosed", err)
+	}
+	if c.seen.slot != nil {
+		t.Fatalf("Close kept %d first sights", len(c.seen.slot))
+	}
+}
+
+// TestGetSecondSightUnbounded: an unbounded cache remembers every first
+// sight until its second.
+func TestGetSecondSightUnbounded(t *testing.T) {
+	c := New[int, *tracker](0)
+	defer c.Close()
+	for k := 0; k < 100; k++ {
+		if _, err := c.GetSecondSight(k, newTracker(k)); !errors.Is(err, ErrFirstSight) {
+			t.Fatalf("key %d: got %v, want ErrFirstSight", k, err)
+		}
+	}
+	for k := 0; k < 100; k++ {
+		h, err := c.GetSecondSight(k, newTracker(k))
+		if err != nil {
+			t.Fatalf("key %d second sight: %v", k, err)
+		}
+		_ = h.Release()
+	}
+	if st := c.Stats(); st.Misses != 200 || st.Resident != 100 {
+		t.Fatalf("stats %+v, want 200 misses and 100 resident", st)
+	}
+}

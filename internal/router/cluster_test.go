@@ -136,11 +136,26 @@ func TestClusterWarmHandoffOnDrain(t *testing.T) {
 	}
 
 	// Every factor still resolves by fingerprint alone: no fallback
-	// possible here because the request names no matrix.
+	// possible here because the request names no matrix. The handoff
+	// built each moved factor's plan on its gainer (the replay is the
+	// structure's first sight there, and residency on the leaver the
+	// reuse evidence), so a moved factor's first routed request misses
+	// no plan; a factor that stayed was seen once, by its registration,
+	// so this request — its second sight — is the one that builds.
 	lower := true
+	cur := newRing(c.Addrs(), 64)
 	for i, r := range regs {
+		owner := c.Server(cur.lookup(r.fp))
+		before := owner.Stats().PlanCache.Misses
 		if _, err := cli.Solve(ctx, &client.Request{Fp: r.f.Fp(), Lower: &lower, B: testBatch(r.f.N(), int64(i))}); err != nil {
 			t.Errorf("by-fp solve after drain (factor %d, fp %s): %v", i, r.f.Fp(), err)
+		}
+		want := uint64(1)
+		if old.lookup(r.fp) == loser {
+			want = 0
+		}
+		if got := owner.Stats().PlanCache.Misses - before; got != want {
+			t.Errorf("factor %d (moved=%v): first request after drain missed %d plans, want %d", i, want == 0, got, want)
 		}
 	}
 }

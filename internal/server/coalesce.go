@@ -489,12 +489,13 @@ func (c *Coalescer) passCtx(members []*coReq) (context.Context, context.CancelFu
 }
 
 // execute runs one fused (or solo) pass for members through the first
-// member's resident plan — every member holds a pin on a factor of that
-// structure, so the plan's skeleton cannot close under the pass — and
-// wakes every waiter. A lone member solves through the plan's bound
-// solver: no group assembly, no per-call body closure, no allocation
-// (the stage stamps are two clock reads); that is the shape of the warm
-// fp-resubmission path. Fused members' done channels are closed even on
+// member's factor plan — every member holds a pin on a factor of that
+// structure, so the plan's skeleton cannot close under the pass; at the
+// structure's first sight the plan is uninspected and the pass is the
+// sequential loop — and wakes every waiter. A lone member solves
+// through the plan's bound solver: no group assembly, no per-call body
+// closure, no allocation (the stage stamps are two clock reads); that is
+// the shape of the warm fp-resubmission path. Fused members' done channels are closed even on
 // error, each carrying the pass error.
 func (c *Coalescer) execute(ctx context.Context, members []*coReq) {
 	var metrics executor.Metrics

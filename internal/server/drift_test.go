@@ -26,9 +26,12 @@ func driftFactor(rng *rand.Rand, n int) *sparse.CSR {
 }
 
 // TestServerDriftRequest drives the base_fp+edits request form end to
-// end: a full submission registers the base, a drift request ships only
-// the edit set, and the reply must match solving the drifted factor
-// shipped whole — with the plan cache recording a repair, not a rebuild.
+// end: a full submission registers the base and a by-fp resubmission
+// builds its plan (the structure's second sight); a drift request ships
+// only the edit set and is answered before any repair is paid (its
+// structure's first sight); the reply must match solving the drifted
+// factor shipped whole; and the drifted factor's next solve is served by
+// a repair of the base's plan, not a rebuild.
 func TestServerDriftRequest(t *testing.T) {
 	s, ts := newTestServer(t, Config{Procs: 2})
 	rng := rand.New(rand.NewSource(23))
@@ -39,12 +42,16 @@ func TestServerDriftRequest(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || sr.Fp == "" {
 		t.Fatalf("base submission: status %d fp %q", resp.StatusCode, sr.Fp)
 	}
+	lower := true
+	baseAgain, _ := json.Marshal(SolveRequest{Fp: sr.Fp, Lower: &lower, B: bs})
+	if resp, _ := postSolve(t, ts.URL, baseAgain); resp.StatusCode != http.StatusOK {
+		t.Fatalf("base resubmission: status %d", resp.StatusCode)
+	}
 
 	edits := synthetic.DriftLower(rng, base, nil, 8, 0.3)
 	if len(edits) == 0 {
 		t.Fatal("no drift edits generated")
 	}
-	lower := true
 	req := SolveRequest{BaseFp: sr.Fp, Edits: edits, Lower: &lower, B: bs}
 	body, _ := json.Marshal(req)
 	resp2, sr2 := postSolve(t, ts.URL, body)
@@ -54,8 +61,11 @@ func TestServerDriftRequest(t *testing.T) {
 	if sr2.Fp == "" || sr2.Fp == sr.Fp {
 		t.Fatalf("drift response fp %q (base %q): want a fresh registered fingerprint", sr2.Fp, sr.Fp)
 	}
-	if st := s.Stats(); st.Delta.Repairs != 1 {
-		t.Fatalf("delta stats after drift: %+v, want 1 repair", st.Delta)
+	if sr2.Strategy != "sequential" {
+		t.Fatalf("drift request ran %q, want the uninspected sequential loop", sr2.Strategy)
+	}
+	if st := s.Stats(); st.Delta != (trisolve.DeltaStats{}) {
+		t.Fatalf("delta stats after first drift request: %+v, want no repair yet", st.Delta)
 	}
 
 	// The drifted solution matches solving the edited factor directly.
@@ -82,6 +92,14 @@ func TestServerDriftRequest(t *testing.T) {
 	resp3, sr3 := postSolve(t, ts.URL, body3)
 	if resp3.StatusCode != http.StatusOK || sr3.Fp != sr2.Fp {
 		t.Fatalf("fp resubmission of drifted factor: status %d fp %q", resp3.StatusCode, sr3.Fp)
+	}
+	if st := s.Stats(); st.Delta.Repairs != 1 {
+		t.Fatalf("delta stats after drifted resubmission: %+v, want 1 repair", st.Delta)
+	}
+	for i := range want {
+		if sr3.X[0][i] != want[i] {
+			t.Fatalf("x[%d] = %v, want %v (repaired solve diverged)", i, sr3.X[0][i], want[i])
+		}
 	}
 
 	// /metrics exposes the repair counters.

@@ -154,10 +154,12 @@ func TestFactorCollisionNeverCached(t *testing.T) {
 // TestResidencyTelemetry pins what the cache counters mean now that a
 // warm solve never reaches the plan cache: plan_cache.hits still counts
 // every pass answered without the inspector (a factor's already-bound
-// plan included), /v1/stats and /metrics report the same number, a
-// by-fingerprint read and a registration each count once in
-// factor_cache, and a replica warmed over /v1/shard/warm serves its
-// first routed request without a plan miss.
+// plan included), a structure's first sight (answered uninspected) and
+// its second (the build) each count one miss, /v1/stats and /metrics
+// report the same numbers, a by-fingerprint read and a registration
+// each count once in factor_cache, and a replica warmed over
+// /v1/shard/warm — first sight and build in one — serves its first
+// routed request without a plan miss.
 func TestResidencyTelemetry(t *testing.T) {
 	s, ts := newTestServer(t, Config{Procs: 1})
 	lower := true
@@ -189,7 +191,7 @@ func TestResidencyTelemetry(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("inline: status %d", resp.StatusCode)
 	}
-	check("cold inline request", 0, 1, 0, 1)
+	check("cold inline request (first sight)", 0, 1, 0, 1)
 	byFp := func(fp string, n int, seed int64) {
 		t.Helper()
 		if resp, _ := postSolve(t, ts.URL, mustJSON(t, SolveRequest{Fp: fp, Lower: &lower, B: [][]float64{randVec(n, seed)}})); resp.StatusCode != http.StatusOK {
@@ -199,11 +201,11 @@ func TestResidencyTelemetry(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		byFp(sr.Fp, l.N, int64(i))
 	}
-	check("three warm by-fp requests", 3, 1, 3, 1)
+	check("three by-fp requests (build, two hits)", 2, 2, 3, 1)
 	if resp, _ := postSolve(t, ts.URL, solveBody(t, l, true, [][]float64{randVec(l.N, 2)})); resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-registration: status %d", resp.StatusCode)
 	}
-	check("re-registration", 4, 1, 4, 1)
+	check("re-registration", 3, 2, 4, 1)
 
 	w := testFactor(9)
 	wresp, err := http.Post(ts.URL+"/v1/shard/warm", "application/json", bytes.NewReader(mustJSON(t,
@@ -216,7 +218,7 @@ func TestResidencyTelemetry(t *testing.T) {
 		t.Fatalf("warm: status %d, %v", wresp.StatusCode, err)
 	}
 	wresp.Body.Close()
-	check("shard warm", 4, 2, 4, 2)
+	check("shard warm (first sight and build)", 3, 4, 4, 2)
 	byFp(warmed.Fp, w.N, 7)
-	check("first routed request after warm", 5, 2, 5, 2)
+	check("first routed request after warm", 4, 4, 5, 2)
 }

@@ -429,11 +429,13 @@ func New(cfg Config) (*Server, error) {
 		func() float64 { return factors.Stats().HitRate() })
 	// Planner decisions by strategy: how many skeleton builds the adaptive
 	// planner resolved to each executor (constant-labeled for a stable
-	// exposition; pinned servers count everything under the pinned kind).
+	// exposition; pinned servers count everything under the pinned kind),
+	// plus the first-sight answers, which run the sequential loop
+	// uninspected and count under "sequential".
 	for _, k := range []executor.Kind{executor.Sequential, executor.PreScheduled,
 		executor.SelfExecuting, executor.DoAcross, executor.Pooled} {
 		name := k.String()
-		reg.GaugeFunc("loops_planner_decisions", "plan builds by chosen strategy", Labels{{"strategy", name}},
+		reg.GaugeFunc("loops_planner_decisions", "plan builds and first-sight answers by chosen strategy", Labels{{"strategy", name}},
 			func() float64 { return float64(cache.DecisionCounts()[name]) })
 	}
 

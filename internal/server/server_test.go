@@ -69,9 +69,9 @@ func TestServerSolveEndToEnd(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("lower=%v: status %d", lower, resp.StatusCode)
 		}
-		if len(sr.X) != 2 || sr.Fused != 1 || sr.Width != 2 || sr.Executed != int64(l.N) {
-			t.Fatalf("lower=%v: response = fused %d width %d executed %d (%d solutions)",
-				lower, sr.Fused, sr.Width, sr.Executed, len(sr.X))
+		if len(sr.X) != 2 || sr.Fused != 1 || sr.Width != 2 || sr.Executed != int64(l.N) || sr.Strategy != "sequential" {
+			t.Fatalf("lower=%v: response = fused %d width %d executed %d strategy %q (%d solutions), want the first sight's sequential loop",
+				lower, sr.Fused, sr.Width, sr.Executed, sr.Strategy, len(sr.X))
 		}
 		// The server must reproduce the in-process plan solve bit for bit
 		// (JSON round-trips float64 exactly via %g shortest form).
@@ -93,7 +93,9 @@ func TestServerPlanCacheSharedAcrossRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Procs: 2})
 	l := testFactor(10)
 	body := solveBody(t, l, true, [][]float64{randVec(l.N, 1)})
-	for i := 0; i < 3; i++ {
+	// The first request is the structure's first sight, answered
+	// uninspected; the next builds the plan the following ones share.
+	for i := 0; i < 4; i++ {
 		if resp, _ := postSolve(t, ts.URL, body); resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d", i, resp.StatusCode)
 		}
@@ -107,8 +109,8 @@ func TestServerPlanCacheSharedAcrossRequests(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.PlanCache.Misses != 1 || st.PlanCache.Hits != 2 {
-		t.Fatalf("plan cache stats = %+v, want 1 miss + 2 hits across requests", st.PlanCache)
+	if st.PlanCache.Misses != 2 || st.PlanCache.Hits != 2 {
+		t.Fatalf("plan cache stats = %+v, want 2 misses (first sight, build) + 2 hits across requests", st.PlanCache)
 	}
 	if st.CacheHitRate <= 0 {
 		t.Fatalf("cache hit rate = %v, want > 0", st.CacheHitRate)

@@ -109,9 +109,12 @@ func (s *Server) handleShardFactor(w http.ResponseWriter, r *http.Request) {
 // handleShardWarm registers a replayed factor and, under the pin the
 // registration returns, builds its plan through the same plan-cache
 // options real traffic uses, so the first routed request after cutover
-// finds the factor resident with its plan bound. The response carries the
-// authoritative content fingerprint the replica computed itself — the
-// warm path never trusts the sender's fp.
+// finds the factor resident with its plan bound. The factor's residency
+// on its previous owner is the reuse evidence the plan cache's
+// second-sight rule waits for: the replay is its first sight here, and
+// the build follows at once. The response carries the authoritative
+// content fingerprint the replica computed itself — the warm path never
+// trusts the sender's fp.
 func (s *Server) handleShardWarm(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -145,7 +148,12 @@ func (s *Server) handleShardWarm(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "factor fingerprint collision")
 		return
 	}
-	if _, err := pin.Value().plan(s.co, nil); err != nil {
+	f := pin.Value()
+	p, err := f.plan(s.co, nil)
+	if err == nil && p.Wf == nil {
+		_, err = f.plan(s.co, nil)
+	}
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, "plan warm failed: "+err.Error())
 		return
 	}

@@ -261,12 +261,12 @@ func solveErrorStatus(err error) (int, string) {
 
 // residentFactor is the factor cache's value and the serving stack's one
 // unit of residency: a validated factor, the solve direction it was
-// validated for and — from its first solve on — the plan bound to it,
-// leased from the plan cache. A request pins it once, at factor
-// resolution, and everything below rides that pin: Close, which the
-// factor cache runs only after the factor is evicted and its last pin
-// released, is what drops the plan lease, so a pinned factor's skeleton
-// and worker pool cannot close under a running solve. l, lower and the
+// validated for and — once its structure has been seen twice — the
+// plan bound to it, leased from the plan cache. A request pins it once,
+// at factor resolution, and everything below rides that pin: Close,
+// which the factor cache runs only after the factor is evicted and its
+// last pin released, is what drops the plan lease, so a pinned factor's
+// skeleton and worker pool cannot close under a running solve. l, lower and the
 // drift hint never change, which is what lets the shard handlers read
 // them unpinned.
 type residentFactor struct {
@@ -286,10 +286,15 @@ type residentFactor struct {
 type factorPin = plancache.Handle[uint64, *residentFactor]
 
 // plan returns the factor's bound plan, leasing it from c's plan cache
-// on the first call; a failed build is not remembered, so the next solve
-// retries it. Every later call is a plan lookup the inspector did not
-// run for and is counted as one. The caller holds a pin on f. bs, when
-// non-nil, receives the build-cost breakdown if this call builds.
+// when the factor holds none; a failed build is not remembered, so the
+// next solve retries it. Every call that finds the plan held is a plan
+// lookup the inspector did not run for and is counted as one. The plan
+// cache answers the first sight of a structure with an uninspected plan
+// (the sequential loop, see trisolve.PlanCache): the factor does not keep
+// it, so its next solve is the second sight that builds the plan it then
+// holds. An uninspected plan leases nothing, and the pass simply drops
+// it. The caller holds a pin on f. bs, when non-nil, receives the
+// build-cost breakdown if this call builds.
 func (f *residentFactor) plan(c *Coalescer, bs *trisolve.BuildStats) (*trisolve.Plan, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -307,8 +312,14 @@ func (f *residentFactor) plan(c *Coalescer, bs *trisolve.BuildStats) (*trisolve.
 	if bs != nil {
 		opts = append(opts, trisolve.WithBuildStats(bs))
 	}
-	f.p, err = c.cache.Get(f.l, f.lower, opts...)
-	return f.p, err
+	p, err := c.cache.Get(f.l, f.lower, opts...)
+	if err != nil {
+		return nil, err
+	}
+	if p.Wf != nil {
+		f.p = p
+	}
+	return p, nil
 }
 
 // Close releases the plan lease; the skeleton closes with its last one.

@@ -113,6 +113,7 @@ func BenchmarkPlanCacheGet(b *testing.B) {
 	b.Run("cache-hit", func(b *testing.B) {
 		pc := NewPlanCache(8)
 		defer pc.Close()
+		sight(b, pc, l, true, WithProcs(4))
 		warm, err := pc.Get(l, true, WithProcs(4))
 		if err != nil {
 			b.Fatal(err)

@@ -1,6 +1,7 @@
 package trisolve
 
 import (
+	"errors"
 	"sort"
 	"sync"
 	"time"
@@ -32,6 +33,18 @@ import (
 // per structure; the cache records each decision (see Decisions and
 // DecisionCounts) so serving stats can report what the inspector decided
 // and why.
+//
+// Such an adaptive lookup inspects a structure only on its second sight
+// within the cache's reach (plancache.Cache.GetSecondSight): the first
+// lookup of a structure that is neither resident nor among the last
+// capacity first sights (all of them when unbounded) runs no inspector
+// and returns an uninspected plan, whose passes are the sequential loop
+// itself — ForwardSeq/BackwardSeq's arithmetic, so the answer is the
+// oracle's. The inspector is paid only for a structure that comes back,
+// the one whose executions can amortize it (§5.1.1). The first sight
+// costs one miss, a reciprocal diagonal and a sequential pass; it is
+// recorded as a deferred "sequential" decision. Pinned kinds always
+// inspect.
 //
 // A fingerprint miss is not necessarily a cold start: the cache keeps a
 // similarity index of resident skeletons, and when the new structure is
@@ -82,7 +95,8 @@ type DeltaStats struct {
 const maxDecisionRecords = 64
 
 // DecisionRecord is one planner decision made while building a cached
-// skeleton, flattened for JSON stats.
+// skeleton, or one first-sight answer (Deferred), flattened for JSON
+// stats.
 type DecisionRecord struct {
 	Strategy string `json:"strategy"`
 	Reorder  string `json:"reorder"`
@@ -91,6 +105,9 @@ type DecisionRecord struct {
 	// ancestor instead of full inspection; the strategy and predictions
 	// are inherited from the ancestor's decision.
 	Repaired bool `json:"repaired,omitempty"`
+	// Deferred marks a first-sight answer: no inspector ran, and the
+	// lookup was answered by the sequential loop (see PlanCache).
+	Deferred bool `json:"deferred,omitempty"`
 	Lower    bool `json:"lower"`
 	Procs    int  `json:"procs"`
 	N        int  `json:"n"`
@@ -185,7 +202,10 @@ func NewPlanCache(capacity int) *PlanCache {
 // sparsity pattern and whose options match. The returned Plan is leased:
 // Close it when done (the shared skeleton persists for other holders).
 // Concurrent Solve calls on plans sharing one skeleton are safe; the
-// pooled executor serializes them on its worker pool.
+// pooled executor serializes them on its worker pool. An adaptive
+// lookup's first sight of a structure returns an uninspected plan
+// instead (see PlanCache), which shares nothing and whose Close is a
+// no-op.
 func (pc *PlanCache) Get(t *sparse.CSR, lower bool, opts ...Option) (*Plan, error) {
 	cfg := buildPlanConfig(opts)
 	key := planKey{
@@ -203,53 +223,72 @@ func (pc *PlanCache) Get(t *sparse.CSR, lower bool, opts ...Option) (*Plan, erro
 			key.model, key.hasModel = *cfg.model, true
 		}
 	}
-	h, err := pc.c.Get(key, func() (*planSkeleton, error) {
-		// Build-cost attribution: the repair attempt (successful or not)
-		// and the inspector run are timed separately so a traced request
-		// can tell "waiting on delta repair" from "waiting on a cold
-		// inspection". Only the singleflight builder reaches this closure;
-		// coalesced peers observe the time as plan-stage waiting.
-		t0 := time.Now()
-		sk := pc.tryRepair(t, lower, cfg, key)
-		t1 := time.Now()
-		repaired := sk != nil
-		var err error
-		if !repaired {
-			sk, err = inspect(t, lower, cfg)
-		}
-		if bs := cfg.buildStats; bs != nil {
-			bs.RepairNs += t1.Sub(t0).Nanoseconds()
-			bs.Repaired = repaired
-			if !repaired {
-				bs.InspectNs += time.Since(t1).Nanoseconds()
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !repaired && cfg.scheduler == GlobalSched {
-			// The repair state splices row-level structure, so a fused
-			// skeleton backs it with the row-level schedule the executor
-			// would have run unfused; the unit schedule is re-derived from
-			// the re-spliced partition after each repair.
-			rowSched := sk.sched
-			if sk.fused != nil {
-				rowSched = schedule.Global(sk.wf, cfg.nproc)
-			}
-			sk.state = delta.NewState(sk.deps, sk.wf, rowSched)
-		}
-		if sk.state != nil {
-			pc.registerSim(key, t.N, sk)
-		}
-		pc.record(lower, cfg, sk, repaired)
-		return sk, nil
-	})
+	// Both cache reads are direct calls: through a func value, the
+	// builder closure and its captures would escape to the heap on every
+	// lookup, hits included.
+	build := func() (*planSkeleton, error) { return pc.build(t, lower, cfg, key) }
+	var h plancache.Handle[planKey, *planSkeleton]
+	var err error
+	if key.auto {
+		h, err = pc.c.GetSecondSight(key, build)
+	} else {
+		h, err = pc.c.Get(key, build)
+	}
+	if errors.Is(err, plancache.ErrFirstSight) {
+		pc.recordDeferred(t.N, lower)
+		return uninspected(t, lower), nil
+	}
 	if err != nil {
 		return nil, err
 	}
 	p := newPlan(t, lower, h.Value())
 	p.leased, p.lease = true, h
 	return p, nil
+}
+
+// build is the singleflight builder behind Get's miss on key: a delta
+// repair of a resident ancestor when one qualifies, else a full
+// inspection, registered for later repairs and recorded.
+func (pc *PlanCache) build(t *sparse.CSR, lower bool, cfg planConfig, key planKey) (*planSkeleton, error) {
+	// Build-cost attribution: the repair attempt (successful or not) and
+	// the inspector run are timed separately so a traced request can tell
+	// "waiting on delta repair" from "waiting on a cold inspection". Only
+	// the singleflight builder gets here; coalesced peers observe the
+	// time as plan-stage waiting.
+	t0 := time.Now()
+	sk := pc.tryRepair(t, lower, cfg, key)
+	t1 := time.Now()
+	repaired := sk != nil
+	var err error
+	if !repaired {
+		sk, err = inspect(t, lower, cfg)
+	}
+	if bs := cfg.buildStats; bs != nil {
+		bs.RepairNs += t1.Sub(t0).Nanoseconds()
+		bs.Repaired = repaired
+		if !repaired {
+			bs.InspectNs += time.Since(t1).Nanoseconds()
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !repaired && cfg.scheduler == GlobalSched {
+		// The repair state splices row-level structure, so a fused
+		// skeleton backs it with the row-level schedule the executor
+		// would have run unfused; the unit schedule is re-derived from
+		// the re-spliced partition after each repair.
+		rowSched := sk.sched
+		if sk.fused != nil {
+			rowSched = schedule.Global(sk.wf, cfg.nproc)
+		}
+		sk.state = delta.NewState(sk.deps, sk.wf, rowSched)
+	}
+	if sk.state != nil {
+		pc.registerSim(key, t.N, sk)
+	}
+	pc.record(lower, cfg, sk, repaired)
+	return sk, nil
 }
 
 // tryRepair is the near-miss path: on a fingerprint miss it looks for a
@@ -456,7 +495,6 @@ func (pc *PlanCache) record(lower bool, cfg planConfig, sk *planSkeleton, repair
 		rec.NodeMaxWidth = fx.stats.MaxWidth
 	}
 	pc.mu.Lock()
-	pc.counts[rec.Strategy]++
 	if fx := sk.fused; fx != nil {
 		pc.super.FusedPlans++
 		pc.super.Nodes += uint64(fx.stats.Nodes)
@@ -466,11 +504,27 @@ func (pc *PlanCache) record(lower bool, cfg planConfig, sk *planSkeleton, repair
 			pc.super.MaxWidth = fx.stats.MaxWidth
 		}
 	}
+	pc.appendRecordLocked(rec)
+	pc.mu.Unlock()
+}
+
+// recordDeferred logs a first-sight answer: the sequential loop, chosen
+// without inspection.
+func (pc *PlanCache) recordDeferred(n int, lower bool) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	pc.appendRecordLocked(DecisionRecord{Strategy: executor.Sequential.String(),
+		Reorder: planner.ReorderNone.String(), Deferred: true, Lower: lower, Procs: 1, N: n})
+}
+
+// appendRecordLocked counts rec under its strategy and appends it to the
+// bounded decision log. Callers hold pc.mu.
+func (pc *PlanCache) appendRecordLocked(rec DecisionRecord) {
+	pc.counts[rec.Strategy]++
 	pc.records = append(pc.records, rec)
 	if len(pc.records) > maxDecisionRecords {
 		pc.records = pc.records[len(pc.records)-maxDecisionRecords:]
 	}
-	pc.mu.Unlock()
 }
 
 // SupernodeStats returns the cache's cumulative fusion counters with the
@@ -489,7 +543,8 @@ func (pc *PlanCache) SupernodeStats() SupernodeStats {
 }
 
 // Decisions returns the most recent planner decisions (newest last,
-// bounded FIFO) made while building skeletons for this cache.
+// bounded FIFO) made while building skeletons for this cache, first-sight
+// answers included.
 func (pc *PlanCache) Decisions() []DecisionRecord {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
@@ -500,7 +555,7 @@ func (pc *PlanCache) Decisions() []DecisionRecord {
 
 // DecisionCounts returns how many skeleton builds chose each strategy,
 // by registry name, since the cache was created (evictions do not
-// decrement).
+// decrement). First-sight answers count under "sequential".
 func (pc *PlanCache) DecisionCounts() map[string]uint64 {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()

@@ -31,6 +31,7 @@ func TestPlanCacheNearMissRepair(t *testing.T) {
 	pc := NewPlanCache(8)
 	defer pc.Close()
 
+	sight(t, pc, base, true, WithProcs(2))
 	p1, err := pc.Get(base, true, WithProcs(2))
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +51,7 @@ func TestPlanCacheNearMissRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sight(t, pc, edited, true, WithProcs(2))
 	p2, err := pc.Get(edited, true, WithProcs(2))
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +123,9 @@ func TestPlanCacheNearMissRepair(t *testing.T) {
 	for _, e := range edits2 {
 		rows = append(rows, e.Row)
 	}
-	p3, err := pc.Get(edited2, true, WithProcs(2),
-		WithDriftHint(edited.StructureFingerprint(), rows))
+	hint := WithDriftHint(edited.StructureFingerprint(), rows)
+	sight(t, pc, edited2, true, WithProcs(2), hint)
+	p3, err := pc.Get(edited2, true, WithProcs(2), hint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,6 +157,7 @@ func TestPlanCacheNearMissRepair(t *testing.T) {
 
 	// A lookup under a different plan shape must not repair across
 	// shapes.
+	sight(t, pc, edited2, true, WithProcs(3))
 	p4, err := pc.Get(edited2, true, WithProcs(3))
 	if err != nil {
 		t.Fatal(err)
@@ -177,15 +181,18 @@ func TestSimIndexSurvivesDeferredEviction(t *testing.T) {
 	pc := NewPlanCache(1)
 	defer pc.Close()
 
+	sight(t, pc, base, true, WithProcs(2))
 	p1, err := pc.Get(base, true, WithProcs(2)) // skeleton A, leased
 	if err != nil {
 		t.Fatal(err)
 	}
+	sight(t, pc, other, true, WithProcs(2))
 	p2, err := pc.Get(other, true, WithProcs(2)) // capacity 1: evicts A while leased
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2.Close()
+	sight(t, pc, base, true, WithProcs(2))      // evicted: base starts over
 	p3, err := pc.Get(base, true, WithProcs(2)) // rebuilds A' and re-registers it
 	if err != nil {
 		t.Fatal(err)
@@ -198,6 +205,7 @@ func TestSimIndexSurvivesDeferredEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sight(t, pc, edited, true, WithProcs(2))
 	p4, err := pc.Get(edited, true, WithProcs(2))
 	if err != nil {
 		t.Fatal(err)
@@ -225,6 +233,7 @@ func TestPlanCacheRepairFallback(t *testing.T) {
 	base := sparse.MustAssemble(n, n, ts)
 	pc := NewPlanCache(8)
 	defer pc.Close()
+	sight(t, pc, base, true, WithProcs(2))
 	p1, err := pc.Get(base, true, WithProcs(2))
 	if err != nil {
 		t.Fatal(err)
@@ -237,6 +246,7 @@ func TestPlanCacheRepairFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sight(t, pc, edited, true, WithProcs(2))
 	p2, err := pc.Get(edited, true, WithProcs(2))
 	if err != nil {
 		t.Fatal(err)

@@ -32,6 +32,7 @@ func TestPlanCacheSharesSkeleton(t *testing.T) {
 	pc := NewPlanCache(8)
 	defer pc.Close()
 	l := stencil.Laplace2D(25, 25).LowerWithDiag()
+	sight(t, pc, l, true, WithProcs(2))
 	p1, err := pc.Get(l, true, WithProcs(2))
 	if err != nil {
 		t.Fatal(err)
@@ -46,10 +47,11 @@ func TestPlanCacheSharesSkeleton(t *testing.T) {
 		t.Fatal("identical structure did not share schedule/deps")
 	}
 	s := pc.Stats()
-	if s.Misses != 1 || s.Hits != 1 {
-		t.Fatalf("stats = %+v, want 1 miss + 1 hit", s)
+	if s.Misses != 2 || s.Hits != 1 {
+		t.Fatalf("stats = %+v, want 2 misses (first sight, build) + 1 hit", s)
 	}
 	// Different options miss.
+	sight(t, pc, l, true, WithProcs(3))
 	p3, err := pc.Get(l, true, WithProcs(3))
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +70,7 @@ func TestPlanCacheBindsCallerValues(t *testing.T) {
 	defer pc.Close()
 	l1 := stencil.Laplace2D(20, 20).LowerWithDiag()
 	l2 := scaled(l1, 2)
+	sight(t, pc, l1, true, WithProcs(2))
 	p1, err := pc.Get(l1, true, WithProcs(2))
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +81,7 @@ func TestPlanCacheBindsCallerValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	if pc.Stats().Misses != 1 {
+	if pc.Stats().Misses != 2 {
 		t.Fatalf("second structurally-equal matrix re-ran the inspector: %+v", pc.Stats())
 	}
 	n := l1.N

@@ -226,6 +226,7 @@ func TestFusedPlanCacheRepair(t *testing.T) {
 	pc := NewPlanCache(8)
 	defer pc.Close()
 
+	sight(t, pc, base, true, WithProcs(1), WithModel(planner.Default()))
 	p1, err := pc.Get(base, true, WithProcs(1), WithModel(planner.Default()))
 	if err != nil {
 		t.Fatal(err)
@@ -243,6 +244,7 @@ func TestFusedPlanCacheRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sight(t, pc, edited, true, WithProcs(1), WithModel(planner.Default()))
 	p2, err := pc.Get(edited, true, WithProcs(1), WithModel(planner.Default()))
 	if err != nil {
 		t.Fatal(err)

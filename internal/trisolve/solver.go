@@ -35,11 +35,25 @@ func newKernel(l *sparse.CSR, lower bool) kernel {
 }
 
 // invDiagonal returns the reciprocal of each stored diagonal entry (0 for
-// an absent one).
+// an absent one). Columns are strictly increasing within a row, so a
+// triangular factor stores its diagonal last (lower) or first (upper):
+// both ends are checked in O(1), and only a row whose diagonal is neither
+// — absent, or a row with entries on both sides — falls back to At's
+// binary search.
 func invDiagonal(a *sparse.CSR) []float64 {
 	inv := make([]float64, a.N)
 	for i := 0; i < a.N; i++ {
-		d := a.At(i, i)
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		var d float64
+		switch {
+		case lo == hi: // empty row: no diagonal
+		case int(a.ColIdx[hi-1]) == i:
+			d = a.Val[hi-1]
+		case int(a.ColIdx[lo]) == i:
+			d = a.Val[lo]
+		default:
+			d = a.At(i, i)
+		}
 		if d != 0 {
 			inv[i] = 1 / d
 		}
@@ -227,7 +241,8 @@ func (s *BatchSolver) SolveTimed(ctx context.Context, xs, bs [][]float64, clock 
 	}
 	if s.timed == nil {
 		// The wavefront numbers in scheduled-index space: unit levels
-		// when fused, row levels otherwise.
+		// when fused, row levels otherwise. An uninspected plan has none;
+		// its one sequential sweep is charged to level 0.
 		levelOf := s.p.Wf
 		if s.p.fused != nil {
 			levelOf = s.p.fused.wf
@@ -236,7 +251,11 @@ func (s *BatchSolver) SolveTimed(ctx context.Context, xs, bs [][]float64, clock 
 		s.timed = func(i int32) {
 			t0 := time.Now()
 			inner(i)
-			s.clock.Add(levelOf[i], time.Since(t0).Nanoseconds())
+			level := int32(0)
+			if levelOf != nil {
+				level = levelOf[i]
+			}
+			s.clock.Add(level, time.Since(t0).Nanoseconds())
 		}
 	}
 	s.clock = clock

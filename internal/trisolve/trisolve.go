@@ -95,6 +95,8 @@ func sequential(t *sparse.CSR, x, b []float64, lower bool) error {
 type Plan struct {
 	L     *sparse.CSR
 	Lower bool // forward (true) or backward (false) solve
+	// Deps and Wf are nil for an uninspected plan: a PlanCache's answer
+	// to the first sight of a structure, which runs the sequential loop.
 	Deps  *wavefront.Deps
 	Wf    []int32
 	Sched *schedule.Schedule
@@ -360,6 +362,16 @@ func NewPlan(t *sparse.CSR, lower bool, opts ...Option) (*Plan, error) {
 	return newPlan(t, lower, sk), nil
 }
 
+// uninspected returns the plan a PlanCache answers a first sight with:
+// no dependences, wavefronts, skeleton or lease — only the natural order
+// on one processor, held as the schedule header the sequential executor
+// reads, so every pass is the plain substitution loop of ForwardSeq or
+// BackwardSeq. Nothing is shared, and Close has nothing to release.
+func uninspected(t *sparse.CSR, lower bool) *Plan {
+	return &Plan{L: t, Lower: lower, Sched: &schedule.Schedule{P: 1, N: t.N},
+		Kind: executor.Sequential, exec: executor.New(executor.Sequential)}
+}
+
 // newPlan binds the factor t to an inspected skeleton.
 func newPlan(t *sparse.CSR, lower bool, sk *planSkeleton) *Plan {
 	p := &Plan{L: t, Lower: lower, Deps: sk.deps, Wf: sk.wf, Sched: sk.sched,
@@ -396,7 +408,8 @@ func (p *Plan) Close() error {
 // Phases returns the number of wavefronts of the factor — the paper's
 // "Phases" column in Tables 2 and 3. A fused plan's schedule runs fewer
 // phases (the compressed unit levels); this reports the factor's own
-// level count either way.
+// level count either way. An uninspected plan (a PlanCache first sight)
+// never computed its wavefronts and reports 0.
 func (p *Plan) Phases() int {
 	if p.fused == nil {
 		return p.Sched.NumPhases
