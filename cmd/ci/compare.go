@@ -82,30 +82,21 @@ func compareMain(args []string, w io.Writer) error {
 			}
 		}
 	}
-	for name, want := range base.AllocsPerOp {
-		if r, ok := byName[name]; ok {
-			r.gated = true
-			r.baseline = want
+	for exact, pins := range []map[string]float64{base.AllocsPerOp, base.AllocsBudget} {
+		for name, want := range pins {
+			r, ok := byName[name]
+			if !ok {
+				continue
+			}
+			r.gated, r.baseline = true, want
 			if want > 0 {
 				r.deltaPct = 100 * (r.allocsPerOp - want) / want
 			} else if r.allocsPerOp > 0 {
 				r.deltaPct = math.Inf(1)
 			}
-			r.exceedThreshold = r.allocsPerOp > want*(1+base.Threshold)
-		}
-	}
-	for name, want := range base.AllocsBudget {
-		if r, ok := byName[name]; ok {
-			r.gated = true
-			r.baseline = want
-			if want > 0 {
-				r.deltaPct = 100 * (r.allocsPerOp - want) / want
-			} else if r.allocsPerOp > 0 {
-				r.deltaPct = math.Inf(1)
-			}
-			// Budgets are exact: any mismatch is flagged, not just drift
-			// beyond the threshold.
-			r.exceedThreshold = r.allocsPerOp != want
+			// Budgets (the second map) are exact: any mismatch is flagged,
+			// not just drift beyond the threshold.
+			r.exceedThreshold = r.allocsPerOp > want*(1+base.Threshold) || (exact == 1 && r.allocsPerOp != want)
 		}
 	}
 	sort.Strings(order)

@@ -185,22 +185,27 @@ func benchMain(args []string) error {
 	return nil
 }
 
+// pooledPins are the 0 allocs/op pins of pooled passes, run at 1000x: after
+// the harness's pre-benchmark GC, parked workers refill the runtime's
+// sudog cache (1–2 allocs/op at 1x); a per-pass allocation still reads 1.
+const pooledPins = "^BenchmarkRuntimeRepeatedRun$/^pooled$|^BenchmarkSupernodal$/./-pooled$"
+
 // benchInvocations lists the go test runs the bench job performs: the
-// kernel packages with every benchmark, and the repository root with the
-// hot-path amortization benchmark the gate watches.
+// kernel packages with every benchmark, the repository root with the
+// hot-path amortization benchmark the gate watches, and the pooled pins.
 var benchInvocations = [][]string{
-	{"-bench", ".",
+	{"-benchtime", "1x", "-skip", pooledPins, "-bench", ".",
 		"./internal/executor", "./internal/schedule", "./internal/trisolve",
 		"./internal/core", "./internal/plancache", "./internal/planner",
 		"./internal/server", "./internal/delta", "./internal/router"},
-	{"-bench", "^BenchmarkRuntimeRepeatedRun$", "."},
+	{"-benchtime", "1x", "-skip", pooledPins, "-bench", "^BenchmarkRuntimeRepeatedRun$", "."},
+	{"-benchtime", "1000x", "-bench", pooledPins, "./internal/trisolve", "."},
 }
 
 func runBenchmarks(count int) (string, error) {
 	var sb strings.Builder
 	for _, inv := range benchInvocations {
-		args := append([]string{"test", "-run", "^$", "-benchtime", "1x",
-			"-count", strconv.Itoa(count), "-benchmem"}, inv...)
+		args := append([]string{"test", "-run", "^$", "-count", strconv.Itoa(count), "-benchmem"}, inv...)
 		cmd := exec.Command("go", args...)
 		cmd.Stderr = os.Stderr
 		out, err := cmd.Output()

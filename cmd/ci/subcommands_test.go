@@ -106,3 +106,34 @@ func TestCompareRendersTable(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareFlagsBudgetMismatch: a budget is an exact contract, so the
+// table flags a budgeted benchmark below its pin as well as above it,
+// while a drift-gated one below its baseline stays unflagged.
+func TestCompareFlagsBudgetMismatch(t *testing.T) {
+	dir := t.TempDir()
+	artPath := filepath.Join(dir, "BENCH_ci.json")
+	basePath := filepath.Join(dir, "baseline.json")
+	data, _ := json.Marshal(artifact{Records: []benchRecord{
+		{Name: "BenchmarkX", Iters: 1, Metrics: map[string]float64{"ns/op": 1000, "allocs/op": 4}},
+		{Name: "BenchmarkY", Iters: 1, Metrics: map[string]float64{"ns/op": 1000, "allocs/op": 4}},
+	}})
+	base, _ := json.Marshal(baseline{Threshold: 0.3,
+		AllocsPerOp:  map[string]float64{"BenchmarkX": 5},
+		AllocsBudget: map[string]float64{"BenchmarkY": 5}})
+	if err := os.WriteFile(artPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(basePath, base, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := compareMain([]string{"-artifact", artPath, "-baseline", basePath}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"| BenchmarkX | 1e-06 | 4 | 5 | -20.0% |", "| BenchmarkY | 1e-06 | 4 | 5 | -20.0% ⚠ |"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("compare output missing %q:\n%s", want, buf.String())
+		}
+	}
+}

@@ -21,11 +21,11 @@ import (
 	"os"
 	"time"
 
+	"doconsider/internal/core"
 	"doconsider/internal/delta"
-	"doconsider/internal/planner"
+	"doconsider/internal/executor"
 	"doconsider/internal/schedule"
 	"doconsider/internal/sparse"
-	"doconsider/internal/supernode"
 	"doconsider/internal/synthetic"
 	"doconsider/internal/wavefront"
 )
@@ -64,12 +64,14 @@ func run(args []string, w io.Writer) error {
 	a := synthetic.Generate(cfg)
 	if *stats {
 		s := synthetic.Summarize(a)
-		deps := wavefront.FromLower(a)
-		wf, err := wavefront.Compute(deps)
+		// One forced-fused inspection yields the levels and the supernodes.
+		seq := core.Config{Procs: 1}
+		core.WithExecutor(executor.Sequential)(&seq)
+		in, err := core.Inspect(wavefront.FromLower(a), seq, core.FuseForce, nil)
 		if err != nil {
 			return err
 		}
-		hist := wavefront.Histogram(wf)
+		hist := wavefront.Histogram(in.Wf)
 		maxw := 0
 		for _, h := range hist {
 			if h > maxw {
@@ -83,14 +85,9 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "  source rows    %d (no dependences)\n", s.EmptyRows)
 		fmt.Fprintf(w, "  avg row band   %.1f\n", s.AvgRowBand)
 		fmt.Fprintf(w, "  wavefronts     %d (max width %d)\n", len(hist), maxw)
-		part := supernode.Detect(deps, supernode.Config{})
-		ps := part.Stats()
-		unitWf, err := wavefront.Compute(part.Compress(deps))
-		if err != nil {
-			return err
-		}
+		ps := in.Part.Stats()
 		fmt.Fprintf(w, "  supernodes     %d (%d of %d rows fused, max width %d, %d compressed levels)\n",
-			ps.Nodes, ps.FusedRows, ps.Rows, ps.MaxWidth, len(wavefront.Histogram(unitWf)))
+			ps.Nodes, ps.FusedRows, ps.Rows, ps.MaxWidth, len(wavefront.Histogram(in.UnitWf)))
 	}
 	if *spy {
 		if err := a.Spy(w, 64); err != nil {
@@ -163,21 +160,21 @@ func driftReport(w io.Writer, a *sparse.CSR, seed int64, steps int, rate float64
 		rebuildSched := schedule.Global(rebuildWf, 4)
 		rebuildCost := time.Since(t0)
 
-		dec := planner.PlanRepair(edited.N, st.Deps.Edges(), len(changed), planner.Default())
+		bound := delta.RepairBound(edited.N, st.Deps.Edges())
 		outcome := "repair"
 		t0 = time.Now()
 		var next *delta.State
 		var stats delta.Stats
-		if dec.Repair {
+		if len(changed) <= bound {
 			newDeps := delta.FactorDeps(st.Deps, edited, true, changed)
-			next, stats, err = st.Repair(newDeps, changed, delta.Options{MaxCone: dec.MaxCone})
+			next, stats, err = st.Repair(newDeps, changed, delta.Options{MaxCone: bound})
 			if err != nil {
 				next = nil
 			}
 		}
 		repairCost := time.Since(t0)
 		if next == nil {
-			outcome = "rebuild (planner declined or cone tripped)"
+			outcome = "rebuild (edit or cone over the break-even bound)"
 			next = delta.NewState(rebuildDeps, rebuildWf, rebuildSched)
 			repairCost = rebuildCost
 			rebuilds++

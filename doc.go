@@ -11,11 +11,14 @@
 // plan cache, cross-request batch coalescing, admission control, live
 // Prometheus metrics and graceful drain.
 //
-// The inspector is adaptive (internal/planner): unless the caller pins
-// an executor kind, plan construction measures the dependence DAG
-// (levels, widths, critical-path fraction, dependence distances),
-// consults a host-calibrated cost model, optionally ranks wavefronts by
-// a reverse Cuthill-McKee ordering from internal/reorder, and picks the
+// There is one inspector, core.Inspect, behind both core.New (generic
+// loops) and trisolve's plans and plan cache (triangular solves). It is
+// adaptive (internal/planner): unless the caller pins an executor kind,
+// it measures the dependence DAG (levels, widths, critical-path
+// fraction, dependence distances), consults a host-calibrated cost
+// model, optionally ranks wavefronts by a reverse Cuthill-McKee ordering
+// from internal/reorder (triangular solves, which hold the matrix), and
+// picks the
 // execution strategy itself — sequential for tiny or chain-like
 // structures, pooled for wide ones, doacross when the natural order
 // already parallelizes — with bit-identical results under every choice.
@@ -27,10 +30,11 @@
 // drifts — a few rows gain or lose nonzeros between solves, as under
 // adaptive meshing or a refactorization with a modified drop pattern —
 // the wavefront levels and schedule of a resident plan are repaired
-// through the affected cone instead of re-inspected from scratch, with
-// the planner pricing repair against rebuild as its fourth decision.
-// The plan cache repairs the nearest resident ancestor on a fingerprint
-// miss, core.Runtime exposes Patch/PatchCtx, and the server accepts
+// through the affected cone instead of re-inspected from scratch, up to
+// a fixed break-even bound (delta.RepairBound) past which it rebuilds.
+// One repair, core.Inspection.Repair, serves both entry points: the plan
+// cache repairs the nearest resident ancestor on a fingerprint miss,
+// core.Runtime exposes Patch/PatchCtx, and the server accepts
 // base_fp+edits drift requests; see the "Structural drift" section of
 // README.md.
 //
@@ -40,9 +44,10 @@
 // the one row-substitution kernel over its rows, and the schedule runs
 // over compressed levels — fewer dispatches, barriers and busy-waits,
 // bit-identical results. The planner prices the fused plan as a fifth
-// candidate, the plan cache keys on fusion identity and re-splices
-// partitions under drift, and trisolve.WithFusion forces or disables
-// it; see the "Supernodal execution" section of README.md.
+// candidate for generic loops and triangular solves alike, the plan
+// cache keys on fusion identity, repair re-splices partitions under
+// drift, and trisolve.WithFusion forces or disables it; see the
+// "Supernodal execution" section of README.md.
 //
 // Serving scales out behind a consistent-hash front door
 // (internal/router, `loops router` / `loops cluster`): requests route

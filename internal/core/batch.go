@@ -30,12 +30,11 @@ func (r *Runtime) RunBatchCtx(ctx context.Context, bodies []executor.Body) (exec
 	case 0:
 		return executor.Metrics{}, nil
 	case 1:
-		return r.exec.Run(ctx, r.sched, r.deps, bodies[0])
+		return r.RunCtx(ctx, bodies[0])
 	}
-	fused := func(i int32) {
+	return r.RunCtx(ctx, func(i int32) {
 		for _, b := range bodies {
 			b(i)
 		}
-	}
-	return r.exec.Run(ctx, r.sched, r.deps, fused)
+	})
 }

@@ -1,10 +1,14 @@
-// Package core is the library entry point: the run-time system behind the
-// paper's doconsider construct. Given the dependence structure a compiler
-// (or the transform package) extracts from a loop, core runs the inspector
-// (wavefront analysis), builds a schedule (global or local), and executes
-// the loop body with one executor.Executor of the chosen kind (sequential,
-// pre-scheduled, self-executing, doacross or pooled), held by the Runtime
-// for its lifetime.
+// Package core is the run-time system behind the paper's doconsider
+// construct, and the repository's one inspector. Inspect takes the
+// dependence structure a compiler (or the transform package, or a
+// triangular factor) yields and runs the inspector once: wavefront
+// analysis, supernode detection, the planner's choice of executor, and a
+// global, local or natural schedule. Inspection.Repair re-inspects a
+// drifted structure incrementally (internal/delta). The Runtime built by
+// New runs a loop body under that inspection with one executor.Executor
+// of the chosen kind (sequential, pre-scheduled, self-executing,
+// doacross or pooled), held for its lifetime; internal/trisolve's plans
+// and plan cache are the other callers of Inspect and Repair.
 //
 // Typical use:
 //
@@ -22,7 +26,6 @@ import (
 	"context"
 	"fmt"
 
-	"doconsider/internal/delta"
 	"doconsider/internal/executor"
 	"doconsider/internal/planner"
 	"doconsider/internal/schedule"
@@ -68,12 +71,13 @@ type Config struct {
 	Model             *planner.CostModel // cost model for adaptive selection; nil = host-calibrated
 
 	// kindSet records that WithExecutor pinned the kind explicitly;
-	// otherwise New lets the planner choose.
+	// otherwise Inspect lets the planner choose.
 	kindSet bool
 }
 
-// adaptive reports whether New should let the planner pick the kind.
-func (c *Config) adaptive() bool { return !c.kindSet }
+// Adaptive reports whether the planner picks the executor kind (no
+// WithExecutor).
+func (c *Config) Adaptive() bool { return !c.kindSet }
 
 // Option mutates a Config.
 type Option func(*Config)
@@ -112,8 +116,7 @@ func WithWorkWeights(w []float64) Option { return func(c *Config) { c.WorkWeight
 // the self-executing executor, which has no barriers to merge.
 func WithMergedPhases() Option { return func(c *Config) { c.MergePhases = true } }
 
-// buildConfig resolves options against the defaults shared by New and the
-// plan cache's key computation.
+// buildConfig resolves options against the defaults.
 func buildConfig(opts []Option) Config {
 	cfg := Config{Procs: 1, Executor: executor.SelfExecuting, Scheduler: GlobalScheduler}
 	for _, o := range opts {
@@ -125,110 +128,46 @@ func buildConfig(opts []Option) Config {
 	return cfg
 }
 
-// Runtime is a prepared loop: inspector output, an executor schedule, and
-// the executor that runs it. A pooled executor's workers live as long as
-// the Runtime; call Close to release them.
+// Runtime is a prepared loop: the inspection of its dependence structure
+// and the executor that runs it. A pooled executor's workers live as long
+// as the Runtime; call Close to release them.
 type Runtime struct {
-	cfg      Config
-	deps     *wavefront.Deps
-	wf       []int32
-	sched    *schedule.Schedule
-	exec     *executor.Executor
-	decision *planner.Decision // non-nil when the planner chose the kind
-	patch    *delta.State      // incremental-repair state, built on first Patch
+	in   *Inspection
+	exec *executor.Executor
 }
 
-// New runs the inspector on the dependence structure and builds the
-// schedule. It returns an error if the dependences are not executable
-// (cycle, out-of-range edge, or a forward dependence under natural-order
-// execution) rather than letting an executor deadlock.
+// New runs the inspector on the dependence structure (Inspect, with
+// supernodal fusion under FuseAuto and no within-wavefront rank) and
+// prepares the executor. It returns an error if the dependences are not
+// executable (cycle, out-of-range edge, or a forward dependence under
+// natural-order execution) rather than letting an executor deadlock.
 func New(deps *wavefront.Deps, opts ...Option) (*Runtime, error) {
-	cfg := buildConfig(opts)
-	wf, err := cfg.wavefronts(deps)
+	in, err := Inspect(deps, buildConfig(opts), FuseAuto, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Adaptive planning: with no kind pinned, the inspector measures the
-	// DAG it just leveled and picks the executor itself (sequential for
-	// tiny or chain-like structures, pooled for wide ones, doacross when
-	// the natural order already parallelizes).
-	var dec *planner.Decision
-	if cfg.adaptive() {
-		d := planner.Select(planner.Analyze(deps, wf, cfg.Procs), cfg.Model)
-		dec = &d
-		cfg.Executor = d.Strategy
-	}
-	s, err := cfg.schedule(deps, wf)
-	if err != nil {
-		return nil, err
-	}
-	return &Runtime{cfg: cfg, deps: deps, wf: wf, sched: s, exec: executor.New(cfg.Executor), decision: dec}, nil
-}
-
-// wavefronts is the inspector proper: the wavefront number of every index,
-// or an error for a cyclic or out-of-range structure.
-func (c *Config) wavefronts(deps *wavefront.Deps) ([]int32, error) {
-	switch {
-	case deps.CheckBackward() != nil:
-		// General DAG: fall back to Kahn's algorithm, which also rejects
-		// cyclic inputs with a useful error.
-		return wavefront.ComputeDAG(deps)
-	case c.ParallelInspector:
-		return wavefront.ComputeParallel(deps, c.Procs)
-	default:
-		return wavefront.Compute(deps)
-	}
-}
-
-// schedule builds the configured schedule over the inspected structure.
-// Natural-order execution — the doacross executor, or any executor over
-// the natural schedule — busy-waits in index order, so a forward
-// dependence (an index waiting on a later one in its own processor's
-// list) would spin forever; it is rejected here.
-func (c *Config) schedule(deps *wavefront.Deps, wf []int32) (*schedule.Schedule, error) {
-	if c.Executor == executor.DoAcross || c.Scheduler == NaturalScheduler {
-		if err := deps.CheckBackward(); err != nil {
-			return nil, fmt.Errorf("core: natural-order execution needs backward dependences: %w", err)
-		}
-	}
-	var s *schedule.Schedule
-	switch c.Scheduler {
-	case GlobalScheduler:
-		if c.WorkWeights != nil {
-			s = schedule.GlobalByWork(wf, c.WorkWeights, c.Procs)
-		} else {
-			s = schedule.Global(wf, c.Procs)
-		}
-	case LocalScheduler:
-		s = schedule.Local(wf, c.Procs, c.Partition)
-	case NaturalScheduler:
-		s = schedule.Natural(deps.N, c.Procs, c.Partition)
-	default:
-		return nil, fmt.Errorf("core: unknown scheduler %v", c.Scheduler)
-	}
-	if c.MergePhases {
-		s = schedule.MergePhases(s, deps)
-	}
-	return s, nil
+	return &Runtime{in: in, exec: executor.New(in.Kind)}, nil
 }
 
 // Decision returns the planner's strategy decision, or nil when the
 // caller pinned the executor (WithExecutor).
-func (r *Runtime) Decision() *planner.Decision { return r.decision }
+func (r *Runtime) Decision() *planner.Decision { return r.in.Decision }
 
 // Run executes the loop body under the configured executor. It may be
 // called repeatedly; the schedule — and, for the pooled executor, the
 // worker pool — is reused across calls. A body panic propagates to the
 // caller; use RunCtx to receive it as an error instead.
 func (r *Runtime) Run(body executor.Body) executor.Metrics {
-	return executor.MustMetrics(r.exec.Run(context.Background(), r.sched, r.deps, body))
+	return executor.MustMetrics(r.RunCtx(context.Background(), body))
 }
 
 // RunCtx executes the loop body with cancellation support: a cancelled
 // context releases every worker (including busy-waiting ones) and returns
-// ctx.Err(); a panicking body yields an *executor.PanicError.
+// ctx.Err(); a panicking body yields an *executor.PanicError. On a fused
+// runtime the body is swept over each supernode's iterations
+// (Inspection.Sweep) and Executed still counts iterations.
 func (r *Runtime) RunCtx(ctx context.Context, body executor.Body) (executor.Metrics, error) {
-	return r.exec.Run(ctx, r.sched, r.deps, body)
+	return r.in.Run(ctx, r.exec, r.in.Sweep(body))
 }
 
 // Close releases the pooled executor's persistent workers; it is a no-op
@@ -236,17 +175,23 @@ func (r *Runtime) RunCtx(ctx context.Context, body executor.Body) (executor.Metr
 func (r *Runtime) Close() error { return r.exec.Close() }
 
 // NumWavefronts returns the number of wavefronts found by the inspector.
-func (r *Runtime) NumWavefronts() int { return wavefront.NumWavefronts(r.wf) }
+func (r *Runtime) NumWavefronts() int { return wavefront.NumWavefronts(r.in.Wf) }
 
 // Wavefronts returns the per-index wavefront numbers. The slice aliases
 // runtime state and must not be modified.
-func (r *Runtime) Wavefronts() []int32 { return r.wf }
+func (r *Runtime) Wavefronts() []int32 { return r.in.Wf }
 
-// Schedule exposes the built schedule (read-only).
-func (r *Runtime) Schedule() *schedule.Schedule { return r.sched }
+// Schedule exposes the built schedule (read-only); a fused runtime's
+// schedule runs supernodes.
+func (r *Runtime) Schedule() *schedule.Schedule { return r.in.Sched }
 
 // Deps exposes the dependence structure the runtime was built from.
-func (r *Runtime) Deps() *wavefront.Deps { return r.deps }
+func (r *Runtime) Deps() *wavefront.Deps { return r.in.Deps }
 
-// Config returns the effective configuration.
-func (r *Runtime) Config() Config { return r.cfg }
+// Config returns the effective configuration: Executor is the kind the
+// runtime runs, whether pinned or chosen by the planner.
+func (r *Runtime) Config() Config {
+	c := r.in.cfg
+	c.Executor = r.in.Kind
+	return c
+}

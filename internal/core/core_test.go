@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -10,7 +11,9 @@ import (
 
 	"doconsider/internal/delta"
 	"doconsider/internal/executor"
+	"doconsider/internal/planner"
 	"doconsider/internal/schedule"
+	"doconsider/internal/stencil"
 	"doconsider/internal/vec"
 	"doconsider/internal/wavefront"
 )
@@ -249,5 +252,48 @@ func TestRuntimePropertyAllExecuted(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFusedAdaptiveRuntime: an adaptive runtime fuses by the same rule as
+// a triangular solve. Its passes run the body over each supernode's
+// iterations, count iterations, match the sequential loop bit for bit,
+// and stop with ctx.Err() on a cancelled context.
+func TestFusedAdaptiveRuntime(t *testing.T) {
+	deps := wavefront.FromLower(stencil.Laplace2D(12, 12))
+	n := deps.N
+	rt, err := New(deps, WithProcs(1), WithModel(planner.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if d := rt.Decision(); d == nil || !d.Fused || rt.Schedule().N >= n {
+		t.Fatalf("mesh runtime decision %v over %d units, want fused", d, rt.Schedule().N)
+	}
+	body := func(x []float64) executor.Body {
+		return func(i int32) {
+			s := float64(i)
+			for _, d := range deps.On(int(i)) {
+				s += 0.5 * x[d]
+			}
+			x[i] = s
+		}
+	}
+	want := make([]float64, n)
+	executor.RunSequential(n, body(want))
+	got := make([]float64, n)
+	if m := rt.Run(body(got)); m.Executed != int64(n) {
+		t.Fatalf("fused Run executed %d, want %d iterations", m.Executed, n)
+	}
+	if d := vec.MaxAbsDiff(got, want); d != 0 {
+		t.Fatalf("fused Run differs from the sequential loop by %v", d)
+	}
+	if m := rt.RunBatch([]executor.Body{body(got), func(int32) {}}); m.Executed != int64(n) {
+		t.Fatalf("fused RunBatch executed %d, want %d iterations", m.Executed, n)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := rt.RunCtx(ctx, body(got)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled fused RunCtx returned %v, want context.Canceled", err)
 	}
 }

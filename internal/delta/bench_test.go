@@ -96,11 +96,11 @@ func BenchmarkRepairVsRebuild(b *testing.B) {
 
 func repairOnce(b *testing.B, base *State, edited *sparse.CSR, changed []int32, n, edges int) {
 	newDeps := FactorDeps(base.Deps, edited, true, changed)
-	dec := planner.PlanRepair(n, edges, len(changed), planner.Default())
-	if !dec.Repair {
-		b.Fatal("planner declined repair for a 1% edit")
+	bound := RepairBound(n, edges)
+	if len(changed) > bound {
+		b.Fatal("a 1% edit exceeds the break-even bound")
 	}
-	if _, _, err := base.Repair(newDeps, changed, Options{MaxCone: dec.MaxCone}); err != nil {
+	if _, _, err := base.Repair(newDeps, changed, Options{MaxCone: bound}); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -132,8 +132,7 @@ func TestRepairCompetitive(t *testing.T) {
 					changed, _ = DiffFactor(sp.base.Deps, sp.edited, true, 0)
 				}
 				newDeps := FactorDeps(sp.base.Deps, sp.edited, true, changed)
-				dec := planner.PlanRepair(n, edges, len(changed), planner.Default())
-				if _, _, err := sp.base.Repair(newDeps, changed, Options{MaxCone: dec.MaxCone}); err != nil {
+				if _, _, err := sp.base.Repair(newDeps, changed, Options{MaxCone: RepairBound(n, edges)}); err != nil {
 					t.Fatal(err)
 				}
 			})

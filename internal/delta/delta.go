@@ -13,9 +13,9 @@
 // Level changes propagate only through the cone of iterations reachable
 // from the edited rows, so a small edit touches a small cone and repair
 // costs a few cheap O(N) splices plus the cone — typically several times
-// cheaper than cold inspection. When the cone grows past the planner's
-// break-even bound (planner.PlanRepair), Repair aborts with
-// ErrConeTooLarge and the caller falls back to a full rebuild.
+// cheaper than cold inspection. When the cone grows past the break-even
+// bound (RepairBound), Repair aborts with ErrConeTooLarge and the caller
+// falls back to a full rebuild.
 //
 // A repaired plan is exactly equivalent to a from-scratch inspection of
 // the edited structure: the level assignment is identical (pinned by

@@ -13,7 +13,7 @@ import (
 // ErrConeTooLarge reports that the level-repair propagation cone
 // exceeded Options.MaxCone: the edit perturbed too much of the DAG for
 // repair to beat a rebuild, and the caller should re-inspect from
-// scratch (the fall-back the planner's break-even bound exists for).
+// scratch (the fall-back the break-even bound RepairBound exists for).
 var ErrConeTooLarge = errors.New("delta: edit cone exceeded the repair bound")
 
 // ErrNotBackward reports a repair attempt on a structure with forward
@@ -31,9 +31,16 @@ var ErrNotGlobal = errors.New("delta: schedule repair requires a wrapped-deal gl
 type Options struct {
 	// MaxCone aborts the level propagation once more than this many rows
 	// have been re-examined (0 = unbounded). Callers set it to the
-	// planner's repair-vs-rebuild break-even cone (planner.PlanRepair).
+	// repair-vs-rebuild break-even cone, RepairBound.
 	MaxCone int
 }
+
+// RepairBound is the break-even cone of a structure with n rows and
+// edges dependence edges: an inspection costs about 20 ns a row and 8 ns
+// an edge, a repair about 15 ns a row plus 250 ns a re-examined row, so a
+// repair wins while it re-examines at most (5·n + 8·edges)/250 rows. An
+// edit of more rows than the bound is rebuilt without trying.
+func RepairBound(n, edges int) int { return (5*n + 8*edges) / 250 }
 
 // Stats describes what one repair did.
 type Stats struct {
@@ -41,9 +48,9 @@ type Stats struct {
 	Cone    int  // rows re-examined by the level propagation
 	Moved   int  // rows whose wavefront level actually changed
 	Reused  bool // no level moved: the base schedule was shared as-is
-	// Fallback is set by callers (core.Runtime.Patch, the plan cache)
-	// when the planner declined repair or the cone bound tripped and the
-	// structure was re-inspected from scratch instead.
+	// Fallback is set by callers (core.Inspection.Repair) when the edit
+	// exceeded RepairBound or the cone bound tripped and the structure was
+	// re-inspected from scratch instead.
 	Fallback bool
 }
 

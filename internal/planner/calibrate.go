@@ -21,7 +21,10 @@ import (
 // invalidates stale files so a model change recalibrates instead of
 // misreading old constants (version 2 added Parallelism; version 3 added
 // the repair-vs-rebuild pricing constants; version 4 added the fused
-// per-row discount TRowFused).
+// per-row discount TRowFused). The repair constants were later replaced
+// by the fixed bound delta.RepairBound without a bump: Load ignores
+// unknown keys, so a version-4 file that still carries them keeps its
+// calibration.
 const calibFileVersion = 4
 
 // calibFile is the on-disk calibration record.

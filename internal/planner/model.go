@@ -27,7 +27,7 @@ type CostModel struct {
 	// supernode beyond the node's first: the fused kernels pay one body
 	// dispatch and one set of dependence checks per node, so trailing
 	// rows cost only their loop header and bounds setup. Policy-grade
-	// like the repair constants — Calibrate leaves it at its default.
+	// like the reorder thresholds — Calibrate leaves it at its default.
 	TRowFused float64 `json:"t_row_fused"`
 
 	// Parallelism is the hardware parallelism the host can actually
@@ -54,17 +54,6 @@ type CostModel struct {
 	ReorderMinN     int     `json:"reorder_min_n"`
 	ReorderDistFrac float64 `json:"reorder_dist_frac"`
 
-	// Repair pricing (internal/delta): full inspection costs per row and
-	// per dependence edge (extraction + leveling + analysis + schedule
-	// construction), against the per-row splice cost and the per-cone-row
-	// releveling cost of an incremental repair. These are policy-grade
-	// constants like the reorder thresholds — Calibrate leaves them at
-	// their defaults.
-	TInspectRow float64 `json:"t_inspect_row"` // full inspection, per row
-	TInspectDep float64 `json:"t_inspect_dep"` // full inspection, per dependence edge
-	TRepairRow  float64 `json:"t_repair_row"`  // repair splice/merge, per row
-	TConeRow    float64 `json:"t_cone_row"`    // repair releveling, per cone row
-
 	// Calibrated marks models produced by Calibrate (as opposed to the
 	// canonical defaults), so stats can say which one decided.
 	Calibrated bool `json:"calibrated"`
@@ -86,86 +75,28 @@ func Default() *CostModel {
 		Scatter:         0.05,
 		ReorderMinN:     4096,
 		ReorderDistFrac: 0.05,
-		TInspectRow:     20e-9,
-		TInspectDep:     8e-9,
-		TRepairRow:      15e-9,
-		TConeRow:        250e-9,
 	}
 }
 
-// PredictInspect estimates the cost, in seconds, of a full cold
-// inspection of a structure with n rows and edges dependence edges:
-// dependence extraction, the wavefront sweep, feature analysis and
-// schedule construction, each of which walks every row and edge.
-func (m *CostModel) PredictInspect(n, edges int) float64 {
-	return float64(n)*m.TInspectRow + float64(edges)*m.TInspectDep
-}
-
-// PredictRepair estimates the cost, in seconds, of an incremental repair
-// (internal/delta) whose level propagation re-examines cone rows: a few
-// memcpy-class O(N) splices plus the cone itself.
-func (m *CostModel) PredictRepair(n, cone int) float64 {
-	return float64(n)*m.TRepairRow + float64(cone)*m.TConeRow
-}
-
-// RepairDecision is the planner's fourth decision — after strategy,
-// reordering and schedule shape — made when a structure misses the plan
-// cache but a near-identical ancestor is resident: repair the ancestor's
-// plan or re-inspect from scratch.
-type RepairDecision struct {
-	Repair bool // attempt repair (bounded by MaxCone) instead of rebuilding
-	// MaxCone is the break-even propagation cone: past this many
-	// re-examined rows a repair costs more than the rebuild it replaces,
-	// so delta.Repair aborts there and the caller falls back.
-	MaxCone     int
-	PredRepair  float64 // optimistic repair cost, seconds (cone = edited rows)
-	PredRebuild float64 // full re-inspection cost, seconds
-}
-
-// PlanRepair prices repair against rebuild for a structure with n rows
-// and edges dependence edges of which editedRows rows changed. The
-// repair estimate is optimistic — the true cone is only discovered while
-// propagating — so the decision is paired with the MaxCone abort bound
-// that caps how wrong the optimism can get.
-func PlanRepair(n, edges, editedRows int, m *CostModel) RepairDecision {
-	if m == nil {
-		m = ForHost()
+// procs returns the plan's processor count p (at least 1) and the
+// effective parallelism eff: excess workers beyond the host's cores add
+// coordination, not speedup, so parallel step counts are floored at the
+// work bound N/eff.
+func (m *CostModel) procs(f Features) (p, eff float64) {
+	p = max(float64(f.P), 1)
+	if m.Parallelism > 0 {
+		return p, min(p, float64(m.Parallelism))
 	}
-	d := RepairDecision{
-		PredRepair:  m.PredictRepair(n, editedRows),
-		PredRebuild: m.PredictInspect(n, edges),
-	}
-	if m.TConeRow > 0 {
-		d.MaxCone = int((d.PredRebuild - float64(n)*m.TRepairRow) / m.TConeRow)
-	}
-	d.Repair = editedRows > 0 && d.MaxCone >= editedRows && d.PredRepair < d.PredRebuild
-	return d
+	return p, p
 }
 
 // Predict estimates the wall time, in seconds, of one executor pass over
 // a structure with features f under strategy kind. Unknown kinds predict
 // +Inf so Select can iterate candidates without special cases.
 func (m *CostModel) Predict(f Features, kind executor.Kind) float64 {
-	n := float64(f.N)
-	edges := float64(f.Edges)
-	p := float64(f.P)
-	if p < 1 {
-		p = 1
-	}
-	// Effective parallelism: excess workers beyond the host's cores add
-	// coordination, not speedup, so parallel step counts are floored at
-	// the work bound N/eff.
-	eff := p
-	if m.Parallelism > 0 && float64(m.Parallelism) < eff {
-		eff = float64(m.Parallelism)
-	}
-	steps := func(ideal int) float64 {
-		s := float64(ideal)
-		if w := n / eff; w > s {
-			s = w
-		}
-		return s
-	}
+	n, edges := float64(f.N), float64(f.Edges)
+	p, eff := m.procs(f)
+	steps := func(ideal int) float64 { return max(float64(ideal), n/eff) }
 	row := m.TRow + m.TDep*f.AvgDeps
 	switch kind {
 	case executor.Sequential:
@@ -206,17 +137,8 @@ func (m *CostModel) PredictFused(f Features, kind executor.Kind) float64 {
 	if fu == nil || fu.Nodes <= 0 {
 		return math.Inf(1)
 	}
-	nodes := float64(fu.Nodes)
-	n := float64(f.N)
-	edges := float64(f.Edges)
-	p := float64(f.P)
-	if p < 1 {
-		p = 1
-	}
-	eff := p
-	if m.Parallelism > 0 && float64(m.Parallelism) < eff {
-		eff = float64(m.Parallelism)
-	}
+	nodes, n, edges := float64(fu.Nodes), float64(f.N), float64(f.Edges)
+	p, eff := m.procs(f)
 	// Per-pass compute: one full row cost per node, the discounted cost
 	// for every fused trailing row, and the unchanged per-dependence
 	// arithmetic (fusion removes checks and dispatch, not flops).
@@ -225,10 +147,7 @@ func (m *CostModel) PredictFused(f Features, kind executor.Kind) float64 {
 	case executor.Sequential:
 		return compute
 	case executor.Pooled:
-		steps := float64(fu.UnitLevelSum)
-		if w := nodes / eff; w > steps {
-			steps = w
-		}
+		steps := max(float64(fu.UnitLevelSum), nodes/eff)
 		unit := compute / nodes
 		return steps*unit*(1+m.Scatter) + float64(fu.UnitEdges)/p*m.TCheck + m.TPass
 	default:
@@ -245,10 +164,7 @@ func (m *CostModel) Validate() error {
 		v    float64
 	}{
 		{"t_row", m.TRow}, {"t_dep", m.TDep}, {"t_check", m.TCheck},
-		{"t_spin", m.TSpin}, {"t_pass", m.TPass},
-		{"t_inspect_row", m.TInspectRow}, {"t_inspect_dep", m.TInspectDep},
-		{"t_repair_row", m.TRepairRow}, {"t_cone_row", m.TConeRow},
-		{"t_row_fused", m.TRowFused},
+		{"t_spin", m.TSpin}, {"t_pass", m.TPass}, {"t_row_fused", m.TRowFused},
 	} {
 		if !(c.v > 0) || math.IsInf(c.v, 0) {
 			return fmt.Errorf("planner: cost model %s = %v, want finite > 0", c.name, c.v)

@@ -10,11 +10,11 @@
 // runtime-dependent loop varies with the dependence structure; the
 // runtime-scheduling follow-ups to BaxterMS89 moved from fixed to
 // adaptive schedules on exactly that observation. This package makes the
-// repository's inspector adaptive: core.New and trisolve.NewPlan call
-// Select by default (an explicit executor kind is still honored), so a
-// tiny or chain-like DAG runs sequentially, a wide shallow DAG runs on
-// the pooled executor, and structures whose natural order already
-// respects the wavefronts run doacross.
+// repository's one inspector adaptive: core.Inspect — behind core.New,
+// trisolve.NewPlan and the plan caches — calls Select unless the caller
+// pins an executor kind, so a tiny or chain-like DAG runs sequentially, a
+// wide shallow DAG runs on the pooled executor, and structures whose
+// natural order already respects the wavefronts run doacross.
 //
 // Decisions are deterministic for a fixed cost model. The host model is
 // calibrated once per machine by microbenchmark and persisted (see
@@ -59,8 +59,9 @@ func (r Reorder) String() string {
 }
 
 // Decision is the planner's output for one dependence structure: the
-// strategy to execute with, the reordering to apply (advisory — callers
-// without a matrix to rank, like core.New over a bare Deps, ignore it),
+// strategy to execute with, the reordering to apply (advisory —
+// core.Inspect realizes it only with a rank from a caller holding the
+// matrix, and otherwise records none),
 // the features the choice was based on, and the predicted cost of each
 // candidate so a surprising choice can be audited after the fact.
 type Decision struct {

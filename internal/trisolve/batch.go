@@ -99,5 +99,5 @@ func (p *Plan) SolveGroupCtx(ctx context.Context, group []BatchProblem) (executo
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pass(ctx, p.sweep(func(k int32) { s.groupRow(group, ginv, k) }))
+	return s.pass(ctx, p.in.Sweep(func(k int32) { s.groupRow(group, ginv, k) }))
 }

@@ -2,27 +2,27 @@ package trisolve
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
+	"doconsider/internal/core"
 	"doconsider/internal/delta"
 	"doconsider/internal/executor"
 	"doconsider/internal/plancache"
 	"doconsider/internal/planner"
-	"doconsider/internal/schedule"
 	"doconsider/internal/sparse"
-	"doconsider/internal/supernode"
 	"doconsider/internal/wavefront"
 )
 
-// PlanCache shares the inspector output of structurally identical
-// triangular solves: plans are keyed by the sparsity fingerprint of the
-// factor plus the plan configuration, so N callers solving factors with
-// the same nonzero pattern — successive Newton steps, the same mesh with
-// updated coefficients, many concurrent requests over one model — run the
-// wavefront analysis and schedule construction once and, for the Pooled
-// kind, share one persistent worker pool.
+// PlanCache shares the inspector output (core.Inspection) of
+// structurally identical triangular solves: plans are keyed by the
+// sparsity fingerprint of the factor plus the plan configuration, so N
+// callers solving factors with the same nonzero pattern — successive
+// Newton steps, the same mesh with updated coefficients, many concurrent
+// requests over one model — run the inspector once and, for the Pooled
+// kind, share one persistent worker pool. The cache itself keys, leases
+// and counts; inspection and repair are core's.
 //
 // Get binds the caller's matrix values to the shared structural skeleton,
 // so matrices with equal structure but different values each solve with
@@ -49,20 +49,20 @@ import (
 // A fingerprint miss is not necessarily a cold start: the cache keeps a
 // similarity index of resident skeletons, and when the new structure is
 // a small structural drift of a resident one — a few rows' nonzeros
-// appeared or vanished — the nearest ancestor's plan is repaired through
-// internal/delta instead of re-inspected from scratch, with the caller's
-// values bound as usual. The planner prices repair against rebuild
-// (planner.PlanRepair) and the repair aborts to a full build when the
-// level-change cone exceeds the break-even bound. WithDriftHint lets a
-// caller that knows the edited rows (the server's base_fp+edits request
-// form) skip the ancestor scan entirely.
+// appeared or vanished — the nearest ancestor's inspection is repaired
+// (core.Inspection.Repair) instead of re-inspected from scratch, with the
+// caller's values bound as usual. An ancestor is a candidate only while
+// its diff stays within the break-even bound (delta.RepairBound), and the
+// repair falls back to a full inspection when the level-change cone
+// outgrows it. WithDriftHint lets a caller that knows the edited rows (the
+// server's base_fp+edits request form) skip the ancestor scan entirely.
 type PlanCache struct {
 	c *plancache.Cache[planKey, *planSkeleton]
 
 	mu      sync.Mutex
 	records []DecisionRecord
 	counts  map[string]uint64
-	sim     map[simKey]map[uint64]*planSkeleton // resident skeletons with repair state, by fingerprint
+	sim     map[simKey]map[uint64]*planSkeleton // repairable resident skeletons, by fingerprint
 	delta   DeltaStats
 	super   SupernodeStats
 }
@@ -82,8 +82,9 @@ type simKey struct {
 
 // DeltaStats counts the near-miss outcomes of a PlanCache: how many
 // misses were served by repairing a resident ancestor, how many
-// attempted repairs fell back to a full build (planner declined or the
-// cone bound tripped), and the total rows releveled by repairs.
+// attempted repairs fell back to a full build (the edit or its cone
+// exceeded the break-even bound), and the total rows releveled by
+// repairs.
 type DeltaStats struct {
 	Repairs   uint64 `json:"repairs"`
 	Fallbacks uint64 `json:"fallbacks"`
@@ -157,26 +158,14 @@ type planKey struct {
 	fuse FuseMode
 }
 
-// planSkeleton is the inspector's output — the cached, matrix-value-free
-// part of a Plan: the dependence structure, wavefronts, schedule, planner
-// decision and the (possibly stateful) executor. All of it is a pure
-// function of the sparsity pattern and the plan configuration. deps
-// and wf are always row-level (they feed the repair state); for a fused
-// skeleton sched is the unit-level schedule the executor runs and fused
-// holds the supernodal state, with the row-level structure still backing
-// repairs — a repair re-splices the ancestor's partition around the
-// edited rows, so a drift chain keeps fused execution without
-// re-detecting from scratch.
+// planSkeleton is the cached, matrix-value-free part of a Plan: the
+// inspection — a pure function of the sparsity pattern and the plan
+// configuration, which also backs near-miss repairs of a drift chain —
+// and the (possibly stateful) executor running it.
 type planSkeleton struct {
-	deps     *wavefront.Deps
-	wf       []int32
-	sched    *schedule.Schedule
-	kind     executor.Kind
-	decision *planner.Decision
-	exec     *executor.Executor
-	fused    *fusedExec
-	state    *delta.State // repair state; nil for non-global schedules
-	cleanup  func()       // removes the skeleton from the similarity index
+	in      *core.Inspection
+	exec    *executor.Executor
+	cleanup func() // removes the skeleton from the similarity index
 }
 
 func (s *planSkeleton) Close() error {
@@ -211,16 +200,16 @@ func (pc *PlanCache) Get(t *sparse.CSR, lower bool, opts ...Option) (*Plan, erro
 	key := planKey{
 		fp:    t.StructureFingerprint(),
 		lower: lower,
-		procs: cfg.nproc,
-		kind:  int(cfg.kind),
-		sched: cfg.scheduler,
-		part:  int(cfg.part),
+		procs: cfg.Procs,
+		kind:  int(cfg.Executor),
+		sched: cfg.Scheduler,
+		part:  int(cfg.Partition),
 		fuse:  cfg.fuse,
 	}
-	if cfg.adaptive() {
+	if cfg.Adaptive() {
 		key.kind, key.auto = -1, true
-		if cfg.model != nil {
-			key.model, key.hasModel = *cfg.model, true
+		if cfg.Model != nil {
+			key.model, key.hasModel = *cfg.Model, true
 		}
 	}
 	// Both cache reads are direct calls: through a func value, the
@@ -241,86 +230,64 @@ func (pc *PlanCache) Get(t *sparse.CSR, lower bool, opts ...Option) (*Plan, erro
 	if err != nil {
 		return nil, err
 	}
-	p := newPlan(t, lower, h.Value())
+	sk := h.Value()
+	p := newPlan(t, lower, sk.in, sk.exec)
 	p.leased, p.lease = true, h
 	return p, nil
 }
 
-// build is the singleflight builder behind Get's miss on key: a delta
-// repair of a resident ancestor when one qualifies, else a full
+// build is the singleflight builder behind Get's miss on key: a repair
+// of the nearest resident ancestor when one qualifies, else a full
 // inspection, registered for later repairs and recorded.
 func (pc *PlanCache) build(t *sparse.CSR, lower bool, cfg planConfig, key planKey) (*planSkeleton, error) {
-	// Build-cost attribution: the repair attempt (successful or not) and
-	// the inspector run are timed separately so a traced request can tell
-	// "waiting on delta repair" from "waiting on a cold inspection". Only
-	// the singleflight builder gets here; coalesced peers observe the
-	// time as plan-stage waiting.
+	// Build-cost attribution: a traced request can tell "waiting on a
+	// drift repair" from "waiting on a cold inspection". Only the
+	// singleflight builder gets here; coalesced peers observe the time as
+	// plan-stage waiting.
 	t0 := time.Now()
-	sk := pc.tryRepair(t, lower, cfg, key)
-	t1 := time.Now()
-	repaired := sk != nil
+	rank := func() []int32 { return rcmRank(t, lower) }
+	var in *core.Inspection
+	var st delta.Stats
 	var err error
-	if !repaired {
-		sk, err = inspect(t, lower, cfg)
+	anc, changed := pc.nearest(t, lower, cfg, key)
+	if anc != nil {
+		in, st, err = anc.in.Repair(delta.FactorDeps(anc.in.Deps, t, lower, changed), changed, rank)
+		pc.mu.Lock()
+		if st.Fallback {
+			pc.delta.Fallbacks++
+		} else {
+			pc.delta.Repairs++
+			pc.delta.ConeRows += uint64(st.Cone)
+		}
+		pc.mu.Unlock()
+	} else {
+		in, err = core.Inspect(factorDeps(t, lower), cfg.Config, cfg.fuse, rank)
 	}
+	repaired := anc != nil && !st.Fallback
 	if bs := cfg.buildStats; bs != nil {
-		bs.RepairNs += t1.Sub(t0).Nanoseconds()
 		bs.Repaired = repaired
-		if !repaired {
-			bs.InspectNs += time.Since(t1).Nanoseconds()
+		if anc != nil {
+			bs.RepairNs += time.Since(t0).Nanoseconds()
+		} else {
+			bs.InspectNs += time.Since(t0).Nanoseconds()
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	if !repaired && cfg.scheduler == GlobalSched {
-		// The repair state splices row-level structure, so a fused
-		// skeleton backs it with the row-level schedule the executor
-		// would have run unfused; the unit schedule is re-derived from
-		// the re-spliced partition after each repair.
-		rowSched := sk.sched
-		if sk.fused != nil {
-			rowSched = schedule.Global(sk.wf, cfg.nproc)
-		}
-		sk.state = delta.NewState(sk.deps, sk.wf, rowSched)
-	}
-	if sk.state != nil {
+	sk := &planSkeleton{in: in, exec: executor.New(in.Kind)}
+	if cfg.Scheduler == GlobalSched {
 		pc.registerSim(key, t.N, sk)
 	}
-	pc.record(lower, cfg, sk, repaired)
+	pc.record(lower, cfg, in, repaired)
 	return sk, nil
-}
-
-// tryRepair is the near-miss path: on a fingerprint miss it looks for a
-// resident ancestor with the same plan shape whose structure differs
-// from t in few enough rows that the planner prices a delta repair below
-// a rebuild, and repairs that ancestor's skeleton. It returns nil — full
-// inspection proceeds — when no ancestor qualifies or the repair fell
-// back (counted in DeltaStats).
-func (pc *PlanCache) tryRepair(t *sparse.CSR, lower bool, cfg planConfig, key planKey) *planSkeleton {
-	if cfg.scheduler != GlobalSched {
-		return nil
-	}
-	best, changed := pc.nearest(t, lower, cfg, key)
-	if best == nil {
-		return nil
-	}
-	out, cone := repairFrom(best, changed, t, lower, cfg)
-	pc.mu.Lock()
-	if out == nil {
-		pc.delta.Fallbacks++
-	} else {
-		pc.delta.Repairs++
-		pc.delta.ConeRows += uint64(cone)
-	}
-	pc.mu.Unlock()
-	return out
 }
 
 // nearest picks the repair ancestor for t among the resident skeletons
 // of its plan shape — the hinted one when the caller named it, else the
-// candidate with the fewest differing rows — and returns it with those
-// rows in iteration space.
+// candidate with the fewest differing rows, within the break-even bound
+// — and returns it with those rows in iteration space; nil when none
+// qualifies.
 func (pc *PlanCache) nearest(t *sparse.CSR, lower bool, cfg planConfig, key planKey) (*planSkeleton, []int32) {
 	sk := simKey{n: t.N, key: key}
 	sk.key.fp = 0
@@ -345,14 +312,14 @@ func (pc *PlanCache) nearest(t *sparse.CSR, lower bool, cfg planConfig, key plan
 	var best *planSkeleton
 	var bestChanged []int32
 	for _, e := range candidates {
-		limit := planner.PlanRepair(t.N, e.state.Deps.Edges(), 1, cfg.model).MaxCone
+		limit := delta.RepairBound(t.N, e.in.Deps.Edges())
 		if limit <= 0 {
 			// Repair can never pay for this shape (the break-even cone
 			// is empty); don't spend an O(N) diff to find that out —
 			// DiffFactor would read limit<=0 as "unbounded".
 			continue
 		}
-		changed, ok := delta.DiffFactor(e.state.Deps, t, lower, limit)
+		changed, ok := delta.DiffFactor(e.in.Deps, t, lower, limit)
 		if !ok || len(changed) == 0 {
 			continue // drifted too far, or a fingerprint collision
 		}
@@ -361,39 +328,6 @@ func (pc *PlanCache) nearest(t *sparse.CSR, lower bool, cfg planConfig, key plan
 		}
 	}
 	return best, bestChanged
-}
-
-// repairFrom splices the changed rows of t into ancestor's skeleton and
-// returns the repaired skeleton with the number of rows releveled, or
-// nil when the planner prices a rebuild lower or the level-change cone
-// outgrew its bound.
-func repairFrom(ancestor *planSkeleton, changed []int32, t *sparse.CSR, lower bool, cfg planConfig) (*planSkeleton, int) {
-	dec := planner.PlanRepair(t.N, ancestor.state.Deps.Edges(), len(changed), cfg.model)
-	if !dec.Repair {
-		return nil, 0
-	}
-	newDeps := delta.FactorDeps(ancestor.state.Deps, t, lower, changed)
-	st, stats, err := ancestor.state.Repair(newDeps, changed, delta.Options{MaxCone: dec.MaxCone})
-	if err != nil {
-		return nil, 0
-	}
-	out := &planSkeleton{
-		deps: st.Deps, wf: st.Wf, sched: st.Sched,
-		kind: ancestor.kind, decision: ancestor.decision, exec: executor.New(ancestor.kind), state: st,
-	}
-	if ancestor.fused != nil {
-		// Keep the drift chain fused: re-splice the ancestor's partition
-		// around the edited rows (detection is local, so untouched nodes
-		// carry over) and rebuild the unit schedule.
-		newPart := supernode.Resplice(ancestor.fused.part, st.Deps, changed)
-		fx, err := newFusedExec(newPart, st.Deps, nil, nil, cfg.nproc)
-		if err != nil {
-			return nil, 0
-		}
-		out.fused = fx
-		out.sched = fx.sched
-	}
-	return out, stats.Cone
 }
 
 // normalizeHintRows maps matrix row indices to iteration indices
@@ -413,16 +347,8 @@ func normalizeHintRows(rows []int32, n int, lower bool) []int32 {
 		}
 		out = append(out, r)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	uniq := out[:0]
-	var prev int32 = -1
-	for _, r := range out {
-		if r != prev {
-			uniq = append(uniq, r)
-			prev = r
-		}
-	}
-	return uniq
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // registerSim adds a freshly built skeleton to the similarity index and
@@ -463,15 +389,15 @@ func (pc *PlanCache) DeltaStats() DeltaStats {
 }
 
 // record logs the strategy chosen for a freshly built skeleton.
-func (pc *PlanCache) record(lower bool, cfg planConfig, sk *planSkeleton, repaired bool) {
+func (pc *PlanCache) record(lower bool, cfg planConfig, in *core.Inspection, repaired bool) {
 	rec := DecisionRecord{
-		Strategy: sk.kind.String(),
+		Strategy: in.Kind.String(),
 		Reorder:  planner.ReorderNone.String(),
 		Repaired: repaired,
 		Lower:    lower,
-		Procs:    cfg.nproc,
+		Procs:    cfg.Procs,
 	}
-	if d := sk.decision; d != nil {
+	if d := in.Decision; d != nil {
 		rec.Reorder = d.Reorder.String()
 		rec.N = d.Features.N
 		rec.Edges = d.Features.Edges
@@ -483,26 +409,23 @@ func (pc *PlanCache) record(lower bool, cfg planConfig, sk *planSkeleton, repair
 		rec.PredSupernodal = d.PredSupernodal
 	} else {
 		rec.Pinned = true
-		rec.N = sk.deps.N
-		rec.Edges = sk.deps.Edges()
-		rec.Levels = sk.sched.NumPhases
-	}
-	if fx := sk.fused; fx != nil {
-		rec.Fused = true
-		rec.Strategy += "+fused"
-		rec.Nodes = fx.stats.Nodes
-		rec.FusedRows = fx.stats.FusedRows
-		rec.NodeMaxWidth = fx.stats.MaxWidth
+		rec.N = in.Deps.N
+		rec.Edges = in.Deps.Edges()
+		rec.Levels = in.Sched.NumPhases
 	}
 	pc.mu.Lock()
-	if fx := sk.fused; fx != nil {
+	if in.Part != nil {
+		st := in.Part.Stats()
+		rec.Fused = true
+		rec.Strategy += "+fused"
+		rec.Nodes = st.Nodes
+		rec.FusedRows = st.FusedRows
+		rec.NodeMaxWidth = st.MaxWidth
 		pc.super.FusedPlans++
-		pc.super.Nodes += uint64(fx.stats.Nodes)
-		pc.super.Rows += uint64(fx.stats.Rows)
-		pc.super.FusedRows += uint64(fx.stats.FusedRows)
-		if fx.stats.MaxWidth > pc.super.MaxWidth {
-			pc.super.MaxWidth = fx.stats.MaxWidth
-		}
+		pc.super.Nodes += uint64(st.Nodes)
+		pc.super.Rows += uint64(st.Rows)
+		pc.super.FusedRows += uint64(st.FusedRows)
+		pc.super.MaxWidth = max(pc.super.MaxWidth, st.MaxWidth)
 	}
 	pc.appendRecordLocked(rec)
 	pc.mu.Unlock()

@@ -260,7 +260,7 @@ func TestFusedPlanCacheRepair(t *testing.T) {
 	// The re-spliced partition matches fresh detection on the drifted
 	// structure exactly.
 	freshPart := supernode.Detect(wavefront.FromLower(edited), supernode.Config{})
-	gotPart := p2.fused.part
+	gotPart := p2.in.Part
 	if len(gotPart.RowPtr) != len(freshPart.RowPtr) {
 		t.Fatalf("respliced partition has %d nodes, fresh detection %d",
 			gotPart.NumNodes(), freshPart.NumNodes())

@@ -138,7 +138,7 @@ type BatchSolver struct {
 	p *Plan
 
 	// body runs row: per scheduled index on a row-wise plan, over the
-	// supernode's iteration span on a fused one (see sweep).
+	// supernode's iteration span on a fused one (core.Inspection.Sweep).
 	body executor.Body
 
 	// timed wraps body to charge each scheduled index's runtime to its
@@ -168,25 +168,10 @@ type LevelClock interface {
 func (p *Plan) Bind() *BatchSolver {
 	p.bindOnce.Do(func() {
 		s := &BatchSolver{kernel: newKernel(p.L, p.Lower), p: p}
-		s.body = p.sweep(s.row)
+		s.body = p.in.Sweep(s.row)
 		p.bound = s
 	})
 	return p.bound
-}
-
-// sweep lifts the per-iteration routine to the plan's scheduled index
-// space: a row-wise plan schedules iterations themselves, a supernodal
-// one schedules units, each covering a span of consecutive iterations.
-func (p *Plan) sweep(row executor.Body) executor.Body {
-	if p.fused == nil {
-		return row
-	}
-	np := p.fused.part.RowPtr
-	return func(u int32) {
-		for k := np[u]; k < np[u+1]; k++ {
-			row(k)
-		}
-	}
 }
 
 // checkBatch validates a batch's shape against the plan.
@@ -206,9 +191,9 @@ func (p *Plan) checkBatch(xs, bs [][]float64) error {
 // pass runs one scheduled pass of body over the plan. The caller holds
 // s.mu and has installed the per-pass state, which pass clears.
 func (s *BatchSolver) pass(ctx context.Context, body executor.Body) (executor.Metrics, error) {
-	m, err := s.p.exec.Run(ctx, s.p.Sched, s.p.Deps, body)
+	m, err := s.p.in.Run(ctx, s.p.exec, body)
 	s.xs, s.bs, s.clock = nil, nil, nil
-	return s.p.rowMetrics(m, err), err
+	return m, err
 }
 
 // Solve runs one batched pass writing solution j to xs[j], with zero
@@ -243,10 +228,7 @@ func (s *BatchSolver) SolveTimed(ctx context.Context, xs, bs [][]float64, clock 
 		// The wavefront numbers in scheduled-index space: unit levels
 		// when fused, row levels otherwise. An uninspected plan has none;
 		// its one sequential sweep is charged to level 0.
-		levelOf := s.p.Wf
-		if s.p.fused != nil {
-			levelOf = s.p.fused.wf
-		}
+		levelOf := s.p.in.UnitWf
 		inner := s.body
 		s.timed = func(i int32) {
 			t0 := time.Now()

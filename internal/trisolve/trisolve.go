@@ -1,14 +1,18 @@
 // Package trisolve implements sparse triangular solves — the paper's
 // central workload (Figure 8). The outer loop of row substitutions is the
-// loop being run-time parallelized; the package provides the sequential
-// reference, the inspector (NewPlan, PlanCache) and the one loop body —
-// the row-substitution kernel — every executor runs.
+// loop being run-time parallelized. The package keeps only what is
+// triangular: the sequential reference, the dependences of a factor and
+// its reverse Cuthill-McKee rank, which it hands to the one inspector
+// (core.Inspect, core.Inspection.Repair) behind NewPlan and PlanCache,
+// and the one loop body — the row-substitution kernel — every executor
+// runs.
 package trisolve
 
 import (
 	"fmt"
 	"sync"
 
+	"doconsider/internal/core"
 	"doconsider/internal/executor"
 	"doconsider/internal/plancache"
 	"doconsider/internal/planner"
@@ -75,11 +79,11 @@ func sequential(t *sparse.CSR, x, b []float64, lower bool) error {
 }
 
 // Plan bundles everything needed to repeatedly solve with one triangular
-// factor: the dependence structure, wavefront numbers, a schedule and the
-// executor that runs it. Building a Plan is the inspector step; Solve is
-// the executor step. With the Pooled kind the executor keeps a
-// persistent worker pool across Solve calls; call Close when done with
-// such a plan to release the workers.
+// factor: its inspection (the dependence structure, wavefront numbers, a
+// schedule and the strategy) and the executor that runs it. Building a
+// Plan is the inspector step; Solve is the executor step. With the Pooled
+// kind the executor keeps a persistent worker pool across Solve calls;
+// call Close when done with such a plan to release the workers.
 //
 // Every solve entry point runs through the plan's one bound state (see
 // Bind), built on first use: the factor values behind a plan are treated
@@ -104,8 +108,8 @@ type Plan struct {
 	// Decision records the planner's analysis when the kind was chosen
 	// adaptively (no WithKind); nil for pinned plans.
 	Decision *planner.Decision
+	in       *core.Inspection
 	exec     *executor.Executor
-	fused    *fusedExec
 	// leased marks plans obtained from a PlanCache: the schedule and
 	// executor are shared, so Close releases the lease (once) instead of
 	// closing the executor.
@@ -119,24 +123,21 @@ type Plan struct {
 // Fusion returns the supernode statistics of a fused plan, or nil for a
 // row-wise plan.
 func (p *Plan) Fusion() *supernode.Stats {
-	if p.fused == nil {
+	if p.in.Part == nil {
 		return nil
 	}
-	st := p.fused.stats
+	st := p.in.Part.Stats()
 	return &st
 }
 
 // Option configures plan construction.
 type Option func(*planConfig)
 
+// planConfig is the inspector's configuration plus what only a
+// triangular solve adds to it.
 type planConfig struct {
-	nproc     int
-	kind      executor.Kind
-	kindSet   bool // WithKind pins the kind; otherwise the planner chooses
-	model     *planner.CostModel
-	scheduler SchedulerKind
-	part      schedule.Partition
-	fuse      FuseMode
+	core.Config
+	fuse FuseMode
 	// Drift hint (PlanCache only): the structure is hintRows-many edited
 	// rows away from the resident plan fingerprinted hintFp. Advisory —
 	// it never enters the cache key — but it lets a near-miss lookup skip
@@ -149,54 +150,40 @@ type planConfig struct {
 	buildStats *BuildStats
 }
 
-// adaptive reports whether the planner should choose the executor.
-func (c *planConfig) adaptive() bool { return !c.kindSet }
-
-// FuseMode controls supernodal row fusion (internal/supernode).
-type FuseMode int
-
-const (
-	// FuseAuto (the default) detects supernodes on adaptively planned
-	// global-schedule plans and lets the planner's cost model decide
-	// whether the fused executor wins.
-	FuseAuto FuseMode = iota
-	// FuseOff disables detection entirely: plans are always row-wise.
-	FuseOff
-	// FuseForce executes fused whenever the partition is well-formed,
-	// bypassing the cost model — for benchmarks and differential tests.
-	FuseForce
+// The scheduling and fusion vocabulary is the inspector's (core).
+type (
+	FuseMode      = core.FuseMode  // supernodal row fusion
+	SchedulerKind = core.Scheduler // global, local or natural index-set scheduling
 )
 
-// SchedulerKind selects global or local index-set scheduling.
-type SchedulerKind int
-
 const (
-	// GlobalSched sorts the whole index set by wavefront and deals wrapped.
-	GlobalSched SchedulerKind = iota
-	// LocalSched keeps the initial partition and sorts locally.
-	LocalSched
-	// NaturalSched keeps the original order (doacross baseline).
-	NaturalSched
+	FuseAuto     = core.FuseAuto         // detect on adaptive global plans; the cost model decides
+	FuseOff      = core.FuseOff          // never fuse
+	FuseForce    = core.FuseForce        // fuse every global plan, bypassing the cost model
+	GlobalSched  = core.GlobalScheduler  // sort the whole index set by wavefront, deal wrapped
+	LocalSched   = core.LocalScheduler   // keep the initial partition and sort locally
+	NaturalSched = core.NaturalScheduler // keep the original order (doacross baseline)
 )
 
 // WithProcs sets the processor count (default 1).
-func WithProcs(p int) Option { return func(c *planConfig) { c.nproc = p } }
+func WithProcs(p int) Option { return func(c *planConfig) { c.Procs = p } }
 
 // WithKind pins the executor kind, bypassing adaptive selection.
 func WithKind(k executor.Kind) Option {
-	return func(c *planConfig) { c.kind = k; c.kindSet = true }
+	pin := core.WithExecutor(k)
+	return func(c *planConfig) { pin(&c.Config) }
 }
 
 // WithModel supplies the cost model adaptive selection consults; nil
 // (the default) uses the once-per-machine calibrated host model. Pass
 // planner.Default() for machine-independent, reproducible decisions.
-func WithModel(m *planner.CostModel) Option { return func(c *planConfig) { c.model = m } }
+func WithModel(m *planner.CostModel) Option { return func(c *planConfig) { c.Model = m } }
 
 // WithScheduler sets the scheduling method (default GlobalSched).
-func WithScheduler(s SchedulerKind) Option { return func(c *planConfig) { c.scheduler = s } }
+func WithScheduler(s SchedulerKind) Option { return func(c *planConfig) { c.Scheduler = s } }
 
 // WithPartition sets the local-scheduling partition (default Striped).
-func WithPartition(p schedule.Partition) Option { return func(c *planConfig) { c.part = p } }
+func WithPartition(p schedule.Partition) Option { return func(c *planConfig) { c.Partition = p } }
 
 // WithFusion sets the supernodal fusion mode (default FuseAuto).
 func WithFusion(m FuseMode) Option { return func(c *planConfig) { c.fuse = m } }
@@ -214,12 +201,12 @@ func WithDriftHint(baseFp uint64, rows []int32) Option {
 
 // BuildStats breaks down where a PlanCache lookup's build time went,
 // for request-scoped latency attribution in the serving tier. A cache
-// hit leaves it zero; a miss fills RepairNs with the delta-repair
-// attempt's cost (successful or fallen back) and InspectNs with the
-// full inspector run when one happened.
+// hit leaves it zero; a miss that found a resident ancestor fills
+// RepairNs (the repair, or the failed attempt and the re-inspection it
+// fell back to), any other miss InspectNs.
 type BuildStats struct {
-	RepairNs  int64 // time inside the near-miss repair attempt
-	InspectNs int64 // time inside full inspection (0 when repaired)
+	RepairNs  int64 // time of a near-miss build, repaired or fallen back
+	InspectNs int64 // time of a cold inspection (0 on a near miss)
 	Repaired  bool  // the skeleton was obtained by delta repair
 }
 
@@ -236,161 +223,79 @@ func WithBuildStats(bs *BuildStats) Option {
 // buildPlanConfig resolves options against the defaults shared by NewPlan
 // and the plan cache's key computation.
 func buildPlanConfig(opts []Option) planConfig {
-	cfg := planConfig{nproc: 1, kind: executor.SelfExecuting, scheduler: GlobalSched, part: schedule.Striped}
+	cfg := planConfig{Config: core.Config{Procs: 1, Executor: executor.SelfExecuting}}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.nproc < 1 {
-		cfg.nproc = 1
+	if cfg.Procs < 1 {
+		cfg.Procs = 1
 	}
 	return cfg
 }
 
-// inspect runs the inspector half of plan construction: dependence
-// extraction, wavefront computation, supernode detection, adaptive
-// planning (when no kind is pinned) and schedule construction. The
-// output depends only on the sparsity structure of t, never on its
-// values — which is what lets a PlanCache share it across matrices. The
-// skeleton's kind is cfg.kind for pinned plans and the planner's choice
-// otherwise.
-func inspect(t *sparse.CSR, lower bool, cfg planConfig) (*planSkeleton, error) {
-	var deps *wavefront.Deps
+// factorDeps extracts the dependences of a factor: row-wise for a
+// forward solve, in reflected iteration numbering for a backward one.
+func factorDeps(t *sparse.CSR, lower bool) *wavefront.Deps {
 	if lower {
-		deps = wavefront.FromLower(t)
-	} else {
-		deps = wavefront.FromUpper(t)
+		return wavefront.FromLower(t)
 	}
-	wf, err := wavefront.Compute(deps)
+	return wavefront.FromUpper(t)
+}
+
+// rcmRank is the within-wavefront rank a plan hands the inspector: every
+// iteration's reverse Cuthill-McKee position, or nil when RCM fails.
+// FromUpper reflects indices (iteration k stands for row n-1-k), so an
+// upper factor's rank is reflected to match.
+func rcmRank(t *sparse.CSR, lower bool) []int32 {
+	p, err := reorder.RCM(t)
 	if err != nil {
-		return nil, err
+		return nil
 	}
-
-	// Supernode detection. Only global-schedule plans can run the
-	// compressed unit schedule, and under FuseAuto only adaptive plans
-	// detect (the cost model arbitrates; a pinned kind asked for exactly
-	// the row-wise executor it named). A partition with nothing fused is
-	// discarded — unless fusion is forced, where even an all-singleton
-	// partition runs the unit-level schedule.
-	mode := cfg.fuse
-	var part *supernode.Partition
-	var unitDeps *wavefront.Deps
-	var unitWf []int32
-	if cfg.scheduler == GlobalSched && (mode == FuseForce || (mode == FuseAuto && cfg.adaptive())) {
-		p := supernode.Detect(deps, supernode.Config{})
-		if st := p.Stats(); st.FusedRows > 0 || mode == FuseForce {
-			unitDeps = p.Compress(deps)
-			if unitWf, err = wavefront.Compute(unitDeps); err != nil {
-				return nil, err
-			}
-			part = p
-		}
+	if lower {
+		return p.Inv
 	}
-
-	kind := cfg.kind
-	useFused := mode == FuseForce && part != nil
-	var dec *planner.Decision
-	var rank []int32
-	if cfg.adaptive() {
-		f := planner.Analyze(deps, wf, cfg.nproc)
-		if part != nil {
-			f.Fusion = fusionFeatures(part, unitDeps, unitWf, cfg.nproc)
-		}
-		d := planner.Select(f, cfg.model)
-		if useFused && !d.Fused {
-			// Forced fusion overrides the cost model's verdict but keeps
-			// its executor kind; fused plans schedule units, so the
-			// within-level row reordering has nothing to rank.
-			d.Fused, d.Reorder = true, planner.ReorderNone
-		}
-		dec = &d
-		kind = d.Strategy
-		useFused = d.Fused
-		// Realize an RCM reorder decision as a within-wavefront rank for
-		// the global schedule; the wavefronts themselves are untouched
-		// (DAG depth is relabeling-invariant) so results stay
-		// bit-identical. Other schedulers fix the order themselves.
-		if !useFused && d.Reorder == planner.ReorderRCM && cfg.scheduler == GlobalSched {
-			if p, rerr := reorder.RCM(t); rerr == nil {
-				rank = p.Inv
-				if !lower {
-					// FromUpper reflects indices (iteration k stands for
-					// row n-1-k); reflect the rank to match.
-					n := t.N
-					rank = make([]int32, n)
-					for k := 0; k < n; k++ {
-						rank[k] = p.Inv[n-1-k]
-					}
-				}
-			} else {
-				d.Reorder = planner.ReorderNone
-			}
-		} else if d.Reorder != planner.ReorderNone {
-			d.Reorder = planner.ReorderNone
-		}
+	n := t.N
+	rank := make([]int32, n)
+	for k := range rank {
+		rank[k] = p.Inv[n-1-k]
 	}
-	sk := &planSkeleton{deps: deps, wf: wf, kind: kind, decision: dec}
-	switch {
-	case useFused:
-		if sk.fused, err = newFusedExec(part, deps, unitDeps, unitWf, cfg.nproc); err != nil {
-			return nil, err
-		}
-		sk.sched = sk.fused.sched
-	case cfg.scheduler == GlobalSched && rank != nil:
-		sk.sched = schedule.GlobalRanked(wf, rank, cfg.nproc)
-	case cfg.scheduler == GlobalSched:
-		sk.sched = schedule.Global(wf, cfg.nproc)
-	case cfg.scheduler == LocalSched:
-		sk.sched = schedule.Local(wf, cfg.nproc, cfg.part)
-	case cfg.scheduler == NaturalSched:
-		sk.sched = schedule.Natural(t.N, cfg.nproc, cfg.part)
-	default:
-		return nil, fmt.Errorf("trisolve: unknown scheduler %d", cfg.scheduler)
-	}
-	sk.exec = executor.New(kind)
-	return sk, nil
+	return rank
 }
 
 // NewPlan runs the inspector for a triangular factor: it extracts the
-// dependence sets, computes wavefronts, lets the planner pick the
+// dependence sets and hands them, with the factor's RCM rank, to
+// core.Inspect, which computes wavefronts, lets the planner pick the
 // executor strategy (and a locality reordering or supernodal fusion)
 // unless WithKind pinned one, and builds the schedule.
 func NewPlan(t *sparse.CSR, lower bool, opts ...Option) (*Plan, error) {
-	sk, err := inspect(t, lower, buildPlanConfig(opts))
+	cfg := buildPlanConfig(opts)
+	in, err := core.Inspect(factorDeps(t, lower), cfg.Config, cfg.fuse, func() []int32 { return rcmRank(t, lower) })
 	if err != nil {
 		return nil, err
 	}
-	return newPlan(t, lower, sk), nil
+	return newPlan(t, lower, in, executor.New(in.Kind)), nil
 }
 
 // uninspected returns the plan a PlanCache answers a first sight with:
 // no dependences, wavefronts, skeleton or lease — only the natural order
 // on one processor, held as the schedule header the sequential executor
 // reads, so every pass is the plain substitution loop of ForwardSeq or
-// BackwardSeq. Nothing is shared, and Close has nothing to release.
+// BackwardSeq. Nothing is shared, and Close has nothing to release. The
+// inspection and its schedule header share one allocation.
 func uninspected(t *sparse.CSR, lower bool) *Plan {
-	return &Plan{L: t, Lower: lower, Sched: &schedule.Schedule{P: 1, N: t.N},
-		Kind: executor.Sequential, exec: executor.New(executor.Sequential)}
+	u := &struct {
+		in    core.Inspection
+		sched schedule.Schedule
+	}{sched: schedule.Schedule{P: 1, N: t.N}}
+	u.in.Sched, u.in.Kind = &u.sched, executor.Sequential
+	return newPlan(t, lower, &u.in, executor.New(executor.Sequential))
 }
 
-// newPlan binds the factor t to an inspected skeleton.
-func newPlan(t *sparse.CSR, lower bool, sk *planSkeleton) *Plan {
-	p := &Plan{L: t, Lower: lower, Deps: sk.deps, Wf: sk.wf, Sched: sk.sched,
-		Kind: sk.kind, Decision: sk.decision, exec: sk.exec, fused: sk.fused}
-	if sk.fused != nil {
-		p.Deps = sk.fused.deps
-	}
-	return p
-}
-
-// rowMetrics keeps the Executed counter in row substitutions for fused
-// plans: the executor counts scheduled indices, which for a supernodal
-// schedule are multi-row units. A complete pass ran every unit, so every
-// row; an aborted pass keeps the raw unit count.
-func (p *Plan) rowMetrics(m executor.Metrics, err error) executor.Metrics {
-	if p.fused != nil && err == nil {
-		m.Executed = int64(p.L.N)
-	}
-	return m
+// newPlan binds the factor t to an inspection and the executor running
+// it.
+func newPlan(t *sparse.CSR, lower bool, in *core.Inspection, exec *executor.Executor) *Plan {
+	return &Plan{L: t, Lower: lower, Deps: in.UnitDeps, Wf: in.Wf, Sched: in.Sched,
+		Kind: in.Kind, Decision: in.Decision, in: in, exec: exec}
 }
 
 // Close releases the plan's resources. For a plan leased from a PlanCache
@@ -411,14 +316,8 @@ func (p *Plan) Close() error {
 // level count either way. An uninspected plan (a PlanCache first sight)
 // never computed its wavefronts and reports 0.
 func (p *Plan) Phases() int {
-	if p.fused == nil {
+	if p.in.Part == nil {
 		return p.Sched.NumPhases
 	}
-	n := 0
-	for _, w := range p.Wf {
-		if int(w)+1 > n {
-			n = int(w) + 1
-		}
-	}
-	return n
+	return wavefront.NumWavefronts(p.Wf)
 }
