@@ -467,8 +467,7 @@ func BenchmarkRuntimeRepeatedRun(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer rt.Close()
-			rt.Run(body) // warm-up: pooled spawns its workers here
+			rt.Run(body) // warm-up: pooled sizes its ready array here
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

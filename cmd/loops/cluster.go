@@ -69,8 +69,8 @@ func runCluster(w io.Writer, cfg clusterCmdConfig, stop <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "cluster: front door on %s over %d replicas (%s)\n",
-		c.Router().Addr(), cfg.replicas, strings.Join(c.Addrs(), ", "))
+	fmt.Fprintf(w, "cluster: front door on %s over %d replicas (%s), %d procs/plan\n",
+		c.Router().Addr(), cfg.replicas, strings.Join(c.Addrs(), ", "), clusterProcs(c))
 	fmt.Fprintf(w, "cluster: POST /v1/trisolve, GET /v1/stats /healthz /metrics (router-level)\n")
 
 	waitForStop(stop)
@@ -114,4 +114,10 @@ func printRouterStats(w io.Writer, st router.StatsResponse) {
 		fmt.Fprintf(w, "    rebalance %-5s %-21s moved %3d  warmed %3d  (%.1f ms)\n",
 			ev.Kind, ev.Addr, ev.Moved, ev.Warmed, ev.Ms)
 	}
+}
+
+// clusterProcs is the processors per plan of the cluster's replicas,
+// which share one configuration.
+func clusterProcs(c *router.Cluster) int {
+	return c.Server(c.Addrs()[0]).Stats().Planner.Procs
 }

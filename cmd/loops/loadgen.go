@@ -101,6 +101,7 @@ type loadgenReport struct {
 	repairs        uint64                      // plan misses served by delta repair
 	repairFalls    uint64                      // repair attempts that rebuilt instead
 	plannerKind    string                      // server's configured kind ("auto" = adaptive)
+	procs          int                         // server's processors per plan
 	plannerCounts  map[string]uint64           // plan builds by chosen strategy
 	superPlans     uint64                      // fused plan builds this run
 	superRows      uint64                      // rows those plans cover
@@ -387,6 +388,7 @@ func loadgen(w io.Writer, cfg loadgenConfig) (*loadgenReport, error) {
 		rep.repairs = after.Delta.Repairs - before.Delta.Repairs
 		rep.repairFalls = after.Delta.Fallbacks - before.Delta.Fallbacks
 		rep.plannerKind = after.Planner.Kind
+		rep.procs = after.Planner.Procs
 		// Like the other server counters, report this run's delta — a
 		// long-running server's lifetime decision counts would
 		// misattribute earlier traffic to this run.
@@ -444,8 +446,8 @@ func printLoadgenReport(w io.Writer, rep *loadgenReport, batch int) {
 		fmt.Fprintf(w, "  drift: %d drifted requests (%d fell back to a full ship)\n", rep.drifted, rep.driftFell)
 	}
 	if rep.statsOK {
-		fmt.Fprintf(w, "  server: coalescing rate %.1f%% (%d requests fused into %d passes), cache hit rate %.1f%%, %d shed\n",
-			100*rep.coalesceRate, rep.serverRequests, rep.passes, 100*rep.cacheHitRate, rep.shed)
+		fmt.Fprintf(w, "  server: %d procs/plan, coalescing rate %.1f%% (%d requests fused into %d passes), cache hit rate %.1f%%, %d shed\n",
+			rep.procs, 100*rep.coalesceRate, rep.serverRequests, rep.passes, 100*rep.cacheHitRate, rep.shed)
 		if rep.repairs+rep.repairFalls > 0 {
 			fmt.Fprintf(w, "  delta: %d plan misses repaired from a resident ancestor, %d rebuilt (cone/planner fallback)\n",
 				rep.repairs, rep.repairFalls)

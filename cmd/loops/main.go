@@ -56,7 +56,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("loops", flag.ContinueOnError)
-	procs := fs.Int("procs", tables.DefaultProcs, "simulated processor count")
+	procs := fs.Int("procs", 0, "processor count (0: the paper's 16 for the simulated experiments, runtime.GOMAXPROCS(0) per plan for serving)")
 	iters := fs.Int("iters", 50, "Krylov iterations assumed for Table 1")
 	large := fs.Bool("large", false, "include the large problem variants (slow)")
 	clients := fs.Int("clients", 8, "serve/loadgen: concurrent client goroutines")
@@ -117,6 +117,10 @@ func run(args []string) error {
 		usage(fs)
 		return err
 	}
+	simProcs := *procs
+	if simProcs == 0 {
+		simProcs = tables.DefaultProcs
+	}
 
 	switch exp {
 	case "summary":
@@ -124,38 +128,38 @@ func run(args []string) error {
 	case "fig9":
 		return tables.FprintFigure9(os.Stdout, 5, 7, 4)
 	case "table1":
-		return table1(*procs, *iters, *large)
+		return table1(simProcs, *iters, *large)
 	case "table2":
-		return solveTable(machine.SelfExecutingSim, *procs)
+		return solveTable(machine.SelfExecutingSim, simProcs)
 	case "table3":
-		return solveTable(machine.PreScheduledSim, *procs)
+		return solveTable(machine.PreScheduledSim, simProcs)
 	case "table4":
-		return table4(*procs)
+		return table4(simProcs)
 	case "table5":
-		return table5(*procs)
+		return table5(simProcs)
 	case "fig12":
-		return fig12(*procs)
+		return fig12(simProcs)
 	case "fig13":
-		return fig13(*procs)
+		return fig13(simProcs)
 	case "model":
-		return modelReport(*procs)
+		return modelReport(simProcs)
 	case "timego":
-		return timego(*procs)
+		return timego(simProcs)
 	case "calibrate":
-		return calibrate(*procs)
+		return calibrate(simProcs)
 	case "numa":
-		return numa(*procs)
+		return numa(simProcs)
 	case "gantt":
-		return gantt(*procs)
+		return gantt(simProcs)
 	case "chunks":
-		return chunks(*procs)
+		return chunks(simProcs)
 	case "serve":
 		kind, err := parseKind(*kindName)
 		if err != nil {
 			return err
 		}
 		return serve(os.Stdout, serveConfig{
-			procs: serveProcs(fs, *procs), clients: *clients, requests: *requests,
+			procs: *procs, clients: *clients, requests: *requests,
 			batch: *batch, cacheCap: *cacheCap, compare: *compare, kind: kind,
 			window: *window, width: *width, seed: *seed, maxBatch: *maxBatch,
 			driftRate: *driftRate, driftEdits: *driftEdits,
@@ -166,7 +170,7 @@ func run(args []string) error {
 			return err
 		}
 		return runServer(os.Stdout, serverConfig{
-			addr: *addr, debugAddr: *debugAddr, procs: serveProcs(fs, *procs), kind: kind,
+			addr: *addr, debugAddr: *debugAddr, procs: *procs, kind: kind,
 			cacheCap: *cacheCap, window: *window, latencyWindow: *latencyWindow,
 			width: *width, maxInFlight: *maxInFlight,
 			maxBatch: *maxBatch, timeout: *reqTimeout, drainWait: 30 * time.Second,
@@ -190,7 +194,7 @@ func run(args []string) error {
 		return runCluster(os.Stdout, clusterCmdConfig{
 			addr: *addr, replicas: *replicas,
 			server: serverConfig{
-				procs: serveProcs(fs, *procs), kind: kind,
+				procs: *procs, kind: kind,
 				cacheCap: *cacheCap, window: *window, latencyWindow: *latencyWindow,
 				width: *width, maxInFlight: *maxInFlight,
 				maxBatch: *maxBatch, timeout: *reqTimeout, drainWait: 30 * time.Second,
@@ -214,7 +218,7 @@ func run(args []string) error {
 				return err
 			}
 			cl, err = router.NewCluster(*clusterN, server.Config{
-				Procs: serveProcs(fs, *procs), Kind: kind, CacheCap: *cacheCap,
+				Procs: *procs, Kind: kind, CacheCap: *cacheCap,
 				MaxBatch: *maxBatch, DefaultTimeout: *reqTimeout,
 				Coalesce: server.CoalesceConfig{Window: *window, LatencyWindow: *latencyWindow, Width: *width},
 			}, router.Config{VNodes: *vnodes, WarmLimit: *warmLimit}, "127.0.0.1:0")
@@ -222,7 +226,7 @@ func run(args []string) error {
 				return err
 			}
 			baseURL = cl.URL()
-			fmt.Printf("loadgen: in-process cluster of %d replicas behind %s\n", *clusterN, baseURL)
+			fmt.Printf("loadgen: in-process cluster of %d replicas behind %s, %d procs/plan\n", *clusterN, baseURL, clusterProcs(cl))
 		}
 		rep, err := loadgen(os.Stdout, loadgenConfig{
 			baseURL: baseURL, clients: *clients, requests: *requests,
@@ -377,22 +381,6 @@ func parseBackends(s string) ([]string, error) {
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// serveProcs caps the -procs default for real goroutine execution: the
-// default of 16 suits the simulator tables but oversubscribes actual
-// workers, so cap it at 4 (an explicit -procs is honored as given).
-func serveProcs(fs *flag.FlagSet, procs int) int {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "procs" {
-			set = true
-		}
-	})
-	if !set && procs > 4 {
-		return 4
-	}
-	return procs
 }
 
 func table1(procs, iters int, large bool) error {

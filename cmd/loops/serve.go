@@ -16,7 +16,7 @@ import (
 // end-to-end amortization — shared inspector runs via the plan cache and
 // shared executor passes via the request coalescer.
 type serveConfig struct {
-	procs      int           // processors per plan
+	procs      int           // processors per plan (0: the server's default)
 	clients    int           // concurrent loadgen clients
 	requests   int           // total solve requests across all clients
 	batch      int           // right-hand sides per request
@@ -40,8 +40,8 @@ func serve(w io.Writer, cfg serveConfig) error {
 	if cfg.clients < 1 || cfg.requests < 1 || cfg.batch < 1 {
 		return fmt.Errorf("serve: clients, requests and batch must be positive")
 	}
-	fmt.Fprintf(w, "serve: %d clients, %d requests, batch %d, %d procs/plan, %s executor, cache %d, window %s, seed %d\n",
-		cfg.clients, cfg.requests, cfg.batch, cfg.procs, cfg.kind, cfg.cacheCap, cfg.window, cfg.seed)
+	fmt.Fprintf(w, "serve: %d clients, %d requests, batch %d, %s executor, cache %d, window %s, seed %d\n",
+		cfg.clients, cfg.requests, cfg.batch, cfg.kind, cfg.cacheCap, cfg.window, cfg.seed)
 	if cfg.driftRate > 0 && cfg.driftEdits > 0 {
 		fmt.Fprintf(w, "serve: drifting workload: rate %.2f, %d row edits per drift (base_fp+edits requests)\n",
 			cfg.driftRate, cfg.driftEdits)

@@ -20,7 +20,7 @@ import (
 type serverConfig struct {
 	addr          string
 	debugAddr     string // pprof/runtime debug listener; "" disables
-	procs         int
+	procs         int    // processors per plan (0: the server's default)
 	kind          string
 	cacheCap      int
 	window        time.Duration
@@ -73,7 +73,7 @@ func runServer(w io.Writer, cfg serverConfig, stop <-chan struct{}) error {
 		return err
 	}
 	fmt.Fprintf(w, "server: listening on %s (%d procs/plan, %s executor, window %s, width %d, max in-flight %d)\n",
-		s.Addr(), cfg.procs, cfg.kind, cfg.window, cfg.width, cfg.maxInFlight)
+		s.Addr(), s.Stats().Planner.Procs, cfg.kind, cfg.window, cfg.width, cfg.maxInFlight)
 	fmt.Fprintf(w, "server: POST /v1/trisolve, GET /v1/stats /v1/trace /v1/trace/slowest /healthz /metrics\n")
 
 	// The debug listener is a separate port on purpose: pprof endpoints

@@ -61,7 +61,6 @@ func TestRunBatchMatchesSequentialRuns(t *testing.T) {
 				}
 			}
 		}
-		rt.Close()
 	}
 }
 
@@ -70,7 +69,6 @@ func TestRunBatchEmptyAndCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
 	if m := rt.RunBatch(nil); m.Executed != 0 {
 		t.Fatalf("empty batch executed %d bodies", m.Executed)
 	}

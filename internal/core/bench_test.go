@@ -18,7 +18,6 @@ func BenchmarkRunBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer rt.Close()
 	bodies := make([]executor.Body, k)
 	for j := range bodies {
 		bodies[j] = func(int32) {}

@@ -129,8 +129,9 @@ func buildConfig(opts []Option) Config {
 }
 
 // Runtime is a prepared loop: the inspection of its dependence structure
-// and the executor that runs it. A pooled executor's workers live as long
-// as the Runtime; call Close to release them.
+// and the executor that runs it. A pooled runtime's passes borrow the
+// process's shared worker set, so a Runtime holds no goroutines and has
+// nothing to release.
 type Runtime struct {
 	in   *Inspection
 	exec *executor.Executor
@@ -155,7 +156,7 @@ func (r *Runtime) Decision() *planner.Decision { return r.in.Decision }
 
 // Run executes the loop body under the configured executor. It may be
 // called repeatedly; the schedule — and, for the pooled executor, the
-// worker pool — is reused across calls. A body panic propagates to the
+// ready array — is reused across calls. A body panic propagates to the
 // caller; use RunCtx to receive it as an error instead.
 func (r *Runtime) Run(body executor.Body) executor.Metrics {
 	return executor.MustMetrics(r.RunCtx(context.Background(), body))
@@ -169,10 +170,6 @@ func (r *Runtime) Run(body executor.Body) executor.Metrics {
 func (r *Runtime) RunCtx(ctx context.Context, body executor.Body) (executor.Metrics, error) {
 	return r.in.Run(ctx, r.exec, r.in.Sweep(body))
 }
-
-// Close releases the pooled executor's persistent workers; it is a no-op
-// for the other kinds.
-func (r *Runtime) Close() error { return r.exec.Close() }
 
 // NumWavefronts returns the number of wavefronts found by the inspector.
 func (r *Runtime) NumWavefronts() int { return wavefront.NumWavefronts(r.in.Wf) }

@@ -266,7 +266,6 @@ func TestFusedAdaptiveRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
 	if d := rt.Decision(); d == nil || !d.Fused || rt.Schedule().N >= n {
 		t.Fatalf("mesh runtime decision %v over %d units, want fused", d, rt.Schedule().N)
 	}

@@ -38,7 +38,6 @@ func (r *Runtime) PatchCtx(ctx context.Context, edits delta.EditSet) (delta.Stat
 		return stats, err
 	}
 	if in.Kind != r.in.Kind {
-		r.exec.Close()
 		r.exec = executor.New(in.Kind)
 	}
 	r.in = in

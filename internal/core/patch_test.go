@@ -29,7 +29,6 @@ func TestPatchMatchesFreshRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
 
 	// Drift: a few iterations gain or lose a dependence.
 	edits := delta.EditSet{}
@@ -57,7 +56,6 @@ func TestPatchMatchesFreshRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fresh.Close()
 	for i, w := range fresh.Wavefronts() {
 		if rt.Wavefronts()[i] != w {
 			t.Fatalf("wf[%d] = %d, want %d", i, rt.Wavefronts()[i], w)
@@ -96,7 +94,6 @@ func TestPatchChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
 	for step := 0; step < 8; step++ {
 		row := int32(rng.Intn(n-1) + 1)
 		var e delta.RowEdit
@@ -132,7 +129,6 @@ func TestPatchFallbackPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
 	stats, err := rt.Patch(delta.EditSet{{Row: 1, Insert: []int32{0}}})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +149,6 @@ func TestPatchFallbackPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rtl.Close()
 	stats, err = rtl.Patch(delta.EditSet{{Row: 2, Delete: []int32{1}}})
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,6 @@ func TestPooledRuntimeMatchesSequential(t *testing.T) {
 	}
 	seqLoop, xSeq := mk(executor.Sequential)
 	poolLoop, xPool := mk(executor.Pooled)
-	defer poolLoop.Runtime().Close()
 	for sweep := 0; sweep < 20; sweep++ {
 		seqLoop.Run(xSeq, b)
 		poolLoop.Run(xPool, b)
@@ -56,8 +55,9 @@ func TestPooledRuntimeMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPooledRuntimeReusesWorkers checks the pool survives across Run
-// calls: after warm-up, repeated runs spawn no goroutines.
+// TestPooledRuntimeReusesWorkers checks a pooled runtime's runs borrow
+// the shared worker set: after warm-up, repeated runs spawn no
+// goroutines.
 func TestPooledRuntimeReusesWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	ia := randomIndirection(rng, 300)
@@ -66,15 +66,41 @@ func TestPooledRuntimeReusesWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
 	body := func(int32) {}
-	rt.Run(body) // warm-up spawns the pool
+	rt.Run(body) // warm-up sizes the ready array
 	before := runtime.NumGoroutine()
 	for i := 0; i < 30; i++ {
 		rt.Run(body)
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("goroutines grew across pooled runs: %d -> %d", before, after)
+	}
+}
+
+// TestPooledRuntimesShareOneWorkerSet builds 32 pooled runtimes over
+// distinct structures and runs each: every pass borrows the process's
+// shared worker set, so the goroutine count after the 32nd runtime is the
+// count after the first.
+func TestPooledRuntimesShareOneWorkerSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	var afterFirst int
+	var live []*Runtime // keep every runtime reachable to the end
+	for k := 0; k < 32; k++ {
+		n := 100 + 10*k
+		rt, err := New(wavefront.FromIndirection(randomIndirection(rng, n)), WithProcs(4), WithExecutor(executor.Pooled))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := rt.Run(func(int32) {}); m.Executed != int64(n) {
+			t.Fatalf("runtime %d executed %d of %d", k, m.Executed, n)
+		}
+		live = append(live, rt)
+		if k == 0 {
+			afterFirst = runtime.NumGoroutine()
+		}
+	}
+	if n := runtime.NumGoroutine(); n != afterFirst || len(live) != 32 {
+		t.Errorf("%d goroutines after 32 pooled runtimes, %d after the first", n, afterFirst)
 	}
 }
 
@@ -120,6 +146,5 @@ func TestRunCtxCancellation(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%v: cancelled run deadlocked", kind)
 		}
-		rt.Close()
 	}
 }

@@ -77,7 +77,7 @@ func BenchmarkExecutors(b *testing.B) {
 // BenchmarkRepeatedRun is the amortization experiment behind the pooled
 // executor: the same prepared schedule is executed many times (the
 // paper's "executed many times during the running of a given program"),
-// comparing spawn-per-run self-execution against the persistent pool.
+// comparing spawn-per-run self-execution against the shared worker set.
 // The pooled variant must report 0 allocs/op. The processor count is
 // fixed at 4 (not GOMAXPROCS) so the parallel paths are exercised even on
 // single-CPU hosts, where GOMAXPROCS(0) == 1 would collapse both sides to
@@ -94,16 +94,15 @@ func BenchmarkRepeatedRun(b *testing.B) {
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {
-		pool := NewPool(procs)
-		defer pool.Close()
+		e := New(Pooled)
 		ctx := context.Background()
-		if _, err := pool.Run(ctx, s, d, work); err != nil { // warm-up
+		if _, err := e.Run(ctx, s, d, work); err != nil { // warm-up
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := pool.Run(ctx, s, d, work); err != nil {
+			if _, err := e.Run(ctx, s, d, work); err != nil {
 				b.Fatal(err)
 			}
 		}

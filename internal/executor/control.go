@@ -107,11 +107,12 @@ func (t *tally) metrics(procs int) Metrics {
 // runList is the package's one busy-wait loop (paper Figure 4, lines
 // 3a-3c): for each index of idxs in order it waits until every dependence
 // carries epoch in done, runs the body and stamps the index. A fresh done
-// array is simply epoch 1; the pool bumps the epoch instead of clearing.
-// Every executor that synchronizes on an inspected dependence structure
-// calls it once per processor list or claimed chunk, so the counters stay
-// in locals. ok is false when the run aborted before the list finished; a
-// body panic unwinds through runList to the worker's guard.
+// array is simply epoch 1; a pooled executor bumps the epoch instead of
+// clearing. Every executor that synchronizes on an inspected dependence
+// structure calls it once per processor list, phase segment or claimed
+// chunk, so the counters stay in locals. ok is false when the run aborted
+// before the list finished; a body panic unwinds through runList to the
+// worker's guard.
 func runList(rc *runControl, idxs []int32, deps *wavefront.Deps, done []uint32, epoch uint32, body Body) (ran, checks, waits int64, ok bool) {
 	for _, i := range idxs {
 		if rc.stop() {

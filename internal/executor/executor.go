@@ -4,8 +4,8 @@
 // which replaces barriers with busy waits on a shared ready array
 // (Figure 4). A doacross baseline — the self-executing mechanism over the
 // original, unsorted index order — a sequential reference, and a pooled
-// executor that keeps a persistent set of workers across runs are also
-// provided.
+// executor that runs on the process's one shared set of helper goroutines
+// are also provided.
 //
 // An executor runs a user loop body once per loop index. The body receives
 // the index to execute; any data (solution vectors, matrices, indirection
@@ -17,7 +17,11 @@
 // mechanism once: runList is the only busy-wait loop over an inspected
 // dependence structure (pooled, self-executing, doacross, the claimed
 // chunks of the self-scheduled variants and the timed run all call it),
-// fanOut the only spawn-per-run scaffold. Every context-aware entry point
+// fanOut the only spawn-per-run scaffold, and the shared worker set the
+// only goroutines that outlive a run: GOMAXPROCS(0)-1 helpers started
+// with the package. A pooled pass runs on the calling goroutine plus the
+// helpers idle at dispatch, so the process's parked goroutines do not
+// grow with the number of pooled executors. Every context-aware entry point
 // guarantees that a cancelled context, a panicking loop body or a body
 // that kills its goroutine releases every busy-waiting worker instead of
 // deadlocking the run.
@@ -49,10 +53,13 @@ const (
 	SelfExecuting
 	// DoAcross is SelfExecuting over the natural (unsorted) index order.
 	DoAcross
-	// Pooled is SelfExecuting on a persistent worker pool: goroutines are
-	// spawned once and reused, so repeated runs of a prepared schedule pay
-	// no spawn or allocation cost (the paper's amortization argument,
-	// §5.1.1, applied to the runtime itself).
+	// Pooled is SelfExecuting on the process's shared worker set: the
+	// caller works as participant 0 and borrows the helpers idle at
+	// dispatch, each running its processor lists phase by phase, so
+	// repeated runs of a prepared schedule pay no spawn or allocation cost
+	// (the paper's amortization argument, §5.1.1, applied to the runtime
+	// itself). The width is observed, never set: under load a pass runs
+	// narrower, down to the caller alone.
 	Pooled
 )
 
@@ -89,7 +96,7 @@ func KindByName(name string) (Kind, error) {
 // error) the counters are lower bounds: a worker whose body panicked or
 // killed its goroutine reports nothing.
 type Metrics struct {
-	P          int   // processors
+	P          int   // processors (a pooled pass: its width)
 	Phases     int   // barrier phases executed (pre-scheduled only)
 	Executed   int64 // loop bodies run
 	SpinChecks int64 // shared-array reads while busy-waiting (self-exec)
@@ -99,7 +106,7 @@ type Metrics struct {
 // MustMetrics unwraps a Run result for non-context entry points: with an
 // uncancellable context the only possible error is a body panic, which is
 // re-raised on the caller's goroutine; any other error (a cancelled
-// context, a closed executor) also panics.
+// context) also panics.
 func MustMetrics(m Metrics, err error) Metrics {
 	if err == nil {
 		return m
@@ -112,22 +119,26 @@ func MustMetrics(m Metrics, err error) Metrics {
 }
 
 // Executor runs prepared schedules under one Kind. The stateless kinds
-// hold nothing between runs; Pooled keeps its persistent workers and
-// DoAcross its natural-order schedule, both built on first use. Run is
-// safe for concurrent use — leased plans of one cached skeleton share an
-// Executor — and pooled runs serialize on the pool. Close releases the
-// pooled workers.
+// hold nothing between runs; Pooled keeps its run state (the ready array)
+// and DoAcross its natural-order schedule. Run is safe for concurrent use
+// — leased plans of one cached skeleton share an Executor — and pooled
+// runs on one Executor serialize. There is nothing to release.
 type Executor struct {
 	kind Kind
 
-	mu     sync.Mutex
-	pool   *Pool              // Pooled: sized for the last schedule's processor count
-	nat    *schedule.Schedule // DoAcross: natural order for the last schedule's shape
-	closed bool
+	mu   sync.Mutex         // held across a pooled run; guards nat
+	nat  *schedule.Schedule // DoAcross: natural order for the last schedule's shape
+	pass *pass              // Pooled
 }
 
 // New returns an executor of the given kind.
-func New(kind Kind) *Executor { return &Executor{kind: kind} }
+func New(kind Kind) *Executor {
+	e := &Executor{kind: kind}
+	if kind == Pooled {
+		e.pass = &pass{crew: make([]*helper, 0, helpers.size)}
+	}
+	return e
+}
 
 // Run executes body once per index of the schedule. Sequential uses only
 // s.N and DoAcross only s.N and s.P (it runs the natural order whatever
@@ -155,47 +166,24 @@ func (e *Executor) Run(ctx context.Context, s *schedule.Schedule, deps *wavefron
 		e.mu.Unlock()
 		return runSelfExecuting(ctx, nat, deps, body, nil)
 	case Pooled:
-		// The mutex is held for the whole run — runs on one pool serialize
-		// anyway, and this keeps a concurrent Run with a different
-		// processor count from closing the pool under an in-flight run.
+		// A single phase with dependences is a natural order (or another
+		// unsorted one): lists wait on each other inside the phase, which
+		// phase-major sharing at a width below P could deadlock, so it runs
+		// one goroutine per list like SelfExecuting.
+		if s.NumPhases == 1 && deps.Edges() > 0 {
+			return runSelfExecuting(ctx, s, deps, body, nil)
+		}
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		if e.closed {
-			return Metrics{}, ErrPoolClosed
-		}
-		if e.pool == nil || e.pool.Procs() != s.P {
-			if e.pool != nil {
-				e.pool.Close()
-			}
-			e.pool = NewPool(s.P)
-		}
-		return e.pool.Run(ctx, s, deps, body)
+		return e.pass.run(ctx, s, deps, body)
 	}
 	return Metrics{}, fmt.Errorf("executor: unknown kind %v", e.kind)
 }
 
-// Close releases the pooled workers; a Pooled executor's later Runs return
-// ErrPoolClosed rather than silently spawning workers nothing would ever
-// release. The other kinds hold nothing to release. Close is idempotent.
-func (e *Executor) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.closed = true
-	if e.pool == nil {
-		return nil
-	}
-	pool := e.pool
-	e.pool = nil
-	return pool.Close()
-}
-
-// RunCtx is a one-shot New(kind).Run: a Pooled executor is created and torn
-// down around the call, so hold an Executor (or a core.Runtime) to amortize
-// the pool across runs.
+// RunCtx is a one-shot New(kind).Run; hold an Executor (or a core.Runtime)
+// to amortize a pooled executor's ready array across runs.
 func RunCtx(ctx context.Context, kind Kind, s *schedule.Schedule, deps *wavefront.Deps, body Body) (Metrics, error) {
-	e := New(kind)
-	defer e.Close()
-	return e.Run(ctx, s, deps, body)
+	return New(kind).Run(ctx, s, deps, body)
 }
 
 // Run is RunCtx without cancellation; a body panic propagates to the caller.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,65 +18,73 @@ import (
 type gridRun func(ctx context.Context, deps *wavefront.Deps, wf []int32, body Body) (Metrics, error)
 
 // gridRunner is one way of executing a loop. open builds a runner for p
-// processors that is used for several runs and then closed, so the
-// stateful ones are also checked for surviving a failed run.
+// processors that is used for several runs, so the stateful ones are also
+// checked for surviving a failed run.
 type gridRunner struct {
 	name   string
 	inline bool // bodies run on the caller's goroutine: no Goexit guard
-	open   func(p int) (run gridRun, close func())
+	// callerWorks marks a pooled pass: the caller runs participant 0's
+	// share, so a Goexit there is the caller's own exit.
+	callerWorks bool
+	open        func(t *testing.T, p int) gridRun
 }
 
-func scheduled(p int, run runFunc, close func()) (gridRun, func()) {
+func scheduled(p int, run runFunc) gridRun {
 	return func(ctx context.Context, deps *wavefront.Deps, wf []int32, body Body) (Metrics, error) {
 		return run(ctx, schedule.Global(wf, p), deps, body)
-	}, close
+	}
 }
 
 func testBreakdown(p int) *TimeBreakdown {
 	return &TimeBreakdown{P: p, Busy: make([]time.Duration, p), Waiting: make([]time.Duration, p)}
 }
 
+// sharedSet opens a pooled executor whose passes are capped at width w
+// (0: every idle helper, up to one participant per processor).
+func sharedSet(w int) func(t *testing.T, p int) gridRun {
+	return func(t *testing.T, p int) gridRun {
+		SetMaxWidth(t, w)
+		return scheduled(p, New(Pooled).Run)
+	}
+}
+
 // gridRunners lists every runner the package has: the five kinds through
-// Executor, a bare Pool, the claimed-chunk and on-the-fly extensions, and
-// the two timed runs (through their context-taking internals).
+// Executor, the shared worker set at width 1 and at the full width, the
+// claimed-chunk and on-the-fly extensions, and the two timed runs
+// (through their context-taking internals).
 func gridRunners() []gridRunner {
 	rs := []gridRunner{
-		{name: "pool", open: func(p int) (gridRun, func()) {
-			pool := NewPool(p)
-			return scheduled(p, pool.Run, func() { pool.Close() })
-		}},
-		{name: "self-scheduled", open: func(p int) (gridRun, func()) {
+		{name: "pool", callerWorks: true, open: sharedSet(0)},
+		{name: "pool-w1", callerWorks: true, open: sharedSet(1)},
+		{name: "self-scheduled", open: func(_ *testing.T, p int) gridRun {
 			return func(ctx context.Context, deps *wavefront.Deps, wf []int32, body Body) (Metrics, error) {
 				return RunSelfScheduledCtx(ctx, SortedOrder(wf), deps, p, 1, body)
-			}, func() {}
+			}
 		}},
-		{name: "guided", open: func(p int) (gridRun, func()) {
+		{name: "guided", open: func(_ *testing.T, p int) gridRun {
 			return func(ctx context.Context, deps *wavefront.Deps, wf []int32, body Body) (Metrics, error) {
 				return RunGuidedSelfScheduledCtx(ctx, SortedOrder(wf), deps, p, 1, body)
-			}, func() {}
+			}
 		}},
-		{name: "on-the-fly", open: func(p int) (gridRun, func()) {
+		{name: "on-the-fly", open: func(_ *testing.T, p int) gridRun {
 			return func(ctx context.Context, deps *wavefront.Deps, _ []int32, body Body) (Metrics, error) {
 				return RunOnTheFlyCtx(ctx, deps.N, p, func(i int32) []int32 { return deps.On(int(i)) }, body)
-			}, func() {}
+			}
 		}},
-		{name: "timed-self-executing", open: func(p int) (gridRun, func()) {
+		{name: "timed-self-executing", open: func(_ *testing.T, p int) gridRun {
 			return scheduled(p, func(ctx context.Context, s *schedule.Schedule, deps *wavefront.Deps, body Body) (Metrics, error) {
 				return runSelfExecuting(ctx, s, deps, body, testBreakdown(p))
-			}, func() {})
+			})
 		}},
-		{name: "timed-pre-scheduled", open: func(p int) (gridRun, func()) {
+		{name: "timed-pre-scheduled", open: func(_ *testing.T, p int) gridRun {
 			return scheduled(p, func(ctx context.Context, s *schedule.Schedule, _ *wavefront.Deps, body Body) (Metrics, error) {
 				return runPreScheduled(ctx, s, body, testBreakdown(p))
-			}, func() {})
+			})
 		}},
 	}
 	for _, k := range allKinds {
-		rs = append(rs, gridRunner{name: k.String(), inline: k == Sequential,
-			open: func(p int) (gridRun, func()) {
-				e := New(k)
-				return scheduled(p, e.Run, func() { e.Close() })
-			}})
+		rs = append(rs, gridRunner{name: k.String(), inline: k == Sequential, callerWorks: k == Pooled,
+			open: func(_ *testing.T, p int) gridRun { return scheduled(p, New(k).Run) }})
 	}
 	return rs
 }
@@ -147,22 +156,30 @@ var failureModes = map[string]func(t *testing.T, r gridRunner, run gridRun){
 		}
 	},
 	"goexit": func(t *testing.T, r gridRunner, run gridRun) {
-		// runtime.Goexit kills the worker without a recoverable panic (the
-		// t.FailNow failure mode).
+		// runtime.Goexit kills the goroutine running index 1 without a
+		// recoverable panic (the t.FailNow failure mode). That is a worker
+		// — a spawned one, or a helper of the shared set, which failureCell
+		// then finds replaced — unless a pooled pass put index 1 on the
+		// caller's own share, in which case the caller exits.
 		if r.inline {
 			t.Skip("bodies run on the caller's goroutine")
 		}
 		err := failingRun(t, run, context.Background(), func(i int32) {
-			if i == 0 {
+			if i == 1 {
 				runtime.Goexit()
 			}
 		})
 		var pe *PanicError
-		if !errors.As(err, &pe) || pe.Value != ErrWorkerExited {
+		workerDied := errors.As(err, &pe) && pe.Value == ErrWorkerExited
+		if !workerDied && (err != errCallerExited || !r.callerWorks) {
 			t.Errorf("err = %v, want PanicError(ErrWorkerExited)", err)
 		}
 	},
 }
+
+// errCallerExited is failingRun's report of a run whose calling goroutine
+// exited (runtime.Goexit) instead of returning.
+var errCallerExited = errors.New("the calling goroutine exited during the run")
 
 // failingRun runs body over a six-index chain and returns the run's error,
 // failing the test if the run does not return at all.
@@ -171,8 +188,9 @@ func failingRun(t *testing.T, run gridRun, ctx context.Context, body Body) error
 	deps, wf := chainDeps(6)
 	done := make(chan error, 1)
 	go func() {
-		_, err := run(ctx, deps, wf, body)
-		done <- err
+		err := errCallerExited
+		defer func() { done <- err }()
+		_, err = run(ctx, deps, wf, body)
 	}()
 	select {
 	case err := <-done:
@@ -184,25 +202,71 @@ func failingRun(t *testing.T, run gridRun, ctx context.Context, body Body) error
 }
 
 // failureCell is one cell of the grid: drive the runner into the failure,
-// check the same runner then completes a clean run, close it, and check
-// the goroutine count is back to where it started — no spinner, parked
-// worker or barrier waiter left behind.
+// check the same runner then completes a clean run, and check the
+// goroutine count is back to where it started — no spinner or barrier
+// waiter left behind — and the shared set is whole: every helper alive
+// and none left claimed.
 func failureCell(t *testing.T, r gridRunner, mode string) {
 	const p = 3
-	base := runtime.NumGoroutine()
-	run, closeRunner := r.open(p)
+	base := goroutines()
+	run := r.open(t, p)
 	failureModes[mode](t, r, run)
 	deps, wf := chainDeps(6)
 	if m, err := run(context.Background(), deps, wf, func(int32) {}); err != nil || m.Executed != 6 {
 		t.Errorf("run after %s: executed %d, err %v", mode, m.Executed, err)
 	}
-	closeRunner()
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+	for goroutines() > base && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if n := runtime.NumGoroutine(); n > base {
+	if n := goroutines(); n > base {
 		t.Errorf("%d goroutines left running, started with %d", n, base)
+	}
+	checkSetWhole(t)
+}
+
+// stacks returns one runtime.Stack record per live goroutine.
+func stacks() []string {
+	buf := make([]byte, 1<<20)
+	return strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")
+}
+
+// goroutines counts the live goroutines except the shared set's helpers
+// (IsHelper), which live as long as the process. It counts one snapshot:
+// a helper that is still dying after its replacement started is a helper
+// in it, not a leak.
+func goroutines() int {
+	n := 0
+	for _, g := range stacks() {
+		if !IsHelper(g) {
+			n++
+		}
+	}
+	return n
+}
+
+// checkSetWhole waits for the shared set to be whole — as many helper
+// goroutines alive as it was started with, all of them idle — and fails
+// the test if it does not get there.
+func checkSetWhole(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		live := 0
+		for _, g := range stacks() {
+			if IsHelper(g) {
+				live++
+			}
+		}
+		size, idle := HelperSet()
+		if live == size && idle == size {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("shared set: %d helpers alive, %d idle, want %d", live, idle, size)
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

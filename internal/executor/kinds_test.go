@@ -43,14 +43,12 @@ func TestAllStrategiesRespectDeps(t *testing.T) {
 		if m.Executed != int64(deps.N) {
 			t.Errorf("%v executed %d of %d", k, m.Executed, deps.N)
 		}
-		if err := e.Close(); err != nil {
-			t.Errorf("%v close: %v", k, err)
-		}
 	}
 }
 
-// TestPooledStrategyReusesPool verifies a Pooled Executor keeps one pool
-// across Run calls and rebuilds it when the processor count changes.
+// TestPooledStrategyReusesPool verifies a Pooled Executor keeps one run
+// state across Run calls, whatever the processor count, and that its
+// passes borrow the shared set instead of spawning goroutines.
 func TestPooledStrategyReusesPool(t *testing.T) {
 	deps := randomDAG(rand.New(rand.NewSource(22)), 100, 2)
 	wf, err := wavefront.Compute(deps)
@@ -58,34 +56,33 @@ func TestPooledStrategyReusesPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(Pooled)
-	defer e.Close()
-	var last *Pool
+	x := e.pass
+	base := goroutines()
 	for _, p := range []int{2, 2, 4, 2} {
 		s := schedule.Global(wf, p)
 		body, check := depChecker(t, deps)
-		if _, err := e.Run(context.Background(), s, deps, body); err != nil {
+		m, err := e.Run(context.Background(), s, deps, body)
+		if err != nil {
 			t.Fatal(err)
 		}
 		check()
-		if last != nil && (last.Procs() == p) != (last == e.pool) {
-			t.Errorf("p=%d: pool reuse wrong (previous pool had %d workers)", p, last.Procs())
+		if size, _ := HelperSet(); m.P < 1 || m.P > min(p, size+1) {
+			t.Errorf("p=%d: pass width %d, want 1..%d", p, m.P, min(p, size+1))
 		}
-		last = e.pool
+		if e.pass != x {
+			t.Errorf("p=%d: run state replaced", p)
+		}
 	}
-	// After Close the executor must refuse to resurrect a pool.
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(context.Background(), schedule.Global(wf, 2), deps, func(int32) {}); err != ErrPoolClosed {
-		t.Errorf("Run after Close: err = %v, want ErrPoolClosed", err)
+	if n := goroutines(); n > base {
+		t.Errorf("goroutines grew across pooled runs: %d -> %d", base, n)
 	}
 }
 
 // TestExecutorConcurrentRunsAcrossShapes hammers one Executor of each kind
 // from several goroutines with schedules of two processor counts — the
-// leased-plans-share-one-skeleton case, plus the pooled executor's pool
-// rebuild and the doacross executor's natural-schedule rebuild under
-// contention (run with -race).
+// leased-plans-share-one-skeleton case, plus the pooled executor's
+// serialized runs and the doacross executor's natural-schedule rebuild
+// under contention (run with -race).
 func TestExecutorConcurrentRunsAcrossShapes(t *testing.T) {
 	deps := randomDAG(rand.New(rand.NewSource(23)), 150, 2)
 	wf, err := wavefront.Compute(deps)
@@ -116,6 +113,5 @@ func TestExecutorConcurrentRunsAcrossShapes(t *testing.T) {
 				t.Errorf("%v: %v", k, err)
 			}
 		}
-		e.Close()
 	}
 }

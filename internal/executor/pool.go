@@ -2,166 +2,171 @@ package executor
 
 import (
 	"context"
-	"errors"
-	"fmt"
+	"math"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"doconsider/internal/schedule"
 	"doconsider/internal/wavefront"
 )
 
-// ErrPoolClosed reports a Run attempted on a closed pool.
-var ErrPoolClosed = errors.New("executor: pool is closed")
+// helper is one goroutine of the process's shared worker set. A pass that
+// claims it fills its slot — the pass and the participant number — and
+// wakes it; nothing is allocated per dispatch.
+type helper struct {
+	wake chan struct{} // buffered: a claimed helper's one pending dispatch
+	x    *pass
+	part int
+}
 
-// Pool is a persistent worker pool executing prepared schedules with the
-// self-executing (busy-wait) synchronization of paper Figure 4. The P
-// workers are spawned once in NewPool and reused for every Run, and the
-// shared ready array is epoch-stamped instead of cleared, so on the hot
-// path a Run performs zero goroutine spawns and zero heap allocations —
-// the executor-side counterpart of amortizing the inspector (§5.1.1).
-//
-// A Pool is bound to its processor count: Run requires a schedule built
-// for exactly Procs processors. Close releases the workers; a Pool must
-// not be used after Close.
-type Pool struct {
-	procs int
+// helpers is the process's one worker set: GOMAXPROCS(0)-1 goroutines
+// started when the package is initialized (so any goroutine baseline a
+// program takes already counts them) and alive for the process, the idle
+// ones stacked under mu. Every pooled pass draws on it, whatever the
+// number of pooled executors, so the set bounds the parked goroutines.
+var helpers struct {
+	mu   sync.Mutex
+	idle []*helper
+	size int
+}
 
-	runMu sync.Mutex // serializes Run/Close; workers never take it
+// crewCap caps the helpers one pooled pass claims, so its width. Only the
+// package's tests lower it, to run the bit-identity and failure grids at
+// each width.
+var crewCap atomic.Int32
 
-	mu     sync.Mutex // guards seq/closed and the per-run fields below
-	cond   *sync.Cond
-	seq    uint64
-	closed bool
+func init() {
+	crewCap.Store(math.MaxInt32)
+	helpers.size = runtime.GOMAXPROCS(0) - 1
+	helpers.idle = make([]*helper, helpers.size)
+	for i := range helpers.idle {
+		h := &helper{wake: make(chan struct{}, 1)}
+		helpers.idle[i] = h
+		go h.loop()
+	}
+}
 
-	// Per-run state, written under mu before the seq bump that publishes
-	// it to the workers.
-	sched *schedule.Schedule
+// IsHelper reports whether stack, one goroutine's record in a
+// runtime.Stack(buf, true) dump, belongs to the shared worker set: it
+// carries the helper loop's frame. The helpers live as long as the
+// process, so goroutine-leak checks count every goroutine but these.
+func IsHelper(stack string) bool {
+	return strings.Contains(stack, "doconsider/internal/executor.(*helper).loop(")
+}
+
+// loop is a helper's life: sleep until claimed, run the share, repeat.
+func (h *helper) loop() {
+	for range h.wake {
+		h.run()
+	}
+}
+
+// run executes the helper's share of the pass it was woken for and
+// returns the helper to the idle set before the pass's caller is told it
+// finished. A panicking body aborts the pass; a body that kills the
+// goroutine outright (runtime.Goexit, e.g. t.FailNow in a test body)
+// aborts it with ErrWorkerExited and hands the slot to a fresh goroutine,
+// so the set keeps its size.
+func (h *helper) run() {
+	x, completed := h.x, false
+	defer func() {
+		if r := recover(); r != nil {
+			x.rc.recordPanic(r)
+		} else if !completed {
+			x.rc.recordPanic(ErrWorkerExited)
+			go h.loop()
+		}
+		h.x = nil
+		helpers.mu.Lock()
+		helpers.idle = append(helpers.idle, h)
+		helpers.mu.Unlock()
+		x.wg.Done()
+	}()
+	x.share(h.part)
+	completed = true
+}
+
+// pass is a pooled executor's run state, reused by every run: the
+// epoch-stamped ready array and the crew of helpers the run claimed.
+// Runs on one executor serialize, so one pass is enough.
+type pass struct {
+	s     *schedule.Schedule
 	deps  *wavefront.Deps
 	body  Body
+	w     int // participants: the caller plus len(crew)
 	epoch uint32
-
 	// done[i] == epoch marks index i complete in the current run; stale
 	// epochs from previous runs read as not-ready, so the array never
 	// needs clearing (except on the ~never epoch wraparound).
 	done []uint32
+	crew []*helper
 
-	ctl   runControl
-	wg    sync.WaitGroup
+	rc    runControl
 	tally tally
+	wg    sync.WaitGroup
 }
 
-// NewPool spawns a pool of procs persistent workers (procs >= 1).
-func NewPool(procs int) *Pool {
-	if procs < 1 {
-		procs = 1
+// run executes body over s (paper Figure 4's busy waits) on the caller
+// plus every helper idle at dispatch, up to one participant per processor
+// list; it never waits for a helper to come free. After a warm-up call it
+// allocates nothing and spawns no goroutines. The caller's own share runs
+// under a guard: a panic there aborts the run like a helper's, and a
+// runtime.Goexit — the caller's own exit, as under Sequential — still
+// aborts the run and waits for the crew to return to the set before the
+// goroutine dies.
+func (x *pass) run(ctx context.Context, s *schedule.Schedule, deps *wavefront.Deps, body Body) (m Metrics, err error) {
+	if len(x.done) < s.N {
+		x.done = make([]uint32, s.N)
 	}
-	p := &Pool{procs: procs}
-	p.cond = sync.NewCond(&p.mu)
-	for w := 0; w < procs; w++ {
-		go p.worker(w, 0)
+	if x.epoch++; x.epoch == 0 { // wraparound: stale stamps could alias, so clear
+		clear(x.done)
+		x.epoch = 1
 	}
-	return p
-}
-
-// Procs returns the number of persistent workers.
-func (p *Pool) Procs() int { return p.procs }
-
-// worker is the persistent loop of one pool worker: sleep until a run
-// newer than last is published, execute this worker's processor list,
-// signal completion, repeat until the pool closes.
-func (p *Pool) worker(id int, last uint64) {
-	for {
-		p.mu.Lock()
-		for p.seq == last && !p.closed {
-			p.cond.Wait()
-		}
-		if p.closed {
-			p.mu.Unlock()
-			return
-		}
-		last = p.seq
-		s, deps, body, epoch := p.sched, p.deps, p.body, p.epoch
-		p.mu.Unlock()
-		p.runGuarded(id, last, s, deps, body, epoch)
+	x.s, x.deps, x.body = s, deps, body
+	x.rc.reset(ctx)
+	x.tally = tally{}
+	helpers.mu.Lock()
+	keep := len(helpers.idle) - min(s.P-1, int(crewCap.Load()), len(helpers.idle))
+	x.crew = append(x.crew[:0], helpers.idle[keep:]...)
+	helpers.idle = helpers.idle[:keep]
+	helpers.mu.Unlock()
+	x.w = len(x.crew) + 1
+	x.wg.Add(len(x.crew))
+	for j, h := range x.crew {
+		h.x, h.part = x, j+1
+		h.wake <- struct{}{}
 	}
-}
-
-// runGuarded wraps one worker's share of one run with the cleanup that
-// must happen no matter how the body returns control: a panic is recorded
-// as the run's abort cause, and a body that kills the goroutine outright
-// (runtime.Goexit, e.g. t.FailNow in a test body) is recorded as
-// ErrWorkerExited, a replacement worker is spawned for future runs, and
-// the WaitGroup is still released — so neither this Run nor the next one
-// deadlocks.
-func (p *Pool) runGuarded(id int, seq uint64, s *schedule.Schedule, deps *wavefront.Deps, body Body, epoch uint32) {
-	defer p.wg.Done()
 	completed := false
 	defer func() {
 		if r := recover(); r != nil {
-			p.ctl.recordPanic(r)
-			return
+			x.rc.recordPanic(r)
+		} else if !completed {
+			x.rc.aborted.Store(1)
 		}
-		if !completed {
-			// runtime.Goexit is terminating this goroutine: release the
-			// peers and replace the dying worker. The replacement starts
-			// at this run's seq so it does not re-execute it.
-			p.ctl.recordPanic(ErrWorkerExited)
-			go p.worker(id, seq)
-		}
+		x.wg.Wait()
+		m, err = x.tally.metrics(x.w), x.rc.err(ctx)
 	}()
-	ran, checks, waits, _ := runList(&p.ctl, s.Proc(id), deps, p.done, epoch, body)
-	p.tally.add(ran, checks, waits)
+	x.share(0)
 	completed = true
+	return
 }
 
-// Run executes body under the pool's workers. The schedule must be built
-// for exactly Procs processors and its per-processor lists must be
-// dependence-consistent (wavefront-sorted or natural order). Run blocks
-// until all workers finish; concurrent Run calls are serialized. On a
-// cancelled context every busy-waiting worker is released and ctx.Err()
-// is returned; on a body panic a *PanicError is returned. After a warm-up
-// call, Run allocates nothing and spawns no goroutines.
-func (p *Pool) Run(ctx context.Context, s *schedule.Schedule, deps *wavefront.Deps, body Body) (Metrics, error) {
-	p.runMu.Lock()
-	defer p.runMu.Unlock()
-	if s.P != p.procs {
-		return Metrics{}, fmt.Errorf("executor: pool has %d workers, schedule wants %d", p.procs, s.P)
+// share runs participant j's processor lists — j, j+w, j+2w, … —
+// phase-major: every list's phase-k segment before any list's phase k+1.
+// Every dependence between two lists crosses a phase boundary (wavefront
+// phases, and merged phases by construction), so whatever the width, the
+// lowest unfinished phase always progresses; at w = 1 the caller runs the
+// whole schedule in wavefront order.
+func (x *pass) share(j int) {
+	var ran, checks, waits int64
+	for k := 0; k < x.s.NumPhases; k++ {
+		for p := j; p < x.s.P; p += x.w {
+			// After an abort every later call returns at its first index.
+			r, c, w, _ := runList(&x.rc, x.s.Phase(p, k), x.deps, x.done, x.epoch, x.body)
+			ran, checks, waits = ran+r, checks+c, waits+w
+		}
 	}
-	if len(p.done) < s.N {
-		p.done = make([]uint32, s.N)
-	}
-	p.ctl.reset(ctx)
-	p.tally = tally{}
-	p.wg.Add(p.procs)
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.wg.Add(-p.procs)
-		return Metrics{}, ErrPoolClosed
-	}
-	p.epoch++
-	if p.epoch == 0 { // wraparound: stale stamps could alias, so clear
-		clear(p.done)
-		p.epoch = 1
-	}
-	p.sched, p.deps, p.body = s, deps, body
-	p.seq++
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	p.wg.Wait()
-	return p.tally.metrics(p.procs), p.ctl.err(ctx)
-}
-
-// Close releases the pool's workers. It waits for no one: any in-flight
-// Run (serialized by runMu) has already completed or holds runMu. Close
-// is idempotent.
-func (p *Pool) Close() error {
-	p.runMu.Lock()
-	defer p.runMu.Unlock()
-	p.mu.Lock()
-	p.closed = true
-	p.sched, p.deps, p.body = nil, nil, nil
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	return nil
+	x.tally.add(ran, checks, waits)
 }

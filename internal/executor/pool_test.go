@@ -2,7 +2,6 @@ package executor
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -22,30 +21,32 @@ func TestPooledRespectsDeps(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range []int{1, 2, 4, 9} {
-			pool := NewPool(p)
-			for _, s := range []*schedule.Schedule{
-				schedule.Global(wf, p),
-				schedule.Local(wf, p, schedule.Striped),
-				schedule.Natural(deps.N, p, schedule.Striped),
-			} {
-				body, check := depChecker(t, deps)
-				m, err := pool.Run(context.Background(), s, deps, body)
-				if err != nil {
-					t.Fatal(err)
-				}
-				check()
-				if m.Executed != 400 {
-					t.Errorf("executed %d", m.Executed)
+			e := New(Pooled)
+			for w := 1; w <= p; w++ {
+				SetMaxWidth(t, w)
+				for _, s := range []*schedule.Schedule{
+					schedule.Global(wf, p),
+					schedule.Local(wf, p, schedule.Striped),
+					schedule.Natural(deps.N, p, schedule.Striped),
+				} {
+					body, check := depChecker(t, deps)
+					m, err := e.Run(context.Background(), s, deps, body)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check()
+					if m.Executed != 400 {
+						t.Errorf("p=%d w=%d: executed %d", p, w, m.Executed)
+					}
 				}
 			}
-			pool.Close()
 		}
 	}
 }
 
 func TestPooledComputesCorrectValuesAcrossRuns(t *testing.T) {
 	// The epoch-stamped ready array must not leak completions between
-	// runs: repeat the paper's simple loop many times on one pool and
+	// runs: repeat the paper's simple loop many times on one executor and
 	// compare each sweep against the sequential reference.
 	rng := rand.New(rand.NewSource(12))
 	n := 300
@@ -63,8 +64,7 @@ func TestPooledComputesCorrectValuesAcrossRuns(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	s := schedule.Global(wf, 4)
-	pool := NewPool(4)
-	defer pool.Close()
+	e := New(Pooled)
 	xSeq := make([]float64, n)
 	xPar := make([]float64, n)
 	xold := make([]float64, n)
@@ -86,7 +86,7 @@ func TestPooledComputesCorrectValuesAcrossRuns(t *testing.T) {
 		copy(xold, xSeq)
 		RunSequential(n, mkBody(xSeq, xold))
 		copy(xold, xPar)
-		if _, err := pool.Run(context.Background(), s, deps, mkBody(xPar, xold)); err != nil {
+		if _, err := e.Run(context.Background(), s, deps, mkBody(xPar, xold)); err != nil {
 			t.Fatal(err)
 		}
 		for i := range xPar {
@@ -97,22 +97,19 @@ func TestPooledComputesCorrectValuesAcrossRuns(t *testing.T) {
 	}
 }
 
-// runFunc is the signature Pool.Run and Executor.Run share.
+// runFunc is the signature of Executor.Run.
 type runFunc func(ctx context.Context, s *schedule.Schedule, deps *wavefront.Deps, body Body) (Metrics, error)
 
-// forPooledRunners runs f against both ways of reaching the persistent
-// workers — a Pool directly and a Pooled Executor — which must keep the
-// same hot-path contracts.
-func forPooledRunners(t *testing.T, procs int, f func(t *testing.T, run runFunc)) {
+// forPooledRunners runs f against a pooled executor at the two extreme
+// widths of the shared set — the caller alone ("pool") and every idle
+// helper ("executor") — which must keep the same hot-path contracts.
+func forPooledRunners(t *testing.T, f func(t *testing.T, run runFunc)) {
 	t.Run("pool", func(t *testing.T) {
-		pool := NewPool(procs)
-		defer pool.Close()
-		f(t, pool.Run)
+		SetMaxWidth(t, 1)
+		f(t, New(Pooled).Run)
 	})
 	t.Run("executor", func(t *testing.T) {
-		e := New(Pooled)
-		defer e.Close()
-		f(t, e.Run)
+		f(t, New(Pooled).Run)
 	})
 }
 
@@ -123,7 +120,7 @@ func TestPoolSpawnsNoGoroutinesPerRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := schedule.Global(wf, 4)
-	forPooledRunners(t, 4, func(t *testing.T, run runFunc) {
+	forPooledRunners(t, func(t *testing.T, run runFunc) {
 		body := func(int32) {}
 		if _, err := run(context.Background(), s, deps, body); err != nil {
 			t.Fatal(err)
@@ -151,10 +148,10 @@ func TestPoolZeroAllocsPerRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := schedule.Global(wf, 4)
-	forPooledRunners(t, 4, func(t *testing.T, run runFunc) {
+	forPooledRunners(t, func(t *testing.T, run runFunc) {
 		body := func(int32) {}
 		ctx := context.Background()
-		// Warm up: sizes the epoch array.
+		// Warm up: sizes the epoch array and the crew.
 		if _, err := run(ctx, s, deps, body); err != nil {
 			t.Fatal(err)
 		}
@@ -170,15 +167,15 @@ func TestPoolZeroAllocsPerRun(t *testing.T) {
 }
 
 func TestPoolConcurrentRunsSerialize(t *testing.T) {
-	// Concurrent Run calls on one pool must serialize, not interleave:
-	// hammer the pool from several goroutines under the race detector.
+	// Concurrent Run calls on one executor must serialize, not interleave:
+	// hammer it from several goroutines under the race detector.
 	deps := randomDAG(rand.New(rand.NewSource(15)), 200, 2)
 	wf, err := wavefront.Compute(deps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := schedule.Global(wf, 3)
-	forPooledRunners(t, 3, func(t *testing.T, run runFunc) {
+	forPooledRunners(t, func(t *testing.T, run runFunc) {
 		var inRun atomic.Int32
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
@@ -189,9 +186,9 @@ func TestPoolConcurrentRunsSerialize(t *testing.T) {
 					count := atomic.Int64{}
 					m, err := run(context.Background(), s, deps, func(int32) {
 						// At most P bodies of ONE run may be in flight; if two
-						// runs interleaved, the count could exceed the pool size.
+						// runs interleaved, the count could exceed P.
 						if v := inRun.Add(1); v > int32(s.P) {
-							t.Errorf("%d bodies in flight, pool has %d workers", v, s.P)
+							t.Errorf("%d bodies in flight, schedule has %d processors", v, s.P)
 						}
 						count.Add(1)
 						inRun.Add(-1)
@@ -212,24 +209,69 @@ func TestPoolConcurrentRunsSerialize(t *testing.T) {
 	})
 }
 
-func TestPoolRejectsMismatchedSchedule(t *testing.T) {
-	pool := NewPool(2)
-	defer pool.Close()
-	s := schedule.Natural(10, 3, schedule.Striped)
-	if _, err := pool.Run(context.Background(), s, wavefront.FromAdjacency(make([][]int32, 10)), func(int32) {}); err == nil {
-		t.Error("pool accepted schedule with wrong processor count")
+// TestSharedSetAcrossExecutors is the race stress of the one worker set:
+// eight goroutines drive eight distinct pooled executors at once, so
+// passes compete for the helpers and run at whatever width they get;
+// every result must be bit-equal to the sequential loop, and the set must
+// be whole — every helper alive and idle — afterwards.
+func TestSharedSetAcrossExecutors(t *testing.T) {
+	const n, procs, sweeps = 300, 4, 30
+	rng := rand.New(rand.NewSource(16))
+	ia := make([]int32, n)
+	b := make([]float64, n)
+	for i := range ia {
+		ia[i] = int32(rng.Intn(n))
+		b[i] = rng.NormFloat64()
 	}
-}
+	deps := wavefront.FromIndirection(ia)
+	wf, err := wavefront.Compute(deps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := func(x, xold []float64) Body {
+		return func(i int32) {
+			if needed := ia[i]; needed >= i {
+				x[i] = xold[i] + b[i]*xold[needed]
+			} else {
+				x[i] = xold[i] + b[i]*x[needed]
+			}
+		}
+	}
+	x0 := make([]float64, n)
+	for i := range x0 {
+		x0[i] = float64(i%11) - 5
+	}
+	want := append([]float64(nil), x0...)
+	RunSequential(n, loop(want, x0))
 
-func TestPoolClosedRun(t *testing.T) {
-	pool := NewPool(2)
-	pool.Close()
-	pool.Close() // idempotent
-	s := schedule.Natural(4, 2, schedule.Striped)
-	deps := wavefront.FromAdjacency(make([][]int32, 4))
-	if _, err := pool.Run(context.Background(), s, deps, func(int32) {}); !errors.Is(err, ErrPoolClosed) {
-		t.Errorf("err = %v, want ErrPoolClosed", err)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := New(Pooled)
+			s := schedule.Global(wf, procs)
+			if g%2 == 1 {
+				s = schedule.Local(wf, procs, schedule.Striped)
+			}
+			x := make([]float64, n)
+			for r := 0; r < sweeps; r++ {
+				copy(x, x0)
+				if _, err := e.Run(context.Background(), s, deps, loop(x, x0)); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range x {
+					if x[i] != want[i] {
+						t.Errorf("executor %d sweep %d: x[%d] = %v, want %v", g, r, i, x[i], want[i])
+						return
+					}
+				}
+			}
+		}()
 	}
+	wg.Wait()
+	checkSetWhole(t)
 }
 
 func TestLegacyRunRethrowsBodyPanic(t *testing.T) {

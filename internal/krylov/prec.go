@@ -34,8 +34,8 @@ type ILUPrecOptions struct {
 	// cache instead of running the inspector per preconditioner:
 	// preconditioners over factors with identical sparsity (the same mesh
 	// refactored with new coefficients, or many concurrent solvers on one
-	// model) share wavefront analysis, schedules and — for the Pooled kind
-	// — worker pools. Close still releases the leases.
+	// model) share wavefront analysis, schedules and executors. Close
+	// releases the leases.
 	Plans *trisolve.PlanCache
 }
 
@@ -120,9 +120,8 @@ func (p *ILUPrec) ApplyBatch(zs, rs [][]float64) error {
 	return err
 }
 
-// Close releases the two solve plans' executor resources (the pooled
-// executor's persistent workers) or, for cache-leased plans, their
-// leases; it is a no-op for stateless kinds.
+// Close releases the two solve plans' leases when they came from a
+// PlanCache; plans built by the preconditioner hold nothing to release.
 func (p *ILUPrec) Close() error {
 	err := p.Forward.Close()
 	if err2 := p.Back.Close(); err == nil {

@@ -2,8 +2,8 @@
 // cache for prepared execution plans. The paper's economics rest on
 // amortizing the inspector over many executor runs (§5.1.1); this package
 // extends that amortization across callers: N concurrent clients solving
-// structurally identical problems share one inspector run — and, for the
-// pooled executor, one persistent worker pool — instead of paying N times.
+// structurally identical problems share one inspector run instead of
+// paying N times.
 //
 // The cache is generic over the key (a fingerprint of the dependence
 // structure plus the plan configuration) and the value (anything with a
@@ -20,7 +20,7 @@
 //     caller ever runs a torn-down plan. Peek, the one unpinned read, is
 //     for observers of fields a value's Close does not touch.
 //   - Close-on-evict: once the final reference to an evicted entry drops,
-//     its value's Close runs exactly once, releasing pooled workers.
+//     its value's Close runs exactly once.
 //
 // GetSecondSight adds the admission rule of ghost-list caches (ARC's
 // ghost lists, TinyLFU's doorkeeper): a key is built only the second

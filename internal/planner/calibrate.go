@@ -119,7 +119,6 @@ func Calibrate() *CostModel {
 			m.TPass = d
 		}
 	}
-	_ = pooled.Close()
 
 	if err := m.Validate(); err != nil {
 		// Timer too coarse or the host too hostile: fall back whole-hog

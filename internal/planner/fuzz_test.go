@@ -88,7 +88,6 @@ func FuzzSelect(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewSimpleLoop: %v", err)
 		}
-		defer loop.Runtime().Close()
 		if loop.Runtime().Decision() == nil {
 			t.Fatal("adaptive runtime carries no decision")
 		}

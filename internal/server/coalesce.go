@@ -473,8 +473,8 @@ func (c *Coalescer) sealLocked(g *coGroup) {
 }
 
 // passCtx bounds a fused pass by the slackest member deadline (every
-// member will have returned by then, so running longer only pins the
-// worker pool); a member with no deadline leaves the pass unbounded.
+// member will have returned by then, so running longer only holds the
+// shared worker set); a member with no deadline leaves the pass unbounded.
 func (c *Coalescer) passCtx(members []*coReq) (context.Context, context.CancelFunc) {
 	var latest time.Time
 	for _, m := range members {

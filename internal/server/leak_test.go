@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"doconsider/internal/executor"
 )
 
 // assertDrained is the leak check server tests defer. Call it right
@@ -14,8 +16,8 @@ import (
 // pre-New baseline — and run the returned function once the test's own
 // listeners are closed: it shuts s down and requires that nothing
 // outlives that: no request arena outstanding, no pin left on either
-// cache (so every factor, skeleton lease and worker pool was released)
-// and the goroutine count back at the baseline.
+// cache (so every factor and skeleton lease was released) and the
+// goroutine count back at the baseline.
 func assertDrained(tb testing.TB, s *Server) func() {
 	base := goroutines()
 	return func() {
@@ -33,7 +35,7 @@ func assertDrained(tb testing.TB, s *Server) func() {
 			tb.Errorf("pins outstanding after shutdown: %d factors, %d plan skeletons", st.FactorCache.Pinned, st.PlanCache.Pinned)
 		}
 		// Client connections the test left idle hold two goroutines each
-		// until closed; pool workers and those unwind asynchronously.
+		// until closed, and unwind asynchronously.
 		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 		deadline := time.Now().Add(5 * time.Second)
 		for goroutines() > base && time.Now().Before(deadline) {
@@ -46,10 +48,18 @@ func assertDrained(tb testing.TB, s *Server) func() {
 	}
 }
 
-// goroutines counts the live goroutines except the os/signal loop, which
+// goroutines counts the live goroutines, in one runtime.Stack snapshot,
+// except two kinds that live as long as the process: the executor's
+// shared worker set (executor.IsHelper) and the os/signal loop, which
 // the fuzzing engine starts after a fuzz target's setup has taken its
-// baseline and which lives as long as the process.
+// baseline.
 func goroutines() int {
 	buf := make([]byte, 1<<20)
-	return runtime.NumGoroutine() - strings.Count(string(buf[:runtime.Stack(buf, true)]), "os/signal.signal_recv")
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if !executor.IsHelper(g) && !strings.Contains(g, "os/signal.signal_recv") {
+			n++
+		}
+	}
+	return n
 }

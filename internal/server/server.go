@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -92,7 +93,7 @@ type TenantConfig struct {
 // calls it, so constructing a server from bad values fails loudly rather
 // than clamping.
 type Config struct {
-	Procs          int    // processors per plan (default 4)
+	Procs          int    // processors per plan (default runtime.GOMAXPROCS(0))
 	Kind           string // executor kind registry name, or "auto" (default) for adaptive planning
 	CacheCap       int    // plan-cache capacity in skeletons (default 16)
 	FactorCacheCap int    // factors resubmittable by fingerprint (default 32)
@@ -158,7 +159,7 @@ func (c Config) Validate() error {
 
 func (c Config) withDefaults() Config {
 	if c.Procs <= 0 {
-		c.Procs = 4
+		c.Procs = runtime.GOMAXPROCS(0)
 	}
 	if c.Kind == "" {
 		c.Kind = KindAuto
@@ -175,9 +176,7 @@ func (c Config) withDefaults() Config {
 	if c.Coalesce.LatencyWindow == 0 {
 		c.Coalesce.LatencyWindow = c.Coalesce.Window / 8
 	}
-	if c.Coalesce.LatencyWindow < 0 {
-		c.Coalesce.LatencyWindow = 0
-	}
+	c.Coalesce.LatencyWindow = max(c.Coalesce.LatencyWindow, 0)
 	if c.Admission.Queue == 0 {
 		c.Admission.Queue = 16
 	}
@@ -274,7 +273,8 @@ func (r *SolveResponse) Solutions() ([][]float64, error) {
 // structures this server has planned: per-strategy build counts and the
 // most recent decisions with the features and predictions behind them.
 type PlannerStats struct {
-	Kind      string                    `json:"kind"` // configured kind ("auto" = adaptive)
+	Kind      string                    `json:"kind"`  // configured kind ("auto" = adaptive)
+	Procs     int                       `json:"procs"` // processors per plan (Config.Procs or its default)
 	Counts    map[string]uint64         `json:"counts"`
 	Decisions []trisolve.DecisionRecord `json:"decisions"`
 }
@@ -526,8 +526,8 @@ func (s *Server) Addr() string {
 // coalescer windows are flushed so accepted requests finish immediately,
 // and the HTTP server waits for in-flight handlers up to ctx's deadline.
 // The caches close last, in residency order: the factors first (each
-// releases its plan's skeleton lease), then the plan cache. Shutdown is
-// idempotent.
+// releases its plan's skeleton lease), then the plan cache; no executor
+// worker is the server's to stop. Shutdown is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.adm.drain()
@@ -544,9 +544,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = werr
 	}
 	if derr := s.co.DrainCtx(ctx); derr != nil {
-		// Deadline: abort in-flight passes via the base context, then
-		// wait for them to unwind (bounded — cancelled executors release
-		// their workers promptly).
+		// Deadline: abort in-flight passes via the base context, then wait
+		// for them to unwind (a cancelled pass ends with its running bodies).
 		s.cancel()
 		s.co.Drain()
 		if err == nil {
@@ -627,6 +626,7 @@ func (s *Server) Stats() StatsResponse {
 		TracesDropped: s.tracer.ring.Dropped(),
 		Planner: PlannerStats{
 			Kind:      s.cfg.Kind,
+			Procs:     s.cfg.Procs,
 			Counts:    s.cache.DecisionCounts(),
 			Decisions: s.cache.Decisions(),
 		},

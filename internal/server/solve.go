@@ -266,9 +266,9 @@ func solveErrorStatus(err error) (int, string) {
 // at factor resolution, and everything below rides that pin: Close,
 // which the factor cache runs only after the factor is evicted and its
 // last pin released, is what drops the plan lease, so a pinned factor's
-// skeleton and worker pool cannot close under a running solve. l, lower and the
-// drift hint never change, which is what lets the shard handlers read
-// them unpinned.
+// skeleton cannot leave the plan cache under a running solve. l, lower
+// and the drift hint never change, which is what lets the shard handlers
+// read them unpinned.
 type residentFactor struct {
 	l     *sparse.CSR
 	lower bool

@@ -20,9 +20,9 @@ import (
 // sparsity fingerprint of the factor plus the plan configuration, so N
 // callers solving factors with the same nonzero pattern — successive
 // Newton steps, the same mesh with updated coefficients, many concurrent
-// requests over one model — run the inspector once and, for the Pooled
-// kind, share one persistent worker pool. The cache itself keys, leases
-// and counts; inspection and repair are core's.
+// requests over one model — run the inspector once and share one
+// executor. The cache itself keys, leases and counts; inspection and
+// repair are core's.
 //
 // Get binds the caller's matrix values to the shared structural skeleton,
 // so matrices with equal structure but different values each solve with
@@ -172,12 +172,12 @@ func (s *planSkeleton) Close() error {
 	if s.cleanup != nil {
 		s.cleanup()
 	}
-	return s.exec.Close()
+	return nil
 }
 
 // NewPlanCache returns a plan cache holding at most capacity skeletons;
-// capacity <= 0 means unbounded. Evicted skeletons close their executor
-// (releasing pooled workers) after the last leased Plan is Closed.
+// capacity <= 0 means unbounded. An evicted skeleton leaves the
+// similarity index after the last leased Plan is Closed.
 func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{
 		c:      plancache.New[planKey, *planSkeleton](capacity),
@@ -190,8 +190,8 @@ func NewPlanCache(capacity int) *PlanCache {
 // executor with every other plan whose factor has the same
 // sparsity pattern and whose options match. The returned Plan is leased:
 // Close it when done (the shared skeleton persists for other holders).
-// Concurrent Solve calls on plans sharing one skeleton are safe; the
-// pooled executor serializes them on its worker pool. An adaptive
+// Concurrent Solve calls on plans sharing one skeleton are safe; a
+// pooled skeleton's executor serializes their passes. An adaptive
 // lookup's first sight of a structure returns an uninspected plan
 // instead (see PlanCache), which shares nothing and whose Close is a
 // no-op.

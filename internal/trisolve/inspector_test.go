@@ -103,7 +103,6 @@ func TestOneInspector(t *testing.T) {
 						d := rt.Decision()
 						sameInspection(t, what+" core.New", inspected{rt.Wavefronts(), rt.Schedule(),
 							rt.Config().Executor, d != nil && d.Fused, d}, ofPlan(plan))
-						rt.Close()
 					}
 					plan.Close()
 				}
@@ -256,7 +255,6 @@ func TestOneInspectorDriftChain(t *testing.T) {
 		if c.kind < 0 && moved == 0 {
 			t.Fatalf("%s: the drift never moved a supernode boundary", c.name)
 		}
-		rt.Close()
 		pc.Close()
 	}
 }

@@ -163,8 +163,8 @@ type LevelClock interface {
 }
 
 // Bind returns the plan's bound solve state, building it on first use.
-// The solver borrows the plan: the caller must keep the plan open (not
-// Close it) for as long as the solver is in use.
+// The solver borrows the plan: a cached plan's lease must be held (the
+// plan not Closed) for as long as the solver is in use.
 func (p *Plan) Bind() *BatchSolver {
 	p.bindOnce.Do(func() {
 		s := &BatchSolver{kernel: newKernel(p.L, p.Lower), p: p}

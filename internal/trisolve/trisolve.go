@@ -81,9 +81,9 @@ func sequential(t *sparse.CSR, x, b []float64, lower bool) error {
 // Plan bundles everything needed to repeatedly solve with one triangular
 // factor: its inspection (the dependence structure, wavefront numbers, a
 // schedule and the strategy) and the executor that runs it. Building a
-// Plan is the inspector step; Solve is the executor step. With the Pooled
-// kind the executor keeps a persistent worker pool across Solve calls;
-// call Close when done with such a plan to release the workers.
+// Plan is the inspector step; Solve is the executor step. A Pooled plan's
+// passes borrow the process's shared worker set; Close releases a cached
+// plan's lease and is a no-op otherwise.
 //
 // Every solve entry point runs through the plan's one bound state (see
 // Bind), built on first use: the factor values behind a plan are treated
@@ -111,8 +111,7 @@ type Plan struct {
 	in       *core.Inspection
 	exec     *executor.Executor
 	// leased marks plans obtained from a PlanCache: the schedule and
-	// executor are shared, so Close releases the lease (once) instead of
-	// closing the executor.
+	// executor are shared, and Close releases the lease (once).
 	leased bool
 	lease  plancache.Handle[planKey, *planSkeleton]
 
@@ -298,16 +297,14 @@ func newPlan(t *sparse.CSR, lower bool, in *core.Inspection, exec *executor.Exec
 		Kind: in.Kind, Decision: in.Decision, in: in, exec: exec}
 }
 
-// Close releases the plan's resources. For a plan leased from a PlanCache
-// it releases the lease (the shared schedule and executor stay available
-// to other lease holders); otherwise it closes the executor (releasing a
-// pooled executor's workers). Close is idempotent either way — a second
-// Close on a leased plan must never fall through to the shared executor.
+// Close releases the lease of a plan leased from a PlanCache (the shared
+// schedule and executor stay available to other lease holders); a plan
+// of its own holds nothing to release. Close is idempotent.
 func (p *Plan) Close() error {
 	if p.leased {
 		return p.lease.Release()
 	}
-	return p.exec.Close()
+	return nil
 }
 
 // Phases returns the number of wavefronts of the factor — the paper's
