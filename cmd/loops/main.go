@@ -96,7 +96,7 @@ func run(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	if err := validateServingFlags(exp, *width, *reqTimeout, *window); err != nil {
+	if err := validateServingFlags(exp, *clusterN, *width, *reqTimeout, *window); err != nil {
 		usage(fs)
 		return err
 	}
@@ -274,20 +274,22 @@ func run(args []string) error {
 // -coalesce-width (a fused pass must hold at least one right-hand side)
 // and negative durations for -timeout and -coalesce-window. Only the
 // serving experiments consume these flags; the table/figure experiments
-// ignore them, so they are not validated there.
-func validateServingFlags(exp string, width int, timeout, window time.Duration) error {
+// ignore them, so they are not validated there. loadgen builds servers
+// from the coalescing flags only for an in-process cluster (-cluster N).
+func validateServingFlags(exp string, clusterN, width int, timeout, window time.Duration) error {
 	switch exp {
-	case "serve", "server", "loadgen":
+	case "serve", "server", "cluster", "loadgen":
 	default:
 		return nil
 	}
-	if width <= 0 && exp != "loadgen" {
+	builds := exp != "loadgen" || clusterN > 0
+	if width <= 0 && builds {
 		return fmt.Errorf("usage: -coalesce-width must be positive, got %d", width)
 	}
 	if timeout < 0 {
 		return fmt.Errorf("usage: -timeout must not be negative, got %s", timeout)
 	}
-	if window < 0 && exp != "loadgen" {
+	if window < 0 && builds {
 		return fmt.Errorf("usage: -coalesce-window must not be negative, got %s", window)
 	}
 	return nil

@@ -65,6 +65,11 @@ func TestServingFlagValidation(t *testing.T) {
 		{"loadgen", "-timeout", "-5s"},
 		{"serve", "-coalesce-window", "-1ms"},
 		{"server", "-coalesce-window", "-1s"},
+		{"cluster", "-coalesce-width", "0"},
+		{"cluster", "-timeout", "-1s"},
+		{"cluster", "-coalesce-window", "-1ms"},
+		{"loadgen", "-cluster", "2", "-coalesce-width", "0"},
+		{"loadgen", "-cluster", "2", "-coalesce-window", "-1ms"},
 		{"loadgen", "-wire", "grpc"},
 	} {
 		if err := run(args); err == nil {

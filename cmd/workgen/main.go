@@ -67,7 +67,7 @@ func run(args []string, w io.Writer) error {
 		// One forced-fused inspection yields the levels and the supernodes.
 		seq := core.Config{Procs: 1}
 		core.WithExecutor(executor.Sequential)(&seq)
-		in, err := core.Inspect(wavefront.FromLower(a), seq, core.FuseForce, nil)
+		in, err := core.Inspect(wavefront.FromLower(a), seq, core.FuseForce)
 		if err != nil {
 			return err
 		}

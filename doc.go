@@ -14,12 +14,10 @@
 // There is one inspector, core.Inspect, behind both core.New (generic loops)
 // and trisolve's plans and plan cache (triangular solves). It is adaptive
 // (internal/planner): unless the caller pins an executor kind, it measures
-// the dependence DAG (levels, widths, critical-path fraction, dependence
-// distances), consults a host-calibrated cost model, optionally ranks
-// wavefronts by a reverse Cuthill-McKee ordering from internal/reorder
-// (triangular solves, which hold the matrix), and picks the execution
-// strategy itself — sequential for tiny or chain-like structures, pooled for
-// wide ones, doacross when the natural order already parallelizes — with
+// the dependence DAG (levels, widths, ideal makespans), consults a
+// host-calibrated cost model, and picks the execution strategy itself —
+// sequential for tiny or chain-like structures, pooled for wide ones,
+// doacross when the natural order already parallelizes — with
 // bit-identical results under every choice. A pooled pass runs on its caller
 // plus the idle helpers of the process's one worker set (GOMAXPROCS-1
 // goroutines started once), so nothing needs closing. See the "Adaptive

@@ -1,14 +1,15 @@
 // Package core is the run-time system behind the paper's doconsider
-// construct, and the repository's one inspector. Inspect takes the
-// dependence structure a compiler (or the transform package, or a
-// triangular factor) yields and runs the inspector once: wavefront
-// analysis, supernode detection, the planner's choice of executor, and a
-// global, local or natural schedule. Inspection.Repair re-inspects a
-// drifted structure incrementally (internal/delta). The Runtime built by
-// New runs a loop body under that inspection with one executor.Executor
-// of the chosen kind (sequential, pre-scheduled, self-executing,
-// doacross or pooled), held for its lifetime; internal/trisolve's plans
-// and plan cache are the other callers of Inspect and Repair.
+// construct, and the repository's one inspector. Inspect(deps, cfg, fuse)
+// is the whole inspector interface: it takes the dependence structure a
+// compiler (or the transform package, or a triangular factor) yields and
+// runs the inspector once — wavefront analysis, supernode detection, the
+// planner's choice of executor, and a global, local or natural schedule.
+// Inspection.Repair re-inspects a drifted structure incrementally
+// (internal/delta). The Runtime built by New runs a loop body under that
+// inspection with one executor.Executor of the chosen kind (sequential,
+// pre-scheduled, self-executing, doacross or pooled), held for its
+// lifetime; internal/trisolve's plans and plan cache are the other
+// callers of Inspect and Repair.
 //
 // Typical use:
 //
@@ -61,14 +62,12 @@ func (s Scheduler) String() string {
 
 // Config collects the runtime options.
 type Config struct {
-	Procs             int                // simulated processors (goroutines); default 1
-	Executor          executor.Kind      // executor kind; chosen adaptively unless set via WithExecutor
-	Scheduler         Scheduler          // default GlobalScheduler
-	Partition         schedule.Partition // initial partition for local scheduling
-	ParallelInspector bool               // run the wavefront sweep in parallel (§2.3)
-	WorkWeights       []float64          // optional per-index costs for work-balanced global dealing
-	MergePhases       bool               // coalesce barrier phases when safe (ref [13])
-	Model             *planner.CostModel // cost model for adaptive selection; nil = host-calibrated
+	Procs       int                // simulated processors (goroutines); default 1
+	Executor    executor.Kind      // executor kind; chosen adaptively unless set via WithExecutor
+	Scheduler   Scheduler          // default GlobalScheduler
+	Partition   schedule.Partition // initial partition for local scheduling
+	MergePhases bool               // coalesce barrier phases when safe (ref [13])
+	Model       *planner.CostModel // cost model for adaptive selection; nil = host-calibrated
 
 	// kindSet records that WithExecutor pinned the kind explicitly;
 	// otherwise Inspect lets the planner choose.
@@ -101,14 +100,6 @@ func WithScheduler(s Scheduler) Option { return func(c *Config) { c.Scheduler = 
 // WithPartition sets the initial partition used by local scheduling.
 func WithPartition(p schedule.Partition) Option { return func(c *Config) { c.Partition = p } }
 
-// WithParallelInspector runs the topological sort striped across the
-// processors with busy-wait synchronization.
-func WithParallelInspector() Option { return func(c *Config) { c.ParallelInspector = true } }
-
-// WithWorkWeights supplies per-index costs; the global scheduler then
-// balances summed cost per wavefront rather than index counts.
-func WithWorkWeights(w []float64) Option { return func(c *Config) { c.WorkWeights = w } }
-
 // WithMergedPhases coalesces consecutive barrier phases whenever no
 // dependence inside the merged window crosses processors, reducing the
 // global synchronization count of the pre-scheduled executor (the
@@ -138,12 +129,12 @@ type Runtime struct {
 }
 
 // New runs the inspector on the dependence structure (Inspect, with
-// supernodal fusion under FuseAuto and no within-wavefront rank) and
-// prepares the executor. It returns an error if the dependences are not
-// executable (cycle, out-of-range edge, or a forward dependence under
-// natural-order execution) rather than letting an executor deadlock.
+// supernodal fusion under FuseAuto) and prepares the executor. It
+// returns an error if the dependences are not executable (cycle,
+// out-of-range edge, or a forward dependence under natural-order
+// execution) rather than letting an executor deadlock.
 func New(deps *wavefront.Deps, opts ...Option) (*Runtime, error) {
-	in, err := Inspect(deps, buildConfig(opts), FuseAuto, nil)
+	in, err := Inspect(deps, buildConfig(opts), FuseAuto)
 	if err != nil {
 		return nil, err
 	}

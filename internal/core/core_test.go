@@ -99,54 +99,6 @@ func TestSchedulerString(t *testing.T) {
 	}
 }
 
-func TestParallelInspectorAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n := 400
-	adj := make([][]int32, n)
-	for i := 1; i < n; i++ {
-		for k := 0; k < rng.Intn(3); k++ {
-			adj[i] = append(adj[i], int32(rng.Intn(i)))
-		}
-	}
-	deps := wavefront.FromAdjacency(adj)
-	seq, err := New(deps, WithProcs(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := New(deps, WithProcs(4), WithParallelInspector())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if seq.Wavefronts()[i] != par.Wavefronts()[i] {
-			t.Fatalf("inspector disagreement at %d", i)
-		}
-	}
-}
-
-func TestWorkWeightedScheduling(t *testing.T) {
-	n := 30
-	deps := wavefront.FromAdjacency(make([][]int32, n)) // fully parallel
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	w[0] = 100
-	rt, err := New(deps, WithProcs(3), WithWorkWeights(w))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The heavy index should be alone on its processor under LPT dealing.
-	s := rt.Schedule()
-	for p := 0; p < s.P; p++ {
-		for _, idx := range s.Proc(p) {
-			if idx == 0 && s.ProcLen(p) != 1 {
-				t.Errorf("heavy index shares processor with %d others", s.ProcLen(p)-1)
-			}
-		}
-	}
-}
-
 func TestSimpleLoopMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := 600

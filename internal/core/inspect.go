@@ -59,22 +59,15 @@ type Inspection struct {
 
 // Inspect runs the inspector on deps under cfg: the wavefront sweep,
 // supernode detection, the planner's choice of strategy (unless cfg pins
-// one) and the schedule. fuse selects supernodal fusion. rank, when
-// non-nil, supplies a within-wavefront rank of the iterations — a
-// reverse Cuthill-McKee order, which only a caller holding the matrix
-// can compute — and is called only when the planner asks for one. Inspect
-// returns an error for a structure that is not executable: a cycle, an
+// one) and the schedule. fuse selects supernodal fusion. Inspect returns
+// an error for a structure that is not executable: a cycle, an
 // out-of-range edge, or a forward dependence under natural-order
 // execution.
-func Inspect(deps *wavefront.Deps, cfg Config, fuse FuseMode, rank func() []int32) (*Inspection, error) {
+func Inspect(deps *wavefront.Deps, cfg Config, fuse FuseMode) (*Inspection, error) {
 	in := &Inspection{Deps: deps, Kind: cfg.Executor, cfg: cfg, fuse: fuse}
 	var err error
-	if cfg.ParallelInspector {
-		in.Wf, err = wavefront.ComputeParallel(deps, cfg.Procs)
-	} else {
-		in.Wf, err = wavefront.Compute(deps)
-	}
-	// Both sweeps refuse a dependence that does not point backward: the
+	in.Wf, err = wavefront.Compute(deps)
+	// The sweep refuses a dependence that does not point backward: the
 	// structure is then a general DAG, leveled by Kahn's algorithm, which
 	// also rejects cyclic inputs with a useful error.
 	if in.backward = err == nil; !in.backward {
@@ -98,47 +91,32 @@ func Inspect(deps *wavefront.Deps, cfg Config, fuse FuseMode, rank func() []int3
 		}
 	}
 	fused := fuse == FuseForce && in.Part != nil
-	var ranked []int32
 	if cfg.Adaptive() {
 		f := planner.Analyze(deps, in.Wf, cfg.Procs)
 		if in.Part != nil {
 			f.Fusion = fusionFeatures(in.Part, in.UnitDeps, in.UnitWf, cfg.Procs)
 		}
 		d := planner.Select(f, cfg.Model)
-		if fused && !d.Fused {
-			// Forced fusion overrides the cost model's verdict but keeps
-			// its executor kind; fused schedules run units, so the
-			// within-level row rank has nothing to rank.
-			d.Fused, d.Reorder = true, planner.ReorderNone
-		}
+		// Forced fusion overrides the cost model's verdict but keeps its
+		// executor kind.
+		d.Fused = d.Fused || fused
 		fused = d.Fused
-		// Realize an RCM decision as a within-wavefront rank of the global
-		// schedule; the wavefronts themselves are untouched (DAG depth is
-		// relabeling-invariant), so results stay bit-identical. Without a
-		// rank the decision records no reordering.
-		if d.Reorder == planner.ReorderRCM && cfg.Scheduler == GlobalScheduler && rank != nil {
-			ranked = rank()
-		}
-		if ranked == nil {
-			d.Reorder = planner.ReorderNone
-		}
 		in.Decision, in.Kind = &d, d.Strategy
 	}
 	if !fused {
 		in.Part, in.UnitDeps, in.UnitWf = nil, deps, in.Wf
 	}
-	if in.Sched, err = in.schedule(ranked); err != nil {
+	if in.Sched, err = in.schedule(); err != nil {
 		return nil, err
 	}
 	return in, nil
 }
 
 // repairable reports whether the inspection's schedule is a wrapped-deal
-// global one (no work weights, no merged phases) over backward
-// dependences: the shape supernode fusion and delta repair both need.
+// global one (no merged phases) over backward dependences: the shape
+// supernode fusion and delta repair both need.
 func (in *Inspection) repairable() bool {
-	c := &in.cfg
-	return in.backward && c.Scheduler == GlobalScheduler && c.WorkWeights == nil && !c.MergePhases
+	return in.backward && in.cfg.Scheduler == GlobalScheduler && !in.cfg.MergePhases
 }
 
 // schedule builds the schedule the executor runs from one switch.
@@ -146,7 +124,7 @@ func (in *Inspection) repairable() bool {
 // the natural schedule — busy-waits in index order, so a forward
 // dependence (an index waiting on a later one in its own processor's
 // list) would spin forever; it is rejected here.
-func (in *Inspection) schedule(rank []int32) (*schedule.Schedule, error) {
+func (in *Inspection) schedule() (*schedule.Schedule, error) {
 	c := &in.cfg
 	if (in.Kind == executor.DoAcross || c.Scheduler == NaturalScheduler) && !in.backward {
 		return nil, fmt.Errorf("core: natural-order execution needs backward dependences: %w", in.Deps.CheckBackward())
@@ -155,10 +133,6 @@ func (in *Inspection) schedule(rank []int32) (*schedule.Schedule, error) {
 	switch {
 	case in.Part != nil:
 		s = schedule.Global(in.UnitWf, c.Procs)
-	case c.Scheduler == GlobalScheduler && c.WorkWeights != nil:
-		s = schedule.GlobalByWork(in.Wf, c.WorkWeights, c.Procs)
-	case c.Scheduler == GlobalScheduler && rank != nil:
-		s = schedule.GlobalRanked(in.Wf, rank, c.Procs)
 	case c.Scheduler == GlobalScheduler:
 		s = schedule.Global(in.Wf, c.Procs)
 	case c.Scheduler == LocalScheduler:
@@ -197,8 +171,8 @@ func fusionFeatures(part *supernode.Partition, unitDeps *wavefront.Deps, unitWf 
 // and its unit schedule rebuilt; the strategy decision is inherited.
 // Anything else — another schedule shape, an edit past the bound, a cone
 // that outgrows it — falls back to Inspect under the same configuration,
-// which stats.Fallback reports. rank is Inspect's, for the fallback.
-func (in *Inspection) Repair(newDeps *wavefront.Deps, changed []int32, rank func() []int32) (*Inspection, delta.Stats, error) {
+// which stats.Fallback reports.
+func (in *Inspection) Repair(newDeps *wavefront.Deps, changed []int32) (*Inspection, delta.Stats, error) {
 	if bound := delta.RepairBound(in.Deps.N, in.Deps.Edges()); in.repairable() && len(changed) <= bound {
 		st, stats, err := in.repairState().Repair(newDeps, changed, delta.Options{MaxCone: bound})
 		if err == nil {
@@ -217,7 +191,7 @@ func (in *Inspection) Repair(newDeps *wavefront.Deps, changed []int32, rank func
 			}
 		}
 	}
-	out, err := Inspect(newDeps, in.cfg, in.fuse, rank)
+	out, err := Inspect(newDeps, in.cfg, in.fuse)
 	return out, delta.Stats{Changed: len(changed), Fallback: true}, err
 }
 

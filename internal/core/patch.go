@@ -33,7 +33,7 @@ func (r *Runtime) PatchCtx(ctx context.Context, edits delta.EditSet) (delta.Stat
 	if err != nil || len(changed) == 0 {
 		return delta.Stats{}, err
 	}
-	in, stats, err := r.in.Repair(newDeps, changed, nil)
+	in, stats, err := r.in.Repair(newDeps, changed)
 	if err != nil {
 		return stats, err
 	}

@@ -23,7 +23,7 @@ var ErrConeTooLarge = errors.New("delta: edit cone exceeded the repair bound")
 var ErrNotBackward = errors.New("delta: repair requires backward (start-time schedulable) dependences")
 
 // ErrNotGlobal reports a repair attempt against a schedule that was not
-// built by wrapped dealing (Global/GlobalRanked/FromOrder); only those
+// built by wrapped dealing (Global/FromOrder); only those
 // schedules can be spliced locally.
 var ErrNotGlobal = errors.New("delta: schedule repair requires a wrapped-deal global schedule")
 
@@ -88,8 +88,8 @@ const revRebuildFrac = 8
 
 // NewState wraps freshly inspected output. The wavefront assignment must
 // be the one wavefront.Compute produced for deps, and the schedule must
-// be a wrapped-deal global schedule over wf (schedule.Global,
-// GlobalRanked or FromOrder).
+// be a wrapped-deal global schedule over wf (schedule.Global or
+// FromOrder).
 func NewState(deps *wavefront.Deps, wf []int32, sched *schedule.Schedule) *State {
 	return &State{Deps: deps, Wf: wf, Sched: sched, backward: deps.CheckBackward() == nil}
 }

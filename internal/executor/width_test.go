@@ -160,19 +160,17 @@ func TestWidthGridTrisolve(t *testing.T) {
 	}
 }
 
-// TestWidthGridCore runs pooled runtimes over the local, work-weighted
-// and merged-phase schedules of the paper's simple loop at every width:
+// TestWidthGridCore runs pooled runtimes over the local and merged-phase
+// schedules of the paper's simple loop at every width:
 // every iteration executes, and the result is the sequential loop's.
 func TestWidthGridCore(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const n = 600
 	ia := make([]int32, n)
 	b := make([]float64, n)
-	weights := make([]float64, n)
 	for i := range ia {
 		ia[i] = int32(rng.Intn(n))
 		b[i] = rng.NormFloat64()
-		weights[i] = 1 + float64(rng.Intn(5))
 	}
 	x0 := make([]float64, n)
 	for i := range x0 {
@@ -180,7 +178,6 @@ func TestWidthGridCore(t *testing.T) {
 	}
 	for name, opt := range map[string]core.Option{
 		"local":         core.WithScheduler(core.LocalScheduler),
-		"work-weighted": core.WithWorkWeights(weights),
 		"merged-phases": core.WithMergedPhases(),
 	} {
 		loop, err := core.NewSimpleLoop(ia, core.WithProcs(gridProcs), core.WithExecutor(executor.Pooled), opt)

@@ -16,15 +16,7 @@ type Features struct {
 
 	Levels   int     `json:"levels"`    // wavefront count — the DAG depth
 	MaxWidth int     `json:"max_width"` // widest wavefront
-	AvgWidth float64 `json:"avg_width"` // N / Levels
-	CritFrac float64 `json:"crit_frac"` // Levels / N: 1 = pure chain, →0 = flat
-
-	AvgDeps float64 `json:"avg_deps"` // Edges / N
-	MaxDeps int     `json:"max_deps"` // densest row
-	DepSkew float64 `json:"dep_skew"` // MaxDeps / AvgDeps (1 = uniform rows)
-
-	MeanDist float64 `json:"mean_dist"` // mean dependence distance |i - t|
-	DistFrac float64 `json:"dist_frac"` // MeanDist / N — bandwidth scatter
+	AvgDeps  float64 `json:"avg_deps"`  // Edges / N
 
 	// LevelSum is Σ_l ceil(width_l / P): the step count of a perfectly
 	// dealt wavefront schedule where every index costs one step. It lower-
@@ -50,10 +42,9 @@ type Features struct {
 
 	// Fusion, when non-nil, describes the supernode partition the caller
 	// detected over this structure (internal/supernode) and makes the
-	// supernodal executor a candidate. Callers that cannot execute fused
-	// units — core.New over a bare Deps, pinned-kind plans — leave it nil
-	// and the planner never chooses fusion, mirroring how the advisory
-	// Reorder field is ignored by callers without a matrix to rank.
+	// supernodal executor a candidate. Inspections that do not execute
+	// fused units — pinned kinds, FuseOff, schedules other than the
+	// wrapped deal — leave it nil and the planner never chooses fusion.
 	Fusion *Fusion `json:"fusion,omitempty"`
 }
 
@@ -91,8 +82,6 @@ func Analyze(deps *wavefront.Deps, wf []int32, procs int) Features {
 		}
 		f.LevelSum += (w + procs - 1) / procs
 	}
-	f.AvgWidth = float64(f.N) / float64(f.Levels)
-	f.CritFrac = float64(f.Levels) / float64(f.N)
 	f.AvgDeps = float64(f.Edges) / float64(f.N)
 
 	// Earliest-finish sweep of the natural striped order: index i runs on
@@ -101,28 +90,18 @@ func Analyze(deps *wavefront.Deps, wf []int32, procs int) Features {
 	// for backward dependences; a forward edge marks the DAG general and
 	// the doacross candidate invalid (see Backward).
 	finish := make([]int32, f.N)
-	var distSum float64
 	natMax := int32(0)
 	f.Backward = true
 	for i := 0; i < f.N; i++ {
-		on := deps.On(i)
-		if len(on) > f.MaxDeps {
-			f.MaxDeps = len(on)
-		}
 		start := int32(0)
 		if i >= procs {
 			start = finish[i-procs]
 		}
-		for _, t := range on {
+		for _, t := range deps.On(i) {
 			if int(t) >= i {
 				f.Backward = false
 			}
-			d := i - int(t)
-			if d < 0 {
-				d = -d
-			}
-			distSum += float64(d)
-			if d < procs {
+			if d := i - int(t); d < procs && d > -procs {
 				f.LateEdges++
 			}
 			if finish[t] > start {
@@ -135,12 +114,5 @@ func Analyze(deps *wavefront.Deps, wf []int32, procs int) Features {
 		}
 	}
 	f.NatSteps = int(natMax)
-	if f.Edges > 0 {
-		f.MeanDist = distSum / float64(f.Edges)
-		f.DistFrac = f.MeanDist / float64(f.N)
-	}
-	if f.AvgDeps > 0 {
-		f.DepSkew = float64(f.MaxDeps) / f.AvgDeps
-	}
 	return f
 }

@@ -20,7 +20,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/decisions.golden
 // at; 4 matches the serving default.
 const goldenProcs = 4
 
-// TestGoldenDecisions pins the planner's (features → strategy/reorder)
+// TestGoldenDecisions pins the planner's (features → strategy[+fused])
 // mapping over the full problem suite under the canonical Default cost
 // model, so a cost-model change produces a reviewable diff of decision
 // flips instead of a silent behavioral change. Regenerate with
@@ -29,7 +29,7 @@ const goldenProcs = 4
 func TestGoldenDecisions(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("# planner decisions over the problem suite\n")
-	fmt.Fprintf(&sb, "# model=default procs=%d; columns: problem features -> strategy[+fused]/reorder\n", goldenProcs)
+	fmt.Fprintf(&sb, "# model=default procs=%d; columns: problem features -> strategy[+fused]\n", goldenProcs)
 	for _, name := range problems.AllNames() {
 		p, err := problems.Get(name)
 		if err != nil {
@@ -63,9 +63,9 @@ func TestGoldenDecisions(t *testing.T) {
 			strat += "+fused"
 		}
 		fmt.Fprintf(&sb,
-			"%-10s n=%-6d edges=%-6d levels=%-4d maxw=%-4d avgw=%-7.1f dist=%-7.1f levelsum=%-6d natsteps=%-6d nodes=%-6d fusedrows=%-6d -> %s/%s\n",
-			name, f.N, f.Edges, f.Levels, f.MaxWidth, f.AvgWidth, f.MeanDist, f.LevelSum, f.NatSteps,
-			fu.Nodes, fu.FusedRows, strat, d.Reorder)
+			"%-10s n=%-6d edges=%-6d levels=%-4d maxw=%-4d levelsum=%-6d natsteps=%-6d nodes=%-6d fusedrows=%-6d -> %s\n",
+			name, f.N, f.Edges, f.Levels, f.MaxWidth, f.LevelSum, f.NatSteps,
+			fu.Nodes, fu.FusedRows, strat)
 	}
 	got := sb.String()
 

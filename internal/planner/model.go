@@ -26,8 +26,8 @@ type CostModel struct {
 	// TRowFused is the per-row fixed cost of a row executed inside a
 	// supernode beyond the node's first: the fused kernels pay one body
 	// dispatch and one set of dependence checks per node, so trailing
-	// rows cost only their loop header and bounds setup. Policy-grade
-	// like the reorder thresholds — Calibrate leaves it at its default.
+	// rows cost only their loop header and bounds setup. Policy-grade,
+	// not measured — Calibrate leaves it at its default.
 	TRowFused float64 `json:"t_row_fused"`
 
 	// Parallelism is the hardware parallelism the host can actually
@@ -47,13 +47,6 @@ type CostModel struct {
 	// dimensionless (a fraction of the compute term).
 	Scatter float64 `json:"scatter"`
 
-	// ReorderMinN and ReorderDistFrac gate the RCM within-level
-	// reordering: structures smaller than ReorderMinN rows don't leave
-	// cache anyway, and structures whose mean dependence distance is
-	// under ReorderDistFrac of the order are already local.
-	ReorderMinN     int     `json:"reorder_min_n"`
-	ReorderDistFrac float64 `json:"reorder_dist_frac"`
-
 	// Calibrated marks models produced by Calibrate (as opposed to the
 	// canonical defaults), so stats can say which one decided.
 	Calibrated bool `json:"calibrated"`
@@ -62,19 +55,16 @@ type CostModel struct {
 // Default returns the canonical cost model: constants representative of
 // a current commodity core, fixed so decisions (and the golden decision
 // table in this package's tests) are machine-independent. Calibrate
-// replaces the timing constants with host measurements; the reorder
-// thresholds are policy, not timing, and are never calibrated.
+// replaces the timing constants with host measurements.
 func Default() *CostModel {
 	return &CostModel{
-		TRow:            25e-9,
-		TRowFused:       10e-9,
-		TDep:            6e-9,
-		TCheck:          4e-9,
-		TSpin:           120e-9,
-		TPass:           15e-6,
-		Scatter:         0.05,
-		ReorderMinN:     4096,
-		ReorderDistFrac: 0.05,
+		TRow:      25e-9,
+		TRowFused: 10e-9,
+		TDep:      6e-9,
+		TCheck:    4e-9,
+		TSpin:     120e-9,
+		TPass:     15e-6,
+		Scatter:   0.05,
 	}
 }
 
@@ -91,8 +81,9 @@ func (m *CostModel) procs(f Features) (p, eff float64) {
 }
 
 // Predict estimates the wall time, in seconds, of one executor pass over
-// a structure with features f under strategy kind. Unknown kinds predict
-// +Inf so Select can iterate candidates without special cases.
+// a structure with features f under strategy kind: one of the three
+// Select prices. Other kinds predict +Inf so Select can iterate
+// candidates without special cases.
 func (m *CostModel) Predict(f Features, kind executor.Kind) float64 {
 	n, edges := float64(f.N), float64(f.Edges)
 	p, eff := m.procs(f)
@@ -101,25 +92,16 @@ func (m *CostModel) Predict(f Features, kind executor.Kind) float64 {
 	switch kind {
 	case executor.Sequential:
 		return n * row
-	case executor.Pooled, executor.SelfExecuting:
+	case executor.Pooled:
 		// Ideal wavefront-dealt makespan, inflated by the sort's locality
 		// scatter, plus the per-edge ready checks one worker performs and
 		// the fixed cost of waking the pool.
-		t := steps(f.LevelSum)*row*(1+m.Scatter) + edges/p*m.TCheck + m.TPass
-		if kind == executor.SelfExecuting {
-			// Spawn-per-run: goroutine creation ~ the pass overhead again.
-			t += m.TPass
-		}
-		return t
+		return steps(f.LevelSum)*row*(1+m.Scatter) + edges/p*m.TCheck + m.TPass
 	case executor.DoAcross:
 		// Natural striped makespan (no sort, so no scatter), per-edge
 		// checks, and a spin penalty for every edge short enough that the
 		// producer shares the consumer's time slot.
 		return steps(f.NatSteps)*row + edges/p*m.TCheck + float64(f.LateEdges)/p*m.TSpin + m.TPass
-	case executor.PreScheduled:
-		// Like pooled but paying a synchronization per level instead of
-		// ready checks; the barrier is modeled as a spin round per worker.
-		return steps(f.LevelSum)*row*(1+m.Scatter) + float64(f.Levels)*p*m.TSpin + m.TPass
 	default:
 		return math.Inf(1)
 	}
@@ -172,9 +154,6 @@ func (m *CostModel) Validate() error {
 	}
 	if m.Scatter < 0 || m.Scatter > 10 || math.IsNaN(m.Scatter) {
 		return fmt.Errorf("planner: cost model scatter = %v out of range", m.Scatter)
-	}
-	if m.ReorderMinN < 0 || m.ReorderDistFrac < 0 || math.IsNaN(m.ReorderDistFrac) {
-		return fmt.Errorf("planner: cost model reorder thresholds out of range")
 	}
 	if m.Parallelism < 0 {
 		return fmt.Errorf("planner: cost model parallelism = %d, want >= 0", m.Parallelism)

@@ -38,9 +38,6 @@ func TestAnalyzeChain(t *testing.T) {
 	if f.N != 100 || f.Edges != 99 || f.Levels != 100 || f.MaxWidth != 1 {
 		t.Fatalf("chain features wrong: %+v", f)
 	}
-	if f.CritFrac != 1.0 {
-		t.Fatalf("chain CritFrac = %v, want 1", f.CritFrac)
-	}
 	if f.LevelSum != 100 {
 		t.Fatalf("chain LevelSum = %d, want 100", f.LevelSum)
 	}
@@ -50,8 +47,8 @@ func TestAnalyzeChain(t *testing.T) {
 	if !f.Backward {
 		t.Fatal("chain should be backward")
 	}
-	if f.MeanDist != 1 {
-		t.Fatalf("chain MeanDist = %v, want 1", f.MeanDist)
+	if f.LateEdges != 99 {
+		t.Fatalf("chain LateEdges = %d, want 99", f.LateEdges)
 	}
 }
 
@@ -143,16 +140,17 @@ func TestPredictFiniteAndPositive(t *testing.T) {
 	m := Default()
 	for _, d := range []*wavefront.Deps{chainDeps(3), flatDeps(1), flatDeps(1000)} {
 		f := analyzed(t, d, 4)
-		for _, k := range []executor.Kind{executor.Sequential, executor.PreScheduled,
-			executor.SelfExecuting, executor.DoAcross, executor.Pooled} {
+		for _, k := range []executor.Kind{executor.Sequential, executor.DoAcross, executor.Pooled} {
 			v := m.Predict(f, k)
 			if !(v > 0) || math.IsInf(v, 0) || math.IsNaN(v) {
 				t.Errorf("Predict(%v) = %v, want finite > 0", k, v)
 			}
 		}
 	}
-	if !math.IsInf(m.Predict(Features{N: 1, P: 1}, executor.Kind(99)), 1) {
-		t.Error("unknown kind should predict +Inf")
+	for _, k := range []executor.Kind{executor.PreScheduled, executor.SelfExecuting, executor.Kind(99)} {
+		if !math.IsInf(m.Predict(Features{N: 1, P: 1}, k), 1) {
+			t.Errorf("Predict(%v) should be +Inf: Select never prices it", k)
+		}
 	}
 }
 
@@ -195,7 +193,8 @@ func TestCalibrationRoundTrip(t *testing.T) {
 // TestLoadVersion4WithRepairConstants: a calibration file persisted
 // while the model still carried the repair-vs-rebuild constants has the
 // current version and must keep loading — the host keeps its measured
-// constants, and the four stale keys are ignored.
+// constants, and the stale keys (the four repair constants and the two
+// reorder thresholds) are ignored.
 func TestLoadVersion4WithRepairConstants(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "calibration.json")
 	data := `{"version": 4, "gomaxprocs": 2, "model": {

@@ -100,8 +100,8 @@ func Global(wf []int32, nproc int) *Schedule {
 // FromOrder builds a global-style schedule from a caller-supplied
 // execution order: position k of order is dealt to processor k mod P
 // (the wrapped dealing of Figure 10). order must list every index exactly
-// once with non-decreasing wavefront numbers — the invariant Global and
-// GlobalRanked establish by sorting, and which an incremental schedule
+// once with non-decreasing wavefront numbers — the invariant Global
+// establishes by sorting, and which an incremental schedule
 // repair (internal/delta) re-establishes by merging a repaired order
 // instead of re-sorting from scratch.
 func FromOrder(wf []int32, order []int32, nproc int) *Schedule {
@@ -121,7 +121,7 @@ func FromOrder(wf []int32, order []int32, nproc int) *Schedule {
 }
 
 // Order recovers the global dealing order of a wrapped-deal schedule
-// (Global, GlobalRanked, FromOrder): position k was dealt to processor
+// (Global, FromOrder): position k was dealt to processor
 // k mod P at slot k/P. It is the inverse of FromOrder's dealing and lets
 // an incremental repair splice a few moved indices into the existing
 // order in O(N) instead of re-sorting. The result is unspecified for
@@ -133,30 +133,6 @@ func (s *Schedule) Order() []int32 {
 		order[k] = s.Idx[int(s.ProcPtr[k%s.P])+k/s.P]
 	}
 	return order
-}
-
-// GlobalRanked is Global with a caller-supplied within-wavefront order:
-// indices are sorted by (wavefront, rank[i], index) and dealt wrapped.
-// The rank typically comes from a locality-improving ordering such as
-// reverse Cuthill-McKee (reorder.RCM's Permutation.Inv), which cannot
-// change the wavefronts — DAG depth is invariant under relabeling — but
-// places rows that reference each other near each other in the execution
-// lists, so the executors' busy-wait reads land on recently produced
-// entries. Because only the order within a wavefront changes, every
-// executor produces bit-identical results to the plain Global schedule.
-func GlobalRanked(wf []int32, rank []int32, nproc int) *Schedule {
-	order := sortedByWavefront(wf)
-	for lo := 0; lo < len(order); {
-		hi := lo
-		w := wf[order[lo]]
-		for hi < len(order) && wf[order[hi]] == w {
-			hi++
-		}
-		seg := order[lo:hi]
-		sort.SliceStable(seg, func(a, b int) bool { return rank[seg[a]] < rank[seg[b]] })
-		lo = hi
-	}
-	return FromOrder(wf, order, nproc)
 }
 
 // GlobalByWork is the work-weighted variant of Global: within each

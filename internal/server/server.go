@@ -149,6 +149,11 @@ func (c Config) Validate() error {
 			return fmt.Errorf("server: Config.Tenant.Weights[%q] must be >= 0, got %d", name, w)
 		}
 	}
+	for name, q := range c.Tenant.Quotas {
+		if q < 0 {
+			return fmt.Errorf("server: Config.Tenant.Quotas[%q] must be >= 0, got %d", name, q)
+		}
+	}
 	if c.Kind != "" && c.Kind != KindAuto {
 		if _, err := executor.KindByName(c.Kind); err != nil {
 			return fmt.Errorf("server: Config.Kind: %w", err)

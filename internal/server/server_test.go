@@ -191,6 +191,38 @@ func TestServerKindConfig(t *testing.T) {
 	}
 }
 
+// TestConfigValidate: the zero Config is valid, and every out-of-range
+// field is rejected by an error that names it.
+func TestConfigValidate(t *testing.T) {
+	if err := (Config{}).Validate(); err != nil {
+		t.Fatalf("zero Config rejected: %v", err)
+	}
+	for _, c := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Config.Procs", Config{Procs: -1}},
+		{"Config.CacheCap", Config{CacheCap: -1}},
+		{"Config.FactorCacheCap", Config{FactorCacheCap: -1}},
+		{"Config.MaxBatch", Config{MaxBatch: -1}},
+		{"Config.DefaultTimeout", Config{DefaultTimeout: -time.Second}},
+		{"Config.TraceRing", Config{TraceRing: -1}},
+		{"Config.Admission.MaxInFlight", Config{Admission: AdmissionConfig{MaxInFlight: -1}}},
+		{"Config.Coalesce.Window", Config{Coalesce: CoalesceConfig{Window: -time.Millisecond}}},
+		{"Config.Coalesce.Width", Config{Coalesce: CoalesceConfig{Width: -1}}},
+		{"Config.Tenant.Quota", Config{Tenant: TenantConfig{Quota: -1}}},
+		{"Config.Tenant.Max", Config{Tenant: TenantConfig{Max: -1}}},
+		{`Config.Tenant.Weights["x"]`, Config{Tenant: TenantConfig{Weights: map[string]int{"x": -1}}}},
+		{`Config.Tenant.Quotas["x"]`, Config{Tenant: TenantConfig{Quotas: map[string]int{"x": -1}}}},
+		{"Config.Kind", Config{Kind: "bogus"}},
+	} {
+		err := c.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: Validate = %v, want an error naming the field", c.field, err)
+		}
+	}
+}
+
 func TestServerMethodChecks(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/trisolve")

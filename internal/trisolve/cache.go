@@ -100,7 +100,6 @@ const maxDecisionRecords = 64
 // stats.
 type DecisionRecord struct {
 	Strategy string `json:"strategy"`
-	Reorder  string `json:"reorder"`
 	Pinned   bool   `json:"pinned,omitempty"`
 	// Repaired marks skeletons obtained by delta-repairing a resident
 	// ancestor instead of full inspection; the strategy and predictions
@@ -245,13 +244,12 @@ func (pc *PlanCache) build(t *sparse.CSR, lower bool, cfg planConfig, key planKe
 	// singleflight builder gets here; coalesced peers observe the time as
 	// plan-stage waiting.
 	t0 := time.Now()
-	rank := func() []int32 { return rcmRank(t, lower) }
 	var in *core.Inspection
 	var st delta.Stats
 	var err error
 	anc, changed := pc.nearest(t, lower, cfg, key)
 	if anc != nil {
-		in, st, err = anc.in.Repair(delta.FactorDeps(anc.in.Deps, t, lower, changed), changed, rank)
+		in, st, err = anc.in.Repair(delta.FactorDeps(anc.in.Deps, t, lower, changed), changed)
 		pc.mu.Lock()
 		if st.Fallback {
 			pc.delta.Fallbacks++
@@ -261,7 +259,7 @@ func (pc *PlanCache) build(t *sparse.CSR, lower bool, cfg planConfig, key planKe
 		}
 		pc.mu.Unlock()
 	} else {
-		in, err = core.Inspect(factorDeps(t, lower), cfg.Config, cfg.fuse, rank)
+		in, err = core.Inspect(factorDeps(t, lower), cfg.Config, cfg.fuse)
 	}
 	repaired := anc != nil && !st.Fallback
 	if bs := cfg.buildStats; bs != nil {
@@ -392,13 +390,11 @@ func (pc *PlanCache) DeltaStats() DeltaStats {
 func (pc *PlanCache) record(lower bool, cfg planConfig, in *core.Inspection, repaired bool) {
 	rec := DecisionRecord{
 		Strategy: in.Kind.String(),
-		Reorder:  planner.ReorderNone.String(),
 		Repaired: repaired,
 		Lower:    lower,
 		Procs:    cfg.Procs,
 	}
 	if d := in.Decision; d != nil {
-		rec.Reorder = d.Reorder.String()
 		rec.N = d.Features.N
 		rec.Edges = d.Features.Edges
 		rec.Levels = d.Features.Levels
@@ -437,7 +433,7 @@ func (pc *PlanCache) recordDeferred(n int, lower bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	pc.appendRecordLocked(DecisionRecord{Strategy: executor.Sequential.String(),
-		Reorder: planner.ReorderNone.String(), Deferred: true, Lower: lower, Procs: 1, N: n})
+		Deferred: true, Lower: lower, Procs: 1, N: n})
 }
 
 // appendRecordLocked counts rec under its strategy and appends it to the

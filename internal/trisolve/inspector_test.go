@@ -24,22 +24,23 @@ type inspected struct {
 	sched *schedule.Schedule
 	kind  executor.Kind
 	fused bool
-	dec   *planner.Decision
 }
 
 func ofPlan(p *Plan) inspected {
-	return inspected{p.Wf, p.Sched, p.Kind, p.Fusion() != nil, p.Decision}
+	return inspected{p.Wf, p.Sched, p.Kind, p.Fusion() != nil}
 }
 
 func ofInspection(in *core.Inspection) inspected {
-	return inspected{in.Wf, in.Sched, in.Kind, in.Part != nil, in.Decision}
+	return inspected{in.Wf, in.Sched, in.Kind, in.Part != nil}
+}
+
+func ofRuntime(rt *core.Runtime) inspected {
+	d := rt.Decision()
+	return inspected{rt.Wavefronts(), rt.Schedule(), rt.Config().Executor, d != nil && d.Fused}
 }
 
 // sameInspection compares a generic route (core) against the triangular
-// one (trisolve). The one allowed difference is RCM ranking, which only a
-// caller holding the matrix can supply: when trisolve ranked, core must
-// have recorded no reordering, and the schedules may differ within a
-// level.
+// one (trisolve): levels, kind, fusion and schedule must all be equal.
 func sameInspection(t *testing.T, what string, generic, tri inspected) {
 	t.Helper()
 	if !slices.Equal(generic.wf, tri.wf) {
@@ -47,12 +48,6 @@ func sameInspection(t *testing.T, what string, generic, tri inspected) {
 	}
 	if generic.kind != tri.kind || generic.fused != tri.fused {
 		t.Fatalf("%s: core runs %v (fused %v), trisolve %v (fused %v)", what, generic.kind, generic.fused, tri.kind, tri.fused)
-	}
-	if tri.dec != nil && tri.dec.Reorder == planner.ReorderRCM {
-		if generic.dec.Reorder != planner.ReorderNone {
-			t.Fatalf("%s: core recorded %v without a rank", what, generic.dec.Reorder)
-		}
-		return
 	}
 	g, s := generic.sched, tri.sched
 	if g.P != s.P || g.N != s.N || g.NumPhases != s.NumPhases || !slices.Equal(g.Idx, s.Idx) ||
@@ -90,7 +85,7 @@ func TestOneInspector(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", what, err)
 					}
-					in, err := core.Inspect(deps, cfg, fuse, nil)
+					in, err := core.Inspect(deps, cfg, fuse)
 					if err != nil {
 						t.Fatalf("%s: %v", what, err)
 					}
@@ -100,15 +95,36 @@ func TestOneInspector(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", what, err)
 						}
-						d := rt.Decision()
-						sameInspection(t, what+" core.New", inspected{rt.Wavefronts(), rt.Schedule(),
-							rt.Config().Executor, d != nil && d.Fused, d}, ofPlan(plan))
+						sameInspection(t, what+" core.New", ofRuntime(rt), ofPlan(plan))
 					}
 					plan.Close()
 				}
 			}
 		}
 	}
+}
+
+// TestOneInspectorScattered: on a large factor with scattered long-range
+// dependences, which runs row-wise doacross, core.Inspect over its
+// dependences and NewPlan over the factor yield the same inspection,
+// schedule included.
+func TestOneInspectorScattered(t *testing.T) {
+	l := randomTriangular(rand.New(rand.NewSource(2026)), 4500, 1, true)
+	m := planner.Default()
+	plan, err := NewPlan(l, true, WithProcs(4), WithModel(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plan.Close()
+	if plan.Kind != executor.DoAcross || plan.Fusion() != nil {
+		t.Fatalf("scattered factor runs %v (fused %v), want row-wise doacross", plan.Kind, plan.Fusion() != nil)
+	}
+	cfg := core.Config{Procs: 4, Executor: executor.SelfExecuting, Model: m}
+	in, err := core.Inspect(factorDeps(l, true), cfg, FuseAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameInspection(t, "scattered", ofInspection(in), ofPlan(plan))
 }
 
 // depsEdits is the dependence edit set that turns a into b.
@@ -211,7 +227,7 @@ func TestOneInspectorDriftChain(t *testing.T) {
 		get().Close()
 		rng := rand.New(rand.NewSource(27))
 		var part []int32 // the supernode boundaries of the previous step
-		if in, err := core.Inspect(wavefront.FromLower(cur), cfg, FuseAuto, nil); err == nil && in.Part != nil {
+		if in, err := core.Inspect(wavefront.FromLower(cur), cfg, FuseAuto); err == nil && in.Part != nil {
 			part = in.Part.RowPtr
 		}
 		moved := 0
@@ -226,7 +242,7 @@ func TestOneInspectorDriftChain(t *testing.T) {
 			if st, err := rt.Patch(depsEdits(t, rt.Deps(), deps)); err != nil || st.Fallback {
 				t.Fatalf("%s: Patch = %+v, %v; want a repair", what, st, err)
 			}
-			cold, err := core.Inspect(deps, cfg, FuseAuto, nil)
+			cold, err := core.Inspect(deps, cfg, FuseAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,9 +254,7 @@ func TestOneInspectorDriftChain(t *testing.T) {
 					t.Fatalf("%s: Patch and the plan cache repaired to different deals", what)
 				}
 			} else {
-				d := rt.Decision()
-				sameInspection(t, what+" Patch", ofInspection(cold),
-					inspected{rt.Wavefronts(), rt.Schedule(), rt.Config().Executor, d != nil && d.Fused, d})
+				sameInspection(t, what+" Patch", ofInspection(cold), ofRuntime(rt))
 				sameInspection(t, what+" plan cache", ofInspection(cold), ofPlan(p))
 				if !slices.Equal(part, cold.Part.RowPtr) {
 					moved++

@@ -1,11 +1,10 @@
 // Package trisolve implements sparse triangular solves — the paper's
 // central workload (Figure 8). The outer loop of row substitutions is the
 // loop being run-time parallelized. The package keeps only what is
-// triangular: the sequential reference, the dependences of a factor and
-// its reverse Cuthill-McKee rank, which it hands to the one inspector
-// (core.Inspect, core.Inspection.Repair) behind NewPlan and PlanCache,
-// and the one loop body — the row-substitution kernel — every executor
-// runs.
+// triangular: the sequential reference, the dependences of a factor,
+// which it hands to the one inspector (core.Inspect,
+// core.Inspection.Repair) behind NewPlan and PlanCache, and the one loop
+// body — the row-substitution kernel — every executor runs.
 package trisolve
 
 import (
@@ -16,7 +15,6 @@ import (
 	"doconsider/internal/executor"
 	"doconsider/internal/plancache"
 	"doconsider/internal/planner"
-	"doconsider/internal/reorder"
 	"doconsider/internal/schedule"
 	"doconsider/internal/sparse"
 	"doconsider/internal/supernode"
@@ -241,34 +239,13 @@ func factorDeps(t *sparse.CSR, lower bool) *wavefront.Deps {
 	return wavefront.FromUpper(t)
 }
 
-// rcmRank is the within-wavefront rank a plan hands the inspector: every
-// iteration's reverse Cuthill-McKee position, or nil when RCM fails.
-// FromUpper reflects indices (iteration k stands for row n-1-k), so an
-// upper factor's rank is reflected to match.
-func rcmRank(t *sparse.CSR, lower bool) []int32 {
-	p, err := reorder.RCM(t)
-	if err != nil {
-		return nil
-	}
-	if lower {
-		return p.Inv
-	}
-	n := t.N
-	rank := make([]int32, n)
-	for k := range rank {
-		rank[k] = p.Inv[n-1-k]
-	}
-	return rank
-}
-
 // NewPlan runs the inspector for a triangular factor: it extracts the
-// dependence sets and hands them, with the factor's RCM rank, to
-// core.Inspect, which computes wavefronts, lets the planner pick the
-// executor strategy (and a locality reordering or supernodal fusion)
-// unless WithKind pinned one, and builds the schedule.
+// dependence sets and hands them to core.Inspect, which computes
+// wavefronts, lets the planner pick the executor strategy (and
+// supernodal fusion) unless WithKind pinned one, and builds the schedule.
 func NewPlan(t *sparse.CSR, lower bool, opts ...Option) (*Plan, error) {
 	cfg := buildPlanConfig(opts)
-	in, err := core.Inspect(factorDeps(t, lower), cfg.Config, cfg.fuse, func() []int32 { return rcmRank(t, lower) })
+	in, err := core.Inspect(factorDeps(t, lower), cfg.Config, cfg.fuse)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"doconsider/internal/executor"
-	"doconsider/internal/planner"
 	"doconsider/internal/schedule"
 	"doconsider/internal/sparse"
 	"doconsider/internal/stencil"
@@ -207,43 +206,4 @@ func TestPlanRepeatedSolves(t *testing.T) {
 			t.Fatalf("trial %d: diff %v", trial, d)
 		}
 	}
-}
-
-// TestAdaptiveReorderRCM covers the planner's reordering path, which
-// the paper suite never triggers (its meshes are already local): a
-// large factor with scattered long-range dependences must come back
-// with an RCM-ranked global schedule — structurally valid, and solving
-// bit-identically to both the sequential reference and an unranked
-// pinned plan, since only the within-wavefront order changes.
-func TestAdaptiveReorderRCM(t *testing.T) {
-	rng := rand.New(rand.NewSource(2026))
-	l := randomTriangular(rng, 4500, 1, true)
-	plan, err := NewPlan(l, true, WithProcs(4), WithModel(planner.Default()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plan.Close()
-	if plan.Decision == nil {
-		t.Fatal("adaptive plan carries no decision")
-	}
-	if plan.Decision.Reorder != planner.ReorderRCM {
-		t.Fatalf("decision %v: scattered structure did not trigger RCM reordering", plan.Decision)
-	}
-	if err := plan.Sched.Validate(); err != nil {
-		t.Fatalf("ranked schedule invalid: %v", err)
-	}
-
-	b := randomRHS(rng, l.N, 1)[0]
-	x := make([]float64, l.N)
-	plan.Solve(x, b)
-	assertBitIdentical(t, x, refSolve(t, l, true, b), "RCM-reordered solve")
-
-	pinned, err := NewPlan(l, true, WithProcs(4), WithKind(plan.Kind))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pinned.Close()
-	xp := make([]float64, l.N)
-	pinned.Solve(xp, b)
-	assertBitIdentical(t, x, xp, "ranked vs unranked schedule")
 }
