@@ -454,20 +454,21 @@ func BenchmarkSimpleLoop(b *testing.B) {
 
 // BenchmarkRuntimeRepeatedRun measures the full core.Runtime.Run wrapper
 // path (strategy dispatch + executor) under repeated invocation — the
-// acceptance experiment for the pooled executor: after warm-up, pooled
-// Runtime.Run must report 0 allocs/op and spawn no goroutines. Processor
-// count is fixed at 4 so the parallel paths run even on 1-CPU hosts.
+// acceptance experiment for the runner: after warm-up, Runtime.Run of
+// every parallel kind must report 0 allocs/op and spawn no goroutines.
+// The processor count is fixed at 4 so the schedule has lists to share
+// whatever the host's width.
 func BenchmarkRuntimeRepeatedRun(b *testing.B) {
 	a := stencil.Laplace2D(120, 120)
 	deps := wavefront.FromLower(a)
 	body := func(int32) {}
-	for _, kind := range []executor.Kind{executor.SelfExecuting, executor.Pooled} {
+	for _, kind := range []executor.Kind{executor.PreScheduled, executor.SelfExecuting, executor.DoAcross, executor.Pooled} {
 		b.Run(kind.String(), func(b *testing.B) {
 			rt, err := core.New(deps, core.WithProcs(4), core.WithExecutor(kind))
 			if err != nil {
 				b.Fatal(err)
 			}
-			rt.Run(body) // warm-up: pooled sizes its ready array here
+			rt.Run(body) // warm-up: sizes the pass state's ready array
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -185,21 +185,22 @@ func benchMain(args []string) error {
 	return nil
 }
 
-// pooledPins are the 0 allocs/op pins of pooled passes, run at 1000x: after
-// the harness's pre-benchmark GC, parked workers refill the runtime's
-// sudog cache (1–2 allocs/op at 1x); a per-pass allocation still reads 1.
-const pooledPins = "^BenchmarkRuntimeRepeatedRun$/^pooled$|^BenchmarkSupernodal$/./-pooled$"
+// passPins are the 0 allocs/op pins of parallel passes — every kind's
+// repeated Runtime.Run and the pooled supernodal solves — run at 1000x:
+// after the harness's pre-benchmark GC, parked helpers refill the
+// runtime's sudog cache (1–2 allocs/op at 1x); a per-pass allocation
+// still reads 1.
+const passPins = "^BenchmarkRuntimeRepeatedRun$|^BenchmarkSupernodal$/./-pooled$"
 
 // benchInvocations lists the go test runs the bench job performs: the
-// kernel packages with every benchmark, the repository root with the
-// hot-path amortization benchmark the gate watches, and the pooled pins.
+// kernel packages with every benchmark, then the pass pins, among them
+// the repository root's hot-path amortization benchmark.
 var benchInvocations = [][]string{
-	{"-benchtime", "1x", "-skip", pooledPins, "-bench", ".",
+	{"-benchtime", "1x", "-skip", passPins, "-bench", ".",
 		"./internal/executor", "./internal/schedule", "./internal/trisolve",
 		"./internal/core", "./internal/plancache", "./internal/planner",
 		"./internal/server", "./internal/delta", "./internal/router"},
-	{"-benchtime", "1x", "-skip", pooledPins, "-bench", "^BenchmarkRuntimeRepeatedRun$", "."},
-	{"-benchtime", "1000x", "-bench", pooledPins, "./internal/trisolve", "."},
+	{"-benchtime", "1000x", "-bench", passPins, "./internal/trisolve", "."},
 }
 
 func runBenchmarks(count int) (string, error) {

@@ -18,9 +18,9 @@
 // host-calibrated cost model, and picks the execution strategy itself —
 // sequential for tiny or chain-like structures, pooled for wide ones,
 // doacross when the natural order already parallelizes — with
-// bit-identical results under every choice. A pooled pass runs on its caller
-// plus the idle helpers of the process's one worker set (GOMAXPROCS-1
-// goroutines started once), so nothing needs closing. See the "Adaptive
+// bit-identical results under every choice. Every parallel pass runs on its
+// caller plus the idle helpers of the process's one worker set
+// (GOMAXPROCS-1 goroutines started once), so nothing needs closing. See the "Adaptive
 // planning" section of README.md for the model, the per-machine calibration,
 // and the DOCONSIDER_CALIBRATION environment override.
 //

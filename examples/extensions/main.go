@@ -1,10 +1,9 @@
 // Extensions demonstrates the repository's features beyond the paper's
 // core executors: barrier-phase merging (reference [13]), dynamic
 // self-scheduling over the wavefront-sorted list (related work of
-// Polychronopoulos/Kuck and Tang/Yew), the on-the-fly executor for loops
-// that are not start-time schedulable (the dodynamic companion work), and
-// reorderings (reverse Cuthill-McKee vs natural order) that reshape the
-// wavefront population.
+// Polychronopoulos/Kuck and Tang/Yew) — the runner's claim discipline —
+// and reorderings (reverse Cuthill-McKee vs natural order) that reshape
+// the wavefront population.
 package main
 
 import (
@@ -97,12 +96,7 @@ func run() error {
 	fmt.Printf("self-scheduled executor: %d iterations in dynamic chunks of 32 (%d waits)\n",
 		m.Executed, m.SpinWaits)
 
-	// --- 3. On-the-fly execution (not start-time schedulable) ------------
-	depsOf := func(i int32) []int32 { return deps.On(int(i)) }
-	m = executor.RunOnTheFly(n, procs, depsOf, func(i int32) {})
-	fmt.Printf("on-the-fly executor: %d iterations with run-time-discovered deps\n", m.Executed)
-
-	// --- 4. Reordering interacts with wavefront structure ----------------
+	// --- 3. Reordering interacts with wavefront structure ----------------
 	// Shuffle a mesh operator (simulating an unstructured input numbering),
 	// then recover locality with RCM; the wavefront population — what the
 	// schedulers consume — changes with the ordering.

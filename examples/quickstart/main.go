@@ -72,10 +72,11 @@ func run() error {
 	}
 	fmt.Println("parallel result matches sequential execution exactly")
 
-	// The pooled executor takes the amortization one step further: its
-	// sweeps run on the calling goroutine plus the process's shared helper
-	// goroutines, started once (zero goroutine spawns and zero
-	// allocations per Run after warm-up, and nothing to close).
+	// Every parallel executor takes the amortization one step further:
+	// its sweeps run on the calling goroutine plus the process's shared
+	// helper goroutines, started once (zero goroutine spawns and zero
+	// allocations per Run after warm-up, and nothing to close). The
+	// pooled kind, the planner's name for it, is shown here.
 	pooled, err := core.NewSimpleLoop(ia,
 		core.WithProcs(procs),
 		core.WithExecutor(executor.Pooled),

@@ -1,32 +1,18 @@
-// Package barrier provides reusable synchronization barriers for the
-// pre-scheduled executor, which separates consecutive wavefront phases with
-// a global synchronization (paper Figure 5, line 1d).
-//
-// Two implementations are provided: a channel-free sense-reversing barrier
-// built on atomics (the default; spin+yield arrival matching the paper's
-// shared-memory machine model) and a simpler condition-variable barrier.
-// Both are reusable across an arbitrary number of phases.
+// Package barrier provides the reusable synchronization barrier of the
+// pre-scheduled discipline, which separates consecutive wavefront phases
+// with a global synchronization (paper Figure 5, line 1d).
 package barrier
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
-
-// Barrier is a reusable synchronization barrier: Wait blocks until all
-// parties have called Wait, then all are released and the barrier resets.
-type Barrier interface {
-	// Wait blocks the caller until all parties have arrived.
-	Wait()
-	// Parties returns the number of participants the barrier coordinates.
-	Parties() int
-}
 
 // SenseReversing is a classic two-phase sense-reversing centralized barrier.
 // Arrivals decrement a shared counter; the last arrival flips the global
 // sense, releasing the spinners. Spinning yields to the Go scheduler so the
-// executor remains live even with more simulated processors than OS threads.
+// executor remains live even with more participants than OS threads. The
+// zero value is unusable until Reset.
 type SenseReversing struct {
 	parties int
 	count   atomic.Int32
@@ -35,12 +21,20 @@ type SenseReversing struct {
 
 // NewSenseReversing returns a sense-reversing barrier for n parties (n >= 1).
 func NewSenseReversing(n int) *SenseReversing {
+	b := new(SenseReversing)
+	b.Reset(n)
+	return b
+}
+
+// Reset sets the barrier to n parties (n >= 1) without allocating, so one
+// barrier serves runs of any width. It must not be called while a party
+// is inside Wait.
+func (b *SenseReversing) Reset(n int) {
 	if n < 1 {
 		panic("barrier: parties must be >= 1")
 	}
-	b := &SenseReversing{parties: n}
+	b.parties = n
 	b.count.Store(int32(n))
-	return b
 }
 
 // Parties returns the number of participants.
@@ -57,46 +51,4 @@ func (b *SenseReversing) Wait() {
 	for b.sense.Load() == local {
 		runtime.Gosched()
 	}
-}
-
-// Cond is a condition-variable barrier; it blocks threads instead of
-// spinning, trading latency for zero busy-wait cost. Useful as a baseline
-// when benchmarking barrier overhead (the paper's Tsynch).
-type Cond struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	parties int
-	arrived int
-	gen     uint64
-}
-
-// NewCond returns a condition-variable barrier for n parties (n >= 1).
-func NewCond(n int) *Cond {
-	if n < 1 {
-		panic("barrier: parties must be >= 1")
-	}
-	b := &Cond{parties: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// Parties returns the number of participants.
-func (b *Cond) Parties() int { return b.parties }
-
-// Wait blocks until all parties arrive.
-func (b *Cond) Wait() {
-	b.mu.Lock()
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.parties {
-		b.arrived = 0
-		b.gen++
-		b.mu.Unlock()
-		b.cond.Broadcast()
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
 }

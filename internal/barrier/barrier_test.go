@@ -9,9 +9,8 @@ import (
 // checkBarrier verifies phase separation: within each of rounds phases all
 // parties increment a counter; after the barrier every party must observe
 // the full count for the phase.
-func checkBarrier(t *testing.T, mk func(n int) Barrier, parties, rounds int) {
+func checkBarrier(t *testing.T, b *SenseReversing, parties, rounds int) {
 	t.Helper()
-	b := mk(parties)
 	if b.Parties() != parties {
 		t.Fatalf("Parties = %d, want %d", b.Parties(), parties)
 	}
@@ -41,18 +40,22 @@ func checkBarrier(t *testing.T, mk func(n int) Barrier, parties, rounds int) {
 
 func TestSenseReversing(t *testing.T) {
 	for _, parties := range []int{1, 2, 3, 8, 16} {
-		checkBarrier(t, func(n int) Barrier { return NewSenseReversing(n) }, parties, 50)
+		checkBarrier(t, NewSenseReversing(parties), parties, 50)
 	}
 }
 
-func TestCond(t *testing.T) {
-	for _, parties := range []int{1, 2, 3, 8, 16} {
-		checkBarrier(t, func(n int) Barrier { return NewCond(n) }, parties, 50)
+// TestSenseReversingReset reuses one barrier at a different width after
+// every run, as a pass state does between passes.
+func TestSenseReversingReset(t *testing.T) {
+	var b SenseReversing
+	for _, parties := range []int{3, 1, 4, 2, 4} {
+		b.Reset(parties)
+		checkBarrier(t, &b, parties, 20)
 	}
 }
 
 func TestSenseReversingManyMoreGoroutinesThanCPUs(t *testing.T) {
-	checkBarrier(t, func(n int) Barrier { return NewSenseReversing(n) }, 64, 20)
+	checkBarrier(t, NewSenseReversing(64), 64, 20)
 }
 
 func TestBadParties(t *testing.T) {
@@ -64,22 +67,9 @@ func TestBadParties(t *testing.T) {
 	NewSenseReversing(0)
 }
 
-func TestCondBadParties(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewCond(0) did not panic")
-		}
-	}()
-	NewCond(0)
-}
-
 func TestSingleParty(t *testing.T) {
 	b := NewSenseReversing(1)
 	for i := 0; i < 100; i++ {
 		b.Wait() // must never block
-	}
-	c := NewCond(1)
-	for i := 0; i < 100; i++ {
-		c.Wait()
 	}
 }

@@ -6,14 +6,11 @@ import (
 	"testing"
 )
 
-// benchBarrier measures rounds/sec of repeated barrier crossings — the
-// paper's Tsynch, and the ablation between spin and blocking barriers.
-func benchBarrier(b *testing.B, mk func(n int) Barrier) {
-	parties := runtime.GOMAXPROCS(0)
-	if parties < 2 {
-		parties = 2
-	}
-	bar := mk(parties)
+// BenchmarkSenseReversing measures rounds/sec of repeated barrier
+// crossings — the paper's Tsynch.
+func BenchmarkSenseReversing(b *testing.B) {
+	parties := max(runtime.GOMAXPROCS(0), 2)
+	bar := NewSenseReversing(parties)
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	for p := 0; p < parties; p++ {
@@ -26,12 +23,4 @@ func benchBarrier(b *testing.B, mk func(n int) Barrier) {
 		}()
 	}
 	wg.Wait()
-}
-
-func BenchmarkSenseReversing(b *testing.B) {
-	benchBarrier(b, func(n int) Barrier { return NewSenseReversing(n) })
-}
-
-func BenchmarkCond(b *testing.B) {
-	benchBarrier(b, func(n int) Barrier { return NewCond(n) })
 }

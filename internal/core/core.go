@@ -62,7 +62,7 @@ func (s Scheduler) String() string {
 
 // Config collects the runtime options.
 type Config struct {
-	Procs       int                // simulated processors (goroutines); default 1
+	Procs       int                // processor lists, run by at most GOMAXPROCS participants; default 1
 	Executor    executor.Kind      // executor kind; chosen adaptively unless set via WithExecutor
 	Scheduler   Scheduler          // default GlobalScheduler
 	Partition   schedule.Partition // initial partition for local scheduling

@@ -70,6 +70,29 @@ func TestNaturalOrderRejectsForwardDependence(t *testing.T) {
 	}
 }
 
+// TestMergedPhasesOverForwardDependence merges the phases of a general
+// DAG (0 waits on 2) on one processor. Merged into one phase it would run
+// as a natural order, in which index 0 spins on index 2 forever, so the
+// runtime keeps the unmerged phases and completes.
+func TestMergedPhasesOverForwardDependence(t *testing.T) {
+	deps := wavefront.FromAdjacency([][]int32{{2}, {}, {1}})
+	for _, kind := range []executor.Kind{executor.SelfExecuting, executor.PreScheduled, executor.Pooled} {
+		rt, err := New(deps, WithProcs(1), WithExecutor(kind), WithMergedPhases())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		var order []int32
+		if _, err := rt.RunCtx(ctx, func(i int32) { order = append(order, i) }); err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 0 {
+			t.Errorf("%v: ran %v, want [1 2 0]", kind, order)
+		}
+	}
+}
+
 func TestRuntimeAccessors(t *testing.T) {
 	deps := wavefront.FromAdjacency([][]int32{{}, {0}, {1}})
 	rt, err := New(deps, WithProcs(3), WithExecutor(executor.PreScheduled),

@@ -143,7 +143,11 @@ func (in *Inspection) schedule() (*schedule.Schedule, error) {
 		return nil, fmt.Errorf("core: unknown scheduler %v", c.Scheduler)
 	}
 	if c.MergePhases {
-		s = schedule.MergePhases(s, in.Deps)
+		// The executor runs a single phase with dependences as a natural
+		// order, so a general DAG keeps its phases rather than merge into one.
+		if m := schedule.MergePhases(s, in.Deps); in.backward || m.NumPhases > 1 {
+			s = m
+		}
 	}
 	return s, nil
 }

@@ -58,36 +58,21 @@ func BenchmarkExecutors(b *testing.B) {
 			RunSelfScheduled(order, d, procs, 16, work)
 		}
 	})
-	b.Run("guided", func(b *testing.B) {
-		order := SortedOrder(wf)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			RunGuidedSelfScheduled(order, d, procs, 4, work)
-		}
-	})
-	b.Run("onthefly", func(b *testing.B) {
-		depsOf := func(i int32) []int32 { return d.On(int(i)) }
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			RunOnTheFly(d.N, procs, depsOf, work)
-		}
-	})
 }
 
-// BenchmarkRepeatedRun is the amortization experiment behind the pooled
-// executor: the same prepared schedule is executed many times (the
-// paper's "executed many times during the running of a given program"),
-// comparing spawn-per-run self-execution against the shared worker set.
-// The pooled variant must report 0 allocs/op. The processor count is
-// fixed at 4 (not GOMAXPROCS) so the parallel paths are exercised even on
-// single-CPU hosts, where GOMAXPROCS(0) == 1 would collapse both sides to
-// the sequential fast path.
+// BenchmarkRepeatedRun is the amortization experiment behind the pass
+// state: the same prepared schedule is executed many times (the paper's
+// "executed many times during the running of a given program"), comparing
+// one-shot runs, which allocate a pass state each, against a held
+// Executor, which must report 0 allocs/op. The processor count is fixed
+// at 4 (not GOMAXPROCS) so the schedule has lists to share whatever the
+// host's width.
 func BenchmarkRepeatedRun(b *testing.B) {
 	d, wf := benchSetup(b)
 	const procs = 4
 	work := func(i int32) {}
 	s := schedule.Global(wf, procs)
-	b.Run("spawn-per-run", func(b *testing.B) {
+	b.Run("one-shot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			Run(SelfExecuting, s, d, work)

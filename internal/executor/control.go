@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"doconsider/internal/barrier"
@@ -25,7 +24,7 @@ func (e *PanicError) Error() string { return fmt.Sprintf("executor: loop body pa
 // and no peer is left waiting on the vanished worker.
 var ErrWorkerExited = errors.New("executor: loop body terminated its worker goroutine (runtime.Goexit)")
 
-// runControl coordinates abort across the workers of one run: a body panic
+// runControl coordinates abort across the participants of one run: a body panic
 // or a context cancellation raises the abort flag, which every spin loop
 // and per-index step observes, so no worker is left busy-waiting on a
 // producer that will never publish.
@@ -82,8 +81,8 @@ func (rc *runControl) recordPanic(v any) {
 	rc.aborted.Store(1)
 }
 
-// err resolves the run outcome after every worker has exited: a body panic
-// takes precedence over a cancellation.
+// err resolves the run outcome after every participant has returned: a
+// body panic takes precedence over a cancellation.
 func (rc *runControl) err(ctx context.Context) error {
 	if rc.panicked.Load() != 0 {
 		return &PanicError{Value: rc.panicVal}
@@ -91,7 +90,7 @@ func (rc *runControl) err(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// tally folds the per-worker counters of one run into its Metrics.
+// tally folds the per-participant counters of one run into its Metrics.
 type tally struct{ executed, checks, waits atomic.Int64 }
 
 func (t *tally) add(ran, checks, waits int64) {
@@ -106,13 +105,12 @@ func (t *tally) metrics(procs int) Metrics {
 
 // runList is the package's one busy-wait loop (paper Figure 4, lines
 // 3a-3c): for each index of idxs in order it waits until every dependence
-// carries epoch in done, runs the body and stamps the index. A fresh done
-// array is simply epoch 1; a pooled executor bumps the epoch instead of
-// clearing. Every executor that synchronizes on an inspected dependence
-// structure calls it once per processor list, phase segment or claimed
-// chunk, so the counters stay in locals. ok is false when the run aborted
-// before the list finished; a body panic unwinds through runList to the
-// worker's guard.
+// carries epoch in done, runs the body and stamps the index. A pass bumps
+// the epoch instead of clearing the array. The flags and claim disciplines
+// call it once per processor list segment or claimed chunk, so the
+// counters stay in locals. ok is false when the run aborted before the
+// list finished; a body panic unwinds through runList to the
+// participant's guard.
 func runList(rc *runControl, idxs []int32, deps *wavefront.Deps, done []uint32, epoch uint32, body Body) (ran, checks, waits int64, ok bool) {
 	for _, i := range idxs {
 		if rc.stop() {
@@ -135,46 +133,29 @@ func runList(rc *runControl, idxs []int32, deps *wavefront.Deps, done []uint32, 
 	return ran, checks, waits, true
 }
 
-// fanOut is the spawn-per-run scaffold: it runs work(p) on nproc fresh
-// goroutines, waits for all of them and folds the counters they return
-// into one Metrics. A panic anywhere in work becomes the run's abort
-// cause, and a worker killed outright (runtime.Goexit in a body) aborts
-// the run with ErrWorkerExited, so no peer spins forever on the vanished
-// worker's unpublished indices; the aborting worker's own counters are
-// dropped.
-func fanOut(ctx context.Context, rc *runControl, nproc int, work func(p int) (ran, checks, waits int64)) (Metrics, error) {
-	rc.reset(ctx)
-	var t tally
-	var wg sync.WaitGroup
-	wg.Add(nproc)
-	for p := 0; p < nproc; p++ {
-		go func(p int) {
-			defer wg.Done()
-			completed := false
-			defer func() {
-				if r := recover(); r != nil {
-					rc.recordPanic(r)
-				} else if !completed {
-					rc.recordPanic(ErrWorkerExited)
-				}
-			}()
-			t.add(work(p))
-			completed = true
-		}(p)
+// runPhase executes one processor's segment of one phase under the
+// barrier discipline and returns the number of bodies run; a panic unwinds
+// to the participant's barrierGuard.
+func runPhase(rc *runControl, idxs []int32, body Body) (ran int64) {
+	for _, i := range idxs {
+		if rc.stop() {
+			break
+		}
+		body(i)
+		ran++
 	}
-	wg.Wait()
-	return t.metrics(nproc), rc.err(ctx)
+	return ran
 }
 
-// barrierGuard keeps a pre-scheduled worker's barrier discipline when its
-// body panics or kills the goroutine (runtime.Goexit) mid-phase: the
-// worker must still arrive at every remaining phase barrier, or its peers
-// block there forever. The worker bumps attended after each barrier it
-// passes and sets completed before returning; the deferred check records
-// the abort cause and attends the rest on its behalf.
+// barrierGuard keeps a participant's barrier discipline when its body
+// panics or kills the goroutine (runtime.Goexit) mid-phase: the
+// participant must still arrive at every remaining phase barrier, or its
+// peers block there forever. The participant bumps attended after each
+// barrier it passes and sets completed before returning; the deferred
+// check records the abort cause and attends the rest on its behalf.
 type barrierGuard struct {
 	rc        *runControl
-	bar       barrier.Barrier
+	bar       *barrier.SenseReversing
 	phases    int
 	attended  int
 	completed bool

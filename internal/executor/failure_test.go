@@ -18,15 +18,11 @@ import (
 type gridRun func(ctx context.Context, deps *wavefront.Deps, wf []int32, body Body) (Metrics, error)
 
 // gridRunner is one way of executing a loop. open builds a runner for p
-// processors that is used for several runs, so the stateful ones are also
-// checked for surviving a failed run.
+// processors that is used for several runs, so the runners that keep
+// state are also checked for surviving a failed run.
 type gridRunner struct {
-	name   string
-	inline bool // bodies run on the caller's goroutine: no Goexit guard
-	// callerWorks marks a pooled pass: the caller runs participant 0's
-	// share, so a Goexit there is the caller's own exit.
-	callerWorks bool
-	open        func(t *testing.T, p int) gridRun
+	name string
+	open func(t *testing.T, p int) gridRun
 }
 
 func scheduled(p int, run runFunc) gridRun {
@@ -39,52 +35,40 @@ func testBreakdown(p int) *TimeBreakdown {
 	return &TimeBreakdown{P: p, Busy: make([]time.Duration, p), Waiting: make([]time.Duration, p)}
 }
 
-// sharedSet opens a pooled executor whose passes are capped at width w
-// (0: every idle helper, up to one participant per processor).
-func sharedSet(w int) func(t *testing.T, p int) gridRun {
-	return func(t *testing.T, p int) gridRun {
-		SetMaxWidth(t, w)
-		return scheduled(p, New(Pooled).Run)
+// timedRun runs one timed discipline through the runner with a context.
+func timedRun(d discipline) func(t *testing.T, p int) gridRun {
+	return func(_ *testing.T, p int) gridRun {
+		return scheduled(p, func(ctx context.Context, s *schedule.Schedule, deps *wavefront.Deps, body Body) (Metrics, error) {
+			return new(Executor).run(ctx, job{disc: d, s: s, deps: deps, width: p, body: body, bd: testBreakdown(p)})
+		})
 	}
 }
 
-// gridRunners lists every runner the package has: the five kinds through
-// Executor, the shared worker set at width 1 and at the full width, the
-// claimed-chunk and on-the-fly extensions, and the two timed runs
-// (through their context-taking internals).
+// gridRunners lists every runner the package has — the five kinds through
+// Executor ("pool" is Pooled once more, under its historical name), the
+// self-scheduled claim and the two timed runs (through the runner with a
+// context) — each at the full width of the shared set and, suffixed
+// "-w1", on the caller alone.
 func gridRunners() []gridRunner {
 	rs := []gridRunner{
-		{name: "pool", callerWorks: true, open: sharedSet(0)},
-		{name: "pool-w1", callerWorks: true, open: sharedSet(1)},
+		{name: "pool", open: func(_ *testing.T, p int) gridRun { return scheduled(p, New(Pooled).Run) }},
 		{name: "self-scheduled", open: func(_ *testing.T, p int) gridRun {
 			return func(ctx context.Context, deps *wavefront.Deps, wf []int32, body Body) (Metrics, error) {
 				return RunSelfScheduledCtx(ctx, SortedOrder(wf), deps, p, 1, body)
 			}
 		}},
-		{name: "guided", open: func(_ *testing.T, p int) gridRun {
-			return func(ctx context.Context, deps *wavefront.Deps, wf []int32, body Body) (Metrics, error) {
-				return RunGuidedSelfScheduledCtx(ctx, SortedOrder(wf), deps, p, 1, body)
-			}
-		}},
-		{name: "on-the-fly", open: func(_ *testing.T, p int) gridRun {
-			return func(ctx context.Context, deps *wavefront.Deps, _ []int32, body Body) (Metrics, error) {
-				return RunOnTheFlyCtx(ctx, deps.N, p, func(i int32) []int32 { return deps.On(int(i)) }, body)
-			}
-		}},
-		{name: "timed-self-executing", open: func(_ *testing.T, p int) gridRun {
-			return scheduled(p, func(ctx context.Context, s *schedule.Schedule, deps *wavefront.Deps, body Body) (Metrics, error) {
-				return runSelfExecuting(ctx, s, deps, body, testBreakdown(p))
-			})
-		}},
-		{name: "timed-pre-scheduled", open: func(_ *testing.T, p int) gridRun {
-			return scheduled(p, func(ctx context.Context, s *schedule.Schedule, _ *wavefront.Deps, body Body) (Metrics, error) {
-				return runPreScheduled(ctx, s, body, testBreakdown(p))
-			})
-		}},
+		{name: "timed-self-executing", open: timedRun(byFlags)},
+		{name: "timed-pre-scheduled", open: timedRun(byBarrier)},
 	}
 	for _, k := range allKinds {
-		rs = append(rs, gridRunner{name: k.String(), inline: k == Sequential, callerWorks: k == Pooled,
+		rs = append(rs, gridRunner{name: k.String(),
 			open: func(_ *testing.T, p int) gridRun { return scheduled(p, New(k).Run) }})
+	}
+	for _, r := range rs {
+		rs = append(rs, gridRunner{name: r.name + "-w1", open: func(t *testing.T, p int) gridRun {
+			SetMaxWidth(t, 1)
+			return r.open(t, p)
+		}})
 	}
 	return rs
 }
@@ -105,8 +89,8 @@ func chainDeps(n int) (*wavefront.Deps, []int32) {
 // failureModes are the grid's columns. Each drives one run of the runner
 // to its failure and checks how it surfaced; failureCell then checks the
 // runner still works and that nothing is left running.
-var failureModes = map[string]func(t *testing.T, r gridRunner, run gridRun){
-	"deps": func(t *testing.T, _ gridRunner, run gridRun) {
+var failureModes = map[string]func(t *testing.T, run gridRun){
+	"deps": func(t *testing.T, run gridRun) {
 		deps := randomDAG(rand.New(rand.NewSource(31)), 300, 3)
 		wf, err := wavefront.Compute(deps)
 		if err != nil {
@@ -122,7 +106,7 @@ var failureModes = map[string]func(t *testing.T, r gridRunner, run gridRun){
 			t.Errorf("executed %d of %d", m.Executed, deps.N)
 		}
 	},
-	"cancel": func(t *testing.T, _ gridRunner, run gridRun) {
+	"cancel": func(t *testing.T, run gridRun) {
 		// Index 0's body blocks until the test has cancelled the context
 		// and given the peers time to observe it while still waiting on 0:
 		// they must be released by the cancellation, not by completion.
@@ -144,7 +128,7 @@ var failureModes = map[string]func(t *testing.T, r gridRunner, run gridRun){
 			t.Error("a dependent index executed after cancellation")
 		}
 	},
-	"panic": func(t *testing.T, _ gridRunner, run gridRun) {
+	"panic": func(t *testing.T, run gridRun) {
 		err := failingRun(t, run, context.Background(), func(i int32) {
 			if i == 0 {
 				panic("boom")
@@ -155,24 +139,20 @@ var failureModes = map[string]func(t *testing.T, r gridRunner, run gridRun){
 			t.Errorf("err = %v, want PanicError(boom)", err)
 		}
 	},
-	"goexit": func(t *testing.T, r gridRunner, run gridRun) {
+	"goexit": func(t *testing.T, run gridRun) {
 		// runtime.Goexit kills the goroutine running index 1 without a
-		// recoverable panic (the t.FailNow failure mode). That is a worker
-		// — a spawned one, or a helper of the shared set, which failureCell
-		// then finds replaced — unless a pooled pass put index 1 on the
-		// caller's own share, in which case the caller exits.
-		if r.inline {
-			t.Skip("bodies run on the caller's goroutine")
-		}
+		// recoverable panic (the t.FailNow failure mode). That is a helper
+		// of the shared set, which failureCell then finds replaced, or the
+		// caller itself — participant 0 of every pass, and the only one of
+		// a sequential run or a pass of width 1 — in which case it exits.
 		err := failingRun(t, run, context.Background(), func(i int32) {
 			if i == 1 {
 				runtime.Goexit()
 			}
 		})
 		var pe *PanicError
-		workerDied := errors.As(err, &pe) && pe.Value == ErrWorkerExited
-		if !workerDied && (err != errCallerExited || !r.callerWorks) {
-			t.Errorf("err = %v, want PanicError(ErrWorkerExited)", err)
+		if workerDied := errors.As(err, &pe) && pe.Value == ErrWorkerExited; !workerDied && err != errCallerExited {
+			t.Errorf("err = %v, want PanicError(ErrWorkerExited) or the caller's exit", err)
 		}
 	},
 }
@@ -210,7 +190,7 @@ func failureCell(t *testing.T, r gridRunner, mode string) {
 	const p = 3
 	base := goroutines()
 	run := r.open(t, p)
-	failureModes[mode](t, r, run)
+	failureModes[mode](t, run)
 	deps, wf := chainDeps(6)
 	if m, err := run(context.Background(), deps, wf, func(int32) {}); err != nil || m.Executed != 6 {
 		t.Errorf("run after %s: executed %d, err %v", mode, m.Executed, err)

@@ -46,9 +46,9 @@ func TestAllStrategiesRespectDeps(t *testing.T) {
 	}
 }
 
-// TestPooledStrategyReusesPool verifies a Pooled Executor keeps one run
-// state across Run calls, whatever the processor count, and that its
-// passes borrow the shared set instead of spawning goroutines.
+// TestPooledStrategyReusesPool verifies a Pooled Executor keeps one pass
+// state across sequential Run calls, whatever the processor count, and
+// that its passes borrow the shared set instead of spawning goroutines.
 func TestPooledStrategyReusesPool(t *testing.T) {
 	deps := randomDAG(rand.New(rand.NewSource(22)), 100, 2)
 	wf, err := wavefront.Compute(deps)
@@ -56,7 +56,7 @@ func TestPooledStrategyReusesPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(Pooled)
-	x := e.pass
+	var x *pass
 	base := goroutines()
 	for _, p := range []int{2, 2, 4, 2} {
 		s := schedule.Global(wf, p)
@@ -69,9 +69,10 @@ func TestPooledStrategyReusesPool(t *testing.T) {
 		if size, _ := HelperSet(); m.P < 1 || m.P > min(p, size+1) {
 			t.Errorf("p=%d: pass width %d, want 1..%d", p, m.P, min(p, size+1))
 		}
-		if e.pass != x {
-			t.Errorf("p=%d: run state replaced", p)
+		if len(e.free.passes) != 1 || x != nil && e.free.passes[0] != x {
+			t.Fatalf("p=%d: pass state replaced", p)
 		}
+		x = e.free.passes[0]
 	}
 	if n := goroutines(); n > base {
 		t.Errorf("goroutines grew across pooled runs: %d -> %d", base, n)
@@ -80,9 +81,8 @@ func TestPooledStrategyReusesPool(t *testing.T) {
 
 // TestExecutorConcurrentRunsAcrossShapes hammers one Executor of each kind
 // from several goroutines with schedules of two processor counts — the
-// leased-plans-share-one-skeleton case, plus the pooled executor's
-// serialized runs and the doacross executor's natural-schedule rebuild
-// under contention (run with -race).
+// leased-plans-share-one-skeleton case: concurrent passes pop and push
+// pass states of every size on one free list (run with -race).
 func TestExecutorConcurrentRunsAcrossShapes(t *testing.T) {
 	deps := randomDAG(rand.New(rand.NewSource(23)), 150, 2)
 	wf, err := wavefront.Compute(deps)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"doconsider/internal/schedule"
 	"doconsider/internal/wavefront"
@@ -100,40 +101,71 @@ func TestPooledComputesCorrectValuesAcrossRuns(t *testing.T) {
 // runFunc is the signature of Executor.Run.
 type runFunc func(ctx context.Context, s *schedule.Schedule, deps *wavefront.Deps, body Body) (Metrics, error)
 
-// forPooledRunners runs f against a pooled executor at the two extreme
-// widths of the shared set — the caller alone ("pool") and every idle
-// helper ("executor") — which must keep the same hot-path contracts.
-func forPooledRunners(t *testing.T, f func(t *testing.T, run runFunc)) {
-	t.Run("pool", func(t *testing.T) {
-		SetMaxWidth(t, 1)
-		f(t, New(Pooled).Run)
-	})
-	t.Run("executor", func(t *testing.T) {
-		f(t, New(Pooled).Run)
-	})
+// passRunner repeats passes of one discipline over a fixed loop.
+type passRunner struct {
+	name string
+	held bool // passes run on one held Executor
+	run  func(ctx context.Context, body Body) (Metrics, error)
 }
 
-func TestPoolSpawnsNoGoroutinesPerRun(t *testing.T) {
-	deps := randomDAG(rand.New(rand.NewSource(13)), 200, 2)
+// forPassRunners runs f against every way of running a pass over deps at
+// procs processors — the five kinds on a held Executor, the natural
+// schedule under the two flags kinds (claimed) and RunSelfScheduled —
+// each at the full width of the shared set and on the caller alone
+// ("-w1"). Pooled's two keep their historical names, "executor" and
+// "pool".
+func forPassRunners(t *testing.T, deps *wavefront.Deps, procs int, f func(t *testing.T, r passRunner)) {
 	wf, err := wavefront.Compute(deps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := schedule.Global(wf, 4)
-	forPooledRunners(t, func(t *testing.T, run runFunc) {
+	held := func(k Kind, s *schedule.Schedule) func(context.Context, Body) (Metrics, error) {
+		e := New(k)
+		return func(ctx context.Context, body Body) (Metrics, error) { return e.Run(ctx, s, deps, body) }
+	}
+	global, natural := schedule.Global(wf, procs), schedule.Natural(deps.N, procs, schedule.Striped)
+	order := SortedOrder(wf)
+	rs := []passRunner{
+		{"executor", true, held(Pooled, global)},
+		{"sequential", true, held(Sequential, global)},
+		{"pre-scheduled", true, held(PreScheduled, global)},
+		{"self-executing", true, held(SelfExecuting, global)},
+		{"doacross", true, held(DoAcross, global)},
+		{"natural-pooled", true, held(Pooled, natural)},
+		{"natural-self-executing", true, held(SelfExecuting, natural)},
+		{"self-scheduled", false, func(ctx context.Context, body Body) (Metrics, error) {
+			return RunSelfScheduledCtx(ctx, order, deps, procs, 4, body)
+		}},
+	}
+	for _, r := range rs {
+		t.Run(r.name, func(t *testing.T) { f(t, r) })
+		name := r.name + "-w1"
+		if r.name == "executor" {
+			name = "pool"
+		}
+		t.Run(name, func(t *testing.T) {
+			SetMaxWidth(t, 1)
+			f(t, r)
+		})
+	}
+}
+
+func TestPoolSpawnsNoGoroutinesPerRun(t *testing.T) {
+	deps := randomDAG(rand.New(rand.NewSource(13)), 200, 2)
+	forPassRunners(t, deps, 4, func(t *testing.T, r passRunner) {
 		body := func(int32) {}
-		if _, err := run(context.Background(), s, deps, body); err != nil {
+		if _, err := r.run(context.Background(), body); err != nil {
 			t.Fatal(err)
 		}
 		before := runtime.NumGoroutine()
 		for i := 0; i < 50; i++ {
-			if _, err := run(context.Background(), s, deps, body); err != nil {
+			if _, err := r.run(context.Background(), body); err != nil {
 				t.Fatal(err)
 			}
 		}
 		after := runtime.NumGoroutine()
 		if after > before {
-			t.Errorf("goroutine count grew across pooled runs: %d -> %d", before, after)
+			t.Errorf("goroutine count grew across passes: %d -> %d", before, after)
 		}
 	})
 }
@@ -143,70 +175,100 @@ func TestPoolZeroAllocsPerRun(t *testing.T) {
 		t.Skip("allocation accounting is not stable under -race")
 	}
 	deps := randomDAG(rand.New(rand.NewSource(14)), 256, 2)
-	wf, err := wavefront.Compute(deps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := schedule.Global(wf, 4)
-	forPooledRunners(t, func(t *testing.T, run runFunc) {
+	forPassRunners(t, deps, 4, func(t *testing.T, r passRunner) {
+		if !r.held {
+			t.Skip("a one-shot entry point allocates its pass state")
+		}
 		body := func(int32) {}
 		ctx := context.Background()
-		// Warm up: sizes the epoch array and the crew.
-		if _, err := run(ctx, s, deps, body); err != nil {
+		// Warm up: sizes the pass state's ready array and crew.
+		if _, err := r.run(ctx, body); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := run(ctx, s, deps, body); err != nil {
+			if _, err := r.run(ctx, body); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("pooled Run allocates %v objects per call, want 0", allocs)
+			t.Errorf("Run allocates %v objects per call, want 0", allocs)
 		}
 	})
 }
 
-func TestPoolConcurrentRunsSerialize(t *testing.T) {
-	// Concurrent Run calls on one executor must serialize, not interleave:
-	// hammer it from several goroutines under the race detector.
-	deps := randomDAG(rand.New(rand.NewSource(15)), 200, 2)
+// TestPoolConcurrentRunsOverlap runs two passes on one Executor of each
+// parallel kind from two goroutines and holds each inside the body of
+// index 0 until the other has arrived there too: both passes must be in
+// flight at once, each on its own state, and both results must be the
+// sequential loop's. Passes serialized on the Executor would time out.
+func TestPoolConcurrentRunsOverlap(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewSource(15))
+	ia := make([]int32, n)
+	b := make([]float64, n)
+	for i := range ia {
+		ia[i] = int32(rng.Intn(n))
+		b[i] = rng.NormFloat64()
+	}
+	deps := wavefront.FromIndirection(ia)
 	wf, err := wavefront.Compute(deps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := schedule.Global(wf, 3)
-	forPooledRunners(t, func(t *testing.T, run runFunc) {
-		var inRun atomic.Int32
+	x0 := make([]float64, n)
+	for i := range x0 {
+		x0[i] = rng.NormFloat64()
+	}
+	loop := func(x []float64) Body {
+		return func(i int32) {
+			if needed := ia[i]; needed >= i {
+				x[i] = x0[i] + b[i]*x0[needed]
+			} else {
+				x[i] = x0[i] + b[i]*x[needed]
+			}
+		}
+	}
+	want := make([]float64, n)
+	RunSequential(n, loop(want))
+	s := schedule.Global(wf, 4)
+	for _, k := range allKinds[1:] {
+		e := New(k)
+		var arrived atomic.Int32
+		both := make(chan struct{})
 		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
+		for g := 0; g < 2; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for r := 0; r < 20; r++ {
-					count := atomic.Int64{}
-					m, err := run(context.Background(), s, deps, func(int32) {
-						// At most P bodies of ONE run may be in flight; if two
-						// runs interleaved, the count could exceed P.
-						if v := inRun.Add(1); v > int32(s.P) {
-							t.Errorf("%d bodies in flight, schedule has %d processors", v, s.P)
+				x := make([]float64, n)
+				inner := loop(x)
+				_, err := e.Run(context.Background(), s, deps, func(i int32) {
+					if i == 0 {
+						if arrived.Add(1) == 2 {
+							close(both)
 						}
-						count.Add(1)
-						inRun.Add(-1)
-					})
-					if err != nil {
-						t.Error(err)
-						return
+						select {
+						case <-both:
+						case <-time.After(10 * time.Second):
+							t.Errorf("%v: the other pass never reached the body", k)
+						}
 					}
-					if m.Executed != int64(deps.N) || count.Load() != int64(deps.N) {
-						t.Errorf("run executed %d bodies, metrics say %d, want %d",
-							count.Load(), m.Executed, deps.N)
+					inner(i)
+				})
+				if err != nil {
+					t.Errorf("%v: %v", k, err)
+					return
+				}
+				for i := range x {
+					if x[i] != want[i] {
+						t.Errorf("%v: x[%d] = %v, want %v", k, i, x[i], want[i])
 						return
 					}
 				}
 			}()
 		}
 		wg.Wait()
-	})
+	}
 }
 
 // TestSharedSetAcrossExecutors is the race stress of the one worker set:

@@ -23,13 +23,14 @@ func TestRunSelfExecutingTimed(t *testing.T) {
 	if m.Executed != 500 {
 		t.Errorf("executed %d", m.Executed)
 	}
-	if bd.P != 4 || len(bd.Busy) != 4 || len(bd.Waiting) != 4 {
-		t.Fatalf("breakdown shape wrong: %+v", bd)
+	// One account per participant: the pass's width, at most one per list.
+	if bd.P != m.P || bd.P < 1 || bd.P > 4 || len(bd.Busy) != bd.P || len(bd.Waiting) != bd.P {
+		t.Fatalf("breakdown shape wrong for width %d: %+v", m.P, bd)
 	}
 	if bd.Total <= 0 {
 		t.Error("total time not recorded")
 	}
-	for p := 0; p < 4; p++ {
+	for p := 0; p < bd.P; p++ {
 		if bd.Busy[p] < 0 || bd.Waiting[p] < 0 {
 			t.Errorf("negative time on proc %d", p)
 		}
@@ -59,9 +60,10 @@ func TestRunPreScheduledTimed(t *testing.T) {
 	if bd.Total <= 0 {
 		t.Error("total time not recorded")
 	}
-	// Every processor passes every barrier, so waiting time is nonzero
-	// whenever there is more than one phase.
-	for p := 0; p < 3; p++ {
+	if bd.P != m.P || len(bd.Waiting) != bd.P {
+		t.Fatalf("breakdown shape wrong for width %d: %+v", m.P, bd)
+	}
+	for p := 0; p < bd.P; p++ {
 		if bd.Waiting[p] < 0 {
 			t.Errorf("negative waiting on proc %d", p)
 		}

@@ -1,11 +1,11 @@
 package executor_test
 
-// The width grids: a pooled pass runs at whatever width the shared set
-// gives it, so every result must be bit-equal to the sequential loop at
-// every width from the caller alone (w = 1) to one participant per
-// processor. SetMaxWidth pins each width. The grids live here, beside the
-// seam, and drive the executor through its two callers, trisolve and
-// core.
+// The width grids: a pass runs at whatever width the shared set gives
+// it, so every result must be bit-equal to the sequential loop at every
+// width from the caller alone (w = 1) to one participant per processor,
+// under each discipline — flags, barrier and claim. SetMaxWidth pins each
+// width. The grids live here, beside the seam, and drive the executor
+// through its two callers, trisolve and core, and directly.
 
 import (
 	"context"
@@ -79,89 +79,97 @@ func checkWidth(t *testing.T, what string, m executor.Metrics, w int) {
 	}
 }
 
-// TestWidthGridTrisolve runs every pooled solve entry point — Solve,
+// TestWidthGridTrisolve runs every solve entry point — Solve,
 // SolveBatch, SolveGroupCtx and SolveTimed — on SPE2, 5-PT and 9-PT,
-// lower and upper, fused and row-wise, at every width 1..4 of a
-// four-processor plan, against ForwardSeq/BackwardSeq.
+// lower and upper, fused and row-wise, under one kind per discipline
+// (pooled: flags, pre-scheduled: barrier, doacross: claim), at every
+// width 1..4 of a four-processor plan, against ForwardSeq/BackwardSeq.
 func TestWidthGridTrisolve(t *testing.T) {
 	for _, name := range []string{"SPE2", "5-PT", "9-PT"} {
-		for _, lower := range []bool{true, false} {
-			l := problems.MustGet(name).L
-			if !lower {
-				l = l.Transpose()
-			}
-			rng := rand.New(rand.NewSource(int64(l.N)))
-			bs := rhs(rng, l.N, 3)
-			want := make([][]float64, len(bs))
-			for j := range bs {
-				want[j] = oracle(t, l, lower, bs[j])
-			}
-			// A group member with the plan's structure and its own values.
-			other := l.Clone()
-			for k := range other.Val {
-				other.Val[k] *= 1.5
-			}
-			wantOther := oracle(t, other, lower, bs[0])
-			for _, fuse := range []trisolve.FuseMode{trisolve.FuseForce, trisolve.FuseOff} {
-				plan, err := trisolve.NewPlan(l, lower, trisolve.WithProcs(gridProcs),
-					trisolve.WithKind(executor.Pooled), trisolve.WithFusion(fuse))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if (plan.Fusion() != nil) != (fuse == trisolve.FuseForce) {
-					t.Fatalf("%s lower=%v fuse=%v: plan fused = %v", name, lower, fuse, plan.Fusion() != nil)
-				}
-				for w := 1; w <= gridProcs; w++ {
-					executor.SetMaxWidth(t, w)
-					what := fmt.Sprintf("%s lower=%v fuse=%v w=%d", name, lower, fuse, w)
-					ctx := context.Background()
-
-					x := make([]float64, l.N)
-					checkWidth(t, what+" Solve", plan.Solve(x, bs[0]), w)
-					bitEqual(t, what+" Solve", x, want[0])
-
-					xs := rhs(rng, l.N, len(bs))
-					m, err := plan.SolveBatch(xs, bs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkWidth(t, what+" SolveBatch", m, w)
-					for j := range xs {
-						bitEqual(t, what+" SolveBatch", xs[j], want[j])
-					}
-
-					group := []trisolve.BatchProblem{
-						{L: l, Xs: rhs(rng, l.N, 1), Bs: bs[:1]},
-						{L: other, Xs: rhs(rng, l.N, 1), Bs: bs[:1]},
-					}
-					if m, err = plan.SolveGroupCtx(ctx, group); err != nil {
-						t.Fatal(err)
-					}
-					checkWidth(t, what+" SolveGroupCtx", m, w)
-					bitEqual(t, what+" SolveGroupCtx", group[0].Xs[0], want[0])
-					bitEqual(t, what+" SolveGroupCtx member", group[1].Xs[0], wantOther)
-
-					var clock levelClock
-					xs = rhs(rng, l.N, len(bs))
-					if m, err = plan.Bind().SolveTimed(ctx, xs, bs, &clock); err != nil {
-						t.Fatal(err)
-					}
-					checkWidth(t, what+" SolveTimed", m, w)
-					for j := range xs {
-						bitEqual(t, what+" SolveTimed", xs[j], want[j])
-					}
-					if clock.ns <= 0 {
-						t.Fatalf("%s SolveTimed: no level time charged", what)
-					}
-				}
-				plan.Close()
+		for _, kind := range []executor.Kind{executor.Pooled, executor.PreScheduled, executor.DoAcross} {
+			for _, lower := range []bool{true, false} {
+				widthGridTrisolve(t, name, kind, lower)
 			}
 		}
 	}
 }
 
-// TestWidthGridCore runs pooled runtimes over the local and merged-phase
-// schedules of the paper's simple loop at every width:
+func widthGridTrisolve(t *testing.T, name string, kind executor.Kind, lower bool) {
+	l := problems.MustGet(name).L
+	if !lower {
+		l = l.Transpose()
+	}
+	rng := rand.New(rand.NewSource(int64(l.N)))
+	bs := rhs(rng, l.N, 3)
+	want := make([][]float64, len(bs))
+	for j := range bs {
+		want[j] = oracle(t, l, lower, bs[j])
+	}
+	// A group member with the plan's structure and its own values.
+	other := l.Clone()
+	for k := range other.Val {
+		other.Val[k] *= 1.5
+	}
+	wantOther := oracle(t, other, lower, bs[0])
+	for _, fuse := range []trisolve.FuseMode{trisolve.FuseForce, trisolve.FuseOff} {
+		plan, err := trisolve.NewPlan(l, lower, trisolve.WithProcs(gridProcs),
+			trisolve.WithKind(kind), trisolve.WithFusion(fuse))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (plan.Fusion() != nil) != (fuse == trisolve.FuseForce) {
+			t.Fatalf("%s lower=%v fuse=%v: plan fused = %v", name, lower, fuse, plan.Fusion() != nil)
+		}
+		for w := 1; w <= gridProcs; w++ {
+			executor.SetMaxWidth(t, w)
+			what := fmt.Sprintf("%s %v lower=%v fuse=%v w=%d", name, kind, lower, fuse, w)
+			ctx := context.Background()
+
+			x := make([]float64, l.N)
+			checkWidth(t, what+" Solve", plan.Solve(x, bs[0]), w)
+			bitEqual(t, what+" Solve", x, want[0])
+
+			xs := rhs(rng, l.N, len(bs))
+			m, err := plan.SolveBatch(xs, bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkWidth(t, what+" SolveBatch", m, w)
+			for j := range xs {
+				bitEqual(t, what+" SolveBatch", xs[j], want[j])
+			}
+
+			group := []trisolve.BatchProblem{
+				{L: l, Xs: rhs(rng, l.N, 1), Bs: bs[:1]},
+				{L: other, Xs: rhs(rng, l.N, 1), Bs: bs[:1]},
+			}
+			if m, err = plan.SolveGroupCtx(ctx, group); err != nil {
+				t.Fatal(err)
+			}
+			checkWidth(t, what+" SolveGroupCtx", m, w)
+			bitEqual(t, what+" SolveGroupCtx", group[0].Xs[0], want[0])
+			bitEqual(t, what+" SolveGroupCtx member", group[1].Xs[0], wantOther)
+
+			var clock levelClock
+			xs = rhs(rng, l.N, len(bs))
+			if m, err = plan.Bind().SolveTimed(ctx, xs, bs, &clock); err != nil {
+				t.Fatal(err)
+			}
+			checkWidth(t, what+" SolveTimed", m, w)
+			for j := range xs {
+				bitEqual(t, what+" SolveTimed", xs[j], want[j])
+			}
+			if clock.ns <= 0 {
+				t.Fatalf("%s SolveTimed: no level time charged", what)
+			}
+		}
+		plan.Close()
+	}
+}
+
+// TestWidthGridCore runs runtimes of one kind per discipline over the
+// local and merged-phase schedules of the paper's simple loop at every
+// width — pooled (flags), pre-scheduled (barrier) and doacross (claim):
 // every iteration executes, and the result is the sequential loop's.
 func TestWidthGridCore(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -176,21 +184,57 @@ func TestWidthGridCore(t *testing.T) {
 	for i := range x0 {
 		x0[i] = rng.NormFloat64()
 	}
-	for name, opt := range map[string]core.Option{
-		"local":         core.WithScheduler(core.LocalScheduler),
-		"merged-phases": core.WithMergedPhases(),
-	} {
-		loop, err := core.NewSimpleLoop(ia, core.WithProcs(gridProcs), core.WithExecutor(executor.Pooled), opt)
-		if err != nil {
-			t.Fatal(err)
+	for _, kind := range []executor.Kind{executor.Pooled, executor.PreScheduled, executor.DoAcross} {
+		for name, opt := range map[string]core.Option{
+			"local":         core.WithScheduler(core.LocalScheduler),
+			"merged-phases": core.WithMergedPhases(),
+		} {
+			loop, err := core.NewSimpleLoop(ia, core.WithProcs(gridProcs), core.WithExecutor(kind), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append([]float64(nil), x0...)
+			loop.RunSequential(want, b)
+			for w := 1; w <= gridProcs; w++ {
+				executor.SetMaxWidth(t, w)
+				x := append([]float64(nil), x0...)
+				m := loop.Run(x, b)
+				what := fmt.Sprintf("%v %s w=%d", kind, name, w)
+				if m.Executed != n {
+					t.Fatalf("%s: executed %d of %d", what, m.Executed, n)
+				}
+				checkWidth(t, what, m, w)
+				bitEqual(t, what, x, want)
+			}
 		}
-		want := append([]float64(nil), x0...)
-		loop.RunSequential(want, b)
+	}
+}
+
+// TestWidthGridSelfScheduled claims the wavefront-sorted list of a
+// random loop in chunks of 1, 4 and 16 at every width.
+func TestWidthGridSelfScheduled(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	const n = 500
+	adj := make([][]int32, n)
+	for i := 1; i < n; i++ {
+		for d := rng.Intn(4); d > 0; d-- {
+			adj[i] = append(adj[i], int32(rng.Intn(i)))
+		}
+	}
+	deps := wavefront.FromAdjacency(adj)
+	wf, err := wavefront.Compute(deps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, n)
+	executor.RunSequential(n, accumulate(deps, want))
+	order := executor.SortedOrder(wf)
+	for _, chunk := range []int{1, 4, 16} {
 		for w := 1; w <= gridProcs; w++ {
 			executor.SetMaxWidth(t, w)
-			x := append([]float64(nil), x0...)
-			m := loop.Run(x, b)
-			what := fmt.Sprintf("%s w=%d", name, w)
+			x := make([]float64, n)
+			m := executor.RunSelfScheduled(order, deps, gridProcs, chunk, accumulate(deps, x))
+			what := fmt.Sprintf("chunk=%d w=%d", chunk, w)
 			if m.Executed != n {
 				t.Fatalf("%s: executed %d of %d", what, m.Executed, n)
 			}
@@ -200,13 +244,23 @@ func TestWidthGridCore(t *testing.T) {
 	}
 }
 
-// TestPooledNaturalOrderCompletes runs a pooled runtime over the natural
-// schedule — one phase whose striped lists wait on each other (index 2 on
-// index 1) — at width 1, where sharing the lists phase by phase on the
-// caller alone would spin forever. It must complete, bit-equal to the
-// sequential loop.
+// accumulate is a loop body whose every value depends on its
+// dependences' values: x[i] = i + 0.5 * sum x[d].
+func accumulate(deps *wavefront.Deps, x []float64) executor.Body {
+	return func(i int32) {
+		x[i] = float64(i)
+		for _, d := range deps.On(int(i)) {
+			x[i] += 0.5 * x[d]
+		}
+	}
+}
+
+// TestPooledNaturalOrderCompletes runs the two flags kinds over the
+// natural schedule — one phase whose striped lists wait on each other
+// (index 2 on index 1) — at every width, including the caller alone,
+// where sharing the lists phase by phase would spin forever. Every pass
+// must complete, bit-equal to the sequential loop.
 func TestPooledNaturalOrderCompletes(t *testing.T) {
-	executor.SetMaxWidth(t, 1)
 	const n = 200
 	adj := make([][]int32, n)
 	for i := 1; i < n; i++ {
@@ -216,31 +270,30 @@ func TestPooledNaturalOrderCompletes(t *testing.T) {
 		}
 	}
 	deps := wavefront.FromAdjacency(adj)
-	rt, err := core.New(deps, core.WithProcs(gridProcs), core.WithExecutor(executor.Pooled),
-		core.WithScheduler(core.NaturalScheduler))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := func(x []float64) executor.Body {
-		return func(i int32) {
-			x[i] = float64(i)
-			for _, d := range deps.On(int(i)) {
-				x[i] += 0.5 * x[d]
-			}
-		}
-	}
 	want := make([]float64, n)
-	executor.RunSequential(n, body(want))
-	x := make([]float64, n)
-	done := make(chan executor.Metrics, 1)
-	go func() { done <- rt.Run(body(x)) }()
-	select {
-	case m := <-done:
-		if m.Executed != n {
-			t.Fatalf("executed %d of %d", m.Executed, n)
+	executor.RunSequential(n, accumulate(deps, want))
+	for _, kind := range []executor.Kind{executor.Pooled, executor.SelfExecuting} {
+		rt, err := core.New(deps, core.WithProcs(gridProcs), core.WithExecutor(kind),
+			core.WithScheduler(core.NaturalScheduler))
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("pooled natural-order run deadlocked")
+		for w := 1; w <= gridProcs; w++ {
+			executor.SetMaxWidth(t, w)
+			what := fmt.Sprintf("%v w=%d", kind, w)
+			x := make([]float64, n)
+			done := make(chan executor.Metrics, 1)
+			go func() { done <- rt.Run(accumulate(deps, x)) }()
+			select {
+			case m := <-done:
+				if m.Executed != n {
+					t.Fatalf("%s: executed %d of %d", what, m.Executed, n)
+				}
+				checkWidth(t, what, m, w)
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: natural-order run deadlocked", what)
+			}
+			bitEqual(t, what, x, want)
+		}
 	}
-	bitEqual(t, "natural order", x, want)
 }

@@ -31,12 +31,21 @@ func TestConfigDefaultProcs(t *testing.T) {
 // by Procs each time.)
 func TestGoroutinesIndependentOfCacheCap(t *testing.T) {
 	s, ts := newTestServer(t, Config{Kind: "pooled", Procs: 4, CacheCap: 16})
-	settled := func(want int) int {
+	// settled closes the client's idle keep-alive connections — whose
+	// server, read and write goroutines otherwise wind down at their own
+	// pace — and returns the goroutine count once it has held still for
+	// 50 ms.
+	settled := func() int {
+		http.DefaultClient.CloseIdleConnections()
 		deadline := time.Now().Add(5 * time.Second)
-		n := runtime.NumGoroutine()
-		for n != want && time.Now().Before(deadline) {
+		n, still := runtime.NumGoroutine(), 0
+		for still < 50 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
-			n = runtime.NumGoroutine()
+			if m := runtime.NumGoroutine(); m != n {
+				n, still = m, 0
+			} else {
+				still++
+			}
 		}
 		return n
 	}
@@ -52,14 +61,13 @@ func TestGoroutinesIndependentOfCacheCap(t *testing.T) {
 			assertBitIdentical(t, sr.X[0], seqSolve(t, l, b), "pooled solve")
 		}
 		if k == 0 {
-			time.Sleep(10 * time.Millisecond) // let the first pass's coalescer goroutine finish
-			afterFirst = runtime.NumGoroutine()
+			afterFirst = settled()
 		}
 	}
 	if st := s.Stats(); st.PlanCache.Resident != 16 {
 		t.Fatalf("%d skeletons resident, want 16", st.PlanCache.Resident)
 	}
-	if n := settled(afterFirst); n != afterFirst {
+	if n := settled(); n != afterFirst {
 		t.Errorf("%d goroutines after 16 pooled skeletons, %d after the first", n, afterFirst)
 	}
 }

@@ -189,8 +189,8 @@ func NewPlanCache(capacity int) *PlanCache {
 // executor with every other plan whose factor has the same
 // sparsity pattern and whose options match. The returned Plan is leased:
 // Close it when done (the shared skeleton persists for other holders).
-// Concurrent Solve calls on plans sharing one skeleton are safe; a
-// pooled skeleton's executor serializes their passes. An adaptive
+// Concurrent Solve calls on plans sharing one skeleton are safe and run
+// at once: the shared executor gives each pass its own state. An adaptive
 // lookup's first sight of a structure returns an uninspected plan
 // instead (see PlanCache), which shares nothing and whose Close is a
 // no-op.

@@ -75,7 +75,11 @@ func (kn *kernel) row(k int32) {
 		acc := kn.bs[j][r]
 		for q, c := range cols {
 			if c != r {
-				acc -= vals[q] * x[c]
+				// The explicit conversion rounds the product before the
+				// subtraction: the Go spec forbids fusing across it, so no
+				// architecture computes a fused multiply-subtract and every
+				// one returns the same bits (TestNoFusedMultiplyAdd).
+				acc -= float64(vals[q] * x[c])
 			}
 		}
 		x[r] = acc * d
@@ -103,7 +107,7 @@ func (kn *kernel) groupRow(group []BatchProblem, inv [][]float64, k int32) {
 			acc := m.Bs[j][r]
 			for q, c := range cols {
 				if c != r {
-					acc -= vals[q] * x[c]
+					acc -= float64(vals[q] * x[c])
 				}
 			}
 			x[r] = acc * d

@@ -63,7 +63,7 @@ func sequential(t *sparse.CSR, x, b []float64, lower bool) error {
 		diag := 0.0
 		for q, c := range cols {
 			if int(c) != i {
-				s -= vals[q] * x[c]
+				s -= float64(vals[q] * x[c]) // no fused multiply-subtract; see kernel.row
 			} else {
 				diag = vals[q]
 			}
@@ -86,9 +86,10 @@ func sequential(t *sparse.CSR, x, b []float64, lower bool) error {
 // Every solve entry point runs through the plan's one bound state (see
 // Bind), built on first use: the factor values behind a plan are treated
 // as immutable, so the reciprocal diagonal is computed once per plan,
-// and solves on one Plan serialize. Callers wanting concurrent solves
-// over one structure lease a Plan each from a PlanCache — the skeleton
-// is shared, only the bound state is per plan.
+// and solves on one Plan serialize on it. Callers wanting concurrent
+// solves over one structure lease a Plan each from a PlanCache — the
+// skeleton and its executor are shared, the bound state is per plan, and
+// the leased plans' passes run at once.
 //
 // For a supernodal plan (Fusion non-nil) Deps and Sched describe the
 // compressed unit-level structure the executor actually runs — each
