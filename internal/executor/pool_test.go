@@ -196,6 +196,45 @@ func TestPoolZeroAllocsPerRun(t *testing.T) {
 	})
 }
 
+// TestPoolConcurrentRunsSerialize hammers every pass runner from several
+// goroutines under the race detector. Passes on one Executor may overlap,
+// but each must keep to its own state: no pass has more bodies in flight
+// than its schedule has processors, and each runs every body exactly once.
+func TestPoolConcurrentRunsSerialize(t *testing.T) {
+	const procs = 3
+	deps := randomDAG(rand.New(rand.NewSource(15)), 200, 2)
+	forPassRunners(t, deps, procs, func(t *testing.T, r passRunner) {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					var inRun atomic.Int32
+					count := atomic.Int64{}
+					m, err := r.run(context.Background(), func(int32) {
+						if v := inRun.Add(1); v > procs {
+							t.Errorf("%d bodies of one pass in flight, schedule has %d processors", v, procs)
+						}
+						count.Add(1)
+						inRun.Add(-1)
+					})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if m.Executed != int64(deps.N) || count.Load() != int64(deps.N) {
+						t.Errorf("pass executed %d bodies, metrics say %d, want %d",
+							count.Load(), m.Executed, deps.N)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
+}
+
 // TestPoolConcurrentRunsOverlap runs two passes on one Executor of each
 // parallel kind from two goroutines and holds each inside the body of
 // index 0 until the other has arrived there too: both passes must be in
