@@ -185,12 +185,13 @@ func benchMain(args []string) error {
 	return nil
 }
 
-// passPins are the 0 allocs/op pins of parallel passes — every kind's
-// repeated Runtime.Run and the pooled supernodal solves — run at 1000x:
+// passPins are the exact allocs/op pins of parallel passes — every
+// kind's repeated Runtime.Run, the pooled supernodal solves and a warm
+// plan-cache lease whose batch runs as a column pass — run at 1000x:
 // after the harness's pre-benchmark GC, parked helpers refill the
 // runtime's sudog cache (1–2 allocs/op at 1x); a per-pass allocation
-// still reads 1.
-const passPins = "^BenchmarkRuntimeRepeatedRun$|^BenchmarkSupernodal$/./-pooled$"
+// still reads 1. A top-level | separates whole multi-level patterns.
+const passPins = "^BenchmarkRuntimeRepeatedRun$|^BenchmarkSupernodal$/./-pooled$|^BenchmarkPlanCacheGet$/^cache-hit-solve$"
 
 // benchInvocations lists the go test runs the bench job performs: the
 // kernel packages with every benchmark, then the pass pins, among them

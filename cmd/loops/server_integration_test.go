@@ -18,9 +18,11 @@ import (
 // requests fuse, followed by a graceful drain.
 func TestServerLoadgenIntegration(t *testing.T) {
 	// Kind is pinned to pooled: the test asserts that concurrent clients
-	// fuse into shared passes, which relies on passes serializing on the
-	// shared worker pool for backpressure. Under the adaptive default the
-	// planner picks sequential on small hosts and passes complete too
+	// fuse into shared passes, which relies on each pass lasting long
+	// enough that arrivals accumulate behind it in the coalescer, which
+	// holds a key's window back while that key has a pass in flight.
+	// Under the adaptive default the planner picks sequential on small
+	// hosts, or a batch runs as a column pass, and passes complete too
 	// quickly to overlap — correct behavior, but not the machinery this
 	// test exists to exercise.
 	s, err := server.New(server.Config{

@@ -24,7 +24,9 @@
 //   - barrier (Figure 5): each participant runs its lists' segments of a
 //     phase, then meets the others at one barrier;
 //   - claim: participants take indices in increasing order from an atomic
-//     counter, in fixed chunks, and busy-wait as under flags.
+//     counter, in fixed chunks, and busy-wait as under flags. A column
+//     pass (RunColumns) claims spans of independent columns instead, one
+//     per participant, and waits on nothing.
 //
 // runList is the package's one busy-wait loop. A pass takes its state (the
 // ready array, crew, barrier and counters) from its Executor's free list,
@@ -172,6 +174,14 @@ func (e *Executor) Run(ctx context.Context, s *schedule.Schedule, deps *wavefron
 		return e.run(ctx, job{disc: byClaim, deps: deps, n: s.N, chunk: 1, width: s.P, body: body})
 	}
 	return Metrics{}, fmt.Errorf("executor: unknown kind %v", e.kind)
+}
+
+// RunColumns runs one column pass: n independent columns are cut into
+// spans of ⌈n/w⌉, w ≤ width the pass's width, which the participants
+// claim; no span waits on another, so only the dispatch is paid.
+// Executed counts the columns of completed spans; errors are Run's.
+func (e *Executor) RunColumns(ctx context.Context, n, width int, span Span) (Metrics, error) {
+	return e.run(ctx, job{disc: byClaim, n: n, width: width, span: span})
 }
 
 // RunCtx is a one-shot New(kind).Run; hold an Executor (or a core.Runtime)

@@ -23,6 +23,9 @@ type gridRun func(ctx context.Context, deps *wavefront.Deps, wf []int32, body Bo
 type gridRunner struct {
 	name string
 	open func(t *testing.T, p int) gridRun
+	// columns marks a column pass, whose columns keep no dependences
+	// between them: it has no "deps" cell.
+	columns bool
 }
 
 func scheduled(p int, run runFunc) gridRun {
@@ -44,11 +47,30 @@ func timedRun(d discipline) func(t *testing.T, p int) gridRun {
 	}
 }
 
+// columnRun runs a column pass of p columns whose every span is the
+// sequential loop over the whole index set, polling stop before each
+// index — the shape of trisolve's column sweep. Like trisolve it reports
+// the loop's length as Executed.
+func columnRun(_ *testing.T, p int) gridRun {
+	e := New(Pooled)
+	return func(ctx context.Context, deps *wavefront.Deps, _ []int32, body Body) (Metrics, error) {
+		m, err := e.RunColumns(ctx, p, p, func(_, _ int, stop func() bool) {
+			for i := int32(0); int(i) < deps.N && !stop(); i++ {
+				body(i)
+			}
+		})
+		if err == nil {
+			m.Executed = int64(deps.N)
+		}
+		return m, err
+	}
+}
+
 // gridRunners lists every runner the package has — the five kinds through
 // Executor ("pool" is Pooled once more, under its historical name), the
-// self-scheduled claim and the two timed runs (through the runner with a
-// context) — each at the full width of the shared set and, suffixed
-// "-w1", on the caller alone.
+// self-scheduled claim, the two timed runs (through the runner with a
+// context) and the column pass — each at the full width of the shared set
+// and, suffixed "-w1", on the caller alone.
 func gridRunners() []gridRunner {
 	rs := []gridRunner{
 		{name: "pool", open: func(_ *testing.T, p int) gridRun { return scheduled(p, New(Pooled).Run) }},
@@ -59,13 +81,14 @@ func gridRunners() []gridRunner {
 		}},
 		{name: "timed-self-executing", open: timedRun(byFlags)},
 		{name: "timed-pre-scheduled", open: timedRun(byBarrier)},
+		{name: "columns", open: columnRun, columns: true},
 	}
 	for _, k := range allKinds {
 		rs = append(rs, gridRunner{name: k.String(),
 			open: func(_ *testing.T, p int) gridRun { return scheduled(p, New(k).Run) }})
 	}
 	for _, r := range rs {
-		rs = append(rs, gridRunner{name: r.name + "-w1", open: func(t *testing.T, p int) gridRun {
+		rs = append(rs, gridRunner{name: r.name + "-w1", columns: r.columns, open: func(t *testing.T, p int) gridRun {
 			SetMaxWidth(t, 1)
 			return r.open(t, p)
 		}})
@@ -254,6 +277,9 @@ func checkSetWhole(t *testing.T) {
 func TestFailureModes(t *testing.T) {
 	for _, r := range gridRunners() {
 		for mode := range failureModes {
+			if r.columns && mode == "deps" {
+				continue
+			}
 			t.Run(r.name+"/"+mode, func(t *testing.T) { failureCell(t, r, mode) })
 		}
 	}

@@ -110,10 +110,10 @@ type passRunner struct {
 
 // forPassRunners runs f against every way of running a pass over deps at
 // procs processors — the five kinds on a held Executor, the natural
-// schedule under the two flags kinds (claimed) and RunSelfScheduled —
-// each at the full width of the shared set and on the caller alone
-// ("-w1"). Pooled's two keep their historical names, "executor" and
-// "pool".
+// schedule under the two flags kinds (claimed), RunSelfScheduled and a
+// column pass over deps.N one-index columns (which ignores deps) — each
+// at the full width of the shared set and on the caller alone ("-w1").
+// Pooled's two keep their historical names, "executor" and "pool".
 func forPassRunners(t *testing.T, deps *wavefront.Deps, procs int, f func(t *testing.T, r passRunner)) {
 	wf, err := wavefront.Compute(deps)
 	if err != nil {
@@ -125,6 +125,34 @@ func forPassRunners(t *testing.T, deps *wavefront.Deps, procs int, f func(t *tes
 	}
 	global, natural := schedule.Global(wf, procs), schedule.Natural(deps.N, procs, schedule.Striped)
 	order := SortedOrder(wf)
+	// A column pass's span reaches the pass's body through a record from a
+	// free list, as trisolve's does, so a warm pass allocates nothing.
+	type colRec struct {
+		body Body
+		span Span
+	}
+	free, e := make(chan *colRec, 8), New(Pooled)
+	columns := func(ctx context.Context, body Body) (Metrics, error) {
+		var c *colRec
+		select {
+		case c = <-free:
+		default:
+			c = new(colRec)
+			c.span = func(lo, hi int, stop func() bool) {
+				for i := lo; i < hi && !stop(); i++ {
+					c.body(int32(i))
+				}
+			}
+		}
+		c.body = body
+		m, err := e.RunColumns(ctx, deps.N, procs, c.span)
+		c.body = nil
+		select {
+		case free <- c:
+		default:
+		}
+		return m, err
+	}
 	rs := []passRunner{
 		{"executor", true, held(Pooled, global)},
 		{"sequential", true, held(Sequential, global)},
@@ -136,6 +164,7 @@ func forPassRunners(t *testing.T, deps *wavefront.Deps, procs int, f func(t *tes
 		{"self-scheduled", false, func(ctx context.Context, body Body) (Metrics, error) {
 			return RunSelfScheduledCtx(ctx, order, deps, procs, 4, body)
 		}},
+		{"columns", true, columns},
 	}
 	for _, r := range rs {
 		t.Run(r.name, func(t *testing.T) { f(t, r) })

@@ -100,9 +100,14 @@ const (
 	// then meets the others at the pass's barrier (Figure 5).
 	byBarrier
 	// byClaim: participants take chunks of the claim order from an atomic
-	// counter and busy-wait on the ready array.
+	// counter and busy-wait on the ready array; a column pass's spans,
+	// claimed the same way, wait on nothing.
 	byClaim
 )
+
+// Span runs columns lo..hi-1 of a column pass, returning early once stop
+// reports the pass aborted (a cancelled context or a peer's panic).
+type Span func(lo, hi int, stop func() bool)
 
 // job is what one pass runs.
 type job struct {
@@ -115,6 +120,7 @@ type job struct {
 	chunk int
 	width int // the most participants the pass may use
 	body  Body
+	span  Span           // a column pass's body: byClaim over n columns, no deps
 	bd    *TimeBreakdown // per-participant timing; nil when untimed
 }
 
@@ -136,6 +142,7 @@ type pass struct {
 	bar  barrier.SenseReversing
 
 	rc    runControl
+	stop  func() bool // rc.stop, bound once for spans
 	tally tally
 	wg    sync.WaitGroup
 }
@@ -150,6 +157,7 @@ func (e *Executor) run(ctx context.Context, j job) (Metrics, error) {
 		e.free.passes = e.free.passes[:n-1]
 	} else {
 		x = &pass{crew: make([]*helper, 0, helpers.size)}
+		x.stop = x.rc.stop
 	}
 	e.free.mu.Unlock()
 	m, err := x.run(ctx, j)
@@ -199,6 +207,9 @@ func (x *pass) run(ctx context.Context, j job) (m Metrics, err error) {
 	if j.disc == byBarrier {
 		x.bar.Reset(x.w)
 	}
+	if j.span != nil {
+		x.chunk = (j.n + x.w - 1) / x.w // one span per participant
+	}
 	x.wg.Add(len(x.crew))
 	for p, h := range x.crew {
 		h.x, h.part = x, p+1
@@ -227,7 +238,7 @@ func (x *pass) run(ctx context.Context, j job) (m Metrics, err error) {
 // unfinished phase always progresses; at w = 1 the caller runs the whole
 // schedule in wavefront order. Under byClaim a claimed index waits only on
 // indices claimed before it, by participants that are running, so no
-// width can deadlock either.
+// width can deadlock either; a column pass's spans wait on nothing.
 func (x *pass) share(p int) {
 	body := x.body
 	if x.bd != nil {
@@ -264,6 +275,13 @@ func (x *pass) share(p int) {
 			lo := int(x.next.Add(chunk) - chunk)
 			if lo >= x.n {
 				break
+			}
+			if x.span != nil { // a span cut short by an abort does not count
+				hi := min(lo+x.chunk, x.n)
+				if x.span(lo, hi, x.stop); !x.rc.isAborted() {
+					ran += int64(hi - lo)
+				}
+				continue
 			}
 			r, c, w, ok := runList(&x.rc, x.order[lo:min(lo+x.chunk, x.n)], x.deps, x.done, x.epoch, body)
 			ran, checks, waits = ran+r, checks+c, waits+w

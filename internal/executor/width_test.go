@@ -17,6 +17,7 @@ import (
 
 	"doconsider/internal/core"
 	"doconsider/internal/executor"
+	"doconsider/internal/planner"
 	"doconsider/internal/problems"
 	"doconsider/internal/sparse"
 	"doconsider/internal/trisolve"
@@ -83,14 +84,82 @@ func checkWidth(t *testing.T, what string, m executor.Metrics, w int) {
 // SolveBatch, SolveGroupCtx and SolveTimed — on SPE2, 5-PT and 9-PT,
 // lower and upper, fused and row-wise, under one kind per discipline
 // (pooled: flags, pre-scheduled: barrier, doacross: claim), at every
-// width 1..4 of a four-processor plan, against ForwardSeq/BackwardSeq.
+// width 1..4 of a four-processor plan, against ForwardSeq/BackwardSeq;
+// and the column passes of adaptive plans over batches of 1..8.
 func TestWidthGridTrisolve(t *testing.T) {
 	for _, name := range []string{"SPE2", "5-PT", "9-PT"} {
-		for _, kind := range []executor.Kind{executor.Pooled, executor.PreScheduled, executor.DoAcross} {
-			for _, lower := range []bool{true, false} {
+		for _, lower := range []bool{true, false} {
+			for _, kind := range []executor.Kind{executor.Pooled, executor.PreScheduled, executor.DoAcross} {
 				widthGridTrisolve(t, name, kind, lower)
 			}
+			widthGridColumns(t, name, lower)
 		}
+	}
+}
+
+// widthGridColumns solves batches of B = 1..8 right-hand sides through
+// BatchSolver.Solve and SolveTimed on an adaptive four-processor plan,
+// fused and row-wise, at every width 1..4. A batch of two or more runs
+// as a column pass — no ready checks, at most min(B, w) participants —
+// and a single vector as the plan's scheduled pass; both must be
+// bit-equal to ForwardSeq/BackwardSeq.
+func widthGridColumns(t *testing.T, name string, lower bool) {
+	const maxB = 8
+	l := problems.MustGet(name).L
+	if !lower {
+		l = l.Transpose()
+	}
+	rng := rand.New(rand.NewSource(int64(l.N) + 1))
+	bs := rhs(rng, l.N, maxB)
+	want := make([][]float64, maxB)
+	for j := range bs {
+		want[j] = oracle(t, l, lower, bs[j])
+	}
+	for _, fuse := range []trisolve.FuseMode{trisolve.FuseForce, trisolve.FuseOff} {
+		plan, err := trisolve.NewPlan(l, lower, trisolve.WithProcs(gridProcs),
+			trisolve.WithFusion(fuse), trisolve.WithModel(planner.Default()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Decision == nil || plan.Kind == executor.Sequential {
+			t.Fatalf("%s lower=%v fuse=%v: adaptive plan chose %v, want a parallel kind", name, lower, fuse, plan.Kind)
+		}
+		s := plan.Bind()
+		for w := 1; w <= gridProcs; w++ {
+			executor.SetMaxWidth(t, w)
+			for b := 1; b <= maxB; b++ {
+				for _, timed := range []bool{false, true} {
+					what := fmt.Sprintf("%s lower=%v fuse=%v w=%d B=%d timed=%v", name, lower, fuse, w, b, timed)
+					var clock levelClock
+					xs := rhs(rng, l.N, b)
+					var m executor.Metrics
+					if timed {
+						m, err = s.SolveTimed(context.Background(), xs, bs[:b], &clock)
+					} else {
+						m, err = s.Solve(context.Background(), xs, bs[:b])
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if b == 1 {
+						checkWidth(t, what, m, w)
+					} else {
+						checkWidth(t, what, m, min(w, b))
+					}
+					if columns := m.SpinChecks == 0; columns != (b >= 2) || m.Executed != int64(l.N) {
+						t.Fatalf("%s: column pass = %v (%d ready checks), executed %d of %d",
+							what, columns, m.SpinChecks, m.Executed, l.N)
+					}
+					for j := range xs {
+						bitEqual(t, what, xs[j], want[j])
+					}
+					if timed && clock.ns <= 0 {
+						t.Fatalf("%s: no level time charged", what)
+					}
+				}
+			}
+		}
+		plan.Close()
 	}
 }
 

@@ -101,7 +101,7 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 		t.Fatal("mismatched batch widths accepted")
 	}
 
-	// The plans bind their reciprocal diagonals on the first solve, so a
+	// The plans bind their solve state on the first solve, so a
 	// warm application allocates nothing (the sequential kind, so that no
 	// executor goroutine spawn is counted).
 	seq, err := NewILUPrec(a, ILUPrecOptions{Kind: executor.Sequential})

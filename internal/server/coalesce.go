@@ -410,9 +410,9 @@ func (c *Coalescer) withdraw(req *coReq) {
 // for by parked and pass-blocked requests, nobody is left who could
 // still join, and waiting out the timers would only add latency. Windows
 // whose key has a pass in flight are held back — arrivals keep
-// accumulating behind the running pass (they would only serialize on the
-// shared strategy anyway) and seal together when it completes, the
-// group-commit chain in passDone. This pairing is what makes the window
+// accumulating behind the running pass (a scheduled pass would only
+// serialize on the bound plan anyway) and seal together when it
+// completes, the group-commit chain in passDone. This pairing is what makes the window
 // an upper bound for open traffic without stalling closed-loop clients.
 // Callers hold c.mu.
 func (c *Coalescer) sealIfQuiescentLocked() {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -205,11 +206,13 @@ func TestPlanCacheClosedFirstSight(t *testing.T) {
 	}
 }
 
-// TestInvDiagonalDifferential checks the O(1) diagonal read against the
-// binary search it replaces, on random factors with absent diagonals,
-// empty rows, rows with entries on both sides and both directions.
+// TestInvDiagonalDifferential checks the kernel's per-row reciprocal
+// diagonal (invDiag) against At's binary search on random factors whose
+// rows store the diagonal last, first, in the middle or not at all —
+// empty rows among them — and checks every one of those shapes occurred.
 func TestInvDiagonalDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	var last, first, middle, absent int
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(40)
 		var ts []sparse.Triplet
@@ -237,16 +240,30 @@ func TestInvDiagonalDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := invDiagonal(a)
 		for i := 0; i < n; i++ {
+			cols, vals := a.Row(i)
+			switch q := slices.Index(cols, int32(i)); {
+			case q < 0:
+				absent++
+			case q == len(cols)-1:
+				last++
+			case q == 0:
+				first++
+			default:
+				middle++
+			}
 			want := 0.0
 			if d := a.At(i, i); d != 0 {
 				want = 1 / d
 			}
-			if got[i] != want {
-				t.Fatalf("trial %d row %d: inv = %v, want %v", trial, i, got[i], want)
+			if got := invDiag(cols, vals, int32(i)); got != want {
+				t.Fatalf("trial %d row %d: inv = %v, want %v", trial, i, got, want)
 			}
 		}
+	}
+	if last == 0 || first == 0 || middle == 0 || absent == 0 {
+		t.Fatalf("row shapes: diagonal last %d, first %d, middle %d, absent %d; want each > 0",
+			last, first, middle, absent)
 	}
 }
 

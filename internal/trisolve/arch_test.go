@@ -11,17 +11,18 @@ import (
 // whose compilers fuse a float64 multiply and add.
 var fusedOps = regexp.MustCompile(`\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b`)
 
-// TestNoFusedMultiplyAdd cross-compiles this package for arm64 and
-// riscv64 with the compiler's assembly listing and fails on any fused
-// multiply-add: a fused site rounds once where amd64 rounds twice, so
-// replicas on two architectures would return different bits for one
-// solve. It needs only the local toolchain, no network.
+// TestNoFusedMultiplyAdd cross-compiles this package for arm64, riscv64
+// and loong64 — the architectures whose compilers fuse `acc -= v*x`
+// without the kernel's explicit conversion — with the compiler's
+// assembly listing and fails on any fused multiply-add: a fused site
+// rounds once where amd64 rounds twice, so replicas on two architectures
+// would return different bits for one solve. It needs only the local toolchain, no network.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	gotool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("no go command on PATH")
 	}
-	for _, arch := range []string{"arm64", "riscv64"} {
+	for _, arch := range []string{"arm64", "riscv64", "loong64"} {
 		cmd := exec.Command(gotool, "build", "-o", os.DevNull, "-gcflags=doconsider/internal/trisolve=-S", ".")
 		cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH="+arch, "CGO_ENABLED=0")
 		out, err := cmd.CombinedOutput()

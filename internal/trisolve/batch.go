@@ -35,9 +35,10 @@ func (p *Plan) SolveCtx(ctx context.Context, x, b []float64) (executor.Metrics, 
 }
 
 // SolveBatch solves the planned triangular system for len(xs) right-hand
-// sides in one scheduled pass, writing solution j to xs[j]: every row's
-// nonzeros are read once for all right-hand sides, and the dependence
-// busy-waits and the executor dispatch are paid once instead of k times.
+// sides in one pass, writing solution j to xs[j]: a column pass on an
+// adaptive plan that chose a parallel kind (see BatchSolver), else one
+// scheduled pass, which reads every row's nonzeros once for all
+// right-hand sides and pays the busy-waits and dispatch once, not k times.
 // Each xs[j] must not alias its bs[j] or any other vector in the batch.
 // With k = 1 the arithmetic matches Solve exactly (same operations in the
 // same order), so the results are bit-identical.
@@ -89,15 +90,7 @@ func (p *Plan) SolveGroupCtx(ctx context.Context, group []BatchProblem) (executo
 		// The plan's own factor, alone: the single-member kernel.
 		return s.Solve(ctx, group[0].Xs, group[0].Bs)
 	}
-	ginv := make([][]float64, len(group))
-	for g := range group {
-		if group[g].L == p.L {
-			ginv[g] = s.inv
-		} else {
-			ginv[g] = invDiagonal(group[g].L)
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pass(ctx, p.in.Sweep(func(k int32) { s.groupRow(group, ginv, k) }))
+	return s.pass(ctx, p.in.Sweep(func(k int32) { s.groupRow(group, k) }))
 }

@@ -1,11 +1,14 @@
 package trisolve
 
 import (
+	"context"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"doconsider/internal/executor"
 	"doconsider/internal/planner"
+	"doconsider/internal/problems"
 	"doconsider/internal/stencil"
 )
 
@@ -99,7 +102,10 @@ func BenchmarkSolveBatch(b *testing.B) {
 }
 
 // BenchmarkPlanCacheGet measures a warm PlanCache Get (fingerprint + map
-// lookup + lease) against cold NewPlan inspector runs.
+// lookup + lease) against cold NewPlan inspector runs. cache-hit-solve is
+// a whole warm lease — Get, Bind, a batch-4 Solve and Close on an
+// adaptive cache — whose allocs/op ci/bench_baseline.json pins exactly,
+// so no O(n) allocation per lease can return.
 func BenchmarkPlanCacheGet(b *testing.B) {
 	l := stencil.Laplace2D(120, 120).LowerWithDiag()
 	b.Run("cold-newplan", func(b *testing.B) {
@@ -127,6 +133,31 @@ func BenchmarkPlanCacheGet(b *testing.B) {
 				b.Fatal(err)
 			}
 			p.Close()
+		}
+	})
+	b.Run("cache-hit-solve", func(b *testing.B) {
+		pc := NewPlanCache(8)
+		defer pc.Close()
+		opts := []Option{WithProcs(2), WithModel(planner.Default())}
+		sight(b, pc, l, true, opts...)
+		rng := rand.New(rand.NewSource(1))
+		xs, bs := randomRHS(rng, l.N, 4), randomRHS(rng, l.N, 4)
+		ctx := context.Background()
+		lease := func() {
+			p, err := pc.Get(l, true, opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := p.Bind().Solve(ctx, xs, bs); err != nil {
+				b.Fatal(err)
+			}
+			p.Close()
+		}
+		lease() // inspects the structure's second sight
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lease()
 		}
 	})
 }
@@ -208,5 +239,56 @@ func BenchmarkSupernodal(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkColumnSplit prices the column pass against the scheduled pass
+// it replaces, on a batch of four against each suite factor's adaptive
+// plan at GOMAXPROCS processors: "rows" is the plan's scheduled pass (on
+// a plan pinned to the adaptive plan's kind and fusion), "columns" the
+// column pass at the plan's full width and "columns-w1" the column pass
+// on the caller alone — the sequential loop over all four columns at
+// once. Where "columns" reads slower than "rows", the split does not pay
+// on this host.
+func BenchmarkColumnSplit(b *testing.B) {
+	const k = 4
+	procs := runtime.GOMAXPROCS(0)
+	ctx := context.Background()
+	for _, name := range []string{"SPE2", "SPE5", "5-PT", "9-PT", "7-PT", "L9-PT", "L7-PT", "L5-PT"} {
+		l := problems.MustGet(name).L
+		plan, err := NewPlan(l, true, WithProcs(procs), WithModel(planner.Default()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		fuse := FuseOff
+		if plan.Fusion() != nil {
+			fuse = FuseForce
+		}
+		pinned, err := NewPlan(l, true, WithProcs(procs), WithKind(plan.Kind), WithFusion(fuse))
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, rows := plan.Bind(), pinned.Bind()
+		rng := rand.New(rand.NewSource(1))
+		xs, bs := randomRHS(rng, l.N, k), randomRHS(rng, l.N, k)
+		for _, c := range []struct {
+			name string
+			pass func() (executor.Metrics, error)
+		}{
+			{"rows", func() (executor.Metrics, error) { return rows.Solve(ctx, xs, bs) }},
+			{"columns", func() (executor.Metrics, error) { return s.columns(ctx, xs, bs, nil, min(k, procs)) }},
+			{"columns-w1", func() (executor.Metrics, error) { return s.columns(ctx, xs, bs, nil, 1) }},
+		} {
+			b.Run(name+"/"+c.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := c.pass(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*l.N*k), "ns/row-rhs")
+			})
+		}
+		plan.Close()
+		pinned.Close()
 	}
 }

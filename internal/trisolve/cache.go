@@ -42,7 +42,7 @@ import (
 // itself — ForwardSeq/BackwardSeq's arithmetic, so the answer is the
 // oracle's. The inspector is paid only for a structure that comes back,
 // the one whose executions can amortize it (§5.1.1). The first sight
-// costs one miss, a reciprocal diagonal and a sequential pass; it is
+// costs one miss and a sequential pass; it is
 // recorded as a deferred "sequential" decision. Pinned kinds always
 // inspect.
 //

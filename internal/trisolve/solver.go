@@ -3,6 +3,7 @@ package trisolve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,14 +17,14 @@ import (
 // backward one (the reflected numbering of wavefront.FromUpper). For each
 // installed right-hand side the row's stored entries are accumulated in
 // CSR order, skipping the diagonal, and the sum is multiplied once by
-// the reciprocal diagonal: exactly the per-row sequence of ForwardSeq and
-// BackwardSeq, so any schedule, executor kind, fusion or batching choice
-// reproduces the sequential loop bit for bit. A row writes only its own
-// x[r], which makes independent rows safe to run concurrently.
+// the reciprocal diagonal, taken from the row itself: exactly the per-row
+// sequence of ForwardSeq and BackwardSeq, so any schedule, executor kind,
+// fusion or batching choice reproduces the sequential loop bit for bit.
+// A row writes only its own x[r], which makes independent rows safe to
+// run concurrently.
 type kernel struct {
 	rp, ci []int32   // the factor's CSR structure
 	val    []float64 // the factor's values
-	inv    []float64 // reciprocal diagonal of val
 	lower  bool
 	last   int32 // n-1, the row of backward iteration 0
 
@@ -31,34 +32,22 @@ type kernel struct {
 }
 
 func newKernel(l *sparse.CSR, lower bool) kernel {
-	return kernel{rp: l.RowPtr, ci: l.ColIdx, val: l.Val, inv: invDiagonal(l), lower: lower, last: int32(l.N) - 1}
+	return kernel{rp: l.RowPtr, ci: l.ColIdx, val: l.Val, lower: lower, last: int32(l.N) - 1}
 }
 
-// invDiagonal returns the reciprocal of each stored diagonal entry (0 for
-// an absent one). Columns are strictly increasing within a row, so a
-// triangular factor stores its diagonal last (lower) or first (upper):
-// both ends are checked in O(1), and only a row whose diagonal is neither
-// — absent, or a row with entries on both sides — falls back to At's
-// binary search.
-func invDiagonal(a *sparse.CSR) []float64 {
-	inv := make([]float64, a.N)
-	for i := 0; i < a.N; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		var d float64
-		switch {
-		case lo == hi: // empty row: no diagonal
-		case int(a.ColIdx[hi-1]) == i:
-			d = a.Val[hi-1]
-		case int(a.ColIdx[lo]) == i:
-			d = a.Val[lo]
-		default:
-			d = a.At(i, i)
-		}
-		if d != 0 {
-			inv[i] = 1 / d
-		}
+// invDiag returns the reciprocal of row r's stored diagonal, or 0 for a
+// row that stores none (or stores a zero). Columns are strictly
+// increasing within a row, so a lower factor stores its diagonal last and
+// an upper one first, where the scan finds it at once.
+func invDiag(cols []int32, vals []float64, r int32) float64 {
+	q := len(cols) - 1
+	if q < 0 || cols[q] != r {
+		q = slices.Index(cols, r)
 	}
-	return inv
+	if q < 0 || vals[q] == 0 {
+		return 0
+	}
+	return 1 / vals[q]
 }
 
 // row performs iteration k for every installed right-hand side.
@@ -70,7 +59,7 @@ func (kn *kernel) row(k int32) {
 	lo, hi := kn.rp[r], kn.rp[r+1]
 	cols, vals := kn.ci[lo:hi], kn.val[lo:hi]
 	vals = vals[:len(cols)] // hoist the bounds check out of the loops
-	d := kn.inv[r]
+	d := invDiag(cols, vals, r)
 	for j, x := range kn.xs {
 		acc := kn.bs[j][r]
 		for q, c := range cols {
@@ -88,10 +77,10 @@ func (kn *kernel) row(k int32) {
 
 // groupRow is row for a group of structurally identical factors: the
 // same loop with a member loop around the right-hand-side loop, each
-// member bringing its own values and reciprocal diagonal inv[g]. It
-// exists beside row only because the extra loop level costs a
-// single-member pass 9–22 % on row-wise plans.
-func (kn *kernel) groupRow(group []BatchProblem, inv [][]float64, k int32) {
+// member bringing its own values and so its own diagonal. It exists
+// beside row only because the extra loop level costs a single-member
+// pass 9–22 % on row-wise plans.
+func (kn *kernel) groupRow(group []BatchProblem, k int32) {
 	r := k
 	if !kn.lower {
 		r = kn.last - k
@@ -102,7 +91,7 @@ func (kn *kernel) groupRow(group []BatchProblem, inv [][]float64, k int32) {
 		m := &group[g]
 		vals := m.L.Val[lo:hi]
 		vals = vals[:len(cols)]
-		d := inv[g][r]
+		d := invDiag(cols, vals, r)
 		for j, x := range m.Xs {
 			acc := m.Bs[j][r]
 			for q, c := range cols {
@@ -126,20 +115,21 @@ func RowBody(l *sparse.CSR, lower bool, x, b []float64) executor.Body {
 	return kn.row
 }
 
-// BatchSolver is a plan's bound solve state: the kernel over the plan's
-// factor (with its reciprocal diagonal, computed once) and the executor
-// bodies that sweep it over the plan's schedule, so repeated solves
-// allocate nothing. This is safe because the factor values behind a plan
-// are treated as immutable (the serving tier caches factors by content
-// fingerprint), so the reciprocal diagonal cannot go stale.
+// BatchSolver is a plan's bound solve state, built in O(1): the kernel
+// over the plan's factor and the executor bodies that sweep it over the
+// plan's schedule, so repeated solves allocate nothing.
 //
-// The per-call vectors are installed into kernel fields read by the
-// bound bodies under a mutex, which serializes passes on one plan. The
-// serving coalescer already executes at most one pass per factor at a
-// time, so the serialization costs nothing there.
+// A batch of two or more right-hand sides on an adaptive plan whose
+// inspection chose a parallel kind runs as a column pass (see columns),
+// which installs nothing here, so such passes on one plan run at once.
+// Every other pass — single vectors, pinned kinds, sequential decisions
+// and first sights, coalesced groups — installs its vectors into kernel
+// fields read by the bound bodies under a mutex, which serializes those
+// passes on one plan.
 type BatchSolver struct {
 	kernel
-	p *Plan
+	p     *Plan
+	split bool // adaptive, parallel kind: batches run as column passes
 
 	// body runs row: per scheduled index on a row-wise plan, over the
 	// supernode's iteration span on a fused one (core.Inspection.Sweep).
@@ -158,6 +148,57 @@ type BatchSolver struct {
 	one *[2][1][]float64
 }
 
+// colPass is one column pass's state: the kernel over the whole batch and
+// the clock it charges. Its span is bound once and records are recycled
+// through colPasses, so a warm column pass allocates nothing.
+type colPass struct {
+	kernel
+	clock LevelClock
+	span  executor.Span
+}
+
+var colPasses = sync.Pool{New: func() any {
+	c := new(colPass)
+	c.span = c.sweep
+	return c
+}}
+
+// columns runs the batch as a column pass on at most width participants:
+// each solves a contiguous span of the columns with the plain sequential
+// loop — kernel.row for k = 0..n-1, the order of ForwardSeq and
+// BackwardSeq — reading each row once for its span. No column waits on
+// another, so every column is the sequential loop's result by
+// construction, and passes on one plan share nothing.
+func (s *BatchSolver) columns(ctx context.Context, xs, bs [][]float64, clock LevelClock, width int) (executor.Metrics, error) {
+	c := colPasses.Get().(*colPass)
+	c.kernel, c.clock = newKernel(s.p.L, s.p.Lower), clock
+	c.xs, c.bs = xs, bs
+	m, err := s.p.exec.RunColumns(ctx, len(xs), width, c.span)
+	if err == nil {
+		m.Executed = int64(s.p.L.N)
+	}
+	c.kernel, c.clock = kernel{}, nil
+	colPasses.Put(c)
+	return m, err
+}
+
+// sweep is one participant's span: the sequential loop over columns
+// lo..hi-1 on a kernel view of its own, polling stop every 256 rows. A
+// timed sweep is charged to level 0, as an uninspected pass is.
+func (c *colPass) sweep(lo, hi int, stop func() bool) {
+	kn, t0 := c.kernel, time.Now()
+	kn.xs, kn.bs = kn.xs[lo:hi], kn.bs[lo:hi]
+	for k := int32(0); k <= kn.last; k++ {
+		if k%256 == 0 && stop() {
+			return
+		}
+		kn.row(k)
+	}
+	if c.clock != nil {
+		c.clock.Add(0, time.Since(t0).Nanoseconds())
+	}
+}
+
 // LevelClock receives per-wavefront-level executor time from a timed
 // solve. Implementations must be safe for concurrent Add calls — the
 // executor invokes the timed body from its worker goroutines.
@@ -171,7 +212,8 @@ type LevelClock interface {
 // plan not Closed) for as long as the solver is in use.
 func (p *Plan) Bind() *BatchSolver {
 	p.bindOnce.Do(func() {
-		s := &BatchSolver{kernel: newKernel(p.L, p.Lower), p: p}
+		s := &BatchSolver{kernel: newKernel(p.L, p.Lower), p: p,
+			split: p.Decision != nil && p.Kind != executor.Sequential}
 		s.body = p.in.Sweep(s.row)
 		p.bound = s
 	})
@@ -211,16 +253,20 @@ func (s *BatchSolver) Solve(ctx context.Context, xs, bs [][]float64) (executor.M
 // SolveTimed is Solve with per-wavefront-level timing: each scheduled
 // index's runtime (a row for row-wise plans, a fused supernode for
 // supernodal ones) is charged to its level on clock; a nil clock is a
-// plain Solve. The arithmetic is identical — the timed body wraps the
-// same bound body. The first timed solve on a solver builds the wrapper
-// (one allocation, once); every later call allocates nothing, so level
-// sampling at any rate keeps the serving warm path at 0 allocs/op.
+// plain Solve. A column pass has no levels: each participant's sweep is
+// charged to level 0. The arithmetic is identical — the timed body wraps
+// the same bound body. The first timed solve on a solver builds the
+// wrapper (one allocation, once); every later call allocates nothing, so
+// level sampling at any rate keeps the serving warm path at 0 allocs/op.
 func (s *BatchSolver) SolveTimed(ctx context.Context, xs, bs [][]float64, clock LevelClock) (executor.Metrics, error) {
 	if err := s.p.checkBatch(xs, bs); err != nil {
 		return executor.Metrics{}, err
 	}
 	if len(xs) == 0 {
 		return executor.Metrics{}, nil
+	}
+	if s.split && len(xs) >= 2 {
+		return s.columns(ctx, xs, bs, clock, min(len(xs), s.p.Sched.P))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -27,8 +27,10 @@ import (
 // Together with BackwardSeq this is the repository's one oracle: it
 // performs, per row, exactly the arithmetic of the executor kernel (see
 // kernel) — the row's off-diagonal entries accumulated in CSR order,
-// then one multiply by the reciprocal diagonal — so every planned solve
-// must reproduce it bit for bit, whatever the factor's diagonal.
+// then one multiply by the reciprocal of the row's own diagonal — so
+// every planned solve must reproduce it bit for bit, whatever the
+// factor's diagonal. A column pass runs this very loop, in this order,
+// on each participant's share of a batch.
 func ForwardSeq(l *sparse.CSR, x, b []float64) error { return sequential(l, x, b, true) }
 
 // BackwardSeq solves U*x = b sequentially where U is upper triangular with
@@ -84,12 +86,13 @@ func sequential(t *sparse.CSR, x, b []float64, lower bool) error {
 // plan's lease and is a no-op otherwise.
 //
 // Every solve entry point runs through the plan's one bound state (see
-// Bind), built on first use: the factor values behind a plan are treated
-// as immutable, so the reciprocal diagonal is computed once per plan,
-// and solves on one Plan serialize on it. Callers wanting concurrent
-// solves over one structure lease a Plan each from a PlanCache — the
-// skeleton and its executor are shared, the bound state is per plan, and
-// the leased plans' passes run at once.
+// Bind), built in O(1) on first use. Batches of an adaptive plan that
+// chose a parallel kind run as column passes, which share nothing on the
+// plan and run at once; every other solve on one Plan serializes on its
+// bound state. Callers wanting those concurrent over one structure lease
+// a Plan each from a PlanCache — the skeleton and its executor are
+// shared, the bound state is per plan, and the leased plans' passes run
+// at once.
 //
 // For a supernodal plan (Fusion non-nil) Deps and Sched describe the
 // compressed unit-level structure the executor actually runs — each
