@@ -7,9 +7,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify fmt vet lint-tools build test bench-module race fuzz cover bench-smoke bench bench-update clean
+.PHONY: verify fmt vet lint-tools build test examples bench-module race fuzz cover bench-smoke bench bench-update clean
 
-verify: fmt vet lint-tools build test bench-module race fuzz cover bench-smoke
+verify: fmt vet lint-tools build test examples bench-module race fuzz cover bench-smoke
 	@echo "verify: all checks passed"
 
 # Mirror the CI staticcheck/govulncheck steps when the pinned tools are
@@ -33,6 +33,11 @@ build:
 test:
 	$(GO) test ./...
 
+# Each example exits non-zero when it fails; examples/transform, for one,
+# compares the transformed loop with its sequential run. No test runs them.
+examples:
+	@for d in ./examples/*/; do $(GO) run "$$d" >/dev/null || exit 1; done
+
 # bench/ is its own module, so ./... above never descends into it; it
 # compiles against server/client/router's exported surface.
 bench-module:
@@ -51,6 +56,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRepair$$' -fuzztime $(FUZZTIME) ./internal/delta
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONDecode$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/transform
 
 # The CI coverage gate: total statement coverage vs the checked-in floor.
 cover:

@@ -1,11 +1,11 @@
-// Command transform runs the doconsider source-to-source transformation on
-// a loop read from a file or stdin: it parses the Fortran-style loop,
-// reports the dependence analysis, and prints the generated Go code (the
-// structures of the paper's Figures 4 and 7).
+// Command transform reports the doconsider analysis of a loop read from a
+// file or stdin: it parses the Fortran-style loop and prints the array the
+// loop writes, how many of its reads of that array the run-time inspector
+// must resolve, and the arrays that carry the subscripts.
 //
 // Usage:
 //
-//	transform [-func Name] [file.loop]
+//	transform [file.loop]
 package main
 
 import (
@@ -26,7 +26,6 @@ func main() {
 
 func run(args []string, stdin io.Reader, w io.Writer) error {
 	fs := flag.NewFlagSet("transform", flag.ContinueOnError)
-	funcName := fs.String("func", "RunLoop", "name of the generated Go function")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -49,9 +48,8 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "// doconsider analysis: writes %q, %d self read(s), %d indirect read(s)\n",
+	fmt.Fprintf(w, "doconsider analysis: writes %q, %d self read(s), %d indirect read(s)\n",
 		an.Written, an.SelfReads, an.IndirectReads)
-	fmt.Fprintf(w, "// subscript-carrying arrays: %v\n\n", an.IntArrays)
-	fmt.Fprint(w, transform.GenerateGo(an, *funcName))
+	fmt.Fprintf(w, "subscript-carrying arrays: %v\n", an.IntArrays)
 	return nil
 }

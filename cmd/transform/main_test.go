@@ -13,11 +13,11 @@ enddo
 
 func TestRunStdin(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-func", "MyLoop"}, strings.NewReader(loopSrc), &out); err != nil {
+	if err := run(nil, strings.NewReader(loopSrc), &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"func MyLoop(", `writes "x"`, "core.New(deps"} {
+	for _, want := range []string{`writes "x", 1 self read(s), 1 indirect read(s)`, "subscript-carrying arrays: [ia]"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}

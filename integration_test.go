@@ -164,7 +164,7 @@ enddo
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := an.ExecutorBody(parEnv, 0)
+	body, err := an.ExecutorBody(parEnv)
 	if err != nil {
 		t.Fatal(err)
 	}

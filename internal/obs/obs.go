@@ -62,10 +62,6 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// StageNames returns the stage names in Stage order (for label
-// registration and table rendering).
-func StageNames() [NumStages]string { return stageNames }
-
 // Wire identifies the wire format a traced request arrived on.
 type Wire uint8
 
@@ -209,13 +205,6 @@ func (t *Trace) Strategy() string { return string(t.Strat[:t.StratLen]) }
 
 // SetTenant records the tenant name and class without allocating.
 func (t *Trace) SetTenant(name string, class uint8) {
-	t.TenLen = int32(copy(t.Ten[:], name))
-	t.Class = class
-}
-
-// SetTenantBytes is SetTenant for a byte-slice name (the binary wire
-// path attributes from a view into the request frame).
-func (t *Trace) SetTenantBytes(name []byte, class uint8) {
 	t.TenLen = int32(copy(t.Ten[:], name))
 	t.Class = class
 }

@@ -20,24 +20,57 @@ type Analysis struct {
 	// the data structures that carry the dependence information (the
 	// paper's ia / ija).
 	IntArrays []string
-	// FloatArrays lists all other arrays referenced.
-	FloatArrays []string
-	// Scalars lists loop-local scalar temporaries (paper Figure 6's temp).
-	Scalars []string
 }
 
 // Analyze performs the compile-time half of the transformation: it
 // determines the written array, classifies the reads of that array, and
 // verifies the loop fits the start-time-schedulable form the paper's
 // system handles (a single written array, subscripted by the loop
-// variable).
+// variable, which the body never rebinds).
 func Analyze(loop *Loop) (*Analysis, error) {
 	a := &Analysis{Loop: loop}
-	seenInt := map[string]bool{}
-	seenFloat := map[string]bool{}
-	seenScalar := map[string]bool{}
+
+	var findWrite func(stmts []Stmt) error
+	findWrite = func(stmts []Stmt) error {
+		for _, st := range stmts {
+			switch s := st.(type) {
+			case Assign:
+				if s.Scalar == loop.Var {
+					return fmt.Errorf("transform: assignment to loop variable %s", loop.Var)
+				}
+				if s.Array == "" {
+					continue
+				}
+				iv, ok := s.Sub.(Ident)
+				if !ok || iv.Name != loop.Var {
+					return fmt.Errorf("transform: write to %s(%s) not subscripted by loop variable %s",
+						s.Array, s.Sub.exprString(), loop.Var)
+				}
+				if a.Written != "" && a.Written != s.Array {
+					return fmt.Errorf("transform: loop writes both %s and %s; one written array supported",
+						a.Written, s.Array)
+				}
+				a.Written = s.Array
+			case InnerLoop:
+				if s.Var == loop.Var {
+					return fmt.Errorf("transform: inner loop reuses loop variable %s", loop.Var)
+				}
+				if err := findWrite(s.Body); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	if err := findWrite(loop.Body); err != nil {
+		return nil, err
+	}
+	if a.Written == "" {
+		return nil, fmt.Errorf("transform: loop writes no array; nothing to parallelize")
+	}
 
 	// Collect integer-context arrays from an expression tree.
+	seenInt := map[string]bool{}
 	var intCtx func(e Expr)
 	intCtx = func(e Expr) {
 		switch v := e.(type) {
@@ -54,61 +87,8 @@ func Analyze(loop *Loop) (*Analysis, error) {
 			intCtx(v.X)
 		}
 	}
-	var valueCtx func(e Expr)
-	valueCtx = func(e Expr) {
-		switch v := e.(type) {
-		case Ref:
-			if !seenFloat[v.Name] {
-				seenFloat[v.Name] = true
-				a.FloatArrays = append(a.FloatArrays, v.Name)
-			}
-			intCtx(v.Sub) // subscripts are integer context
-		case Bin:
-			valueCtx(v.L)
-			valueCtx(v.R)
-		case Neg:
-			valueCtx(v.X)
-		}
-	}
-
-	var walk func(stmts []Stmt) error
-	walk = func(stmts []Stmt) error {
-		for _, st := range stmts {
-			switch s := st.(type) {
-			case Assign:
-				if s.Array != "" {
-					iv, ok := s.Sub.(Ident)
-					if !ok || iv.Name != loop.Var {
-						return fmt.Errorf("transform: write to %s(%s) not subscripted by loop variable %s",
-							s.Array, ExprString(s.Sub), loop.Var)
-					}
-					if a.Written != "" && a.Written != s.Array {
-						return fmt.Errorf("transform: loop writes both %s and %s; one written array supported",
-							a.Written, s.Array)
-					}
-					a.Written = s.Array
-				} else if !seenScalar[s.Scalar] {
-					seenScalar[s.Scalar] = true
-					a.Scalars = append(a.Scalars, s.Scalar)
-				}
-				valueCtx(s.RHS)
-			case InnerLoop:
-				intCtx(s.Lo)
-				intCtx(s.Hi)
-				if err := walk(s.Body); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := walk(loop.Body); err != nil {
-		return nil, err
-	}
-	if a.Written == "" {
-		return nil, fmt.Errorf("transform: loop writes no array; nothing to parallelize")
-	}
-	// Classify reads of the written array.
+	// Classify reads of the written array in a value expression; its
+	// subscripts are integer context.
 	var classify func(e Expr)
 	classify = func(e Expr) {
 		switch v := e.(type) {
@@ -120,6 +100,7 @@ func Analyze(loop *Loop) (*Analysis, error) {
 					a.IndirectReads++
 				}
 			}
+			intCtx(v.Sub)
 			classify(v.Sub)
 		case Bin:
 			classify(v.L)
@@ -135,19 +116,12 @@ func Analyze(loop *Loop) (*Analysis, error) {
 			case Assign:
 				classify(s.RHS)
 			case InnerLoop:
+				intCtx(s.Lo)
+				intCtx(s.Hi)
 				classifyStmts(s.Body)
 			}
 		}
 	}
 	classifyStmts(loop.Body)
-	// Drop the written array from FloatArrays bookkeeping duplicates: it is
-	// reported separately.
-	out := a.FloatArrays[:0]
-	for _, n := range a.FloatArrays {
-		if n != a.Written {
-			out = append(out, n)
-		}
-	}
-	a.FloatArrays = out
 	return a, nil
 }

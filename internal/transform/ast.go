@@ -1,7 +1,8 @@
 // Package transform implements the paper's Section 2.2: the rules by which
-// an automated symbolic manipulator performs source-to-source
-// transformation of a sequential loop annotated with doconsider into its
-// run-time parallelized form.
+// a sequential loop annotated with doconsider is turned into its run-time
+// parallelized form, an inspector plus an executor. The paper states them
+// as a source-to-source transformation; this package applies them by
+// interpretation, so the transformed loop runs without generating code.
 //
 // The input language is a small Fortran-flavoured loop DSL:
 //
@@ -22,9 +23,12 @@
 // From the parsed loop the package derives an inspector (which enumerates,
 // for each outer iteration, the iterations it depends on, by evaluating the
 // subscript expressions of reads of the written array against the run-time
-// data), an executor body (a tree-walking evaluator safe for concurrent
-// iterations), and generated Go source with the structure of the paper's
-// Figures 4, 5 and 7.
+// data) and an executor body (a tree-walking evaluator safe for concurrent
+// iterations, with the paper's Figure 4 read rule). The inspector's
+// dependences feed core.New, whose runtime runs the executor body under
+// either of the paper's disciplines (Figures 4 and 5); RunSequential is
+// the loop's original semantics, which the transformed run must match bit
+// for bit.
 package transform
 
 import "fmt"
@@ -62,11 +66,8 @@ func (b Bin) exprString() string {
 }
 func (n Neg) exprString() string { return "(-" + n.X.exprString() + ")" }
 
-// String renders an expression.
-func ExprString(e Expr) string { return e.exprString() }
-
 // Stmt is a statement in the loop body.
-type Stmt interface{ stmtString() string }
+type Stmt interface{ stmt() }
 
 // Assign is "target = expr" where target is an array ref or a scalar.
 type Assign struct {
@@ -76,12 +77,7 @@ type Assign struct {
 	RHS    Expr
 }
 
-func (a Assign) stmtString() string {
-	if a.Array != "" {
-		return a.Array + "(" + a.Sub.exprString() + ") = " + a.RHS.exprString()
-	}
-	return a.Scalar + " = " + a.RHS.exprString()
-}
+func (Assign) stmt() {}
 
 // InnerLoop is a nested sequential "do" loop with inclusive bounds.
 type InnerLoop struct {
@@ -90,9 +86,7 @@ type InnerLoop struct {
 	Body   []Stmt
 }
 
-func (l InnerLoop) stmtString() string {
-	return "do " + l.Var + " = " + l.Lo.exprString() + ", " + l.Hi.exprString()
-}
+func (InnerLoop) stmt() {}
 
 // Loop is a parsed doconsider loop with inclusive bounds.
 type Loop struct {

@@ -40,27 +40,12 @@ func BenchmarkInterpretedExecutorBody(b *testing.B) {
 		b.Fatal(err)
 	}
 	env := buildSimpleEnv(10000, 2)
-	body, err := a.ExecutorBody(env, 0)
+	body, err := a.ExecutorBody(env)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		body(int32(i % 10000))
-	}
-}
-
-func BenchmarkGenerateGo(b *testing.B) {
-	loop, err := Parse(trisolveSrc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, err := Analyze(loop)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GenerateGo(a, "Bench")
 	}
 }

@@ -108,7 +108,11 @@ func (env *Env) eval(e Expr, loc locals, intCtx bool) (float64, error) {
 	return 0, fmt.Errorf("transform: unknown expression %T", e)
 }
 
-// Bounds evaluates the outer loop's inclusive bounds.
+// Bounds evaluates the outer loop's inclusive bounds and checks that every
+// iteration's write lands inside the written array: the array is bound,
+// lo >= 0 and, unless the loop is empty, hi < len(x). Inspect,
+// ExecutorBody and RunSequential all start here, so a binding that does
+// not fit the loop is an error before any iteration runs.
 func (a *Analysis) Bounds(env *Env) (lo, hi int, err error) {
 	lo, err = env.evalInt(a.Loop.Lo, locals{})
 	if err != nil {
@@ -117,6 +121,14 @@ func (a *Analysis) Bounds(env *Env) (lo, hi int, err error) {
 	hi, err = env.evalInt(a.Loop.Hi, locals{})
 	if err != nil {
 		return 0, 0, err
+	}
+	x, ok := env.Float[a.Written]
+	switch {
+	case !ok:
+		return 0, 0, fmt.Errorf("transform: written array %q not bound", a.Written)
+	case hi >= lo && (lo < 0 || hi >= len(x)):
+		return 0, 0, fmt.Errorf("transform: loop %s = %d, %d writes outside %s(0:%d)",
+			a.Loop.Var, lo, hi, a.Written, len(x)-1)
 	}
 	return lo, hi, nil
 }
@@ -218,14 +230,16 @@ func (a *Analysis) inspectExpr(env *Env, e Expr, loc locals, collect func(int)) 
 // the current and earlier iterations come from the live array — the
 // semantics of the transformed loop in paper Figure 4.
 //
-// The returned body allocates its scalar locals per invocation, so
-// concurrent iterations do not share temporaries.
-func (a *Analysis) ExecutorBody(env *Env, lo int) (executor.Body, error) {
-	x, ok := env.Float[a.Written]
-	if !ok {
-		return nil, fmt.Errorf("transform: written array %q not bound", a.Written)
+// The body's index i is the iteration's offset from the loop's lower
+// bound, the numbering Inspect gives its dependences. The returned body
+// allocates its scalar locals per invocation, so concurrent iterations do
+// not share temporaries.
+func (a *Analysis) ExecutorBody(env *Env) (executor.Body, error) {
+	lo, _, err := a.Bounds(env)
+	if err != nil {
+		return nil, err
 	}
-	xold := append([]float64(nil), x...)
+	xold := append([]float64(nil), env.Float[a.Written]...)
 	run := func(i int32) {
 		iter := lo + int(i)
 		loc := locals{a.Loop.Var: float64(iter)}

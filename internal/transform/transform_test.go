@@ -2,7 +2,6 @@ package transform
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"doconsider/internal/core"
@@ -138,6 +137,24 @@ func TestAnalyzeRejectsNoWrite(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsRebindingLoopVar: a body that reassigns the loop
+// variable, or an inner loop that reuses it, would write outside x(i) and
+// break both the inspector's dependences and the executor's bounds.
+func TestAnalyzeRejectsRebindingLoopVar(t *testing.T) {
+	for _, src := range []string{
+		"doconsider i = 0, n-1\n i = ia(i)\n x(i) = 1\nenddo",
+		"doconsider i = 0, n-1\n do i = 0, 9\n  x(i) = 1\n enddo\nenddo",
+	} {
+		loop, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Analyze(loop); err == nil {
+			t.Errorf("Analyze accepted %q", src)
+		}
+	}
+}
+
 // buildSimpleEnv binds the simple loop's arrays.
 func buildSimpleEnv(n int, seed int64) *Env {
 	rng := rand.New(rand.NewSource(seed))
@@ -206,7 +223,7 @@ func TestTransformedSimpleLoopMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := a.ExecutorBody(envPar, 0)
+		body, err := a.ExecutorBody(envPar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +285,7 @@ func TestTransformedTriangularSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := a.ExecutorBody(env, 0)
+	body, err := a.ExecutorBody(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,38 +311,6 @@ func TestTransformedTriangularSolve(t *testing.T) {
 	}
 }
 
-func TestGenerateGo(t *testing.T) {
-	loop, _ := Parse(simpleLoopSrc)
-	a, err := Analyze(loop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := GenerateGo(a, "RunSimple")
-	for _, want := range []string{
-		"func RunSimple(x []float64, b []float64, ia []int32",
-		"core.New(deps",
-		"wavefront.FromAdjacency(adj)",
-		"xold := append([]float64(nil), x...)",
-		"rt.Run(func(i int32) {",
-	} {
-		if !strings.Contains(src, want) {
-			t.Errorf("generated code missing %q:\n%s", want, src)
-		}
-	}
-}
-
-func TestGenerateGoNested(t *testing.T) {
-	loop, _ := Parse(trisolveSrc)
-	a, err := Analyze(loop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := GenerateGo(a, "RunTriSolve")
-	if !strings.Contains(src, "for j :=") {
-		t.Errorf("generated code missing inner loop:\n%s", src)
-	}
-}
-
 func TestEnvEvalErrors(t *testing.T) {
 	env := NewEnv()
 	if _, err := env.eval(Ident{Name: "missing"}, locals{}, false); err == nil {
@@ -340,6 +325,63 @@ func TestEnvEvalErrors(t *testing.T) {
 	}
 	if _, err := env.eval(Bin{Op: '/', L: Num{Val: 1}, R: Num{Val: 0}}, locals{}, false); err == nil {
 		t.Error("eval accepted division by zero")
+	}
+}
+
+// TestBindingsThatDoNotFit: every route into the interpreter checks the
+// bindings against the loop before any iteration runs, and returns an
+// error instead of indexing outside the written array.
+func TestBindingsThatDoNotFit(t *testing.T) {
+	loop, err := Parse("doconsider i = lo, hi\n x(i) = 1\nenddo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Analyze(loop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bind := func(lo, hi int, x []float64) *Env {
+		env := NewEnv()
+		env.Scalars["lo"], env.Scalars["hi"] = lo, hi
+		if x != nil {
+			env.Float["x"] = x
+		}
+		return env
+	}
+	routes := map[string]func(*Env) error{
+		"RunSequential": a.RunSequential,
+		"Inspect": func(env *Env) error {
+			_, err := a.Inspect(env)
+			return err
+		},
+		"ExecutorBody": func(env *Env) error {
+			_, err := a.ExecutorBody(env)
+			return err
+		},
+	}
+	for _, c := range []struct {
+		name   string
+		env    *Env
+		wantOK bool
+	}{
+		{"write past the end", bind(0, 4, make([]float64, 4)), false},
+		{"negative lower bound", bind(-1, 2, make([]float64, 4)), false},
+		{"unbound written array", bind(0, 3, nil), false},
+		{"empty loop below zero", bind(-5, -6, make([]float64, 4)), true},
+		{"exact fit", bind(0, 3, make([]float64, 4)), true},
+	} {
+		for route, call := range routes {
+			t.Run(c.name+"/"+route, func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				if err := call(c.env); (err == nil) != c.wantOK {
+					t.Errorf("err = %v, want ok = %v", err, c.wantOK)
+				}
+			})
+		}
 	}
 }
 
@@ -358,9 +400,6 @@ enddo
 	a, err := Analyze(loop)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(a.Scalars) != 1 || a.Scalars[0] != "temp" {
-		t.Errorf("Scalars = %v", a.Scalars)
 	}
 	n := 200
 	rng := rand.New(rand.NewSource(4))
@@ -395,7 +434,7 @@ enddo
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := a.ExecutorBody(par, 0)
+	body, err := a.ExecutorBody(par)
 	if err != nil {
 		t.Fatal(err)
 	}
