@@ -97,12 +97,17 @@ func TestWidthGridTrisolve(t *testing.T) {
 	}
 }
 
-// widthGridColumns solves batches of B = 1..8 right-hand sides through
-// BatchSolver.Solve and SolveTimed on an adaptive four-processor plan,
-// fused and row-wise, at every width 1..4. A batch of two or more runs
-// as a column pass — no ready checks, at most min(B, w) participants —
-// and a single vector as the plan's scheduled pass; both must be
-// bit-equal to ForwardSeq/BackwardSeq.
+// widthGridColumns drives the column passes at every width 1..4 of a
+// four-processor plan, fused and row-wise. Batches of B = 1..8 go through
+// BatchSolver.Solve and SolveTimed on an adaptive plan: two or more run
+// as a column pass, a single vector as the plan's scheduled pass. Groups
+// of two or three members — two of them on one *CSR in some — with one to
+// three columns each go through SolveGroupCtx on the adaptive plan and on
+// a pinned Pooled one, always a column pass. A pinned Sequential plan and
+// a PlanCache first sight run every batch and group as a column pass on
+// the caller alone. A column pass makes no ready checks and runs on at
+// most min(columns, w) participants; every column must be bit-equal to
+// ForwardSeq/BackwardSeq.
 func widthGridColumns(t *testing.T, name string, lower bool) {
 	const maxB = 8
 	l := problems.MustGet(name).L
@@ -111,9 +116,91 @@ func widthGridColumns(t *testing.T, name string, lower bool) {
 	}
 	rng := rand.New(rand.NewSource(int64(l.N) + 1))
 	bs := rhs(rng, l.N, maxB)
-	want := make([][]float64, maxB)
-	for j := range bs {
-		want[j] = oracle(t, l, lower, bs[j])
+	// A group member with the plan's structure and its own values.
+	other := l.Clone()
+	for k := range other.Val {
+		other.Val[k] *= 1.5
+	}
+	factors := []*sparse.CSR{l, other}
+	want := make([][][]float64, len(factors))
+	for f, fl := range factors {
+		for j := range bs {
+			want[f] = append(want[f], oracle(t, fl, lower, bs[j]))
+		}
+	}
+	// columnPass checks a column pass's metrics against the cap.
+	columnPass := func(what string, m executor.Metrics, cap int) {
+		t.Helper()
+		checkWidth(t, what, m, cap)
+		if m.SpinChecks != 0 || m.Executed != int64(l.N) {
+			t.Fatalf("%s: column pass made %d ready checks, executed %d of %d", what, m.SpinChecks, m.Executed, l.N)
+		}
+	}
+	// groups solves each group shape on plan at width w; seq plans run
+	// on the caller alone. A shape lists (factor, columns) per member.
+	shapes := [][][2]int{{{0, 1}, {1, 2}}, {{1, 3}, {1, 1}}, {{0, 2}, {1, 1}, {0, 3}}, {{1, 1}, {0, 1}, {1, 1}}}
+	groups := func(what string, plan *trisolve.Plan, w int, seq bool) {
+		t.Helper()
+		for _, shape := range shapes {
+			group := make([]trisolve.BatchProblem, len(shape))
+			cols := 0
+			for g, mem := range shape {
+				group[g] = trisolve.BatchProblem{L: factors[mem[0]], Xs: rhs(rng, l.N, mem[1]), Bs: bs[cols : cols+mem[1]]}
+				cols += mem[1]
+			}
+			what := fmt.Sprintf("%s group %v", what, shape)
+			m, err := plan.SolveGroupCtx(context.Background(), group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq {
+				columnPass(what, m, 1)
+			} else {
+				columnPass(what, m, min(w, cols))
+			}
+			cols = 0
+			for g, mem := range shape {
+				for j, x := range group[g].Xs {
+					bitEqual(t, fmt.Sprintf("%s member %d column %d", what, g, j), x, want[mem[0]][cols+j])
+				}
+				cols += mem[1]
+			}
+		}
+	}
+	// batches solves B = 1..maxB right-hand sides on plan at width w,
+	// untimed and timed; col reports whether batch B runs as a column
+	// pass, and cap bounds its width.
+	batches := func(what string, plan *trisolve.Plan, w int, col func(b int) bool, cap func(b int) int) {
+		t.Helper()
+		s := plan.Bind()
+		for b := 1; b <= maxB; b++ {
+			for _, timed := range []bool{false, true} {
+				what := fmt.Sprintf("%s B=%d timed=%v", what, b, timed)
+				var clock levelClock
+				xs := rhs(rng, l.N, b)
+				var m executor.Metrics
+				var err error
+				if timed {
+					m, err = s.SolveTimed(context.Background(), xs, bs[:b], &clock)
+				} else {
+					m, err = s.Solve(context.Background(), xs, bs[:b])
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if col(b) {
+					columnPass(what, m, cap(b))
+				} else if checkWidth(t, what, m, cap(b)); m.SpinChecks == 0 || m.Executed != int64(l.N) {
+					t.Fatalf("%s: scheduled pass made %d ready checks, executed %d of %d", what, m.SpinChecks, m.Executed, l.N)
+				}
+				for j := range xs {
+					bitEqual(t, what, xs[j], want[0][j])
+				}
+				if timed && clock.ns <= 0 {
+					t.Fatalf("%s: no level time charged", what)
+				}
+			}
+		}
 	}
 	for _, fuse := range []trisolve.FuseMode{trisolve.FuseForce, trisolve.FuseOff} {
 		plan, err := trisolve.NewPlan(l, lower, trisolve.WithProcs(gridProcs),
@@ -124,42 +211,50 @@ func widthGridColumns(t *testing.T, name string, lower bool) {
 		if plan.Decision == nil || plan.Kind == executor.Sequential {
 			t.Fatalf("%s lower=%v fuse=%v: adaptive plan chose %v, want a parallel kind", name, lower, fuse, plan.Kind)
 		}
-		s := plan.Bind()
+		pooled, err := trisolve.NewPlan(l, lower, trisolve.WithProcs(gridProcs),
+			trisolve.WithKind(executor.Pooled), trisolve.WithFusion(fuse))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for w := 1; w <= gridProcs; w++ {
 			executor.SetMaxWidth(t, w)
-			for b := 1; b <= maxB; b++ {
-				for _, timed := range []bool{false, true} {
-					what := fmt.Sprintf("%s lower=%v fuse=%v w=%d B=%d timed=%v", name, lower, fuse, w, b, timed)
-					var clock levelClock
-					xs := rhs(rng, l.N, b)
-					var m executor.Metrics
-					if timed {
-						m, err = s.SolveTimed(context.Background(), xs, bs[:b], &clock)
-					} else {
-						m, err = s.Solve(context.Background(), xs, bs[:b])
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if b == 1 {
-						checkWidth(t, what, m, w)
-					} else {
-						checkWidth(t, what, m, min(w, b))
-					}
-					if columns := m.SpinChecks == 0; columns != (b >= 2) || m.Executed != int64(l.N) {
-						t.Fatalf("%s: column pass = %v (%d ready checks), executed %d of %d",
-							what, columns, m.SpinChecks, m.Executed, l.N)
-					}
-					for j := range xs {
-						bitEqual(t, what, xs[j], want[j])
-					}
-					if timed && clock.ns <= 0 {
-						t.Fatalf("%s: no level time charged", what)
-					}
+			what := fmt.Sprintf("%s lower=%v fuse=%v w=%d", name, lower, fuse, w)
+			batches(what, plan, w, func(b int) bool { return b >= 2 }, func(b int) int {
+				if b == 1 {
+					return w
 				}
-			}
+				return min(w, b)
+			})
+			groups(what, plan, w, false)
+			groups(what+" pooled", pooled, w, false)
 		}
 		plan.Close()
+		pooled.Close()
+	}
+	seq, err := trisolve.NewPlan(l, lower, trisolve.WithProcs(gridProcs), trisolve.WithKind(executor.Sequential))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := trisolve.NewPlanCache(4)
+	first, err := pc.Get(l, lower, trisolve.WithProcs(gridProcs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Deps != nil {
+		t.Fatalf("%s lower=%v: a structure's first sight was inspected", name, lower)
+	}
+	for w := 1; w <= gridProcs; w++ {
+		executor.SetMaxWidth(t, w)
+		for plan, kind := range map[*trisolve.Plan]string{seq: "sequential", first: "first sight"} {
+			what := fmt.Sprintf("%s lower=%v %s w=%d", name, lower, kind, w)
+			batches(what, plan, w, func(int) bool { return true }, func(int) int { return 1 })
+			groups(what, plan, w, true)
+		}
+	}
+	seq.Close()
+	first.Close()
+	if err := pc.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -308,12 +308,7 @@ func TestBinaryAdmission429(t *testing.T) {
 	s, ts := newTestServer(t, Config{Procs: 1, Admission: AdmissionConfig{MaxInFlight: 1, Queue: -1}})
 	l := testFactor(8)
 	body := solveBody(t, l, true, [][]float64{randVec(l.N, 1)})
-	_, finish := stallRequest(t, ts.URL, body)
-	defer finish()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.adm.inFlight() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	stallRequest(t, s, ts.URL, body)
 	lower := true
 	frame, err := EncodeRequestFrame(&SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx,
 		Val: l.Val, Lower: &lower, B: [][]float64{randVec(l.N, 1)}})

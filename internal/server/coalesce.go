@@ -410,10 +410,11 @@ func (c *Coalescer) withdraw(req *coReq) {
 // for by parked and pass-blocked requests, nobody is left who could
 // still join, and waiting out the timers would only add latency. Windows
 // whose key has a pass in flight are held back — arrivals keep
-// accumulating behind the running pass (a scheduled pass would only
-// serialize on the bound plan anyway) and seal together when it
-// completes, the group-commit chain in passDone. This pairing is what makes the window
-// an upper bound for open traffic without stalling closed-loop clients.
+// accumulating behind the running pass, so they fuse into the next one
+// instead of each starting a narrow pass of its own, and seal together
+// when it completes, the group-commit chain in passDone. This pairing is
+// what makes the window an upper bound for open traffic without stalling
+// closed-loop clients.
 // Callers hold c.mu.
 func (c *Coalescer) sealIfQuiescentLocked() {
 	if c.inflight == nil || c.parked == 0 {
@@ -493,10 +494,11 @@ func (c *Coalescer) passCtx(members []*coReq) (context.Context, context.CancelFu
 // structure, so the plan's skeleton cannot close under the pass; at the
 // structure's first sight the plan is uninspected and the pass is the
 // sequential loop — and wakes every waiter. A lone member solves
-// through the plan's bound solver: no group assembly, no per-call body
-// closure, no allocation (the stage stamps are two clock reads); that is
-// the shape of the warm fp-resubmission path. Fused members' done channels are closed even on
-// error, each carrying the pass error.
+// through the plan's batched solver: no group assembly, no allocation
+// (the stage stamps are two clock reads); that is the shape of the warm
+// fp-resubmission path. Fused members run as one column pass. Fused
+// members' done channels are closed even on error, each carrying the
+// pass error.
 func (c *Coalescer) execute(ctx context.Context, members []*coReq) {
 	var metrics executor.Metrics
 	strategy := ""

@@ -137,12 +137,7 @@ func TestNegativeTimeoutRejectedBothWires(t *testing.T) {
 	lower := true
 	// A request stalled mid-body keeps the coalescer from sealing windows
 	// by quiescence, so only a deadline can release a parked request.
-	_, finish := stallRequest(t, ts.URL, solveBody(t, l, true, [][]float64{randVec(l.N, 1)}))
-	defer finish()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.adm.inFlight() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	stallRequest(t, s, ts.URL, solveBody(t, l, true, [][]float64{randVec(l.N, 1)}))
 	cases := []struct {
 		name      string
 		timeoutMs int
@@ -194,7 +189,7 @@ func TestClassSeparationBothWires(t *testing.T) {
 			}
 			// One admitted request stalled mid-body, so quiescence cannot
 			// seal the batch window early.
-			_, finish := stallRequest(t, ts.URL, solveBody(t, l, true, [][]float64{randVec(l.N, 1)}))
+			_, finish := stallRequest(t, s, ts.URL, solveBody(t, l, true, [][]float64{randVec(l.N, 1)}))
 			batch := make(chan error, 1)
 			go func() {
 				rep, err := postWire(ts.URL, wire, "", mk(2))
@@ -243,12 +238,7 @@ func TestShedResponseBothWires(t *testing.T) {
 	s, ts := newTestServer(t, Config{Procs: 1, Admission: AdmissionConfig{MaxInFlight: 1, Queue: -1}})
 	l := testFactor(8)
 	body := solveBody(t, l, true, [][]float64{randVec(l.N, 1)})
-	_, finish := stallRequest(t, ts.URL, body)
-	defer finish()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.adm.inFlight() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	stallRequest(t, s, ts.URL, body)
 
 	// JSON wire.
 	status, e, retry := postTenant(t, ts.URL, "shedme", body)

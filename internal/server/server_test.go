@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -243,11 +244,15 @@ func TestServerMethodChecks(t *testing.T) {
 	}
 }
 
-// stallRequest opens a solve request whose body stalls mid-upload,
-// pinning it in flight (admitted, blocked in decode) until finish is
-// called with the rest of the body — the deterministic way to hold
-// server capacity from a test.
-func stallRequest(t *testing.T, url string, body []byte) (done <-chan int, finish func()) {
+// stallRequest opens a solve request whose body stalls mid-upload and
+// waits until s has admitted it, pinning it in flight (admitted, blocked
+// in decode) until finish is called with the rest of the body — the
+// deterministic way to hold server capacity from a test. Tests that send
+// other requests next rely on the wait: without it a later request can be
+// admitted first and find the server idle. finish also runs at cleanup,
+// before the test server closes, so a test that fails first cannot leave
+// Close waiting on the stalled upload until the binary's timeout.
+func stallRequest(t *testing.T, s *Server, url string, body []byte) (done <-chan int, finish func()) {
 	t.Helper()
 	pr, pw := io.Pipe()
 	ch := make(chan int, 1)
@@ -261,14 +266,21 @@ func stallRequest(t *testing.T, url string, body []byte) (done <-chan int, finis
 		ch <- resp.StatusCode
 	}()
 	half := len(body) / 2
+	rest := body[half:]
+	finish = sync.OnceFunc(func() {
+		pw.Write(rest)
+		pw.Close()
+	})
+	t.Cleanup(finish)
 	if _, err := pw.Write(body[:half]); err != nil {
 		t.Fatal(err)
 	}
-	rest := body[half:]
-	return ch, func() {
-		pw.Write(rest)
-		pw.Close()
+	for deadline := time.Now().Add(5 * time.Second); s.adm.inFlight() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("stalled request never went in flight")
+		}
 	}
+	return ch, finish
 }
 
 // TestServerAdmissionControl pins one request in flight and verifies the
@@ -282,14 +294,7 @@ func TestServerAdmissionControl(t *testing.T) {
 	l := testFactor(8)
 	body := solveBody(t, l, true, [][]float64{randVec(l.N, 1)})
 
-	first, finish := stallRequest(t, ts.URL, body)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.adm.inFlight() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if s.adm.inFlight() < 1 {
-		t.Fatal("first request never went in flight")
-	}
+	first, finish := stallRequest(t, s, ts.URL, body)
 
 	resp, err := http.Post(ts.URL+"/v1/trisolve", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -349,11 +354,10 @@ func TestServerAdmissionControl(t *testing.T) {
 // early (quiescence needs every in-flight request parked): the deadline,
 // not the window, must decide when the request comes back.
 func TestServerRequestDeadline(t *testing.T) {
-	_, ts := newTestServer(t, Config{Procs: 1, Coalesce: CoalesceConfig{Window: 10 * time.Second, Width: 64}})
+	s, ts := newTestServer(t, Config{Procs: 1, Coalesce: CoalesceConfig{Window: 10 * time.Second, Width: 64}})
 	l := testFactor(8)
 	body := solveBody(t, l, true, [][]float64{randVec(l.N, 1)})
-	_, finish := stallRequest(t, ts.URL, body)
-	defer finish()
+	stallRequest(t, s, ts.URL, body)
 
 	req := SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx, Val: l.Val,
 		B: [][]float64{randVec(l.N, 1)}, TimeoutMs: 20}

@@ -130,8 +130,8 @@ func (r *levelRecorder) Add(level int32, _ int64) {
 
 // TestFirstSightBitIdentical: an uninspected plan's every solve shape —
 // single, batch, group of structural peers, timed — is the sequential
-// loop, lower and upper, bit for bit; a timed pass charges every row to
-// level 0.
+// loop, lower and upper, bit for bit; a timed pass, a column pass on the
+// caller alone, charges its one sweep to level 0.
 func TestFirstSightBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	for _, lower := range []bool{true, false} {
@@ -175,14 +175,15 @@ func TestFirstSightBitIdentical(t *testing.T) {
 
 		clock := &levelRecorder{levels: map[int32]int{}}
 		xs, bs = randomRHS(rng, n, 2), randomRHS(rng, n, 2)
-		if _, err := p.Bind().SolveTimed(ctx, xs, bs, clock); err != nil {
+		m, err := p.Bind().SolveTimed(ctx, xs, bs, clock)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for j := range xs {
 			assertBitIdentical(t, xs[j], refSolve(t, tri, lower, bs[j]), fmt.Sprintf("%s timed rhs %d", what, j))
 		}
-		if len(clock.levels) != 1 || clock.levels[0] != n {
-			t.Fatalf("%s: timed first-sight pass charged %v, want all %d rows to level 0", what, clock.levels, n)
+		if len(clock.levels) != 1 || clock.levels[0] != 1 || m.P != 1 {
+			t.Fatalf("%s: timed first-sight pass on %d participants charged %v, want one sweep to level 0", what, m.P, clock.levels)
 		}
 		if err := p.Close(); err != nil {
 			t.Fatal(err)

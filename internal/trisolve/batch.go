@@ -21,24 +21,18 @@ func (p *Plan) SolveCtx(ctx context.Context, x, b []float64) (executor.Metrics, 
 	if n := p.L.N; len(x) != n || len(b) != n {
 		return executor.Metrics{}, fmt.Errorf("trisolve: vectors have length %d/%d, want %d", len(x), len(b), n)
 	}
-	s := p.Bind()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.one == nil {
-		s.one = new([2][1][]float64)
-	}
-	s.one[0][0], s.one[1][0] = x, b
-	s.xs, s.bs = s.one[0][:], s.one[1][:]
-	m, err := s.pass(ctx, s.body)
-	s.one[0][0], s.one[1][0] = nil, nil
-	return m, err
+	r := take(p.L, nil, nil)
+	r.one[0][0], r.one[1][0] = x, b
+	r.own[0].Xs, r.own[0].Bs = r.one[0][:], r.one[1][:]
+	return p.solve(ctx, r, nil)
 }
 
 // SolveBatch solves the planned triangular system for len(xs) right-hand
-// sides in one pass, writing solution j to xs[j]: a column pass on an
-// adaptive plan that chose a parallel kind (see BatchSolver), else one
-// scheduled pass, which reads every row's nonzeros once for all
-// right-hand sides and pays the busy-waits and dispatch once, not k times.
+// sides in one pass, writing solution j to xs[j]: a column pass on a
+// sequential plan or an adaptive plan that chose a parallel kind (see
+// Plan.solve), else one scheduled pass of a pinned parallel kind, which
+// reads every row's nonzeros once for all right-hand sides and pays the
+// busy-waits and dispatch once, not k times.
 // Each xs[j] must not alias its bs[j] or any other vector in the batch.
 // With k = 1 the arithmetic matches Solve exactly (same operations in the
 // same order), so the results are bit-identical.
@@ -62,15 +56,16 @@ type BatchProblem struct {
 	Xs, Bs [][]float64 // len(Xs) == len(Bs); one solution per RHS
 }
 
-// SolveGroupCtx solves every member's systems in one scheduled pass. Each
-// member's factor must have exactly the sparsity pattern of the plan's
-// factor (checked via StructureFingerprint) but may carry different
-// values: the group shares the inspector output and the executor pass —
-// the dependence busy-waits and the dispatch are paid once for the whole
-// group — while each member solves with its own numbers. Per member the
-// arithmetic matches SolveBatch on that member alone (same operations in
-// the same order), so results are bit-identical to unfused solves. A
-// cancelled context releases every worker and returns ctx.Err().
+// SolveGroupCtx solves every member's systems in one pass. Each member's
+// factor must have exactly the sparsity pattern of the plan's factor
+// (checked via StructureFingerprint) but may carry different values: the
+// group shares the inspector output and the pass's dispatch while each
+// member solves with its own numbers. A group of two or more members runs
+// as a column pass over all members' columns (see Plan.solve); a member
+// alone is SolveBatch with its values. Per member the arithmetic matches
+// SolveBatch on that member alone (same operations in the same order), so
+// results are bit-identical to unfused solves. A cancelled context
+// releases every worker and returns ctx.Err().
 func (p *Plan) SolveGroupCtx(ctx context.Context, group []BatchProblem) (executor.Metrics, error) {
 	if len(group) == 0 {
 		return executor.Metrics{}, nil
@@ -85,12 +80,7 @@ func (p *Plan) SolveGroupCtx(ctx context.Context, group []BatchProblem) (executo
 			return executor.Metrics{}, fmt.Errorf("group member %d: %w", g, err)
 		}
 	}
-	s := p.Bind()
-	if len(group) == 1 && group[0].L == p.L {
-		// The plan's own factor, alone: the single-member kernel.
-		return s.Solve(ctx, group[0].Xs, group[0].Bs)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pass(ctx, p.in.Sweep(func(k int32) { s.groupRow(group, k) }))
+	r := take(nil, nil, nil)
+	r.group = group
+	return p.solve(ctx, r, nil)
 }

@@ -15,7 +15,7 @@ import (
 // triangular solve (the paper's Figure 8) — bound to a factor's values.
 // Iteration k stands for row k of a forward solve and row n-1-k of a
 // backward one (the reflected numbering of wavefront.FromUpper). For each
-// installed right-hand side the row's stored entries are accumulated in
+// of its right-hand sides the row's stored entries are accumulated in
 // CSR order, skipping the diagonal, and the sum is multiplied once by
 // the reciprocal diagonal, taken from the row itself: exactly the per-row
 // sequence of ForwardSeq and BackwardSeq, so any schedule, executor kind,
@@ -28,7 +28,7 @@ type kernel struct {
 	lower  bool
 	last   int32 // n-1, the row of backward iteration 0
 
-	xs, bs [][]float64 // per-pass, installed by the solve entry points
+	xs, bs [][]float64 // the pass's vectors (pass.sweep: a participant's span)
 }
 
 func newKernel(l *sparse.CSR, lower bool) kernel {
@@ -50,7 +50,7 @@ func invDiag(cols []int32, vals []float64, r int32) float64 {
 	return 1 / vals[q]
 }
 
-// row performs iteration k for every installed right-hand side.
+// row performs iteration k for every right-hand side of the kernel.
 func (kn *kernel) row(k int32) {
 	r := k
 	if !kn.lower {
@@ -75,33 +75,17 @@ func (kn *kernel) row(k int32) {
 	}
 }
 
-// groupRow is row for a group of structurally identical factors: the
-// same loop with a member loop around the right-hand-side loop, each
-// member bringing its own values and so its own diagonal. It exists
-// beside row only because the extra loop level costs a single-member
-// pass 9–22 % on row-wise plans.
-func (kn *kernel) groupRow(group []BatchProblem, k int32) {
-	r := k
-	if !kn.lower {
-		r = kn.last - k
-	}
-	lo, hi := kn.rp[r], kn.rp[r+1]
-	cols := kn.ci[lo:hi]
-	for g := range group {
-		m := &group[g]
-		vals := m.L.Val[lo:hi]
-		vals = vals[:len(cols)]
-		d := invDiag(cols, vals, r)
-		for j, x := range m.Xs {
-			acc := m.Bs[j][r]
-			for q, c := range cols {
-				if c != r {
-					acc -= float64(vals[q] * x[c])
-				}
-			}
-			x[r] = acc * d
+// sweep runs the sequential loop — row k for k = 0..n-1, the order of
+// ForwardSeq and BackwardSeq — polling stop every 256 rows, and reports
+// whether it ran to the end.
+func (kn *kernel) sweep(stop func() bool) bool {
+	for k := int32(0); k <= kn.last; k++ {
+		if k%256 == 0 && stop() {
+			return false
 		}
+		kn.row(k)
 	}
+	return true
 }
 
 // RowBody returns the kernel as a bare loop body for one right-hand side
@@ -115,88 +99,145 @@ func RowBody(l *sparse.CSR, lower bool, x, b []float64) executor.Body {
 	return kn.row
 }
 
-// BatchSolver is a plan's bound solve state, built in O(1): the kernel
-// over the plan's factor and the executor bodies that sweep it over the
-// plan's schedule, so repeated solves allocate nothing.
-//
-// A batch of two or more right-hand sides on an adaptive plan whose
-// inspection chose a parallel kind runs as a column pass (see columns),
-// which installs nothing here, so such passes on one plan run at once.
-// Every other pass — single vectors, pinned kinds, sequential decisions
-// and first sights, coalesced groups — installs its vectors into kernel
-// fields read by the bound bodies under a mutex, which serializes those
-// passes on one plan.
-type BatchSolver struct {
+// BatchSolver is a plan's batched solve entry point. It holds only the
+// plan: every solve runs on a pass record of its own (see pass), so
+// solves on one plan share nothing and run at once, and Bind allocates
+// nothing.
+type BatchSolver struct{ p *Plan }
+
+// pass is one solve's record: the kernel over that solve's vectors, its
+// clock, the fused plan's unit spans and one-element slots for a single
+// vector. Its bodies are bound once, when the record is built. Records
+// serve every plan from one free list — a mutex-guarded slice, which
+// keeps what it is given, unlike a sync.Pool under the race detector —
+// so a warm solve allocates nothing.
+type pass struct {
 	kernel
-	p     *Plan
-	split bool // adaptive, parallel kind: batches run as column passes
+	group   []BatchProblem  // the solve's members; a batch is a group of one
+	own     [1]BatchProblem // a batch's group
+	one     [2][1][]float64 // a single vector's xs and bs
+	units   []int32         // a fused plan's supernode row spans, else nil
+	levelOf []int32         // the scheduled indices' wavefront levels
+	clock   LevelClock
 
-	// body runs row: per scheduled index on a row-wise plan, over the
-	// supernode's iteration span on a fused one (core.Inspection.Sweep).
-	body executor.Body
-
-	// timed wraps body to charge each scheduled index's runtime to its
-	// wavefront level on the installed clock. Built on the first timed
-	// solve, once, so sampled solves on a warm solver stay
-	// allocation-free.
-	timed executor.Body
-	clock LevelClock // per-call, installed under mu like xs/bs
-
-	mu sync.Mutex
-	// one backs the one-element xs/bs of single-vector solves (Plan.Solve);
-	// allocated by the first, so batched-only callers never pay for it.
-	one *[2][1][]float64
+	body, timed executor.Body
+	span        executor.Span
 }
 
-// colPass is one column pass's state: the kernel over the whole batch and
-// the clock it charges. Its span is bound once and records are recycled
-// through colPasses, so a warm column pass allocates nothing.
-type colPass struct {
-	kernel
-	clock LevelClock
-	span  executor.Span
+var passes struct {
+	mu   sync.Mutex
+	free []*pass
 }
 
-var colPasses = sync.Pool{New: func() any {
-	c := new(colPass)
-	c.span = c.sweep
-	return c
-}}
+// take returns a record from the free list, or builds one, set to solve
+// a group of one: xs and bs against the factor l.
+func take(l *sparse.CSR, xs, bs [][]float64) *pass {
+	passes.mu.Lock()
+	var r *pass
+	if n := len(passes.free); n > 0 {
+		r = passes.free[n-1]
+		passes.free = passes.free[:n-1]
+	} else {
+		r = new(pass)
+		r.body, r.timed, r.span = r.unit, r.timedUnit, r.sweep
+	}
+	passes.mu.Unlock()
+	r.own[0] = BatchProblem{L: l, Xs: xs, Bs: bs}
+	r.group = r.own[:]
+	return r
+}
 
-// columns runs the batch as a column pass on at most width participants:
-// each solves a contiguous span of the columns with the plain sequential
-// loop — kernel.row for k = 0..n-1, the order of ForwardSeq and
-// BackwardSeq — reading each row once for its span. No column waits on
+// drop clears the record's references to the solve and returns it to
+// the free list.
+func (r *pass) drop() {
+	*r = pass{body: r.body, timed: r.timed, span: r.span}
+	passes.mu.Lock()
+	passes.free = append(passes.free, r)
+	passes.mu.Unlock()
+}
+
+// unit runs scheduled index u: row u of a row-wise plan, or supernode
+// u's rows in order on a fused one (core.Inspection.Sweep).
+func (r *pass) unit(u int32) {
+	if r.units == nil {
+		r.row(u)
+		return
+	}
+	for k := r.units[u]; k < r.units[u+1]; k++ {
+		r.row(k)
+	}
+}
+
+// timedUnit is unit charging its runtime to u's wavefront level.
+func (r *pass) timedUnit(u int32) {
+	t0 := time.Now()
+	r.unit(u)
+	r.clock.Add(r.levelOf[u], time.Since(t0).Nanoseconds())
+}
+
+// sweep is one participant's span of a column pass: columns lo..hi-1,
+// numbered across the members in order, each member's share solved by
+// the sequential loop with that member's own values. No column waits on
 // another, so every column is the sequential loop's result by
-// construction, and passes on one plan share nothing.
-func (s *BatchSolver) columns(ctx context.Context, xs, bs [][]float64, clock LevelClock, width int) (executor.Metrics, error) {
-	c := colPasses.Get().(*colPass)
-	c.kernel, c.clock = newKernel(s.p.L, s.p.Lower), clock
-	c.xs, c.bs = xs, bs
-	m, err := s.p.exec.RunColumns(ctx, len(xs), width, c.span)
-	if err == nil {
-		m.Executed = int64(s.p.L.N)
+// construction. A timed span is charged to level 0, as an uninspected
+// pass is.
+func (r *pass) sweep(lo, hi int, stop func() bool) {
+	t0 := time.Now()
+	for _, g := range r.group {
+		if a, b := max(lo, 0), min(hi, len(g.Xs)); a < b {
+			kn := r.kernel
+			kn.val, kn.xs, kn.bs = g.L.Val, g.Xs[a:b], g.Bs[a:b]
+			if !kn.sweep(stop) {
+				return
+			}
+		}
+		lo, hi = lo-len(g.Xs), hi-len(g.Xs)
 	}
-	c.kernel, c.clock = kernel{}, nil
-	colPasses.Put(c)
-	return m, err
+	if r.clock != nil {
+		r.clock.Add(0, time.Since(t0).Nanoseconds())
+	}
 }
 
-// sweep is one participant's span: the sequential loop over columns
-// lo..hi-1 on a kernel view of its own, polling stop every 256 rows. A
-// timed sweep is charged to level 0, as an uninspected pass is.
-func (c *colPass) sweep(lo, hi int, stop func() bool) {
-	kn, t0 := c.kernel, time.Now()
-	kn.xs, kn.bs = kn.xs[lo:hi], kn.bs[lo:hi]
-	for k := int32(0); k <= kn.last; k++ {
-		if k%256 == 0 && stop() {
-			return
-		}
-		kn.row(k)
+// solve runs r's group on p and returns r to the free list. Any solve on
+// a sequential plan, a group of two or more members and a batch of two
+// or more on an adaptive parallel plan run as a column pass, at width 1
+// on a sequential plan and min(columns, P) otherwise. Only single
+// vectors on parallel plans and batches on pinned parallel kinds run the
+// plan's schedule.
+func (p *Plan) solve(ctx context.Context, r *pass, clock LevelClock) (executor.Metrics, error) {
+	defer r.drop()
+	r.kernel, r.clock = newKernel(p.L, p.Lower), clock
+	cols := 0
+	for _, g := range r.group {
+		cols += len(g.Xs)
 	}
-	if c.clock != nil {
-		c.clock.Add(0, time.Since(t0).Nanoseconds())
+	switch {
+	case cols == 0:
+		return executor.Metrics{}, nil
+	case p.Kind == executor.Sequential:
+		return p.columns(ctx, r, cols, 1)
+	case len(r.group) > 1 || cols > 1 && p.Decision != nil:
+		return p.columns(ctx, r, cols, min(cols, p.Sched.P))
 	}
+	g := &r.group[0]
+	r.val, r.xs, r.bs, r.levelOf = g.L.Val, g.Xs, g.Bs, p.in.UnitWf
+	if p.in.Part != nil {
+		r.units = p.in.Part.RowPtr
+	}
+	if clock == nil {
+		return p.in.Run(ctx, p.exec, r.body)
+	}
+	return p.in.Run(ctx, p.exec, r.timed)
+}
+
+// columns runs r's group, cols columns in all, as a column pass on at
+// most width participants, each claiming a contiguous span (pass.sweep).
+func (p *Plan) columns(ctx context.Context, r *pass, cols, width int) (executor.Metrics, error) {
+	m, err := p.exec.RunColumns(ctx, cols, width, r.span)
+	if err == nil {
+		m.Executed = int64(p.L.N)
+	}
+	return m, err
 }
 
 // LevelClock receives per-wavefront-level executor time from a timed
@@ -207,18 +248,10 @@ type LevelClock interface {
 	Add(level int32, ns int64)
 }
 
-// Bind returns the plan's bound solve state, building it on first use.
-// The solver borrows the plan: a cached plan's lease must be held (the
-// plan not Closed) for as long as the solver is in use.
-func (p *Plan) Bind() *BatchSolver {
-	p.bindOnce.Do(func() {
-		s := &BatchSolver{kernel: newKernel(p.L, p.Lower), p: p,
-			split: p.Decision != nil && p.Kind != executor.Sequential}
-		s.body = p.in.Sweep(s.row)
-		p.bound = s
-	})
-	return p.bound
-}
+// Bind returns the plan's batched solve entry point, which allocates
+// nothing. The solver borrows the plan: a cached plan's lease must be
+// held (the plan not Closed) for as long as the solver is in use.
+func (p *Plan) Bind() *BatchSolver { return &p.solver }
 
 // checkBatch validates a batch's shape against the plan.
 func (p *Plan) checkBatch(xs, bs [][]float64) error {
@@ -234,14 +267,6 @@ func (p *Plan) checkBatch(xs, bs [][]float64) error {
 	return nil
 }
 
-// pass runs one scheduled pass of body over the plan. The caller holds
-// s.mu and has installed the per-pass state, which pass clears.
-func (s *BatchSolver) pass(ctx context.Context, body executor.Body) (executor.Metrics, error) {
-	m, err := s.p.in.Run(ctx, s.p.exec, body)
-	s.xs, s.bs, s.clock = nil, nil, nil
-	return m, err
-}
-
 // Solve runs one batched pass writing solution j to xs[j], with zero
 // allocations on the success path. Each xs[j] must not alias its bs[j]
 // or any other vector in the batch (the parallel executors read b while
@@ -250,46 +275,16 @@ func (s *BatchSolver) Solve(ctx context.Context, xs, bs [][]float64) (executor.M
 	return s.SolveTimed(ctx, xs, bs, nil)
 }
 
-// SolveTimed is Solve with per-wavefront-level timing: each scheduled
-// index's runtime (a row for row-wise plans, a fused supernode for
-// supernodal ones) is charged to its level on clock; a nil clock is a
-// plain Solve. A column pass has no levels: each participant's sweep is
-// charged to level 0. The arithmetic is identical — the timed body wraps
-// the same bound body. The first timed solve on a solver builds the
-// wrapper (one allocation, once); every later call allocates nothing, so
-// level sampling at any rate keeps the serving warm path at 0 allocs/op.
+// SolveTimed is Solve with per-wavefront-level timing: a scheduled pass
+// charges each scheduled index's runtime (a row for row-wise plans, a
+// fused supernode for supernodal ones) to its level on clock, and a
+// column pass, which has no levels, charges each participant's sweep to
+// level 0; a nil clock is a plain Solve. The arithmetic is identical,
+// and a warm timed solve allocates nothing, so level sampling at any
+// rate keeps the serving warm path at 0 allocs/op.
 func (s *BatchSolver) SolveTimed(ctx context.Context, xs, bs [][]float64, clock LevelClock) (executor.Metrics, error) {
 	if err := s.p.checkBatch(xs, bs); err != nil {
 		return executor.Metrics{}, err
 	}
-	if len(xs) == 0 {
-		return executor.Metrics{}, nil
-	}
-	if s.split && len(xs) >= 2 {
-		return s.columns(ctx, xs, bs, clock, min(len(xs), s.p.Sched.P))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.xs, s.bs = xs, bs
-	if clock == nil {
-		return s.pass(ctx, s.body)
-	}
-	if s.timed == nil {
-		// The wavefront numbers in scheduled-index space: unit levels
-		// when fused, row levels otherwise. An uninspected plan has none;
-		// its one sequential sweep is charged to level 0.
-		levelOf := s.p.in.UnitWf
-		inner := s.body
-		s.timed = func(i int32) {
-			t0 := time.Now()
-			inner(i)
-			level := int32(0)
-			if levelOf != nil {
-				level = levelOf[i]
-			}
-			s.clock.Add(level, time.Since(t0).Nanoseconds())
-		}
-	}
-	s.clock = clock
-	return s.pass(ctx, s.timed)
+	return s.p.solve(ctx, take(s.p.L, xs, bs), clock)
 }

@@ -21,9 +21,9 @@ func (c *addCounter) Add(int32, int64) { c.n.Add(1) }
 
 // TestBatchSolverBitIdentical checks the bound solver against the
 // sequential loop over the whole plan grid: a first solve, a second one
-// through the same bound body on new right-hand sides, and a timed
-// solve, whose wrapper must charge every scheduled index exactly once
-// and change no arithmetic.
+// on new right-hand sides, and a timed solve, which must change no
+// arithmetic: a scheduled pass charges every scheduled index exactly
+// once, a sequential plan's column pass one sweep per participant.
 func TestBatchSolverBitIdentical(t *testing.T) {
 	const k = 3
 	ctx := context.Background()
@@ -32,14 +32,15 @@ func TestBatchSolverBitIdentical(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		s := plan.Bind()
 		clock := new(addCounter)
+		want := int64(plan.Deps.N)
 		for pass := 0; pass < 3; pass++ {
 			xs, bs := randomRHS(rng, n, k), randomRHS(rng, n, k)
 			var m executor.Metrics
 			var err error
 			if pass < 2 {
 				m, err = s.Solve(ctx, xs, bs)
-			} else {
-				m, err = s.SolveTimed(ctx, xs, bs, clock)
+			} else if m, err = s.SolveTimed(ctx, xs, bs, clock); plan.Kind == executor.Sequential {
+				want = int64(m.P)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -52,8 +53,8 @@ func TestBatchSolverBitIdentical(t *testing.T) {
 					fmt.Sprintf("%s bound solve pass %d rhs %d", what, pass, j))
 			}
 		}
-		if got, want := clock.n.Load(), int64(plan.Deps.N); got != want {
-			t.Fatalf("%s: timed solve charged %d scheduled indices, want %d", what, got, want)
+		if got := clock.n.Load(); got != want {
+			t.Fatalf("%s: timed solve charged %d times, want %d", what, got, want)
 		}
 	})
 }
@@ -80,8 +81,10 @@ func TestBatchSolverShapeErrors(t *testing.T) {
 }
 
 // TestBatchSolverZeroAlloc pins the solver's purpose: a warm pooled
-// solve through a bound solver, and a warm column pass of an adaptive
-// plan's batch, perform zero heap allocations.
+// solve through a bound solver, a warm column pass of an adaptive plan's
+// batch, a warm two-member group on a pooled and on a sequential plan and
+// a warm single vector on a sequential plan perform zero heap
+// allocations.
 func TestBatchSolverZeroAlloc(t *testing.T) {
 	tri := stencil.Laplace2D(20, 20).LowerWithDiag()
 	plan, err := NewPlan(tri, true, WithProcs(2), WithKind(executor.Pooled))
@@ -118,12 +121,46 @@ func TestBatchSolverZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("column pass = %v allocs/op, want 0", allocs)
 	}
+
+	seq, err := NewPlan(tri, true, WithProcs(2), WithKind(executor.Sequential))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seq.Close()
+	other := scaleValues(tri, 1.5)
+	rng := rand.New(rand.NewSource(8))
+	group := []BatchProblem{
+		{L: tri, Xs: randomRHS(rng, tri.N, 2), Bs: randomRHS(rng, tri.N, 2)},
+		{L: other, Xs: randomRHS(rng, tri.N, 2), Bs: randomRHS(rng, tri.N, 2)},
+	}
+	x, b := make([]float64, tri.N), randRHS(tri.N, 4)
+	for _, c := range []struct {
+		what string
+		pass func() (executor.Metrics, error)
+	}{
+		{"pooled group", func() (executor.Metrics, error) { return plan.SolveGroupCtx(ctx, group) }},
+		{"sequential group", func() (executor.Metrics, error) { return seq.SolveGroupCtx(ctx, group) }},
+		{"sequential single vector", func() (executor.Metrics, error) { return seq.SolveCtx(ctx, x, b) }},
+	} {
+		if _, err := c.pass(); err != nil { // warm
+			t.Fatal(err)
+		}
+		allocs = testing.AllocsPerRun(50, func() {
+			if _, err := c.pass(); err != nil {
+				t.Fatalf("%s: %v", c.what, err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s = %v allocs/op, want 0", c.what, allocs)
+		}
+	}
 }
 
-// rendezvous is a LevelClock whose Add, called at the end of every
-// column sweep of its pass, waits until the other pass's clock has been
-// charged too: the two passes must be inside their sweeps at once. A wait
-// that reaches the shared deadline records the miss.
+// rendezvous is a LevelClock whose Add — called at the end of every
+// column sweep, and after every scheduled index, of its pass — waits
+// until the other pass's clock has been charged too: the two passes must
+// be inside their bodies at once. A wait that reaches the shared deadline
+// records the miss.
 type rendezvous struct {
 	once     sync.Once
 	here     chan struct{}
@@ -143,65 +180,84 @@ func (r *rendezvous) Add(int32, int64) {
 
 // splitPlan is an adaptive plan of the 60² Laplacian's factor that chose
 // a parallel kind, so its batches run as column passes.
-func splitPlan(t *testing.T, lower bool) *Plan {
+func splitPlan(t *testing.T, lower bool, opts ...Option) *Plan {
 	t.Helper()
 	tri := scaleValues(stencil.Laplace2D(60, 60).LowerWithDiag(), 1.3)
 	if !lower {
 		tri = tri.Transpose()
 	}
-	plan, err := NewPlan(tri, lower, WithProcs(2), WithModel(planner.Default()))
+	plan, err := NewPlan(tri, lower, append([]Option{WithProcs(2), WithModel(planner.Default())}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Decision == nil || plan.Kind == executor.Sequential {
+	if len(opts) == 0 && (plan.Decision == nil || plan.Kind == executor.Sequential) {
 		t.Fatalf("adaptive plan chose %v, want a parallel kind", plan.Kind)
 	}
 	return plan
 }
 
-// TestColumnPassesOverlap runs two batches on one bound solver of an
-// adaptive plan from two goroutines. Each is a column pass whose timed
-// sweeps meet the other pass's before returning, so both passes must be
-// in flight at once; passes serialized on the solver time out. Both
-// results must be the sequential loop's.
+// TestColumnPassesOverlap runs two timed solves on one plan from two
+// goroutines, for each pair of routes: column batches, scheduled single
+// vectors and batches of a pinned parallel kind, a sequential plan's
+// single vectors, and a scheduled single vector beside a column batch.
+// Each pass's clock meets the other pass's before returning, so both
+// passes must be in flight at once; passes serialized on the plan time
+// out. Both results must be the sequential loop's.
 func TestColumnPassesOverlap(t *testing.T) {
-	for _, lower := range []bool{true, false} {
-		plan := splitPlan(t, lower)
-		s := plan.Bind()
-		deadline, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		var missed atomic.Bool
-		a := &rendezvous{here: make(chan struct{}), deadline: deadline, missed: &missed}
-		b := &rendezvous{here: make(chan struct{}), other: a, deadline: deadline, missed: &missed}
-		a.other = b
-		rng := rand.New(rand.NewSource(9))
-		var wg sync.WaitGroup
-		for _, clock := range []*rendezvous{a, b} {
-			xs, bs := randomRHS(rng, plan.L.N, 3), randomRHS(rng, plan.L.N, 3)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				m, err := s.SolveTimed(context.Background(), xs, bs, clock)
-				if err != nil || m.SpinChecks != 0 {
-					t.Errorf("lower=%v: column pass %+v, %v", lower, m, err)
-					return
+	for _, c := range []struct {
+		name string
+		pin  []Option // nil: the adaptive plan
+		a, b int      // the two solves' batch sizes
+	}{
+		{"column batches", nil, 3, 3},
+		{"scheduled single vectors", nil, 1, 1},
+		{"pinned pooled batches", []Option{WithKind(executor.Pooled)}, 3, 3},
+		{"sequential single vectors", []Option{WithKind(executor.Sequential)}, 1, 1},
+		{"scheduled beside column", nil, 1, 3},
+	} {
+		for _, lower := range []bool{true, false} {
+			plan := splitPlan(t, lower, c.pin...)
+			s := plan.Bind()
+			deadline, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			var missed atomic.Bool
+			a := &rendezvous{here: make(chan struct{}), deadline: deadline, missed: &missed}
+			b := &rendezvous{here: make(chan struct{}), other: a, deadline: deadline, missed: &missed}
+			a.other = b
+			rng := rand.New(rand.NewSource(9))
+			var xs, bs [2][][]float64
+			var errs [2]error
+			var wg sync.WaitGroup
+			for i, clock := range []*rendezvous{a, b} {
+				k := []int{c.a, c.b}[i]
+				xs[i], bs[i] = randomRHS(rng, plan.L.N, k), randomRHS(rng, plan.L.N, k)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, errs[i] = s.SolveTimed(context.Background(), xs[i], bs[i], clock)
+				}()
+			}
+			wg.Wait()
+			cancel()
+			for i := range xs {
+				if errs[i] != nil {
+					t.Fatalf("%s lower=%v: %v", c.name, lower, errs[i])
 				}
-				for j := range xs {
-					assertBitIdentical(t, xs[j], refSolve(t, plan.L, lower, bs[j]), fmt.Sprintf("lower=%v rhs %d", lower, j))
+				for j := range xs[i] {
+					assertBitIdentical(t, xs[i][j], refSolve(t, plan.L, lower, bs[i][j]), fmt.Sprintf("%s lower=%v pass %d rhs %d", c.name, lower, i, j))
 				}
-			}()
+			}
+			if missed.Load() {
+				t.Fatalf("%s lower=%v: the two passes never ran at once", c.name, lower)
+			}
+			plan.Close()
 		}
-		wg.Wait()
-		cancel()
-		if missed.Load() {
-			t.Fatalf("lower=%v: the two column passes never ran at once", lower)
-		}
-		plan.Close()
 	}
 }
 
-// TestPlanSolveZeroAlloc pins the bound state behind the plan's own entry
-// points: the bodies and the single-vector slots are built by the first
-// solve, so every later Solve and SolveBatch allocates nothing.
+// TestPlanSolveZeroAlloc pins the pass records behind the plan's own
+// entry points: a record, its bodies and its single-vector slots are
+// built once and reused, so every later Solve and SolveBatch allocates
+// nothing.
 func TestPlanSolveZeroAlloc(t *testing.T) {
 	tri := stencil.Laplace2D(20, 20).LowerWithDiag()
 	plan, err := NewPlan(tri, true, WithKind(executor.Sequential))

@@ -9,7 +9,6 @@ package trisolve
 
 import (
 	"fmt"
-	"sync"
 
 	"doconsider/internal/core"
 	"doconsider/internal/executor"
@@ -85,14 +84,9 @@ func sequential(t *sparse.CSR, x, b []float64, lower bool) error {
 // passes borrow the process's shared worker set; Close releases a cached
 // plan's lease and is a no-op otherwise.
 //
-// Every solve entry point runs through the plan's one bound state (see
-// Bind), built in O(1) on first use. Batches of an adaptive plan that
-// chose a parallel kind run as column passes, which share nothing on the
-// plan and run at once; every other solve on one Plan serializes on its
-// bound state. Callers wanting those concurrent over one structure lease
-// a Plan each from a PlanCache — the skeleton and its executor are
-// shared, the bound state is per plan, and the leased plans' passes run
-// at once.
+// Every solve runs on a pass record of its own (see Plan.solve), so
+// solves on one Plan — single vectors, batches and groups, from any
+// number of goroutines — share nothing on the plan and run at once.
 //
 // For a supernodal plan (Fusion non-nil) Deps and Sched describe the
 // compressed unit-level structure the executor actually runs — each
@@ -116,9 +110,7 @@ type Plan struct {
 	// executor are shared, and Close releases the lease (once).
 	leased bool
 	lease  plancache.Handle[planKey, *planSkeleton]
-
-	bindOnce sync.Once
-	bound    *BatchSolver
+	solver BatchSolver // Bind's answer: the plan itself
 }
 
 // Fusion returns the supernode statistics of a fused plan, or nil for a
@@ -258,24 +250,29 @@ func NewPlan(t *sparse.CSR, lower bool, opts ...Option) (*Plan, error) {
 
 // uninspected returns the plan a PlanCache answers a first sight with:
 // no dependences, wavefronts, skeleton or lease — only the natural order
-// on one processor, held as the schedule header the sequential executor
-// reads, so every pass is the plain substitution loop of ForwardSeq or
-// BackwardSeq. Nothing is shared, and Close has nothing to release. The
-// inspection and its schedule header share one allocation.
+// on one processor, so every pass is a column pass on the caller alone,
+// the plain substitution loop of ForwardSeq or BackwardSeq. Only the
+// executor, firstSight, is shared — its free list of pass states makes a
+// warm first sight's solve allocate nothing — and Close has nothing to
+// release. The inspection and its schedule header share one allocation.
 func uninspected(t *sparse.CSR, lower bool) *Plan {
 	u := &struct {
 		in    core.Inspection
 		sched schedule.Schedule
 	}{sched: schedule.Schedule{P: 1, N: t.N}}
 	u.in.Sched, u.in.Kind = &u.sched, executor.Sequential
-	return newPlan(t, lower, &u.in, executor.New(executor.Sequential))
+	return newPlan(t, lower, &u.in, firstSight)
 }
+
+var firstSight = executor.New(executor.Sequential)
 
 // newPlan binds the factor t to an inspection and the executor running
 // it.
 func newPlan(t *sparse.CSR, lower bool, in *core.Inspection, exec *executor.Executor) *Plan {
-	return &Plan{L: t, Lower: lower, Deps: in.UnitDeps, Wf: in.Wf, Sched: in.Sched,
+	p := &Plan{L: t, Lower: lower, Deps: in.UnitDeps, Wf: in.Wf, Sched: in.Sched,
 		Kind: in.Kind, Decision: in.Decision, in: in, exec: exec}
+	p.solver.p = p
+	return p
 }
 
 // Close releases the lease of a plan leased from a PlanCache (the shared
