@@ -146,7 +146,6 @@ func TestClusterCommandRunsAndDrains(t *testing.T) {
 			addr: "127.0.0.1:0", replicas: 2,
 			server: serverConfig{
 				procs: 1, kind: "pooled", cacheCap: 4,
-				window: time.Millisecond, width: 8,
 				drainWait: 10 * time.Second,
 			},
 		}, stop)

@@ -19,8 +19,7 @@ func TestServeDriftSmoke(t *testing.T) {
 	var out strings.Builder
 	err := serve(&out, serveConfig{
 		procs: 2, clients: 4, requests: 40, batch: 2,
-		cacheCap: 8, window: time.Millisecond, width: 16,
-		seed: 7, compare: false, kind: "auto",
+		cacheCap: 8, seed: 7, kind: "auto",
 		driftRate: 0.5, driftEdits: 4,
 	})
 	if err != nil {

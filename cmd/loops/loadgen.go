@@ -31,7 +31,7 @@ const (
 // loadgenConfig parameterizes the concurrent load generator: a pool of
 // client goroutines posts triangular-solve requests to a running server
 // over the recurring problem suite and reports throughput, latency
-// percentiles and the server-side coalescing and cache rates.
+// percentiles and the server-side cache rates.
 type loadgenConfig struct {
 	baseURL    string        // e.g. http://127.0.0.1:8080
 	clients    int           // concurrent client goroutines
@@ -89,15 +89,12 @@ type loadgenReport struct {
 	refused        int    // 429 shed + 503 draining
 	failed         int    // transport errors and unexpected statuses
 	failMsg        string // sample failure, so "N failed" is debuggable
-	fused          int    // OK responses that shared an executor pass
 	drifted        int    // OK responses to base_fp+edits drift requests
 	driftFell      int    // drift requests that fell back to a full ship (404)
 	latencies      []time.Duration
 	statsOK        bool
-	coalesceRate   float64
 	cacheHitRate   float64
-	passes, shed   uint64
-	serverRequests uint64
+	shed           uint64
 	repairs        uint64                      // plan misses served by delta repair
 	repairFalls    uint64                      // repair attempts that rebuilt instead
 	plannerKind    string                      // server's configured kind ("auto" = adaptive)
@@ -342,9 +339,6 @@ func loadgen(w io.Writer, cfg loadgenConfig) (*loadgenReport, error) {
 							trep.ok++
 							trep.latencies = append(trep.latencies, lat)
 						}
-						if sr.Fused > 1 {
-							rep.fused++
-						}
 						if attempted {
 							rep.drifted++
 							if fellBack {
@@ -383,8 +377,6 @@ func loadgen(w io.Writer, cfg loadgenConfig) (*loadgenReport, error) {
 		rep.tenantStats = after.Tenants
 		rep.cacheHitRate = after.CacheHitRate
 		rep.shed = after.Shed - before.Shed
-		rep.passes = after.Coalesce.Passes - before.Coalesce.Passes
-		rep.serverRequests = after.Coalesce.Requests - before.Coalesce.Requests
 		rep.repairs = after.Delta.Repairs - before.Delta.Repairs
 		rep.repairFalls = after.Delta.Fallbacks - before.Delta.Fallbacks
 		rep.plannerKind = after.Planner.Kind
@@ -397,9 +389,6 @@ func loadgen(w io.Writer, cfg loadgenConfig) (*loadgenReport, error) {
 			if d := n - before.Planner.Counts[name]; d > 0 {
 				rep.plannerCounts[name] = d
 			}
-		}
-		if rep.serverRequests > 0 {
-			rep.coalesceRate = float64(after.Coalesce.Fused-before.Coalesce.Fused) / float64(rep.serverRequests)
 		}
 		rep.superPlans = after.Supernode.FusedPlans - before.Supernode.FusedPlans
 		rep.superRows = after.Supernode.Rows - before.Supernode.Rows
@@ -433,8 +422,8 @@ func randomBatch(rng *rand.Rand, k, n int) [][]float64 {
 
 // printLoadgenReport renders the report in the serve/loadgen output style.
 func printLoadgenReport(w io.Writer, rep *loadgenReport, batch int) {
-	fmt.Fprintf(w, "  wall %8.1f ms, %8.0f solves/s (%d ok of which %d fused, %d refused, %d failed)\n",
-		rep.elapsed.Seconds()*1e3, rep.throughput(batch), rep.ok, rep.fused, rep.refused, rep.failed)
+	fmt.Fprintf(w, "  wall %8.1f ms, %8.0f solves/s (%d ok, %d refused, %d failed)\n",
+		rep.elapsed.Seconds()*1e3, rep.throughput(batch), rep.ok, rep.refused, rep.failed)
 	if len(rep.latencies) > 0 {
 		fmt.Fprintf(w, "  latency: p50 %s  p90 %s  p99 %s  max %s\n",
 			rep.percentile(0.50).Round(time.Microsecond),
@@ -446,8 +435,8 @@ func printLoadgenReport(w io.Writer, rep *loadgenReport, batch int) {
 		fmt.Fprintf(w, "  drift: %d drifted requests (%d fell back to a full ship)\n", rep.drifted, rep.driftFell)
 	}
 	if rep.statsOK {
-		fmt.Fprintf(w, "  server: %d procs/plan, coalescing rate %.1f%% (%d requests fused into %d passes), cache hit rate %.1f%%, %d shed\n",
-			rep.procs, 100*rep.coalesceRate, rep.serverRequests, rep.passes, 100*rep.cacheHitRate, rep.shed)
+		fmt.Fprintf(w, "  server: %d procs/plan, cache hit rate %.1f%%, %d shed\n",
+			rep.procs, 100*rep.cacheHitRate, rep.shed)
 		if rep.repairs+rep.repairFalls > 0 {
 			fmt.Fprintf(w, "  delta: %d plan misses repaired from a resident ancestor, %d rebuilt (cone/planner fallback)\n",
 				rep.repairs, rep.repairFalls)

@@ -14,7 +14,7 @@
 // multi-tenant load:
 //
 //   - server: serve the trisolve HTTP API (internal/server) on a network
-//     address, with request coalescing, admission control and /metrics.
+//     address, with admission control and /metrics.
 //   - router: the distributed tier's front door (internal/router) —
 //     consistent-hash solve traffic across -backends replicas with
 //     drift-chain affinity and warm plan handoff on rebalance.
@@ -22,11 +22,10 @@
 //     replicas on loopback ports behind a front door on -addr.
 //   - loadgen: drive a running server (or front door) with concurrent
 //     clients over the recurring problem suite; report throughput,
-//     latency percentiles and the server's coalescing and cache-hit
-//     rates. -cluster N spins up an in-process cluster to drive.
+//     latency percentiles and the server's cache-hit rates. -cluster N
+//     spins up an in-process cluster to drive.
 //   - serve: the in-process demo — the same server package on a loopback
-//     port, driven by the same loadgen, with a -compare baseline that
-//     disables coalescing.
+//     port, driven by the same loadgen.
 package main
 
 import (
@@ -64,10 +63,7 @@ func run(args []string) error {
 	batch := fs.Int("batch", 8, "serve/loadgen: right-hand sides per request")
 	cacheCap := fs.Int("cache", 8, "serve/server: plan cache capacity")
 	kindName := fs.String("kind", "auto", "serve/server: executor kind, or \"auto\" for adaptive planning")
-	compare := fs.Bool("compare", true, "serve: also run with coalescing disabled")
 	seed := fs.Int64("seed", 1989, "serve/loadgen: base RNG seed (client i uses seed+i)")
-	window := fs.Duration("coalesce-window", 2*time.Millisecond, "serve/server: coalescing window (0 disables)")
-	width := fs.Int("coalesce-width", 64, "serve/server: max right-hand sides per fused pass")
 	addr := fs.String("addr", ":8080", "server: listen address; loadgen: target host:port")
 	maxInFlight := fs.Int("max-inflight", 64, "server: admission-control bound on concurrent solves")
 	maxBatch := fs.Int("max-batch", 64, "serve/server: max right-hand sides accepted per request")
@@ -82,7 +78,6 @@ func run(args []string) error {
 	tenantQuota := fs.Int("tenant-quota", 0, "server: per-tenant in-flight quota; over-quota requests shed 429 (0 = unlimited)")
 	tenantQueue := fs.Int("tenant-queue", 0, "server: per-tenant per-class admission queue depth (0 = default 16, negative sheds immediately)")
 	tenantMax := fs.Int("tenant-max", 0, "server: tenant metric-cardinality cap; overflow pools into \"other\" (0 = default 32)")
-	latencyWindow := fs.Duration("latency-window", 0, "server: coalescing window for latency-class requests (0 = coalesce-window/8, negative disables)")
 	backends := fs.String("backends", "", "router: comma-separated replica addresses (host:port)")
 	replicas := fs.Int("replicas", 2, "cluster: in-process replica count")
 	clusterN := fs.Int("cluster", 0, "loadgen: spin up an in-process N-replica cluster and drive its front door (0 = use -addr)")
@@ -96,7 +91,7 @@ func run(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	if err := validateServingFlags(exp, *clusterN, *width, *reqTimeout, *window); err != nil {
+	if err := validateServingFlags(exp, *reqTimeout); err != nil {
 		usage(fs)
 		return err
 	}
@@ -160,8 +155,8 @@ func run(args []string) error {
 		}
 		return serve(os.Stdout, serveConfig{
 			procs: *procs, clients: *clients, requests: *requests,
-			batch: *batch, cacheCap: *cacheCap, compare: *compare, kind: kind,
-			window: *window, width: *width, seed: *seed, maxBatch: *maxBatch,
+			batch: *batch, cacheCap: *cacheCap, kind: kind,
+			seed: *seed, maxBatch: *maxBatch,
 			driftRate: *driftRate, driftEdits: *driftEdits,
 		})
 	case "server":
@@ -171,8 +166,7 @@ func run(args []string) error {
 		}
 		return runServer(os.Stdout, serverConfig{
 			addr: *addr, debugAddr: *debugAddr, procs: *procs, kind: kind,
-			cacheCap: *cacheCap, window: *window, latencyWindow: *latencyWindow,
-			width: *width, maxInFlight: *maxInFlight,
+			cacheCap: *cacheCap, maxInFlight: *maxInFlight,
 			maxBatch: *maxBatch, timeout: *reqTimeout, drainWait: 30 * time.Second,
 			tenantWeights: weights, tenantQuota: *tenantQuota,
 			tenantQueue: *tenantQueue, tenantMax: *tenantMax,
@@ -195,8 +189,7 @@ func run(args []string) error {
 			addr: *addr, replicas: *replicas,
 			server: serverConfig{
 				procs: *procs, kind: kind,
-				cacheCap: *cacheCap, window: *window, latencyWindow: *latencyWindow,
-				width: *width, maxInFlight: *maxInFlight,
+				cacheCap: *cacheCap, maxInFlight: *maxInFlight,
 				maxBatch: *maxBatch, timeout: *reqTimeout, drainWait: 30 * time.Second,
 				tenantWeights: weights, tenantQuota: *tenantQuota,
 				tenantQueue: *tenantQueue, tenantMax: *tenantMax,
@@ -220,7 +213,6 @@ func run(args []string) error {
 			cl, err = router.NewCluster(*clusterN, server.Config{
 				Procs: *procs, Kind: kind, CacheCap: *cacheCap,
 				MaxBatch: *maxBatch, DefaultTimeout: *reqTimeout,
-				Coalesce: server.CoalesceConfig{Window: *window, LatencyWindow: *latencyWindow, Width: *width},
 			}, router.Config{VNodes: *vnodes, WarmLimit: *warmLimit}, "127.0.0.1:0")
 			if err != nil {
 				return err
@@ -269,36 +261,22 @@ func run(args []string) error {
 	return nil
 }
 
-// validateServingFlags rejects serving-flag values that would otherwise
-// produce undefined behavior deep in the stack: a zero or negative
-// -coalesce-width (a fused pass must hold at least one right-hand side)
-// and negative durations for -timeout and -coalesce-window. Only the
-// serving experiments consume these flags; the table/figure experiments
-// ignore them, so they are not validated there. loadgen builds servers
-// from the coalescing flags only for an in-process cluster (-cluster N).
-func validateServingFlags(exp string, clusterN, width int, timeout, window time.Duration) error {
+// validateServingFlags rejects a negative -timeout, which is not a
+// deadline. Only the serving experiments consume the flag; the
+// table/figure experiments ignore it, so it is not validated there.
+func validateServingFlags(exp string, timeout time.Duration) error {
 	switch exp {
 	case "serve", "server", "cluster", "loadgen":
-	default:
-		return nil
-	}
-	builds := exp != "loadgen" || clusterN > 0
-	if width <= 0 && builds {
-		return fmt.Errorf("usage: -coalesce-width must be positive, got %d", width)
-	}
-	if timeout < 0 {
-		return fmt.Errorf("usage: -timeout must not be negative, got %s", timeout)
-	}
-	if window < 0 && builds {
-		return fmt.Errorf("usage: -coalesce-window must not be negative, got %s", window)
+		if timeout < 0 {
+			return fmt.Errorf("usage: -timeout must not be negative, got %s", timeout)
+		}
 	}
 	return nil
 }
 
 // validateWireFlag rejects unknown -wire formats before any traffic is
-// generated. Only loadgen speaks the binary protocol; serve compares
-// coalescing configurations over JSON and the other experiments ignore
-// the flag.
+// generated. Only loadgen speaks the binary protocol; serve drives JSON
+// and the other experiments ignore the flag.
 func validateWireFlag(exp, wire string) error {
 	if exp != "loadgen" {
 		return nil

@@ -51,25 +51,16 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestServingFlagValidation pins the usage errors for serving-flag
-// values that previously reached the server as undefined behavior: a
-// fused pass cannot hold zero (or negatively many) right-hand sides, and
+// values that previously reached the server as undefined behavior:
 // negative durations are not timeouts. Table experiments ignore the
-// serving flags entirely, so they must keep accepting them.
+// serving flags entirely, so they must keep accepting them. The
+// coalescer's flags are gone, and passing one is an error.
 func TestServingFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
-		{"serve", "-coalesce-width", "0"},
-		{"serve", "-coalesce-width", "-3"},
-		{"server", "-coalesce-width", "0"},
 		{"serve", "-timeout", "-1s"},
 		{"server", "-timeout", "-1ms"},
 		{"loadgen", "-timeout", "-5s"},
-		{"serve", "-coalesce-window", "-1ms"},
-		{"server", "-coalesce-window", "-1s"},
-		{"cluster", "-coalesce-width", "0"},
 		{"cluster", "-timeout", "-1s"},
-		{"cluster", "-coalesce-window", "-1ms"},
-		{"loadgen", "-cluster", "2", "-coalesce-width", "0"},
-		{"loadgen", "-cluster", "2", "-coalesce-window", "-1ms"},
 		{"loadgen", "-wire", "grpc"},
 	} {
 		if err := run(args); err == nil {
@@ -79,8 +70,18 @@ func TestServingFlagValidation(t *testing.T) {
 		}
 	}
 	// Sanity: the same values are fine for experiments that ignore them.
-	if err := run([]string{"summary", "-coalesce-width", "0", "-timeout", "-1s"}); err != nil {
+	if err := run([]string{"summary", "-timeout", "-1s"}); err != nil {
 		t.Errorf("summary rejected irrelevant serving flags: %v", err)
+	}
+	for _, args := range [][]string{
+		{"serve", "-coalesce-window", "1ms"},
+		{"server", "-coalesce-width", "8"},
+		{"cluster", "-latency-window", "1ms"},
+		{"serve", "-compare=false"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run(%v) = %v, want an undefined-flag error", args, err)
+		}
 	}
 }
 

@@ -10,15 +10,14 @@ func TestServeSmoke(t *testing.T) {
 	var out strings.Builder
 	err := serve(&out, serveConfig{
 		procs: 2, clients: 4, requests: 12, batch: 3,
-		cacheCap: 4, window: 2 * time.Millisecond, width: 16,
-		seed: 3, compare: true, kind: "pooled",
+		cacheCap: 4, seed: 3, kind: "pooled",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
 	for _, want := range []string{
-		"plan cache:", "hit rate", "speedup:", "exec coalescer:", "latency:",
+		"served:", "plan cache:", "hit rate", "latency:",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("serve output missing %q:\n%s", want, got)
@@ -28,14 +27,14 @@ func TestServeSmoke(t *testing.T) {
 
 func TestServeFlagPlumbing(t *testing.T) {
 	if err := run([]string{"serve", "-clients", "2", "-requests", "4", "-batch", "2",
-		"-cache", "2", "-kind", "self-executing", "-compare=false", "-procs", "2",
-		"-seed", "42", "-coalesce-window", "1ms", "-coalesce-width", "8"}); err != nil {
+		"-cache", "2", "-kind", "self-executing", "-procs", "2",
+		"-seed", "42"}); err != nil {
 		t.Fatal(err)
 	}
 	// Kind 0 regression: an explicit sequential executor must be honored,
 	// not silently replaced by the pooled default.
 	if err := run([]string{"serve", "-clients", "2", "-requests", "4", "-batch", "2",
-		"-kind", "sequential", "-compare=false", "-procs", "1"}); err != nil {
+		"-kind", "sequential", "-procs", "1"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"serve", "-kind", "bogus"}); err == nil {
@@ -66,8 +65,8 @@ func TestServerCommandRunsAndDrains(t *testing.T) {
 	go func() {
 		done <- runServer(&out, serverConfig{
 			addr: "127.0.0.1:0", procs: 1, kind: "pooled", cacheCap: 4,
-			window: time.Millisecond, width: 8, maxInFlight: 8,
-			timeout: 5 * time.Second, drainWait: 10 * time.Second,
+			maxInFlight: 8,
+			timeout:     5 * time.Second, drainWait: 10 * time.Second,
 		}, stop)
 	}()
 	time.Sleep(10 * time.Millisecond)

@@ -23,9 +23,6 @@ type serverConfig struct {
 	procs         int    // processors per plan (0: the server's default)
 	kind          string
 	cacheCap      int
-	window        time.Duration
-	latencyWindow time.Duration // coalescing window for latency-class requests (0 = window/8)
-	width         int
 	maxInFlight   int
 	maxBatch      int
 	timeout       time.Duration
@@ -47,11 +44,6 @@ func (c serverConfig) serverOptions() server.Config {
 			MaxInFlight: c.maxInFlight,
 			Queue:       c.tenantQueue,
 		},
-		Coalesce: server.CoalesceConfig{
-			Window:        c.window,
-			LatencyWindow: c.latencyWindow,
-			Width:         c.width,
-		},
 		Tenant: server.TenantConfig{
 			Weights: c.tenantWeights,
 			Quota:   c.tenantQuota,
@@ -72,8 +64,8 @@ func runServer(w io.Writer, cfg serverConfig, stop <-chan struct{}) error {
 	if err := s.Start(cfg.addr); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "server: listening on %s (%d procs/plan, %s executor, window %s, width %d, max in-flight %d)\n",
-		s.Addr(), s.Stats().Planner.Procs, cfg.kind, cfg.window, cfg.width, cfg.maxInFlight)
+	fmt.Fprintf(w, "server: listening on %s (%d procs/plan, %s executor, max in-flight %d)\n",
+		s.Addr(), s.Stats().Planner.Procs, cfg.kind, cfg.maxInFlight)
 	fmt.Fprintf(w, "server: POST /v1/trisolve, GET /v1/stats /v1/trace /v1/trace/slowest /healthz /metrics\n")
 
 	// The debug listener is a separate port on purpose: pprof endpoints
@@ -113,7 +105,7 @@ func runServer(w io.Writer, cfg serverConfig, stop <-chan struct{}) error {
 		return fmt.Errorf("server: drain: %w", err)
 	}
 	st := s.Stats()
-	fmt.Fprintf(w, "server: drained; served %d requests (%d shed), coalescing rate %.1f%%, cache hit rate %.1f%%\n",
-		st.Accepted, st.Shed, 100*st.Coalesce.Rate, 100*st.CacheHitRate)
+	fmt.Fprintf(w, "server: drained; served %d requests (%d shed), cache hit rate %.1f%%\n",
+		st.Accepted, st.Shed, 100*st.CacheHitRate)
 	return nil
 }

@@ -14,22 +14,15 @@ import (
 
 // TestServerLoadgenIntegration is the end-to-end serving test the CI race
 // matrix runs: a real server on 127.0.0.1:0, driven by the real loadgen
-// over the recurring problem suite with enough concurrent clients that
-// requests fuse, followed by a graceful drain.
+// over the recurring problem suite with concurrent clients, followed by
+// a graceful drain.
 func TestServerLoadgenIntegration(t *testing.T) {
-	// Kind is pinned to pooled: the test asserts that concurrent clients
-	// fuse into shared passes, which relies on each pass lasting long
-	// enough that arrivals accumulate behind it in the coalescer, which
-	// holds a key's window back while that key has a pass in flight.
-	// Under the adaptive default the planner picks sequential on small
-	// hosts, or a batch runs as a column pass, and passes complete too
-	// quickly to overlap — correct behavior, but not the machinery this
-	// test exists to exercise.
+	// Kind is pinned to pooled so concurrent requests run scheduled
+	// passes on one plan at once, not only column passes.
 	s, err := server.New(server.Config{
 		Procs:    2,
 		Kind:     "pooled",
 		CacheCap: 8,
-		Coalesce: server.CoalesceConfig{Window: 20 * time.Millisecond, Width: 64},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,9 +48,6 @@ func TestServerLoadgenIntegration(t *testing.T) {
 		t.Fatalf("loadgen report: %d ok, %d refused, %d failed, want 32 clean", rep.ok, rep.refused, rep.failed)
 	}
 	st := s.Stats()
-	if st.Coalesce.Rate <= 0 {
-		t.Errorf("coalescing rate = %v with 8 concurrent clients on 2 recurring structures, want > 0", st.Coalesce.Rate)
-	}
 	if st.CacheHitRate <= 0.5 {
 		t.Errorf("plan cache hit rate = %v over a recurring suite, want > 0.5", st.CacheHitRate)
 	}
@@ -79,7 +69,6 @@ func TestServerLoadgenIntegration(t *testing.T) {
 		"loops_plan_cache_hit_rate",
 		"loops_http_in_flight",
 		`loops_http_request_seconds_bucket{endpoint="trisolve"`,
-		"loops_coalesce_passes_total",
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("metrics missing %q", want)
@@ -124,7 +113,6 @@ func TestServerLoadgenBinaryWire(t *testing.T) {
 	s, err := server.New(server.Config{
 		Procs:    2,
 		CacheCap: 8,
-		Coalesce: server.CoalesceConfig{Window: 2 * time.Millisecond, Width: 16},
 	})
 	if err != nil {
 		t.Fatal(err)

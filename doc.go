@@ -8,8 +8,8 @@
 // paper's Encore Multimax/320, and a network serving
 // subsystem (internal/server, `loops server`) that exercises the
 // inspector/executor amortization under real multi-tenant load: shared
-// plan cache, cross-request batch coalescing, admission control, live
-// Prometheus metrics and graceful drain.
+// plan cache, each request solved in its own handler on a pass of its
+// own, admission control, live Prometheus metrics and graceful drain.
 //
 // There is one inspector, core.Inspect, behind both core.New (generic loops)
 // and trisolve's plans and plan cache (triangular solves). It is adaptive

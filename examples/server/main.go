@@ -4,7 +4,7 @@
 // through the exported client package — submitting a factor with a full
 // request, resubmitting it by content fingerprint, resubmitting once
 // more over the zero-copy binary frame protocol, firing concurrent
-// requests to show cross-request coalescing, and finally scraping
+// requests that each solve on a pass of their own, and finally scraping
 // /v1/stats and /metrics. Point baseURL at a remote `loops server` (or
 // a `loops router` front door — same surface) to run the same client
 // over the network.
@@ -34,10 +34,7 @@ func main() {
 }
 
 func run() error {
-	srv, err := server.New(server.Config{
-		Procs:    2,
-		Coalesce: server.CoalesceConfig{Window: 5 * time.Millisecond, Width: 32},
-	})
+	srv, err := server.New(server.Config{Procs: 2})
 	if err != nil {
 		return err
 	}
@@ -115,11 +112,12 @@ func run() error {
 	fmt.Printf("binary frame:      x[0]=%.6f (bit-identical: %v)\n",
 		x3[0][0], x3[0][0] == x1[0][0])
 
-	// 4. Concurrent clients on one structure: requests arriving within
-	// the coalescing window share a single executor pass.
+	// 4. Concurrent clients on one structure: each request solves in its
+	// own handler, on an executor pass of its own that takes whichever
+	// shared workers are idle, so the burst runs at once.
 	const clients = 8
 	var wg sync.WaitGroup
-	fused := make([]int, clients)
+	errs := make([]error, clients)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -129,22 +127,24 @@ func run() error {
 			for i := range rhs {
 				rhs[i] = rng.Float64()
 			}
-			resp, err := f.Solve(ctx, cli, [][]float64{rhs})
-			if err == nil {
-				fused[c] = resp.Fused
-			}
+			_, errs[c] = f.Solve(ctx, cli, [][]float64{rhs})
 		}(c)
 	}
 	wg.Wait()
-	fmt.Printf("concurrent burst:  per-request pass sharing (fused counts): %v\n", fused)
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	fmt.Printf("concurrent burst:  %d concurrent requests solved\n", clients)
 
 	// 5. Observability: the JSON stats snapshot and a few metric lines.
 	stats, err := cli.Stats(ctx)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nstats: plan cache hit rate %.1f%%, coalescing rate %.1f%% (%d passes for %d requests)\n",
-		100*stats.CacheHitRate, 100*stats.Coalesce.Rate, stats.Coalesce.Passes, stats.Coalesce.Requests)
+	fmt.Printf("\nstats: plan cache hit rate %.1f%%, factor cache hit rate %.1f%%, %d requests accepted\n",
+		100*stats.CacheHitRate, 100*stats.FactorCache.HitRate(), stats.Accepted)
 	resp, err := http.Get(baseURL + "/metrics")
 	if err != nil {
 		return err
@@ -157,7 +157,6 @@ func run() error {
 	fmt.Println("\nselected /metrics lines:")
 	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
 		if bytes.HasPrefix(line, []byte("loops_plan_cache_hit_rate")) ||
-			bytes.HasPrefix(line, []byte("loops_coalesce_passes_total")) ||
 			bytes.HasPrefix(line, []byte("loops_admission_accepted_total")) {
 			fmt.Printf("  %s\n", line)
 		}

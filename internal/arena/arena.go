@@ -7,17 +7,14 @@
 // (arena reused from the idle list, slab large enough) a request
 // performs zero heap allocations.
 //
-// Lifetime: Pool.Get hands out an Arena with reference count 1. Work
-// that outlives the requesting goroutine (a coalesced solve pass
-// writing solutions after the submitting handler timed out) Retains the
-// arena and Releases it when done; the arena returns to the pool when
-// the count reaches zero. Releasing past zero panics, as does
-// allocating from a released arena — both are programming errors the
-// lifecycle tests pin.
+// Lifetime: Pool.Get hands out a live Arena, and its one Release
+// returns it to the pool. Releasing it again panics, as does allocating
+// from a released arena — both are programming errors the lifecycle
+// tests pin.
 //
 // Memory returned by the allocation methods is uninitialized (it is
-// recycled bump space) and is only valid until the arena's final
-// Release; callers must not retain views across Release. The typed
+// recycled bump space) and is only valid until the arena's Release;
+// callers must not retain views across Release. The typed
 // views (Float64s, Int32s) rely on the slab region's 8-byte alignment,
 // which the buddy region and the bump pointer both maintain.
 package arena
@@ -154,7 +151,7 @@ func (p *Pool) Trim(n int) int {
 }
 
 // Arena is a bump allocator over pooled slab memory. Not safe for
-// concurrent allocation; Retain/Release are safe from any goroutine.
+// concurrent allocation.
 type Arena struct {
 	pool *Pool
 	refs atomic.Int64
@@ -180,23 +177,10 @@ type Arena struct {
 	rowsUsed int
 }
 
-// Retain increments the reference count for work that outlives the
-// goroutine that called Get.
-func (a *Arena) Retain() {
-	if a.refs.Add(1) <= 1 {
-		panic("arena: Retain after final Release")
-	}
-}
-
-// Release decrements the reference count; at zero the arena's extra
-// blocks return to the buddy region and the arena parks on the pool's
-// idle list. Releasing more times than Get+Retain panics.
+// Release returns the arena's extra blocks to the buddy region and parks
+// the arena on the pool's idle list. Releasing it twice panics.
 func (a *Arena) Release() {
-	n := a.refs.Add(-1)
-	if n > 0 {
-		return
-	}
-	if n < 0 {
+	if a.refs.Add(-1) < 0 {
 		panic("arena: double Release")
 	}
 	p := a.pool

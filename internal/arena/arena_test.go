@@ -3,7 +3,6 @@ package arena
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestPoolReuseZeroAlloc(t *testing.T) {
@@ -59,33 +58,6 @@ func TestArenaUseAfterRelease(t *testing.T) {
 		}()
 		_ = a.Rows(1)
 	})
-	t.Run("retain", func(t *testing.T) {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Retain after Release did not panic")
-			}
-		}()
-		a.Retain()
-	})
-}
-
-// TestArenaRetainDefersRecycle checks a retained arena survives the
-// first Release (the detached-solve-pass lifetime) and only returns to
-// the pool on the final one.
-func TestArenaRetainDefersRecycle(t *testing.T) {
-	p := NewPool(Config{RegionBytes: 1 << 18, SlabBytes: 1 << 14})
-	a := p.Get()
-	xs := a.Float64s(16)
-	a.Retain()
-	a.Release() // handler's release; pass still holds a ref
-	xs[0] = 42  // pass writes after the handler is gone
-	if s := p.Stats(); s.Outstanding != 1 || s.Idle != 0 {
-		t.Fatalf("after first Release: outstanding=%d idle=%d, want 1/0", s.Outstanding, s.Idle)
-	}
-	a.Release()
-	if s := p.Stats(); s.Outstanding != 0 || s.Idle != 1 {
-		t.Fatalf("after final Release: outstanding=%d idle=%d, want 0/1", s.Outstanding, s.Idle)
-	}
 }
 
 // TestArenaGrowAndOverflow exercises mid-request growth past the slab
@@ -146,7 +118,7 @@ func TestPoolTrim(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrent hammers Get/alloc/Retain/Release from many
+// TestPoolConcurrent hammers Get/alloc/Release from many
 // goroutines; run under -race this is the concurrency regression test,
 // and the final stats assert no arena leaked.
 func TestPoolConcurrent(t *testing.T) {
@@ -164,23 +136,11 @@ func TestPoolConcurrent(t *testing.T) {
 				for j := range xs {
 					xs[j] = float64(j)
 				}
-				if i%3 == 0 {
-					// Simulate a detached pass holding the arena briefly.
-					a.Retain()
-					go func() {
-						_ = a.Int32s(16)
-						a.Release()
-					}()
-				}
 				a.Release()
 			}
 		}(w)
 	}
 	wg.Wait()
-	// Detached releases may still be in flight; drain them.
-	for i := 0; i < 200 && p.Stats().Outstanding > 0; i++ {
-		time.Sleep(time.Millisecond)
-	}
 	s := p.Stats()
 	if s.Outstanding != 0 {
 		t.Fatalf("leak: %d arenas still outstanding", s.Outstanding)

@@ -81,7 +81,7 @@ func checkWidth(t *testing.T, what string, m executor.Metrics, w int) {
 }
 
 // TestWidthGridTrisolve runs every solve entry point — Solve,
-// SolveBatch, SolveGroupCtx and SolveTimed — on SPE2, 5-PT and 9-PT,
+// SolveBatch and SolveTimed — on SPE2, 5-PT and 9-PT,
 // lower and upper, fused and row-wise, under one kind per discipline
 // (pooled: flags, pre-scheduled: barrier, doacross: claim), at every
 // width 1..4 of a four-processor plan, against ForwardSeq/BackwardSeq;
@@ -100,12 +100,9 @@ func TestWidthGridTrisolve(t *testing.T) {
 // widthGridColumns drives the column passes at every width 1..4 of a
 // four-processor plan, fused and row-wise. Batches of B = 1..8 go through
 // BatchSolver.Solve and SolveTimed on an adaptive plan: two or more run
-// as a column pass, a single vector as the plan's scheduled pass. Groups
-// of two or three members — two of them on one *CSR in some — with one to
-// three columns each go through SolveGroupCtx on the adaptive plan and on
-// a pinned Pooled one, always a column pass. A pinned Sequential plan and
-// a PlanCache first sight run every batch and group as a column pass on
-// the caller alone. A column pass makes no ready checks and runs on at
+// as a column pass, a single vector as the plan's scheduled pass. A
+// pinned Sequential plan and a PlanCache first sight run every batch as
+// a column pass on the caller alone. A column pass makes no ready checks and runs on at
 // most min(columns, w) participants; every column must be bit-equal to
 // ForwardSeq/BackwardSeq.
 func widthGridColumns(t *testing.T, name string, lower bool) {
@@ -116,17 +113,9 @@ func widthGridColumns(t *testing.T, name string, lower bool) {
 	}
 	rng := rand.New(rand.NewSource(int64(l.N) + 1))
 	bs := rhs(rng, l.N, maxB)
-	// A group member with the plan's structure and its own values.
-	other := l.Clone()
-	for k := range other.Val {
-		other.Val[k] *= 1.5
-	}
-	factors := []*sparse.CSR{l, other}
-	want := make([][][]float64, len(factors))
-	for f, fl := range factors {
-		for j := range bs {
-			want[f] = append(want[f], oracle(t, fl, lower, bs[j]))
-		}
+	want := make([][]float64, len(bs))
+	for j := range bs {
+		want[j] = oracle(t, l, lower, bs[j])
 	}
 	// columnPass checks a column pass's metrics against the cap.
 	columnPass := func(what string, m executor.Metrics, cap int) {
@@ -134,37 +123,6 @@ func widthGridColumns(t *testing.T, name string, lower bool) {
 		checkWidth(t, what, m, cap)
 		if m.SpinChecks != 0 || m.Executed != int64(l.N) {
 			t.Fatalf("%s: column pass made %d ready checks, executed %d of %d", what, m.SpinChecks, m.Executed, l.N)
-		}
-	}
-	// groups solves each group shape on plan at width w; seq plans run
-	// on the caller alone. A shape lists (factor, columns) per member.
-	shapes := [][][2]int{{{0, 1}, {1, 2}}, {{1, 3}, {1, 1}}, {{0, 2}, {1, 1}, {0, 3}}, {{1, 1}, {0, 1}, {1, 1}}}
-	groups := func(what string, plan *trisolve.Plan, w int, seq bool) {
-		t.Helper()
-		for _, shape := range shapes {
-			group := make([]trisolve.BatchProblem, len(shape))
-			cols := 0
-			for g, mem := range shape {
-				group[g] = trisolve.BatchProblem{L: factors[mem[0]], Xs: rhs(rng, l.N, mem[1]), Bs: bs[cols : cols+mem[1]]}
-				cols += mem[1]
-			}
-			what := fmt.Sprintf("%s group %v", what, shape)
-			m, err := plan.SolveGroupCtx(context.Background(), group)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq {
-				columnPass(what, m, 1)
-			} else {
-				columnPass(what, m, min(w, cols))
-			}
-			cols = 0
-			for g, mem := range shape {
-				for j, x := range group[g].Xs {
-					bitEqual(t, fmt.Sprintf("%s member %d column %d", what, g, j), x, want[mem[0]][cols+j])
-				}
-				cols += mem[1]
-			}
 		}
 	}
 	// batches solves B = 1..maxB right-hand sides on plan at width w,
@@ -194,7 +152,7 @@ func widthGridColumns(t *testing.T, name string, lower bool) {
 					t.Fatalf("%s: scheduled pass made %d ready checks, executed %d of %d", what, m.SpinChecks, m.Executed, l.N)
 				}
 				for j := range xs {
-					bitEqual(t, what, xs[j], want[0][j])
+					bitEqual(t, what, xs[j], want[j])
 				}
 				if timed && clock.ns <= 0 {
 					t.Fatalf("%s: no level time charged", what)
@@ -211,11 +169,6 @@ func widthGridColumns(t *testing.T, name string, lower bool) {
 		if plan.Decision == nil || plan.Kind == executor.Sequential {
 			t.Fatalf("%s lower=%v fuse=%v: adaptive plan chose %v, want a parallel kind", name, lower, fuse, plan.Kind)
 		}
-		pooled, err := trisolve.NewPlan(l, lower, trisolve.WithProcs(gridProcs),
-			trisolve.WithKind(executor.Pooled), trisolve.WithFusion(fuse))
-		if err != nil {
-			t.Fatal(err)
-		}
 		for w := 1; w <= gridProcs; w++ {
 			executor.SetMaxWidth(t, w)
 			what := fmt.Sprintf("%s lower=%v fuse=%v w=%d", name, lower, fuse, w)
@@ -225,11 +178,8 @@ func widthGridColumns(t *testing.T, name string, lower bool) {
 				}
 				return min(w, b)
 			})
-			groups(what, plan, w, false)
-			groups(what+" pooled", pooled, w, false)
 		}
 		plan.Close()
-		pooled.Close()
 	}
 	seq, err := trisolve.NewPlan(l, lower, trisolve.WithProcs(gridProcs), trisolve.WithKind(executor.Sequential))
 	if err != nil {
@@ -248,7 +198,6 @@ func widthGridColumns(t *testing.T, name string, lower bool) {
 		for plan, kind := range map[*trisolve.Plan]string{seq: "sequential", first: "first sight"} {
 			what := fmt.Sprintf("%s lower=%v %s w=%d", name, lower, kind, w)
 			batches(what, plan, w, func(int) bool { return true }, func(int) int { return 1 })
-			groups(what, plan, w, true)
 		}
 	}
 	seq.Close()
@@ -269,12 +218,6 @@ func widthGridTrisolve(t *testing.T, name string, kind executor.Kind, lower bool
 	for j := range bs {
 		want[j] = oracle(t, l, lower, bs[j])
 	}
-	// A group member with the plan's structure and its own values.
-	other := l.Clone()
-	for k := range other.Val {
-		other.Val[k] *= 1.5
-	}
-	wantOther := oracle(t, other, lower, bs[0])
 	for _, fuse := range []trisolve.FuseMode{trisolve.FuseForce, trisolve.FuseOff} {
 		plan, err := trisolve.NewPlan(l, lower, trisolve.WithProcs(gridProcs),
 			trisolve.WithKind(kind), trisolve.WithFusion(fuse))
@@ -302,17 +245,6 @@ func widthGridTrisolve(t *testing.T, name string, kind executor.Kind, lower bool
 			for j := range xs {
 				bitEqual(t, what+" SolveBatch", xs[j], want[j])
 			}
-
-			group := []trisolve.BatchProblem{
-				{L: l, Xs: rhs(rng, l.N, 1), Bs: bs[:1]},
-				{L: other, Xs: rhs(rng, l.N, 1), Bs: bs[:1]},
-			}
-			if m, err = plan.SolveGroupCtx(ctx, group); err != nil {
-				t.Fatal(err)
-			}
-			checkWidth(t, what+" SolveGroupCtx", m, w)
-			bitEqual(t, what+" SolveGroupCtx", group[0].Xs[0], want[0])
-			bitEqual(t, what+" SolveGroupCtx member", group[1].Xs[0], wantOther)
 
 			var clock levelClock
 			xs = rhs(rng, l.N, len(bs))

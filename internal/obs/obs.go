@@ -1,7 +1,7 @@
 // Package obs is the request-scoped observability layer: a
 // zero-allocation span recorder stamped as a request flows through the
-// serving pipeline (admission → decode → factor resolution → coalescer
-// → plan cache → delta repair → executor → encode), a lock-free ring
+// serving pipeline (admission → decode → factor resolution → plan
+// cache → delta repair → executor → encode), a lock-free ring
 // the completed traces land in, per-wavefront-level execution clocks
 // sampled at a configurable rate, and the pprof/runtime debug handler
 // the CLI mounts on a separate listener.
@@ -29,12 +29,10 @@ const (
 	StageAdmission Stage = iota
 	// StageDecode covers wire decode and right-hand-side validation.
 	StageDecode
-	// StageFactor covers factor resolution: hot ring, by-fingerprint
-	// cache, inline build+validation, or drift materialization.
+	// StageFactor covers factor resolution: the by-fingerprint factor
+	// cache, inline validation and registration, or drift
+	// materialization.
 	StageFactor
-	// StageCoalesce is time spent waiting in (or for) a coalescer
-	// window or a sealed pass, excluding the pass's own plan+execute.
-	StageCoalesce
 	// StagePlan covers the plan-cache lookup and, on a miss, the
 	// inspector run and planner pricing (minus any repair time).
 	StagePlan
@@ -50,7 +48,7 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	"admission", "decode", "factor", "coalesce",
+	"admission", "decode", "factor",
 	"plan", "repair", "execute", "encode",
 }
 
@@ -98,8 +96,8 @@ const TenantLen = 24
 //
 // The stamping protocol: Begin resets the trace and starts the lap
 // clock; each Lap(stage) charges the time since the previous stamp to
-// that stage; AttributeSubmit splits the coalescer round-trip into
-// wait/plan/repair/execute using the pass's own measurements; Finish
+// that stage; AttributeSubmit splits the solve into plan/repair/execute
+// using the plan resolution's own measurements; Finish
 // charges the final lap and freezes TotalNs. Because every lap charges
 // its full duration to some stage, StageSum() == TotalNs for a
 // finished trace.
@@ -112,8 +110,8 @@ type Trace struct {
 	Status  int32
 	N       int32 // factor dimension
 	Batch   int32 // right-hand sides in this request
-	Fused   int32 // requests that shared the executor pass
-	Width   int32 // total right-hand sides in the pass
+	Fused   int32 // requests that shared the executor pass (always 1)
+	Width   int32 // right-hand sides in the pass
 
 	StratLen int32
 	Strat    [StrategyLen]byte
@@ -151,42 +149,21 @@ func (t *Trace) Lap(s Stage) {
 	t.mark = now
 }
 
-// AttributeSubmit charges the lap since the previous stamp — the full
-// coalescer round-trip — across coalesce-wait, plan, repair and
-// execute. planNs and execNs are the pass's own measurements (taken on
-// the pass goroutine for fused windows); repairNs is the delta-repair
-// share of planNs. The segments are clamped to partition the lap
-// exactly, so StageSum still equals TotalNs even when a fused pass's
-// timings overlap this request's wait asymmetrically.
-func (t *Trace) AttributeSubmit(planNs, repairNs, execNs int64) {
+// AttributeSubmit charges the lap since the previous stamp — the solve:
+// plan resolution, then the executor pass — across plan, repair and
+// execute. planNs is the plan resolution's duration and repairNs its
+// delta-repair share; the rest of the lap is the executor pass. Both are
+// clamped to partition the lap exactly, so StageSum still equals TotalNs
+// whatever the caller measured.
+func (t *Trace) AttributeSubmit(planNs, repairNs int64) {
 	now := time.Now()
-	lap := now.Sub(t.mark).Nanoseconds()
+	lap := max(now.Sub(t.mark).Nanoseconds(), 0)
 	t.mark = now
-	if lap < 0 {
-		lap = 0
-	}
-	if execNs < 0 {
-		execNs = 0
-	}
-	if execNs > lap {
-		execNs = lap
-	}
-	if planNs < 0 {
-		planNs = 0
-	}
-	if planNs > lap-execNs {
-		planNs = lap - execNs
-	}
-	if repairNs < 0 {
-		repairNs = 0
-	}
-	if repairNs > planNs {
-		repairNs = planNs
-	}
-	t.Stages[StageExecute] += execNs
+	planNs = min(max(planNs, 0), lap)
+	repairNs = min(max(repairNs, 0), planNs)
 	t.Stages[StagePlan] += planNs - repairNs
 	t.Stages[StageRepair] += repairNs
-	t.Stages[StageCoalesce] += lap - planNs - execNs
+	t.Stages[StageExecute] += lap - planNs
 }
 
 // SetInfo records the pass shape without allocating (the strategy name

@@ -77,9 +77,7 @@ func newAdmission(cfg Config, reg *Registry) *admission {
 	}
 }
 
-// inFlight returns the number of admitted (not queued) requests. The
-// coalescer's quiescence seal counts these: a parked admission waiter
-// is not "in flight" and must not hold a coalescing window open.
+// inFlight returns the number of admitted (not queued) requests.
 func (a *admission) inFlight() int64 { return a.gauge.Value() }
 
 // queuedOf returns tenant t's current queue depth.

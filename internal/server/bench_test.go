@@ -2,23 +2,17 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http/httptest"
-	"sync"
 	"testing"
-	"time"
-
-	"doconsider/internal/executor"
-	"doconsider/internal/trisolve"
 )
 
 // BenchmarkServerTrisolveRequest measures the full request path — JSON
-// decode, validation, plan-cache lookup, solo executor pass, JSON encode
+// decode, validation, plan-cache lookup, executor pass, JSON encode
 // — on a 16x16 mesh factor. CI gates its allocs/op: a regression here
 // means per-request garbage crept into the serving hot path.
 func BenchmarkServerTrisolveRequest(b *testing.B) {
-	s, err := New(Config{Procs: 2, Coalesce: CoalesceConfig{Window: 0}})
+	s, err := New(Config{Procs: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,47 +47,4 @@ func BenchmarkServerTrisolveRequest(b *testing.B) {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
 	}
-}
-
-// BenchmarkCoalescer compares 8 concurrent structurally identical
-// requests with fusion (one shared executor pass) against the same load
-// solved as 8 solo passes — the server-side amortization the subsystem
-// exists to provide.
-func BenchmarkCoalescer(b *testing.B) {
-	const clients = 8
-	l := testFactor(16)
-	run := func(b *testing.B, window time.Duration) {
-		cache := trisolve.NewPlanCache(4)
-		b.Cleanup(func() { cache.Close() })
-		c := withFactors(b, NewCoalescer(context.Background(), cache, NewRegistry(), window, window, clients, 2, executor.Pooled.String(), nil))
-		bs := make([][]float64, clients)
-		for i := range bs {
-			bs[i] = randVec(l.N, int64(i))
-		}
-		// Warm up the plan cache directly so iterations measure executor
-		// passes, not the one-time inspector run (a warmup Submit would
-		// park alone in the fused leg's window until the timer fired).
-		warm, err := cache.Get(l, true, trisolve.WithProcs(2), trisolve.WithKind(executor.Pooled))
-		if err != nil {
-			b.Fatal(err)
-		}
-		warm.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			for cl := 0; cl < clients; cl++ {
-				wg.Add(1)
-				go func(cl int) {
-					defer wg.Done()
-					if _, _, err := submitRHS(context.Background(), c, l, true, [][]float64{bs[cl]}); err != nil {
-						b.Error(err)
-					}
-				}(cl)
-			}
-			wg.Wait()
-		}
-	}
-	b.Run("fused-8", func(b *testing.B) { run(b, 10*time.Second) })
-	b.Run("solo-8", func(b *testing.B) { run(b, 0) })
 }

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"doconsider/internal/sparse"
 )
@@ -88,7 +87,7 @@ func checkSameSolutions(t *testing.T, shape string, jx, bx [][]float64) {
 // not the codec — this test is what makes the frame codec's zero-copy
 // shortcuts safe to trust.
 func TestBinaryDifferential(t *testing.T) {
-	_, ts := newTestServer(t, Config{Procs: 2, Coalesce: CoalesceConfig{Window: 0}})
+	_, ts := newTestServer(t, Config{Procs: 2})
 	l := testFactor(12)
 	lower := true
 	n := l.N
@@ -151,7 +150,7 @@ func TestBinaryDifferential(t *testing.T) {
 // TestBinaryErrorEquivalence drives the error paths through both
 // encodings: same request defect, same HTTP status.
 func TestBinaryErrorEquivalence(t *testing.T) {
-	s, ts := newTestServer(t, Config{Procs: 2, MaxBatch: 4, Coalesce: CoalesceConfig{Window: 0}})
+	s, ts := newTestServer(t, Config{Procs: 2, MaxBatch: 4})
 	l := testFactor(8)
 	lower := true
 	n := l.N
@@ -329,7 +328,7 @@ func TestBinaryAdmission429(t *testing.T) {
 // binary workload completes and the server drains, every request arena
 // has returned to the pool.
 func TestBinaryArenaLeak(t *testing.T) {
-	s, err := New(Config{Procs: 2, Coalesce: CoalesceConfig{Window: 2 * time.Millisecond, Width: 8}})
+	s, err := New(Config{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +391,7 @@ func TestBinaryArenaLeak(t *testing.T) {
 
 // TestSolveFrameZeroAlloc pins the tentpole end to end below the HTTP
 // transport: a warm fp-resubmission through solve — frame decode,
-// factor-cache lookup, coalescer fast path, bound solve, response encode
+// factor-cache lookup, bound solve, response encode
 // — performs zero heap allocations.
 func TestSolveFrameZeroAlloc(t *testing.T) {
 	s, frame := warmBinaryServer(t, 16)
@@ -416,7 +415,7 @@ func TestSolveFrameZeroAlloc(t *testing.T) {
 // solver's memoized timed body must not cost the warm path its 0
 // allocs/op.
 func TestSolveFrameZeroAllocSampled(t *testing.T) {
-	s, frame := warmBinaryServerCfg(t, 16, Config{Procs: 2, TraceSampleEvery: 1, Coalesce: CoalesceConfig{Window: 0}})
+	s, frame := warmBinaryServerCfg(t, 16, Config{Procs: 2, TraceSampleEvery: 1})
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(100, func() {
 		st := edgeState(s, frameCodec)
@@ -435,7 +434,7 @@ func TestSolveFrameZeroAllocSampled(t *testing.T) {
 // warmBinaryServer builds a solo-pass server, registers a mesh factor
 // through the binary path and returns a warm fp-resubmission frame.
 func warmBinaryServer(tb testing.TB, mesh int) (*Server, []byte) {
-	return warmBinaryServerCfg(tb, mesh, Config{Procs: 2, Coalesce: CoalesceConfig{Window: 0}})
+	return warmBinaryServerCfg(tb, mesh, Config{Procs: 2})
 }
 
 // TestBinaryTenantWarmZeroAlloc pins the tentpole allocation contract:
@@ -555,7 +554,7 @@ func BenchmarkBinaryRequest(b *testing.B) {
 		// clock and the solver's memoized timed body must keep the warm
 		// path at 0 allocs/op (gated by CI's allocs_budget alongside
 		// fp-warm).
-		s, frame := warmBinaryServerCfg(b, 16, Config{Procs: 2, TraceSampleEvery: 1, Coalesce: CoalesceConfig{Window: 0}})
+		s, frame := warmBinaryServerCfg(b, 16, Config{Procs: 2, TraceSampleEvery: 1})
 		ctx := context.Background()
 		b.ReportAllocs()
 		b.ResetTimer()

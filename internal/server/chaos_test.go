@@ -18,10 +18,10 @@ import (
 // TestChaosConcurrentCancellation is the serving-path chaos test the CI
 // race matrix runs with the adaptive planner active: concurrent clients
 // hammer one server with a mix of structures (different sizes, both
-// solve directions) while random per-request deadlines fire mid-window
+// solve directions) while random per-request deadlines fire mid-solve
 // and random client-side cancellations tear requests away at arbitrary
 // points. Every request must resolve to a definite outcome — a solution
-// that is bit-identical to the unfused reference, a timeout, or a
+// that is bit-identical to the sequential loop, a timeout, or a
 // cancellation — with no hung waiter, no panic, and no race; a final
 // graceful drain must complete with traffic still arriving.
 func TestChaosConcurrentCancellation(t *testing.T) {
@@ -29,7 +29,6 @@ func TestChaosConcurrentCancellation(t *testing.T) {
 		Procs:          4,
 		Kind:           KindAuto, // the planner decides per structure
 		CacheCap:       4,        // small enough that eviction happens under the mix
-		Coalesce:       CoalesceConfig{Window: 300 * time.Microsecond, Width: 8},
 		Admission:      AdmissionConfig{MaxInFlight: 32},
 		DefaultTimeout: 5 * time.Second,
 	})
@@ -40,7 +39,7 @@ func TestChaosConcurrentCancellation(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 
 	// Mixed structures: sizes and directions differ so plans, cache
-	// entries and coalesce keys churn against each other.
+	// entries and factor pins churn against each other.
 	type problem struct {
 		l     *sparse.CSR
 		lower bool
@@ -94,7 +93,7 @@ func TestChaosConcurrentCancellation(t *testing.T) {
 					Lower: &p.lower, B: [][]float64{b},
 				}
 				if rng.Intn(3) == 0 {
-					req.TimeoutMs = 1 + rng.Intn(3) // server-side deadline, may fire mid-window
+					req.TimeoutMs = 1 + rng.Intn(3) // server-side deadline, may fire mid-solve
 				}
 				body, err := json.Marshal(req)
 				if err != nil {
@@ -104,9 +103,8 @@ func TestChaosConcurrentCancellation(t *testing.T) {
 				ctx := context.Background()
 				var cancel context.CancelFunc = func() {}
 				if r%cancelEvery == cancelEvery-1 {
-					// Client abandons the request at a random point in the
-					// window; other waiters in the same window must be
-					// undisturbed.
+					// Client abandons the request at a random point; the
+					// concurrent requests must be undisturbed.
 					ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(1500))*time.Microsecond)
 				}
 				hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,

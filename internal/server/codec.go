@@ -116,7 +116,7 @@ func beginJSON(st *reqState, k, n int) [][]float64 {
 }
 
 func finishJSON(st *reqState, fp uint64, info SolveInfo) ([]byte, int) {
-	xs := st.creq.xs
+	xs := st.xs
 	resp := SolveResponse{
 		Fused: info.Fused, Width: info.Width, Strategy: info.Strategy,
 		Executed: info.Metrics.Executed,

@@ -62,7 +62,7 @@ func TestJSONNonFiniteSolution(t *testing.T) {
 // DCWF frame, and the two wires must then agree on the status and — on
 // success — on the fingerprint and every solution bit.
 func FuzzJSONDecode(f *testing.F) {
-	s, err := New(Config{Procs: 1, Coalesce: CoalesceConfig{Window: 0}})
+	s, err := New(Config{Procs: 1})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 
+	"doconsider/internal/executor"
 	"doconsider/internal/plancache"
 	"doconsider/internal/sparse"
 	"doconsider/internal/trisolve"
@@ -54,7 +56,7 @@ func TestFactorByFpResidency(t *testing.T) {
 		t.Fatalf("registration returned (%p, %x) and %x, want the resident factor and two distinct fingerprints", ra, fpA, fpB)
 	}
 	// Re-registering an equal matrix returns the resident copy, so
-	// identical requests coalesce on one value array.
+	// identical requests share one value array.
 	if again, fp := registerT(s, a.Clone(), true); again != a || fp != fpA {
 		t.Errorf("re-registration returned (%p, %x), want the resident (%p, %x)", again, fp, a, fpA)
 	}
@@ -121,7 +123,7 @@ func TestFactorCollisionNeverCached(t *testing.T) {
 		if f.l != a || fp != wantFp {
 			t.Fatalf("%s registration returned (%p, %x), want the caller's copy and fingerprint %x", what, f.l, fp, wantFp)
 		}
-		if plan, err := f.plan(s.co, nil); solves {
+		if plan, err := f.plan(s, nil); solves {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,4 +223,96 @@ func TestResidencyTelemetry(t *testing.T) {
 	check("shard warm (first sight and build)", 3, 4, 4, 2)
 	byFp(warmed.Fp, w.N, 7)
 	check("first routed request after warm", 4, 4, 5, 2)
+}
+
+// TestEvictionStormNeverClosesPinnedPlan is the proof that the stale-plan
+// failure (a 500 "executor: pool is closed" once in a million drift
+// requests) cannot happen under the pin-once rule: with room for one
+// factor and one skeleton, solvers resubmit two factors by fingerprint
+// (re-shipping on 404) while churners register fresh structures, so
+// every request races an eviction of the very factor, skeleton and
+// worker pool it is about to use. Every reply must be a 200 — never a
+// solve against a closed pool — bit-identical to ForwardSeq.
+func TestEvictionStormNeverClosesPinnedPlan(t *testing.T) {
+	s, err := New(Config{Procs: 2, Kind: executor.Pooled.String(), CacheCap: 1, FactorCacheCap: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer assertDrained(t, s)()
+
+	lower := true
+	// solve ships req as a frame below the HTTP edge and checks the
+	// reply against the sequential oracle; usable off the test goroutine.
+	solve := func(req *SolveRequest, l *sparse.CSR) (fp string, status int, err error) {
+		frame, err := EncodeRequestFrame(req)
+		if err != nil {
+			return "", 0, err
+		}
+		out, status := solveVia(s, frameCodec, frame)
+		wr, err := DecodeResponseFrame(out)
+		if err != nil {
+			return "", status, err
+		}
+		if status != http.StatusOK {
+			return "", status, errors.New(wr.ErrMsg)
+		}
+		want := make([]float64, l.N)
+		if err := trisolve.ForwardSeq(l, want, req.B[0]); err != nil {
+			return "", status, err
+		}
+		for i := range want {
+			if wr.X[0][i] != want[i] {
+				return "", status, fmt.Errorf("x[%d] = %x, ForwardSeq gives %x", i, wr.X[0][i], want[i])
+			}
+		}
+		return wr.Fp, status, nil
+	}
+	inline := func(l *sparse.CSR, seed int64) *SolveRequest {
+		return &SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx, Val: l.Val, Lower: &lower,
+			B: [][]float64{randVec(l.N, seed)}}
+	}
+
+	hot := []*sparse.CSR{testFactor(9), scaledFactor(testFactor(10), 1.5)}
+	const solvers, churners, iters = 4, 2, 120
+	var wg sync.WaitGroup
+	for w := 0; w < solvers+churners; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fps := make([]string, len(hot))
+			for i := 0; i < iters; i++ {
+				seed := int64(w*iters + i)
+				var l *sparse.CSR
+				var req *SolveRequest
+				if w < solvers {
+					k := (w + i) % len(hot)
+					l = hot[k]
+					req = &SolveRequest{Fp: fps[k], Lower: &lower, B: [][]float64{randVec(l.N, seed)}}
+					if fps[k] == "" {
+						req = inline(l, seed)
+					}
+				} else {
+					// Fourteen structures against room for one.
+					l = testFactor(3 + (w*7+i)%14)
+					req = inline(l, seed)
+				}
+				fp, status, err := solve(req, l)
+				if status == http.StatusNotFound && req.Fp != "" {
+					fp, status, err = solve(inline(l, seed), l) // evicted: the client's full-ship fallback
+				}
+				if err != nil {
+					t.Errorf("worker %d op %d (n=%d, fp %q): status %d: %v", w, i, l.N, req.Fp, status, err)
+					return
+				}
+				if w < solvers {
+					fps[(w+i)%len(hot)] = fp
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := s.Stats(); st.FactorCache.Evictions == 0 || st.PlanCache.Evictions == 0 {
+		t.Errorf("the storm evicted %d factors and %d skeletons; it must evict both to prove anything",
+			st.FactorCache.Evictions, st.PlanCache.Evictions)
+	}
 }

@@ -448,7 +448,7 @@ func flushSolutions(sol []byte, xs [][]float64, n int) {
 // also serializes the solutions into the frame.
 func finishFrame(st *reqState, fp uint64, info SolveInfo) ([]byte, int) {
 	buf, lo := st.out, st.lo
-	flushSolutions(buf[lo.solOff:], st.creq.xs, lo.n)
+	flushSolutions(buf[lo.solOff:], st.xs, lo.n)
 	binary.LittleEndian.PutUint64(buf[lo.fpOff:], fp)
 	binary.LittleEndian.PutUint64(buf[lo.tidOff:], st.tr.ID)
 	binary.LittleEndian.PutUint32(buf[lo.infoOff:], uint32(info.Fused))

@@ -260,7 +260,7 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 			xs[j][i] = float64(10*j + i)
 		}
 	}
-	st.creq.xs, st.tr.ID = xs, 0xabc123
+	st.xs, st.tr.ID = xs, 0xabc123
 	out, _ := finishFrame(st, 0xfeed, SolveInfo{
 		Fused: 2, Width: 5, Strategy: "pooled",
 		Metrics: executor.Metrics{Executed: 123},
@@ -286,7 +286,7 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 	// oversized strategy name must be truncated, not overrun its reserve.
 	xs = beginFrame(st, 1, 1)
 	xs[0][0] = 1
-	st.creq.xs, st.tr.ID = xs, 0
+	st.xs, st.tr.ID = xs, 0
 	out, _ = finishFrame(st, 0, SolveInfo{Strategy: strings.Repeat("s", 99)})
 	resp, err = DecodeResponseFrame(out)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 
 // This file is a deliberately small metrics registry — counters, gauges
 // and latency histograms rendered in the Prometheus text exposition
-// format — shared by the HTTP handlers, the coalescer and the plan
+// format — shared by the HTTP handlers, the solve pipeline and the plan
 // cache. It avoids an external client library (the repository carries no
 // dependencies) while keeping the exposition scrape-compatible.
 
@@ -43,17 +43,6 @@ func (g *Gauge) Set(n int64) { atomic.StoreInt64(&g.v, n) }
 // Value returns the current gauge value.
 func (g *Gauge) Value() int64 { return atomic.LoadInt64(&g.v) }
 
-// Max raises the gauge to n if n exceeds the current value; concurrent
-// maxima cannot overwrite a larger one.
-func (g *Gauge) Max(n int64) {
-	for {
-		cur := atomic.LoadInt64(&g.v)
-		if n <= cur || atomic.CompareAndSwapInt64(&g.v, cur, n) {
-			return
-		}
-	}
-}
-
 // Histogram is a fixed-bucket cumulative histogram. Observations are
 // lock-free; rendering takes a point-in-time snapshot per bucket (the
 // buckets are independently atomic, which is the usual Prometheus
@@ -72,9 +61,6 @@ var DefaultLatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
-
-// WidthBuckets buckets fused-pass widths (total right-hand sides).
-var WidthBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // NewHistogram returns a histogram over the given ascending upper bounds.
 func NewHistogram(bounds []float64) *Histogram {

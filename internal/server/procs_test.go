@@ -58,7 +58,7 @@ func TestGoroutinesIndependentOfCacheCap(t *testing.T) {
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("structure %d: status %d", k, resp.StatusCode)
 			}
-			assertBitIdentical(t, sr.X[0], seqSolve(t, l, b), "pooled solve")
+			assertBitIdentical(t, sr.X[0], seqSolve(t, l, true, b), "pooled solve")
 		}
 		if k == 0 {
 			afterFirst = settled()

@@ -65,10 +65,13 @@ func postFrameHdr(t *testing.T, url string, frame []byte) (int, *WireResponse, h
 }
 
 // wireReply is what postWire reads off either wire: the status, the
-// pass's fused count (200) and the error message (anything else).
+// pass's fused count, width, strategy and the solutions (200), and the
+// error message (anything else).
 type wireReply struct {
-	status, fused int
-	errMsg        string
+	status, fused, width int
+	strategy             string
+	xs                   [][]float64
+	errMsg               string
 }
 
 // postWire sends req over the named wire ("json" or "binary") with an
@@ -109,7 +112,7 @@ func postWire(url, wire, tenantHeader string, req *SolveRequest) (wireReply, err
 		if err != nil {
 			return rep, err
 		}
-		rep.fused, rep.errMsg = wr.Fused, wr.ErrMsg
+		rep.fused, rep.width, rep.strategy, rep.xs, rep.errMsg = wr.Fused, wr.Width, wr.Strategy, wr.X, wr.ErrMsg
 		return rep, nil
 	}
 	if rep.status != http.StatusOK {
@@ -119,8 +122,11 @@ func postWire(url, wire, tenantHeader string, req *SolveRequest) (wireReply, err
 		return rep, err
 	}
 	var sr SolveResponse
-	err = json.Unmarshal(out, &sr)
-	rep.fused = sr.Fused
+	if err = json.Unmarshal(out, &sr); err != nil {
+		return rep, err
+	}
+	rep.fused, rep.width, rep.strategy = sr.Fused, sr.Width, sr.Strategy
+	rep.xs, err = sr.Solutions()
 	return rep, err
 }
 
@@ -128,16 +134,12 @@ func postWire(url, wire, tenantHeader string, req *SolveRequest) (wireReply, err
 // wires: a negative timeout (JSON timeout_ms, DCWF timeout section) is
 // rejected with 400 and a message — the bugfix for silently ignored
 // negative timeouts — and a timeout larger than Config.DefaultTimeout
-// does not extend it: a request parked in a long window still comes
-// back 504 at the default deadline.
+// does not extend it: under a default deadline that passes before any
+// solve starts, a request asking for a minute still comes back 504.
 func TestNegativeTimeoutRejectedBothWires(t *testing.T) {
-	s, ts := newTestServer(t, Config{Procs: 1, DefaultTimeout: 50 * time.Millisecond,
-		Coalesce: CoalesceConfig{Window: 10 * time.Second, Width: 64}})
+	_, ts := newTestServer(t, Config{Procs: 1, DefaultTimeout: time.Nanosecond})
 	l := testFactor(8)
 	lower := true
-	// A request stalled mid-body keeps the coalescer from sealing windows
-	// by quiescence, so only a deadline can release a parked request.
-	stallRequest(t, s, ts.URL, solveBody(t, l, true, [][]float64{randVec(l.N, 1)}))
 	cases := []struct {
 		name      string
 		timeoutMs int
@@ -150,7 +152,6 @@ func TestNegativeTimeoutRejectedBothWires(t *testing.T) {
 		for _, wire := range []string{"json", "binary"} {
 			req := &SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx, Val: l.Val,
 				Lower: &lower, B: [][]float64{randVec(l.N, 1)}, TimeoutMs: tc.timeoutMs}
-			start := time.Now()
 			rep, err := postWire(ts.URL, wire, "", req)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.name, wire, err)
@@ -161,69 +162,7 @@ func TestNegativeTimeoutRejectedBothWires(t *testing.T) {
 			if rep.errMsg == "" {
 				t.Errorf("%s/%s: empty error message", tc.name, wire)
 			}
-			if elapsed := time.Since(start); elapsed > 5*time.Second {
-				t.Errorf("%s/%s: answered after %v — the request timeout extended the 50ms default", tc.name, wire, elapsed)
-			}
 		}
-	}
-}
-
-// TestClassSeparationBothWires pins class-keyed coalescing through HTTP:
-// a class=latency request must reach the coalescer under ClassLatency on
-// either wire, so it never joins a parked batch group of the same
-// structure. (TestCoalesceClassSeparation pins the same property below
-// the wire; the JSON path once dropped the class on the way down.)
-func TestClassSeparationBothWires(t *testing.T) {
-	for _, wire := range []string{"json", "binary"} {
-		t.Run(wire, func(t *testing.T) {
-			// Width 2: a second same-class single-RHS request fills the
-			// parked group and seals it, so a misclassified latency request
-			// would answer fused: 2 instead of hanging.
-			s, ts := newTestServer(t, Config{Procs: 1,
-				Coalesce: CoalesceConfig{Window: 10 * time.Second, LatencyWindow: -1, Width: 2}})
-			l := testFactor(8)
-			lower := true
-			mk := func(seed int64) *SolveRequest {
-				return &SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx, Val: l.Val,
-					Lower: &lower, B: [][]float64{randVec(l.N, seed)}}
-			}
-			// One admitted request stalled mid-body, so quiescence cannot
-			// seal the batch window early.
-			_, finish := stallRequest(t, s, ts.URL, solveBody(t, l, true, [][]float64{randVec(l.N, 1)}))
-			batch := make(chan error, 1)
-			go func() {
-				rep, err := postWire(ts.URL, wire, "", mk(2))
-				if err == nil && rep.status != http.StatusOK {
-					err = fmt.Errorf("parked batch request: status %d (%s)", rep.status, rep.errMsg)
-				}
-				batch <- err
-			}()
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				s.co.mu.Lock()
-				parked := s.co.parked
-				s.co.mu.Unlock()
-				if parked == 1 {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("batch request never parked in its window")
-				}
-				time.Sleep(time.Millisecond)
-			}
-			rep, err := postWire(ts.URL, wire, "t;class=latency", mk(3))
-			if err != nil || rep.status != http.StatusOK {
-				t.Fatalf("latency request: status %d, err %v", rep.status, err)
-			}
-			if rep.fused != 1 {
-				t.Errorf("latency request fused with the parked batch group (fused=%d), want a pass of its own", rep.fused)
-			}
-			// Releasing the stalled request fills and seals the batch group.
-			finish()
-			if err := <-batch; err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 
@@ -431,135 +370,10 @@ func TestTenantAttributionBothWires(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	for _, want := range []string{"loops_tenant_requests_total", `tenant="jsonten"`, `tenant="binten"`, "loops_admission_queued", "loops_coalesce_window_ns"} {
+	for _, want := range []string{"loops_tenant_requests_total", `tenant="jsonten"`, `tenant="binten"`, "loops_admission_queued"} {
 		if !bytes.Contains([]byte(text), []byte(want)) {
 			t.Fatalf("/metrics missing %q", want)
 		}
-	}
-}
-
-// TestCoalesceClassSeparation pins the tentpole isolation property: a
-// latency-class request never shares a group (or a window) with batch
-// traffic of the same structure, because the class is part of the
-// coalescing key.
-func TestCoalesceClassSeparation(t *testing.T) {
-	c := newTestCoalescer(t, 40*time.Millisecond, 64)
-	l := testFactor(10)
-
-	var wg sync.WaitGroup
-	infos := make([]SolveInfo, 3)
-	errs := make([]error, 3)
-	submit := func(i int, class Class, seed int64) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			req := c.newReq(l, true, class, [][]float64{randVec(l.N, seed)})
-			infos[i], errs[i] = c.Submit(context.Background(), req)
-		}()
-	}
-	submit(0, ClassBatch, 1)
-	submit(1, ClassBatch, 2)
-	// Wait until both batch requests are parked in their window before
-	// the latency request arrives, so fusion would be possible if the
-	// class were not part of the key.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c.mu.Lock()
-		parked := c.parked
-		c.mu.Unlock()
-		if parked == 2 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	submit(2, ClassLatency, 3)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-	}
-	if infos[0].Fused != 2 || infos[1].Fused != 2 {
-		t.Fatalf("batch requests fused %d/%d, want 2/2", infos[0].Fused, infos[1].Fused)
-	}
-	if infos[2].Fused != 1 {
-		t.Fatalf("latency request fused with batch traffic (fused=%d), want a separate pass", infos[2].Fused)
-	}
-}
-
-// TestWindowForAdapts pins the load-adaptive window ramp: a fast
-// arrival stream keeps the full window, a trickle collapses it to zero
-// (run solo), and the midpoint interpolates linearly.
-func TestWindowForAdapts(t *testing.T) {
-	c := newTestCoalescer(t, 0, 64)
-	base := 1 * time.Millisecond
-	c.windows[ClassBatch] = base
-
-	set := func(ivNs int64) { c.arrival[ClassBatch].ivNs.Store(ivNs) }
-	set(0) // no signal yet: full window, so idle bursts still coalesce
-	if got := c.windowFor(ClassBatch); got != base {
-		t.Fatalf("no-signal window = %v, want %v", got, base)
-	}
-	set(int64(100 * time.Microsecond)) // 10 expected arrivals per window
-	if got := c.windowFor(ClassBatch); got != base {
-		t.Fatalf("fast-arrival window = %v, want %v", got, base)
-	}
-	set(int64(10 * time.Millisecond)) // 0.1 expected: waiting buys nothing
-	if got := c.windowFor(ClassBatch); got != 0 {
-		t.Fatalf("slow-arrival window = %v, want 0", got)
-	}
-	set(int64(800 * time.Microsecond)) // expected 1.25 -> base * (1.25-0.5)/1.5
-	want := time.Duration(float64(base) * 0.5)
-	if got := c.windowFor(ClassBatch); got != want {
-		t.Fatalf("midpoint window = %v, want %v", got, want)
-	}
-	if got := c.windowFor(ClassLatency); got != 0 {
-		t.Fatalf("latency window (configured 0) = %v, want 0", got)
-	}
-}
-
-// TestCoalesceDissolutionRace is the regression hammer for the
-// group-dissolution race: a lone waiter withdrawing (context cancel)
-// while its window timer fires concurrently must never schedule a
-// zero-member pass or resurrect a dissolved group. Run under -race in
-// CI; the invariant checks below catch logic (not just memory) races.
-func TestCoalesceDissolutionRace(t *testing.T) {
-	c := newTestCoalescer(t, 50*time.Microsecond, 64)
-	l := testFactor(6)
-	bs := [][]float64{randVec(l.N, 1)}
-
-	for i := 0; i < 400; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go func() {
-			// The request parks alone; the timer and the withdraw race.
-			_, _, _ = submitRHS(ctx, c, l, true, bs)
-			close(done)
-		}()
-		if i%2 == 0 {
-			time.Sleep(30 * time.Microsecond) // land the cancel near the timer fire
-		}
-		cancel()
-		<-done
-	}
-	// Quiesce: every group either executed or dissolved; nothing leaks.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c.mu.Lock()
-		pending, parked := len(c.pending), c.parked
-		c.mu.Unlock()
-		if (pending == 0 && parked == 0) || time.Now().After(deadline) {
-			if pending != 0 || parked != 0 {
-				t.Fatalf("after hammer: %d pending groups, %d parked requests, want 0/0", pending, parked)
-			}
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Every pass that ran had at least one member: passes <= requests,
-	// and the width histogram never observed zero.
-	if got := c.widthH.Count(); got != c.passes.Value() {
-		t.Fatalf("width histogram count %d != passes %d", got, c.passes.Value())
 	}
 }
 
@@ -573,7 +387,6 @@ func TestChaosTenantFairness(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Procs:     1,
 		Admission: AdmissionConfig{MaxInFlight: 2, Queue: 4},
-		Coalesce:  CoalesceConfig{Window: 500 * time.Microsecond},
 		Tenant:    TenantConfig{Quota: 2, Weights: map[string]int{"lat-0": 4}},
 	})
 	l := testFactor(8)

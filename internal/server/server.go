@@ -1,7 +1,7 @@
 // Package server turns the runtime into a network service: an HTTP/JSON
-// API over the shared plan cache and the batch coalescer, with admission
-// control, per-request deadlines, live Prometheus metrics and graceful
-// drain. It is the serving story the ROADMAP's north star asks for — the
+// API over the shared plan cache, with admission control, per-request
+// deadlines, live Prometheus metrics and graceful drain. It is the
+// serving story the ROADMAP's north star asks for — the
 // inspector/executor amortization of the paper exercised end to end by
 // many independent clients whose problems recur structurally.
 //
@@ -9,16 +9,19 @@
 // priority class (latency or batch) via the X-Doconsider-Tenant header
 // or the binary frame's tenant section. Admission is a weighted
 // deficit-round-robin queue across tenants with latency-class priority
-// and per-tenant concurrency quotas; the coalescer batches per class so
-// latency requests never wait out a wide batch window; and shedding is
-// honest — 429/503 responses derive Retry-After from the observed drain
-// rate, echo the trace id, and are attributed per tenant in stats,
-// metrics and traces.
+// and per-tenant concurrency quotas, and shedding is honest — 429/503
+// responses derive Retry-After from the observed drain rate, echo the
+// trace id, and are attributed per tenant in stats, metrics and traces.
+//
+// Every admitted request solves in its own handler, through its resident
+// factor's bound plan, as one executor pass of its own: concurrent
+// requests on one plan run at once, each on the shared workers idle when
+// it dispatches.
 //
 // Endpoints:
 //
 //	POST /v1/trisolve  submit a CSR triangular factor + RHS batch
-//	GET  /v1/stats     JSON snapshot: cache, coalescer, admission, tenants
+//	GET  /v1/stats     JSON snapshot: caches, admission, tenants, stages
 //	GET  /healthz      liveness (503 while draining)
 //	GET  /metrics      Prometheus text exposition
 package server
@@ -60,18 +63,13 @@ type AdmissionConfig struct {
 	Queue int
 }
 
-// CoalesceConfig shapes request batching: requests against the same
-// factor arriving within a window are fused into one executor pass.
+// CoalesceConfig once shaped the batch coalescer, which fused requests
+// arriving within a window into one executor pass. Every request now
+// solves in its own handler, so nothing reads it.
+//
+// Deprecated: Window has no effect.
 type CoalesceConfig struct {
-	// Window is the batching window; 0 disables coalescing.
 	Window time.Duration
-	// LatencyWindow is the batching window for latency-class requests
-	// (default Window/8; negative disables latency-class coalescing).
-	// Both windows are upper bounds: the coalescer shrinks them per
-	// class when the observed arrival rate cannot fill a pass.
-	LatencyWindow time.Duration
-	// Width is the max RHS per fused pass (default 64).
-	Width int
 }
 
 // TenantConfig shapes per-tenant fairness and accounting.
@@ -111,8 +109,9 @@ type Config struct {
 	TraceSampleEvery int
 
 	Admission AdmissionConfig
-	Coalesce  CoalesceConfig
-	Tenant    TenantConfig
+	// Deprecated: Coalesce has no effect; see CoalesceConfig.
+	Coalesce CoalesceConfig
+	Tenant   TenantConfig
 }
 
 // Validate checks every field against its documented range and returns
@@ -135,10 +134,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("server: Config.TraceRing must be >= 0, got %d", c.TraceRing)
 	case c.Admission.MaxInFlight < 0:
 		return fmt.Errorf("server: Config.Admission.MaxInFlight must be >= 0, got %d", c.Admission.MaxInFlight)
-	case c.Coalesce.Window < 0:
-		return fmt.Errorf("server: Config.Coalesce.Window must be >= 0, got %s", c.Coalesce.Window)
-	case c.Coalesce.Width < 0:
-		return fmt.Errorf("server: Config.Coalesce.Width must be >= 0, got %d", c.Coalesce.Width)
 	case c.Tenant.Quota < 0:
 		return fmt.Errorf("server: Config.Tenant.Quota must be >= 0, got %d", c.Tenant.Quota)
 	case c.Tenant.Max < 0:
@@ -175,13 +170,6 @@ func (c Config) withDefaults() Config {
 	if c.FactorCacheCap == 0 {
 		c.FactorCacheCap = 32
 	}
-	if c.Coalesce.Width <= 0 {
-		c.Coalesce.Width = 64
-	}
-	if c.Coalesce.LatencyWindow == 0 {
-		c.Coalesce.LatencyWindow = c.Coalesce.Window / 8
-	}
-	c.Coalesce.LatencyWindow = max(c.Coalesce.LatencyWindow, 0)
 	if c.Admission.Queue == 0 {
 		c.Admission.Queue = 16
 	}
@@ -252,8 +240,8 @@ type SolveResponse struct {
 	X        [][]float64 `json:"x,omitempty"`
 	X64      [][]byte    `json:"x_b64,omitempty"`
 	Fp       string      `json:"fp"`       // content fingerprint for resubmission
-	Fused    int         `json:"fused"`    // requests that shared the executor pass
-	Width    int         `json:"width"`    // total RHS in the pass
+	Fused    int         `json:"fused"`    // requests that shared the executor pass (always 1)
+	Width    int         `json:"width"`    // RHS in the pass (the request's own)
 	Strategy string      `json:"strategy"` // executor strategy of the pass (planner-chosen for "auto")
 	Executed int64       `json:"executed"` // loop bodies run by the pass
 	TraceID  string      `json:"trace_id"` // this request's trace ID (hex); look it up in /v1/trace
@@ -294,7 +282,8 @@ type StatsResponse struct {
 	PlanCache     plancache.Stats `json:"plan_cache"`
 	CacheHitRate  float64         `json:"cache_hit_rate"`
 	FactorCache   plancache.Stats `json:"factor_cache"`
-	Coalesce      CoalesceStats   `json:"coalesce"`
+	// Deprecated: Coalesce reports every request as a pass of its own.
+	Coalesce CoalesceStats `json:"coalesce"`
 	// Arena reports the solve pipeline's pooled request memory: arenas
 	// outstanding/idle, slab grows and buddy-region overflows.
 	Arena   arena.Stats  `json:"arena"`
@@ -319,6 +308,17 @@ type StatsResponse struct {
 	TracesDropped uint64 `json:"traces_dropped"`
 }
 
+// CoalesceStats once reported the batch coalescer's fusion. Every request
+// is now its own executor pass: Requests and Passes both count the
+// admitted solve requests, and Fused is 0.
+//
+// Deprecated: StatsResponse.Accepted says the same.
+type CoalesceStats struct {
+	Requests uint64 `json:"requests"`
+	Passes   uint64 `json:"passes"`
+	Fused    uint64 `json:"fused"`
+}
+
 // errUnknownFactor distinguishes a by-fingerprint miss from real build
 // failures inside the factor cache.
 var errUnknownFactor = errors.New("server: unknown factor fingerprint")
@@ -330,23 +330,27 @@ type errorResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// Server is the serving subsystem: plan cache, coalescer, metrics and
-// the HTTP handlers over them. Create with New, start with Start (or
-// mount Handler on a listener of your own), stop with Shutdown.
+// Server is the serving subsystem: factor and plan caches, admission,
+// metrics and the HTTP handlers over them. Create with New, start with
+// Start (or mount Handler on a listener of your own), stop with Shutdown.
 type Server struct {
 	cfg Config
 	// The residency stack (see residentFactor): a request pins its factor
 	// in factors; a factor's plan leases a skeleton from cache. Evicting a
 	// factor is what releases its skeleton lease.
-	cache    *trisolve.PlanCache
-	factors  *plancache.Cache[uint64, *residentFactor]
-	co       *Coalescer
+	cache   *trisolve.PlanCache
+	factors *plancache.Cache[uint64, *residentFactor]
+	// planOpts are the plan-cache options of every factor's plan: the
+	// processor count, plus the executor kind unless it is KindAuto.
+	planOpts []trisolve.Option
+	// planHits counts solves that found their factor's plan already
+	// bound: plan lookups answered without the plan cache, which
+	// planCacheStats adds to the cache's own hits.
+	planHits atomic.Uint64
 	reg      *Registry
 	mux      *http.ServeMux
 	httpSrv  *http.Server
 	ln       net.Listener
-	baseCtx  context.Context
-	cancel   context.CancelFunc
 	start    time.Time
 	draining atomic.Bool
 
@@ -376,7 +380,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	baseCtx, cancel := context.WithCancel(context.Background())
 	reg := NewRegistry()
 	cache := trisolve.NewPlanCache(cfg.CacheCap)
 	s := &Server{
@@ -385,22 +388,19 @@ func New(cfg Config) (*Server, error) {
 		factors: plancache.New[uint64, *residentFactor](cfg.FactorCacheCap),
 		reg:     reg,
 		mux:     http.NewServeMux(),
-		baseCtx: baseCtx,
-		cancel:  cancel,
 		start:   time.Now(),
 		arenas:  arena.NewPool(arena.Config{}),
+	}
+	s.planOpts = []trisolve.Option{trisolve.WithProcs(cfg.Procs)}
+	if cfg.Kind != KindAuto {
+		k, _ := executor.KindByName(cfg.Kind) // Validate resolved the name
+		s.planOpts = append(s.planOpts, trisolve.WithKind(k))
 	}
 	s.reqPool.New = func() any {
 		return &reqState{sects: make([]frameSection, 0, maxFrameSections)}
 	}
 	s.tenants = newTenantRegistry(reg, cfg)
 	s.adm = newAdmission(cfg, reg)
-	// The in-flight hook lets the coalescer seal windows early the moment
-	// every admitted request is parked in one — see Coalescer. Admission
-	// waiters are not in flight: a parked request must not hold a window
-	// open.
-	s.co = NewCoalescer(baseCtx, cache, reg, cfg.Coalesce.Window, cfg.Coalesce.LatencyWindow,
-		cfg.Coalesce.Width, cfg.Procs, cfg.Kind, s.adm.inFlight)
 	s.accepted = reg.Counter("loops_admission_accepted_total", "solve requests admitted", nil)
 	s.shed = reg.Counter("loops_admission_shed_total", "solve requests shed with 429", nil)
 	eventGauges(reg, "loops_plan_cache", "plan cache counters by event", s.planCacheStats, []event[plancache.Stats]{
@@ -527,16 +527,14 @@ func (s *Server) Addr() string {
 }
 
 // Shutdown gracefully drains the server: new requests are refused with
-// 503 (and /healthz fails, so load balancers stop routing here), pending
-// coalescer windows are flushed so accepted requests finish immediately,
-// and the HTTP server waits for in-flight handlers up to ctx's deadline.
+// 503 (and /healthz fails, so load balancers stop routing here), and the
+// HTTP server waits for in-flight handlers up to ctx's deadline.
 // The caches close last, in residency order: the factors first (each
 // releases its plan's skeleton lease), then the plan cache; no executor
 // worker is the server's to stop. Shutdown is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.adm.drain()
-	s.co.BeginDrain()
 	var err error
 	if s.httpSrv != nil {
 		err = s.httpSrv.Shutdown(ctx)
@@ -548,16 +546,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if werr := s.waitInFlight(ctx); err == nil {
 		err = werr
 	}
-	if derr := s.co.DrainCtx(ctx); derr != nil {
-		// Deadline: abort in-flight passes via the base context, then wait
-		// for them to unwind (a cancelled pass ends with its running bodies).
-		s.cancel()
-		s.co.Drain()
-		if err == nil {
-			err = derr
-		}
-	}
-	s.cancel()
 	if cerr := s.factors.Close(); err == nil {
 		err = cerr
 	}
@@ -568,12 +556,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // planCacheStats is the plan cache's counters as every surface reports
-// them: a pass that found its factor's plan already bound never reaches
+// them: a solve that found its factor's plan already bound never reaches
 // the cache, but it is a plan lookup answered without the inspector all
 // the same, so it counts as a hit.
 func (s *Server) planCacheStats() plancache.Stats {
 	st := s.cache.Stats()
-	st.Hits += s.co.planHits.Load()
+	st.Hits += s.planHits.Load()
 	return st
 }
 
@@ -592,6 +580,7 @@ func (s *Server) waitInFlight(ctx context.Context) error {
 // Stats assembles the /v1/stats snapshot.
 func (s *Server) Stats() StatsResponse {
 	cs := s.planCacheStats()
+	accepted := s.accepted.Value()
 	tens := s.tenants.snapshot()
 	tstats := make([]TenantStats, 0, len(tens))
 	var queued int64
@@ -615,7 +604,7 @@ func (s *Server) Stats() StatsResponse {
 	return StatsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		InFlight:      s.adm.inFlight(),
-		Accepted:      s.accepted.Value(),
+		Accepted:      accepted,
 		Shed:          s.shed.Value(),
 		Tenants:       tstats,
 		Queued:        queued,
@@ -623,7 +612,7 @@ func (s *Server) Stats() StatsResponse {
 		PlanCache:     cs,
 		CacheHitRate:  cs.HitRate(),
 		FactorCache:   s.factors.Stats(),
-		Coalesce:      s.co.Stats(),
+		Coalesce:      CoalesceStats{Requests: accepted, Passes: accepted},
 		Arena:         s.arenas.Stats(),
 		Delta:         s.cache.DeltaStats(),
 		Supernode:     s.cache.SupernodeStats(),
@@ -680,10 +669,7 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, c *codec, t0
 	if res != admitOK {
 		return s.rejectOverload(w, c, t0, ten, class, res, retry)
 	}
-	defer func() {
-		s.adm.Release(ten)
-		s.co.Nudge()
-	}()
+	defer s.adm.Release(ten)
 	s.accepted.Inc()
 	ten.accepted.Inc()
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,8 @@ import (
 
 	"doconsider/internal/executor"
 	"doconsider/internal/sparse"
+	"doconsider/internal/stencil"
+	"doconsider/internal/trisolve"
 )
 
 // solveBody marshals a SolveRequest for a factor and RHS batch.
@@ -41,6 +44,55 @@ func postSolve(t *testing.T, url string, body []byte) (*http.Response, SolveResp
 		}
 	}
 	return resp, sr
+}
+
+// testFactor returns a small lower-triangular factor with full diagonal.
+func testFactor(m int) *sparse.CSR {
+	return stencil.Laplace2D(m, m).LowerWithDiag()
+}
+
+// scaledFactor clones l with every value multiplied by f: same structure,
+// different numbers.
+func scaledFactor(l *sparse.CSR, f float64) *sparse.CSR {
+	c := l.Clone()
+	for k := range c.Val {
+		c.Val[k] *= f
+	}
+	return c
+}
+
+func randVec(n int, seed int64) []float64 {
+	v := make([]float64, n)
+	s := uint64(seed)*2654435761 + 1
+	for i := range v {
+		s = s*6364136223846793005 + 1442695040888963407
+		v[i] = float64(s%1000)/1000 + 0.001
+	}
+	return v
+}
+
+// seqSolve is the oracle every route must reproduce bit for bit: the
+// plain substitution loop, forward or backward.
+func seqSolve(t *testing.T, l *sparse.CSR, lower bool, b []float64) []float64 {
+	t.Helper()
+	x := make([]float64, l.N)
+	solve := trisolve.ForwardSeq
+	if !lower {
+		solve = trisolve.BackwardSeq
+	}
+	if err := solve(l, x, b); err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+func assertBitIdentical(t *testing.T, got, want []float64, what string) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: result differs at %d: %x vs %x", what, i, got[i], want[i])
+		}
+	}
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -74,15 +126,10 @@ func TestServerSolveEndToEnd(t *testing.T) {
 			t.Fatalf("lower=%v: response = fused %d width %d executed %d strategy %q (%d solutions), want the first sight's sequential loop",
 				lower, sr.Fused, sr.Width, sr.Executed, sr.Strategy, len(sr.X))
 		}
-		// The server must reproduce the in-process plan solve bit for bit
-		// (JSON round-trips float64 exactly via %g shortest form).
-		c := newTestCoalescer(t, 0, 64)
+		// The server must reproduce the sequential loop bit for bit (JSON
+		// round-trips float64 exactly via %g shortest form).
 		for j, b := range bs {
-			want, _, err := submitRHS(context.Background(), c, l, lower, [][]float64{b})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitIdentical(t, sr.X[j], want[0], "server solve")
+			assertBitIdentical(t, sr.X[j], seqSolve(t, l, lower, b), "server solve")
 		}
 		if st := s.Stats(); st.Accepted != 1 || st.PlanCache.Misses != 1 {
 			t.Fatalf("lower=%v: stats = %+v, want one accepted request, one cache miss", lower, st)
@@ -168,24 +215,39 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // TestServerKindConfig: the executor kind is resolved by registry name,
-// so an explicit "sequential" (Kind value 0) is honored rather than
-// falling through to the pooled default, and unknown names fail fast.
+// so an explicit "sequential" (Kind value 0) pins the factor's plan
+// rather than falling through to the planner, and unknown names fail
+// fast.
 func TestServerKindConfig(t *testing.T) {
-	s, err := New(Config{Kind: "sequential", Procs: 1})
+	s, err := New(Config{Kind: "sequential", Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer assertDrained(t, s)()
-	if got := s.co.kind; got != executor.Sequential.String() {
-		t.Fatalf("coalescer kind = %v, want sequential", got)
-	}
 	l := testFactor(8)
-	b := randVec(l.N, 1)
-	xs, _, err := submitRHS(context.Background(), &testCo{s.co, s.factors}, l, true, [][]float64{b})
+	var fp string
+	for i := 0; i < 2; i++ { // the second sight builds the plan
+		b := randVec(l.N, int64(i))
+		out, status := solveVia(s, jsonCodec, solveBody(t, l, true, [][]float64{b}))
+		var sr SolveResponse
+		if err := json.Unmarshal(out, &sr); err != nil || status != http.StatusOK {
+			t.Fatalf("solve %d: status %d, %v", i, status, err)
+		}
+		assertBitIdentical(t, sr.X[0], seqSolve(t, l, true, b), "sequential-kind solve")
+		fp = sr.Fp
+	}
+	id, err := parseHexFp(fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, xs[0], refSolve(t, l, b), "sequential-kind solve")
+	pin, err := s.factorByFp(id, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := pin.Value().p; p == nil || p.Kind != executor.Sequential || p.Decision != nil {
+		t.Fatalf("factor plan %+v, want a pinned sequential plan", p)
+	}
+	pin.Release()
 
 	if _, err := New(Config{Kind: "bogus"}); err == nil {
 		t.Fatal("accepted an unknown executor kind name")
@@ -209,8 +271,6 @@ func TestConfigValidate(t *testing.T) {
 		{"Config.DefaultTimeout", Config{DefaultTimeout: -time.Second}},
 		{"Config.TraceRing", Config{TraceRing: -1}},
 		{"Config.Admission.MaxInFlight", Config{Admission: AdmissionConfig{MaxInFlight: -1}}},
-		{"Config.Coalesce.Window", Config{Coalesce: CoalesceConfig{Window: -time.Millisecond}}},
-		{"Config.Coalesce.Width", Config{Coalesce: CoalesceConfig{Width: -1}}},
 		{"Config.Tenant.Quota", Config{Tenant: TenantConfig{Quota: -1}}},
 		{"Config.Tenant.Max", Config{Tenant: TenantConfig{Max: -1}}},
 		{`Config.Tenant.Weights["x"]`, Config{Tenant: TenantConfig{Weights: map[string]int{"x": -1}}}},
@@ -349,44 +409,108 @@ func TestServerAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestServerRequestDeadline parks a deadline-carrying request in a long
-// window while another admitted request keeps the coalescer from sealing
-// early (quiescence needs every in-flight request parked): the deadline,
-// not the window, must decide when the request comes back.
+// TestServerRequestDeadline: a request whose deadline has passed when its
+// solve starts is answered 504 with a message, on both wires — the
+// executor pass checks the deadline before its first row.
 func TestServerRequestDeadline(t *testing.T) {
-	s, ts := newTestServer(t, Config{Procs: 1, Coalesce: CoalesceConfig{Window: 10 * time.Second, Width: 64}})
+	_, ts := newTestServer(t, Config{Procs: 1, DefaultTimeout: time.Nanosecond})
 	l := testFactor(8)
-	body := solveBody(t, l, true, [][]float64{randVec(l.N, 1)})
-	stallRequest(t, s, ts.URL, body)
-
-	req := SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx, Val: l.Val,
-		B: [][]float64{randVec(l.N, 1)}, TimeoutMs: 20}
-	start := time.Now()
-	resp, _ := postSolve(t, ts.URL, mustJSON(t, req))
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504", resp.StatusCode)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("deadline did not cut the coalescing wait short")
+	lower := true
+	for _, wire := range []string{"json", "binary"} {
+		req := &SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx, Val: l.Val,
+			Lower: &lower, B: [][]float64{randVec(l.N, 1)}}
+		rep, err := postWire(ts.URL, wire, "", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.status != http.StatusGatewayTimeout || rep.errMsg == "" {
+			t.Fatalf("%s: status %d (%q), want 504 with a message", wire, rep.status, rep.errMsg)
+		}
 	}
 }
 
-// TestServerQuiescentSealNoWindowStall: a lone request in an otherwise
-// idle server must not wait out a long coalescing window — the coalescer
-// seals as soon as every admitted request is parked.
-func TestServerQuiescentSealNoWindowStall(t *testing.T) {
-	_, ts := newTestServer(t, Config{Procs: 1, Coalesce: CoalesceConfig{Window: 10 * time.Second, Width: 64}})
-	l := testFactor(8)
-	start := time.Now()
-	resp, sr := postSolve(t, ts.URL, solveBody(t, l, true, [][]float64{randVec(l.N, 1)}))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+// TestRequestsSolveOnArrival pins the route every request takes: it
+// solves in its own handler, on a pass of its own. Four concurrent
+// by-fingerprint requests on one factor, on each wire, under a
+// ten-second Coalesce.Window — which nothing reads — each return long
+// before the window with fused 1, their own width and the sequential
+// loop's bits, and /v1/stats counts one pass per request, none fused.
+func TestRequestsSolveOnArrival(t *testing.T) {
+	const clients = 4
+	for _, wire := range []string{"json", "binary"} {
+		s, ts := newTestServer(t, Config{Procs: 2, Coalesce: CoalesceConfig{Window: 10 * time.Second}})
+		l := testFactor(12)
+		lower := true
+		first, err := postWire(ts.URL, "json", "", &SolveRequest{N: l.N, RowPtr: l.RowPtr,
+			ColIdx: l.ColIdx, Val: l.Val, Lower: &lower, B: [][]float64{randVec(l.N, 99)}})
+		if err != nil || first.status != http.StatusOK {
+			t.Fatalf("%s: registering the factor: status %d, %v", wire, first.status, err)
+		}
+		fp := fmt.Sprintf("%016x", l.ContentFingerprint())
+		replies := make([]wireReply, clients)
+		errs := make([]error, clients)
+		bs := make([][][]float64, clients)
+		start := time.Now()
+		var wg sync.WaitGroup
+		for i := range replies {
+			bs[i] = [][]float64{randVec(l.N, int64(2*i)), randVec(l.N, int64(2*i+1))}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				replies[i], errs[i] = postWire(ts.URL, wire, "", &SolveRequest{Fp: fp, Lower: &lower, B: bs[i]})
+			}(i)
+		}
+		wg.Wait()
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("%s: %d requests took %v: something waited out the window", wire, clients, elapsed)
+		}
+		for i, rep := range replies {
+			if errs[i] != nil || rep.status != http.StatusOK {
+				t.Fatalf("%s request %d: status %d, err %v", wire, i, rep.status, errs[i])
+			}
+			if rep.fused != 1 || rep.width != len(bs[i]) {
+				t.Fatalf("%s request %d: fused %d width %d, want a pass of its own of width %d", wire, i, rep.fused, rep.width, len(bs[i]))
+			}
+			for j, b := range bs[i] {
+				assertBitIdentical(t, rep.xs[j], seqSolve(t, l, true, b), fmt.Sprintf("%s request %d rhs %d", wire, i, j))
+			}
+		}
+		var st StatsResponse
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if co := st.Coalesce; co.Requests != clients+1 || co.Passes != co.Requests || co.Fused != 0 {
+			t.Fatalf("%s: coalesce stats %+v, want %d requests, a pass each, none fused", wire, co, clients+1)
+		}
+		if s.Stats().Accepted != clients+1 {
+			t.Fatalf("%s: accepted %d, want %d", wire, s.Stats().Accepted, clients+1)
+		}
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("lone request took %v — stalled on the coalescing window", elapsed)
-	}
-	if sr.Fused != 1 {
-		t.Fatalf("fused = %d, want 1", sr.Fused)
+}
+
+// TestServerUpperSolve drives a backward solve through the server: an
+// upper factor, shipped inline then resubmitted by fingerprint (the
+// second sight builds its plan), answers the backward loop's bits.
+func TestServerUpperSolve(t *testing.T) {
+	_, ts := newTestServer(t, Config{Procs: 2, Kind: executor.Pooled.String()})
+	u := testFactor(10).Transpose()
+	lower := false
+	req := &SolveRequest{N: u.N, RowPtr: u.RowPtr, ColIdx: u.ColIdx, Val: u.Val, Lower: &lower}
+	for i := 0; i < 3; i++ {
+		b := randVec(u.N, int64(7+i))
+		req.B = [][]float64{b}
+		rep, err := postWire(ts.URL, "binary", "", req)
+		if err != nil || rep.status != http.StatusOK {
+			t.Fatalf("solve %d: status %d, %v", i, rep.status, err)
+		}
+		assertBitIdentical(t, rep.xs[0], seqSolve(t, u, false, b), fmt.Sprintf("upper solve %d", i))
+		req = &SolveRequest{Fp: fmt.Sprintf("%016x", u.ContentFingerprint()), Lower: &lower}
 	}
 }
 
@@ -410,7 +534,7 @@ func TestServerFingerprintResubmission(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("by-fingerprint request: status %d", resp2.StatusCode)
 	}
-	assertBitIdentical(t, sr2.X[0], refSolve(t, l, b), "by-fingerprint solve")
+	assertBitIdentical(t, sr2.X[0], seqSolve(t, l, true, b), "by-fingerprint solve")
 	if st := s.Stats(); st.FactorCache.Hits != 1 {
 		t.Fatalf("factor cache stats = %+v, want one hit", st.FactorCache)
 	}
@@ -450,7 +574,7 @@ func TestServerPackedRHS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, xs[0], refSolve(t, l, b), "packed round-trip")
+	assertBitIdentical(t, xs[0], seqSolve(t, l, true, b), "packed round-trip")
 
 	mixed := mustJSON(t, SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx, Val: l.Val,
 		Lower: &lower, B: [][]float64{b}, B64: [][]byte{PackFloats(b)}})
@@ -510,7 +634,6 @@ func TestServerHealthAndMetrics(t *testing.T) {
 		`loops_http_request_seconds_bucket{endpoint="trisolve",wire="json",le="+Inf"} 1`,
 		`loops_http_request_seconds_count{endpoint="trisolve",wire="json"} 1`,
 		`loops_http_request_seconds_count{endpoint="trisolve",wire="binary"} 0`,
-		"loops_coalesce_passes_total 1",
 		"loops_admission_accepted_total 1",
 		"# TYPE loops_http_request_seconds histogram",
 		`loops_stage_seconds_count{stage="execute"} 1`,

@@ -149,9 +149,9 @@ func (s *Server) handleShardWarm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	f := pin.Value()
-	p, err := f.plan(s.co, nil)
+	p, err := f.plan(s, nil)
 	if err == nil && p.Wf == nil {
-		_, err = f.plan(s.co, nil)
+		_, err = f.plan(s, nil)
 	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "plan warm failed: "+err.Error())

@@ -1,34 +1,20 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 
 	"doconsider/internal/sparse"
-	"doconsider/internal/trisolve"
 )
-
-// seqSolve is the oracle every route must reproduce: the plain forward
-// substitution loop.
-func seqSolve(t *testing.T, l *sparse.CSR, b []float64) []float64 {
-	t.Helper()
-	x := make([]float64, l.N)
-	if err := trisolve.ForwardSeq(l, x, b); err != nil {
-		t.Fatal(err)
-	}
-	return x
-}
 
 // TestServerFirstSight pins the plan cache's second-sight rule on the
 // serving routes: a structure's first request is answered by the
 // uninspected sequential loop and leaves no plan on its factor, the
 // second builds the plan the factor then holds, and every answer —
-// inline, by fingerprint, fused with strangers, level-sampled — is
-// bit-identical to ForwardSeq.
+// inline, by fingerprint, concurrent, level-sampled — is bit-identical
+// to ForwardSeq.
 func TestServerFirstSight(t *testing.T) {
 	t.Run("cold inline then by-fp build", func(t *testing.T) {
 		s, ts := newTestServer(t, Config{Procs: 2})
@@ -41,7 +27,7 @@ func TestServerFirstSight(t *testing.T) {
 		if sr.Strategy != "sequential" || sr.Executed != int64(l.N) {
 			t.Fatalf("cold inline ran %q over %d rows, want the sequential loop over %d", sr.Strategy, sr.Executed, l.N)
 		}
-		assertBitIdentical(t, sr.X[0], seqSolve(t, l, b), "cold inline")
+		assertBitIdentical(t, sr.X[0], seqSolve(t, l, true, b), "cold inline")
 		st := s.Stats()
 		if st.PlanCache.Misses != 1 || st.PlanCache.Resident != 0 || st.Planner.Counts["sequential"] != 1 {
 			t.Fatalf("after first sight: plan cache %+v, decisions %v; want one miss, nothing resident, one sequential answer",
@@ -58,7 +44,7 @@ func TestServerFirstSight(t *testing.T) {
 		if resp2.StatusCode != http.StatusOK {
 			t.Fatalf("by-fp: status %d", resp2.StatusCode)
 		}
-		assertBitIdentical(t, sr2.X[0], seqSolve(t, l, b2), "by-fp second sight")
+		assertBitIdentical(t, sr2.X[0], seqSolve(t, l, true, b2), "by-fp second sight")
 		st = s.Stats()
 		if st.PlanCache.Misses != 2 || st.PlanCache.Resident != 1 {
 			t.Fatalf("after second sight: plan cache %+v, want the build resident", st.PlanCache)
@@ -80,41 +66,43 @@ func TestServerFirstSight(t *testing.T) {
 		pin.Release()
 	})
 
-	t.Run("coalesced group at first sight", func(t *testing.T) {
-		const members = 4
-		cache := trisolve.NewPlanCache(8)
-		t.Cleanup(func() { cache.Close() })
-		c := withFactors(t, NewCoalescer(context.Background(), cache, NewRegistry(), 10*time.Second, 10*time.Second, members, 2, KindAuto, nil))
-		base := testFactor(12)
-		ls := make([]*sparse.CSR, members)
-		bs := make([][]float64, members)
+	t.Run("concurrent first sights", func(t *testing.T) {
+		// Four structures, each seen once, solved at the same time: every
+		// one is its own uninspected pass on the shared first-sight
+		// executor.
+		s, ts := newTestServer(t, Config{Procs: 2})
+		const structures = 4
+		ls := make([]*sparse.CSR, structures)
+		bs := make([][]float64, structures)
 		for i := range ls {
-			ls[i] = scaledFactor(base, 1+0.1*float64(i))
-			bs[i] = randVec(base.N, int64(i))
+			ls[i] = testFactor(9 + i)
+			bs[i] = randVec(ls[i].N, int64(i))
 		}
-		results := make([][][]float64, members)
-		infos := make([]SolveInfo, members)
-		errs := make([]error, members)
+		replies := make([]wireReply, structures)
+		errs := make([]error, structures)
+		lower := true
 		var wg sync.WaitGroup
 		for i := range ls {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				results[i], infos[i], errs[i] = submitRHS(context.Background(), c, ls[i], true, [][]float64{bs[i]})
+				l := ls[i]
+				replies[i], errs[i] = postWire(ts.URL, "json", "", &SolveRequest{N: l.N, RowPtr: l.RowPtr,
+					ColIdx: l.ColIdx, Val: l.Val, Lower: &lower, B: [][]float64{bs[i]}})
 			}(i)
 		}
 		wg.Wait()
-		for i := range ls {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
+		for i, rep := range replies {
+			if errs[i] != nil || rep.status != http.StatusOK {
+				t.Fatalf("structure %d: status %d, err %v", i, rep.status, errs[i])
 			}
-			if infos[i].Fused != members || infos[i].Strategy != "sequential" {
-				t.Fatalf("member %d: info %+v, want one uninspected group pass of %d", i, infos[i], members)
+			if rep.fused != 1 || rep.strategy != "sequential" {
+				t.Fatalf("structure %d: fused %d strategy %q, want its own uninspected pass", i, rep.fused, rep.strategy)
 			}
-			assertBitIdentical(t, results[i][0], seqSolve(t, ls[i], bs[i]), "first-sight group member")
+			assertBitIdentical(t, rep.xs[0], seqSolve(t, ls[i], true, bs[i]), "concurrent first sight")
 		}
-		if st := cache.Stats(); st.Misses != 1 || st.Resident != 0 {
-			t.Fatalf("plan cache %+v, want one first-sight miss and nothing built", st)
+		if st := s.Stats(); st.PlanCache.Misses != structures || st.PlanCache.Resident != 0 {
+			t.Fatalf("plan cache %+v, want %d first-sight misses and nothing built", st.PlanCache, structures)
 		}
 	})
 
@@ -126,7 +114,7 @@ func TestServerFirstSight(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d", resp.StatusCode)
 		}
-		assertBitIdentical(t, sr.X[0], seqSolve(t, l, b), "sampled first sight")
+		assertBitIdentical(t, sr.X[0], seqSolve(t, l, true, b), "sampled first sight")
 		var tr *TraceJSON
 		traces := getTraces(t, ts.URL+"/v1/trace")
 		for i := range traces.Traces {

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"doconsider/internal/arena"
+	"doconsider/internal/executor"
 	"doconsider/internal/obs"
 	"doconsider/internal/plancache"
 	"doconsider/internal/sparse"
@@ -22,10 +24,13 @@ import (
 // request and reads its body into a pooled request arena; solve does the
 // rest the same way for both, calling the codec only to decode, to place
 // the solution rows in the arena and to render the response around what
-// the solver wrote there. Statuses, tracing, tenant accounting, the
-// timeout rule and the detached-pass arena rules are therefore the same
-// on both wires by construction. A warm fp-resubmission frame — the
-// shape this server is built around — performs zero heap allocations
+// the solver wrote there. Statuses, tracing, tenant accounting and the
+// timeout rule are therefore the same on both wires by construction.
+// Every request solves in its own handler, through its resident factor's
+// bound plan, on a pass record of its own (trisolve.Plan): concurrent
+// requests on one plan run at once, each with the helpers idle when it
+// dispatches. A warm fp-resubmission frame — the shape this server is
+// built around — performs zero heap allocations
 // from body bytes to response bytes (the gated
 // BenchmarkBinaryRequest/fp-warm pins this; net/http around it, and
 // encoding/json inside the JSON codec, allocate as they always do).
@@ -38,7 +43,9 @@ type reqState struct {
 	codec *codec
 	req   wireRequest
 	sects []frameSection
-	creq  coReq
+	// xs are the solution rows the codec placed (c.begin) and the solver
+	// writes.
+	xs [][]float64
 	// out and lo are the codec's response placement between its begin
 	// and finish: the arena bytes the solution rows view, and the frame
 	// layout around them (DCWF only).
@@ -54,10 +61,6 @@ type reqState struct {
 	// and counter increments only — no allocation on the warm path.
 	tenant *tenantState
 	class  Class
-	// leaked marks state an abandoned pass may still reference (the
-	// handler gave up on a cancelled submit while the pass kept its
-	// *coReq); such state must be surrendered to the GC, not recycled.
-	leaked bool
 }
 
 // getReqState pairs pooled scratch with a fresh request arena and stamps
@@ -71,19 +74,9 @@ func (s *Server) getReqState(c *codec, ten *tenantState, class Class, t0 time.Ti
 	return st
 }
 
-// putReqState releases the handler's arena reference and recycles the
-// scratch. A detached pass may still hold its own arena reference; the
-// arena returns to the pool when the last reference drops.
+// putReqState releases the request arena and recycles the scratch.
 func (s *Server) putReqState(st *reqState) {
 	st.arena.Release()
-	st.arena = nil
-	if st.leaked {
-		// A detached pass may still write st.creq, st.bstats and st.lc;
-		// recycling the struct would hand those writes to an unrelated
-		// request. Cancellation is rare — let the GC collect it once the
-		// pass drops its pointer.
-		return
-	}
 	*st = reqState{sects: st.sects}
 	s.reqPool.Put(st)
 }
@@ -175,52 +168,70 @@ func (s *Server) solveStages(ctx context.Context, body []byte, err error, st *re
 		return reject(http.StatusBadRequest, err.Error())
 	}
 	// The request's one pin: everything it touches below — skeleton,
-	// executor pool, bound solver — stays open while the factor is pinned.
-	// Until Submit takes it over, it is dropped here.
-	n := pin.Value().l.N
+	// bound solver — stays open while the factor is pinned.
+	defer pin.Release()
+	f := pin.Value()
+	n := f.l.N
 	st.tr.Lap(obs.StageFactor)
 	if err := validateRHS(q.rhs, n, s.cfg.MaxBatch); err != nil {
-		_ = pin.Release()
 		return reject(http.StatusBadRequest, err.Error())
 	}
 	st.tr.Lap(obs.StageDecode)
 	ctx, cancel, err := withRequestTimeout(ctx, q.timeoutMs)
 	if err != nil {
-		_ = pin.Release()
 		return reject(http.StatusBadRequest, err.Error())
 	}
 	defer cancel()
 
-	creq := &st.creq
-	*creq = coReq{pin: pin, class: st.class, xs: c.begin(st, len(q.rhs), n), bs: q.rhs, bstats: &st.bstats}
-	st.tr.Lap(obs.StageEncode)
+	st.xs = c.begin(st, len(q.rhs), n)
+	var lc trisolve.LevelClock
 	if s.tracer.sampler.Sample() {
 		// Level sampling: the pooled clock is installed for this request
 		// only; the timed executor body is memoized per solver, so even a
 		// sample-every-request configuration allocates nothing warm.
 		st.lc.Reset()
-		creq.lc = &st.lc
+		lc = &st.lc
 	}
-	// The pass writes solutions straight into the response bytes; give
-	// it its own arena reference in case it outlives this handler (the
-	// factor pin travels with it and is dropped at the same point).
-	st.arena.Retain()
-	creq.held = st.arena
-	info, err := s.co.Submit(ctx, creq)
+	st.tr.Lap(obs.StageEncode)
+	info, err := s.solveWith(ctx, f, st, lc)
 	if err != nil {
-		// The pass behind an abandoned submit may still be running with
-		// our *coReq: don't read the shared observability fields, and
-		// mark the pooled state so it is leaked rather than recycled.
-		st.leaked = true
-		st.tr.AttributeSubmit(0, 0, 0)
 		return reject(solveErrorStatus(err))
 	}
-	st.tr.AttributeSubmit(info.PlanNs, st.bstats.RepairNs, info.ExecNs)
 	st.tr.SetInfo(n, len(q.rhs), info.Fused, info.Width, info.Strategy)
-	if creq.lc != nil {
+	if lc != nil {
 		st.lc.FillTrace(&st.tr)
 	}
 	return c.finish(st, fp, info)
+}
+
+// SolveInfo describes how one request was executed. Every request is
+// its own pass, so Fused is 1 and Width is the request's own number of
+// right-hand sides; both stay on the wire.
+type SolveInfo struct {
+	Fused    int    // requests that shared the executor pass
+	Width    int    // right-hand sides in the pass
+	Strategy string // executor strategy the pass ran under (planner-chosen for "auto")
+	Metrics  executor.Metrics
+}
+
+// solveWith solves st's right-hand sides into st.xs through f's plan —
+// bound, or at the structure's first sight the uninspected sequential
+// loop — under ctx, and charges the solve to the trace's plan, repair and
+// execute stages. lc, when non-nil, receives per-level executor timing.
+// The warm path allocates nothing.
+func (s *Server) solveWith(ctx context.Context, f *residentFactor, st *reqState, lc trisolve.LevelClock) (SolveInfo, error) {
+	t0 := time.Now()
+	plan, err := f.plan(s, &st.bstats)
+	planNs := time.Since(t0).Nanoseconds()
+	var m executor.Metrics
+	if err == nil {
+		m, err = plan.Bind().SolveTimed(ctx, st.xs, st.req.rhs, lc)
+	}
+	st.tr.AttributeSubmit(planNs, st.bstats.RepairNs)
+	if err != nil {
+		return SolveInfo{}, err
+	}
+	return SolveInfo{Fused: 1, Width: len(st.xs), Strategy: plan.Kind.String(), Metrics: m}, nil
 }
 
 // withRequestTimeout applies a request's own timeout (milliseconds, from
@@ -247,7 +258,7 @@ func withRequestTimeout(ctx context.Context, ms int) (context.Context, context.C
 	return ctx, cancel, nil
 }
 
-// solveErrorStatus maps a coalescer submit error to its HTTP reply.
+// solveErrorStatus maps a solve error to its HTTP reply.
 func solveErrorStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -285,34 +296,31 @@ type residentFactor struct {
 // factorPin is a request's hold on its resident factor.
 type factorPin = plancache.Handle[uint64, *residentFactor]
 
-// plan returns the factor's bound plan, leasing it from c's plan cache
+// plan returns the factor's bound plan, leasing it from s's plan cache
 // when the factor holds none; a failed build is not remembered, so the
 // next solve retries it. Every call that finds the plan held is a plan
 // lookup the inspector did not run for and is counted as one. The plan
 // cache answers the first sight of a structure with an uninspected plan
 // (the sequential loop, see trisolve.PlanCache): the factor does not keep
 // it, so its next solve is the second sight that builds the plan it then
-// holds. An uninspected plan leases nothing, and the pass simply drops
+// holds. An uninspected plan leases nothing, and the solve simply drops
 // it. The caller holds a pin on f. bs, when non-nil, receives the
 // build-cost breakdown if this call builds.
-func (f *residentFactor) plan(c *Coalescer, bs *trisolve.BuildStats) (*trisolve.Plan, error) {
+func (f *residentFactor) plan(s *Server, bs *trisolve.BuildStats) (*trisolve.Plan, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.p != nil {
-		c.planHits.Add(1)
+		s.planHits.Add(1)
 		return f.p, nil
 	}
-	opts, err := c.planOpts()
-	if err != nil {
-		return nil, err
-	}
+	opts := slices.Clip(s.planOpts)
 	if f.editRows != nil {
 		opts = append(opts, trisolve.WithDriftHint(f.baseStructFp, f.editRows))
 	}
 	if bs != nil {
 		opts = append(opts, trisolve.WithBuildStats(bs))
 	}
-	p, err := c.cache.Get(f.l, f.lower, opts...)
+	p, err := s.cache.Get(f.l, f.lower, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -423,9 +431,9 @@ func (s *Server) resolveDrifted(q *wireRequest) (factorPin, uint64, error) {
 
 // registerFactor installs a validated, heap-owned factor in the
 // by-fingerprint cache and returns the resident entry pinned (so
-// concurrent identical requests coalesce on one value array and one
-// plan) with its fingerprint. A factor that cannot be resident — the
-// cache is closed because drain raced in, or its fingerprint is taken —
+// concurrent identical requests share one value array and one plan)
+// with its fingerprint. A factor that cannot be resident — the cache is
+// closed because drain raced in, or its fingerprint is taken —
 // is returned as a transient the pin owns: it solves like any other and
 // its plan closes with the request.
 func (s *Server) registerFactor(f *residentFactor) (factorPin, uint64) {

@@ -36,17 +36,15 @@ const DefaultTenant = "default"
 // OverflowTenant absorbs tenants beyond the Tenant.Max cardinality cap.
 const OverflowTenant = "other"
 
-// Class is a request priority class. Latency-class requests are never
-// sealed behind a batch coalescing window (the class is part of the
-// coalescing key) and are granted admission ahead of batch waiters.
+// Class is a request priority class. Latency-class requests are granted
+// admission ahead of batch waiters.
 type Class uint8
 
 const (
-	// ClassBatch is the default: throughput traffic that tolerates the
-	// full coalescing window.
+	// ClassBatch is the default: throughput traffic.
 	ClassBatch Class = iota
-	// ClassLatency marks latency-sensitive traffic: short coalescing
-	// windows and priority in the admission queue.
+	// ClassLatency marks latency-sensitive traffic: priority in the
+	// admission queue.
 	ClassLatency
 
 	numClasses = 2

@@ -14,8 +14,8 @@ import (
 )
 
 // Request tracing. Every solve request carries an obs.Trace stamped as
-// it crosses the pipeline stages (admission, decode, factor, coalesce,
-// plan, repair, execute, encode); finished traces land in a lock-free
+// it crosses the pipeline stages (admission, decode, factor, plan,
+// repair, execute, encode); finished traces land in a lock-free
 // ring served by GET /v1/trace, and the same stamps feed the
 // loops_stage_seconds histograms — one clock, so /metrics and the
 // traces cannot disagree. The binary path's trace lives in the pooled

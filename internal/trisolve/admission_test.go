@@ -129,7 +129,7 @@ func (r *levelRecorder) Add(level int32, _ int64) {
 }
 
 // TestFirstSightBitIdentical: an uninspected plan's every solve shape —
-// single, batch, group of structural peers, timed — is the sequential
+// single, batch, timed — is the sequential
 // loop, lower and upper, bit for bit; a timed pass, a column pass on the
 // caller alone, charges its one sweep to level 0.
 func TestFirstSightBitIdentical(t *testing.T) {
@@ -161,16 +161,6 @@ func TestFirstSightBitIdentical(t *testing.T) {
 		}
 		for j := range xs {
 			assertBitIdentical(t, xs[j], refSolve(t, tri, lower, bs[j]), fmt.Sprintf("%s batch rhs %d", what, j))
-		}
-
-		group, want := groupOf(t, p, rng, 3, 2)
-		if _, err := p.SolveGroupCtx(ctx, group); err != nil {
-			t.Fatal(err)
-		}
-		for g := range group {
-			for j := range group[g].Xs {
-				assertBitIdentical(t, group[g].Xs[j], want[g][j], fmt.Sprintf("%s group member %d rhs %d", what, g, j))
-			}
 		}
 
 		clock := &levelRecorder{levels: map[int32]int{}}

@@ -1,7 +1,6 @@
 package trisolve
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -156,75 +155,4 @@ func scaleValues(tri *sparse.CSR, f float64) *sparse.CSR {
 		c.Val[k] *= f
 	}
 	return c
-}
-
-// groupOf builds a group of the given size over plan's structure: member
-// 0 is the plan's own factor, later members carry scaled values, each
-// with k right-hand sides. want[g][j] is member g's sequential solution.
-func groupOf(t *testing.T, plan *Plan, rng *rand.Rand, members, k int) (group []BatchProblem, want [][][]float64) {
-	t.Helper()
-	n := plan.L.N
-	group = make([]BatchProblem, members)
-	want = make([][][]float64, members)
-	for g := range group {
-		l := plan.L
-		if g > 0 {
-			l = scaleValues(l, 1+0.25*float64(g))
-		}
-		group[g] = BatchProblem{L: l, Xs: randomRHS(rng, n, k), Bs: randomRHS(rng, n, k)}
-		want[g] = make([][]float64, k)
-		for j := range want[g] {
-			want[g][j] = refSolve(t, l, plan.Lower, group[g].Bs[j])
-		}
-	}
-	return group, want
-}
-
-// TestSolveGroupBitIdenticalPerMember checks the group pass against each
-// member's own sequential solve: members share the plan's sparsity
-// pattern but carry different values, and every solution must match bit
-// for bit — for the plan's factor alone (the single-member kernel) and
-// for three members (the member-loop kernel).
-func TestSolveGroupBitIdenticalPerMember(t *testing.T) {
-	forEachPlan(t, func(t *testing.T, what string, plan *Plan) {
-		rng := rand.New(rand.NewSource(10))
-		for _, members := range []int{1, 3} {
-			group, want := groupOf(t, plan, rng, members, 2)
-			m, err := plan.SolveGroupCtx(context.Background(), group)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := plan.L.N; m.Executed != int64(n) {
-				t.Fatalf("%s: group of %d executed %d rows, want %d (one shared pass)", what, members, m.Executed, n)
-			}
-			for g := range group {
-				for j := range group[g].Xs {
-					assertBitIdentical(t, group[g].Xs[j], want[g][j],
-						fmt.Sprintf("%s group of %d member %d rhs %d", what, members, g, j))
-				}
-			}
-		}
-	})
-}
-
-func TestSolveGroupRejectsForeignStructure(t *testing.T) {
-	tri := stencil.Laplace2D(10, 10).LowerWithDiag()
-	other := stencil.Laplace2D(11, 11).LowerWithDiag()
-	plan, err := NewPlan(tri, true, WithProcs(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plan.Close()
-	n := other.N
-	g := []BatchProblem{{L: other, Xs: [][]float64{make([]float64, n)}, Bs: [][]float64{make([]float64, n)}}}
-	if _, err := plan.SolveGroupCtx(context.Background(), g); err == nil {
-		t.Fatal("group member with a different sparsity structure accepted")
-	}
-	bad := []BatchProblem{{L: tri, Xs: [][]float64{make([]float64, tri.N)}, Bs: nil}}
-	if _, err := plan.SolveGroupCtx(context.Background(), bad); err == nil {
-		t.Fatal("mismatched Xs/Bs lengths accepted")
-	}
-	if m, err := plan.SolveGroupCtx(context.Background(), nil); err != nil || m.Executed != 0 {
-		t.Fatalf("empty group: m=%+v err=%v, want no-op", m, err)
-	}
 }

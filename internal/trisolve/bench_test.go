@@ -63,9 +63,7 @@ func BenchmarkInspector(b *testing.B) {
 // batching: one SolveBatch pass over k=8 right-hand sides against 8
 // sequential Solve calls on the same pooled plan. The batch reads each
 // row's nonzeros once for all RHS and pays one executor dispatch and one
-// set of dependence busy-waits instead of 8. group-2x4 is a SolveGroupCtx
-// pass of two members, the plan's factor and one with other values, of 4
-// right-hand sides each: a column pass, whose allocs/op cmd/ci pins at 0.
+// set of dependence busy-waits instead of 8.
 func BenchmarkSolveBatch(b *testing.B) {
 	l := stencil.Laplace2D(120, 120).LowerWithDiag()
 	n := l.N
@@ -97,19 +95,6 @@ func BenchmarkSolveBatch(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := plan.SolveBatch(xs, bs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	group := []BatchProblem{
-		{L: l, Xs: xs[:4], Bs: bs[:4]},
-		{L: scaleValues(l, 1.5), Xs: xs[4:], Bs: bs[4:]},
-	}
-	ctx := context.Background()
-	b.Run("group-2x4", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := plan.SolveGroupCtx(ctx, group); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -287,9 +272,10 @@ func BenchmarkColumnSplit(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		xs, bs := randomRHS(rng, l.N, k), randomRHS(rng, l.N, k)
 		columns := func(width int) (executor.Metrics, error) {
-			r := take(l, xs, bs)
+			r := take()
 			defer r.drop()
 			r.kernel = newKernel(l, true)
+			r.xs, r.bs = xs, bs
 			return plan.columns(ctx, r, k, width)
 		}
 		for _, c := range []struct {

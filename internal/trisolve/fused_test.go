@@ -1,7 +1,6 @@
 package trisolve
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -75,47 +74,6 @@ func TestFusedSolveDifferential(t *testing.T) {
 					assertBitIdentical(t, xs[j], want[j], "fused SolveBatch")
 				}
 				plan.Close()
-			}
-		}
-	}
-}
-
-// TestFusedSolveGroupDifferential checks the cross-request group pass on
-// a fused plan: members share the plan's sparsity but carry their own
-// values, and each member's solutions must match its own sequential
-// oracle.
-func TestFusedSolveGroupDifferential(t *testing.T) {
-	for _, lower := range []bool{true, false} {
-		l := fusedTestFactors(t, lower)["mesh9x6"]
-		rng := rand.New(rand.NewSource(11))
-		group := make([]BatchProblem, 3)
-		want := make([][][]float64, len(group))
-		for g := range group {
-			m := l.Clone()
-			for k := range m.Val {
-				m.Val[k] *= 1 + 0.25*float64(g) + rng.Float64()
-			}
-			bs := randomRHS(rng, l.N, 2)
-			group[g] = BatchProblem{L: m, Xs: randomRHS(rng, l.N, 2), Bs: bs}
-			want[g] = make([][]float64, len(bs))
-			for j := range bs {
-				want[g][j] = refSolve(t, m, lower, bs[j])
-			}
-		}
-		plan, err := NewPlan(l, lower, WithKind(executor.Sequential), WithFusion(FuseForce))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer plan.Close()
-		if plan.Fusion() == nil {
-			t.Fatal("forced plan is not fused")
-		}
-		if _, err := plan.SolveGroupCtx(context.Background(), group); err != nil {
-			t.Fatalf("SolveGroupCtx: %v", err)
-		}
-		for g := range group {
-			for j := range group[g].Xs {
-				assertBitIdentical(t, group[g].Xs[j], want[g][j], "fused SolveGroupCtx")
 			}
 		}
 	}

@@ -113,8 +113,6 @@ type BatchSolver struct{ p *Plan }
 // so a warm solve allocates nothing.
 type pass struct {
 	kernel
-	group   []BatchProblem  // the solve's members; a batch is a group of one
-	own     [1]BatchProblem // a batch's group
 	one     [2][1][]float64 // a single vector's xs and bs
 	units   []int32         // a fused plan's supernode row spans, else nil
 	levelOf []int32         // the scheduled indices' wavefront levels
@@ -129,21 +127,17 @@ var passes struct {
 	free []*pass
 }
 
-// take returns a record from the free list, or builds one, set to solve
-// a group of one: xs and bs against the factor l.
-func take(l *sparse.CSR, xs, bs [][]float64) *pass {
+// take returns a record from the free list, or builds one.
+func take() *pass {
 	passes.mu.Lock()
-	var r *pass
+	defer passes.mu.Unlock()
 	if n := len(passes.free); n > 0 {
-		r = passes.free[n-1]
+		r := passes.free[n-1]
 		passes.free = passes.free[:n-1]
-	} else {
-		r = new(pass)
-		r.body, r.timed, r.span = r.unit, r.timedUnit, r.sweep
+		return r
 	}
-	passes.mu.Unlock()
-	r.own[0] = BatchProblem{L: l, Xs: xs, Bs: bs}
-	r.group = r.own[:]
+	r := new(pass)
+	r.body, r.timed, r.span = r.unit, r.timedUnit, r.sweep
 	return r
 }
 
@@ -176,51 +170,36 @@ func (r *pass) timedUnit(u int32) {
 }
 
 // sweep is one participant's span of a column pass: columns lo..hi-1,
-// numbered across the members in order, each member's share solved by
-// the sequential loop with that member's own values. No column waits on
-// another, so every column is the sequential loop's result by
-// construction. A timed span is charged to level 0, as an uninspected
-// pass is.
+// each solved by the sequential loop. No column waits on another, so
+// every column is the sequential loop's result by construction. A timed
+// span is charged to level 0, as an uninspected pass is.
 func (r *pass) sweep(lo, hi int, stop func() bool) {
 	t0 := time.Now()
-	for _, g := range r.group {
-		if a, b := max(lo, 0), min(hi, len(g.Xs)); a < b {
-			kn := r.kernel
-			kn.val, kn.xs, kn.bs = g.L.Val, g.Xs[a:b], g.Bs[a:b]
-			if !kn.sweep(stop) {
-				return
-			}
-		}
-		lo, hi = lo-len(g.Xs), hi-len(g.Xs)
-	}
-	if r.clock != nil {
+	kn := r.kernel
+	kn.xs, kn.bs = r.xs[lo:hi], r.bs[lo:hi]
+	if kn.sweep(stop) && r.clock != nil {
 		r.clock.Add(0, time.Since(t0).Nanoseconds())
 	}
 }
 
-// solve runs r's group on p and returns r to the free list. Any solve on
-// a sequential plan, a group of two or more members and a batch of two
-// or more on an adaptive parallel plan run as a column pass, at width 1
-// on a sequential plan and min(columns, P) otherwise. Only single
-// vectors on parallel plans and batches on pinned parallel kinds run the
-// plan's schedule.
-func (p *Plan) solve(ctx context.Context, r *pass, clock LevelClock) (executor.Metrics, error) {
+// solve runs r over xs and bs on p and returns r to the free list. Any
+// solve on a sequential plan and a batch of two or more on an adaptive
+// parallel plan run as a column pass, at width 1 on a sequential plan
+// and min(columns, P) otherwise. Only single vectors on parallel plans
+// and batches on pinned parallel kinds run the plan's schedule.
+func (p *Plan) solve(ctx context.Context, r *pass, xs, bs [][]float64, clock LevelClock) (executor.Metrics, error) {
 	defer r.drop()
 	r.kernel, r.clock = newKernel(p.L, p.Lower), clock
-	cols := 0
-	for _, g := range r.group {
-		cols += len(g.Xs)
-	}
-	switch {
+	r.xs, r.bs = xs, bs
+	switch cols := len(xs); {
 	case cols == 0:
 		return executor.Metrics{}, nil
 	case p.Kind == executor.Sequential:
 		return p.columns(ctx, r, cols, 1)
-	case len(r.group) > 1 || cols > 1 && p.Decision != nil:
+	case cols > 1 && p.Decision != nil:
 		return p.columns(ctx, r, cols, min(cols, p.Sched.P))
 	}
-	g := &r.group[0]
-	r.val, r.xs, r.bs, r.levelOf = g.L.Val, g.Xs, g.Bs, p.in.UnitWf
+	r.levelOf = p.in.UnitWf
 	if p.in.Part != nil {
 		r.units = p.in.Part.RowPtr
 	}
@@ -230,8 +209,8 @@ func (p *Plan) solve(ctx context.Context, r *pass, clock LevelClock) (executor.M
 	return p.in.Run(ctx, p.exec, r.timed)
 }
 
-// columns runs r's group, cols columns in all, as a column pass on at
-// most width participants, each claiming a contiguous span (pass.sweep).
+// columns runs r's cols columns as a column pass on at most width
+// participants, each claiming a contiguous span (pass.sweep).
 func (p *Plan) columns(ctx context.Context, r *pass, cols, width int) (executor.Metrics, error) {
 	m, err := p.exec.RunColumns(ctx, cols, width, r.span)
 	if err == nil {
@@ -286,5 +265,5 @@ func (s *BatchSolver) SolveTimed(ctx context.Context, xs, bs [][]float64, clock 
 	if err := s.p.checkBatch(xs, bs); err != nil {
 		return executor.Metrics{}, err
 	}
-	return s.p.solve(ctx, take(s.p.L, xs, bs), clock)
+	return s.p.solve(ctx, take(), xs, bs, clock)
 }

@@ -82,9 +82,8 @@ func TestBatchSolverShapeErrors(t *testing.T) {
 
 // TestBatchSolverZeroAlloc pins the solver's purpose: a warm pooled
 // solve through a bound solver, a warm column pass of an adaptive plan's
-// batch, a warm two-member group on a pooled and on a sequential plan and
-// a warm single vector on a sequential plan perform zero heap
-// allocations.
+// batch, and a warm batch and a warm single vector on a sequential plan
+// perform zero heap allocations.
 func TestBatchSolverZeroAlloc(t *testing.T) {
 	tri := stencil.Laplace2D(20, 20).LowerWithDiag()
 	plan, err := NewPlan(tri, true, WithProcs(2), WithKind(executor.Pooled))
@@ -127,19 +126,14 @@ func TestBatchSolverZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seq.Close()
-	other := scaleValues(tri, 1.5)
 	rng := rand.New(rand.NewSource(8))
-	group := []BatchProblem{
-		{L: tri, Xs: randomRHS(rng, tri.N, 2), Bs: randomRHS(rng, tri.N, 2)},
-		{L: other, Xs: randomRHS(rng, tri.N, 2), Bs: randomRHS(rng, tri.N, 2)},
-	}
+	sxs, sbs := randomRHS(rng, tri.N, 2), randomRHS(rng, tri.N, 2)
 	x, b := make([]float64, tri.N), randRHS(tri.N, 4)
 	for _, c := range []struct {
 		what string
 		pass func() (executor.Metrics, error)
 	}{
-		{"pooled group", func() (executor.Metrics, error) { return plan.SolveGroupCtx(ctx, group) }},
-		{"sequential group", func() (executor.Metrics, error) { return seq.SolveGroupCtx(ctx, group) }},
+		{"sequential batch", func() (executor.Metrics, error) { return seq.Bind().Solve(ctx, sxs, sbs) }},
 		{"sequential single vector", func() (executor.Metrics, error) { return seq.SolveCtx(ctx, x, b) }},
 	} {
 		if _, err := c.pass(); err != nil { // warm

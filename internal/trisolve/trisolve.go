@@ -85,7 +85,7 @@ func sequential(t *sparse.CSR, x, b []float64, lower bool) error {
 // plan's lease and is a no-op otherwise.
 //
 // Every solve runs on a pass record of its own (see Plan.solve), so
-// solves on one Plan — single vectors, batches and groups, from any
+// solves on one Plan — single vectors and batches, from any
 // number of goroutines — share nothing on the plan and run at once.
 //
 // For a supernodal plan (Fusion non-nil) Deps and Sched describe the
