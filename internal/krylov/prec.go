@@ -18,7 +18,6 @@ type ILUPrec struct {
 	Forward *trisolve.Plan
 	Back    *trisolve.Plan
 	tmp     []float64
-	tmps    [][]float64 // lazily grown intermediate vectors for ApplyBatch
 }
 
 // ILUPrecOptions configures preconditioner construction.
@@ -88,36 +87,6 @@ func NewILUPrec(a *sparse.CSR, o ILUPrecOptions) (*ILUPrec, error) {
 func (p *ILUPrec) Apply(z, r []float64) {
 	p.Forward.Solve(p.tmp, r)
 	p.Back.Solve(z, p.tmp)
-}
-
-// ApplyBatch applies the preconditioner to len(zs) residuals in two
-// batched triangular passes: one forward and one backward scheduled sweep
-// regardless of the batch width, instead of two per residual. With a
-// batch of one the arithmetic matches Apply exactly. Like Apply, it is
-// not safe for concurrent use on one ILUPrec (the intermediate vectors
-// are shared).
-func (p *ILUPrec) ApplyBatch(zs, rs [][]float64) error {
-	if len(zs) != len(rs) {
-		return fmt.Errorf("krylov: batch has %d outputs but %d residuals", len(zs), len(rs))
-	}
-	// Retain scratch only up to a modest width: one unusually wide batch
-	// must not pin k*n floats for the preconditioner's lifetime.
-	const maxRetainedTmps = 8
-	tmps := p.tmps
-	for len(tmps) < len(zs) {
-		tmps = append(tmps, make([]float64, len(p.tmp)))
-	}
-	if len(tmps) <= maxRetainedTmps {
-		p.tmps = tmps
-	} else {
-		p.tmps = append([][]float64(nil), tmps[:maxRetainedTmps]...)
-	}
-	tmps = tmps[:len(zs)]
-	if _, err := p.Forward.SolveBatch(tmps, rs); err != nil {
-		return err
-	}
-	_, err := p.Back.SolveBatch(zs, tmps)
-	return err
 }
 
 // Close releases the two solve plans' leases when they came from a

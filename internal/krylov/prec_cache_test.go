@@ -63,64 +63,23 @@ func TestILUPrecSharedPlanCache(t *testing.T) {
 	}
 }
 
-// TestApplyBatchMatchesApply checks the batched preconditioner
-// application is bit-identical to per-residual Apply.
-func TestApplyBatchMatchesApply(t *testing.T) {
+// TestWarmApplyAllocatesNothing checks the plans bind their solve state
+// on the first solve, so a warm application allocates nothing (the
+// sequential kind, so that no executor goroutine spawn is counted).
+func TestWarmApplyAllocatesNothing(t *testing.T) {
 	a := stencil.FivePoint(15)
-	p, err := NewILUPrec(a, ILUPrecOptions{Procs: 2, Kind: executor.Pooled})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	const k = 4
-	n := a.N
-	rng := rand.New(rand.NewSource(2))
-	rs := make([][]float64, k)
-	zsBatch := make([][]float64, k)
-	zsOne := make([][]float64, k)
-	for j := 0; j < k; j++ {
-		rs[j] = make([]float64, n)
-		for i := range rs[j] {
-			rs[j][i] = rng.NormFloat64()
-		}
-		zsBatch[j] = make([]float64, n)
-		zsOne[j] = make([]float64, n)
-		p.Apply(zsOne[j], rs[j])
-	}
-	if err := p.ApplyBatch(zsBatch, rs); err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < k; j++ {
-		for i := 0; i < n; i++ {
-			if zsBatch[j][i] != zsOne[j][i] {
-				t.Fatalf("residual %d index %d: batch %v, apply %v", j, i, zsBatch[j][i], zsOne[j][i])
-			}
-		}
-	}
-	if err := p.ApplyBatch(zsBatch, rs[:2]); err == nil {
-		t.Fatal("mismatched batch widths accepted")
-	}
-
-	// The plans bind their solve state on the first solve, so a
-	// warm application allocates nothing (the sequential kind, so that no
-	// executor goroutine spawn is counted).
 	seq, err := NewILUPrec(a, ILUPrecOptions{Kind: executor.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer seq.Close()
-	if err := seq.ApplyBatch(zsBatch, rs); err != nil { // warm: binds both plans, grows the scratch
-		t.Fatal(err)
+	r := make([]float64, a.N)
+	for i := range r {
+		r[i] = float64(i%7) - 3
 	}
-	if allocs := testing.AllocsPerRun(20, func() { seq.Apply(zsOne[0], rs[0]) }); allocs != 0 {
+	z := make([]float64, a.N)
+	seq.Apply(z, r) // warm: binds both plans
+	if allocs := testing.AllocsPerRun(20, func() { seq.Apply(z, r) }); allocs != 0 {
 		t.Errorf("warm Apply = %v allocs/op, want 0", allocs)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := seq.ApplyBatch(zsBatch, rs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm ApplyBatch = %v allocs/op, want 0", allocs)
 	}
 }

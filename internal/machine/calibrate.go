@@ -27,7 +27,7 @@ func Calibrate(nproc int) Costs {
 	x := 1.0
 	t0 := time.Now()
 	for i := 0; i < iters; i++ {
-		x = x*0.999999 + 1e-9
+		x = float64(x*0.999999) + 1e-9
 	}
 	tflop := time.Since(t0).Seconds() / iters
 	sink = x

@@ -1,10 +1,6 @@
 package machine
 
-import (
-	"fmt"
-
-	"doconsider/internal/wavefront"
-)
+import "doconsider/internal/wavefront"
 
 // ChunkPolicy determines the number of indices a worker claims, given the
 // number of unclaimed indices and the processor count.
@@ -44,106 +40,26 @@ func GuidedChunk(minChunk int) ChunkPolicy {
 // This lets chunk-size and guided-scheduling studies run at any simulated
 // processor count, independent of host CPUs.
 func SimulateSelfScheduled(order []int32, deps *wavefront.Deps, work []float64, nproc int, policy ChunkPolicy, claimCost float64, c Costs) (Result, error) {
-	n := len(order)
-	if nproc < 1 {
-		nproc = 1
-	}
-	res := Result{
-		Busy: make([]float64, nproc),
-		Idle: make([]float64, nproc),
-	}
-	done := make([]float64, deps.N)
-	computed := make([]bool, deps.N)
-	clock := make([]float64, nproc)
-	// Per-worker current chunk [lo,hi) and position.
-	lo := make([]int, nproc)
-	hi := make([]int, nproc)
-	pos := make([]int, nproc)
-	cursor := 0
-	remaining := n
-
-	claim := func(w int) {
+	nproc = max(nproc, 1)
+	b := newBusyWait(nproc, deps, work, c, order)
+	n, cursor := len(order), 0
+	b.claim = func(w int) bool {
 		if cursor >= n {
-			lo[w], hi[w], pos[w] = n, n, n
-			return
+			return false
 		}
-		k := policy(n-cursor, nproc)
-		if k < 1 {
-			k = 1
-		}
-		lo[w] = cursor
-		hi[w] = cursor + k
-		if hi[w] > n {
-			hi[w] = n
-		}
-		pos[w] = lo[w]
-		cursor = hi[w]
-		clock[w] += claimCost
-		res.Busy[w] += claimCost
+		k := max(policy(n-cursor, nproc), 1)
+		b.pos[w], b.end[w] = cursor, min(cursor+k, n)
+		cursor = b.end[w]
+		b.clock[w] += claimCost
+		b.res.Busy[w] += claimCost
+		return true
 	}
-
-	// Initial claims in worker order (all clocks zero).
+	// First claims go eagerly in worker order (all clocks zero); later
+	// ones happen as the sweep reaches an exhausted worker, which revisits
+	// workers until quiescent. Because execution only ever advances
+	// clocks, the fixed ordering keeps the simulation deterministic.
 	for w := 0; w < nproc; w++ {
-		claim(w)
+		b.claim(w)
 	}
-	for remaining > 0 {
-		progressed := false
-		for w := 0; w < nproc; w++ {
-			for {
-				if pos[w] >= hi[w] {
-					if cursor >= n {
-						break
-					}
-					// Worker finished its chunk: claim the next one. Claim
-					// ordering among workers follows the outer sweep, which
-					// revisits workers until quiescent; because execution
-					// times only ever increase clocks, the fixed ordering
-					// keeps the simulation deterministic.
-					claim(w)
-					progressed = true
-					continue
-				}
-				i := order[pos[w]]
-				start := clock[w]
-				ok := true
-				for _, t := range deps.On(int(i)) {
-					if !computed[t] {
-						ok = false
-						break
-					}
-					if done[t] > start {
-						start = done[t]
-					}
-				}
-				if !ok {
-					break
-				}
-				exec := float64(deps.Count(int(i)))*c.Tcheck + work[i]*c.Tflop + c.Tinc + c.Overhead
-				res.Idle[w] += start - clock[w]
-				res.Busy[w] += exec
-				done[i] = start + exec
-				computed[i] = true
-				clock[w] = done[i]
-				pos[w]++
-				remaining--
-				progressed = true
-			}
-		}
-		if !progressed && remaining > 0 {
-			return res, fmt.Errorf("%w: dynamic schedule stalled with %d indices left", ErrStuck, remaining)
-		}
-	}
-	for w := 0; w < nproc; w++ {
-		if clock[w] > res.Makespan {
-			res.Makespan = clock[w]
-		}
-	}
-	for w := 0; w < nproc; w++ {
-		res.Idle[w] += res.Makespan - clock[w]
-	}
-	res.SeqTime = seqTime(work, c)
-	if res.Makespan > 0 {
-		res.Efficiency = res.SeqTime / (float64(nproc) * res.Makespan)
-	}
-	return res, nil
+	return b.run()
 }

@@ -72,48 +72,176 @@ type Result struct {
 // with the dependence structure (or the dependences are cyclic).
 var ErrStuck = errors.New("machine: self-executing simulation deadlocked")
 
+// Every product that feeds a sum in this package is wrapped in an
+// explicit float64 conversion, which rounds it before the addition: the
+// Go spec then forbids a fused multiply-add, so arm64 returns the same
+// bits as amd64 and the simulator golden holds on both
+// (TestNoFusedMultiplyAdd in internal/trisolve checks the assembly).
 func seqTime(work []float64, c Costs) float64 {
 	s := 0.0
 	for _, w := range work {
-		s += w * c.Tflop
+		s += float64(w * c.Tflop)
 	}
 	return s
+}
+
+// account derives the sequential time and the efficiency from the
+// makespan, the same for every discipline.
+func (r *Result) account(work []float64, c Costs) {
+	r.SeqTime = seqTime(work, c)
+	if r.Makespan > 0 {
+		r.Efficiency = r.SeqTime / (float64(len(r.Busy)) * r.Makespan)
+	}
+}
+
+// barrierRun is the pre-scheduled discipline's one loop: within a phase
+// each processor runs its indices back to back, and the phase costs the
+// slowest processor's work plus one global synchronization, which the
+// others spend idle at the barrier. spans, when non-nil, receives every
+// index's span on the run's clock, and end is that clock's final value:
+// it adds each phase onto the running clock rather than summing the
+// phase first, so it may differ from Makespan in the last bits.
+func barrierRun(s *schedule.Schedule, work []float64, c Costs, spans *[]Span) (res Result, end float64) {
+	res = Result{
+		Busy: make([]float64, s.P),
+		Idle: make([]float64, s.P),
+	}
+	phaseWork := make([]float64, s.P)
+	for k := 0; k < s.NumPhases; k++ {
+		phaseMax, phaseEnd := 0.0, end
+		for p := 0; p < s.P; p++ {
+			t, at := 0.0, end
+			for _, i := range s.Phase(p, k) {
+				exec := float64(work[i]*c.Tflop) + c.Overhead
+				t += exec
+				if spans != nil {
+					*spans = append(*spans, Span{Index: i, Proc: int32(p), Start: at, Finish: at + exec})
+				}
+				at += exec
+			}
+			phaseWork[p] = t
+			phaseMax, phaseEnd = max(phaseMax, t), max(phaseEnd, at)
+		}
+		for p, t := range phaseWork {
+			res.Busy[p] += t
+			res.Idle[p] += phaseMax - t
+		}
+		res.Makespan += phaseMax + c.Tsynch
+		end = phaseEnd + c.Tsynch
+	}
+	res.account(work, c)
+	return res, end
 }
 
 // SimulatePreScheduled computes the makespan of the pre-scheduled executor:
 // each phase costs the maximum per-processor work in that phase, and every
 // phase boundary costs one global synchronization.
 func SimulatePreScheduled(s *schedule.Schedule, work []float64, c Costs) Result {
-	res := Result{
-		Busy: make([]float64, s.P),
-		Idle: make([]float64, s.P),
-	}
-	total := 0.0
-	for k := 0; k < s.NumPhases; k++ {
-		var phaseMax float64
-		phaseWork := make([]float64, s.P)
-		for p := 0; p < s.P; p++ {
-			var t float64
-			for _, i := range s.Phase(p, k) {
-				t += work[i]*c.Tflop + c.Overhead
-			}
-			phaseWork[p] = t
-			if t > phaseMax {
-				phaseMax = t
-			}
-		}
-		for p := 0; p < s.P; p++ {
-			res.Busy[p] += phaseWork[p]
-			res.Idle[p] += phaseMax - phaseWork[p]
-		}
-		total += phaseMax + c.Tsynch
-	}
-	res.Makespan = total
-	res.SeqTime = seqTime(work, c)
-	if total > 0 {
-		res.Efficiency = res.SeqTime / (float64(s.P) * total)
-	}
+	res, _ := barrierRun(s, work, c, nil)
 	return res
+}
+
+// busyWait is the state of the self-executing discipline's one event
+// loop. Processor p runs order[pos[p]:end[p]] in order; an index starts
+// when its processor is free and all its dependences have completed, and
+// costs check(p, i) for its dependence checks plus its work, one
+// ready-array increment and the per-index overhead. Two hooks vary the
+// loop: claim, when set, hands a processor whose range ran out its next
+// one and reports whether there was any; spans, when set, receives every
+// index's span.
+type busyWait struct {
+	deps     *wavefront.Deps
+	work     []float64
+	c        Costs
+	check    func(p int, i int32) float64
+	claim    func(p int) bool
+	spans    *[]Span
+	order    []int32
+	pos, end []int
+	clock    []float64
+	res      Result
+}
+
+func newBusyWait(nproc int, deps *wavefront.Deps, work []float64, c Costs, order []int32) *busyWait {
+	return &busyWait{
+		deps: deps, work: work, c: c, order: order,
+		check: func(_ int, i int32) float64 { return float64(deps.Count(int(i))) * c.Tcheck },
+		pos:   make([]int, nproc),
+		end:   make([]int, nproc),
+		clock: make([]float64, nproc),
+		res:   Result{Busy: make([]float64, nproc), Idle: make([]float64, nproc)},
+	}
+}
+
+// staticBusyWait sets up the loop over a static schedule: processor p
+// runs s.Proc(p) and nothing more.
+func staticBusyWait(s *schedule.Schedule, deps *wavefront.Deps, work []float64, c Costs) *busyWait {
+	b := newBusyWait(s.P, deps, work, c, s.Idx)
+	for p := range b.pos {
+		b.pos[p], b.end[p] = int(s.ProcPtr[p]), int(s.ProcPtr[p+1])
+	}
+	return b
+}
+
+// run sweeps the processors in order, each as far as its dependences
+// allow, until every index has executed; a sweep that moves nothing
+// means the schedule deadlocks.
+func (b *busyWait) run() (Result, error) {
+	done := make([]float64, b.deps.N)
+	computed := make([]bool, b.deps.N)
+	remaining := len(b.order)
+	for remaining > 0 {
+		progressed := false
+		for p := range b.pos {
+			for {
+				if b.pos[p] >= b.end[p] {
+					if b.claim == nil || !b.claim(p) {
+						break
+					}
+					progressed = true
+					continue
+				}
+				i := b.order[b.pos[p]]
+				start := b.clock[p]
+				ok := true
+				for _, t := range b.deps.On(int(i)) {
+					if !computed[t] {
+						ok = false
+						break
+					}
+					if done[t] > start {
+						start = done[t]
+					}
+				}
+				if !ok {
+					break
+				}
+				exec := b.check(p, i) + float64(b.work[i]*b.c.Tflop) + b.c.Tinc + b.c.Overhead
+				b.res.Idle[p] += start - b.clock[p]
+				b.res.Busy[p] += exec
+				done[i] = start + exec
+				computed[i] = true
+				b.clock[p] = done[i]
+				if b.spans != nil {
+					*b.spans = append(*b.spans, Span{Index: i, Proc: int32(p), Start: start, Finish: done[i]})
+				}
+				b.pos[p]++
+				remaining--
+				progressed = true
+			}
+		}
+		if !progressed {
+			return b.res, fmt.Errorf("%w: %d indices unexecuted", ErrStuck, remaining)
+		}
+	}
+	for _, t := range b.clock {
+		b.res.Makespan = max(b.res.Makespan, t)
+	}
+	for p, t := range b.clock {
+		b.res.Idle[p] += b.res.Makespan - t
+	}
+	b.res.account(b.work, b.c)
+	return b.res, nil
 }
 
 // SimulateSelfExecuting computes the makespan of the self-executing
@@ -122,62 +250,7 @@ func SimulatePreScheduled(s *schedule.Schedule, work []float64, c Costs) Result 
 // dependences have completed; each dependence costs a shared-array check
 // and each completion costs a shared-array increment.
 func SimulateSelfExecuting(s *schedule.Schedule, deps *wavefront.Deps, work []float64, c Costs) (Result, error) {
-	res := Result{
-		Busy: make([]float64, s.P),
-		Idle: make([]float64, s.P),
-	}
-	done := make([]float64, s.N)
-	computed := make([]bool, s.N)
-	pos := make([]int, s.P)
-	clock := make([]float64, s.P)
-	remaining := s.N
-	for remaining > 0 {
-		progressed := false
-		for p := 0; p < s.P; p++ {
-			for pos[p] < s.ProcLen(p) {
-				i := s.Proc(p)[pos[p]]
-				startFloor := clock[p]
-				ok := true
-				for _, t := range deps.On(int(i)) {
-					if !computed[t] {
-						ok = false
-						break
-					}
-					if done[t] > startFloor {
-						startFloor = done[t]
-					}
-				}
-				if !ok {
-					break
-				}
-				exec := float64(deps.Count(int(i)))*c.Tcheck + work[i]*c.Tflop + c.Tinc + c.Overhead
-				res.Idle[p] += startFloor - clock[p]
-				res.Busy[p] += exec
-				done[i] = startFloor + exec
-				computed[i] = true
-				clock[p] = done[i]
-				pos[p]++
-				remaining--
-				progressed = true
-			}
-		}
-		if !progressed && remaining > 0 {
-			return res, fmt.Errorf("%w: %d indices unexecuted", ErrStuck, remaining)
-		}
-	}
-	for p := 0; p < s.P; p++ {
-		if clock[p] > res.Makespan {
-			res.Makespan = clock[p]
-		}
-	}
-	for p := 0; p < s.P; p++ {
-		res.Idle[p] += res.Makespan - clock[p]
-	}
-	res.SeqTime = seqTime(work, c)
-	if res.Makespan > 0 {
-		res.Efficiency = res.SeqTime / (float64(s.P) * res.Makespan)
-	}
-	return res, nil
+	return staticBusyWait(s, deps, work, c).run()
 }
 
 // SymbolicEfficiency is the paper's operation-count based efficiency
@@ -224,16 +297,9 @@ func (e Executor) String() string {
 // no waiting. It returns the estimated parallel time
 // (total work + overheads)/P, plus the barrier term for pre-scheduled runs.
 func RotatingEstimate(kind Executor, s *schedule.Schedule, deps *wavefront.Deps, work []float64, c Costs) float64 {
-	total := 0.0
-	for i := 0; i < s.N; i++ {
-		total += work[i]*c.Tflop + c.Overhead
-		if kind == SelfExecutingSim {
-			total += float64(deps.Count(i))*c.Tcheck + c.Tinc
-		}
-	}
-	t := total / float64(s.P)
+	t := OneProcessorParallelTime(kind, deps, work, c) / float64(s.P)
 	if kind == PreScheduledSim {
-		t += float64(s.NumPhases) * c.Tsynch
+		t += float64(float64(s.NumPhases) * c.Tsynch)
 	}
 	return t
 }
@@ -245,9 +311,9 @@ func RotatingEstimate(kind Executor, s *schedule.Schedule, deps *wavefront.Deps,
 func OneProcessorParallelTime(kind Executor, deps *wavefront.Deps, work []float64, c Costs) float64 {
 	total := 0.0
 	for i := range work {
-		total += work[i]*c.Tflop + c.Overhead
+		total += float64(work[i]*c.Tflop) + c.Overhead
 		if kind == SelfExecutingSim {
-			total += float64(deps.Count(i))*c.Tcheck + c.Tinc
+			total += float64(float64(deps.Count(i))*c.Tcheck) + c.Tinc
 		}
 	}
 	return total

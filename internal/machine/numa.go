@@ -57,76 +57,20 @@ func (c NUMACosts) barrierCost(p int) float64 {
 // model: check costs depend on whether the producer of each dependence is
 // local to the consuming processor.
 func SimulateSelfExecutingNUMA(s *schedule.Schedule, deps *wavefront.Deps, work []float64, c NUMACosts) (Result, error) {
-	owner := make([]int32, s.N)
-	for p := 0; p < s.P; p++ {
-		for _, idx := range s.Proc(p) {
-			owner[idx] = int32(p)
-		}
-	}
-	res := Result{
-		Busy: make([]float64, s.P),
-		Idle: make([]float64, s.P),
-	}
-	done := make([]float64, s.N)
-	computed := make([]bool, s.N)
-	pos := make([]int, s.P)
-	clock := make([]float64, s.P)
-	remaining := s.N
-	for remaining > 0 {
-		progressed := false
-		for p := 0; p < s.P; p++ {
-			for pos[p] < s.ProcLen(p) {
-				i := s.Proc(p)[pos[p]]
-				startFloor := clock[p]
-				ok := true
-				checkCost := 0.0
-				for _, t := range deps.On(int(i)) {
-					if !computed[t] {
-						ok = false
-						break
-					}
-					if done[t] > startFloor {
-						startFloor = done[t]
-					}
-					if owner[t] == int32(p) {
-						checkCost += c.TcheckLocal
-					} else {
-						checkCost += c.TcheckRemote
-					}
-				}
-				if !ok {
-					break
-				}
-				exec := checkCost + work[i]*c.Tflop + c.Tinc + c.Overhead
-				res.Idle[p] += startFloor - clock[p]
-				res.Busy[p] += exec
-				done[i] = startFloor + exec
-				computed[i] = true
-				clock[p] = done[i]
-				pos[p]++
-				remaining--
-				progressed = true
+	owner := owners(s)
+	b := staticBusyWait(s, deps, work, Costs{Tflop: c.Tflop, Tinc: c.Tinc, Overhead: c.Overhead})
+	b.check = func(p int, i int32) float64 {
+		cost := 0.0
+		for _, t := range deps.On(int(i)) {
+			if owner[t] == int32(p) {
+				cost += c.TcheckLocal
+			} else {
+				cost += c.TcheckRemote
 			}
 		}
-		if !progressed && remaining > 0 {
-			return res, ErrStuck
-		}
+		return cost
 	}
-	for p := 0; p < s.P; p++ {
-		if clock[p] > res.Makespan {
-			res.Makespan = clock[p]
-		}
-	}
-	for p := 0; p < s.P; p++ {
-		res.Idle[p] += res.Makespan - clock[p]
-	}
-	for _, w := range work {
-		res.SeqTime += w * c.Tflop
-	}
-	if res.Makespan > 0 {
-		res.Efficiency = res.SeqTime / (float64(s.P) * res.Makespan)
-	}
-	return res, nil
+	return b.run()
 }
 
 // SimulatePreScheduledNUMA is SimulatePreScheduled with the tree-barrier
@@ -145,12 +89,7 @@ func SimulatePreScheduledNUMA(s *schedule.Schedule, work []float64, c NUMACosts)
 // processors under a schedule — the locality metric that determines how
 // hard the NUMA model punishes self-execution.
 func RemoteFraction(s *schedule.Schedule, deps *wavefront.Deps) float64 {
-	owner := make([]int32, s.N)
-	for p := 0; p < s.P; p++ {
-		for _, idx := range s.Proc(p) {
-			owner[idx] = int32(p)
-		}
-	}
+	owner := owners(s)
 	total, remote := 0, 0
 	for i := 0; i < s.N; i++ {
 		for _, t := range deps.On(i) {
@@ -164,4 +103,15 @@ func RemoteFraction(s *schedule.Schedule, deps *wavefront.Deps) float64 {
 		return 0
 	}
 	return float64(remote) / float64(total)
+}
+
+// owners maps every index to the processor that runs it.
+func owners(s *schedule.Schedule) []int32 {
+	owner := make([]int32, s.N)
+	for p := 0; p < s.P; p++ {
+		for _, idx := range s.Proc(p) {
+			owner[idx] = int32(p)
+		}
+	}
+	return owner
 }

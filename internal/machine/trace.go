@@ -30,50 +30,14 @@ type Trace struct {
 // inspection of pipelining behaviour.
 func TraceSelfExecuting(s *schedule.Schedule, deps *wavefront.Deps, work []float64, c Costs) (*Trace, error) {
 	tr := &Trace{P: s.P, Spans: make([]Span, 0, s.N)}
-	done := make([]float64, s.N)
-	computed := make([]bool, s.N)
-	pos := make([]int, s.P)
-	clock := make([]float64, s.P)
-	remaining := s.N
-	for remaining > 0 {
-		progressed := false
-		for p := 0; p < s.P; p++ {
-			for pos[p] < s.ProcLen(p) {
-				i := s.Proc(p)[pos[p]]
-				start := clock[p]
-				ok := true
-				for _, t := range deps.On(int(i)) {
-					if !computed[t] {
-						ok = false
-						break
-					}
-					if done[t] > start {
-						start = done[t]
-					}
-				}
-				if !ok {
-					break
-				}
-				exec := float64(deps.Count(int(i)))*c.Tcheck + work[i]*c.Tflop + c.Tinc + c.Overhead
-				done[i] = start + exec
-				computed[i] = true
-				clock[p] = done[i]
-				tr.Spans = append(tr.Spans, Span{Index: i, Proc: int32(p), Start: start, Finish: done[i]})
-				pos[p]++
-				remaining--
-				progressed = true
-			}
-		}
-		if !progressed && remaining > 0 {
-			return nil, ErrStuck
-		}
+	b := staticBusyWait(s, deps, work, c)
+	b.spans = &tr.Spans
+	res, err := b.run()
+	if err != nil {
+		return nil, err
 	}
-	for p := 0; p < s.P; p++ {
-		if clock[p] > tr.Makespan {
-			tr.Makespan = clock[p]
-		}
-	}
-	sort.Slice(tr.Spans, func(a, b int) bool { return tr.Spans[a].Start < tr.Spans[b].Start })
+	tr.Makespan = res.Makespan
+	tr.sortSpans()
 	return tr, nil
 }
 
@@ -82,41 +46,13 @@ func TraceSelfExecuting(s *schedule.Schedule, deps *wavefront.Deps, work []float
 // at the barrier until the slowest processor (plus Tsynch) releases it.
 func TracePreScheduled(s *schedule.Schedule, work []float64, c Costs) *Trace {
 	tr := &Trace{P: s.P, Spans: make([]Span, 0, s.N)}
-	clock := make([]float64, s.P)
-	t := 0.0
-	for k := 0; k < s.NumPhases; k++ {
-		phaseEnd := t
-		for p := 0; p < s.P; p++ {
-			clock[p] = t
-			for _, i := range s.Phase(p, k) {
-				exec := work[i]*c.Tflop + c.Overhead
-				tr.Spans = append(tr.Spans, Span{
-					Index: i, Proc: int32(p), Start: clock[p], Finish: clock[p] + exec,
-				})
-				clock[p] += exec
-			}
-			if clock[p] > phaseEnd {
-				phaseEnd = clock[p]
-			}
-		}
-		t = phaseEnd + c.Tsynch
-	}
-	tr.Makespan = t
-	sort.Slice(tr.Spans, func(a, b int) bool { return tr.Spans[a].Start < tr.Spans[b].Start })
+	_, tr.Makespan = barrierRun(s, work, c, &tr.Spans)
+	tr.sortSpans()
 	return tr
 }
 
-// WriteCSV emits the trace as "index,proc,start,finish" rows.
-func (tr *Trace) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "index,proc,start,finish"); err != nil {
-		return err
-	}
-	for _, sp := range tr.Spans {
-		if _, err := fmt.Fprintf(w, "%d,%d,%.6g,%.6g\n", sp.Index, sp.Proc, sp.Start, sp.Finish); err != nil {
-			return err
-		}
-	}
-	return nil
+func (tr *Trace) sortSpans() {
+	sort.Slice(tr.Spans, func(a, b int) bool { return tr.Spans[a].Start < tr.Spans[b].Start })
 }
 
 // Gantt renders an ASCII timeline, one row per processor, width columns

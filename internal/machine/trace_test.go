@@ -64,13 +64,6 @@ func TestTraceOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var csv bytes.Buffer
-	if err := tr.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(csv.String(), "\n"); lines != 26 { // header + 25
-		t.Errorf("csv lines = %d, want 26", lines)
-	}
 	var gantt bytes.Buffer
 	if err := tr.Gantt(&gantt, 40); err != nil {
 		t.Fatal(err)

@@ -105,8 +105,10 @@ type Ratios struct {
 // in units where Tp = 1 (so S = mn).
 func TimeRatio(m, n, p int, r Ratios) float64 {
 	s := float64(m * n)
-	pre := s/(float64(p)*EoptPreScheduled(m, n, p)) + r.Rsynch*float64(n+m-1)
-	self := (s / (float64(p) * EoptSelfExecuting(m, n, p))) * (1 + r.Rinc + 2*r.Rcheck)
+	// Each product that feeds a sum is rounded first, so no architecture
+	// fuses it and every one prints the same figures.
+	pre := s/(float64(p)*EoptPreScheduled(m, n, p)) + float64(r.Rsynch*float64(n+m-1))
+	self := (s / (float64(p) * EoptSelfExecuting(m, n, p))) * (1 + r.Rinc + float64(2*r.Rcheck))
 	return pre / self
 }
 

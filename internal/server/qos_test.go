@@ -1,12 +1,16 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"testing"
@@ -137,22 +141,27 @@ func postWire(url, wire, tenantHeader string, req *SolveRequest) (wireReply, err
 // does not extend it: under a default deadline that passes before any
 // solve starts, a request asking for a minute still comes back 504.
 func TestNegativeTimeoutRejectedBothWires(t *testing.T) {
-	_, ts := newTestServer(t, Config{Procs: 1, DefaultTimeout: time.Nanosecond})
+	// The negative case runs under the default deadline: under a 1 ns
+	// one the body read itself can miss the deadline (504) before the
+	// timeout is decoded.
+	_, tsDefault := newTestServer(t, Config{Procs: 1})
+	_, tsExpired := newTestServer(t, Config{Procs: 1, DefaultTimeout: time.Nanosecond})
 	l := testFactor(8)
 	lower := true
 	cases := []struct {
 		name      string
+		url       string
 		timeoutMs int
 		want      int
 	}{
-		{"negative", -5, http.StatusBadRequest},
-		{"larger than default does not extend", 60_000, http.StatusGatewayTimeout},
+		{"negative", tsDefault.URL, -5, http.StatusBadRequest},
+		{"larger than default does not extend", tsExpired.URL, 60_000, http.StatusGatewayTimeout},
 	}
 	for _, tc := range cases {
 		for _, wire := range []string{"json", "binary"} {
 			req := &SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx, Val: l.Val,
 				Lower: &lower, B: [][]float64{randVec(l.N, 1)}, TimeoutMs: tc.timeoutMs}
-			rep, err := postWire(ts.URL, wire, "", req)
+			rep, err := postWire(tc.url, wire, "", req)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.name, wire, err)
 			}
@@ -163,6 +172,97 @@ func TestNegativeTimeoutRejectedBothWires(t *testing.T) {
 				t.Errorf("%s/%s: empty error message", tc.name, wire)
 			}
 		}
+	}
+}
+
+// TestSlowBodyHitsDeadlineBothWires pins that Config.DefaultTimeout
+// covers the body read: a client that sends its headers and trickles the
+// body past the deadline is answered 504 on its own wire, traced and
+// charged to its tenant, and holds neither its admission slot nor its
+// request arena afterwards.
+func TestSlowBodyHitsDeadlineBothWires(t *testing.T) {
+	s, ts := newTestServer(t, Config{Procs: 1, DefaultTimeout: 50 * time.Millisecond})
+	l := testFactor(8)
+	lower := true
+	req := &SolveRequest{N: l.N, RowPtr: l.RowPtr, ColIdx: l.ColIdx, Val: l.Val,
+		Lower: &lower, B: [][]float64{randVec(l.N, 1)}}
+	for _, wire := range []string{"json", "binary"} {
+		contentType := "application/json"
+		body, err := json.Marshal(req)
+		if wire == "binary" {
+			contentType = FrameContentType
+			body, err = EncodeRequestFrame(req)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		tenant := "slow-" + wire
+		fmt.Fprintf(conn, "POST /v1/trisolve HTTP/1.1\r\nHost: test\r\nContent-Type: %s\r\n%s: %s\r\nContent-Length: %d\r\n\r\n",
+			contentType, TenantHeader, tenant, len(body))
+		// The server answers at its deadline, before the body is sent:
+		// the reply must arrive while the client still withholds it.
+		type reply struct {
+			resp *http.Response
+			err  error
+		}
+		br := bufio.NewReader(conn)
+		got := make(chan reply, 1)
+		go func() {
+			resp, err := http.ReadResponse(br, nil)
+			if err == nil {
+				_, err = io.ReadAll(resp.Body)
+				resp.Body.Close()
+			}
+			got <- reply{resp, err}
+		}()
+		var rep reply
+		select {
+		case rep = <-got:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: no reply 2s after the headers while the body is withheld", wire)
+		}
+		if rep.err != nil {
+			t.Fatalf("%s: reading the reply: %v", wire, rep.err)
+		}
+		// The body arrives late; the connection, whose unread body can
+		// no longer be told from the next request, is already closed.
+		conn.Write(body)
+		if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := br.ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: connection still open after the 504 (read: %v)", wire, err)
+		}
+		if rep.resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status %d, want 504", wire, rep.resp.StatusCode)
+		}
+		if ct := rep.resp.Header.Get("Content-Type"); ct != contentType {
+			t.Fatalf("%s: reply Content-Type %q, want the request's wire %q", wire, ct, contentType)
+		}
+		if got := s.tenants.resolve(tenant).classReq[ClassBatch].Value(); got != 1 {
+			t.Fatalf("%s: tenant %s charged %d requests, want 1", wire, tenant, got)
+		}
+		traced := false
+		for _, tr := range s.tracer.ring.Snapshot(0) {
+			traced = traced || (tr.Status == http.StatusGatewayTimeout && traceJSON(&tr).Tenant == tenant)
+		}
+		if !traced {
+			t.Fatalf("%s: no 504 trace for tenant %s", wire, tenant)
+		}
+	}
+	if n := s.adm.inFlight(); n != 0 {
+		t.Fatalf("%d requests still admitted", n)
+	}
+	if st := s.Stats(); st.Arena.Outstanding != 0 {
+		t.Fatalf("%d request arenas outstanding", st.Arena.Outstanding)
 	}
 }
 

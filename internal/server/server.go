@@ -96,8 +96,8 @@ type Config struct {
 	CacheCap       int    // plan-cache capacity in skeletons (default 16)
 	FactorCacheCap int    // factors resubmittable by fingerprint (default 32)
 	MaxBatch       int    // max RHS per request (default 64)
-	// DefaultTimeout is the per-request deadline (default 30s); a request's
-	// own timeout can tighten it, never extend it.
+	// DefaultTimeout is the per-request deadline (default 30s), body read
+	// included; a request's own timeout can tighten it, never extend it.
 	DefaultTimeout time.Duration
 	// TraceRing sizes the completed-trace ring served by /v1/trace
 	// (default max(256, 4*MaxInFlight), rounded up to a power of two).
@@ -678,12 +678,30 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, c *codec, t0
 	st := s.getReqState(c, ten, class, t0)
 	defer s.putReqState(st)
 	st.tr.Lap(obs.StageAdmission)
-	body, err := readBody(r, st.arena)
-	st.tr.Lap(obs.StageDecode)
 	// The transport owns the default deadline; the request's own timeout
-	// can only tighten it (see withRequestTimeout).
+	// can only tighten it (see withRequestTimeout). It starts before the
+	// body is read and bounds the read, so a client trickling its body
+	// holds its admission slot and arena no longer than any other
+	// request. A ResponseWriter that cannot set read deadlines (a
+	// handler mounted behind a wrapper) reads unbounded.
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
 	defer cancel()
+	rc := http.NewResponseController(w)
+	deadline, _ := ctx.Deadline()
+	bounded := rc.SetReadDeadline(deadline) == nil
+	body, err := readBody(r, st.arena)
+	if bounded && err == nil {
+		// Once the body is in, net/http's background read must not trip
+		// the deadline: it would cancel the request context mid-solve and
+		// turn the solve's 504 into a racy 503. The connection took a
+		// deadline a moment ago, so clearing it cannot fail. A failed read
+		// keeps its deadline: net/http discards the unread body before it
+		// replies, and that discard must fail at the deadline (closing
+		// the connection after the reply) rather than wait for the rest
+		// of a body the client may never send.
+		_ = rc.SetReadDeadline(time.Time{})
+	}
+	st.tr.Lap(obs.StageDecode)
 	out, status := s.solve(ctx, body, err, st)
 	c.writeBody(w, status, out)
 	return status

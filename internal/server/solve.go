@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"slices"
 	"sync"
 	"time"
@@ -123,9 +124,10 @@ func readBody(r *http.Request, a *arena.Arena) ([]byte, error) {
 // solve, response encode — through st.codec and returns the response
 // body (a frame lives in st's arena, valid until putReqState; JSON and
 // rejections on the heap) with its HTTP status. ctx carries the deadline;
-// readErr is the transport's failure to deliver body, answered as the
-// decode failure it is. Every outcome, errors included, is traced under
-// the request's trace ID and charged to its tenant. This is the boundary
+// readErr is the transport's failure to deliver body, answered 504 when
+// the body missed the deadline and otherwise as the decode failure it
+// is. Every outcome, errors included, is traced under the request's
+// trace ID and charged to its tenant. This is the boundary
 // the 0 allocs/op gate measures: on a warm fp-resubmission frame (factor
 // resident with its plan bound, arena pooled, no timeout section) the
 // call performs no heap allocations — the factor pin, trace publication
@@ -155,6 +157,10 @@ func (s *Server) solveStages(ctx context.Context, body []byte, err error, st *re
 	st.tr.SetTenant(st.tenant.name, byte(st.class))
 	if st.tr.ID = q.traceID; st.tr.ID == 0 {
 		st.tr.ID = s.tracer.nextID()
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		// The body did not arrive before the request's deadline.
+		return reject(http.StatusGatewayTimeout, "request body not received before the deadline")
 	}
 	if err != nil {
 		return reject(http.StatusBadRequest, "bad request body: "+err.Error())

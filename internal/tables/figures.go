@@ -59,7 +59,7 @@ func FprintFigure12(w io.Writer, pts []Fig12Point) {
 }
 
 func bar(e float64, c byte) string {
-	n := int(e*40 + 0.5)
+	n := int(float64(e*40) + 0.5) // rounded first: never fused
 	if n < 0 {
 		n = 0
 	}

@@ -51,7 +51,7 @@ func iterationModel(p *problems.Problem) solveCostModel {
 	n := float64(p.A.N)
 	return solveCostModel{
 		matvec:  float64(p.A.NNZ()),
-		vecops:  5 * n,
+		vecops:  float64(5 * n), // rounded first: never fused into a sum
 		fwdSeq:  problems.TotalWork(p.Work),
 		backSeq: problems.TotalWork(p.Work), // U has the mirrored structure
 	}

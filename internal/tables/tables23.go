@@ -56,9 +56,9 @@ func TriSolveDecomposition(names []string, nproc int, kind machine.Executor) ([]
 		}
 
 		onePEPar := machine.OneProcessorParallelTime(kind, p.Deps, p.Work, costs)
-		rotating := machine.OneProcessorParallelTime(kind, p.Deps, p.Work, costs) / denom
+		rotating := onePEPar / denom
 		if kind == machine.PreScheduledSim {
-			rotating += float64(gs.NumPhases) * costs.Tsynch
+			rotating += float64(float64(gs.NumPhases) * costs.Tsynch) // rounded first: never fused
 		}
 
 		row := SolveRow{
