@@ -235,31 +235,6 @@ func BenchmarkAblationPartition(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWorkWeighted compares cardinality-wrapped vs
-// work-weighted global dealing on a block problem with non-uniform rows.
-func BenchmarkAblationWorkWeighted(b *testing.B) {
-	p := problems.MustGet("SPE2")
-	costs := machine.MultimaxCosts()
-	b.Run("wrapped", func(b *testing.B) {
-		s := schedule.Global(p.Wf, 16)
-		var makespan float64
-		for i := 0; i < b.N; i++ {
-			r := machine.SimulatePreScheduled(s, p.Work, costs)
-			makespan = r.Makespan
-		}
-		b.ReportMetric(makespan, "makespan")
-	})
-	b.Run("byWork", func(b *testing.B) {
-		s := schedule.GlobalByWork(p.Wf, p.Work, 16)
-		var makespan float64
-		for i := 0; i < b.N; i++ {
-			r := machine.SimulatePreScheduled(s, p.Work, costs)
-			makespan = r.Makespan
-		}
-		b.ReportMetric(makespan, "makespan")
-	})
-}
-
 // BenchmarkAblationILULevel shows how fill level moves the executor
 // tradeoff: more fill, longer chains, fewer/fatter wavefronts.
 func BenchmarkAblationILULevel(b *testing.B) {

@@ -14,15 +14,16 @@
 // There is one inspector, core.Inspect, behind both core.New (generic loops)
 // and trisolve's plans and plan cache (triangular solves). It is adaptive
 // (internal/planner): unless the caller pins an executor kind, it measures
-// the dependence DAG (levels, widths, ideal makespans), consults a
-// host-calibrated cost model, and picks the execution strategy itself —
+// the dependence DAG (levels, widths, ideal makespans), consults the
+// §5.1.2-shaped cost model, and picks the execution strategy itself —
 // sequential for tiny or chain-like structures, pooled for wide ones,
 // doacross when the natural order already parallelizes — with
 // bit-identical results under every choice. Every parallel pass runs on its
 // caller plus the idle helpers of the process's one worker set
-// (GOMAXPROCS-1 goroutines started once), so nothing needs closing. See the "Adaptive
-// planning" section of README.md for the model, the per-machine calibration,
-// and the DOCONSIDER_CALIBRATION environment override.
+// (GOMAXPROCS-1 goroutines started once), so nothing needs closing. The
+// model's constants are the canonical planner.Default() unless the caller
+// passes others, so every process on every host decides the same; see the
+// "Adaptive planning" section of README.md.
 //
 // Inspection is also incremental (internal/delta): when a structure
 // drifts — a few rows gain or lose nonzeros between solves, as under

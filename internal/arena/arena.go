@@ -1,5 +1,5 @@
-// Package arena provides size-classed, pooled request arenas backed by
-// a buddy-allocated slab region. A server request path that would
+// Package arena provides pooled request arenas, each with one resident
+// slab of a single size, backed by a buddy-allocated region. A server request path that would
 // otherwise allocate per request — decode buffers, RHS batches, factor
 // values, response frames — instead Gets an Arena, bump-allocates
 // everything it needs from the arena's resident slab, and Releases the

@@ -67,7 +67,7 @@ type Config struct {
 	Scheduler   Scheduler          // default GlobalScheduler
 	Partition   schedule.Partition // initial partition for local scheduling
 	MergePhases bool               // coalesce barrier phases when safe (ref [13])
-	Model       *planner.CostModel // cost model for adaptive selection; nil = host-calibrated
+	Model       *planner.CostModel // cost model for adaptive selection; nil = planner.Default()
 
 	// kindSet records that WithExecutor pinned the kind explicitly;
 	// otherwise Inspect lets the planner choose.
@@ -90,8 +90,9 @@ func WithExecutor(k executor.Kind) Option {
 }
 
 // WithModel supplies the cost model adaptive selection consults; nil (the
-// default) uses the once-per-machine calibrated host model (planner.ForHost).
-// Pass planner.Default() for machine-independent, reproducible decisions.
+// default) means the canonical planner.Default() constants, which decide
+// the same on every host. Pass planner.Calibrate() for host-measured
+// constants.
 func WithModel(m *planner.CostModel) Option { return func(c *Config) { c.Model = m } }
 
 // WithScheduler sets the scheduling strategy.

@@ -33,7 +33,7 @@ func TestPlannerCompetitive(t *testing.T) {
 		solvesPer = 20 // solves per repetition
 		slack     = 1.05
 	)
-	// ForHost never calibrates inside a test binary, so measure the host
+	// A nil model means the canonical constants, so measure the host
 	// model explicitly — this harness is about real machine behavior.
 	model := planner.Calibrate()
 	faster := 0

@@ -23,7 +23,8 @@ const goldenProcs = 4
 // TestGoldenDecisions pins the planner's (features → strategy[+fused])
 // mapping over the full problem suite under the canonical Default cost
 // model, so a cost-model change produces a reviewable diff of decision
-// flips instead of a silent behavioral change. Regenerate with
+// flips instead of a silent behavioral change. It also pins that a nil
+// model decides exactly as Default does on every row. Regenerate with
 //
 //	go test ./internal/planner -run TestGoldenDecisions -update
 func TestGoldenDecisions(t *testing.T) {
@@ -58,6 +59,9 @@ func TestGoldenDecisions(t *testing.T) {
 		}
 		f.Fusion = fu
 		d := planner.Select(f, planner.Default())
+		if nilModel := planner.Select(f, nil); nilModel != d {
+			t.Errorf("%s: Select(f, nil) = %v, Select(f, Default()) = %v", name, nilModel, d)
+		}
 		strat := fmt.Sprint(d.Strategy)
 		if d.Fused {
 			strat += "+fused"

@@ -10,8 +10,9 @@ import (
 // CostModel holds the per-operation costs, in seconds, that turn DAG
 // features into predicted executor pass times. The shape of the model is
 // the paper's own §5.1.2 accounting — per-row work, shared-array checks,
-// busy-wait losses, per-pass overhead — with constants measured on the
-// host (Calibrate) instead of on the Encore Multimax.
+// busy-wait losses, per-pass overhead — with constants for a current
+// commodity core (Default) or measured on the host (Calibrate) instead
+// of the Encore Multimax's.
 //
 // Only ratios matter for strategy selection, but the constants are kept
 // in absolute seconds so predictions can be sanity-checked against real
@@ -31,13 +32,12 @@ type CostModel struct {
 	TRowFused float64 `json:"t_row_fused"`
 
 	// Parallelism is the hardware parallelism the host can actually
-	// deliver (GOMAXPROCS at calibration time); 0 — the canonical
-	// default — trusts the plan's processor count. A plan configured for
-	// more workers than the host has cores gets no compute speedup from
-	// the excess, only coordination overhead, so Predict floors the
-	// parallel step counts at N/Parallelism. This is what routes small
-	// and medium structures to the sequential executor on a one-core
-	// container even when the caller asked for four workers.
+	// deliver: Calibrate records GOMAXPROCS, and 0 — the canonical
+	// default — trusts the plan's processor count. Under a model from
+	// Calibrate, a plan configured for more workers than the host has
+	// cores gets no compute speedup from the excess, only coordination
+	// overhead, so Predict floors the parallel step counts at
+	// N/Parallelism.
 	Parallelism int `json:"parallelism"`
 
 	// Scatter inflates the parallel compute term to account for the
@@ -54,8 +54,9 @@ type CostModel struct {
 
 // Default returns the canonical cost model: constants representative of
 // a current commodity core, fixed so decisions (and the golden decision
-// table in this package's tests) are machine-independent. Calibrate
-// replaces the timing constants with host measurements.
+// table in this package's tests) are machine-independent. A nil model
+// means this one everywhere. Calibrate replaces the timing constants
+// with host measurements.
 func Default() *CostModel {
 	return &CostModel{
 		TRow:      25e-9,
@@ -138,8 +139,8 @@ func (m *CostModel) PredictFused(f Features, kind executor.Kind) float64 {
 }
 
 // Validate rejects models whose constants are non-positive or non-finite
-// — a corrupt calibration file must fall back to defaults, not produce
-// NaN predictions that compare false against everything.
+// — a failed calibration must fall back to defaults, not produce NaN
+// predictions that compare false against everything.
 func (m *CostModel) Validate() error {
 	for _, c := range []struct {
 		name string

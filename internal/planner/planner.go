@@ -15,11 +15,10 @@
 // wide shallow DAG runs on the pooled executor, and structures whose
 // natural order already respects the wavefronts run doacross.
 //
-// Decisions are deterministic for a fixed cost model. The host model is
-// calibrated once per machine by microbenchmark and persisted (see
-// Calibrate and ForHost); set DOCONSIDER_CALIBRATION=off to use the
-// canonical default constants and DOCONSIDER_CALIBRATION=<path> to
-// relocate the persisted file.
+// Decisions are deterministic for a fixed cost model. Unless the caller
+// passes one, the model is the canonical Default, in every process on
+// every host: the planner reads no file and no environment variable.
+// Calibrate measures host constants for a caller that asks for them.
 package planner
 
 import (
@@ -66,9 +65,13 @@ func (d Decision) String() string {
 		d.PredSequential*1e6, d.PredPooled*1e6, d.PredDoAcross*1e6, super)
 }
 
+// canonical is the model a nil argument selects: one shared value, so
+// Select allocates nothing for it. Select never writes through it.
+var canonical = Default()
+
 // Select picks the execution strategy for a dependence structure with
-// features f under cost model m (nil means the host-calibrated model, see
-// ForHost). The candidates are sequential (tiny or chain-like DAGs, where
+// features f under cost model m (nil means the canonical Default
+// constants). The candidates are sequential (tiny or chain-like DAGs, where
 // any coordination costs more than the work), pooled (shared workers
 // over the wavefront-sorted schedule — the general parallel case), and
 // doacross (busy-wait execution in natural order, which wins when the
@@ -78,7 +81,7 @@ func (d Decision) String() string {
 // sequential or pooled kind over the compressed level structure.
 func Select(f Features, m *CostModel) Decision {
 	if m == nil {
-		m = ForHost()
+		m = canonical
 	}
 	d := Decision{
 		Features:       f,

@@ -2,8 +2,6 @@ package planner
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"doconsider/internal/executor"
@@ -167,53 +165,6 @@ func TestModelValidate(t *testing.T) {
 	bad.TPass = math.NaN()
 	if err := bad.Validate(); err == nil {
 		t.Error("NaN TPass accepted")
-	}
-}
-
-func TestCalibrationRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sub", "calibration.json")
-	m := Default()
-	m.TRow = 42e-9
-	m.Calibrated = true
-	if err := Save(path, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *m {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, m)
-	}
-	if _, err := Load(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Error("loading an absent file succeeded")
-	}
-}
-
-// TestLoadVersion4WithRepairConstants: a calibration file persisted
-// while the model still carried the repair-vs-rebuild constants has the
-// current version and must keep loading — the host keeps its measured
-// constants, and the stale keys (the four repair constants and the two
-// reorder thresholds) are ignored.
-func TestLoadVersion4WithRepairConstants(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "calibration.json")
-	data := `{"version": 4, "gomaxprocs": 2, "model": {
-		"t_row": 3.1e-08, "t_dep": 6e-09, "t_check": 4e-09, "t_spin": 1.2e-07, "t_pass": 1.5e-05,
-		"t_row_fused": 1e-08, "parallelism": 2, "scatter": 0.05,
-		"reorder_min_n": 4096, "reorder_dist_frac": 0.05,
-		"t_inspect_row": 2e-08, "t_inspect_dep": 8e-09, "t_repair_row": 1.5e-08, "t_cone_row": 2.5e-07,
-		"calibrated": true}}`
-	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatalf("version-4 file with the repair constants rejected: %v", err)
-	}
-	want := *Default()
-	want.TRow, want.Parallelism, want.Calibrated = 3.1e-08, 2, true
-	if *got != want {
-		t.Fatalf("loaded %+v, want %+v", *got, want)
 	}
 }
 

@@ -34,18 +34,6 @@ func BenchmarkLocalStriped(b *testing.B) {
 	}
 }
 
-func BenchmarkGlobalByWork(b *testing.B) {
-	wf, _ := benchWf(b)
-	cost := make([]float64, len(wf))
-	for i := range cost {
-		cost[i] = 1 + float64(i%5)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GlobalByWork(wf, cost, 16)
-	}
-}
-
 func BenchmarkMergePhases(b *testing.B) {
 	wf, d := benchWf(b)
 	s := Local(wf, 16, Blocked)

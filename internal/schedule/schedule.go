@@ -21,7 +21,6 @@ package schedule
 
 import (
 	"fmt"
-	"sort"
 
 	"doconsider/internal/wavefront"
 )
@@ -125,59 +124,13 @@ func FromOrder(wf []int32, order []int32, nproc int) *Schedule {
 // k mod P at slot k/P. It is the inverse of FromOrder's dealing and lets
 // an incremental repair splice a few moved indices into the existing
 // order in O(N) instead of re-sorting. The result is unspecified for
-// schedules built with a non-wrapped partition (Local, Natural,
-// GlobalByWork).
+// schedules built with a non-wrapped partition (Local, Natural).
 func (s *Schedule) Order() []int32 {
 	order := make([]int32, s.N)
 	for k := 0; k < s.N; k++ {
 		order[k] = s.Idx[int(s.ProcPtr[k%s.P])+k/s.P]
 	}
 	return order
-}
-
-// GlobalByWork is the work-weighted variant of Global: within each
-// wavefront, indices are dealt greedily to the least-loaded processor
-// (longest-processing-time order), balancing cost rather than cardinality.
-// cost[i] is the execution cost of index i.
-func GlobalByWork(wf []int32, cost []float64, nproc int) *Schedule {
-	n := len(wf)
-	order := sortedByWavefront(wf)
-	s := newSchedule(wf, nproc, n)
-	load := make([]float64, s.P)
-	owner := make([]int32, n)
-	// Process one wavefront at a time, assigning each index an owner.
-	for lo := 0; lo < n; {
-		hi := lo
-		w := wf[order[lo]]
-		for hi < n && wf[order[hi]] == w {
-			hi++
-		}
-		members := append([]int32(nil), order[lo:hi]...)
-		sort.SliceStable(members, func(a, b int) bool {
-			return cost[members[a]] > cost[members[b]]
-		})
-		for _, idx := range members {
-			p := argmin(load)
-			owner[idx] = int32(p)
-			s.ProcPtr[p+1]++
-			load[p] += cost[idx]
-		}
-		lo = hi
-	}
-	for p := 0; p < s.P; p++ {
-		s.ProcPtr[p+1] += s.ProcPtr[p]
-	}
-	// Fill in global (wavefront, index) order so each processor's list is
-	// ordered by (wavefront, index) — deterministic regardless of the
-	// greedy dealing order within a wavefront.
-	pos := fillStart(s)
-	for _, idx := range order {
-		p := owner[idx]
-		s.Idx[pos[p]] = idx
-		pos[p]++
-	}
-	s.buildPhasePtrs()
-	return s
 }
 
 // Local builds a local schedule: the initial partition fixes which
@@ -328,14 +281,4 @@ func sortedByWavefront(wf []int32) []int32 {
 		next[wf[i]]++
 	}
 	return order
-}
-
-func argmin(x []float64) int {
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] < x[best] {
-			best = i
-		}
-	}
-	return best
 }

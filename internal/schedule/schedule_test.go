@@ -135,43 +135,6 @@ func TestNaturalKeepsOrder(t *testing.T) {
 	}
 }
 
-func TestGlobalByWorkBalances(t *testing.T) {
-	// One wavefront, wildly uneven costs: work-weighted dealing should beat
-	// cardinality dealing.
-	n := 40
-	wf := make([]int32, n)
-	cost := make([]float64, n)
-	for i := range cost {
-		cost[i] = 1
-	}
-	cost[0] = 50 // one huge index
-	p := 4
-	byWork := GlobalByWork(wf, cost, p)
-	if err := byWork.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	loads := make([]float64, p)
-	for q := 0; q < p; q++ {
-		for _, idx := range byWork.Proc(q) {
-			loads[q] += cost[idx]
-		}
-	}
-	max, min := loads[0], loads[0]
-	for _, l := range loads {
-		if l > max {
-			max = l
-		}
-		if l < min {
-			min = l
-		}
-	}
-	// LPT puts the huge index alone-ish: max load should be near 50, and the
-	// others near (39)/3 = 13; cardinality dealing would give ~50+9.
-	if max > 51 {
-		t.Errorf("work-balanced max load %v too high", max)
-	}
-}
-
 func TestScheduleValidatePermutationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -188,11 +151,7 @@ func TestScheduleValidatePermutationProperty(t *testing.T) {
 				return false
 			}
 		}
-		cost := make([]float64, n)
-		for i := range cost {
-			cost[i] = 1 + rng.Float64()
-		}
-		return GlobalByWork(wf, cost, p).Validate() == nil
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -86,7 +86,9 @@ func (s *Server) putReqState(st *reqState) {
 // ReadFull into an exact-size buffer when Content-Length is declared (so
 // a declared length is reserved before its bytes arrive — admission
 // bounds how many requests can hold one), a geometric-growth loop
-// otherwise, both bounded by MaxFrameBytes.
+// otherwise, both bounded by MaxFrameBytes. The loop's blocks stop at
+// MaxFrameBytes; a full buffer at the limit reads one probe byte to tell
+// a body that ends there from an oversize one.
 func readBody(r *http.Request, a *arena.Arena) ([]byte, error) {
 	if r.ContentLength > MaxFrameBytes {
 		return nil, fmt.Errorf("body has %d bytes, limit %d", r.ContentLength, MaxFrameBytes)
@@ -102,15 +104,22 @@ func readBody(r *http.Request, a *arena.Arena) ([]byte, error) {
 	total := 0
 	for {
 		if total == len(buf) {
-			next := a.Bytes(2 * len(buf))
+			if total == MaxFrameBytes {
+				switch _, err := io.ReadFull(r.Body, a.Bytes(1)); err {
+				case io.EOF:
+					return buf, nil
+				case nil:
+					return nil, fmt.Errorf("body exceeds %d bytes", MaxFrameBytes)
+				default:
+					return nil, err
+				}
+			}
+			next := a.Bytes(min(2*len(buf), MaxFrameBytes))
 			copy(next, buf[:total])
 			buf = next
 		}
 		n, err := r.Body.Read(buf[total:])
 		total += n
-		if total > MaxFrameBytes {
-			return nil, fmt.Errorf("body exceeds %d bytes", MaxFrameBytes)
-		}
 		if err == io.EOF {
 			return buf[:total], nil
 		}

@@ -140,15 +140,14 @@ type SupernodeStats struct {
 }
 
 type planKey struct {
-	fp       uint64
-	lower    bool
-	procs    int
-	kind     int               // executor.Kind; -1 when the planner chooses
-	auto     bool              // no pinned kind: decision is a function of (fp, procs, model)
-	model    planner.CostModel // compared by value, so fresh-but-equal models share entries
-	hasModel bool              // false = host model
-	sched    SchedulerKind
-	part     int // schedule.Partition
+	fp    uint64
+	lower bool
+	procs int
+	kind  int               // executor.Kind; -1 when the planner chooses
+	auto  bool              // no pinned kind: decision is a function of (fp, procs, model)
+	model planner.CostModel // compared by value, so fresh-but-equal models share entries
+	sched SchedulerKind
+	part  int // schedule.Partition
 	// fuse is the fusion mode — the plan's fusion identity.
 	// Modes differ in executor shape (unit vs row schedules), so fused
 	// and unfused skeletons must never share an entry. Under FuseAuto the
@@ -207,8 +206,11 @@ func (pc *PlanCache) Get(t *sparse.CSR, lower bool, opts ...Option) (*Plan, erro
 	}
 	if cfg.Adaptive() {
 		key.kind, key.auto = -1, true
+		// A nil model decides exactly as planner.Default(), so the two
+		// share one skeleton.
+		key.model = *planner.Default()
 		if cfg.Model != nil {
-			key.model, key.hasModel = *cfg.Model, true
+			key.model = *cfg.Model
 		}
 	}
 	// Both cache reads are direct calls: through a func value, the

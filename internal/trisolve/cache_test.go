@@ -8,6 +8,7 @@ import (
 
 	"doconsider/internal/executor"
 	"doconsider/internal/plancache"
+	"doconsider/internal/planner"
 	"doconsider/internal/sparse"
 	"doconsider/internal/stencil"
 )
@@ -46,9 +47,19 @@ func TestPlanCacheSharesSkeleton(t *testing.T) {
 	if p1.Sched != p2.Sched || p1.Deps != p2.Deps {
 		t.Fatal("identical structure did not share schedule/deps")
 	}
+	// A nil model decides as planner.Default(), so naming it shares the
+	// skeleton too.
+	pd, err := pc.Get(l, true, WithProcs(2), WithModel(planner.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pd.Close()
+	if pd.Sched != p1.Sched {
+		t.Fatal("WithModel(planner.Default()) did not share the unpinned skeleton")
+	}
 	s := pc.Stats()
-	if s.Misses != 2 || s.Hits != 1 {
-		t.Fatalf("stats = %+v, want 2 misses (first sight, build) + 1 hit", s)
+	if s.Misses != 2 || s.Hits != 2 {
+		t.Fatalf("stats = %+v, want 2 misses (first sight, build) + 2 hits", s)
 	}
 	// Different options miss.
 	sight(t, pc, l, true, WithProcs(3))

@@ -168,8 +168,9 @@ func WithKind(k executor.Kind) Option {
 }
 
 // WithModel supplies the cost model adaptive selection consults; nil
-// (the default) uses the once-per-machine calibrated host model. Pass
-// planner.Default() for machine-independent, reproducible decisions.
+// (the default) means the canonical planner.Default() constants, which
+// decide the same on every host. Pass planner.Calibrate() for
+// host-measured constants.
 func WithModel(m *planner.CostModel) Option { return func(c *planConfig) { c.Model = m } }
 
 // WithScheduler sets the scheduling method (default GlobalSched).
