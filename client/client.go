@@ -28,6 +28,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"doconsider/internal/server"
@@ -242,12 +243,22 @@ func (c *Client) doJSON(ctx context.Context, req *Request) (*Response, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, apiErrorFromJSON(resp)
 	}
+	buf := replyBufs.Get().(*bytes.Buffer)
+	defer replyBufs.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return nil, fmt.Errorf("reading response: %w", err)
+	}
 	var sr Response
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	if err := server.DecodeSolveResponse(buf.Bytes(), &sr); err != nil {
 		return nil, fmt.Errorf("decoding response: %w", err)
 	}
 	return &sr, nil
 }
+
+// replyBufs recycles JSON reply buffers: a decoded Response owns its
+// memory, so the raw reply is dead once decoded.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // doFrame posts the request as a DCWF frame. Errors raised before the
 // server's frame handler takes over (admission 429, drain 503) arrive

@@ -25,7 +25,6 @@ import (
 // order-of-magnitude decisions.
 func Calibrate() *CostModel {
 	m := Default()
-	m.Calibrated = true
 	m.Parallelism = runtime.GOMAXPROCS(0)
 	const iters = 1 << 16
 

@@ -18,18 +18,18 @@ import (
 // in absolute seconds so predictions can be sanity-checked against real
 // pass timings.
 type CostModel struct {
-	TRow   float64 `json:"t_row"`   // fixed per-row cost: loop body dispatch, row header
-	TDep   float64 `json:"t_dep"`   // per-dependence cost: one multiply-add + column load
-	TCheck float64 `json:"t_check"` // one shared ready-array check (atomic load)
-	TSpin  float64 `json:"t_spin"`  // one not-ready busy-wait round (check + Gosched)
-	TPass  float64 `json:"t_pass"`  // fixed parallel pass overhead: waking and retiring workers
+	TRow   float64 // fixed per-row cost: loop body dispatch, row header
+	TDep   float64 // per-dependence cost: one multiply-add + column load
+	TCheck float64 // one shared ready-array check (atomic load)
+	TSpin  float64 // one not-ready busy-wait round (check + Gosched)
+	TPass  float64 // fixed parallel pass overhead: waking and retiring workers
 
 	// TRowFused is the per-row fixed cost of a row executed inside a
 	// supernode beyond the node's first: the fused kernels pay one body
 	// dispatch and one set of dependence checks per node, so trailing
 	// rows cost only their loop header and bounds setup. Policy-grade,
 	// not measured — Calibrate leaves it at its default.
-	TRowFused float64 `json:"t_row_fused"`
+	TRowFused float64
 
 	// Parallelism is the hardware parallelism the host can actually
 	// deliver: Calibrate records GOMAXPROCS, and 0 — the canonical
@@ -38,18 +38,14 @@ type CostModel struct {
 	// cores gets no compute speedup from the excess, only coordination
 	// overhead, so Predict floors the parallel step counts at
 	// N/Parallelism.
-	Parallelism int `json:"parallelism"`
+	Parallelism int
 
 	// Scatter inflates the parallel compute term to account for the
 	// wavefront sort destroying the natural row-access locality: the
 	// pooled executor walks rows in (level, index) order, so consecutive
 	// bodies touch non-adjacent rows of the factor and of x. It is
 	// dimensionless (a fraction of the compute term).
-	Scatter float64 `json:"scatter"`
-
-	// Calibrated marks models produced by Calibrate (as opposed to the
-	// canonical defaults), so stats can say which one decided.
-	Calibrated bool `json:"calibrated"`
+	Scatter float64
 }
 
 // Default returns the canonical cost model: constants representative of

@@ -7,6 +7,41 @@ import (
 	"testing"
 )
 
+// BenchmarkJSONRequest measures the packed JSON wire through the HTTP
+// handler. fp-warm is BenchmarkBinaryRequest/fp-warm's request on the
+// JSON wire: a by-fingerprint b_b64 resubmission of a warm factor. CI
+// pins its allocs/op: the packed rows live in the request arena, so what
+// it counts is net/http and encoding/json's small members.
+func BenchmarkJSONRequest(b *testing.B) {
+	b.Run("fp-warm", func(b *testing.B) {
+		s, frame := warmBinaryServer(b, 16)
+		wr, err := DecodeResponseFrame(mustSolveOnce(b, s, frame))
+		if err != nil {
+			b.Fatal(err)
+		}
+		lower := true
+		body, err := json.Marshal(SolveRequest{Fp: wr.Fp, Lower: &lower,
+			B64: [][]byte{PackFloats(randVec(16*16, 2))}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := s.Handler()
+		serve := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/trisolve", bytes.NewReader(body)))
+			if rec.Code != 200 {
+				b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+			}
+		}
+		serve() // fills the request pools
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serve()
+		}
+	})
+}
+
 // BenchmarkServerTrisolveRequest measures the full request path — JSON
 // decode, validation, plan-cache lookup, executor pass, JSON encode
 // — on a 16x16 mesh factor. CI gates its allocs/op: a regression here

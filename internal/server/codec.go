@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,8 +26,8 @@ type codec struct {
 	// begin places k solution rows of length n and returns them; the
 	// solver writes the response's solution bytes through these rows.
 	begin func(st *reqState, k, n int) [][]float64
-	// finish renders the response to a completed solve (frames: in arena
-	// memory, valid until putReqState) and returns it with its HTTP status.
+	// finish renders the response to a completed solve (frames, x_b64: in
+	// arena memory, valid until putReqState) with its HTTP status.
 	finish func(st *reqState, fp uint64, info SolveInfo) ([]byte, int)
 	// reject renders an error body on the heap. tid 0 means the request
 	// never got a trace ID.
@@ -64,21 +65,20 @@ func decodeFrame(body []byte, st *reqState) error {
 	return parseRequestFrame(body, st.arena, &st.req, st.sects)
 }
 
-// The JSON codec. encoding/json does the parsing; around it the frame
-// codec's discipline holds — packed right-hand sides are viewed in place
-// through the sectionFloat64s the frame sections use, and solutions are
-// solved into arena bytes that x_b64 base64-encodes with no second copy.
+// The JSON codec. encoding/json parses the small members (an inline body
+// whole); around it the frame codec's discipline holds — b_b64 rows decode
+// into arena memory viewed in place, and x_b64 encodes the solver's rows.
 
 func decodeJSON(body []byte, st *reqState) error {
 	var in SolveRequest
-	if err := json.Unmarshal(body, &in); err != nil {
+	var err error
+	if st.rows, err = unmarshalPacked(body, "b_b64", &in, &in.B64, st.rows, st.arena.Bytes); err != nil {
 		return err
 	}
 	q := &st.req
 	*q = wireRequest{lower: in.Lower == nil || *in.Lower, n: in.N,
 		rowPtr: in.RowPtr, colIdx: in.ColIdx, val: in.Val,
 		edits: in.Edits, timeoutMs: in.TimeoutMs, rhs: in.B}
-	var err error
 	if q.hasFp = in.Fp != ""; q.hasFp {
 		if q.fp, err = parseHexFp(in.Fp); err != nil {
 			return err
@@ -126,15 +126,19 @@ func finishJSON(st *reqState, fp uint64, info SolveInfo) ([]byte, int) {
 		resp.Fp = fmt.Sprintf("%016x", fp)
 	}
 	if st.req.packed {
-		n := len(xs[0])
+		// x_b64 is the first member json.Marshal emits, and fp follows it:
+		// this is json.Marshal of the whole response, byte for byte.
+		rest, _ := json.Marshal(resp)
+		k, n := len(xs), len(xs[0])
 		flushSolutions(st.out, xs, n)
-		resp.X64 = make([][]byte, len(xs))
-		for j := range resp.X64 {
-			resp.X64[j] = st.out[8*j*n : 8*(j+1)*n]
+		out := st.arena.Bytes(len(rest) + k*(base64.StdEncoding.EncodedLen(8*n)+3) + 10)
+		out = append(out[:0], `{"x_b64":[`...)
+		for j := 0; j < k; j++ {
+			out = append(base64.StdEncoding.AppendEncode(append(out, '"'), st.out[8*j*n:8*(j+1)*n]), `",`...)
 		}
-	} else {
-		resp.X = xs
+		return append(append(out[:len(out)-1], "],"...), rest[1:]...), http.StatusOK
 	}
+	resp.X = xs
 	out, err := json.Marshal(resp)
 	if err != nil {
 		// A non-finite solution value has no JSON number form (x_b64 and

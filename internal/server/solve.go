@@ -31,10 +31,9 @@ import (
 // bound plan, on a pass record of its own (trisolve.Plan): concurrent
 // requests on one plan run at once, each with the helpers idle when it
 // dispatches. A warm fp-resubmission frame — the shape this server is
-// built around — performs zero heap allocations
-// from body bytes to response bytes (the gated
-// BenchmarkBinaryRequest/fp-warm pins this; net/http around it, and
-// encoding/json inside the JSON codec, allocate as they always do).
+// built around — performs zero heap allocations from body bytes to
+// response bytes (the gated BenchmarkBinaryRequest/fp-warm pins this;
+// net/http, and encoding/json on the JSON codec's small members, allocate).
 
 // reqState is the pooled per-request state: the request arena plus
 // reusable decode scratch. sync.Pool recycles the struct; the arena
@@ -44,6 +43,7 @@ type reqState struct {
 	codec *codec
 	req   wireRequest
 	sects []frameSection
+	rows  [][]byte // JSON b_b64 row-list scratch
 	// xs are the solution rows the codec placed (c.begin) and the solver
 	// writes.
 	xs [][]float64
@@ -78,7 +78,8 @@ func (s *Server) getReqState(c *codec, ten *tenantState, class Class, t0 time.Ti
 // putReqState releases the request arena and recycles the scratch.
 func (s *Server) putReqState(st *reqState) {
 	st.arena.Release()
-	*st = reqState{sects: st.sects}
+	clear(st.rows)
+	*st = reqState{sects: st.sects, rows: st.rows[:0]}
 	s.reqPool.Put(st)
 }
 
@@ -131,8 +132,8 @@ func readBody(r *http.Request, a *arena.Arena) ([]byte, error) {
 
 // solve executes one request end to end — decode, factor resolution,
 // solve, response encode — through st.codec and returns the response
-// body (a frame lives in st's arena, valid until putReqState; JSON and
-// rejections on the heap) with its HTTP status. ctx carries the deadline;
+// body (frames and x_b64 replies in st's arena, valid until putReqState;
+// the rest on the heap) with its HTTP status. ctx carries the deadline;
 // readErr is the transport's failure to deliver body, answered 504 when
 // the body missed the deadline and otherwise as the decode failure it
 // is. Every outcome, errors included, is traced under the request's
