@@ -345,14 +345,6 @@ func BenchmarkMatVec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("parallel", func(b *testing.B) {
-		procs := runtime.GOMAXPROCS(0)
-		for i := 0; i < b.N; i++ {
-			if err := p.A.MatVecParallel(y, x, procs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkWavefrontSweep(b *testing.B) {

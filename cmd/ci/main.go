@@ -186,12 +186,13 @@ func benchMain(args []string) error {
 }
 
 // passPins are the exact allocs/op pins of parallel passes — every
-// kind's repeated Runtime.Run, the pooled supernodal solves and a warm
-// plan-cache lease whose batch runs as a column pass — run at 1000x:
+// kind's repeated Runtime.Run, the pooled supernodal solves, a warm
+// plan-cache lease whose batch runs as a column pass and a warm Krylov
+// iteration's column passes — run at 1000x:
 // after the harness's pre-benchmark GC, parked helpers refill the
 // runtime's sudog cache (1–2 allocs/op at 1x); a per-pass allocation
 // still reads 1. A top-level | separates whole multi-level patterns.
-const passPins = "^BenchmarkRuntimeRepeatedRun$|^BenchmarkSupernodal$/./-pooled$|^BenchmarkPlanCacheGet$/^cache-hit-solve$"
+const passPins = "^BenchmarkRuntimeRepeatedRun$|^BenchmarkSupernodal$/./-pooled$|^BenchmarkPlanCacheGet$/^cache-hit-solve$|^BenchmarkCGIteration$"
 
 // benchInvocations lists the go test runs the bench job performs: the
 // kernel packages with every benchmark, then the pass pins, among them
@@ -201,7 +202,7 @@ var benchInvocations = [][]string{
 		"./internal/executor", "./internal/schedule", "./internal/trisolve",
 		"./internal/core", "./internal/plancache", "./internal/planner",
 		"./internal/server", "./internal/delta", "./internal/router"},
-	{"-benchtime", "1000x", "-bench", passPins, "./internal/trisolve", "."},
+	{"-benchtime", "1000x", "-bench", passPins, "./internal/trisolve", "./internal/krylov", "."},
 }
 
 func runBenchmarks(count int) (string, error) {

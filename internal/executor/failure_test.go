@@ -211,7 +211,7 @@ func failingRun(t *testing.T, run gridRun, ctx context.Context, body Body) error
 // and none left claimed.
 func failureCell(t *testing.T, r gridRunner, mode string) {
 	const p = 3
-	base := goroutines()
+	base := Goroutines()
 	run := r.open(t, p)
 	failureModes[mode](t, run)
 	deps, wf := chainDeps(6)
@@ -219,10 +219,10 @@ func failureCell(t *testing.T, r gridRunner, mode string) {
 		t.Errorf("run after %s: executed %d, err %v", mode, m.Executed, err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for goroutines() > base && time.Now().Before(deadline) {
+	for Goroutines() > base && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if n := goroutines(); n > base {
+	if n := Goroutines(); n > base {
 		t.Errorf("%d goroutines left running, started with %d", n, base)
 	}
 	checkSetWhole(t)
@@ -234,20 +234,6 @@ func stacks() []string {
 	return strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")
 }
 
-// goroutines counts the live goroutines except the shared set's helpers
-// (IsHelper), which live as long as the process. It counts one snapshot:
-// a helper that is still dying after its replacement started is a helper
-// in it, not a leak.
-func goroutines() int {
-	n := 0
-	for _, g := range stacks() {
-		if !IsHelper(g) {
-			n++
-		}
-	}
-	return n
-}
-
 // checkSetWhole waits for the shared set to be whole — as many helper
 // goroutines alive as it was started with, all of them idle — and fails
 // the test if it does not get there.
@@ -257,7 +243,7 @@ func checkSetWhole(t *testing.T) {
 	for {
 		live := 0
 		for _, g := range stacks() {
-			if IsHelper(g) {
+			if isHelper(g) {
 				live++
 			}
 		}

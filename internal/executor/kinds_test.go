@@ -57,7 +57,7 @@ func TestPooledStrategyReusesPool(t *testing.T) {
 	}
 	e := New(Pooled)
 	var x *pass
-	base := goroutines()
+	base := Goroutines()
 	for _, p := range []int{2, 2, 4, 2} {
 		s := schedule.Global(wf, p)
 		body, check := depChecker(t, deps)
@@ -74,7 +74,7 @@ func TestPooledStrategyReusesPool(t *testing.T) {
 		}
 		x = e.free.passes[0]
 	}
-	if n := goroutines(); n > base {
+	if n := Goroutines(); n > base {
 		t.Errorf("goroutines grew across pooled runs: %d -> %d", base, n)
 	}
 }

@@ -49,12 +49,28 @@ func init() {
 	}
 }
 
-// IsHelper reports whether stack, one goroutine's record in a
+// isHelper reports whether stack, one goroutine's record in a
 // runtime.Stack(buf, true) dump, belongs to the shared worker set: it
-// carries the helper loop's frame. The helpers live as long as the
-// process, so goroutine-leak checks count every goroutine but these.
-func IsHelper(stack string) bool {
+// carries the helper loop's frame.
+func isHelper(stack string) bool {
 	return strings.Contains(stack, "doconsider/internal/executor.(*helper).loop(")
+}
+
+// Goroutines counts the live goroutines except two kinds that live as
+// long as the process: the shared worker set's helpers and the os/signal
+// loop, which the fuzzing engine starts after a fuzz target's setup has
+// taken its baseline. It counts one runtime.Stack snapshot, so a helper
+// still dying after its replacement started is a helper in it, not a
+// leak. Goroutine-leak checks compare it before and after.
+func Goroutines() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if !isHelper(g) && !strings.Contains(g, "os/signal.signal_recv") {
+			n++
+		}
+	}
+	return n
 }
 
 // loop is a helper's life: sleep until claimed, run the share, repeat.

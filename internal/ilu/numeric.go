@@ -109,7 +109,7 @@ func eliminateRow(lu *sparse.CSR, diagPos []int32, i int) {
 				}
 			}
 			if lo < len(cols) && cols[lo] == j {
-				vals[lo] -= f * pVals[q]
+				vals[lo] -= float64(f * pVals[q]) // rounded: no fused multiply-subtract
 			}
 		}
 	}

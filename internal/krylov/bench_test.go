@@ -53,6 +53,34 @@ func BenchmarkGMRESSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkCGIteration prices one warm ILU(0)-CG iteration at Procs 2 on
+// a system of three blocks: two passes of the preconditioner's triangular
+// solves and the iteration's matvec, inner-product and SAXPY passes. An
+// op is one iteration, run as solves of cgBenchIters iterations from
+// x0 = 0; a solve's setup (its vectors and pass state) amortizes below one
+// allocation per op, so one allocation per iteration reads 1 allocs/op.
+func BenchmarkCGIteration(b *testing.B) {
+	const cgBenchIters = 64
+	a := stencil.Laplace2D(100, 100)
+	rhs := rhsForOnes(a)
+	prec, err := NewILUPrec(a, ILUPrecOptions{Procs: 2, Kind: executor.SelfExecuting, Scheduler: trisolve.GlobalSched})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := make([]float64, a.N)
+	solve := func(iters int) {
+		vec.Fill(x, 0)
+		if _, err := CG(a, x, rhs, prec, Options{Tol: 1e-300, MaxIter: iters, Procs: 2}); err != ErrNoConvergence {
+			b.Fatalf("err = %v, want ErrNoConvergence", err)
+		}
+	}
+	solve(1) // warm the plans
+	b.ResetTimer()
+	for done := 0; done < b.N; done += cgBenchIters {
+		solve(min(cgBenchIters, b.N-done))
+	}
+}
+
 func BenchmarkILUPrecSetup(b *testing.B) {
 	a := stencil.SPE4()
 	procs := runtime.GOMAXPROCS(0)

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"doconsider/internal/sparse"
-	"doconsider/internal/vec"
 )
 
 // BiCGSTAB solves A x = b with the stabilized bi-conjugate gradient
@@ -17,6 +16,10 @@ import (
 func BiCGSTAB(a *sparse.CSR, x, b []float64, m Preconditioner, o Options) (Result, error) {
 	n := a.N
 	o.defaults(n)
+	op, err := newOps(a, o.Procs, x, b)
+	if err != nil {
+		return Result{}, err
+	}
 
 	r := make([]float64, n)
 	rhat := make([]float64, n)
@@ -27,25 +30,23 @@ func BiCGSTAB(a *sparse.CSR, x, b []float64, m Preconditioner, o Options) (Resul
 	phat := make([]float64, n)
 	shat := make([]float64, n)
 
-	if err := a.MatVecParallel(r, x, o.Procs); err != nil {
-		return Result{}, err
-	}
+	op.matVec(r, x)
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
 	copy(rhat, r)
-	bnorm := vec.Norm2Parallel(b, o.Procs)
+	bnorm := op.norm2(b)
 	if bnorm == 0 {
 		bnorm = 1
 	}
-	res := Result{Residual: vec.Norm2Parallel(r, o.Procs) / bnorm}
+	res := Result{Residual: op.norm2(r) / bnorm}
 	if res.Residual <= o.Tol {
 		res.Converged = true
 		return res, nil
 	}
 	var rho, alpha, omega float64 = 1, 1, 1
 	for k := 0; k < o.MaxIter; k++ {
-		rhoNew := vec.DotParallel(rhat, r, o.Procs)
+		rhoNew := op.dot(rhat, r)
 		if rhoNew == 0 {
 			return res, fmt.Errorf("krylov: BiCGSTAB breakdown, rho = 0 at iteration %d", k)
 		}
@@ -54,47 +55,43 @@ func BiCGSTAB(a *sparse.CSR, x, b []float64, m Preconditioner, o Options) (Resul
 		} else {
 			beta := (rhoNew / rho) * (alpha / omega)
 			for i := range p {
-				p[i] = r[i] + beta*(p[i]-omega*v[i])
+				p[i] = r[i] + float64(beta*(p[i]-float64(omega*v[i])))
 			}
 		}
 		rho = rhoNew
 		m.Apply(phat, p)
-		if err := a.MatVecParallel(v, phat, o.Procs); err != nil {
-			return res, err
-		}
-		denom := vec.DotParallel(rhat, v, o.Procs)
+		op.matVec(v, phat)
+		denom := op.dot(rhat, v)
 		if denom == 0 {
 			return res, fmt.Errorf("krylov: BiCGSTAB breakdown, rhat'v = 0 at iteration %d", k)
 		}
 		alpha = rho / denom
 		for i := range s {
-			s[i] = r[i] - alpha*v[i]
+			s[i] = r[i] - float64(alpha*v[i])
 		}
 		res.Iterations = k + 1
-		if sn := vec.Norm2Parallel(s, o.Procs) / bnorm; sn <= o.Tol {
-			vec.AxpyParallel(alpha, phat, x, o.Procs)
+		if sn := op.norm2(s) / bnorm; sn <= o.Tol {
+			op.axpy(alpha, phat, x)
 			res.Residual = sn
 			res.Converged = true
 			return res, nil
 		}
 		m.Apply(shat, s)
-		if err := a.MatVecParallel(t, shat, o.Procs); err != nil {
-			return res, err
-		}
-		tt := vec.DotParallel(t, t, o.Procs)
+		op.matVec(t, shat)
+		tt := op.dot(t, t)
 		if tt == 0 {
 			return res, fmt.Errorf("krylov: BiCGSTAB breakdown, t = 0 at iteration %d", k)
 		}
-		omega = vec.DotParallel(t, s, o.Procs) / tt
+		omega = op.dot(t, s) / tt
 		if omega == 0 {
 			return res, fmt.Errorf("krylov: BiCGSTAB breakdown, omega = 0 at iteration %d", k)
 		}
-		vec.AxpyParallel(alpha, phat, x, o.Procs)
-		vec.AxpyParallel(omega, shat, x, o.Procs)
+		op.axpy(alpha, phat, x)
+		op.axpy(omega, shat, x)
 		for i := range r {
-			r[i] = s[i] - omega*t[i]
+			r[i] = s[i] - float64(omega*t[i])
 		}
-		res.Residual = vec.Norm2Parallel(r, o.Procs) / bnorm
+		res.Residual = op.norm2(r) / bnorm
 		o.record(res.Residual)
 		if res.Residual <= o.Tol || math.IsNaN(res.Residual) {
 			res.Converged = res.Residual <= o.Tol

@@ -4,6 +4,12 @@
 // restarted GMRES for the nonsymmetric reservoir and convection problems,
 // both with incomplete-factorization preconditioning applied through
 // run-time-parallelized sparse triangular solves.
+//
+// The whole iteration runs on the executor's one worker set: each
+// triangular solve is a pass of its plan, and each inner product, SAXPY
+// and matvec is a column pass over fixed blocks of rows. Reductions sum
+// the blocks in block order, so a solve returns the same bits whatever
+// the processor count, the width a pass is granted and the executor kind.
 package krylov
 
 import (
@@ -12,7 +18,6 @@ import (
 	"math"
 
 	"doconsider/internal/sparse"
-	"doconsider/internal/vec"
 )
 
 // Preconditioner applies z = M^{-1} r.
@@ -42,7 +47,9 @@ type Options struct {
 	Tol     float64 // relative residual tolerance (default 1e-8)
 	MaxIter int     // maximum iterations (default 500)
 	Restart int     // GMRES restart length m (default 30)
-	Procs   int     // processors for vector kernels and matvec (default 1)
+	// Procs caps the width of the vector operations' and matvec's passes
+	// (default 1). The solution's bits do not depend on it.
+	Procs int
 	// History, when non-nil, receives the relative residual after each
 	// iteration (useful for convergence plots and preconditioner studies).
 	History *[]float64
@@ -78,37 +85,37 @@ func (o *Options) defaults(n int) {
 func CG(a *sparse.CSR, x, b []float64, m Preconditioner, o Options) (Result, error) {
 	n := a.N
 	o.defaults(n)
+	op, err := newOps(a, o.Procs, x, b)
+	if err != nil {
+		return Result{}, err
+	}
 	r := make([]float64, n)
 	z := make([]float64, n)
 	p := make([]float64, n)
 	ap := make([]float64, n)
 
-	if err := a.MatVecParallel(r, x, o.Procs); err != nil {
-		return Result{}, err
-	}
+	op.matVec(r, x)
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
 	m.Apply(z, r)
 	copy(p, z)
-	rz := vec.DotParallel(r, z, o.Procs)
-	bnorm := vec.Norm2Parallel(b, o.Procs)
+	rz := op.dot(r, z)
+	bnorm := op.norm2(b)
 	if bnorm == 0 {
 		bnorm = 1
 	}
 	res := Result{}
 	for k := 0; k < o.MaxIter; k++ {
-		if err := a.MatVecParallel(ap, p, o.Procs); err != nil {
-			return res, err
-		}
-		pap := vec.DotParallel(p, ap, o.Procs)
+		op.matVec(ap, p)
+		pap := op.dot(p, ap)
 		if pap == 0 {
 			return res, fmt.Errorf("krylov: CG breakdown, p'Ap = 0 at iteration %d", k)
 		}
 		alpha := rz / pap
-		vec.AxpyParallel(alpha, p, x, o.Procs)
-		vec.AxpyParallel(-alpha, ap, r, o.Procs)
-		rnorm := vec.Norm2Parallel(r, o.Procs)
+		op.axpy(alpha, p, x)
+		op.axpy(-alpha, ap, r)
+		rnorm := op.norm2(r)
 		res.Iterations = k + 1
 		res.Residual = rnorm / bnorm
 		o.record(res.Residual)
@@ -117,11 +124,11 @@ func CG(a *sparse.CSR, x, b []float64, m Preconditioner, o Options) (Result, err
 			return res, nil
 		}
 		m.Apply(z, r)
-		rzNew := vec.DotParallel(r, z, o.Procs)
+		rzNew := op.dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew
 		for i := range p {
-			p[i] = z[i] + beta*p[i]
+			p[i] = z[i] + float64(beta*p[i])
 		}
 	}
 	return res, ErrNoConvergence
@@ -133,6 +140,10 @@ func GMRES(a *sparse.CSR, x, b []float64, mPrec Preconditioner, o Options) (Resu
 	n := a.N
 	o.defaults(n)
 	m := o.Restart
+	op, err := newOps(a, o.Procs, x, b)
+	if err != nil {
+		return Result{}, err
+	}
 
 	r := make([]float64, n)
 	w := make([]float64, n)
@@ -151,20 +162,15 @@ func GMRES(a *sparse.CSR, x, b []float64, mPrec Preconditioner, o Options) (Resu
 	g := make([]float64, m+1)
 
 	// beta0: norm of the initial preconditioned residual (for the relative test).
-	computeResidual := func() (float64, error) {
-		if err := a.MatVecParallel(w, x, o.Procs); err != nil {
-			return 0, err
-		}
+	computeResidual := func() float64 {
+		op.matVec(w, x)
 		for i := range w {
 			w[i] = b[i] - w[i]
 		}
 		mPrec.Apply(r, w)
-		return vec.Norm2Parallel(r, o.Procs), nil
+		return op.norm2(r)
 	}
-	beta0, err := computeResidual()
-	if err != nil {
-		return Result{}, err
-	}
+	beta0 := computeResidual()
 	if beta0 == 0 {
 		return Result{Converged: true}, nil
 	}
@@ -172,10 +178,7 @@ func GMRES(a *sparse.CSR, x, b []float64, mPrec Preconditioner, o Options) (Resu
 	res := Result{}
 	total := 0
 	for total < o.MaxIter {
-		beta, err := computeResidual()
-		if err != nil {
-			return res, err
-		}
+		beta := computeResidual()
 		if beta/beta0 <= o.Tol {
 			res.Converged = true
 			res.Residual = beta / beta0
@@ -193,16 +196,14 @@ func GMRES(a *sparse.CSR, x, b []float64, mPrec Preconditioner, o Options) (Resu
 		for ; j < m && total < o.MaxIter; j++ {
 			total++
 			// w = M^{-1} A v_j
-			if err := a.MatVecParallel(z, v[j], o.Procs); err != nil {
-				return res, err
-			}
+			op.matVec(z, v[j])
 			mPrec.Apply(w, z)
 			// Modified Gram-Schmidt.
 			for i := 0; i <= j; i++ {
-				h[i][j] = vec.DotParallel(w, v[i], o.Procs)
-				vec.AxpyParallel(-h[i][j], v[i], w, o.Procs)
+				h[i][j] = op.dot(w, v[i])
+				op.axpy(-h[i][j], v[i], w)
 			}
-			h[j+1][j] = vec.Norm2Parallel(w, o.Procs)
+			h[j+1][j] = op.norm2(w)
 			arnoldiNorm := h[j+1][j]
 			if arnoldiNorm > 0 {
 				inv := 1 / arnoldiNorm
@@ -212,8 +213,8 @@ func GMRES(a *sparse.CSR, x, b []float64, mPrec Preconditioner, o Options) (Resu
 			}
 			// Apply previous Givens rotations to the new column.
 			for i := 0; i < j; i++ {
-				t := cs[i]*h[i][j] + sn[i]*h[i+1][j]
-				h[i+1][j] = -sn[i]*h[i][j] + cs[i]*h[i+1][j]
+				t := float64(cs[i]*h[i][j]) + float64(sn[i]*h[i+1][j])
+				h[i+1][j] = float64(-sn[i]*h[i][j]) + float64(cs[i]*h[i+1][j])
 				h[i][j] = t
 			}
 			// New rotation to annihilate h[j+1][j].
@@ -224,7 +225,7 @@ func GMRES(a *sparse.CSR, x, b []float64, mPrec Preconditioner, o Options) (Resu
 				cs[j] = h[j][j] / denom
 				sn[j] = h[j+1][j] / denom
 			}
-			h[j][j] = cs[j]*h[j][j] + sn[j]*h[j+1][j]
+			h[j][j] = float64(cs[j]*h[j][j]) + float64(sn[j]*h[j+1][j])
 			h[j+1][j] = 0
 			g[j+1] = -sn[j] * g[j]
 			g[j] = cs[j] * g[j]
@@ -243,7 +244,7 @@ func GMRES(a *sparse.CSR, x, b []float64, mPrec Preconditioner, o Options) (Resu
 		for i := j - 1; i >= 0; i-- {
 			s := g[i]
 			for k := i + 1; k < j; k++ {
-				s -= h[i][k] * y[k]
+				s -= float64(h[i][k] * y[k])
 			}
 			if h[i][i] == 0 {
 				return res, fmt.Errorf("krylov: GMRES breakdown, H[%d][%d]=0", i, i)
@@ -251,15 +252,11 @@ func GMRES(a *sparse.CSR, x, b []float64, mPrec Preconditioner, o Options) (Resu
 			y[i] = s / h[i][i]
 		}
 		for i := 0; i < j; i++ {
-			vec.AxpyParallel(y[i], v[i], x, o.Procs)
+			op.axpy(y[i], v[i], x)
 		}
 		if res.Residual <= o.Tol {
 			// Confirm with a true residual.
-			beta, err := computeResidual()
-			if err != nil {
-				return res, err
-			}
-			res.Residual = beta / beta0
+			res.Residual = computeResidual() / beta0
 			if res.Residual <= o.Tol*10 {
 				res.Converged = true
 				return res, nil

@@ -21,6 +21,17 @@ const (
 	MethodBiCGSTAB
 )
 
+// solve runs the method on A x = b, preconditioned by m.
+func (method Method) solve(a *sparse.CSR, x, b []float64, m Preconditioner, o Options) (Result, error) {
+	switch method {
+	case MethodCG:
+		return CG(a, x, b, m, o)
+	case MethodBiCGSTAB:
+		return BiCGSTAB(a, x, b, m, o)
+	}
+	return GMRES(a, x, b, m, o)
+}
+
 // SolverConfig describes a complete PCGPAK-style solve.
 type SolverConfig struct {
 	Method         Method
@@ -75,15 +86,7 @@ func Solve(a *sparse.CSR, x, b []float64, cfg SolverConfig) (SolveOutcome, error
 	opts := cfg.Opts
 	opts.Procs = cfg.Procs
 	t0 = time.Now()
-	var res Result
-	switch cfg.Method {
-	case MethodCG:
-		res, err = CG(a, x, b, prec, opts)
-	case MethodBiCGSTAB:
-		res, err = BiCGSTAB(a, x, b, prec, opts)
-	default:
-		res, err = GMRES(a, x, b, prec, opts)
-	}
+	res, err := cfg.Method.solve(a, x, b, prec, opts)
 	out.Timings.Iterate = time.Since(t0)
 	out.Timings.Total = time.Since(start)
 	out.Result = res

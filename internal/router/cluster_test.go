@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,7 +43,7 @@ func testBatch(n int, seed int64) [][]float64 {
 // its caches, and the goroutine count is back at the pre-cluster baseline.
 func newTestCluster(t *testing.T, replicas int, scfg server.Config, rcfg Config) *Cluster {
 	t.Helper()
-	base := goroutines()
+	base := executor.Goroutines()
 	c, err := NewCluster(replicas, scfg, rcfg, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -67,29 +66,15 @@ func newTestCluster(t *testing.T, replicas int, scfg server.Config, rcfg Config)
 		}
 		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 		deadline := time.Now().Add(5 * time.Second)
-		for goroutines() > base && time.Now().Before(deadline) {
+		for executor.Goroutines() > base && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		if n := goroutines(); n > base {
+		if n := executor.Goroutines(); n > base {
 			buf := make([]byte, 1<<16)
 			t.Errorf("%d goroutines after cluster close, %d before:\n%s", n, base, buf[:runtime.Stack(buf, true)])
 		}
 	})
 	return c
-}
-
-// goroutines counts the live goroutines, in one runtime.Stack snapshot,
-// except the executor's shared worker set (executor.IsHelper), which
-// lives as long as the process.
-func goroutines() int {
-	buf := make([]byte, 1<<20)
-	n := 0
-	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-		if !executor.IsHelper(g) {
-			n++
-		}
-	}
-	return n
 }
 
 // TestClusterWarmHandoffOnDrain checks the rebalance contract on a

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -19,7 +18,7 @@ import (
 // cache (so every factor and skeleton lease was released) and the
 // goroutine count back at the baseline.
 func assertDrained(tb testing.TB, s *Server) func() {
-	base := goroutines()
+	base := executor.Goroutines()
 	return func() {
 		tb.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -38,28 +37,12 @@ func assertDrained(tb testing.TB, s *Server) func() {
 		// until closed, and unwind asynchronously.
 		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 		deadline := time.Now().Add(5 * time.Second)
-		for goroutines() > base && time.Now().Before(deadline) {
+		for executor.Goroutines() > base && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		if n := goroutines(); n > base {
+		if n := executor.Goroutines(); n > base {
 			buf := make([]byte, 1<<16)
 			tb.Errorf("%d goroutines after shutdown, %d before New:\n%s", n, base, buf[:runtime.Stack(buf, true)])
 		}
 	}
-}
-
-// goroutines counts the live goroutines, in one runtime.Stack snapshot,
-// except two kinds that live as long as the process: the executor's
-// shared worker set (executor.IsHelper) and the os/signal loop, which
-// the fuzzing engine starts after a fuzz target's setup has taken its
-// baseline.
-func goroutines() int {
-	buf := make([]byte, 1<<20)
-	n := 0
-	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-		if !executor.IsHelper(g) && !strings.Contains(g, "os/signal.signal_recv") {
-			n++
-		}
-	}
-	return n
 }

@@ -162,30 +162,6 @@ func TestMatVec(t *testing.T) {
 	}
 }
 
-func TestMatVecParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	a := randomCSR(rng, 200, 200, 1500)
-	x := make([]float64, 200)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	ySeq := make([]float64, 200)
-	if err := a.MatVec(ySeq, x); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{1, 2, 3, 7, 16, 200, 500} {
-		yPar := make([]float64, 200)
-		if err := a.MatVecParallel(yPar, x, p); err != nil {
-			t.Fatal(err)
-		}
-		for i := range ySeq {
-			if ySeq[i] != yPar[i] {
-				t.Fatalf("p=%d: yPar[%d]=%v, want %v", p, i, yPar[i], ySeq[i])
-			}
-		}
-	}
-}
-
 func TestMatVecAdd(t *testing.T) {
 	a := mustAssembleT(t, 2, 2, []Triplet{{0, 0, 1}, {1, 1, 2}})
 	y := []float64{10, 10}

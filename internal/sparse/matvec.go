@@ -1,59 +1,27 @@
 package sparse
 
-import "sync"
-
 // MatVec computes y = A*x sequentially. y and x must not alias.
 func (a *CSR) MatVec(y, x []float64) error {
 	if len(x) != a.M || len(y) != a.N {
 		return ErrShape
 	}
-	for i := 0; i < a.N; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		s := 0.0
-		for p := lo; p < hi; p++ {
-			s += a.Val[p] * x[a.ColIdx[p]]
-		}
-		y[i] = s
-	}
+	a.MatVecRows(y, x, 0, a.N)
 	return nil
 }
 
-// MatVecParallel computes y = A*x with the rows divided into nproc
-// contiguous blocks of roughly equal size, one goroutine per block.
-// This mirrors the paper's Appendix II parallelization of the sparse
-// matrix-vector product: "the indices from 1 to n are divided into p
-// contiguous groups of roughly equal size".
-func (a *CSR) MatVecParallel(y, x []float64, nproc int) error {
-	if len(x) != a.M || len(y) != a.N {
-		return ErrShape
+// MatVecRows computes rows lo..hi-1 of y = A*x, the one matvec kernel:
+// MatVec runs it over every row, and internal/krylov over fixed blocks of
+// rows in parallel, which leaves each y[i] the same bits. It checks no
+// shapes. Each product is rounded before it is added, so no architecture
+// fuses a multiply-add.
+func (a *CSR) MatVecRows(y, x []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		s := 0.0
+		for p, end := a.RowPtr[i], a.RowPtr[i+1]; p < end; p++ {
+			s += float64(a.Val[p] * x[a.ColIdx[p]])
+		}
+		y[i] = s
 	}
-	if nproc < 1 {
-		nproc = 1
-	}
-	if nproc > a.N {
-		nproc = a.N
-	}
-	if nproc <= 1 {
-		return a.MatVec(y, x)
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < nproc; p++ {
-		lo := a.N * p / nproc
-		hi := a.N * (p + 1) / nproc
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				s := 0.0
-				for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-					s += a.Val[q] * x[a.ColIdx[q]]
-				}
-				y[i] = s
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return nil
 }
 
 // MatVecAdd computes y += A*x sequentially.
@@ -65,7 +33,7 @@ func (a *CSR) MatVecAdd(y, x []float64) error {
 		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 		s := 0.0
 		for p := lo; p < hi; p++ {
-			s += a.Val[p] * x[a.ColIdx[p]]
+			s += float64(a.Val[p] * x[a.ColIdx[p]])
 		}
 		y[i] += s
 	}

@@ -1,86 +1,34 @@
-// Package vec provides the dense vector kernels used by the preconditioned
-// Krylov methods: SAXPY operations, inner products and norms, each with a
-// sequential and a block-partitioned parallel implementation.
+// Package vec provides the sequential dense vector kernels of the
+// preconditioned Krylov methods: SAXPY operations, inner products and
+// norms. internal/krylov runs them in parallel, over fixed blocks of a
+// vector, as column passes on the executor's one worker set.
 //
-// The parallel versions follow the paper's Appendix II: "For p processors
-// and a linear system of order n, the indices from 1 to n are divided into
-// p contiguous groups of roughly equal size."
+// Every product is rounded before it is added (the explicit float64
+// conversions): the Go spec forbids fusing across the conversion, so no
+// architecture computes a fused multiply-add and every one returns the
+// same bits (TestNoFusedMultiplyAdd in internal/trisolve).
 package vec
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // Axpy computes y += alpha*x element-wise. x and y must have equal length.
 func Axpy(alpha float64, x, y []float64) {
 	for i := range y {
-		y[i] += alpha * x[i]
+		y[i] += float64(alpha * x[i])
 	}
-}
-
-// AxpyParallel computes y += alpha*x using nproc goroutines over contiguous
-// blocks.
-func AxpyParallel(alpha float64, x, y []float64, nproc int) {
-	parallelBlocks(len(y), nproc, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] += alpha * x[i]
-		}
-	})
 }
 
 // Dot returns the inner product of x and y.
 func Dot(x, y []float64) float64 {
 	s := 0.0
 	for i := range x {
-		s += x[i] * y[i]
-	}
-	return s
-}
-
-// DotParallel returns the inner product computed with nproc goroutines over
-// contiguous blocks; partial sums are combined in block order so the result
-// is deterministic for a fixed nproc.
-func DotParallel(x, y []float64, nproc int) float64 {
-	n := len(x)
-	if nproc < 1 {
-		nproc = 1
-	}
-	if nproc > n {
-		nproc = n
-	}
-	if nproc <= 1 {
-		return Dot(x, y)
-	}
-	partial := make([]float64, nproc)
-	var wg sync.WaitGroup
-	for p := 0; p < nproc; p++ {
-		lo, hi := n*p/nproc, n*(p+1)/nproc
-		wg.Add(1)
-		go func(p, lo, hi int) {
-			defer wg.Done()
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += x[i] * y[i]
-			}
-			partial[p] = s
-		}(p, lo, hi)
-	}
-	wg.Wait()
-	s := 0.0
-	for _, v := range partial {
-		s += v
+		s += float64(x[i] * y[i])
 	}
 	return s
 }
 
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
-
-// Norm2Parallel returns the Euclidean norm computed with nproc goroutines.
-func Norm2Parallel(x []float64, nproc int) float64 {
-	return math.Sqrt(DotParallel(x, x, nproc))
-}
 
 // NormInf returns the maximum absolute entry of x.
 func NormInf(x []float64) float64 {
@@ -128,28 +76,4 @@ func MaxAbsDiff(x, y []float64) float64 {
 		}
 	}
 	return m
-}
-
-// parallelBlocks runs fn over nproc contiguous [lo,hi) blocks of [0,n).
-func parallelBlocks(n, nproc int, fn func(lo, hi int)) {
-	if nproc < 1 {
-		nproc = 1
-	}
-	if nproc > n {
-		nproc = n
-	}
-	if nproc <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < nproc; p++ {
-		lo, hi := n*p/nproc, n*(p+1)/nproc
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

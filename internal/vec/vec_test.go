@@ -26,54 +26,10 @@ func TestAxpy(t *testing.T) {
 	}
 }
 
-func TestAxpyParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	x := randVec(rng, 1001)
-	for _, p := range []int{1, 2, 4, 13, 1001, 5000} {
-		y1 := randVec(rng, 1001)
-		y2 := append([]float64(nil), y1...)
-		Axpy(0.7, x, y1)
-		AxpyParallel(0.7, x, y2, p)
-		for i := range y1 {
-			if y1[i] != y2[i] {
-				t.Fatalf("p=%d mismatch at %d", p, i)
-			}
-		}
-	}
-}
-
-func TestDotParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	x := randVec(rng, 777)
-	y := randVec(rng, 777)
-	want := Dot(x, y)
-	for _, p := range []int{1, 2, 3, 8, 777} {
-		got := DotParallel(x, y, p)
-		if math.Abs(got-want) > 1e-9*math.Abs(want) {
-			t.Errorf("p=%d: dot = %v, want %v", p, got, want)
-		}
-	}
-}
-
-func TestDotParallelDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x := randVec(rng, 500)
-	y := randVec(rng, 500)
-	first := DotParallel(x, y, 7)
-	for k := 0; k < 10; k++ {
-		if got := DotParallel(x, y, 7); got != first {
-			t.Fatalf("DotParallel not deterministic: %v vs %v", got, first)
-		}
-	}
-}
-
 func TestNorms(t *testing.T) {
 	x := []float64{3, -4}
 	if got := Norm2(x); got != 5 {
 		t.Errorf("Norm2 = %v, want 5", got)
-	}
-	if got := Norm2Parallel(x, 2); got != 5 {
-		t.Errorf("Norm2Parallel = %v, want 5", got)
 	}
 	if got := NormInf(x); got != 4 {
 		t.Errorf("NormInf = %v, want 4", got)
