@@ -1,10 +1,13 @@
 package vec
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"doconsider/internal/executor"
 )
 
 func randVec(rng *rand.Rand, n int) []float64 {
@@ -22,6 +25,94 @@ func TestAxpy(t *testing.T) {
 	for i := range y {
 		if y[i] != want[i] {
 			t.Fatalf("y = %v, want %v", y, want)
+		}
+	}
+}
+
+// blockRows is the fixed block the parallel callers (internal/krylov)
+// split a vector into; a small one here gives many blocks on short vectors.
+const blockRows = 64
+
+// inParallel runs span over the blocks of an n-vector as one column pass
+// at most p wide on the executor's worker set, as internal/krylov runs its
+// vector operations.
+func inParallel(t *testing.T, n, p int, span executor.Span) {
+	t.Helper()
+	blocks := (n + blockRows - 1) / blockRows
+	if _, err := executor.New(executor.Pooled).RunColumns(context.Background(), blocks, p, span); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// blockedDot is the fixed-block inner product, computed on p goroutines:
+// each block is reduced with Dot and the partials are summed in block
+// order.
+func blockedDot(t *testing.T, x, y []float64, p int) float64 {
+	n := len(x)
+	partial := make([]float64, (n+blockRows-1)/blockRows)
+	inParallel(t, n, p, func(b0, b1 int, _ func() bool) {
+		for k := b0; k < b1; k++ {
+			lo, hi := k*blockRows, min((k+1)*blockRows, n)
+			partial[k] = Dot(x[lo:hi], y[lo:hi])
+		}
+	})
+	s := 0.0
+	for _, v := range partial {
+		s += v
+	}
+	return s
+}
+
+// TestAxpyParallelMatchesSequential: Axpy run concurrently over disjoint
+// block ranges leaves y with the bits of one sequential Axpy.
+func TestAxpyParallelMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	x := randVec(rng, 1000)
+	y := randVec(rng, 1000)
+	for _, p := range []int{1, 2, 3, 8, 16} {
+		y1 := append([]float64(nil), y...)
+		y2 := append([]float64(nil), y...)
+		Axpy(0.7, x, y1)
+		inParallel(t, len(x), p, func(b0, b1 int, _ func() bool) {
+			lo, hi := b0*blockRows, min(b1*blockRows, len(x))
+			Axpy(0.7, x[lo:hi], y2[lo:hi])
+		})
+		for i := range y1 {
+			if math.Float64bits(y1[i]) != math.Float64bits(y2[i]) {
+				t.Fatalf("p=%d: y[%d] = %v, want %v", p, i, y2[i], y1[i])
+			}
+		}
+	}
+}
+
+// TestDotParallelMatchesSequential: the fixed-block inner product agrees
+// with Dot to rounding, and is Dot's bits when the vector is one block.
+func TestDotParallelMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	x := randVec(rng, 5000)
+	y := randVec(rng, 5000)
+	want := Dot(x, y)
+	for _, p := range []int{1, 2, 4, 13} {
+		got := blockedDot(t, x, y, p)
+		if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
+			t.Errorf("p=%d: got %v, want %v", p, got, want)
+		}
+	}
+	if got, want := blockedDot(t, x[:blockRows], y[:blockRows], 4), Dot(x[:blockRows], y[:blockRows]); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("one block: got %v, want Dot's %v", got, want)
+	}
+}
+
+// TestDotParallelDeterministic: the fixed-block inner product returns the
+// same bits on every run and at every width.
+func TestDotParallelDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	x := randVec(rng, 10007)
+	y := randVec(rng, 10007)
+	first := blockedDot(t, x, y, 7)
+	for _, p := range []int{1, 2, 3, 7, 7, 7, 16} {
+		if got := blockedDot(t, x, y, p); math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("p=%d: blocked dot %v, want %v", p, got, first)
 		}
 	}
 }
