@@ -2,12 +2,15 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"doconsider/client"
+	"doconsider/internal/router"
 	"doconsider/internal/server"
 )
 
@@ -96,19 +99,18 @@ func TestRouterCommandRunsAndDrains(t *testing.T) {
 		addrs = append(addrs, s.Addr())
 	}
 
+	c := mustParse(t, "router", "-addr", "127.0.0.1:0", "-backends", strings.Join(addrs, ",")).(*routerCmd)
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	var out syncBuffer
 	go func() {
-		done <- runRouter(&out, routerCmdConfig{
-			addr: "127.0.0.1:0", backends: addrs, drainWait: 10 * time.Second,
-		}, stop)
+		done <- runRouter(&out, c, stop)
 	}()
 	front := waitForAddr(t, &out, "router: listening on ")
 
 	rep, err := loadgen(io.Discard, loadgenConfig{
 		baseURL: "http://" + front, clients: 2, requests: 8, batch: 1,
-		seed: 5, problems: []string{"SPE2", "5-PT"}, quiet: true, noStats: true,
+		seed: 5, problems: []string{"SPE2", "5-PT"}, noStats: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,23 +140,32 @@ func TestRouterCommandRunsAndDrains(t *testing.T) {
 // a self-contained front door plus replicas on one command line, serving
 // a loadgen burst and draining on stop with the router report.
 func TestClusterCommandRunsAndDrains(t *testing.T) {
+	c := mustParse(t, "cluster", "-addr", "127.0.0.1:0", "-replicas", "2",
+		"-procs", "1", "-kind", "pooled", "-cache", "4", "-vnodes", "16", "-warm-limit", "4").(*clusterCmd)
+	if c.front.VNodes != 16 || c.front.WarmLimit != 4 {
+		t.Fatalf("-vnodes 16 -warm-limit 4 parsed as %+v", c.front)
+	}
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	var out syncBuffer
 	go func() {
-		done <- runCluster(&out, clusterCmdConfig{
-			addr: "127.0.0.1:0", replicas: 2,
-			server: serverConfig{
-				procs: 1, kind: "pooled", cacheCap: 4,
-				drainWait: 10 * time.Second,
-			},
-		}, stop)
+		done <- runCluster(&out, c, stop)
 	}()
 	front := waitForAddr(t, &out, "cluster: front door on ")
 
+	// cluster once passed an empty router.Config and dropped -vnodes: the
+	// front door's ring reports what it was built with.
+	var st router.StatsResponse
+	if err := client.New("http://"+front).GetJSON(context.Background(), "/v1/stats", &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.VNodes != 16 {
+		t.Errorf("front door ring has %d vnodes per backend, want -vnodes 16", st.VNodes)
+	}
+
 	rep, err := loadgen(io.Discard, loadgenConfig{
 		baseURL: "http://" + front, clients: 2, requests: 8, batch: 1,
-		seed: 9, problems: []string{"SPE2"}, quiet: true, noStats: true,
+		seed: 9, problems: []string{"SPE2"}, noStats: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,16 +191,32 @@ func TestClusterCommandRunsAndDrains(t *testing.T) {
 	}
 }
 
-// TestLoadgenClusterFlag exercises the `loops loadgen -cluster N` path
-// end to end through the flag parser: an in-process cluster is built,
-// driven, and reported on one command line.
-func TestLoadgenClusterFlag(t *testing.T) {
-	if err := run([]string{"loadgen", "-cluster", "2", "-clients", "2",
-		"-requests", "6", "-batch", "1", "-procs", "1", "-seed", "3"}); err != nil {
+// TestServeReplicasFrontDoor drives `loops serve -replicas 2`, which
+// replaced `loadgen -cluster N`: an in-process cluster is built, driven
+// through its front door, and reported on one command line.
+func TestServeReplicasFrontDoor(t *testing.T) {
+	c := mustParse(t, "serve", "-replicas", "2", "-clients", "2",
+		"-requests", "6", "-batch", "1", "-procs", "1", "-seed", "3", "-vnodes", "16").(*serveCmd)
+	var out strings.Builder
+	if err := c.serve(&out, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"loadgen", "-cluster", "1", "-kind", "bogus"}); err == nil {
-		t.Fatal("loadgen -cluster accepted an unknown executor kind")
+	got := out.String()
+	if !strings.Contains(got, "serve: 2 replicas behind a front door") {
+		t.Errorf("serve -replicas 2 did not build a cluster:\n%s", got)
+	}
+	// The front door routed the warmup and all 6 timed requests.
+	var routed int
+	if i := strings.Index(got, "  router: "); i < 0 {
+		t.Errorf("no front-door report:\n%s", got)
+	} else if _, err := fmt.Sscanf(got[i:], "  router: %d requests", &routed); err != nil || routed < 6 {
+		t.Errorf("front door routed %d requests (%v), want >= 6:\n%s", routed, err, got)
+	}
+	if strings.Count(got, "    backend ") != 2 {
+		t.Errorf("want a routed line per replica:\n%s", got)
+	}
+	if err := run([]string{"serve", "-replicas", "2", "-kind", "bogus"}); err == nil {
+		t.Fatal("serve -replicas accepted an unknown executor kind")
 	}
 }
 

@@ -16,13 +16,10 @@ import (
 // TestServeDriftSmoke drives the in-process serving demo with a
 // drifting workload and checks the drift/repair reporting surfaces.
 func TestServeDriftSmoke(t *testing.T) {
+	c := mustParse(t, "serve", "-procs", "2", "-clients", "4", "-requests", "40", "-batch", "2",
+		"-cache", "8", "-seed", "7", "-drift-rate", "0.5", "-drift-edits", "4").(*serveCmd)
 	var out strings.Builder
-	err := serve(&out, serveConfig{
-		procs: 2, clients: 4, requests: 40, batch: 2,
-		cacheCap: 8, seed: 7, kind: "auto",
-		driftRate: 0.5, driftEdits: 4,
-	})
-	if err != nil {
+	if err := c.serve(&out, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()

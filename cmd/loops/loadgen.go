@@ -3,9 +3,11 @@ package main
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -14,6 +16,7 @@ import (
 
 	"doconsider/client"
 	"doconsider/internal/obs"
+	"doconsider/internal/plancache"
 	"doconsider/internal/problems"
 	"doconsider/internal/server"
 	"doconsider/internal/synthetic"
@@ -45,10 +48,70 @@ type loadgenConfig struct {
 	driftEdits int           // row edits per drift step
 	wire       string        // wireJSON (default when empty) or wireBinary
 	trace      bool          // fetch /v1/trace after the run and report per-stage latency
-	quiet      bool          // suppress the progress header
 	tenants    int           // adversarial multi-tenant mix: tenant 0 latency-class, rest batch (0 disables)
 	tag        tenantTag     // per-client tenant identity; set on goroutine-local copies, not shared
 	noStats    bool          // skip /v1/stats deltas (cluster mode: the front door has router-level stats instead)
+}
+
+// flags declares the load generator's flags on fs. -timeout is the
+// command's: serve takes it from the server's deadline.
+func (cfg *loadgenConfig) flags(fs *flag.FlagSet) {
+	fs.IntVar(&cfg.clients, "clients", 8, "concurrent client goroutines")
+	fs.IntVar(&cfg.requests, "requests", 64, "total solve requests")
+	fs.IntVar(&cfg.batch, "batch", 8, "right-hand sides per request")
+	fs.Int64Var(&cfg.seed, "seed", 1989, "base RNG seed (client i uses seed+i)")
+	fs.Float64Var(&cfg.driftRate, "drift-rate", 0, "probability a request structurally drifts its problem (base_fp+edits)")
+	fs.IntVar(&cfg.driftEdits, "drift-edits", 4, "row edits per drift step")
+	fs.StringVar(&cfg.wire, "wire", wireJSON, "wire format, json or binary (zero-copy frames)")
+	fs.BoolVar(&cfg.trace, "trace", false, "fetch /v1/trace after the run and print per-stage latency percentiles")
+	fs.IntVar(&cfg.tenants, "tenants", 0, "adversarial tenant mix: tenant 0 latency-class, rest flooding batch (0 disables, else >= 2)")
+}
+
+// check is the load generator's one validation: the commands run it at
+// parse time, and loadgen runs it before any traffic.
+func (cfg *loadgenConfig) check() error {
+	switch {
+	case cfg.clients < 1 || cfg.requests < 1 || cfg.batch < 1:
+		return fmt.Errorf("usage: -clients, -requests and -batch must be positive, got %d, %d and %d",
+			cfg.clients, cfg.requests, cfg.batch)
+	case cfg.timeout < 0:
+		return fmt.Errorf("usage: -timeout must not be negative, got %s", cfg.timeout)
+	case cfg.driftRate < 0 || cfg.driftRate > 1:
+		return fmt.Errorf("usage: -drift-rate must be in [0,1], got %g", cfg.driftRate)
+	case cfg.driftRate > 0 && cfg.driftEdits < 1:
+		return fmt.Errorf("usage: -drift-edits must be positive when -drift-rate is set, got %d", cfg.driftEdits)
+	case cfg.tenants != 0 && cfg.tenants < 2:
+		return fmt.Errorf("usage: -tenants must be 0 (off) or >= 2 (1 latency + >=1 batch), got %d", cfg.tenants)
+	}
+	switch cfg.wire {
+	case "", wireJSON, wireBinary:
+		return nil
+	}
+	return fmt.Errorf("usage: -wire must be %s or %s, got %q", wireJSON, wireBinary, cfg.wire)
+}
+
+// loadgenCmd is `loops loadgen`: drive a running server or front door.
+type loadgenCmd struct {
+	addr string
+	load loadgenConfig
+}
+
+func (c *loadgenCmd) flags(fs *flag.FlagSet) {
+	fs.StringVar(&c.addr, "addr", ":8080", "target host:port")
+	fs.DurationVar(&c.load.timeout, "timeout", 30*time.Second, "client timeout")
+	c.load.flags(fs)
+}
+
+func (c *loadgenCmd) check() error { return c.load.check() }
+
+func (c *loadgenCmd) run() error {
+	target := c.addr
+	if strings.HasPrefix(target, ":") {
+		target = "127.0.0.1" + target
+	}
+	c.load.baseURL = "http://" + target
+	rep, err := loadgen(os.Stdout, c.load)
+	return report(os.Stdout, rep, err, c.load.batch)
 }
 
 // tenantTag is the per-client tenant identity in -tenants mode. The zero
@@ -93,7 +156,7 @@ type loadgenReport struct {
 	driftFell      int    // drift requests that fell back to a full ship (404)
 	latencies      []time.Duration
 	statsOK        bool
-	cacheHitRate   float64
+	planCache      plancache.Stats // this run's plan-cache lookups (Resident: after the run)
 	shed           uint64
 	repairs        uint64                      // plan misses served by delta repair
 	repairFalls    uint64                      // repair attempts that rebuilt instead
@@ -119,18 +182,13 @@ type tenantRunReport struct {
 	latencies []time.Duration
 }
 
-func pctDur(sorted []time.Duration, q float64) time.Duration {
+// pct returns the q-quantile of an ascending-sorted sample (zero when
+// the sample is empty).
+func pct[T time.Duration | float64](sorted []T, q float64) T {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q*float64(len(sorted))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	return sorted[min(max(int(q*float64(len(sorted)))-1, 0), len(sorted)-1)]
 }
 
 // throughput returns completed solves per second (requests x batch).
@@ -139,21 +197,6 @@ func (r *loadgenReport) throughput(batch int) float64 {
 		return 0
 	}
 	return float64(r.ok*batch) / r.elapsed.Seconds()
-}
-
-// percentile returns the q-quantile of the collected latencies.
-func (r *loadgenReport) percentile(q float64) time.Duration {
-	if len(r.latencies) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(r.latencies))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(r.latencies) {
-		i = len(r.latencies) - 1
-	}
-	return r.latencies[i]
 }
 
 // loadTemplate is the per-problem state of the load generator: a
@@ -206,13 +249,8 @@ func fetchTraces(cli *client.Client, limit int) (map[string][]float64, uint64, b
 // report. Requests shed (429) or refused while draining (503) are counted
 // but not retried, so a drain mid-run terminates cleanly.
 func loadgen(w io.Writer, cfg loadgenConfig) (*loadgenReport, error) {
-	if cfg.clients < 1 || cfg.requests < 1 || cfg.batch < 1 {
-		return nil, fmt.Errorf("loadgen: clients, requests and batch must be positive")
-	}
-	switch cfg.wire {
-	case "", wireJSON, wireBinary:
-	default:
-		return nil, fmt.Errorf("loadgen: unknown wire format %q (want %s or %s)", cfg.wire, wireJSON, wireBinary)
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	names := cfg.problems
 	if len(names) == 0 {
@@ -222,19 +260,18 @@ func loadgen(w io.Writer, cfg loadgenConfig) (*loadgenReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.tenants != 0 && cfg.tenants < 2 {
-		return nil, fmt.Errorf("loadgen: -tenants needs at least 2 tenants (1 latency + >=1 batch), got %d", cfg.tenants)
+	wire := cfg.wire
+	if wire == "" {
+		wire = wireJSON
 	}
-	if !cfg.quiet {
-		wire := cfg.wire
-		if wire == "" {
-			wire = wireJSON
-		}
-		fmt.Fprintf(w, "loadgen: %d clients, %d requests, batch %d over %d problems (%s wire) -> %s\n",
-			cfg.clients, cfg.requests, cfg.batch, len(tmpl), wire, cfg.baseURL)
-		if cfg.tenants >= 2 {
-			fmt.Fprintf(w, "loadgen: adversarial tenant mix: 1 latency tenant (lat-0) vs %d batch tenants\n", cfg.tenants-1)
-		}
+	fmt.Fprintf(w, "loadgen: %d clients, %d requests, batch %d over %d problems (%s wire) -> %s\n",
+		cfg.clients, cfg.requests, cfg.batch, len(tmpl), wire, cfg.baseURL)
+	if cfg.driftRate > 0 {
+		fmt.Fprintf(w, "loadgen: drifting workload: rate %.2f, %d row edits per drift (base_fp+edits requests)\n",
+			cfg.driftRate, cfg.driftEdits)
+	}
+	if cfg.tenants >= 2 {
+		fmt.Fprintf(w, "loadgen: adversarial tenant mix: 1 latency tenant (lat-0) vs %d batch tenants\n", cfg.tenants-1)
 	}
 	ctx := context.Background()
 	wireOpt := client.WireJSON
@@ -375,7 +412,11 @@ func loadgen(w io.Writer, cfg loadgenConfig) (*loadgenReport, error) {
 	if after, ok := fetchStats(cli); ok && beforeOK {
 		rep.statsOK = true
 		rep.tenantStats = after.Tenants
-		rep.cacheHitRate = after.CacheHitRate
+		rep.planCache = after.PlanCache
+		rep.planCache.Hits -= before.PlanCache.Hits
+		rep.planCache.Coalesced -= before.PlanCache.Coalesced
+		rep.planCache.Misses -= before.PlanCache.Misses
+		rep.planCache.Evictions -= before.PlanCache.Evictions
 		rep.shed = after.Shed - before.Shed
 		rep.repairs = after.Delta.Repairs - before.Delta.Repairs
 		rep.repairFalls = after.Delta.Fallbacks - before.Delta.Fallbacks
@@ -420,23 +461,38 @@ func randomBatch(rng *rand.Rand, k, n int) [][]float64 {
 	return bs
 }
 
+// report prints a finished run's report; a failed request fails the
+// command.
+func report(w io.Writer, rep *loadgenReport, err error, batch int) error {
+	if err != nil {
+		return err
+	}
+	printLoadgenReport(w, rep, batch)
+	if rep.failed > 0 {
+		return fmt.Errorf("loadgen: %d requests failed (e.g. %s)", rep.failed, rep.failMsg)
+	}
+	return nil
+}
+
 // printLoadgenReport renders the report in the serve/loadgen output style.
 func printLoadgenReport(w io.Writer, rep *loadgenReport, batch int) {
 	fmt.Fprintf(w, "  wall %8.1f ms, %8.0f solves/s (%d ok, %d refused, %d failed)\n",
 		rep.elapsed.Seconds()*1e3, rep.throughput(batch), rep.ok, rep.refused, rep.failed)
 	if len(rep.latencies) > 0 {
 		fmt.Fprintf(w, "  latency: p50 %s  p90 %s  p99 %s  max %s\n",
-			rep.percentile(0.50).Round(time.Microsecond),
-			rep.percentile(0.90).Round(time.Microsecond),
-			rep.percentile(0.99).Round(time.Microsecond),
+			pct(rep.latencies, 0.50).Round(time.Microsecond),
+			pct(rep.latencies, 0.90).Round(time.Microsecond),
+			pct(rep.latencies, 0.99).Round(time.Microsecond),
 			rep.latencies[len(rep.latencies)-1].Round(time.Microsecond))
 	}
 	if rep.drifted > 0 {
 		fmt.Fprintf(w, "  drift: %d drifted requests (%d fell back to a full ship)\n", rep.drifted, rep.driftFell)
 	}
 	if rep.statsOK {
-		fmt.Fprintf(w, "  server: %d procs/plan, cache hit rate %.1f%%, %d shed\n",
-			rep.procs, 100*rep.cacheHitRate, rep.shed)
+		pc := rep.planCache
+		fmt.Fprintf(w, "  server: %d procs/plan, %d shed\n", rep.procs, rep.shed)
+		fmt.Fprintf(w, "  plan cache: %d hits, %d coalesced, %d misses, %d evictions (hit rate %.1f%%, %d resident)\n",
+			pc.Hits, pc.Coalesced, pc.Misses, pc.Evictions, 100*pc.HitRate(), pc.Resident)
 		if rep.repairs+rep.repairFalls > 0 {
 			fmt.Fprintf(w, "  delta: %d plan misses repaired from a resident ancestor, %d rebuilt (cone/planner fallback)\n",
 				rep.repairs, rep.repairFalls)
@@ -479,8 +535,8 @@ func printTenantTable(w io.Writer, rep *loadgenReport) {
 		}
 		fmt.Fprintf(w, "    %-10s %-8s %6d %8d %8d %10s %10s%s\n",
 			name, t.class, t.ok, t.refused, t.failed,
-			pctDur(t.latencies, 0.50).Round(time.Microsecond),
-			pctDur(t.latencies, 0.99).Round(time.Microsecond), shedNote)
+			pct(t.latencies, 0.50).Round(time.Microsecond),
+			pct(t.latencies, 0.99).Round(time.Microsecond), shedNote)
 	}
 }
 
@@ -500,24 +556,11 @@ func printStageTable(w io.Writer, rep *loadgenReport) {
 		}
 		sort.Float64s(ms)
 		fmt.Fprintf(w, "    %-10s %8.3fms %8.3fms %8.3fms %8.3fms\n", name,
-			pctMs(ms, 0.50), pctMs(ms, 0.90), pctMs(ms, 0.99), ms[len(ms)-1])
+			pct(ms, 0.50), pct(ms, 0.90), pct(ms, 0.99), ms[len(ms)-1])
 	}
 	if rep.traceDropped > 0 {
 		fmt.Fprintf(w, "    (%d traces dropped by the server's ring under contention)\n", rep.traceDropped)
 	}
-}
-
-// pctMs returns the q-quantile of an ascending-sorted sample, mirroring
-// loadgenReport.percentile for raw milliseconds.
-func pctMs(sorted []float64, q float64) float64 {
-	i := int(q*float64(len(sorted))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // formatPlannerCounts renders per-strategy plan-build counts sorted by

@@ -4,11 +4,15 @@
 //
 // Usage:
 //
-//	loops <experiment> [flags]
+//	loops <command> [flags]
 //
-// Experiments: summary, fig9, table1, table2, table3, table4, table5,
-// fig12, fig13, model, timego, calibrate, numa, gantt, chunks, serve,
-// server, router, cluster, loadgen, all.
+// Every command parses only the flags it reads: `loops <command> -h`
+// lists them, and any other flag is an error.
+//
+// The simulated experiments — summary, fig9, table1, table2, table3,
+// table4, table5, fig12, fig13, model, timego, calibrate, numa, gantt,
+// chunks, and all, which runs most of them in turn — share one flag
+// family: -procs (the paper's 16), -iters and -large.
 //
 // The serving commands exercise the paper's amortization argument under
 // multi-tenant load:
@@ -22,345 +26,178 @@
 //     replicas on loopback ports behind a front door on -addr.
 //   - loadgen: drive a running server (or front door) with concurrent
 //     clients over the recurring problem suite; report throughput,
-//     latency percentiles and the server's cache-hit rates. -cluster N
-//     spins up an in-process cluster to drive.
-//   - serve: the in-process demo — the same server package on a loopback
-//     port, driven by the same loadgen.
+//     latency percentiles and the server's cache rates.
+//   - serve: stand up an in-process deployment on loopback ports — one
+//     server, or -replicas N behind a front door — and drive it with the
+//     same loadgen.
+//
+// server, cluster and serve build their servers from one set of flags.
 package main
 
 import (
-	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
-	"time"
+	"slices"
 
 	"doconsider/internal/machine"
 	"doconsider/internal/model"
 	"doconsider/internal/problems"
-	"doconsider/internal/router"
 	"doconsider/internal/schedule"
-	"doconsider/internal/server"
 	"doconsider/internal/tables"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	// -h has printed the command's flags: that is a success, as with
+	// flag.ExitOnError.
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "loops:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("loops", flag.ContinueOnError)
-	procs := fs.Int("procs", 0, "processor count (0: the paper's 16 for the simulated experiments, runtime.GOMAXPROCS(0) per plan for serving)")
-	iters := fs.Int("iters", 50, "Krylov iterations assumed for Table 1")
-	large := fs.Bool("large", false, "include the large problem variants (slow)")
-	clients := fs.Int("clients", 8, "serve/loadgen: concurrent client goroutines")
-	requests := fs.Int("requests", 64, "serve/loadgen: total solve requests")
-	batch := fs.Int("batch", 8, "serve/loadgen: right-hand sides per request")
-	cacheCap := fs.Int("cache", 8, "serve/server: plan cache capacity")
-	kindName := fs.String("kind", "auto", "serve/server: executor kind, or \"auto\" for adaptive planning")
-	seed := fs.Int64("seed", 1989, "serve/loadgen: base RNG seed (client i uses seed+i)")
-	addr := fs.String("addr", ":8080", "server: listen address; loadgen: target host:port")
-	maxInFlight := fs.Int("max-inflight", 64, "server: admission-control bound on concurrent solves")
-	maxBatch := fs.Int("max-batch", 64, "serve/server: max right-hand sides accepted per request")
-	reqTimeout := fs.Duration("timeout", 30*time.Second, "server: default per-request deadline; loadgen: client timeout")
-	driftRate := fs.Float64("drift-rate", 0, "serve/loadgen: probability a request structurally drifts its problem (base_fp+edits)")
-	driftEdits := fs.Int("drift-edits", 4, "serve/loadgen: row edits per drift step")
-	wire := fs.String("wire", wireJSON, "loadgen: wire format, json or binary (zero-copy frames)")
-	trace := fs.Bool("trace", false, "loadgen: fetch /v1/trace after the run and print per-stage latency percentiles")
-	debugAddr := fs.String("debug-addr", "", "server: pprof/runtime debug listener address (empty disables)")
-	tenants := fs.Int("tenants", 0, "loadgen: adversarial tenant mix: tenant 0 latency-class, rest flooding batch (0 disables, else >= 2)")
-	tenantWeights := fs.String("tenant-weights", "", "server: per-tenant DRR weights, e.g. lat-0=8,batch-1=1 (unlisted tenants weigh 1)")
-	tenantQuota := fs.Int("tenant-quota", 0, "server: per-tenant in-flight quota; over-quota requests shed 429 (0 = unlimited)")
-	tenantQueue := fs.Int("tenant-queue", 0, "server: per-tenant per-class admission queue depth (0 = default 16, negative sheds immediately)")
-	tenantMax := fs.Int("tenant-max", 0, "server: tenant metric-cardinality cap; overflow pools into \"other\" (0 = default 32)")
-	backends := fs.String("backends", "", "router: comma-separated replica addresses (host:port)")
-	replicas := fs.Int("replicas", 2, "cluster: in-process replica count")
-	clusterN := fs.Int("cluster", 0, "loadgen: spin up an in-process N-replica cluster and drive its front door (0 = use -addr)")
-	vnodes := fs.Int("vnodes", 0, "router/cluster: virtual nodes per backend (0 = default 64)")
-	warmLimit := fs.Int("warm-limit", 0, "router/cluster: hot fingerprints handed off per losing replica on rebalance (0 = default 32)")
-	if len(args) == 0 {
-		usage(fs)
-		return fmt.Errorf("missing experiment name")
-	}
-	exp := args[0]
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
-	}
-	if err := validateServingFlags(exp, *reqTimeout); err != nil {
-		usage(fs)
-		return err
-	}
-	if err := validateDriftFlags(exp, *driftRate, *driftEdits); err != nil {
-		usage(fs)
-		return err
-	}
-	if err := validateWireFlag(exp, *wire); err != nil {
-		usage(fs)
-		return err
-	}
-	if err := validateTenantsFlag(exp, *tenants); err != nil {
-		usage(fs)
-		return err
-	}
-	weights, err := parseTenantWeights(*tenantWeights)
-	if err != nil {
-		usage(fs)
-		return err
-	}
-	simProcs := *procs
-	if simProcs == 0 {
-		simProcs = tables.DefaultProcs
-	}
+// command is one `loops` command. flags declares on fs the flags the
+// command reads and no others; check validates the parsed values before
+// anything starts, so a bad value is a usage error; run is the command.
+type command interface {
+	flags(fs *flag.FlagSet)
+	check() error
+	run() error
+}
 
-	switch exp {
-	case "summary":
-		tables.FprintSummary(os.Stdout)
-	case "fig9":
-		return tables.FprintFigure9(os.Stdout, 5, 7, 4)
-	case "table1":
-		return table1(simProcs, *iters, *large)
-	case "table2":
-		return solveTable(machine.SelfExecutingSim, simProcs)
-	case "table3":
-		return solveTable(machine.PreScheduledSim, simProcs)
-	case "table4":
-		return table4(simProcs)
-	case "table5":
-		return table5(simProcs)
-	case "fig12":
-		return fig12(simProcs)
-	case "fig13":
-		return fig13(simProcs)
-	case "model":
-		return modelReport(simProcs)
-	case "timego":
-		return timego(simProcs)
-	case "calibrate":
-		return calibrate(simProcs)
-	case "numa":
-		return numa(simProcs)
-	case "gantt":
-		return gantt(simProcs)
-	case "chunks":
-		return chunks(simProcs)
-	case "serve":
-		kind, err := parseKind(*kindName)
-		if err != nil {
-			return err
-		}
-		return serve(os.Stdout, serveConfig{
-			procs: *procs, clients: *clients, requests: *requests,
-			batch: *batch, cacheCap: *cacheCap, kind: kind,
-			seed: *seed, maxBatch: *maxBatch,
-			driftRate: *driftRate, driftEdits: *driftEdits,
-		})
-	case "server":
-		kind, err := parseKind(*kindName)
-		if err != nil {
-			return err
-		}
-		return runServer(os.Stdout, serverConfig{
-			addr: *addr, debugAddr: *debugAddr, procs: *procs, kind: kind,
-			cacheCap: *cacheCap, maxInFlight: *maxInFlight,
-			maxBatch: *maxBatch, timeout: *reqTimeout, drainWait: 30 * time.Second,
-			tenantWeights: weights, tenantQuota: *tenantQuota,
-			tenantQueue: *tenantQueue, tenantMax: *tenantMax,
-		}, nil)
-	case "router":
-		backendList, err := parseBackends(*backends)
-		if err != nil {
-			return err
-		}
-		return runRouter(os.Stdout, routerCmdConfig{
-			addr: *addr, backends: backendList, vnodes: *vnodes,
-			warmLimit: *warmLimit, drainWait: 30 * time.Second,
-		}, nil)
-	case "cluster":
-		kind, err := parseKind(*kindName)
-		if err != nil {
-			return err
-		}
-		return runCluster(os.Stdout, clusterCmdConfig{
-			addr: *addr, replicas: *replicas,
-			server: serverConfig{
-				procs: *procs, kind: kind,
-				cacheCap: *cacheCap, maxInFlight: *maxInFlight,
-				maxBatch: *maxBatch, timeout: *reqTimeout, drainWait: 30 * time.Second,
-				tenantWeights: weights, tenantQuota: *tenantQuota,
-				tenantQueue: *tenantQueue, tenantMax: *tenantMax,
-			},
-		}, nil)
-	case "loadgen":
-		target := *addr
-		if target != "" && target[0] == ':' {
-			target = "127.0.0.1" + target
-		}
-		baseURL := "http://" + target
-		var cl *router.Cluster
-		if *clusterN > 0 {
-			// In-process cluster mode: the scaling demo. The replicas and
-			// the front door live in this process; the loadgen drives the
-			// front door exactly as it would a remote one.
-			kind, err := parseKind(*kindName)
-			if err != nil {
-				return err
-			}
-			cl, err = router.NewCluster(*clusterN, server.Config{
-				Procs: *procs, Kind: kind, CacheCap: *cacheCap,
-				MaxBatch: *maxBatch, DefaultTimeout: *reqTimeout,
-			}, router.Config{VNodes: *vnodes, WarmLimit: *warmLimit}, "127.0.0.1:0")
-			if err != nil {
-				return err
-			}
-			baseURL = cl.URL()
-			fmt.Printf("loadgen: in-process cluster of %d replicas behind %s, %d procs/plan\n", *clusterN, baseURL, clusterProcs(cl))
-		}
-		rep, err := loadgen(os.Stdout, loadgenConfig{
-			baseURL: baseURL, clients: *clients, requests: *requests,
-			batch: *batch, seed: *seed, timeout: *reqTimeout,
-			driftRate: *driftRate, driftEdits: *driftEdits, wire: *wire, trace: *trace,
-			tenants: *tenants, noStats: cl != nil,
-		})
-		if cl != nil {
-			st := cl.Router().Stats()
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			cerr := cl.Close(ctx)
-			cancel()
-			if err == nil && cerr != nil {
-				err = cerr
-			}
-			if err == nil {
-				printRouterStats(os.Stdout, st)
-			}
-		}
-		if err != nil {
-			return err
-		}
-		printLoadgenReport(os.Stdout, rep, *batch)
-		if rep.failed > 0 {
-			return fmt.Errorf("loadgen: %d requests failed (e.g. %s)", rep.failed, rep.failMsg)
-		}
-		return nil
+// newCommand returns the named command, or nil for an unknown name.
+func newCommand(name string) command {
+	if exp, ok := experiments[name]; ok {
+		return &simCmd{exp: exp}
+	}
+	switch name {
 	case "all":
-		for _, e := range []string{"summary", "fig9", "table1", "table2", "table3",
-			"table4", "table5", "fig12", "fig13", "model", "timego", "numa"} {
-			fmt.Println()
-			if err := run(append([]string{e}, args[1:]...)); err != nil {
-				return fmt.Errorf("%s: %w", e, err)
-			}
-		}
-	default:
-		usage(fs)
-		return fmt.Errorf("unknown experiment %q", exp)
+		return &simCmd{exp: all}
+	case "server":
+		return &serverCmd{}
+	case "router":
+		return &routerCmd{}
+	case "cluster":
+		return &clusterCmd{}
+	case "loadgen":
+		return &loadgenCmd{}
+	case "serve":
+		return &serveCmd{}
 	}
 	return nil
 }
 
-// validateServingFlags rejects a negative -timeout, which is not a
-// deadline. Only the serving experiments consume the flag; the
-// table/figure experiments ignore it, so it is not validated there.
-func validateServingFlags(exp string, timeout time.Duration) error {
-	switch exp {
-	case "serve", "server", "cluster", "loadgen":
-		if timeout < 0 {
-			return fmt.Errorf("usage: -timeout must not be negative, got %s", timeout)
-		}
+func run(args []string) error {
+	c, err := parse(args)
+	if err != nil {
+		return err
+	}
+	return c.run()
+}
+
+// parse builds the command args[0] names, parses the rest of args with
+// that command's flag set and checks the values. It starts nothing.
+func parse(args []string) (command, error) {
+	if len(args) == 0 {
+		fmt.Fprintln(os.Stderr, usageLine)
+		return nil, errors.New("missing command name")
+	}
+	c := newCommand(args[0])
+	if c == nil {
+		fmt.Fprintln(os.Stderr, usageLine)
+		return nil, fmt.Errorf("unknown command %q", args[0])
+	}
+	fs := flag.NewFlagSet("loops "+args[0], flag.ContinueOnError)
+	c.flags(fs)
+	if err := fs.Parse(args[1:]); err != nil {
+		return nil, err
+	}
+	err := c.check()
+	if err == nil && fs.NArg() > 0 {
+		err = fmt.Errorf("usage: unexpected argument %q", fs.Arg(0))
+	}
+	if err != nil {
+		fs.Usage()
+		return nil, err
+	}
+	return c, nil
+}
+
+const usageLine = "usage: loops <summary|fig9|table1|table2|table3|table4|table5|fig12|fig13|model|timego|calibrate|numa|gantt|chunks|all|serve|server|router|cluster|loadgen> [flags]\n" +
+	"       loops <command> -h lists that command's flags"
+
+// usageErr marks a configuration's Validate error as a usage error.
+func usageErr(err error) error {
+	if err != nil {
+		return fmt.Errorf("usage: %w", err)
 	}
 	return nil
 }
 
-// validateWireFlag rejects unknown -wire formats before any traffic is
-// generated. Only loadgen speaks the binary protocol; serve drives JSON
-// and the other experiments ignore the flag.
-func validateWireFlag(exp, wire string) error {
-	if exp != "loadgen" {
-		return nil
-	}
-	switch wire {
-	case "", wireJSON, wireBinary:
-		return nil
-	}
-	return fmt.Errorf("usage: -wire must be %s or %s, got %q", wireJSON, wireBinary, wire)
+// simFlags is the flag family the simulated experiments share, so `loops
+// all` hands each experiment the same values.
+type simFlags struct {
+	procs, iters int
+	large        bool
 }
 
-// validateTenantsFlag rejects degenerate adversarial mixes: the mode
-// exists to pit one latency tenant against flooding batch tenants, so a
-// single tenant is meaningless (plain loadgen already covers it).
-func validateTenantsFlag(exp string, tenants int) error {
-	if exp != "loadgen" {
-		return nil
-	}
-	if tenants != 0 && tenants < 2 {
-		return fmt.Errorf("usage: -tenants must be 0 (off) or >= 2 (1 latency + >=1 batch), got %d", tenants)
+// simCmd runs one simulated experiment, or all of them.
+type simCmd struct {
+	simFlags
+	exp func(simFlags) error
+}
+
+func (c *simCmd) flags(fs *flag.FlagSet) {
+	fs.IntVar(&c.procs, "procs", tables.DefaultProcs, "simulated processor count")
+	fs.IntVar(&c.iters, "iters", 50, "Krylov iterations assumed for Table 1")
+	fs.BoolVar(&c.large, "large", false, "include the large problem variants (slow)")
+}
+
+func (c *simCmd) check() error {
+	if c.procs < 1 {
+		return fmt.Errorf("usage: -procs must be positive, got %d", c.procs)
 	}
 	return nil
 }
 
-// parseTenantWeights parses the -tenant-weights flag, a comma-separated
-// name=weight list. Weights must be positive integers; unlisted tenants
-// default to weight 1 server-side.
-func parseTenantWeights(s string) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	weights := make(map[string]int)
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("usage: -tenant-weights entry %q is not name=weight", part)
-		}
-		w, err := strconv.Atoi(val)
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("usage: -tenant-weights weight for %q must be a positive integer, got %q", name, val)
-		}
-		weights[name] = w
-	}
-	return weights, nil
+func (c *simCmd) run() error { return c.exp(c.simFlags) }
+
+// experiments are the simulated reproductions, by command name.
+var experiments = map[string]func(simFlags) error{
+	"summary":   func(simFlags) error { tables.FprintSummary(os.Stdout); return nil },
+	"fig9":      func(simFlags) error { return tables.FprintFigure9(os.Stdout, 5, 7, 4) },
+	"table1":    func(f simFlags) error { return table1(f.procs, f.iters, f.large) },
+	"table2":    func(f simFlags) error { return solveTable(machine.SelfExecutingSim, f.procs) },
+	"table3":    func(f simFlags) error { return solveTable(machine.PreScheduledSim, f.procs) },
+	"table4":    onProcs(table4),
+	"table5":    onProcs(table5),
+	"fig12":     onProcs(fig12),
+	"fig13":     onProcs(fig13),
+	"model":     onProcs(modelReport),
+	"timego":    onProcs(timego),
+	"calibrate": onProcs(calibrate),
+	"numa":      onProcs(numa),
+	"gantt":     onProcs(gantt),
+	"chunks":    onProcs(chunks),
 }
 
-// validateDriftFlags bounds the drifting-workload knobs: a drift rate is
-// a probability, and a drift step must make at least one edit.
-func validateDriftFlags(exp string, rate float64, edits int) error {
-	switch exp {
-	case "serve", "loadgen":
-	default:
-		return nil
-	}
-	if rate < 0 || rate > 1 {
-		return fmt.Errorf("usage: -drift-rate must be in [0,1], got %g", rate)
-	}
-	if rate > 0 && edits < 1 {
-		return fmt.Errorf("usage: -drift-edits must be positive when -drift-rate is set, got %d", edits)
+// onProcs adapts an experiment that reads only -procs.
+func onProcs(exp func(procs int) error) func(simFlags) error {
+	return func(f simFlags) error { return exp(f.procs) }
+}
+
+// all is `loops all`: the paper's reproductions in order, each with the
+// same flags.
+func all(f simFlags) error {
+	for _, e := range []string{"summary", "fig9", "table1", "table2", "table3",
+		"table4", "table5", "fig12", "fig13", "model", "timego", "numa"} {
+		fmt.Println()
+		if err := experiments[e](f); err != nil {
+			return fmt.Errorf("%s: %w", e, err)
+		}
 	}
 	return nil
-}
-
-func usage(fs *flag.FlagSet) {
-	fmt.Fprintln(os.Stderr, "usage: loops <summary|fig9|table1|table2|table3|table4|table5|fig12|fig13|model|timego|calibrate|numa|gantt|chunks|serve|server|router|cluster|loadgen|all> [flags]")
-	fs.PrintDefaults()
-}
-
-// parseBackends splits the -backends list, rejecting empty entries (a
-// stray comma would silently shrink the ring).
-func parseBackends(s string) ([]string, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("usage: router requires -backends host:port[,host:port...]")
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			return nil, fmt.Errorf("usage: -backends contains an empty address in %q", s)
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 func table1(procs, iters int, large bool) error {
@@ -499,16 +336,7 @@ func gantt(procs int) error {
 		return err
 	}
 	util := tr.Utilization()
-	min, max := 1.0, 0.0
-	for _, u := range util {
-		if u < min {
-			min = u
-		}
-		if u > max {
-			max = u
-		}
-	}
-	fmt.Printf("utilization: min %.2f max %.2f\n\n", min, max)
+	fmt.Printf("utilization: min %.2f max %.2f\n\n", slices.Min(util), slices.Max(util))
 
 	trPre := machine.TracePreScheduled(gs, p.Work, costs)
 	fmt.Printf("Pre-scheduled timeline (same schedule, barrier per phase):\n")
@@ -516,16 +344,7 @@ func gantt(procs int) error {
 		return err
 	}
 	utilPre := trPre.Utilization()
-	min, max = 1.0, 0.0
-	for _, u := range utilPre {
-		if u < min {
-			min = u
-		}
-		if u > max {
-			max = u
-		}
-	}
-	fmt.Printf("utilization: min %.2f max %.2f (idle = barrier stalls)\n", min, max)
+	fmt.Printf("utilization: min %.2f max %.2f (idle = barrier stalls)\n", slices.Min(utilPre), slices.Max(utilPre))
 	return nil
 }
 

@@ -85,7 +85,7 @@ func TestServerLoadgenIntegration(t *testing.T) {
 		defer wg.Done()
 		rep2, _ = loadgen(io.Discard, loadgenConfig{
 			baseURL: baseURL, clients: 4, requests: 16, batch: 1, seed: 11,
-			problems: []string{"SPE2"}, quiet: true,
+			problems: []string{"SPE2"},
 		})
 	}()
 	time.Sleep(10 * time.Millisecond)

@@ -218,22 +218,25 @@ func (a *Arena) Bytes(n int) []byte {
 }
 
 // grow acquires a fresh block of at least need bytes (at least a slab)
-// and makes it the current bump block. The remainder of the previous
-// block is abandoned until Release — bump allocators trade that slack
-// for never scanning a free list on the hot path.
+// and makes it the current bump block. A buddy block is the slab size
+// doubled until it fits; a heap overflow block is only max(slab, need),
+// since nothing rounds it. The remainder of the previous block is
+// abandoned until Release — bump allocators trade that slack for never
+// scanning a free list on the hot path.
 func (a *Arena) grow(need int) {
-	size := a.pool.cfg.SlabBytes
+	p := a.pool
+	slab := p.cfg.SlabBytes
+	size := slab
 	for size < need {
 		size *= 2
 	}
-	p := a.pool
 	p.mu.Lock()
 	block, off, ok := p.buddy.alloc(size)
 	if ok {
 		p.grows++
 	} else {
 		p.overflows++
-		block, off = newBuddyRegion(size), -1
+		block, off = newBuddyRegion(max(slab, need)), -1
 	}
 	p.mu.Unlock()
 	a.extra = append(a.extra, block)

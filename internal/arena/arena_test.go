@@ -96,6 +96,25 @@ func TestArenaGrowAndOverflow(t *testing.T) {
 	}
 }
 
+// TestOverflowReservesRequestSize pins the heap-overflow block's size: a
+// request past the whole region gets a block of its own size, not the
+// slab doubled past it (33 MiB once reserved 64 MiB on the default pool).
+func TestOverflowReservesRequestSize(t *testing.T) {
+	p := NewPool(Config{})
+	a := p.Get()
+	defer a.Release()
+	b := a.Bytes(33 << 20)
+	if len(b) != 33<<20 || !Aligned8(b) {
+		t.Fatalf("overflow alloc len=%d aligned=%v", len(b), Aligned8(b))
+	}
+	if got := len(a.cur); got >= 34<<20 {
+		t.Errorf("overflow block reserves %d bytes for a 33 MiB request, want < 34 MiB", got)
+	}
+	if got := p.Stats().Overflows; got != 1 {
+		t.Errorf("overflows = %d, want 1", got)
+	}
+}
+
 // TestPoolTrim returns idle slabs to the buddy region and verifies full
 // coalescing when everything is trimmed.
 func TestPoolTrim(t *testing.T) {

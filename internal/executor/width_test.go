@@ -81,7 +81,7 @@ func checkWidth(t *testing.T, what string, m executor.Metrics, w int) {
 }
 
 // TestWidthGridTrisolve runs every solve entry point — Solve,
-// SolveBatch and SolveTimed — on SPE2, 5-PT and 9-PT,
+// Bind().Solve and SolveTimed — on SPE2, 5-PT and 9-PT,
 // lower and upper, fused and row-wise, under one kind per discipline
 // (pooled: flags, pre-scheduled: barrier, doacross: claim), at every
 // width 1..4 of a four-processor plan, against ForwardSeq/BackwardSeq;
@@ -237,13 +237,13 @@ func widthGridTrisolve(t *testing.T, name string, kind executor.Kind, lower bool
 			bitEqual(t, what+" Solve", x, want[0])
 
 			xs := rhs(rng, l.N, len(bs))
-			m, err := plan.SolveBatch(xs, bs)
+			m, err := plan.Bind().Solve(context.Background(), xs, bs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkWidth(t, what+" SolveBatch", m, w)
+			checkWidth(t, what+" Bind().Solve", m, w)
 			for j := range xs {
-				bitEqual(t, what+" SolveBatch", xs[j], want[j])
+				bitEqual(t, what+" Bind().Solve", xs[j], want[j])
 			}
 
 			var clock levelClock

@@ -156,7 +156,7 @@ func TestFirstSightBitIdentical(t *testing.T) {
 		assertBitIdentical(t, x, refSolve(t, tri, lower, b), what+" Solve")
 
 		xs, bs := randomRHS(rng, n, 3), randomRHS(rng, n, 3)
-		if _, err := p.SolveBatch(xs, bs); err != nil {
+		if _, err := p.Bind().Solve(context.Background(), xs, bs); err != nil {
 			t.Fatal(err)
 		}
 		for j := range xs {

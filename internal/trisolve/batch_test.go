@@ -1,6 +1,7 @@
 package trisolve
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -65,7 +66,7 @@ func TestSolveBatchK1BitIdentical(t *testing.T) {
 		assertBitIdentical(t, x, want[0], what+" Solve")
 		for _, k := range []int{1, 4} {
 			xs := randomRHS(rng, n, k) // scratch, overwritten
-			m, err := plan.SolveBatch(xs, bs[:k])
+			m, err := plan.Bind().Solve(context.Background(), xs, bs[:k])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +74,7 @@ func TestSolveBatchK1BitIdentical(t *testing.T) {
 				t.Fatalf("%s: batch of %d executed %d rows, want %d (one pass for all RHS)", what, k, m.Executed, n)
 			}
 			for j := range xs {
-				assertBitIdentical(t, xs[j], want[j], fmt.Sprintf("%s SolveBatch(k=%d) rhs %d", what, k, j))
+				assertBitIdentical(t, xs[j], want[j], fmt.Sprintf("%s Bind().Solve(k=%d) rhs %d", what, k, j))
 			}
 		}
 	})
@@ -109,7 +110,7 @@ func TestSolveBatchMatchesSequentialSolves(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		m, err := plan.SolveBatch(xs, bs)
+		m, err := plan.Bind().Solve(context.Background(), xs, bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,13 +137,13 @@ func TestSolveBatchShapeErrors(t *testing.T) {
 	defer plan.Close()
 	n := tri.N
 	good := make([]float64, n)
-	if _, err := plan.SolveBatch([][]float64{good}, nil); err == nil {
+	if _, err := plan.Bind().Solve(context.Background(), [][]float64{good}, nil); err == nil {
 		t.Fatal("mismatched batch lengths accepted")
 	}
-	if _, err := plan.SolveBatch([][]float64{make([]float64, n-1)}, [][]float64{good}); err == nil {
+	if _, err := plan.Bind().Solve(context.Background(), [][]float64{make([]float64, n-1)}, [][]float64{good}); err == nil {
 		t.Fatal("short solution vector accepted")
 	}
-	if m, err := plan.SolveBatch(nil, nil); err != nil || m.Executed != 0 {
+	if m, err := plan.Bind().Solve(context.Background(), nil, nil); err != nil || m.Executed != 0 {
 		t.Fatalf("empty batch: m=%+v err=%v, want no-op", m, err)
 	}
 }

@@ -60,7 +60,7 @@ func BenchmarkInspector(b *testing.B) {
 }
 
 // BenchmarkSolveBatch is the acceptance experiment for multi-RHS
-// batching: one SolveBatch pass over k=8 right-hand sides against 8
+// batching: one Bind().Solve pass over k=8 right-hand sides against 8
 // sequential Solve calls on the same pooled plan. The batch reads each
 // row's nonzeros once for all RHS and pays one executor dispatch and one
 // set of dependence busy-waits instead of 8.
@@ -94,7 +94,7 @@ func BenchmarkSolveBatch(b *testing.B) {
 	b.Run("batch-8", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := plan.SolveBatch(xs, bs); err != nil {
+			if _, err := plan.Bind().Solve(context.Background(), xs, bs); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package trisolve
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -98,10 +99,10 @@ func TestPlanCacheNearMissRepair(t *testing.T) {
 	bs := [][]float64{b, b}
 	xsWant := [][]float64{make([]float64, n), make([]float64, n)}
 	xsGot := [][]float64{make([]float64, n), make([]float64, n)}
-	if _, err := ref.SolveBatch(xsWant, bs); err != nil {
+	if _, err := ref.Bind().Solve(context.Background(), xsWant, bs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p2.SolveBatch(xsGot, bs); err != nil {
+	if _, err := p2.Bind().Solve(context.Background(), xsGot, bs); err != nil {
 		t.Fatal(err)
 	}
 	for j := range xsWant {

@@ -1,6 +1,7 @@
 package trisolve
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -67,11 +68,11 @@ func TestFusedSolveDifferential(t *testing.T) {
 					assertBitIdentical(t, x, want[j], "fused Solve")
 				}
 				xs := randomRHS(rng, l.N, len(bs))
-				if _, err := plan.SolveBatch(xs, bs); err != nil {
-					t.Fatalf("%s/%v/%v: SolveBatch: %v", name, lower, kind, err)
+				if _, err := plan.Bind().Solve(context.Background(), xs, bs); err != nil {
+					t.Fatalf("%s/%v/%v: Bind().Solve: %v", name, lower, kind, err)
 				}
 				for j := range xs {
-					assertBitIdentical(t, xs[j], want[j], "fused SolveBatch")
+					assertBitIdentical(t, xs[j], want[j], "fused Bind().Solve")
 				}
 				plan.Close()
 			}

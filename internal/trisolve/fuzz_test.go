@@ -204,11 +204,11 @@ func FuzzAdaptiveSolve(f *testing.F) {
 			assertBitIdentical(t, x, want[j], "Solve")
 		}
 		xs := randomRHS(rng, n, k) // scratch, overwritten
-		if _, err := plan.SolveBatch(xs, bs); err != nil {
-			t.Fatalf("SolveBatch: %v", err)
+		if _, err := plan.Bind().Solve(context.Background(), xs, bs); err != nil {
+			t.Fatalf("Bind().Solve: %v", err)
 		}
 		for j := range xs {
-			assertBitIdentical(t, xs[j], want[j], "SolveBatch")
+			assertBitIdentical(t, xs[j], want[j], "Bind().Solve")
 		}
 
 		// The supernodal executor is one of the planner's candidates;
@@ -306,11 +306,11 @@ func FuzzFusedSolve(f *testing.F) {
 			assertBitIdentical(t, x, want[j], "fused Solve")
 		}
 		xs := randomRHS(rng, n, k) // scratch, overwritten
-		if _, err := plan.SolveBatch(xs, bs); err != nil {
-			t.Fatalf("SolveBatch: %v", err)
+		if _, err := plan.Bind().Solve(context.Background(), xs, bs); err != nil {
+			t.Fatalf("Bind().Solve: %v", err)
 		}
 		for j := range xs {
-			assertBitIdentical(t, xs[j], want[j], "fused SolveBatch")
+			assertBitIdentical(t, xs[j], want[j], "fused Bind().Solve")
 		}
 		xs = randomRHS(rng, n, k)
 		if _, err := plan.Bind().Solve(context.Background(), xs, bs); err != nil {

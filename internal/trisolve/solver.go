@@ -247,9 +247,14 @@ func (p *Plan) checkBatch(xs, bs [][]float64) error {
 }
 
 // Solve runs one batched pass writing solution j to xs[j], with zero
-// allocations on the success path. Each xs[j] must not alias its bs[j]
-// or any other vector in the batch (the parallel executors read b while
-// writing x).
+// allocations on the success path: a column pass on a sequential plan or
+// an adaptive plan that chose a parallel kind (see Plan.solve), else one
+// scheduled pass of a pinned parallel kind, which reads every row's
+// nonzeros once for all right-hand sides and pays the busy-waits and
+// dispatch once, not k times. With k = 1 the arithmetic matches
+// Plan.Solve exactly, so the results are bit-identical. Each xs[j] must
+// not alias its bs[j] or any other vector in the batch (the parallel
+// executors read b while writing x).
 func (s *BatchSolver) Solve(ctx context.Context, xs, bs [][]float64) (executor.Metrics, error) {
 	return s.SolveTimed(ctx, xs, bs, nil)
 }

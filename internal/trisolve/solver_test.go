@@ -250,7 +250,7 @@ func TestColumnPassesOverlap(t *testing.T) {
 
 // TestPlanSolveZeroAlloc pins the pass records behind the plan's own
 // entry points: a record, its bodies and its single-vector slots are
-// built once and reused, so every later Solve and SolveBatch allocates
+// built once and reused, so every later Solve and Bind().Solve allocates
 // nothing.
 func TestPlanSolveZeroAlloc(t *testing.T) {
 	tri := stencil.Laplace2D(20, 20).LowerWithDiag()
@@ -267,11 +267,11 @@ func TestPlanSolveZeroAlloc(t *testing.T) {
 		t.Errorf("Plan.Solve = %v allocs/op, want 0", allocs)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := plan.SolveBatch(xs, bs); err != nil {
+		if _, err := plan.Bind().Solve(context.Background(), xs, bs); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Plan.SolveBatch = %v allocs/op, want 0", allocs)
+		t.Errorf("Plan.Bind().Solve = %v allocs/op, want 0", allocs)
 	}
 }
