@@ -59,6 +59,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedJSON$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteKey$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/transform
+	$(GO) test -run '^$$' -fuzz '^FuzzTransform$$' -fuzztime $(FUZZTIME) ./internal/transform
 
 # The CI coverage gate: total statement coverage vs the checked-in floor.
 cover:

@@ -172,7 +172,7 @@ func BenchmarkTable5Inspector(b *testing.B) {
 	})
 	b.Run("par-sweep", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := wavefront.ComputeParallel(p.Deps, tables.DefaultProcs); err != nil {
+			if _, err := core.ParallelSweep(p.Deps, tables.DefaultProcs); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -110,7 +110,7 @@ func TestRouterCommandRunsAndDrains(t *testing.T) {
 
 	rep, err := loadgen(io.Discard, loadgenConfig{
 		baseURL: "http://" + front, clients: 2, requests: 8, batch: 1,
-		seed: 5, problems: []string{"SPE2", "5-PT"}, noStats: true,
+		seed: 5, problems: []string{"SPE2", "5-PT"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestClusterCommandRunsAndDrains(t *testing.T) {
 
 	rep, err := loadgen(io.Discard, loadgenConfig{
 		baseURL: "http://" + front, clients: 2, requests: 8, batch: 1,
-		seed: 9, problems: []string{"SPE2"}, noStats: true,
+		seed: 9, problems: []string{"SPE2"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,5 +261,49 @@ func TestLoadgenTenantTraceReport(t *testing.T) {
 	}
 	if !strings.Contains(got, "stages (server-side") {
 		t.Errorf("stage samples collected but not rendered:\n%s", got)
+	}
+}
+
+// TestLoadgenFrontDoorStats: loadgen against a front door reports the
+// run's routing deltas from the router's /v1/stats, not a server's cache
+// lines read from a reply that has none.
+func TestLoadgenFrontDoorStats(t *testing.T) {
+	cl, err := router.NewCluster(2, server.Config{Procs: 1, CacheCap: 8}, router.Config{}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := cl.Close(context.Background()); err != nil {
+			t.Error(err)
+		}
+	}()
+	var out strings.Builder
+	rep, err := loadgen(&out, loadgenConfig{
+		baseURL: cl.URL(), clients: 2, requests: 8, batch: 1,
+		seed: 7, problems: []string{"SPE2", "5-PT"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ok != 8 || rep.failed != 0 {
+		t.Fatalf("loadgen through the front door: %d ok, %d failed (%s)", rep.ok, rep.failed, rep.failMsg)
+	}
+	if rep.statsOK {
+		t.Error("read the front door's stats as a server's")
+	}
+	// The warmup registered both factors, so the 8 timed requests all
+	// resubmit by fingerprint.
+	if f := rep.front; f == nil || f.Requests != 8 || f.Retries != 0 || f.Failures != 0 || f.RouteKinds["fp"] != 8 {
+		t.Fatalf("front-door deltas %+v, want 8 requests, all by fingerprint", rep.front)
+	}
+	printLoadgenReport(&out, rep, 1)
+	got := out.String()
+	if !strings.Contains(got, "  front door: 8 requests, 0 retries, 0 failures; routes fp:8\n") {
+		t.Errorf("report has no front-door line:\n%s", got)
+	}
+	for _, absent := range []string{"server:", "plan cache:"} {
+		if strings.Contains(got, absent) {
+			t.Errorf("report prints %q for a front door:\n%s", absent, got)
+		}
 	}
 }

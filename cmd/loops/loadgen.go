@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -18,6 +19,7 @@ import (
 	"doconsider/internal/obs"
 	"doconsider/internal/plancache"
 	"doconsider/internal/problems"
+	"doconsider/internal/router"
 	"doconsider/internal/server"
 	"doconsider/internal/synthetic"
 )
@@ -34,7 +36,8 @@ const (
 // loadgenConfig parameterizes the concurrent load generator: a pool of
 // client goroutines posts triangular-solve requests to a running server
 // over the recurring problem suite and reports throughput, latency
-// percentiles and the server-side cache rates.
+// percentiles and the run's deltas of the target's /v1/stats: a server's
+// cache rates, or a front door's routing counts.
 type loadgenConfig struct {
 	baseURL    string        // e.g. http://127.0.0.1:8080
 	clients    int           // concurrent client goroutines
@@ -50,7 +53,6 @@ type loadgenConfig struct {
 	trace      bool          // fetch /v1/trace after the run and report per-stage latency
 	tenants    int           // adversarial multi-tenant mix: tenant 0 latency-class, rest batch (0 disables)
 	tag        tenantTag     // per-client tenant identity; set on goroutine-local copies, not shared
-	noStats    bool          // skip /v1/stats deltas (cluster mode: the front door has router-level stats instead)
 }
 
 // flags declares the load generator's flags on fs. -timeout is the
@@ -171,6 +173,7 @@ type loadgenReport struct {
 	traceDropped   uint64                      // traces the server's ring dropped under contention
 	perTenant      map[string]*tenantRunReport // -tenants mode: client-side per-tenant breakdown
 	tenantStats    []server.TenantStats        // server-side per-tenant snapshot after the run
+	front          *router.StatsResponse       // a front door's deltas this run: Requests, Retries, Failures, RouteKinds
 }
 
 // tenantRunReport is one tenant's client-side slice of the run.
@@ -221,11 +224,25 @@ func loadgenTemplates(names []string) ([]*loadTemplate, error) {
 	return tmpl, nil
 }
 
+// targetStats is one /v1/stats reply: a server's, or, when the reply
+// lists backends, a front door's.
+type targetStats struct {
+	server server.StatsResponse
+	front  *router.StatsResponse
+}
+
 // fetchStats reads /v1/stats; failures are soft (the server may already
 // be draining when the run ends).
-func fetchStats(cli *client.Client) (server.StatsResponse, bool) {
-	st, err := cli.Stats(context.Background())
-	return st, err == nil
+func fetchStats(cli *client.Client) (st targetStats, ok bool) {
+	var raw json.RawMessage
+	if err := cli.GetJSON(context.Background(), "/v1/stats", &raw); err != nil {
+		return st, false
+	}
+	var front router.StatsResponse
+	if json.Unmarshal(raw, &front) == nil && front.Backends != nil {
+		return targetStats{front: &front}, true
+	}
+	return st, json.Unmarshal(raw, &st.server) == nil
 }
 
 // fetchTraces pulls up to limit completed traces from the server's ring
@@ -292,11 +309,7 @@ func loadgen(w io.Writer, cfg loadgenConfig) (*loadgenReport, error) {
 			}
 		}
 	}
-	var before server.StatsResponse
-	beforeOK := false
-	if !cfg.noStats {
-		before, beforeOK = fetchStats(cli)
-	}
+	before, beforeOK := fetchStats(cli)
 
 	var next atomic.Int64
 	var mu sync.Mutex
@@ -409,32 +422,9 @@ func loadgen(w io.Writer, cfg loadgenConfig) (*loadgenReport, error) {
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	}
 
-	if after, ok := fetchStats(cli); ok && beforeOK {
-		rep.statsOK = true
-		rep.tenantStats = after.Tenants
-		rep.planCache = after.PlanCache
-		rep.planCache.Hits -= before.PlanCache.Hits
-		rep.planCache.Coalesced -= before.PlanCache.Coalesced
-		rep.planCache.Misses -= before.PlanCache.Misses
-		rep.planCache.Evictions -= before.PlanCache.Evictions
-		rep.shed = after.Shed - before.Shed
-		rep.repairs = after.Delta.Repairs - before.Delta.Repairs
-		rep.repairFalls = after.Delta.Fallbacks - before.Delta.Fallbacks
-		rep.plannerKind = after.Planner.Kind
-		rep.procs = after.Planner.Procs
-		// Like the other server counters, report this run's delta — a
-		// long-running server's lifetime decision counts would
-		// misattribute earlier traffic to this run.
-		rep.plannerCounts = make(map[string]uint64, len(after.Planner.Counts))
-		for name, n := range after.Planner.Counts {
-			if d := n - before.Planner.Counts[name]; d > 0 {
-				rep.plannerCounts[name] = d
-			}
-		}
-		rep.superPlans = after.Supernode.FusedPlans - before.Supernode.FusedPlans
-		rep.superRows = after.Supernode.Rows - before.Supernode.Rows
-		rep.superFusedRows = after.Supernode.FusedRows - before.Supernode.FusedRows
-		rep.superMaxWidth = after.Supernode.MaxWidth
+	// Deltas need both snapshots from one kind of target.
+	if after, ok := fetchStats(cli); ok && beforeOK && (after.front == nil) == (before.front == nil) {
+		rep.fromStats(before, after)
 	}
 	if cfg.trace {
 		if stages, dropped, ok := fetchTraces(cli, cfg.requests); ok {
@@ -443,6 +433,51 @@ func loadgen(w io.Writer, cfg loadgenConfig) (*loadgenReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// fromStats records the run's deltas between two /v1/stats replies of
+// one target.
+func (rep *loadgenReport) fromStats(b, a targetStats) {
+	if a.front != nil {
+		rep.front = &router.StatsResponse{
+			Requests:   a.front.Requests - b.front.Requests,
+			Retries:    a.front.Retries - b.front.Retries,
+			Failures:   a.front.Failures - b.front.Failures,
+			RouteKinds: make(map[string]uint64, len(a.front.RouteKinds)),
+		}
+		for kind, n := range a.front.RouteKinds {
+			if d := n - b.front.RouteKinds[kind]; d > 0 {
+				rep.front.RouteKinds[kind] = d
+			}
+		}
+		return
+	}
+	before, after := b.server, a.server
+	rep.statsOK = true
+	rep.tenantStats = after.Tenants
+	rep.planCache = after.PlanCache
+	rep.planCache.Hits -= before.PlanCache.Hits
+	rep.planCache.Coalesced -= before.PlanCache.Coalesced
+	rep.planCache.Misses -= before.PlanCache.Misses
+	rep.planCache.Evictions -= before.PlanCache.Evictions
+	rep.shed = after.Shed - before.Shed
+	rep.repairs = after.Delta.Repairs - before.Delta.Repairs
+	rep.repairFalls = after.Delta.Fallbacks - before.Delta.Fallbacks
+	rep.plannerKind = after.Planner.Kind
+	rep.procs = after.Planner.Procs
+	// Like the other server counters, report this run's delta — a
+	// long-running server's lifetime decision counts would
+	// misattribute earlier traffic to this run.
+	rep.plannerCounts = make(map[string]uint64, len(after.Planner.Counts))
+	for name, n := range after.Planner.Counts {
+		if d := n - before.Planner.Counts[name]; d > 0 {
+			rep.plannerCounts[name] = d
+		}
+	}
+	rep.superPlans = after.Supernode.FusedPlans - before.Supernode.FusedPlans
+	rep.superRows = after.Supernode.Rows - before.Supernode.Rows
+	rep.superFusedRows = after.Supernode.FusedRows - before.Supernode.FusedRows
+	rep.superMaxWidth = after.Supernode.MaxWidth
 }
 
 // randomBatch draws k right-hand sides of length n. Requests carry them
@@ -488,6 +523,10 @@ func printLoadgenReport(w io.Writer, rep *loadgenReport, batch int) {
 	if rep.drifted > 0 {
 		fmt.Fprintf(w, "  drift: %d drifted requests (%d fell back to a full ship)\n", rep.drifted, rep.driftFell)
 	}
+	if f := rep.front; f != nil {
+		fmt.Fprintf(w, "  front door: %d requests, %d retries, %d failures; routes %s\n",
+			f.Requests, f.Retries, f.Failures, formatCounts(f.RouteKinds))
+	}
 	if rep.statsOK {
 		pc := rep.planCache
 		fmt.Fprintf(w, "  server: %d procs/plan, %d shed\n", rep.procs, rep.shed)
@@ -498,7 +537,7 @@ func printLoadgenReport(w io.Writer, rep *loadgenReport, batch int) {
 				rep.repairs, rep.repairFalls)
 		}
 		if len(rep.plannerCounts) > 0 {
-			fmt.Fprintf(w, "  planner: kind=%s decisions: %s\n", rep.plannerKind, formatPlannerCounts(rep.plannerCounts))
+			fmt.Fprintf(w, "  planner: kind=%s decisions: %s\n", rep.plannerKind, formatCounts(rep.plannerCounts))
 		}
 		if rep.superPlans > 0 {
 			fmt.Fprintf(w, "  supernode: %d fused plans (%d of %d rows fused, max width %d)\n",
@@ -563,9 +602,9 @@ func printStageTable(w io.Writer, rep *loadgenReport) {
 	}
 }
 
-// formatPlannerCounts renders per-strategy plan-build counts sorted by
-// strategy name, e.g. "pooled:5 sequential:2".
-func formatPlannerCounts(counts map[string]uint64) string {
+// formatCounts renders counts sorted by name, e.g. plan builds per
+// strategy as "pooled:5 sequential:2".
+func formatCounts(counts map[string]uint64) string {
 	names := make([]string, 0, len(counts))
 	for name := range counts {
 		names = append(names, name)

@@ -55,9 +55,7 @@ func (c *serveCmd) serve(w io.Writer, probe func(baseURL string)) error {
 		if cl, err = router.NewCluster(c.replicas, c.server.cfg, c.front, "127.0.0.1:0"); err != nil {
 			return err
 		}
-		// The front door's /v1/stats is router-level; its breakdown is
-		// printed after the drain instead.
-		cfg.baseURL, cfg.noStats, drain = cl.URL(), true, cl.Close
+		cfg.baseURL, drain = cl.URL(), cl.Close
 		fmt.Fprintf(w, "serve: %d replicas behind a front door, %d procs/plan, %s executor, cache %d\n",
 			c.replicas, clusterProcs(cl), c.server.cfg.Kind, c.server.cfg.CacheCap)
 	} else {

@@ -1,7 +1,9 @@
 // Command transform reports the doconsider analysis of a loop read from a
 // file or stdin: it parses the Fortran-style loop and prints the array the
 // loop writes, how many of its reads of that array the run-time inspector
-// must resolve, and the arrays that carry the subscripts.
+// must resolve, and the arrays that carry the subscripts. A loop that is
+// not start-time schedulable — a value read from the written array
+// reaches a subscript or an inner-loop bound — is an error.
 //
 // Usage:
 //

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"doconsider/internal/core"
 	"doconsider/internal/machine"
 	"doconsider/internal/problems"
 	"doconsider/internal/schedule"
@@ -55,7 +56,7 @@ func Table5(names []string, nproc int) ([]Table5Row, error) {
 		seqSort := time.Since(t0)
 
 		t0 = time.Now()
-		if _, err := wavefront.ComputeParallel(p.Deps, nproc); err != nil {
+		if _, err := core.ParallelSweep(p.Deps, nproc); err != nil {
 			return nil, err
 		}
 		parSort := time.Since(t0)

@@ -20,15 +20,23 @@
 //	  enddo
 //	enddo
 //
+// Analyze accepts only loops that are start-time schedulable: one written
+// array, assigned at the loop variable, and no value read from it reaches
+// an integer context — a subscript or an inner-loop bound — directly or
+// through a scalar temporary. Every dependence is then a function of data
+// bound before the loop starts, which the inspector can evaluate.
+//
 // From the parsed loop the package derives an inspector (which enumerates,
-// for each outer iteration, the iterations it depends on, by evaluating the
-// subscript expressions of reads of the written array against the run-time
-// data) and an executor body (a tree-walking evaluator safe for concurrent
-// iterations, with the paper's Figure 4 read rule). The inspector's
+// for each outer iteration, the iterations it depends on) and an executor
+// body (safe for concurrent iterations, with the paper's Figure 4 read
+// rule). Both, and RunSequential, the loop's original semantics, are one
+// statement walker and one expression evaluator over the loop body; the
+// three routes differ only in how a read of the written array is served
+// (the inspector records a dependence, the others apply Figure 4's rule)
+// and in whether an array assignment is stored. The inspector's
 // dependences feed core.New, whose runtime runs the executor body under
-// either of the paper's disciplines (Figures 4 and 5); RunSequential is
-// the loop's original semantics, which the transformed run must match bit
-// for bit.
+// either of the paper's disciplines (Figures 4 and 5), and the transformed
+// run must match RunSequential bit for bit.
 package transform
 
 import "fmt"

@@ -443,3 +443,71 @@ enddo
 		t.Errorf("scalar-temp loop differs by %v", d)
 	}
 }
+
+// The two loops below read the written array in an integer context. The
+// inspector cannot know their dependences before the loop runs, so
+// Analyze rejects them. When it accepted them, the first loop's
+// inspection found no edge, so with x = [1 0 0 ...] a self-executing run
+// at P = 4 left almost every entry different from RunSequential's. The
+// second loop's inspection found no edge either, so running body(1)
+// before body(0) was a legal order, and with x = [0 1], ia = [1 1] and
+// b = [0 20 0 0] it panicked on b(20) where RunSequential gives
+// x = [20 20].
+const (
+	notStartTimeInnerBound = "doconsider i = 1, n-1\n do j = 1, x(i-1)\n  x(i) = x(i) + 1\n enddo\nenddo"
+	notStartTimeNestedRead = "doconsider i = 0, n-1\n x(i) = b(x(ia(i)))\nenddo"
+)
+
+// TestAnalyzeRejectsNotStartTimeSchedulable: a value read from the
+// written array must not reach a subscript or an inner-loop bound,
+// directly or through scalar temporaries, in any order of the body.
+func TestAnalyzeRejectsNotStartTimeSchedulable(t *testing.T) {
+	for _, src := range []string{
+		notStartTimeInnerBound,
+		notStartTimeNestedRead,
+		"doconsider i = 1, n-1\n t = x(i-1)\n x(i) = b(t)\nenddo",
+		"doconsider i = 1, n-1\n t = 2*x(i-1)\n u = -t + 1\n do j = 0, u\n  x(i) = x(i) + 1\n enddo\nenddo",
+		// t carries x(i) only from the inner loop's second pass on.
+		"doconsider i = 0, n-1\n t = 0\n do j = 0, 2\n  x(i) = x(i) + b(t)\n  t = x(i)\n enddo\nenddo",
+		// A read before the body assigns the array.
+		"doconsider i = 1, n-1\n k = x(i-1)\n x(i) = 1\n do j = k, 2\n  x(i) = x(i) + 1\n enddo\nenddo",
+	} {
+		loop, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Analyze(loop); err == nil {
+			t.Errorf("Analyze accepted %q", src)
+		}
+	}
+}
+
+// TestValueReadsStayAccepted: a read of the written array that reaches
+// only values, through temporaries or not, is start-time schedulable,
+// and the transformed loop matches RunSequential.
+func TestValueReadsStayAccepted(t *testing.T) {
+	for _, src := range []string{
+		"doconsider i = 1, n-1\n t = x(i-1)\n x(i) = t*b(i) + x(i)\nenddo",
+		"doconsider i = 1, n-1\n t = x(i-1)\n u = t/2\n do j = 0, ia(i)\n  x(i) = x(i) + u*b(j)\n enddo\nenddo",
+	} {
+		loop, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Analyze(loop)
+		if err != nil {
+			t.Fatalf("Analyze rejected %q: %v", src, err)
+		}
+		bind := func() *Env {
+			env := buildSimpleEnv(300, 6)
+			for k, v := range env.Int["ia"] {
+				env.Int["ia"][k] = v % 4
+			}
+			return env
+		}
+		if err := a.RunSequential(bind()); err != nil {
+			t.Fatal(err)
+		}
+		checkTransformed(t, a, bind)
+	}
+}

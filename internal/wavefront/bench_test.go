@@ -20,16 +20,6 @@ func BenchmarkComputeSequential(b *testing.B) {
 	}
 }
 
-func BenchmarkComputeParallel(b *testing.B) {
-	d := benchDeps()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ComputeParallel(d, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkComputeDAG(b *testing.B) {
 	d := benchDeps()
 	b.ResetTimer()

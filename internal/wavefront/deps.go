@@ -8,21 +8,17 @@ package wavefront
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"doconsider/internal/sparse"
 )
 
 // Deps is a compressed adjacency structure recording, for each loop index i,
 // the set of indices whose results i consumes. Index i's dependences occupy
-// Idx[Ptr[i]:Ptr[i+1]]. A Deps is immutable once built; Fingerprint relies
-// on that to memoize its structural hash.
+// Idx[Ptr[i]:Ptr[i+1]]. A Deps is immutable once built.
 type Deps struct {
 	N   int
 	Ptr []int32
 	Idx []int32
-
-	fp atomic.Uint64 // memoized Fingerprint; 0 = not yet computed
 }
 
 // On returns the indices that iteration i depends on. The returned slice

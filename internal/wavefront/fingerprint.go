@@ -8,23 +8,11 @@ import "doconsider/internal/fphash"
 // dependence DAG, so they admit the same wavefronts and schedules — the
 // property plan caches key on. Values flowing through the loop bodies do
 // not enter the hash; plans are structural.
-//
-// The hash is computed once and memoized: a Deps is immutable after
-// construction, so repeated cache lookups with the same object pay only
-// an atomic load. Callers that mutate Ptr/Idx by hand (nothing in this
-// module does) must not use Fingerprint.
+// The hash is never 0.
 func (d *Deps) Fingerprint() uint64 {
-	if fp := d.fp.Load(); fp != 0 {
-		return fp
-	}
 	h := uint64(fphash.Offset)
 	h = fphash.Mix(h, uint64(d.N))
 	h = fphash.Words(h, d.Ptr)
 	h = fphash.Words(h, d.Idx)
-	h = fphash.Final(h)
-	if h == 0 {
-		h = 1 // reserve 0 as the "not yet computed" sentinel
-	}
-	d.fp.Store(h)
-	return h
+	return max(fphash.Final(h), 1)
 }

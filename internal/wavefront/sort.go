@@ -1,11 +1,6 @@
 package wavefront
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // Compute performs the sequential wavefront sweep of paper Figure 7.
 // The wavefront number of each index is one plus the maximum of the
@@ -26,52 +21,6 @@ func Compute(d *Deps) ([]int32, error) {
 		}
 		wf[i] = mywf + 1
 	}
-	return wf, nil
-}
-
-// ComputeParallel is the parallelized topological sort of Section 2.3:
-// consecutive indices are striped across nproc workers, and busy waits
-// assure that a dependence's wavefront number has been produced before it
-// is used. Dependences must point backward, which guarantees progress.
-func ComputeParallel(d *Deps, nproc int) ([]int32, error) {
-	if err := d.CheckBackward(); err != nil {
-		return nil, err
-	}
-	if nproc < 1 {
-		nproc = 1
-	}
-	if nproc > d.N {
-		nproc = d.N
-	}
-	if nproc <= 1 {
-		return Compute(d)
-	}
-	wf := make([]int32, d.N)
-	for i := range wf {
-		wf[i] = -1 // not yet computed
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < nproc; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := p; i < d.N; i += nproc {
-				mywf := int32(-1)
-				for _, t := range d.On(i) {
-					v := atomic.LoadInt32(&wf[t])
-					for v < 0 {
-						runtime.Gosched()
-						v = atomic.LoadInt32(&wf[t])
-					}
-					if v > mywf {
-						mywf = v
-					}
-				}
-				atomic.StoreInt32(&wf[i], mywf+1)
-			}
-		}(p)
-	}
-	wg.Wait()
 	return wf, nil
 }
 

@@ -64,29 +64,6 @@ func TestComputeRejectsForwardDeps(t *testing.T) {
 	if _, err := Compute(d); err == nil {
 		t.Error("Compute accepted forward dependence")
 	}
-	if _, err := ComputeParallel(d, 2); err == nil {
-		t.Error("ComputeParallel accepted forward dependence")
-	}
-}
-
-func TestComputeParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 20; trial++ {
-		d := randomBackwardDeps(rng, 300, 4)
-		seq, err := Compute(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range []int{1, 2, 3, 8, 17} {
-			par, err := ComputeParallel(d, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("trial %d p=%d: parallel sweep disagrees", trial, p)
-			}
-		}
-	}
 }
 
 func TestComputeDAGMatchesSequentialOnBackwardDeps(t *testing.T) {
