@@ -76,7 +76,7 @@ func BenchmarkTable1Solver(b *testing.B) {
 func BenchmarkTable2SelfExecuting(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := tables.TriSolveDecomposition(problems.TriSolveNames(),
-			tables.DefaultProcs, machine.SelfExecutingSim)
+			tables.DefaultProcs, machine.SelfExecutingSim, machine.MultimaxCosts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func BenchmarkTable2SelfExecuting(b *testing.B) {
 func BenchmarkTable3PreScheduled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := tables.TriSolveDecomposition(problems.TriSolveNames(),
-			tables.DefaultProcs, machine.PreScheduledSim); err != nil {
+			tables.DefaultProcs, machine.PreScheduledSim, machine.MultimaxCosts()); err != nil {
 			b.Fatal(err)
 		}
 	}

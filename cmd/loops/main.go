@@ -39,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 
 	"doconsider/internal/machine"
@@ -214,7 +215,7 @@ func table1(procs, iters int, large bool) error {
 }
 
 func solveTable(kind machine.Executor, procs int) error {
-	rows, err := tables.TriSolveDecomposition(problems.TriSolveNames(), procs, kind)
+	rows, err := tables.TriSolveDecomposition(problems.TriSolveNames(), procs, kind, machine.MultimaxCosts())
 	if err != nil {
 		return err
 	}
@@ -348,14 +349,25 @@ func gantt(procs int) error {
 	return nil
 }
 
+// calibrate prints the host's costs, measured on passes of the runner,
+// and Table 2 under them next to Table 2 under the Multimax's.
 func calibrate(procs int) error {
-	c := machine.Calibrate(procs)
-	fmt.Printf("host calibration (%d goroutine parties, Tflop normalized to 1):\n", procs)
+	c := machine.Calibrate()
+	fmt.Printf("host calibration (passes of the runner, at most %d wide; Tflop normalized to 1):\n", runtime.GOMAXPROCS(0))
 	fmt.Printf("  Tsynch  %8.2f   (global synchronization)\n", c.Tsynch)
 	fmt.Printf("  Tcheck  %8.2f   (shared ready-array read)\n", c.Tcheck)
-	fmt.Printf("  Tinc    %8.2f   (shared ready-array write)\n", c.Tinc)
-	fmt.Println("\nTable 2/3 decomposition with host-calibrated costs is available by")
-	fmt.Println("substituting these constants for machine.MultimaxCosts in the drivers.")
+	fmt.Printf("  Tinc    %8.2f   (shared ready-array write, with the index's dispatch)\n", c.Tinc)
+	for _, costs := range []struct {
+		name string
+		c    machine.Costs
+	}{{"Multimax costs", machine.MultimaxCosts()}, {"host costs", c}} {
+		rows, err := tables.TriSolveDecomposition(problems.TriSolveNames(), procs, machine.SelfExecutingSim, costs.c)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("\nunder %s:\n", costs.name)
+		tables.FprintSolveRows(os.Stdout, rows, machine.SelfExecutingSim, procs)
+	}
 	return nil
 }
 

@@ -1,4 +1,4 @@
-package barrier
+package executor
 
 import (
 	"sync"
@@ -6,13 +6,20 @@ import (
 	"testing"
 )
 
+// newBarrier returns a barrier reset to n parties.
+func newBarrier(n int) *barrier {
+	b := new(barrier)
+	b.reset(n)
+	return b
+}
+
 // checkBarrier verifies phase separation: within each of rounds phases all
 // parties increment a counter; after the barrier every party must observe
 // the full count for the phase.
-func checkBarrier(t *testing.T, b *SenseReversing, parties, rounds int) {
+func checkBarrier(t *testing.T, b *barrier, parties, rounds int) {
 	t.Helper()
-	if b.Parties() != parties {
-		t.Fatalf("Parties = %d, want %d", b.Parties(), parties)
+	if b.parties != parties {
+		t.Fatalf("parties = %d, want %d", b.parties, parties)
 	}
 	counts := make([]atomic.Int64, rounds)
 	var wg sync.WaitGroup
@@ -23,11 +30,11 @@ func checkBarrier(t *testing.T, b *SenseReversing, parties, rounds int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				counts[r].Add(1)
-				b.Wait()
+				b.wait()
 				if got := counts[r].Load(); got != int64(parties) {
 					errs <- "phase leak"
 				}
-				b.Wait() // second barrier so nobody races into round r+1
+				b.wait() // second barrier so nobody races into round r+1
 			}
 		}()
 	}
@@ -40,36 +47,36 @@ func checkBarrier(t *testing.T, b *SenseReversing, parties, rounds int) {
 
 func TestSenseReversing(t *testing.T) {
 	for _, parties := range []int{1, 2, 3, 8, 16} {
-		checkBarrier(t, NewSenseReversing(parties), parties, 50)
+		checkBarrier(t, newBarrier(parties), parties, 50)
 	}
 }
 
 // TestSenseReversingReset reuses one barrier at a different width after
 // every run, as a pass state does between passes.
 func TestSenseReversingReset(t *testing.T) {
-	var b SenseReversing
+	var b barrier
 	for _, parties := range []int{3, 1, 4, 2, 4} {
-		b.Reset(parties)
+		b.reset(parties)
 		checkBarrier(t, &b, parties, 20)
 	}
 }
 
 func TestSenseReversingManyMoreGoroutinesThanCPUs(t *testing.T) {
-	checkBarrier(t, NewSenseReversing(64), 64, 20)
+	checkBarrier(t, newBarrier(64), 64, 20)
 }
 
 func TestBadParties(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewSenseReversing(0) did not panic")
+			t.Error("reset(0) did not panic")
 		}
 	}()
-	NewSenseReversing(0)
+	newBarrier(0)
 }
 
 func TestSingleParty(t *testing.T) {
-	b := NewSenseReversing(1)
+	b := newBarrier(1)
 	for i := 0; i < 100; i++ {
-		b.Wait() // must never block
+		b.wait() // must never block
 	}
 }

@@ -3,6 +3,7 @@ package executor
 import (
 	"context"
 	"runtime"
+	"sync"
 	"testing"
 
 	"doconsider/internal/schedule"
@@ -92,4 +93,24 @@ func BenchmarkRepeatedRun(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSenseReversing measures rounds/sec of repeated barrier
+// crossings — the paper's Tsynch — on goroutines of its own, outside any
+// pass.
+func BenchmarkSenseReversing(b *testing.B) {
+	parties := max(runtime.GOMAXPROCS(0), 2)
+	bar := newBarrier(parties)
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for p := 0; p < parties; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < b.N; i++ {
+				bar.wait()
+			}
+		}()
+	}
+	wg.Wait()
 }

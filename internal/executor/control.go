@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"doconsider/internal/barrier"
 	"doconsider/internal/wavefront"
 )
 
@@ -66,11 +65,20 @@ func (rc *runControl) stop() bool {
 // returns false if the run aborted while waiting.
 func (rc *runControl) spin(flag *uint32, epoch uint32) bool {
 	for atomic.LoadUint32(flag) != epoch {
-		if rc.stop() {
+		if !rc.yield() {
 			return false
 		}
-		runtime.Gosched()
 	}
+	return true
+}
+
+// yield is the rest of one not-ready spin round: it polls for an abort
+// and, if there is none, yields the processor.
+func (rc *runControl) yield() bool {
+	if rc.stop() {
+		return false
+	}
+	runtime.Gosched()
 	return true
 }
 
@@ -155,7 +163,7 @@ func runPhase(rc *runControl, idxs []int32, body Body) (ran int64) {
 // check records the abort cause and attends the rest on its behalf.
 type barrierGuard struct {
 	rc        *runControl
-	bar       *barrier.SenseReversing
+	bar       *barrier
 	phases    int
 	attended  int
 	completed bool
@@ -170,6 +178,6 @@ func (g *barrierGuard) check() {
 		g.rc.recordPanic(ErrWorkerExited)
 	}
 	for ; g.attended < g.phases; g.attended++ {
-		g.bar.Wait()
+		g.bar.wait()
 	}
 }

@@ -26,15 +26,23 @@
 //   - claim: participants take indices in increasing order from an atomic
 //     counter, in fixed chunks, and busy-wait as under flags. A column
 //     pass (RunColumns) claims spans of independent columns instead, one
-//     per participant, and waits on nothing.
+//     per participant, and waits on nothing; an awaiting pass
+//     (RunAwaiting) claims rows one at a time, and each row awaits the
+//     smaller rows it discovers it depends on.
 //
-// runList is the package's one busy-wait loop. A pass takes its state (the
-// ready array, crew, barrier and counters) from its Executor's free list,
-// so concurrent passes on one Executor run at once and a warm pass neither
-// allocates nor starts a goroutine. Every context-aware entry point
-// guarantees that a cancelled context, a panicking loop body or a body
-// that kills its goroutine releases every busy-waiting participant instead
-// of deadlocking the run.
+// runList is the package's one busy-wait loop over dependences known in
+// advance, and runControl.spin the one wait on a ready flag. A pass takes
+// its state (the ready array, crew, barrier and counters) from its
+// Executor's free list, so concurrent passes on one Executor run at once
+// and a warm pass neither allocates nor starts a goroutine. Every
+// context-aware entry point guarantees that a cancelled context, a
+// panicking loop body or a body that kills its goroutine releases every
+// busy-waiting participant instead of deadlocking the run.
+//
+// The package is the only one that synchronizes a parallel pass: it holds
+// the barrier discipline's barrier, and Calibrate, the process's one
+// measurement of host costs, taken on real passes of the runner, which
+// machine.Calibrate and planner.Calibrate normalize for their models.
 package executor
 
 import (
@@ -182,6 +190,16 @@ func (e *Executor) Run(ctx context.Context, s *schedule.Schedule, deps *wavefron
 // Executed counts the columns of completed spans; errors are Run's.
 func (e *Executor) RunColumns(ctx context.Context, n, width int, span Span) (Metrics, error) {
 	return e.run(ctx, job{disc: byClaim, n: n, width: width, span: span})
+}
+
+// RunAwaiting runs one awaiting pass: participants claim rows 0..n-1 one
+// at a time in natural order, on at most width participants, and each
+// row awaits through the pass's ready array the smaller rows it finds it
+// depends on — a self-scheduled loop whose dependences no inspector can
+// know in advance, so the pass's are empty. Executed counts the finished
+// rows; the awaits are not counted as checks. Errors are Run's.
+func (e *Executor) RunAwaiting(ctx context.Context, n, width int, row AwaitRow) (Metrics, error) {
+	return e.run(ctx, job{disc: byAwait, deps: &wavefront.Deps{N: n}, n: n, width: width, row: row})
 }
 
 // RunCtx is a one-shot New(kind).Run; hold an Executor (or a core.Runtime)

@@ -66,11 +66,28 @@ func columnRun(_ *testing.T, p int) gridRun {
 	}
 }
 
+// awaitingRun runs an awaiting pass whose rows await their dependences
+// one by one before running the body — the shape of the parallel symbolic
+// factorization, which finds its pivot rows as it goes.
+func awaitingRun(_ *testing.T, p int) gridRun {
+	e := New(Pooled)
+	return func(ctx context.Context, deps *wavefront.Deps, _ []int32, body Body) (Metrics, error) {
+		return e.RunAwaiting(ctx, deps.N, p, func(_ int, i int32, await func(int32) bool) {
+			for _, t := range deps.On(int(i)) {
+				if !await(t) {
+					return
+				}
+			}
+			body(i)
+		})
+	}
+}
+
 // gridRunners lists every runner the package has — the five kinds through
 // Executor ("pool" is Pooled once more, under its historical name), the
 // self-scheduled claim, the two timed runs (through the runner with a
-// context) and the column pass — each at the full width of the shared set
-// and, suffixed "-w1", on the caller alone.
+// context), the column pass and the awaiting pass — each at the full
+// width of the shared set and, suffixed "-w1", on the caller alone.
 func gridRunners() []gridRunner {
 	rs := []gridRunner{
 		{name: "pool", open: func(_ *testing.T, p int) gridRun { return scheduled(p, New(Pooled).Run) }},
@@ -82,6 +99,7 @@ func gridRunners() []gridRunner {
 		{name: "timed-self-executing", open: timedRun(byFlags)},
 		{name: "timed-pre-scheduled", open: timedRun(byBarrier)},
 		{name: "columns", open: columnRun, columns: true},
+		{name: "awaiting", open: awaitingRun},
 	}
 	for _, k := range allKinds {
 		rs = append(rs, gridRunner{name: k.String(),

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"doconsider/internal/barrier"
 	"doconsider/internal/schedule"
 	"doconsider/internal/wavefront"
 )
@@ -119,17 +118,28 @@ const (
 	// counter and busy-wait on the ready array; a column pass's spans,
 	// claimed the same way, wait on nothing.
 	byClaim
+	// byAwait: participants claim rows one at a time in natural order, as
+	// byClaim does, but a row learns its dependences only while it runs
+	// and awaits each on the ready array itself.
+	byAwait
 )
 
 // Span runs columns lo..hi-1 of a column pass, returning early once stop
 // reports the pass aborted (a cancelled context or a peer's panic).
 type Span func(lo, hi int, stop func() bool)
 
+// AwaitRow runs row i of an awaiting pass on participant p, where
+// 0 <= p < the pass's width, so a body can keep scratch per participant.
+// The row discovers its dependences as it runs: await(t), for a row t < i,
+// returns once row t has finished, or false once the pass has aborted,
+// after which the body should return.
+type AwaitRow func(p int, i int32, await func(t int32) bool)
+
 // job is what one pass runs.
 type job struct {
 	disc discipline
 	s    *schedule.Schedule // byFlags, byBarrier
-	deps *wavefront.Deps    // byFlags, byClaim
+	deps *wavefront.Deps    // byFlags, byClaim; byAwait's is empty and sizes the ready array
 	// order is byClaim's index order, nil for 0..n-1; n is its length.
 	order []int32
 	n     int
@@ -137,6 +147,7 @@ type job struct {
 	width int // the most participants the pass may use
 	body  Body
 	span  Span           // a column pass's body: byClaim over n columns, no deps
+	row   AwaitRow       // an awaiting pass's body: byAwait over n rows
 	bd    *TimeBreakdown // per-participant timing; nil when untimed
 }
 
@@ -154,11 +165,12 @@ type pass struct {
 	done []uint32
 	seq  []int32 // 0, 1, 2, …: byClaim's order when job.order is nil
 	crew []*helper
-	next atomic.Int64 // byClaim: the first unclaimed position
-	bar  barrier.SenseReversing
+	next atomic.Int64 // byClaim, byAwait: the first unclaimed position
+	bar  barrier
 
 	rc    runControl
-	stop  func() bool // rc.stop, bound once for spans
+	stop  func() bool      // rc.stop, bound once for spans
+	await func(int32) bool // a spin on the ready array, bound once for rows
 	tally tally
 	wg    sync.WaitGroup
 }
@@ -174,6 +186,7 @@ func (e *Executor) run(ctx context.Context, j job) (Metrics, error) {
 	} else {
 		x = &pass{crew: make([]*helper, 0, helpers.size)}
 		x.stop = x.rc.stop
+		x.await = func(t int32) bool { return x.rc.spin(&x.done[t], x.epoch) }
 	}
 	e.free.mu.Unlock()
 	m, err := x.run(ctx, j)
@@ -202,8 +215,8 @@ func (x *pass) run(ctx context.Context, j job) (m Metrics, err error) {
 			x.epoch = 1
 		}
 	}
+	x.next.Store(0)
 	if j.disc == byClaim {
-		x.next.Store(0)
 		x.chunk = max(j.chunk, 1)
 		if x.order == nil {
 			for i := len(x.seq); i < j.n; i++ {
@@ -221,7 +234,7 @@ func (x *pass) run(ctx context.Context, j job) (m Metrics, err error) {
 	helpers.mu.Unlock()
 	x.w = len(x.crew) + 1
 	if j.disc == byBarrier {
-		x.bar.Reset(x.w)
+		x.bar.reset(x.w)
 	}
 	if j.span != nil {
 		x.chunk = (j.n + x.w - 1) / x.w // one span per participant
@@ -254,7 +267,8 @@ func (x *pass) run(ctx context.Context, j job) (m Metrics, err error) {
 // unfinished phase always progresses; at w = 1 the caller runs the whole
 // schedule in wavefront order. Under byClaim a claimed index waits only on
 // indices claimed before it, by participants that are running, so no
-// width can deadlock either; a column pass's spans wait on nothing.
+// width can deadlock either; a column pass's spans wait on nothing, and
+// an awaiting pass's rows wait only on smaller rows, claimed earlier.
 func (x *pass) share(p int) {
 	body := x.body
 	if x.bd != nil {
@@ -282,7 +296,7 @@ func (x *pass) share(p int) {
 			for l := p; l < x.s.P && !x.rc.isAborted(); l += x.w {
 				ran += runPhase(&x.rc, x.s.Phase(l, k), body)
 			}
-			x.bar.Wait()
+			x.bar.wait()
 			g.attended++
 		}
 		g.completed = true
@@ -304,6 +318,18 @@ func (x *pass) share(p int) {
 			if !ok {
 				break
 			}
+		}
+	case byAwait:
+		for !x.rc.stop() {
+			i := x.next.Add(1) - 1
+			if i >= int64(x.n) {
+				break
+			}
+			if x.row(p, int32(i), x.await); x.rc.isAborted() {
+				break
+			}
+			atomic.StoreUint32(&x.done[i], x.epoch)
+			ran++
 		}
 	}
 	x.tally.add(ran, checks, waits)

@@ -1,158 +1,139 @@
 package ilu
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"doconsider/internal/executor"
 	"doconsider/internal/sparse"
 )
 
 // SymbolicParallel computes the same level-based fill pattern as Symbolic
 // using the paper's Appendix II §2.3 strategy for the symbolic
 // factorization: "we distribute the rows of the matrix over processors in
-// a wrapped manner and execute in a self-scheduled fashion."
+// a wrapped manner and execute in a self-scheduled fashion." It is one
+// awaiting pass on the executor's worker set (Executor.RunAwaiting): the
+// participants claim rows one at a time in natural order, and nproc caps
+// the pass's width, as krylov.Options.Procs does.
 //
 // The dependence structure of the symbolic factorization is not known in
 // advance (it is exactly what is being computed), so no inspector can run
-// first; instead each worker processes its wrapped rows in increasing
-// order and busy-waits on a shared done array before merging with a pivot
-// row whose final structure another worker is still building. Progress is
-// guaranteed because a row only ever waits on strictly smaller rows.
+// first; instead a row awaits each pivot row it discovers on the pass's
+// ready array before merging with it. A row only ever waits on smaller
+// rows, claimed earlier by running participants, so the pass progresses.
 func SymbolicParallel(a *sparse.CSR, maxLevel, nproc int) (*Pattern, error) {
 	if a.N != a.M {
 		return nil, fmt.Errorf("ilu: matrix is %dx%d, want square", a.N, a.M)
 	}
 	n := a.N
-	if nproc < 1 {
-		nproc = 1
-	}
-	if nproc > n {
-		nproc = n
-	}
-	// Published per-row results. uRow/uLev are written by a row's owner
-	// before its done flag is set (release) and read by consumers after
-	// observing the flag (acquire), so the accesses are ordered.
-	rowCols := make([][]int32, n)
-	rowLevs := make([][]int32, n)
-	uRow := make([][]int32, n)
-	uLev := make([][]int32, n)
-	diagOff := make([]int32, n)
-	done := make([]int32, n)
-	errs := make([]error, nproc)
-
-	var wg sync.WaitGroup
-	for p := 0; p < nproc; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			const unset = -1
-			next := make([]int32, n+1)
-			lev := make([]int32, n)
-			for c := range next {
-				next[c] = unset
-			}
-			for i := p; i < n; i += nproc {
-				head := int32(n)
-				seed := func(c int32, l int32) {
-					if next[c] != unset {
-						if l < lev[c] {
-							lev[c] = l
-						}
-						return
-					}
-					if head == int32(n) || c < head {
-						next[c] = head
-						head = c
-					} else {
-						q := head
-						for next[q] != int32(n) && next[q] < c {
-							q = next[q]
-						}
-						next[c] = next[q]
-						next[q] = c
-					}
-					lev[c] = l
-				}
-				cols, _ := a.Row(i)
-				for _, c := range cols {
-					seed(c, 0)
-				}
-				seed(int32(i), 0)
-				for k := head; k < int32(i); k = next[k] {
-					fillBase := lev[k] + 1
-					if int(fillBase) > maxLevel {
-						continue
-					}
-					// Busy-wait for row k's final structure (self-scheduling).
-					for atomic.LoadInt32(&done[k]) == 0 {
-						runtime.Gosched()
-					}
-					ur := uRow[k]
-					ul := uLev[k]
-					for q, j := range ur {
-						newLev := fillBase + ul[q]
-						if int(newLev) <= maxLevel {
-							seed(j, newLev)
-						}
-					}
-				}
-				// Harvest and publish.
-				var cs, ls, uc, ul []int32
-				diag := int32(-1)
-				for c := head; c != int32(n); {
-					if int(c) == i {
-						diag = int32(len(cs))
-					}
-					if int(c) > i {
-						uc = append(uc, c)
-						ul = append(ul, lev[c])
-					}
-					cs = append(cs, c)
-					ls = append(ls, lev[c])
-					nc := next[c]
-					next[c] = unset
-					c = nc
-				}
-				if diag < 0 && errs[p] == nil {
-					// Unreachable while seed() inserts the diagonal, but if it
-					// ever fires we record the error and keep publishing rows
-					// so no other worker can hang waiting on this stripe.
-					errs[p] = fmt.Errorf("ilu: row %d lost its diagonal", i)
-				}
-				rowCols[i] = cs
-				rowLevs[i] = ls
-				uRow[i] = uc
-				uLev[i] = ul
-				diagOff[i] = diag
-				atomic.StoreInt32(&done[i], 1)
-			}
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	// rows[i] holds row i's columns and then their levels; diag[i] is the
+	// diagonal's offset in it, so the columns after it are row i's upper
+	// part. A row is written before the pass stamps it finished and read
+	// by later rows only after their await has seen the stamp.
+	rows := make([][]int32, n)
+	diag := make([]int32, n)
+	lists := make([]*rowList, max(nproc, 1)) // one per participant
+	factor := func(p int, i int32, await func(int32) bool) {
+		if lists[p] == nil {
+			lists[p] = newRowList(n)
 		}
+		lists[p].factor(a, int(i), maxLevel, rows, diag, await)
 	}
-	// Assemble the Pattern from the per-row results.
-	pt := &Pattern{
-		N:       n,
-		RowPtr:  make([]int32, n+1),
-		DiagPos: make([]int32, n),
+	if _, err := executor.New(executor.Pooled).RunAwaiting(context.Background(), n, nproc, factor); err != nil {
+		return nil, err
 	}
-	total := 0
-	for i := 0; i < n; i++ {
-		total += len(rowCols[i])
+	pt := &Pattern{N: n, RowPtr: make([]int32, n+1), DiagPos: make([]int32, n)}
+	for i, r := range rows {
+		pt.RowPtr[i+1] = pt.RowPtr[i] + int32(len(r)/2)
 	}
-	pt.ColIdx = make([]int32, 0, total)
-	pt.Level = make([]int32, 0, total)
-	for i := 0; i < n; i++ {
-		pt.DiagPos[i] = int32(len(pt.ColIdx)) + diagOff[i]
-		pt.ColIdx = append(pt.ColIdx, rowCols[i]...)
-		pt.Level = append(pt.Level, rowLevs[i]...)
-		pt.RowPtr[i+1] = int32(len(pt.ColIdx))
+	pt.ColIdx = make([]int32, 0, pt.RowPtr[n])
+	pt.Level = make([]int32, 0, pt.RowPtr[n])
+	for i, r := range rows {
+		m := len(r) / 2
+		pt.DiagPos[i] = pt.RowPtr[i] + diag[i]
+		pt.ColIdx = append(pt.ColIdx, r[:m]...)
+		pt.Level = append(pt.Level, r[m:]...)
 	}
 	return pt, nil
+}
+
+// notInRow marks a column absent from a rowList.
+const notInRow = -1
+
+// rowList is one participant's working row: Symbolic's sorted linked list
+// over columns (next[c] is the next column, n ends the list; lev[c] is
+// c's level), kept from row to row so no row allocates it.
+type rowList struct {
+	next, lev []int32
+	head, n   int32
+	cols      []int32 // the harvested columns of the current row
+}
+
+func newRowList(n int) *rowList {
+	l := &rowList{next: make([]int32, n+1), lev: make([]int32, n), n: int32(n)}
+	for c := range l.next {
+		l.next[c] = notInRow
+	}
+	return l
+}
+
+// seed puts column c in the row at level lev, or lowers c's level to lev.
+func (l *rowList) seed(c, lev int32) {
+	if l.next[c] != notInRow {
+		l.lev[c] = min(l.lev[c], lev)
+		return
+	}
+	if l.head == l.n || c < l.head {
+		l.next[c] = l.head
+		l.head = c
+	} else {
+		q := l.head
+		for l.next[q] != l.n && l.next[q] < c {
+			q = l.next[q]
+		}
+		l.next[c] = l.next[q]
+		l.next[q] = c
+	}
+	l.lev[c] = lev
+}
+
+// factor computes row i into rows[i] and diag[i] exactly as Symbolic
+// does, awaiting each pivot row it merges with. It returns early, with
+// the list left dirty, once the pass aborts.
+func (l *rowList) factor(a *sparse.CSR, i, maxLevel int, rows [][]int32, diag []int32, await func(int32) bool) {
+	l.head = l.n
+	cols, _ := a.Row(i)
+	for _, c := range cols {
+		l.seed(c, 0)
+	}
+	l.seed(int32(i), 0) // ensure the diagonal exists
+	for k := l.head; k < int32(i); k = l.next[k] {
+		fillBase := l.lev[k] + 1
+		if int(fillBase) > maxLevel {
+			continue // multiplier too indirect; generates no retained fill
+		}
+		if !await(k) {
+			return
+		}
+		r := rows[k]
+		m := len(r) / 2
+		for q := diag[k] + 1; int(q) < m; q++ {
+			if newLev := fillBase + r[m+int(q)]; int(newLev) <= maxLevel {
+				l.seed(r[q], newLev)
+			}
+		}
+	}
+	l.cols = l.cols[:0]
+	for c := l.head; c != l.n; c, l.next[c] = l.next[c], notInRow {
+		l.cols = append(l.cols, c)
+	}
+	m := len(l.cols)
+	r := make([]int32, 2*m)
+	for j, c := range l.cols {
+		if int(c) == i {
+			diag[i] = int32(j)
+		}
+		r[j], r[m+j] = c, l.lev[c]
+	}
+	rows[i] = r
 }

@@ -44,7 +44,7 @@ func TestSymbolicParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s lvl %d: %v", name, lvl, err)
 			}
-			for _, p := range []int{1, 2, 3, 8, 16} {
+			for _, p := range []int{1, 2, 3, 4, 16} {
 				got, err := SymbolicParallel(a, lvl, p)
 				if err != nil {
 					t.Fatalf("%s lvl %d p %d: %v", name, lvl, p, err)

@@ -2,12 +2,8 @@ package krylov
 
 import (
 	"errors"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"doconsider/internal/executor"
@@ -139,9 +135,9 @@ func (g *goroutineProbe) Apply(z, r []float64) {
 
 // TestSolveStartsNoGoroutine: a solve at Procs 4 runs on the executor's
 // worker set, so the census never rises above its starting count during
-// any method's iterations and is back at it afterwards; and the packages
-// behind a solve's vector operations contain no go statement, so nothing
-// forks between two censuses either.
+// any method's iterations and is back at it afterwards. That nothing
+// forks between two censuses either is TestOnlyExecutorSynchronizes's
+// source check.
 func TestSolveStartsNoGoroutine(t *testing.T) {
 	a := stencil.Laplace2D(70, 70)
 	b := rhsForOnes(a)
@@ -156,25 +152,6 @@ func TestSolveStartsNoGoroutine(t *testing.T) {
 		}
 		if n := executor.Goroutines(); probe.max > probe.base || n != probe.base {
 			t.Errorf("%s: %d goroutines before, at most %d during, %d after", methodNames[m], probe.base, probe.max, n)
-		}
-	}
-	fset := token.NewFileSet()
-	for _, dir := range []string{".", "../vec", "../sparse"} {
-		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range files {
-			file, err := parser.ParseFile(fset, f, nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok {
-					t.Errorf("%s: go statement", fset.Position(g.Pos()))
-				}
-				return true
-			})
 		}
 	}
 }

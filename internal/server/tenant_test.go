@@ -110,3 +110,36 @@ func TestTenantWeightsAndQuotas(t *testing.T) {
 		t.Fatalf("negative quota = %d, want 0 (unbounded)", got.quota)
 	}
 }
+
+// FuzzTenantHeader: parseTenantHeader never panics, every header it
+// accepts names a 1–64-byte [A-Za-z0-9._-] tenant in the latency or batch
+// class, and that pair, written back as "name;class=…", parses to itself.
+// Run with `go test -run '^$' -fuzz '^FuzzTenantHeader$' ./internal/server`.
+func FuzzTenantHeader(f *testing.F) {
+	for _, s := range []string{"", "alice", "alice;class=batch", "alice; class=latency",
+		" team.a_b-c ;class=latency", "alice;priority=high", ";class=latency", "a;b;class=batch",
+		strings.Repeat("a", 64), strings.Repeat("a", 65), "alice;class=latency\x00"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		name, class, err := parseTenantHeader(h)
+		if err != nil {
+			return
+		}
+		if len(name) < 1 || len(name) > maxTenantNameLen {
+			t.Fatalf("header %q: accepted a %d-byte name", h, len(name))
+		}
+		for i := 0; i < len(name); i++ {
+			if !validTenantNameByte(name[i]) {
+				t.Fatalf("header %q: accepted name %q with byte %q", h, name, name[i])
+			}
+		}
+		if class != ClassLatency && class != ClassBatch {
+			t.Fatalf("header %q: accepted class %d", h, class)
+		}
+		again := name + ";class=" + class.String()
+		if n2, c2, err := parseTenantHeader(again); err != nil || n2 != name || c2 != class {
+			t.Fatalf("header %q = (%q, %v), but %q = (%q, %v, %v)", h, name, class, again, n2, c2, err)
+		}
+	})
+}

@@ -26,9 +26,10 @@ type SolveRow struct {
 }
 
 // TriSolveDecomposition reproduces Table 2 (self-executing) or Table 3
-// (pre-scheduled) for the given problems on nproc processors.
-func TriSolveDecomposition(names []string, nproc int, kind machine.Executor) ([]SolveRow, error) {
-	costs := machine.MultimaxCosts()
+// (pre-scheduled) for the given problems on nproc processors under costs:
+// machine.MultimaxCosts for the paper's machine, machine.Calibrate for
+// this host.
+func TriSolveDecomposition(names []string, nproc int, kind machine.Executor, costs machine.Costs) ([]SolveRow, error) {
 	rows := make([]SolveRow, 0, len(names))
 	for _, name := range names {
 		p, err := problems.Get(name)

@@ -43,7 +43,7 @@ func TestTable1ShapesAndFormat(t *testing.T) {
 
 func TestTriSolveDecomposition(t *testing.T) {
 	for _, kind := range []machine.Executor{machine.SelfExecutingSim, machine.PreScheduledSim} {
-		rows, err := TriSolveDecomposition(quickSet, 16, kind)
+		rows, err := TriSolveDecomposition(quickSet, 16, kind, machine.MultimaxCosts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +85,11 @@ func TestTriSolveDecomposition(t *testing.T) {
 }
 
 func TestTable2BeatsTable3(t *testing.T) {
-	self, err := TriSolveDecomposition(quickSet, 16, machine.SelfExecutingSim)
+	self, err := TriSolveDecomposition(quickSet, 16, machine.SelfExecutingSim, machine.MultimaxCosts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := TriSolveDecomposition(quickSet, 16, machine.PreScheduledSim)
+	pre, err := TriSolveDecomposition(quickSet, 16, machine.PreScheduledSim, machine.MultimaxCosts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,9 @@ func FuzzParse(f *testing.F) {
 // accepts is bound to small deterministic data (fuzzEnv) and run through
 // Inspect and core.New under the self-executing and pre-scheduled
 // executors at P = 4. Each run must leave the arrays bit for bit as
-// RunSequential does, or fail where RunSequential fails. Run with
+// RunSequential does, or fail where RunSequential fails, and Inspect must
+// record one edge per distinct (iteration, earlier iteration) pair the
+// sequential run reads. Run with
 // `go test -run '^$' -fuzz '^FuzzTransform$' ./internal/transform`.
 func FuzzTransform(f *testing.F) {
 	seeds := append([]string{
@@ -79,7 +81,35 @@ func FuzzTransform(f *testing.F) {
 			return
 		}
 		checkTransformed(t, a, func() *Env { return fuzzEnv(a) })
+		deps, err := a.Inspect(fuzzEnv(a))
+		pairs, perr := readPairs(a, fuzzEnv(a))
+		if err == nil && perr == nil && deps.Edges() != pairs {
+			t.Fatalf("Inspect recorded %d edges for %d distinct dependences", deps.Edges(), pairs)
+		}
 	})
+}
+
+// readPairs runs a's loop on env as RunSequential does and counts the
+// distinct (iteration, earlier iteration) pairs whose reads it served.
+func readPairs(a *Analysis, env *Env) (int, error) {
+	lo, hi, err := a.Bounds(env)
+	if err != nil {
+		return 0, err
+	}
+	r := a.figure4(env)
+	read, pairs := r.read, map[[2]int]bool{}
+	r.read = func(iter, sub int) float64 {
+		if sub >= lo && sub < iter {
+			pairs[[2]int{iter, sub}] = true
+		}
+		return read(iter, sub)
+	}
+	for i := lo; i <= hi; i++ {
+		if err := a.walk(env, r, i); err != nil {
+			return 0, err
+		}
+	}
+	return len(pairs), nil
 }
 
 // checkTransformed runs a under RunSequential and under the inspector and

@@ -195,9 +195,11 @@ func (a *Analysis) Bounds(env *Env) (lo, hi int, err error) {
 
 // Inspect is the run-time inspector (the scheduling procedure of paper
 // Section 1): it walks the loop body for each outer iteration and records
-// a dependence on the producing iteration whenever a read of the written
-// array refers to an earlier one. References to the current or later
-// iterations read old values (Figure 4's xold) and impose no ordering.
+// a dependence on the producing iteration the first time a read of the
+// written array refers to an earlier one; repeated reads of it add
+// nothing, so the executor checks each dependence once. References to
+// the current or later iterations read old values (Figure 4's xold) and
+// impose no ordering.
 // The inspector stores nothing and serves each read as NaN, a value the
 // loop has not computed yet; Analyze guarantees none reaches a subscript
 // or a bound, so the walk sees every dependence the executor will.
@@ -207,13 +209,17 @@ func (a *Analysis) Inspect(env *Env) (*wavefront.Deps, error) {
 		return nil, err
 	}
 	var deps []int32
+	// seen[t] == i+1 once iteration lo+i has recorded its dependence on
+	// lo+t.
+	seen := make([]int32, max(hi-lo+1, 0))
 	r := &route{written: a.Written, read: func(iter, sub int) float64 {
-		if sub >= lo && sub < iter {
+		if sub >= lo && sub < iter && seen[sub-lo] != int32(iter-lo+1) {
+			seen[sub-lo] = int32(iter - lo + 1)
 			deps = append(deps, int32(sub-lo))
 		}
 		return math.NaN()
 	}}
-	adj := make([][]int32, max(hi-lo+1, 0))
+	adj := make([][]int32, len(seen))
 	for i := lo; i <= hi; i++ {
 		deps = nil
 		if err := a.walk(env, r, i); err != nil {

@@ -511,3 +511,39 @@ func TestValueReadsStayAccepted(t *testing.T) {
 		checkTransformed(t, a, bind)
 	}
 }
+
+// TestInspectRecordsEachDependenceOnce: an iteration that reads x(i-1)
+// three times depends on it once. Recording every read gave this loop 24
+// edges for its 8 dependences, and a flags pass paid one ready-check per
+// copy: 16 more than the 8 it makes now.
+func TestInspectRecordsEachDependenceOnce(t *testing.T) {
+	loop, err := Parse("doconsider i = 1, n-1\n do j = 0, 2\n  x(i) = x(i) + x(i-1)\n enddo\nenddo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Analyze(loop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv()
+	env.Float["x"] = make([]float64, 10)
+	env.Scalars["n"] = 10
+	deps, err := a.Inspect(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deps.Edges() != 8 {
+		t.Fatalf("Inspect recorded %d edges, want 8", deps.Edges())
+	}
+	rt, err := core.New(deps, core.WithProcs(2), core.WithExecutor(executor.SelfExecuting))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := a.ExecutorBody(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := rt.Run(body); m.SpinChecks != 24-16 {
+		t.Errorf("flags pass made %d ready-checks, want %d", m.SpinChecks, 24-16)
+	}
+}
